@@ -53,6 +53,17 @@ def _require(cfg: dict, key: str, context: str = "") -> Any:
     return cfg[key]
 
 
+def _number(cfg: dict, key: str, default: Any = None, context: str = "",
+            kind: type = float) -> Any:
+    """cfg[key] as a float (or int); required when no default is given."""
+    value = _require(cfg, key, context) if default is None else cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        name = f"{context}.{key}" if context else key
+        raise ConfigError(f"{name} must be a number, got {value!r}") from err
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -68,7 +79,7 @@ def _load_config(path: str) -> dict:
 
 def _build_from_config(cfg: dict) -> PdmSystem:
     family = _require(cfg, "family")
-    n = int(cfg.get("n", 1))
+    n = _number(cfg, "n", 1, kind=int)
     params = cfg.get("params", {})
     custom = cfg.get("custom", {})
     return build_system(family, n, params,
@@ -79,7 +90,7 @@ def _build_from_config(cfg: dict) -> PdmSystem:
 
 def _exact_spec_from(cfg: dict, system_cfg: dict) -> ExactSolutionSpec:
     family = _require(system_cfg, "family")
-    n = int(system_cfg.get("n", 1))
+    n = _number(system_cfg, "n", 1, kind=int)
     params = parameter_set(system_cfg.get("params", {}), n)
     amplitude = tuple(float(a) for a in _require(cfg, "amplitude", "from_exact"))
     phase = tuple(float(p) for p in cfg.get("phase", ()))
@@ -103,19 +114,19 @@ def _initial_state(cfg: dict, system: PdmSystem) -> State:
 
 def _integrator_options(cfg: dict) -> IntegratorOptions:
     icfg = _require(cfg, "integrator")
-    t_end = float(_require(icfg, "t_end", "integrator"))
+    t_end = _number(icfg, "t_end", context="integrator")
     scheme = icfg.get("scheme", "adaptive45")
     if scheme in ("adaptive", "adaptive45"):
         return IntegratorOptions(
             t_end=t_end, scheme=ADAPTIVE45,
-            rel_tol=float(icfg.get("rel_tol", 1e-10)),
-            abs_tol=float(icfg.get("abs_tol", 1e-12)),
-            h_init=float(icfg.get("h_init", 1e-3)),
-            h_min=float(icfg.get("h_min", 1e-14)),
-            h_max=float(icfg.get("h_max", math.inf)))
+            rel_tol=_number(icfg, "rel_tol", 1e-10, "integrator"),
+            abs_tol=_number(icfg, "abs_tol", 1e-12, "integrator"),
+            h_init=_number(icfg, "h_init", 1e-3, "integrator"),
+            h_min=_number(icfg, "h_min", 1e-14, "integrator"),
+            h_max=_number(icfg, "h_max", math.inf, "integrator"))
     if scheme in ("fixed", "fixed_rk4"):
         return IntegratorOptions(t_end=t_end, scheme=FIXED_RK4,
-                                 h=float(icfg.get("h", 1e-3)))
+                                 h=_number(icfg, "h", 1e-3, "integrator"))
     raise ConfigError(f"integrator.scheme must be adaptive45 or fixed_rk4, got {scheme!r}")
 
 

@@ -147,6 +147,7 @@ class Trajectory:
     rejected: int
     max_error: float               # largest accepted local error estimate
     termination: Termination
+    nfev: int = 0                  # RHS evaluations integrate attempted
 
     def __len__(self) -> int:
         return len(self.t)

@@ -1,9 +1,12 @@
 """Time integration with domain guards, dense output and period estimation.
 
 Two schemes: a classical fixed-step RK4 and an embedded Dormand-Prince 5(4)
-pair with PI step-size control.  The domain guard runs at every internal
-stage, not just accepted steps, so trajectories that approach a mass-profile
-boundary terminate cleanly instead of corrupting the step-size controller.
+pair with PI step-size control.  The Dormand-Prince stepper keeps its seven
+stage derivatives in one (7, 2n) array and forms each stage state, the
+propagated solution and the error estimate as tableau-row products with it.
+The domain guard runs at every internal stage, not just accepted steps, so
+trajectories that approach a mass-profile boundary terminate cleanly instead
+of corrupting the step-size controller.
 """
 
 from __future__ import annotations
@@ -72,52 +75,39 @@ def rk4_step(rhs: RhsFn, state: State, h: float) -> State:
     return State(t + h, xn, vn)
 
 
-# Dormand-Prince 5(4) tableau; the 5th-order solution is propagated and the
-# first stage is reused from the previous step (FSAL).
+# Dormand-Prince 5(4) tableau; row i of _A weights the stage derivatives
+# that form stage i.  The 5th-order solution is propagated, and the last row
+# of _A equals _B5, so the last stage is reused as the next first one (FSAL).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
 
 
-class _GuardStop(Exception):
-    def __init__(self, err):
-        self.err = err
-
-
-def _wrap(rhs: RhsFn, guard: GuardFn | None) -> RhsFn:
-    def wrapped(t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        try:
-            if guard is not None:
-                guard(t, x, v)
-            return rhs(t, x, v)
-        except _GUARDABLE as err:
-            raise _GuardStop(err) from err
-    return wrapped
-
-
 def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory:
     """Integrate up to opts.t_end, or truncate on a guard/step failure."""
-    f = _wrap(rhs, opts.guard)
+    f = rhs
+    if opts.guard is not None:
+        guard = opts.guard
+
+        def f(t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+            guard(t, x, v)
+            return rhs(t, x, v)
+
     ts = [initial.t]
     xs = [np.array(initial.x, dtype=float)]
     vs = [np.array(initial.v, dtype=float)]
-    try:
-        a0 = f(initial.t, xs[0], vs[0])
-    except _GuardStop as stop:
-        raise stop.err from None  # initial state must be valid
-    accs = [np.array(a0)]
-
+    accs = [np.array(f(initial.t, xs[0], vs[0]))]  # initial state must be valid
     if opts.scheme == FIXED_RK4:
         return _run_fixed(f, ts, xs, vs, accs, opts)
     return _run_adaptive(f, ts, xs, vs, accs, opts)
@@ -128,91 +118,102 @@ def _termination_from(err, t: float) -> Termination:
     return Termination("domain_violation", t, coord)
 
 
-def _make_traj(ts, xs, vs, accs, accepted, rejected, max_err, term) -> Trajectory:
+def _make_traj(ts, xs, vs, accs, accepted, rejected, max_err, term, nfev) -> Trajectory:
     return Trajectory(np.array(ts), np.vstack(xs), np.vstack(vs), np.vstack(accs),
-                      accepted, rejected, max_err, term)
+                      accepted, rejected, max_err, term, nfev)
 
 
 def _run_fixed(f, ts, xs, vs, accs, opts: IntegratorOptions) -> Trajectory:
+    nfev = 1  # the initial acceleration
+
+    def counted(tt: float, xx: np.ndarray, vv: np.ndarray) -> np.ndarray:
+        nonlocal nfev
+        nfev += 1
+        return f(tt, xx, vv)
+
     t, x, v = ts[0], xs[0], vs[0]
     eps_end = 1e-12 * max(1.0, abs(opts.t_end))
     accepted = 0
-    while t < opts.t_end - eps_end and accepted < opts.max_steps:
+    term = Termination("completed")
+    while t < opts.t_end - eps_end:
+        if accepted >= opts.max_steps:
+            term = Termination("step_failure", t)
+            break
         h = min(opts.h, opts.t_end - t)
         try:
-            nxt = rk4_step(f, State(t, x, v), h)
-            a = f(nxt.t, nxt.x, nxt.v)
-        except _GuardStop as stop:
-            return _make_traj(ts, xs, vs, accs, accepted, 0, 0.0,
-                              _termination_from(stop.err, t))
+            nxt = rk4_step(counted, State(t, x, v), h)
+            a = counted(nxt.t, nxt.x, nxt.v)
+        except _GUARDABLE as err:
+            term = _termination_from(err, t)
+            break
         t, x, v = nxt.t, nxt.x, nxt.v
         ts.append(t)
         xs.append(x)
         vs.append(v)
         accs.append(a)
         accepted += 1
-    return _make_traj(ts, xs, vs, accs, accepted, 0, 0.0, Termination("completed"))
+    return _make_traj(ts, xs, vs, accs, accepted, 0, 0.0, term, nfev)
 
 
 def _run_adaptive(f, ts, xs, vs, accs, opts: IntegratorOptions) -> Trajectory:
     t = ts[0]
-    y = np.concatenate([xs[0], vs[0]])
     n = len(xs[0])
-
-    def fy(tt: float, yy: np.ndarray) -> np.ndarray:
-        a = f(tt, yy[:n], yy[n:])
-        return np.concatenate([yy[n:], a])
-
-    k = [np.zeros_like(y) for _ in range(7)]
-    k[0] = np.concatenate([vs[0], accs[0]])
+    y = np.concatenate([xs[0], vs[0]])
+    K = np.empty((7, 2 * n))  # stage derivatives (v, a) of y = (x, v), by row
+    K[0] = np.concatenate([vs[0], accs[0]])
     h = min(opts.h_init, opts.h_max, max(opts.t_end - t, opts.h_min))
     accepted = rejected = 0
+    nfev = 1  # the initial acceleration
     max_err = 0.0
     err_prev = 1.0
     # PI controller exponents for a 5th-order pair
     k_i, k_p = 0.7 / 5.0, 0.4 / 5.0
     safety = 0.9
     eps_end = 1e-12 * max(1.0, abs(opts.t_end))
+    term = Termination("completed")
 
     while t < opts.t_end - eps_end:
         if accepted + rejected >= opts.max_steps:
-            return _make_traj(ts, xs, vs, accs, accepted, rejected, max_err,
-                              Termination("step_failure", t))
+            term = Termination("step_failure", t)
+            break
         h = min(h, opts.t_end - t)
         try:
             for i in range(1, 7):
-                yi = y + h * sum(_A[i][j] * k[j] for j in range(i))
-                k[i] = fy(t + _C[i] * h, yi)
-        except _GuardStop as stop:
+                yi = y + h * _A[i, :i].dot(K[:i])
+                vi = yi[n:]
+                K[i, :n] = vi
+                K[i, n:] = f(t + _C[i] * h, yi[:n], vi)
+        except _GUARDABLE as err:
+            nfev += i
             if h > opts.h_min * 4.0:
                 # retry closer to the boundary before giving up
                 h = max(h * 0.25, opts.h_min)
                 rejected += 1
                 continue
-            return _make_traj(ts, xs, vs, accs, accepted, rejected, max_err,
-                              _termination_from(stop.err, t))
+            term = _termination_from(err, t)
+            break
+        nfev += 6
 
-        y_new = y + h * sum(_B5[j] * k[j] for j in range(7))
-        err_vec = h * sum(_E[j] * k[j] for j in range(7))
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        y_new = y + h * _B5.dot(K)
+        r = _E.dot(K) / (opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+        err = h * math.sqrt(r.dot(r) / r.size)  # RMS of the scaled error
 
         if not math.isfinite(err):
             h = max(h * 0.25, opts.h_min)
             rejected += 1
             if h <= opts.h_min:
-                return _make_traj(ts, xs, vs, accs, accepted, rejected, max_err,
-                                  Termination("step_failure", t))
+                term = Termination("step_failure", t)
+                break
             continue
 
         if err <= 1.0:
             t += h
-            y = y_new
-            k[0] = k[6]  # FSAL
+            y = y_new  # a fresh array, so the x and v views below stay valid
+            K[0] = K[6]  # FSAL
             ts.append(t)
-            xs.append(y[:n].copy())
-            vs.append(y[n:].copy())
-            accs.append(k[6][n:].copy())
+            xs.append(y[:n])
+            vs.append(y[n:])
+            accs.append(K[6, n:].copy())
             accepted += 1
             max_err = max(max_err, err)
             factor = safety * (err ** -k_i if err > 0.0 else 10.0) * (err_prev ** k_p)
@@ -221,12 +222,11 @@ def _run_adaptive(f, ts, xs, vs, accs, opts: IntegratorOptions) -> Trajectory:
         else:
             rejected += 1
             if h <= opts.h_min * (1.0 + 1e-12):
-                return _make_traj(ts, xs, vs, accs, accepted, rejected, max_err,
-                                  Termination("step_failure", t))
+                term = Termination("step_failure", t)
+                break
             factor = max(safety * err ** (-0.2), 0.2)
             h = max(h * min(factor, 1.0), opts.h_min)
-    return _make_traj(ts, xs, vs, accs, accepted, rejected, max_err,
-                      Termination("completed"))
+    return _make_traj(ts, xs, vs, accs, accepted, rejected, max_err, term, nfev)
 
 
 # --- dense output ---------------------------------------------------------------

@@ -115,6 +115,32 @@ class TestSimulate:
         assert code == 0
         assert out_path.read_text().startswith("t,x_1,x_2,v_1,v_2,E")
 
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "n", "two"),
+        ("integrator", "t_end", "later"),
+        ("integrator", "rel_tol", "tight"),
+        ("integrator", "abs_tol", [1e-12]),
+        ("integrator", "h_init", None),
+        ("integrator", "h_min", "tiny"),
+        ("integrator", "h_max", {"value": 1.0}),
+    ])
+    def test_non_numeric_value_exit_2(self, tmp_path, section, key, value):
+        cfg_data = dict(ML1_CONFIG)
+        if section is None:
+            cfg_data[key] = value
+        else:
+            cfg_data[section] = dict(cfg_data[section], **{key: value})
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert code == 2
+        assert err.startswith("error:") and key in err
+
+    def test_non_numeric_fixed_step_exit_2(self, tmp_path):
+        cfg_data = dict(ML1_CONFIG, integrator={"scheme": "fixed_rk4", "t_end": 1.0,
+                                                "h": "small"})
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert code == 2
+        assert err.startswith("error:") and "integrator.h" in err
+
 
 class TestExact:
     def test_tabulates_closed_form(self, tmp_path):

@@ -8,14 +8,56 @@ import pytest
 from pdmdyn.core import State, build_system, parameter_set
 from pdmdyn.errors import DomainViolation, InvalidParameter, NoPeriod
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
-from pdmdyn.integrate import (ADAPTIVE45, FIXED_RK4, IntegratorOptions,
-                              estimate_period, integrate, rk4_step,
+from pdmdyn.integrate import (ADAPTIVE45, FIXED_RK4, IntegratorOptions, _A, _B4,
+                              _B5, _C, _E, estimate_period, integrate, rk4_step,
                               sample_dense)
 from pdmdyn.verify import el1_rhs
 
 
 def harmonic_rhs(t, x, v):
     return -x
+
+
+class Counted:
+    """An RHS or guard that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, t, x, v):
+        self.calls += 1
+        return self.fn(t, x, v)
+
+
+# Dormand-Prince 5(4) coefficients as separate rows, summed stage by stage
+# with Python sums over lists: the reference for the stage-array stepper.
+_REF_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_REF_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+_REF_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+
+
+def reference_dp5_step(rhs, t, x, v, h):
+    """One 5th-order Dormand-Prince step of (x, v) -> (v, a), loop form."""
+    n = len(x)
+
+    def fy(tt, yy):
+        return np.concatenate([yy[n:], rhs(tt, yy[:n], yy[n:])])
+
+    y = np.concatenate([x, v])
+    k = [fy(t, y)]
+    for i in range(1, 7):
+        yi = y + h * sum(_REF_A[i][j] * k[j] for j in range(i))
+        k.append(fy(t + _REF_C[i] * h, yi))
+    return y + h * sum(_REF_B5[j] * k[j] for j in range(7))
 
 
 class TestRk4Step:
@@ -86,20 +128,24 @@ class TestIntegrate:
         system = build_system("ml1", 1, {"omega": [1.0], "lambda": 1.0,
                                          "sign": "-"})
         opts = IntegratorOptions(t_end=10.0, scheme=FIXED_RK4, h=0.01)
-        traj = integrate(el1_rhs(system), State.of(0.0, [0.9999], [0.5]), opts)
+        rhs = Counted(el1_rhs(system))
+        traj = integrate(rhs, State.of(0.0, [0.9999], [0.5]), opts)
         assert traj.termination.kind in ("domain_violation", "step_failure")
         assert traj.t[-1] < 10.0
         assert np.all(np.abs(traj.x) < 1.0)
+        assert traj.nfev == rhs.calls
 
     def test_vanishing_mass_truncates_adaptive(self):
         # a mass zero inside the working interval makes the velocity diverge
         # in finite time; the adaptive run must stop, not wander outside
         system = build_system("custom", 1, mass_exprs=["1-x^2"])
         opts = IntegratorOptions(t_end=10.0, scheme=ADAPTIVE45, rel_tol=1e-8)
-        traj = integrate(el1_rhs(system), State.of(0.0, [0.9], [0.5]), opts)
+        rhs = Counted(el1_rhs(system))
+        traj = integrate(rhs, State.of(0.0, [0.9], [0.5]), opts)
         assert traj.termination.kind in ("domain_violation", "step_failure")
         assert traj.t[-1] < 10.0
         assert np.all(np.abs(traj.x) <= 1.0)
+        assert traj.nfev == rhs.calls
 
     def test_minus_branch_potential_wall_confines_adaptive(self):
         # the catalog potential diverges at the domain edge, so the true
@@ -108,21 +154,29 @@ class TestIntegrate:
         system = build_system("ml1", 1, {"omega": [1.0], "lambda": 1.0,
                                          "sign": "-"})
         opts = IntegratorOptions(t_end=10.0, scheme=ADAPTIVE45, rel_tol=1e-8)
-        traj = integrate(el1_rhs(system), State.of(0.0, [0.9999], [0.5]), opts)
+        rhs = Counted(el1_rhs(system))
+        traj = integrate(rhs, State.of(0.0, [0.9999], [0.5]), opts)
         assert traj.termination.kind == "completed"
         assert np.all(np.abs(traj.x) < 1.0)
+        # some attempts stopped part-way through their six stages at the
+        # domain check and were retried; their stages count too
+        assert (traj.nfev - 1) % 6 != 0
+        assert traj.nfev == rhs.calls
 
     def test_custom_guard_predicate_truncates(self):
-        def guard(t, x, v):
+        def predicate(t, x, v):
             if abs(x[0]) > 0.5:
                 raise DomainViolation("left the watched region", t=t, coordinate=0)
 
-        opts = IntegratorOptions(t_end=10.0, scheme=ADAPTIVE45, rel_tol=1e-8,
-                                 guard=guard)
-        traj = integrate(harmonic_rhs, State.of(0.0, [0.0], [1.0]), opts)
-        assert traj.termination.kind == "domain_violation"
-        assert traj.termination.coordinate == 0
-        assert np.all(np.abs(traj.x) <= 0.5 + 1e-12)
+        for scheme in (ADAPTIVE45, FIXED_RK4):
+            guard = Counted(predicate)
+            opts = IntegratorOptions(t_end=10.0, scheme=scheme, h=0.01, rel_tol=1e-8,
+                                     guard=guard)
+            traj = integrate(harmonic_rhs, State.of(0.0, [0.0], [1.0]), opts)
+            assert traj.termination.kind == "domain_violation"
+            assert traj.termination.coordinate == 0
+            assert np.all(np.abs(traj.x) <= 0.5 + 1e-12)
+            assert guard.calls == traj.nfev  # the guard runs at every evaluation
 
     def test_fixed_rk4_scheme(self):
         opts = IntegratorOptions(t_end=2.0 * math.pi, scheme=FIXED_RK4, h=1e-3)
@@ -152,6 +206,70 @@ class TestIntegrate:
         assert len(states) == len(traj.t)
         assert states[0].x[0] == 1.0
         assert np.all(np.diff(traj.t) > 0)
+
+
+class TestDormandPrince:
+    def test_tableau_rows_sum_to_nodes(self):
+        for i in range(7):
+            assert math.fsum(_A[i]) == pytest.approx(_C[i], abs=1e-15)
+
+    def test_last_row_is_fifth_order_weights(self):
+        # first-same-as-last: the last stage is evaluated at the new state
+        assert np.array_equal(_A[6], _B5)
+
+    def test_weights_are_consistent(self):
+        assert math.fsum(_B5) == pytest.approx(1.0, abs=1e-15)
+        assert math.fsum(_B4) == pytest.approx(1.0, abs=1e-15)
+
+    def test_error_weights_match_scipy(self):
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        # scipy estimates B4 - B5 where this stepper estimates B5 - B4
+        assert np.max(np.abs(_E + rk.RK45.E)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_step_matches_loop_reference(self, n):
+        rng = np.random.default_rng(7 + n)
+        M = rng.normal(size=(n, n))
+        D = rng.normal(size=(n, n))
+
+        def rhs(t, x, v):
+            return M @ np.sin(x) - D @ (x * v) + math.cos(t)
+
+        for _ in range(25):
+            x, v = rng.normal(size=n), rng.normal(size=n)
+            t0, h = rng.uniform(-1.0, 1.0), rng.uniform(0.01, 0.2)
+            opts = IntegratorOptions(t_end=t0 + h, h_init=h, rel_tol=1.0,
+                                     abs_tol=1.0)
+            traj = integrate(rhs, State(t0, x, v), opts)
+            assert (traj.accepted, traj.rejected) == (1, 0)
+            ref = reference_dp5_step(rhs, t0, x, v, h)
+            got = np.concatenate([traj.x[-1], traj.v[-1]])
+            assert np.max(np.abs(got - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
+
+
+class TestMaxSteps:
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    def test_step_budget_is_a_step_failure(self, scheme):
+        opts = IntegratorOptions(t_end=10.0, scheme=scheme, h=1e-3,
+                                 rel_tol=1e-12, max_steps=100)
+        traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
+        assert traj.termination.kind == "step_failure"
+        assert traj.termination.t == traj.t[-1] < 10.0
+        assert traj.accepted + traj.rejected == 100
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    def test_nfev_counts_every_rhs_call(self, scheme):
+        rhs = Counted(harmonic_rhs)
+        opts = IntegratorOptions(t_end=3.0, scheme=scheme, h=0.01, rel_tol=1e-10)
+        traj = integrate(rhs, State.of(0.0, [1.0], [0.0]), opts)
+        assert traj.termination.kind == "completed"
+        assert traj.nfev == rhs.calls > 1
+
+    def test_closed_form_trajectory_has_no_evaluations(self):
+        spec = ExactSolutionSpec("harmonic", parameter_set({"omega": [1.0]}, 1), (1.0,))
+        assert exact_trajectory(spec, 0.0, 1.0, 11).nfev == 0
 
 
 class TestRk4Order:
