@@ -23,8 +23,8 @@ from .errors import (DomainViolation, ExprDomainError, ExprSyntaxError,
                      NonPositiveScale, NoPeriod, PdmError, SingularCoefficient,
                      SingularPoint, UnknownCheck, UnknownIdentifier,
                      UnsupportedFamily)
-from .exprparse import (Dual2, eval_dual, eval_gradient, eval_value,
-                        parse_expression, to_source)
+from .exprparse import (eval_dual, eval_gradient, eval_value, parse_expression,
+                        to_source)
 from .integrate import (ADAPTIVE45, FIXED_RK4, IntegratorOptions,
                         estimate_period, integrate, rk4_step, sample_dense)
 from .profiles import (CoupledProfile, CustomProfile, Exponential, Interval,

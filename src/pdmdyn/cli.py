@@ -64,6 +64,15 @@ def _number(cfg: dict, key: str, default: Any = None, context: str = "",
         raise ConfigError(f"{name} must be a number, got {value!r}") from err
 
 
+def _numbers(cfg: dict, key: str, context: str, default: Any = None) -> tuple[float, ...]:
+    """cfg[key] as a tuple of floats; required when no default is given."""
+    value = _require(cfg, key, context) if default is None else cfg.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{context}.{key} must be a list of numbers, got {value!r}")
+    entries = dict(enumerate(value))
+    return tuple(_number(entries, i, context=f"{context}.{key}") for i in entries)
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -88,12 +97,12 @@ def _build_from_config(cfg: dict) -> PdmSystem:
                         kind=TYPE2 if custom.get("kind") == "type2" else None)
 
 
-def _exact_spec_from(cfg: dict, system_cfg: dict) -> ExactSolutionSpec:
+def _exact_spec_from(cfg: dict, system_cfg: dict, context: str) -> ExactSolutionSpec:
     family = _require(system_cfg, "family")
     n = _number(system_cfg, "n", 1, kind=int)
     params = parameter_set(system_cfg.get("params", {}), n)
-    amplitude = tuple(float(a) for a in _require(cfg, "amplitude", "from_exact"))
-    phase = tuple(float(p) for p in cfg.get("phase", ()))
+    amplitude = _numbers(cfg, "amplitude", context)
+    phase = _numbers(cfg, "phase", context, ())
     variant = cfg.get("variant", "published")
     return ExactSolutionSpec(family, params, amplitude, phase, variant)
 
@@ -101,15 +110,15 @@ def _exact_spec_from(cfg: dict, system_cfg: dict) -> ExactSolutionSpec:
 def _initial_state(cfg: dict, system: PdmSystem) -> State:
     initial = _require(cfg, "initial")
     if "from_exact" in initial:
-        spec = _exact_spec_from(initial["from_exact"], cfg)
-        t0 = float(initial["from_exact"].get("t0", 0.0))
+        spec = _exact_spec_from(initial["from_exact"], cfg, "initial.from_exact")
+        t0 = _number(initial["from_exact"], "t0", 0.0, "initial.from_exact")
         x, v, _ = kinematics(spec, t0)
         return State(t0, x, v)
-    x = np.asarray(_require(initial, "x", "initial"), dtype=float)
-    v = np.asarray(_require(initial, "v", "initial"), dtype=float)
+    x = np.asarray(_numbers(initial, "x", "initial"), dtype=float)
+    v = np.asarray(_numbers(initial, "v", "initial"), dtype=float)
     if len(x) != system.n or len(v) != system.n:
         raise ConfigError(f"initial.x and initial.v must have length {system.n}")
-    return State(float(initial.get("t0", 0.0)), x, v)
+    return State(_number(initial, "t0", 0.0, "initial"), x, v)
 
 
 def _integrator_options(cfg: dict) -> IntegratorOptions:
@@ -164,7 +173,7 @@ def _output_settings(cfg: dict, args) -> tuple[str | None, str, int]:
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
-    stride = int(out.get("stride", 1))
+    stride = _number(out, "stride", 1, "output", kind=int)
     if stride < 1:
         raise ConfigError("output.stride must be >= 1")
     return path, fmt, stride
@@ -187,15 +196,15 @@ def _cmd_simulate(args, out_stream, err_stream) -> int:
 
 def _cmd_exact(args, out_stream, err_stream) -> int:
     cfg = _load_config(args.config)
-    spec = _exact_spec_from(_require(cfg, "solution"), cfg)
+    spec = _exact_spec_from(_require(cfg, "solution"), cfg, "solution")
     grid = cfg.get("grid", {})
-    t0 = float(grid.get("t0", 0.0))
-    periods = grid.get("periods")
-    if periods is not None:
-        t1 = t0 + float(periods) * float(np.max(oscillation_period(spec)))
+    t0 = _number(grid, "t0", 0.0, "grid")
+    if grid.get("periods") is not None:
+        periods = _number(grid, "periods", context="grid")
+        t1 = t0 + periods * float(np.max(oscillation_period(spec)))
     else:
-        t1 = float(_require(grid, "t1", "grid"))
-    samples = int(grid.get("samples", 1000))
+        t1 = _number(grid, "t1", context="grid")
+    samples = _number(grid, "samples", 1000, "grid", kind=int)
     system = build_system(spec.family, spec.n, spec.params)
     traj = exact_trajectory(spec, t0, t1, samples)
     path, fmt, stride = _output_settings(cfg, args)

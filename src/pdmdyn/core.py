@@ -93,6 +93,11 @@ class PotentialSpec:
     exprs: tuple[Expr, ...] | None = None
     expr_texts: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        # compiled once, when the system is built: x -> (V_i, V_i', V_i'')
+        object.__setattr__(self, "compiled", tuple(
+            exprparse.compile_expression(e) for e in self.exprs or ()))
+
 
 @dataclass(frozen=True)
 class PdmSystem:
@@ -289,7 +294,7 @@ def _coordinate_potential(system: PdmSystem, i: int, xi: float,
     family = system.potential.family
     p = system.potential.params
     if family == "custom":
-        val, d1, _ = exprparse.eval_dual(system.potential.exprs[i], xi)
+        val, d1, _ = system.potential.compiled[i](xi, 1.0)
         return val, d1
     w2 = p.omega[i] * p.omega[i]
     if family in ("ml1", "powerlaw"):
@@ -334,7 +339,7 @@ def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:
     if system.kind == TYPE2:
         total = 0.0
         for i in range(system.n):
-            val, _, _ = exprparse.eval_dual(system.potential.exprs[i], float(xv[i]))
+            val, _, _ = system.potential.compiled[i](xv[i], 1.0)
             total += val
         return total
     total = 0.0
@@ -351,7 +356,7 @@ def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
     if system.kind == TYPE2:
         out = np.empty(system.n)
         for i in range(system.n):
-            _, d1, _ = exprparse.eval_dual(system.potential.exprs[i], float(xv[i]))
+            _, d1, _ = system.potential.compiled[i](xv[i], 1.0)
             out[i] = d1
         return out
     out = np.empty(system.n)

@@ -9,20 +9,34 @@ grammar is deliberately small:
     power  := atom ('^' factor)?          # right-associative
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
-with functions sin, cos, exp, ln, sqrt.  Every evaluation carries value,
-first and second derivative at once (truncated Taylor arithmetic), so a
-single pass yields the (m, m', m'') triple needed by the dynamics.
+with functions sin, cos, exp, ln, sqrt.  Each operator, function call and
+pair of parentheses is one level of nesting; at most MAX_DEPTH levels are
+accepted, so no expression the parser returns can exhaust the interpreter's
+stack.
+
+Every evaluation carries value, first and second derivative at once
+(truncated Taylor arithmetic), so a single pass yields the (m, m', m'')
+triple needed by the dynamics.  An Expr is compiled once per variable list
+into one generated straight-line Python function of plain floats: each node
+becomes a few assignments to locals, with its domain checks inline.  The
+compiled function is kept on the Expr object, so a repeated evaluation
+neither walks the tree nor compiles again.  Constants enter the generated
+code as bound float objects and variables as positional arguments; no text
+of the input reaches the generated source.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import ExprDomainError, ExprSyntaxError, UnknownIdentifier
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
+
+#: deepest nesting parse_expression accepts (operators, calls, parentheses)
+MAX_DEPTH = 100
 
 
 # --- abstract syntax tree ---------------------------------------------------
@@ -116,10 +130,13 @@ def _tokenize(text: str) -> list[_Token]:
 # --- parser -----------------------------------------------------------------
 
 class _Parser:
+    """Each rule returns (node, depth): depth counts the levels of nesting."""
+
     def __init__(self, tokens: list[_Token], variables: Sequence[str]):
         self.tokens = tokens
         self.pos = 0
         self.variables = tuple(variables)
+        self.level = 0  # factors entered and not yet left
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -135,63 +152,82 @@ class _Parser:
             raise ExprSyntaxError(tok.column, f"'{op}'")
         self.advance()
 
+    @staticmethod
+    def nest(tok: _Token, node: Expr, depth: int) -> tuple[Expr, int]:
+        """node one level above its deepest part; tok locates the error."""
+        if depth >= MAX_DEPTH:
+            raise ExprSyntaxError(tok.column, f"at most {MAX_DEPTH} levels of nesting")
+        return node, depth + 1
+
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "EOF":
             raise ExprSyntaxError(tok.column, "end of input")
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> tuple[Expr, int]:
+        node, depth = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, rdepth = self.term()
+            node, depth = self.nest(tok, BinOp(tok.text, node, right), max(depth, rdepth))
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.factor()
         while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
-        return node
+            tok = self.advance()
+            right, rdepth = self.factor()
+            node, depth = self.nest(tok, BinOp(tok.text, node, right), max(depth, rdepth))
+        return node, depth
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
+        # every recursive rule passes through here, so this bound also
+        # bounds the parser's own recursion before any node is built
         tok = self.peek()
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExprSyntaxError(tok.column, f"at most {MAX_DEPTH} levels of nesting")
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            arg, depth = self.factor()
+            out = self.nest(tok, Neg(arg), depth)
+        else:
+            out = self.power()
+        self.level -= 1
+        return out
 
-    def power(self) -> Expr:
-        node = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        node, depth = self.atom()
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "^":
             self.advance()
             # exponent may carry a unary minus; recursion keeps ^ right-associative
-            node = BinOp("^", node, self.factor())
-        return node
+            right, rdepth = self.factor()
+            node, depth = self.nest(tok, BinOp("^", node, right), max(depth, rdepth))
+        return node, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "NUMBER":
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "IDENT":
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "(":
                 if tok.text not in FUNCTIONS:
                     raise UnknownIdentifier(tok.text, tok.column)
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.expect_op(")")
-                return Call(tok.text, arg)
+                return self.nest(tok, Call(tok.text, arg), depth)
             if tok.text not in self.variables:
                 raise UnknownIdentifier(tok.text, tok.column)
-            return Var(tok.text)
+            return Var(tok.text), 1
         if tok.kind == "OP" and tok.text == "(":
-            node = self.expr()
+            node, depth = self.expr()
             self.expect_op(")")
-            return node
+            return self.nest(tok, node, depth)
         what = "end of input" if tok.kind == "EOF" else repr(tok.text)
         raise ExprSyntaxError(tok.column, f"a number, variable or '(' (got {what})")
 
@@ -241,124 +277,285 @@ def _render(e: Expr, parent_prec: int) -> str:
     return f"({s})" if parent_prec > prec else s
 
 
-# --- second-order dual arithmetic -------------------------------------------
+# --- compilation to straight-line float code --------------------------------
+#
+# Each node's (value, d1, d2) triple lives in three locals of the generated
+# function.  The arithmetic is that of second-order dual numbers:
+#   u*w:   (uw, u'w + uw', u''w + 2u'w' + uw'')
+#   u/w:   q = u/w, q' = (u' - qw')/w, q'' = (u'' - 2q'w' - qw'')/w
+#   f(u):  (f, f'u', f''u'u' + f'u'')
+# and an operation is written the same way, in the same order, wherever it
+# appears, so every path gives bit-identical results.
 
-@dataclass(frozen=True)
-class Dual2:
-    """Value with first and second derivative with respect to one seed."""
+#: integer powers up to this are unrolled; larger ones loop at run time
+_UNROLL = 16
 
-    val: float
-    d1: float = 0.0
-    d2: float = 0.0
-
-    @staticmethod
-    def seed(x: float) -> "Dual2":
-        return Dual2(float(x), 1.0, 0.0)
-
-    @staticmethod
-    def const(c: float) -> "Dual2":
-        return Dual2(float(c), 0.0, 0.0)
+_OVERFLOW = "float overflow"
 
 
-def _add(a: Dual2, b: Dual2) -> Dual2:
-    return Dual2(a.val + b.val, a.d1 + b.d1, a.d2 + b.d2)
+class _Slot(NamedTuple):
+    """Names holding a node's value and derivatives in the generated code."""
+
+    val: str
+    d1: str
+    d2: str
+    known: tuple[float, float, float] | None = None  # fixed before any input
 
 
-def _sub(a: Dual2, b: Dual2) -> Dual2:
-    return Dual2(a.val - b.val, a.d1 - b.d1, a.d2 - b.d2)
+def _int_pow(v: float, d1: float, d2: float, k: int,
+             where: Expr) -> tuple[float, float, float]:
+    """(v, d1, d2) to the integer power k by repeated multiplication.
 
-
-def _mul(a: Dual2, b: Dual2) -> Dual2:
-    return Dual2(a.val * b.val,
-                 a.d1 * b.val + a.val * b.d1,
-                 a.d2 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d2)
-
-
-def _div(a: Dual2, b: Dual2, where: Expr) -> Dual2:
-    if b.val == 0.0:
-        raise ExprDomainError("division by zero", to_source(where))
-    q = a.val / b.val
-    q1 = (a.d1 - q * b.d1) / b.val
-    q2 = (a.d2 - 2.0 * q1 * b.d1 - q * b.d2) / b.val
-    return Dual2(q, q1, q2)
-
-
-def _chain(u: Dual2, f: float, fp: float, fpp: float) -> Dual2:
-    return Dual2(f, fp * u.d1, fpp * u.d1 * u.d1 + fp * u.d2)
-
-
-def _int_pow(u: Dual2, k: int, where: Expr) -> Dual2:
+    Repeated multiplication keeps negative bases exact and real.
+    """
     if k == 0:
-        return Dual2.const(1.0)
+        return 1.0, 0.0, 0.0
     if k < 0:
-        return _div(Dual2.const(1.0), _int_pow(u, -k, where), where)
-    out = u
+        t, t1, t2 = _int_pow(v, d1, d2, -k, where)
+        if t == 0.0:
+            raise ExprDomainError("division by zero", to_source(where))
+        q = 1.0 / t
+        q1 = (0.0 - q * t1) / t
+        return q, q1, (0.0 - 2.0 * q1 * t1 - q * t2) / t
+    o, o1, o2 = v, d1, d2
     for _ in range(k - 1):
-        out = _mul(out, u)
-    return out
+        o, o1, o2 = o * v, o1 * v + o * d1, o2 * v + 2.0 * o1 * d1 + o * d2
+    return o, o1, o2
 
 
-def _pow(a: Dual2, b: Dual2, where: Expr) -> Dual2:
-    exponent_constant = b.d1 == 0.0 and b.d2 == 0.0
-    if exponent_constant and float(b.val).is_integer():
-        # repeated multiplication keeps negative bases exact and real
-        return _int_pow(a, int(b.val), where)
-    if a.val <= 0.0:
-        raise ExprDomainError(
-            "non-integer power of a non-positive base", to_source(where))
-    if exponent_constant:
-        p = b.val
-        f = a.val ** p
-        return _chain(a, f, p * a.val ** (p - 1.0), p * (p - 1.0) * a.val ** (p - 2.0))
-    ln_a = _chain(a, math.log(a.val), 1.0 / a.val, -1.0 / (a.val * a.val))
-    return _exp(_mul(b, ln_a))
+# the only names the generated code reads besides its arguments and bindings
+_NAMESPACE = {
+    "__builtins__": {"float": float, "int": int, "OverflowError": OverflowError},
+    "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+    "sqrt": math.sqrt, "int_pow": _int_pow,
+    "ExprDomainError": ExprDomainError, "to_source": to_source,
+}
 
 
-def _exp(u: Dual2) -> Dual2:
-    e = math.exp(u.val)
-    return _chain(u, e, e, e)
+class _Codegen:
+    """Emits the body of one compiled expression, node by node."""
+
+    def __init__(self, names: tuple[str, ...]):
+        self.index = {name: i for i, name in enumerate(names)}
+        self.lines: list[str] = []
+        self.bound: list[object] = []   # read by the code as k0, k1, ...
+        self.count = 0
+        self.indent = 0
+        self.zero = self.bind(0.0)
+
+    def bind(self, obj: object) -> str:
+        self.bound.append(obj)
+        return f"k{len(self.bound) - 1}"
+
+    def fresh(self, *prefixes: str) -> list[str]:
+        self.count += 1
+        return [f"{p}{self.count}" for p in prefixes]
+
+    def emit(self, *lines: str) -> None:
+        self.lines.extend("    " * self.indent + line for line in lines)
+
+    def block(self, head: str, body: Callable[[], None]) -> None:
+        self.emit(head)
+        self.indent += 1
+        body()
+        self.indent -= 1
+
+    def raise_domain(self, message: str, where: Expr) -> str:
+        return f"raise ExprDomainError({message!r}, to_source({self.bind(where)}))"
+
+    def guarded(self, where: Expr, *lines: str) -> None:
+        """lines, with a float overflow reported as a domain error."""
+        self.block("try:", lambda: self.emit(*lines))
+        self.block("except OverflowError:",
+                   lambda: self.emit(self.raise_domain(_OVERFLOW, where) + " from None"))
+
+    def constant(self, value: float, d1: float = 0.0, d2: float = 0.0) -> _Slot:
+        return _Slot(self.bind(value), self.bind(d1), self.bind(d2), (value, d1, d2))
+
+    def walk(self, root: Expr) -> _Slot:
+        """Post-order over the tree without recursion; returns the root's slot."""
+        todo: list[tuple[Expr, bool]] = [(root, False)]
+        done: list[_Slot] = []
+        while todo:
+            node, ready = todo.pop()
+            if isinstance(node, Num):
+                done.append(self.constant(float(node.value)))
+            elif isinstance(node, Var):
+                i = self.index[node.name]
+                done.append(_Slot(f"x{i}", f"s{i}", self.zero))
+            elif not ready:
+                todo.append((node, True))
+                if isinstance(node, BinOp):
+                    todo += [(node.right, False), (node.left, False)]
+                elif isinstance(node, (Neg, Call)):
+                    todo.append((node.arg, False))
+                else:
+                    raise TypeError(f"not an expression node: {node!r}")
+            elif isinstance(node, BinOp):
+                b = done.pop()
+                done.append(self.binop(node, done.pop(), b))
+            elif isinstance(node, Neg):
+                done.append(self.neg(done.pop()))
+            else:
+                done.append(self.call(node, done.pop()))
+        return done.pop()
+
+    def neg(self, a: _Slot) -> _Slot:
+        if a.known is not None:
+            return self.constant(*(-c for c in a.known))
+        v, p, q = self.fresh("v", "p", "q")
+        self.emit(f"{v} = -{a.val}", f"{p} = -{a.d1}", f"{q} = -{a.d2}")
+        return _Slot(v, p, q)
+
+    def binop(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
+        if node.op in ("+", "-"):
+            v, p, q = self.fresh("v", "p", "q")
+            op = node.op
+            self.emit(f"{v} = {a.val} {op} {b.val}", f"{p} = {a.d1} {op} {b.d1}",
+                      f"{q} = {a.d2} {op} {b.d2}")
+            return _Slot(v, p, q)
+        if node.op == "*":
+            return self.mul(a, b)
+        if node.op == "/":
+            return self.div(a, b, node)
+        return self.power(node, a, b)
+
+    def mul(self, a: _Slot, b: _Slot) -> _Slot:
+        v, p, q = self.fresh("v", "p", "q")
+        self.emit(f"{v} = {a.val} * {b.val}",
+                  f"{p} = {a.d1} * {b.val} + {a.val} * {b.d1}",
+                  f"{q} = {a.d2} * {b.val} + 2.0 * {a.d1} * {b.d1} + {a.val} * {b.d2}")
+        return _Slot(v, p, q)
+
+    def div(self, a: _Slot, b: _Slot, where: Expr) -> _Slot:
+        v, p, q = self.fresh("v", "p", "q")
+        self.block(f"if {b.val} == 0.0:",
+                   lambda: self.emit(self.raise_domain("division by zero", where)))
+        self.emit(f"{v} = {a.val} / {b.val}",
+                  f"{p} = ({a.d1} - {v} * {b.d1}) / {b.val}",
+                  f"{q} = ({a.d2} - 2.0 * {p} * {b.d1} - {v} * {b.d2}) / {b.val}")
+        return _Slot(v, p, q)
+
+    def chain(self, out: list[str], u: _Slot, fp: str, fpp: str) -> _Slot:
+        """f(u) given out[0] = f and the names of f'(u), f''(u)."""
+        v, p, q = out
+        self.emit(f"{p} = {fp} * {u.d1}", f"{q} = {fpp} * {u.d1} * {u.d1} + {fp} * {u.d2}")
+        return _Slot(v, p, q)
+
+    def call(self, node: Call, u: _Slot) -> _Slot:
+        out = self.fresh("v", "p", "q")
+        v = out[0]
+        c, c2 = self.fresh("c", "e")
+        if node.fn == "sin":
+            self.emit(f"{v} = sin({u.val})", f"{c} = cos({u.val})")
+            return self.chain(out, u, c, f"(-{v})")
+        if node.fn == "cos":
+            self.emit(f"{v} = cos({u.val})", f"{c} = sin({u.val})")
+            return self.chain(out, u, f"(-{c})", f"(-{v})")
+        if node.fn == "exp":
+            self.guarded(node, f"{v} = exp({u.val})")
+            return self.chain(out, u, v, v)
+        if node.fn in ("ln", "sqrt"):
+            self.block(f"if {u.val} <= 0.0:", lambda: self.emit(
+                self.raise_domain(f"{node.fn} of a non-positive value", node)))
+            if node.fn == "ln":
+                self.emit(f"{v} = log({u.val})", f"{c} = 1.0 / {u.val}",
+                          f"{c2} = -1.0 / ({u.val} * {u.val})")
+            else:
+                self.emit(f"{v} = sqrt({u.val})", f"{c} = 0.5 / {v}",
+                          f"{c2} = -0.25 / ({u.val} * {v})")
+            return self.chain(out, u, c, c2)
+        raise AssertionError(f"unreachable function {node.fn}")
+
+    def power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
+        if b.known is not None and b.known[1] == 0.0 and b.known[2] == 0.0:
+            p = b.known[0]
+            if p.is_integer():
+                return self.int_power(node, a, int(p))
+            self.block(f"if {a.val} <= 0.0:", lambda: self.emit(self.raise_domain(
+                "non-integer power of a non-positive base", node)))
+            return self.const_power(node, a, b.val, self.fresh("v", "p", "q"))
+        # the exponent is known only at run time: decide there, as above
+        out = self.fresh("v", "p", "q")
+        const = f"{b.d1} == 0.0 and {b.d2} == 0.0"
+        self.block(f"if {const} and {b.val}.is_integer():", lambda: self.emit(
+            f"{', '.join(out)} = int_pow({a.val}, {a.d1}, {a.d2}, int({b.val}), "
+            f"{self.bind(node)})"))
+        self.block(f"elif {a.val} <= 0.0:", lambda: self.emit(self.raise_domain(
+            "non-integer power of a non-positive base", node)))
+        self.block(f"elif {const}:", lambda: self.const_power(node, a, b.val, out))
+        self.block("else:", lambda: self.exp_log_power(node, a, b, out))
+        return _Slot(*out)
+
+    def int_power(self, node: BinOp, a: _Slot, k: int) -> _Slot:
+        if k == 0:
+            return self.constant(1.0)
+        if abs(k) > _UNROLL:
+            out = self.fresh("v", "p", "q")
+            self.emit(f"{', '.join(out)} = int_pow({a.val}, {a.d1}, {a.d2}, "
+                      f"{self.bind(k)}, {self.bind(node)})")
+            return _Slot(*out)
+        out = a
+        for _ in range(abs(k) - 1):
+            out = self.mul(out, a)
+        return self.div(self.constant(1.0), out, node) if k < 0 else out
+
+    def const_power(self, node: BinOp, a: _Slot, p: str, out: list[str]) -> _Slot:
+        v, _, _ = out
+        c, c2 = self.fresh("c", "e")
+        self.guarded(node, f"{v} = {a.val} ** {p}",
+                     f"{c} = {p} * {a.val} ** ({p} - 1.0)",
+                     f"{c2} = {p} * ({p} - 1.0) * {a.val} ** ({p} - 2.0)")
+        return self.chain(out, a, c, c2)
+
+    def exp_log_power(self, node: BinOp, a: _Slot, b: _Slot, out: list[str]) -> None:
+        """a^b = exp(b ln a) for a positive base and a varying exponent."""
+        lv, lp, lq, c, c2 = self.fresh("lv", "lp", "lq", "c", "e")
+        self.emit(f"{lv} = log({a.val})", f"{c} = 1.0 / {a.val}",
+                  f"{c2} = -1.0 / ({a.val} * {a.val})")
+        ln_a = self.chain([lv, lp, lq], a, c, c2)
+        m = self.mul(b, ln_a)
+        self.guarded(node, f"{out[0]} = exp({m.val})")
+        self.chain(out, m, out[0], out[0])
 
 
-def _eval(e: Expr, env: dict[str, Dual2]) -> Dual2:
-    if isinstance(e, Num):
-        return Dual2.const(e.value)
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Neg):
-        u = _eval(e.arg, env)
-        return Dual2(-u.val, -u.d1, -u.d2)
-    if isinstance(e, Call):
-        u = _eval(e.arg, env)
-        if e.fn == "sin":
-            s, c = math.sin(u.val), math.cos(u.val)
-            return _chain(u, s, c, -s)
-        if e.fn == "cos":
-            s, c = math.sin(u.val), math.cos(u.val)
-            return _chain(u, c, -s, -c)
-        if e.fn == "exp":
-            return _exp(u)
-        if e.fn == "ln":
-            if u.val <= 0.0:
-                raise ExprDomainError("ln of a non-positive value", to_source(e))
-            return _chain(u, math.log(u.val), 1.0 / u.val, -1.0 / (u.val * u.val))
-        if e.fn == "sqrt":
-            if u.val <= 0.0:
-                raise ExprDomainError("sqrt of a non-positive value", to_source(e))
-            r = math.sqrt(u.val)
-            return _chain(u, r, 0.5 / r, -0.25 / (u.val * r))
-        raise AssertionError(f"unreachable function {e.fn}")
-    assert isinstance(e, BinOp)
-    a = _eval(e.left, env)
-    b = _eval(e.right, env)
-    if e.op == "+":
-        return _add(a, b)
-    if e.op == "-":
-        return _sub(a, b)
-    if e.op == "*":
-        return _mul(a, b)
-    if e.op == "/":
-        return _div(a, b, e)
-    return _pow(a, b, e)
+def _compile(expr: Expr, names: tuple[str, ...]) -> Callable[..., tuple[float, float, float]]:
+    gen = _Codegen(names)
+    gen.indent = 2
+    gen.emit(*(f"x{i} = float(x{i})" for i in range(len(names))))
+    out = gen.walk(expr)
+    gen.emit(f"return {out.val}, {out.d1}, {out.d2}")
+    args = [f"x{i}" for i in range(len(names))] + [f"s{i}" for i in range(len(names))]
+    source = "\n".join([
+        f"def bind({', '.join(f'k{j}' for j in range(len(gen.bound)))}):",
+        f"    def compiled({', '.join(args)}):",
+        *gen.lines,
+        "    return compiled",
+    ])
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["bind"](*gen.bound)
+
+
+def compile_expression(expr: Expr, names: Sequence[str] | None = None
+                       ) -> Callable[..., tuple[float, float, float]]:
+    """The compiled form of ``expr`` over the variables ``names``.
+
+    The result ``f(x_1, .., x_n, s_1, .., s_n)`` returns (value, d1, d2)
+    with x_i the value of variable i and s_i its seed: the derivatives are
+    taken along the direction s.  ``names=None`` means the expression's
+    alphabetically first variable, or "x" when it has none.  Built once per
+    Expr object and variable list; later calls return the same function.
+    A variable missing from ``names`` raises KeyError.
+    """
+    key = None if names is None else tuple(names)
+    cache = vars(expr).setdefault("_compiled", {})
+    fn = cache.get(key)
+    if fn is None:
+        if key is None:
+            names = (min(free_variables(expr), default="x"),)
+        fn = cache[key] = _compile(expr, tuple(names))
+    return fn
 
 
 def eval_dual(expr: Expr, x: float, variable: str | None = None) -> tuple[float, float, float]:
@@ -367,33 +564,29 @@ def eval_dual(expr: Expr, x: float, variable: str | None = None) -> tuple[float,
     Derivatives are exact for the grammar's function set; nothing is
     finite-differenced internally.
     """
-    name = variable
-    if name is None:
-        names = sorted(free_variables(expr))
-        name = names[0] if names else "x"
-    out = _eval(expr, {name: Dual2.seed(x)})
-    return out.val, out.d1, out.d2
+    return compile_expression(expr, None if variable is None else (variable,))(x, 1.0)
 
 
 def eval_value(expr: Expr, env: dict[str, float]) -> float:
     """Plain value of a (possibly multivariate) expression."""
-    duals = {k: Dual2.const(v) for k, v in env.items()}
-    return _eval(expr, duals).val
+    return compile_expression(expr, env)(*env.values(), *[0.0] * len(env))[0]
 
 
 def eval_gradient(expr: Expr, names: Sequence[str],
                   values: Sequence[float]) -> tuple[float, list[float]]:
     """Value and first partial derivatives of a multivariate expression.
 
-    One dual pass per coordinate; second-order components are discarded.
+    One compiled pass per coordinate; second-order components are discarded.
     """
-    base = {n: Dual2.const(v) for n, v in zip(names, values)}
-    val = _eval(expr, base).val
+    fn = compile_expression(expr, names)
+    n = len(names)
+    args = [*values, *[0.0] * n]
+    val = fn(*args)[0]
     grad = []
-    for n, v in zip(names, values):
-        env = dict(base)
-        env[n] = Dual2.seed(v)
-        grad.append(_eval(expr, env).d1)
+    for i in range(n, 2 * n):
+        args[i] = 1.0
+        grad.append(fn(*args)[1])
+        args[i] = 0.0
     return val, grad
 
 

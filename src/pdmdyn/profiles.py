@@ -1,8 +1,9 @@
 """Catalog of mass profiles m(x) with analytic first and second derivatives.
 
 Each profile is positive on an open validity interval.  Derivatives are
-closed-form for catalog families and come from dual-number evaluation for
-expression-backed profiles, so the dynamics never sees a finite difference.
+closed-form for catalog families and come from the compiled dual-number
+form of the expression for expression-backed profiles, so the dynamics never
+sees a finite difference.
 """
 
 from __future__ import annotations
@@ -168,6 +169,10 @@ class CustomProfile(MassProfile):
     declared_domain: Interval = field(default_factory=lambda: Interval(-_INF, _INF))
     family: str = field(default="custom", init=False)
 
+    def __post_init__(self):
+        # compiled once, when the system is built; eval calls it directly
+        object.__setattr__(self, "_dual", exprparse.compile_expression(self.expr))
+
     @staticmethod
     def from_text(text: str, variable: str = "x",
                   domain: Interval | None = None) -> "CustomProfile":
@@ -180,7 +185,7 @@ class CustomProfile(MassProfile):
 
     def eval(self, x: float) -> tuple[float, float, float]:
         self._require_in_domain(x)
-        m, m1, m2 = exprparse.eval_dual(self.expr, x)
+        m, m1, m2 = self._dual(x, 1.0)
         if m <= 0.0:
             raise DomainViolation(f"custom profile '{self.text}' is {m!r} <= 0 at x={x!r}")
         return m, m1, m2
@@ -198,6 +203,10 @@ class CoupledProfile:
     text: str
     names: tuple[str, ...]
     family: str = field(default="coupled", init=False)
+
+    def __post_init__(self):
+        # compiled once, when the system is built; eval_gradient reuses it
+        exprparse.compile_expression(self.expr, self.names)
 
     @staticmethod
     def from_text(text: str, n: int) -> "CoupledProfile":

@@ -1,5 +1,6 @@
 """Command-line interface tests: configs, outputs, exit codes."""
 
+import copy
 import io
 import json
 import math
@@ -23,6 +24,16 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run_cli(argv, out_stream=out, err_stream=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def with_value(cfg, path, value):
+    """A deep copy of cfg with the key at path (a tuple of keys) set to value."""
+    out = copy.deepcopy(cfg)
+    node = out
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return out
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -134,6 +145,47 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("path,value", [
+        (("initial", "x"), ["one"]),
+        (("initial", "x"), 1.0),
+        (("initial", "v"), [None]),
+        (("initial", "t0"), "start"),
+        (("output", "stride"), "every"),
+        (("output", "stride"), "2.5"),
+    ])
+    def test_non_numeric_nested_value_exit_2(self, tmp_path, path, value):
+        cfg_data = with_value(ML1_CONFIG, path, value)
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert code == 2
+        assert err.startswith("error:") and ".".join(path) in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("amplitude", ["wide"]), ("amplitude", 1.0), ("phase", [0.0, "late"]), ("t0", "now"),
+    ])
+    def test_non_numeric_from_exact_value_exit_2(self, tmp_path, key, value):
+        cfg_data = dict(ML1_CONFIG, initial={"from_exact": {"amplitude": [1.0]}})
+        cfg_data = with_value(cfg_data, ("initial", "from_exact", key), value)
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert code == 2
+        assert err.startswith("error:") and f"initial.from_exact.{key}" in err
+
+    def test_overflowing_potential_truncates(self, tmp_path):
+        # V = -exp(x) pushes x past the largest float exp(x) can return
+        cfg_data = dict(ML1_CONFIG, family="custom",
+                        custom={"mass": ["1"], "potential": ["-exp(x)"]},
+                        initial={"x": [705.0], "v": [0.0]})
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert code == 0
+        assert err.startswith("note: integration truncated")
+
+    def test_overflowing_mass_exit_2(self, tmp_path):
+        cfg_data = dict(ML1_CONFIG, family="custom",
+                        custom={"mass": ["exp(x)"], "potential": ["0.5*x^2"]},
+                        initial={"x": [720.0], "v": [0.0]})
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert code == 2
+        assert err == "error: float overflow in 'exp(x)'\n"
+
     def test_non_numeric_fixed_step_exit_2(self, tmp_path):
         cfg_data = dict(ML1_CONFIG, integrator={"scheme": "fixed_rk4", "t_end": 1.0,
                                                 "h": "small"})
@@ -160,6 +212,21 @@ class TestExact:
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(math.log(1.5))
         assert "0.125" in err  # closed-form energy echoed on the diagnostic stream
+
+
+    @pytest.mark.parametrize("key,value", [
+        ("t0", "zero"), ("t1", "later"), ("periods", "two"), ("samples", "many"),
+    ])
+    def test_non_numeric_grid_value_exit_2(self, tmp_path, key, value):
+        cfg_data = {
+            "family": "morse", "n": 1,
+            "params": {"omega": [1.0], "zeta": [1.0]},
+            "solution": {"amplitude": [0.5]},
+            "grid": {"t1": 1.0, key: value},
+        }
+        code, _, err = run(["exact", "--config", write_config(tmp_path, cfg_data)])
+        assert code == 2
+        assert err.startswith("error:") and f"grid.{key}" in err
 
 
 class TestMap:

@@ -1,14 +1,178 @@
 """Parser and dual-number differentiation tests."""
 
 import math
+import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdmdyn.errors import ExprDomainError, ExprSyntaxError, UnknownIdentifier
-from pdmdyn.exprparse import (BinOp, Call, Dual2, Neg, Num, Var, eval_dual,
-                              eval_gradient, eval_value, parse_expression,
+from pdmdyn.exprparse import (FUNCTIONS, MAX_DEPTH, BinOp, Call, Expr, Neg, Num, Var,
+                              compile_expression, eval_dual, eval_gradient,
+                              eval_value, free_variables, parse_expression,
                               to_source)
+
+
+# --- reference oracle ---------------------------------------------------------
+# The tree walker the compiled code replaced, kept as the reference: the
+# compiled code must give the same floats, or raise the same exception with
+# the same message.  One deliberate change: a float overflow in exp or in a
+# power is an ExprDomainError here too, where the walker let OverflowError out.
+
+@dataclass(frozen=True)
+class Dual2:
+    """Value with first and second derivative with respect to one seed."""
+
+    val: float
+    d1: float = 0.0
+    d2: float = 0.0
+
+    @staticmethod
+    def seed(x: float) -> "Dual2":
+        return Dual2(float(x), 1.0, 0.0)
+
+    @staticmethod
+    def const(c: float) -> "Dual2":
+        return Dual2(float(c), 0.0, 0.0)
+
+
+def _add(a: Dual2, b: Dual2) -> Dual2:
+    return Dual2(a.val + b.val, a.d1 + b.d1, a.d2 + b.d2)
+
+
+def _sub(a: Dual2, b: Dual2) -> Dual2:
+    return Dual2(a.val - b.val, a.d1 - b.d1, a.d2 - b.d2)
+
+
+def _mul(a: Dual2, b: Dual2) -> Dual2:
+    return Dual2(a.val * b.val,
+                 a.d1 * b.val + a.val * b.d1,
+                 a.d2 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d2)
+
+
+def _div(a: Dual2, b: Dual2, where: Expr) -> Dual2:
+    if b.val == 0.0:
+        raise ExprDomainError("division by zero", to_source(where))
+    q = a.val / b.val
+    q1 = (a.d1 - q * b.d1) / b.val
+    q2 = (a.d2 - 2.0 * q1 * b.d1 - q * b.d2) / b.val
+    return Dual2(q, q1, q2)
+
+
+def _chain(u: Dual2, f: float, fp: float, fpp: float) -> Dual2:
+    return Dual2(f, fp * u.d1, fpp * u.d1 * u.d1 + fp * u.d2)
+
+
+def _int_pow(u: Dual2, k: int, where: Expr) -> Dual2:
+    if k == 0:
+        return Dual2.const(1.0)
+    if k < 0:
+        return _div(Dual2.const(1.0), _int_pow(u, -k, where), where)
+    out = u
+    for _ in range(k - 1):
+        out = _mul(out, u)
+    return out
+
+
+def _pow(a: Dual2, b: Dual2, where: Expr) -> Dual2:
+    exponent_constant = b.d1 == 0.0 and b.d2 == 0.0
+    if exponent_constant and float(b.val).is_integer():
+        # repeated multiplication keeps negative bases exact and real
+        return _int_pow(a, int(b.val), where)
+    if a.val <= 0.0:
+        raise ExprDomainError(
+            "non-integer power of a non-positive base", to_source(where))
+    if exponent_constant:
+        p = b.val
+        try:
+            f = a.val ** p
+            fp, fpp = p * a.val ** (p - 1.0), p * (p - 1.0) * a.val ** (p - 2.0)
+        except OverflowError:
+            raise ExprDomainError("float overflow", to_source(where)) from None
+        return _chain(a, f, fp, fpp)
+    ln_a = _chain(a, math.log(a.val), 1.0 / a.val, -1.0 / (a.val * a.val))
+    return _exp(_mul(b, ln_a), where)
+
+
+def _exp(u: Dual2, where: Expr) -> Dual2:
+    try:
+        e = math.exp(u.val)
+    except OverflowError:
+        raise ExprDomainError("float overflow", to_source(where)) from None
+    return _chain(u, e, e, e)
+
+
+def _eval(e: Expr, env: dict[str, Dual2]) -> Dual2:
+    if isinstance(e, Num):
+        return Dual2.const(e.value)
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        u = _eval(e.arg, env)
+        return Dual2(-u.val, -u.d1, -u.d2)
+    if isinstance(e, Call):
+        u = _eval(e.arg, env)
+        if e.fn == "sin":
+            s, c = math.sin(u.val), math.cos(u.val)
+            return _chain(u, s, c, -s)
+        if e.fn == "cos":
+            s, c = math.sin(u.val), math.cos(u.val)
+            return _chain(u, c, -s, -c)
+        if e.fn == "exp":
+            return _exp(u, e)
+        if e.fn == "ln":
+            if u.val <= 0.0:
+                raise ExprDomainError("ln of a non-positive value", to_source(e))
+            return _chain(u, math.log(u.val), 1.0 / u.val, -1.0 / (u.val * u.val))
+        if e.fn == "sqrt":
+            if u.val <= 0.0:
+                raise ExprDomainError("sqrt of a non-positive value", to_source(e))
+            r = math.sqrt(u.val)
+            return _chain(u, r, 0.5 / r, -0.25 / (u.val * r))
+        raise AssertionError(f"unreachable function {e.fn}")
+    assert isinstance(e, BinOp)
+    a = _eval(e.left, env)
+    b = _eval(e.right, env)
+    if e.op == "+":
+        return _add(a, b)
+    if e.op == "-":
+        return _sub(a, b)
+    if e.op == "*":
+        return _mul(a, b)
+    if e.op == "/":
+        return _div(a, b, e)
+    return _pow(a, b, e)
+
+
+def reference_dual(expr: Expr, x: float) -> tuple[float, float, float]:
+    names = sorted(free_variables(expr))
+    out = _eval(expr, {names[0] if names else "x": Dual2.seed(x)})
+    return out.val, out.d1, out.d2
+
+
+def reference_gradient(expr: Expr, names, values) -> tuple[float, list[float]]:
+    base = {n: Dual2.const(v) for n, v in zip(names, values)}
+    val = _eval(expr, base).val
+    grad = []
+    for n, v in zip(names, values):
+        env = dict(base)
+        env[n] = Dual2.seed(v)
+        grad.append(_eval(expr, env).d1)
+    return val, grad
+
+
+def outcome(fn, *args):
+    """Flat tuple of the floats fn returns, or the exception it raises."""
+    try:
+        out = fn(*args)
+    except Exception as err:  # the oracle and the compiled code must agree
+        return type(err), str(err)
+    flat = []
+    for item in out:
+        flat.extend(item if isinstance(item, list) else [item])
+    # bit patterns: equal floats, signed zeros told apart, every NaN alike
+    return tuple("nan" if math.isnan(f) else (f, math.copysign(1.0, f)) for f in flat)
 
 
 class TestParsing:
@@ -113,23 +277,38 @@ class TestDualEvaluation:
 
 
 # hypothesis strategy over the grammar's AST
-def _exprs():
-    leaves = st.one_of(
-        st.builds(Num, st.floats(min_value=0.1, max_value=4.0,
-                                 allow_nan=False, allow_infinity=False)),
-        st.just(Var("x")),
-    )
+def _exprs(names=("x",), full=False):
+    """ASTs over ``names`` with + - * and sin cos exp; full=True adds / ^ ln sqrt."""
+    numbers = st.floats(min_value=0.1, max_value=4.0,
+                        allow_nan=False, allow_infinity=False)
+    if full:
+        numbers = numbers | st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    leaves = st.one_of(st.builds(Num, numbers), st.sampled_from([Var(n) for n in names]))
+    ops = ["+", "-", "*", "/"] if full else ["+", "-", "*"]
+    fns = FUNCTIONS if full else ["sin", "cos", "exp"]
+    # an integer-valued exponent runs that many multiplications, so exponents
+    # stay small: a leaf, a negated leaf or one operation on two leaves
+    exponents = st.one_of(leaves, st.builds(Neg, leaves),
+                          st.builds(lambda a, b, op: BinOp(op, a, b), leaves, leaves,
+                                    st.sampled_from(["+", "-", "*"])))
 
     def extend(children):
-        return st.one_of(
+        branches = [
             st.builds(Neg, children),
             st.builds(lambda a, b, op: BinOp(op, a, b), children, children,
-                      st.sampled_from(["+", "-", "*"])),
-            st.builds(lambda a, fn: Call(fn, a), children,
-                      st.sampled_from(["sin", "cos", "exp"])),
-        )
+                      st.sampled_from(ops)),
+            st.builds(lambda a, fn: Call(fn, a), children, st.sampled_from(fns)),
+        ]
+        if full:
+            branches.append(st.builds(lambda a, b: BinOp("^", a, b), children, exponents))
+        return st.one_of(branches)
 
     return st.recursive(leaves, extend, max_leaves=12)
+
+
+_points = st.one_of(st.floats(min_value=-3.0, max_value=3.0,
+                              allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]))
 
 
 class TestProperties:
@@ -169,3 +348,117 @@ class TestDual2:
     def test_seed_and_const(self):
         assert Dual2.seed(2.0) == Dual2(2.0, 1.0, 0.0)
         assert Dual2.const(3.0) == Dual2(3.0, 0.0, 0.0)
+
+
+class TestCompiledMatchesReference:
+    @given(_exprs(full=True), _points)
+    @settings(max_examples=400, deadline=None)
+    def test_eval_dual(self, expr, x):
+        assert outcome(eval_dual, expr, x) == outcome(reference_dual, expr, x)
+
+    @given(_exprs(("x1", "x2", "x3"), full=True), st.lists(_points, min_size=3, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_eval_gradient(self, expr, xs):
+        names = ["x1", "x2", "x3"]
+        assert (outcome(eval_gradient, expr, names, xs)
+                == outcome(reference_gradient, expr, names, xs))
+        env = dict(zip(names, xs))
+        assert (outcome(lambda: [eval_value(expr, env)])
+                == outcome(lambda: [_eval(expr, {k: Dual2.const(v)
+                                                 for k, v in env.items()}).val]))
+
+    @pytest.mark.parametrize("text,x", [
+        ("1e999", 0.5),             # inf: a bound constant, never source text
+        ("x*1e999", 0.5),
+        ("x*1e999", 0.0),           # 0 * inf
+        ("-1e999^x", 2.0),
+        ("2^-2", 0.0),
+        ("x^-2", 0.0),              # 1 / x^2 at x = 0
+        ("x^x", 2.0),
+        ("x^x", -2.0),              # integer exponent at run time
+        ("x^x", -1.5),
+        ("x^x", 800.0),             # exp(x ln x) overflows
+        ("x^0.5", -2.0),
+        ("x^1.5", 1e300),           # ** overflows
+        ("x^(-1.5)", 5e-324),
+        ("x^20", 1.1),              # beyond the unrolled powers
+        ("x^-20", 0.0),
+        ("(x-x)^(x-1)", 0.5),
+        ("1/(x-1)", 1.0),
+        ("exp(x)", 720.0),
+        ("-exp(x)", 709.0),
+        ("sin(x*1e999)", 1.0),      # math.sin(inf) raises ValueError on both
+        ("ln(x)+sqrt(x)", 0.0),
+        ("x^0*ln(x)", -1.0),
+    ])
+    def test_edge_cases(self, text, x):
+        expr = parse_expression(text)
+        assert outcome(eval_dual, expr, x) == outcome(reference_dual, expr, x)
+
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(ExprDomainError, match="float overflow in 'exp"):
+            eval_dual(parse_expression("exp(x)"), 720.0)
+        with pytest.raises(ExprDomainError, match="float overflow in 'x\\^1.5'"):
+            eval_dual(parse_expression("x^1.5"), 1e300)
+
+    def test_compiled_once_per_expression_and_variables(self, monkeypatch):
+        from pdmdyn import exprparse
+        compiles = []
+        real = exprparse._compile
+        monkeypatch.setattr(exprparse, "_compile",
+                            lambda *args: compiles.append(args) or real(*args))
+        expr = parse_expression("x^2+sin(x)")
+        for x in (0.25, 0.5, 0.75):
+            eval_dual(expr, x)
+            eval_gradient(expr, ["x"], [x])
+            eval_value(expr, {"x": x})
+        assert len(compiles) == 2   # the lone variable, then the list ("x",)
+        assert compile_expression(expr) is compile_expression(expr)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("text", [
+        "(" * 5000 + "x" + ")" * 5000,
+        "-" * 5000 + "x",
+        "x" + "^x" * 5000,
+        "sin(" * 5000 + "x" + ")" * 5000,
+        "+".join(["x"] * 5000),
+        "*".join(["x"] * 5000),
+    ])
+    def test_deep_input_is_a_positioned_syntax_error(self, text):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text)
+        assert 1 <= err.value.position <= len(text)
+        assert f"at most {MAX_DEPTH} levels" in str(err.value)
+
+    @staticmethod
+    def _shapes(levels):
+        return [
+            "(" * (levels - 1) + "x" + ")" * (levels - 1),
+            "-" * (levels - 1) + "x",
+            "x" + "^x" * (levels - 1),
+            "sin(" * (levels - 1) + "x" + ")" * (levels - 1),
+            "+".join(["x"] * levels),
+            "-(" * ((levels - 1) // 2) + "x" + ")" * ((levels - 1) // 2),
+        ]
+
+    @pytest.mark.parametrize("shape", range(6))
+    def test_limit_is_exact(self, shape):
+        parse_expression(self._shapes(MAX_DEPTH)[shape])
+        with pytest.raises(ExprSyntaxError):
+            parse_expression(self._shapes(MAX_DEPTH + 1)[shape])
+
+    @pytest.mark.parametrize("shape", range(6))
+    def test_deepest_accepted_expressions_compile_without_recursion(self, shape):
+        expr = parse_expression(self._shapes(MAX_DEPTH)[shape])
+        frames, f = 0, sys._getframe()
+        while f is not None:
+            frames, f = frames + 1, f.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames + 40)   # far less than the tree's depth
+        try:
+            fn = compile_expression(expr, ["x"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert outcome(fn, 0.5, 1.0) == outcome(reference_dual, expr, 0.5)
+        assert parse_expression(to_source(expr)) == expr
