@@ -29,11 +29,11 @@ from .integrate import (ADAPTIVE45, FIXED_RK4, IntegratorOptions,
                         estimate_period, integrate, rk4_step, sample_dense)
 from .profiles import (CoupledProfile, CustomProfile, Exponential, Interval,
                        IsotonicPowerLaw, MassProfile, MathewsLakshmanan,
-                       PowerLaw, profile_domain, profile_eval)
+                       PowerLaw)
 from .transform import (MappedTrajectory, NonlocalMap, el2_mapped_residual,
                         el2_obstruction, elg_residual, f_scale, inverse_q,
                         map_to_reference, potential_match_residual, q_map,
-                        reference_map, tau_accumulate, tau_values)
+                        reference_map, tau_values)
 from .verify import (CheckReport, SuiteSummary, check_names, run_check,
                      run_suite, standard_case)
 

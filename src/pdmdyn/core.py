@@ -5,32 +5,26 @@ component by its own scalar multiplier sqrt(m_i(x_i)); "type2" deforms all
 components by a single shared multiplier sqrt(m(x1..xn)).  The rest mass is
 fixed to 1: a general constant would multiply kinetic and potential terms
 alike and add nothing.
+
+Each catalog family's parameters, profiles and potential live in its record
+in ``families``, resolved once when the system is built.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import exprparse
-from .errors import InvalidParameter, MissingParameter, SingularPoint
+from .errors import InvalidParameter, MissingParameter
 from .exprparse import Expr
-from .profiles import (CoupledProfile, CustomProfile, Exponential,
-                       IsotonicPowerLaw, MassProfile, MathewsLakshmanan,
-                       PowerLaw)
+from .families import FAMILIES, Family
+from .profiles import CoupledProfile, CustomProfile
 
 TYPE1 = "type1"
 TYPE2 = "type2"
-
-#: families understood by build_system, potential_energy and the transform
-FAMILIES = ("ml1", "powerlaw", "ml2", "morse", "sw1", "sw2",
-            "harmonic", "isotonic", "custom")
-
-#: families whose potential carries an inverse-square term (singular at x = 0)
-ISOTONIC_FAMILIES = ("sw1", "sw2", "isotonic")
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class PotentialSpec:
     """Potential family plus its parameters.
 
     ``custom`` uses one parsed expression per coordinate (the total potential
-    is their sum); catalog families derive everything from ``params``.
+    is their sum); catalog families use ``params`` and their family record.
     """
 
     family: str
@@ -94,9 +88,14 @@ class PotentialSpec:
     expr_texts: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # compiled once, when the system is built: x -> (V_i, V_i', V_i'')
-        object.__setattr__(self, "compiled", tuple(
-            exprparse.compile_expression(e) for e in self.exprs or ()))
+        # resolved once, when the system is built: the compiled expressions
+        # x -> (V_i, V_i', V_i'') and the family record; custom gets a record
+        # without a map whose potential runs those expressions
+        compiled = tuple(exprparse.compile_expression(e) for e in self.exprs or ())
+        object.__setattr__(self, "compiled", compiled)
+        object.__setattr__(self, "record", FAMILIES.get(self.family) or Family(
+            self.family, (), mapped=False,
+            potential=lambda p, i, x, m, m1: compiled[i](x, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -160,10 +159,6 @@ class Trajectory:
     def state(self, k: int) -> State:
         return State(float(self.t[k]), self.x[k].copy(), self.v[k].copy())
 
-    @property
-    def samples(self) -> list[State]:
-        return [self.state(k) for k in range(len(self.t))]
-
 
 # --- validation and construction ---------------------------------------------
 
@@ -182,7 +177,7 @@ def _check_lengths(params: ParameterSet, n: int, *names: str) -> None:
             raise InvalidParameter(name, f"expected {n} entries, got {len(value)}")
 
 
-def _validate_common(family: str, n: int, params: ParameterSet) -> None:
+def _validate_common(n: int, params: ParameterSet) -> None:
     if n < 1:
         raise InvalidParameter("n", f"dimension must be >= 1, got {n}")
     _check_lengths(params, n, "omega", "zeta", "eta_const", "kappa")
@@ -198,10 +193,6 @@ def _validate_common(family: str, n: int, params: ParameterSet) -> None:
         raise InvalidParameter("eta_exp", "0 collapses the coordinate map to a constant")
 
 
-def _ml_profiles(n: int, params: ParameterSet) -> tuple[MassProfile, ...]:
-    return tuple(MathewsLakshmanan(params.lam, params.sign) for _ in range(n))
-
-
 def build_system(family: str, n: int = 1,
                  params: Mapping | ParameterSet | None = None,
                  mass_exprs: Sequence[str] | None = None,
@@ -212,158 +203,69 @@ def build_system(family: str, n: int = 1,
     ``custom`` takes per-coordinate mass and potential expressions (kind
     TYPE1), or a single coupled mass expression over x1..xn (kind TYPE2).
     """
-    if family not in FAMILIES:
+    record = FAMILIES.get(family)
+    if record is None and family != "custom":
         raise InvalidParameter("family", f"unknown family {family!r}")
     p = parameter_set(params, n)
-    _validate_common(family, n, p)
-
-    if family == "ml1":
-        p.require("omega", "lam", "sign")
-        _positive(p, "omega")
-        profiles: tuple = _ml_profiles(n, p)
-    elif family == "powerlaw":
-        p.require("omega", "alpha", "upsilon")
-        _positive(p, "omega")
-        _positive(p, "alpha")
-        profiles = tuple(PowerLaw(p.alpha, p.upsilon) for _ in range(n))
-    elif family == "ml2":
-        p.require("omega", "lam", "sign", "eta_const")
-        _positive(p, "omega")
-        if any(e == 0.0 for e in p.eta_const):
-            raise InvalidParameter("eta_const", "zero collapses the coordinate map")
-        profiles = _ml_profiles(n, p)
-    elif family == "morse":
-        p.require("omega", "zeta")
-        _positive(p, "omega")
-        _positive(p, "zeta")
-        profiles = tuple(Exponential(z) for z in p.zeta)
-    elif family == "sw1":
-        p.require("omega", "lam", "sign", "kappa")
-        _positive(p, "omega")
-        _positive(p, "kappa")
-        profiles = _ml_profiles(n, p)
-    elif family == "sw2":
-        p.require("omega", "kappa", "beta", "eta_exp")
-        _positive(p, "omega")
-        _positive(p, "kappa")
-        _positive(p, "beta")
-        profiles = tuple(IsotonicPowerLaw(p.beta, p.eta_exp) for _ in range(n))
-    elif family == "harmonic":
-        p.require("omega")
-        _positive(p, "omega")
-        profiles = tuple(CustomProfile.from_text("1") for _ in range(n))
-    elif family == "isotonic":
-        p.require("omega", "kappa")
-        _positive(p, "omega")
-        _positive(p, "kappa")
-        profiles = tuple(CustomProfile.from_text("1") for _ in range(n))
-    else:  # custom
-        if mass_exprs is None:
-            raise MissingParameter("mass_exprs", "custom systems need mass expressions")
-        want = TYPE2 if kind == TYPE2 else TYPE1
-        if want == TYPE2:
-            if len(mass_exprs) != 1:
-                raise InvalidParameter("mass_exprs", "type2 takes one coupled expression")
-            profiles = (CoupledProfile.from_text(mass_exprs[0], n),)
-        else:
-            if len(mass_exprs) != n:
-                raise InvalidParameter("mass_exprs", f"expected {n} expressions")
-            profiles = tuple(CustomProfile.from_text(s) for s in mass_exprs)
-        pot = _custom_potential(n, p, potential_exprs)
-        return PdmSystem(n, want, profiles, pot)
-
-    potential = PotentialSpec(family, p)
-    return PdmSystem(n, TYPE1, profiles, potential)
+    _validate_common(n, p)
+    if record is None:
+        return _custom_system(n, p, mass_exprs, potential_exprs, kind)
+    p.require(*record.required)
+    for name in record.positive:
+        _positive(p, name)
+    return PdmSystem(n, TYPE1, record.profiles(n, p), PotentialSpec(family, p))
 
 
-def _custom_potential(n: int, p: ParameterSet,
-                      potential_exprs: Sequence[str] | None) -> PotentialSpec:
+def _custom_system(n: int, p: ParameterSet, mass_exprs: Sequence[str] | None,
+                   potential_exprs: Sequence[str] | None, kind: str | None) -> PdmSystem:
+    if mass_exprs is None:
+        raise MissingParameter("mass_exprs", "custom systems need mass expressions")
+    want = TYPE2 if kind == TYPE2 else TYPE1
+    if want == TYPE2:
+        if len(mass_exprs) != 1:
+            raise InvalidParameter("mass_exprs", "type2 takes one coupled expression")
+        profiles: tuple = (CoupledProfile.from_text(mass_exprs[0], n),)
+    else:
+        if len(mass_exprs) != n:
+            raise InvalidParameter("mass_exprs", f"expected {n} expressions")
+        profiles = tuple(CustomProfile.from_text(s) for s in mass_exprs)
     texts = tuple(potential_exprs) if potential_exprs else tuple("0" for _ in range(n))
     if len(texts) != n:
         raise InvalidParameter("potential_exprs", f"expected {n} expressions")
     exprs = tuple(exprparse.parse_expression(s, ["x"]) for s in texts)
-    return PotentialSpec("custom", p, exprs, texts)
+    return PdmSystem(n, want, profiles, PotentialSpec("custom", p, exprs, texts))
 
 
 # --- potential evaluation ------------------------------------------------------
 
 
-def _coordinate_potential(system: PdmSystem, i: int, xi: float,
-                          m: float, m1: float) -> tuple[float, float]:
-    """(V_i, dV_i/dx_i) for one coordinate of a separable potential."""
-    family = system.potential.family
-    p = system.potential.params
-    if family == "custom":
-        val, d1, _ = system.potential.compiled[i](xi, 1.0)
-        return val, d1
-    w2 = p.omega[i] * p.omega[i]
-    if family in ("ml1", "powerlaw"):
-        v = 0.5 * w2 * m * xi * xi
-        dv = 0.5 * w2 * (m1 * xi * xi + 2.0 * m * xi)
-        return v, dv
-    if family == "ml2":
-        e2 = p.eta_const[i] * p.eta_const[i]
-        return 0.5 * w2 * e2 * m, 0.5 * w2 * e2 * m1
-    if family == "morse":
-        z = p.zeta[i]
-        ez = math.exp(-z * xi)
-        w = 1.0 - ez
-        v = 0.5 * w2 * m * w * w
-        dv = 0.5 * w2 * (m1 * w * w + 2.0 * m * w * z * ez)
-        return v, dv
-    if family in ("sw1", "sw2"):
-        if xi == 0.0:
-            raise SingularPoint(f"inverse-square potential singular at x_{i + 1} = 0", i)
-        k = p.kappa[i]
-        v = 0.5 * (w2 * m * xi * xi + k / (m * xi * xi))
-        dv = 0.5 * (w2 * (m1 * xi * xi + 2.0 * m * xi)
-                    - k * (m1 * xi + 2.0 * m) / (m * m * xi ** 3))
-        return v, dv
-    if family == "harmonic":
-        return 0.5 * w2 * xi * xi, w2 * xi
-    if family == "isotonic":
-        if xi == 0.0:
-            raise SingularPoint(f"inverse-square potential singular at x_{i + 1} = 0", i)
-        k = p.kappa[i]
-        return 0.5 * (w2 * xi * xi + k / (xi * xi)), w2 * xi - k / xi ** 3
-    raise InvalidParameter("family", f"no potential rule for {family!r}")
-
-
-def _profile_values(system: PdmSystem, x: np.ndarray) -> list[tuple[float, float, float]]:
-    return [system.profiles[i].eval(float(x[i])) for i in range(system.n)]
-
-
 def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:
     """V(x) for the system's potential family."""
     xv = np.asarray(x, dtype=float)
-    if system.kind == TYPE2:
-        total = 0.0
-        for i in range(system.n):
-            val, _, _ = system.potential.compiled[i](xv[i], 1.0)
-            total += val
-        return total
+    pot = system.potential
     total = 0.0
     for i in range(system.n):
-        m, m1, _ = system.profiles[i].eval(float(xv[i]))
-        v, _ = _coordinate_potential(system, i, float(xv[i]), m, m1)
-        total += v
+        if system.kind == TYPE2:
+            total += pot.compiled[i](xv[i], 1.0)[0]
+            continue
+        xi = float(xv[i])
+        m, m1, _ = system.profiles[i].eval(xi)
+        total += pot.record.potential(pot.params, i, xi, m, m1)[0]
     return total
 
 
 def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
     """dV/dx as a vector; analytic for catalog families, dual-number for custom."""
     xv = np.asarray(x, dtype=float)
-    if system.kind == TYPE2:
-        out = np.empty(system.n)
-        for i in range(system.n):
-            _, d1, _ = system.potential.compiled[i](xv[i], 1.0)
-            out[i] = d1
-        return out
+    pot = system.potential
     out = np.empty(system.n)
     for i in range(system.n):
-        m, m1, _ = system.profiles[i].eval(float(xv[i]))
-        _, dv = _coordinate_potential(system, i, float(xv[i]), m, m1)
-        out[i] = dv
+        if system.kind == TYPE2:
+            out[i] = pot.compiled[i](xv[i], 1.0)[1]
+            continue
+        xi = float(xv[i])
+        m, m1, _ = system.profiles[i].eval(xi)
+        out[i] = pot.record.potential(pot.params, i, xi, m, m1)[1]
     return out
 
 

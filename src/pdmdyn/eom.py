@@ -65,8 +65,7 @@ def reference_potential_gradient(ref: ReferenceSystem, q: Sequence[float]) -> np
     return grad
 
 
-def reference_acceleration(ref: ReferenceSystem, q: Sequence[float],
-                           qdot: Sequence[float] | None = None) -> np.ndarray:
+def reference_acceleration(ref: ReferenceSystem, q: Sequence[float]) -> np.ndarray:
     """d(qtilde)/dtau for the reference oscillator; velocity-independent."""
     return -reference_potential_gradient(ref, q)
 

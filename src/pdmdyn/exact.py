@@ -1,5 +1,9 @@
 """Closed-form solutions, frequency relations and energies for all families.
 
+Each family's closed form, amplitude checks, frequency relation, position
+period and energy live in its record in ``families``; an ExactSolutionSpec
+resolves the record once, when it is built.
+
 Wherever a published relation conflicts with the equation-of-motion residual
 oracle, the catalog stores the oracle-validated form and records the printed
 one in MISPRINTS (surfaced by the CLI).  Three such corrections are active:
@@ -14,20 +18,16 @@ one in MISPRINTS (surfaced by the CLI).  Three such corrections are active:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import ParameterSet, PdmSystem, State, build_system, total_energy
-from .errors import DomainViolation, InvalidSpec, UnsupportedFamily
-
-EXACT_FAMILIES = ("harmonic", "isotonic", "ml1", "powerlaw", "morse", "sw1",
-                  "sw2", "ml2")
-
-PUBLISHED_FORM = "published"
-AMENDED_FORM = "amended"
+from .core import (ParameterSet, PdmSystem, State, _check_lengths, build_system,
+                   total_energy)
+from .errors import InvalidSpec, UnsupportedFamily
+from .families import (AMENDED_FORM, FAMILIES, PUBLISHED_FORM,
+                       ml2_reduction_check)
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,10 @@ class ExactSolutionSpec:
     variant: str = PUBLISHED_FORM
 
     def __post_init__(self):
-        if self.family not in EXACT_FAMILIES:
+        record = FAMILIES.get(self.family)
+        if record is None:
             raise InvalidSpec(f"no closed form catalogued for {self.family!r}")
+        object.__setattr__(self, "record", record)
         if self.variant not in (PUBLISHED_FORM, AMENDED_FORM):
             raise InvalidSpec(f"unknown variant {self.variant!r}")
         n = len(self.amplitude)
@@ -57,25 +59,8 @@ class ExactSolutionSpec:
         object.__setattr__(self, "phase", phase)
         if len(phase) != n:
             raise InvalidSpec("amplitude and phase lengths differ")
-        self._validate()
-
-    def _validate(self) -> None:
-        p = self.params
-        if self.family == "morse":
-            if any(abs(b) >= 1.0 for b in self.amplitude):
-                raise InvalidSpec("bounded-exponential form needs |B| < 1")
-        if self.family in ("sw1", "sw2", "isotonic"):
-            if any(c == 0.0 for c in self.amplitude):
-                raise InvalidSpec("inverse-square form needs C != 0")
-        if self.family in ("ml1", "ml2") and p.sign == "-":
-            if any(p.lam * a * a >= 1.0 for a in self.amplitude):
-                raise InvalidSpec("'-' branch needs lam A^2 < 1 for a bounded orbit")
-        if self.family == "ml2" and not ml2_reduction_check(p):
-            raise InvalidSpec("the constant-map family has a closed form only in "
-                              "the reduction case lam = 1/eta^2 on the '-' branch")
-        if self.family == "powerlaw":
-            if any(a <= 0.0 for a in self.amplitude):
-                raise InvalidSpec("power-law amplitude must be positive")
+        _check_lengths(self.params, n, "omega", "zeta", "eta_const", "kappa")
+        record.check(self.params, self.amplitude)
 
     @property
     def n(self) -> int:
@@ -87,9 +72,6 @@ def build_exact_system(spec: ExactSolutionSpec) -> PdmSystem:
     return build_system(spec.family, spec.n, spec.params)
 
 
-# --- frequency relations -----------------------------------------------------
-
-
 def frequency_relation(family: str, params: ParameterSet,
                        amplitude: Sequence[float],
                        form: str = "validated") -> np.ndarray:
@@ -99,49 +81,11 @@ def frequency_relation(family: str, params: ParameterSet,
     exists, so tests can document its failure; everything else uses the
     residual-validated relation.
     """
-    amp = np.asarray(amplitude, dtype=float)
-    w = np.asarray(params.omega, dtype=float)
-    if family == "ml2":
-        if not ml2_reduction_check(params):
-            raise UnsupportedFamily(
-                "the constant-map family has a frequency relation only in the "
-                "reduction case")
-        family = "ml1"
-    if family == "ml1":
-        s = 1.0 if params.sign == "+" else -1.0
-        denom = 1.0 + s * params.lam * amp * amp
-        if np.any(denom <= 0.0):
-            raise InvalidSpec("amplitude leaves the bounded region")
-        if form == "printed":
-            return w * np.abs(amp) / np.sqrt(denom)
-        return w / np.sqrt(denom)
-    if family == "powerlaw":
-        return (1.0 + params.upsilon) * w
-    if family == "morse":
-        return np.asarray(params.zeta) * w
-    if family == "sw1":
-        s = 1.0 if params.sign == "+" else -1.0
-        c2 = amp * amp
-        denom = 1.0 + s * params.lam * c2
-        om2 = w * w / denom - s * params.lam * np.asarray(params.kappa) / c2
-        if np.any(om2 <= 0.0) or np.any(denom <= 0.0):
-            raise InvalidSpec("no real oscillation frequency for these constants")
-        return np.sqrt(om2)
-    if family == "sw2":
-        return abs(params.eta_exp) * w
-    if family in ("harmonic", "isotonic"):
-        return w.copy()
-    raise UnsupportedFamily(f"no printed frequency relation for {family!r}")
-
-
-def sw1_omega_from(params: ParameterSet, Omega: Sequence[float],
-                   amplitude: Sequence[float]) -> np.ndarray:
-    """The published direction of the inverse-square relation: omega from (Omega, C)."""
-    s = 1.0 if params.sign == "+" else -1.0
-    Om = np.asarray(Omega, dtype=float)
-    c2 = np.asarray(amplitude, dtype=float) ** 2
-    k = np.asarray(params.kappa)
-    return np.sqrt((1.0 + s * params.lam * c2) * (Om * Om + s * params.lam * k / c2))
+    record = FAMILIES.get(family)
+    if record is None:
+        raise UnsupportedFamily(f"no printed frequency relation for {family!r}")
+    return record.frequency(params, np.asarray(amplitude, dtype=float),
+                            np.asarray(params.omega, dtype=float), form)
 
 
 def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
@@ -151,89 +95,18 @@ def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
     half the phase period.
     """
     Om = frequency_relation(spec.family, spec.params, spec.amplitude)
-    if spec.family in ("sw1", "sw2", "isotonic"):
-        return math.pi / Om
-    return 2.0 * math.pi / Om
-
-
-# --- closed forms --------------------------------------------------------------
-
-
-def _sqrt_shape(theta_dot: float, num_s: float, num_c: float, denom: float,
-                rho: float, t: np.ndarray, phase: float):
-    """x = u^rho with u = (num_s sin^2 + num_c cos^2)/denom and theta = theta_dot t + phase."""
-    th = theta_dot * t + phase
-    s2 = np.sin(th) ** 2
-    u = (num_c + (num_s - num_c) * s2) / denom
-    ud = (num_s - num_c) * np.sin(2.0 * th) * theta_dot / denom
-    udd = (num_s - num_c) * 2.0 * np.cos(2.0 * th) * theta_dot ** 2 / denom
-    x = u ** rho
-    xd = rho * u ** (rho - 1.0) * ud
-    xdd = rho * (rho - 1.0) * u ** (rho - 2.0) * ud * ud + rho * u ** (rho - 1.0) * udd
-    return x, xd, xdd
+    return spec.record.position_phase / Om
 
 
 def kinematics(spec: ExactSolutionSpec, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic (x, xdot, xddot) of the closed form at time t."""
-    p = spec.params
-    n = spec.n
-    x = np.empty(n)
-    v = np.empty(n)
-    a = np.empty(n)
-    if spec.family in ("ml1", "ml2", "sw1"):
-        Om_all = frequency_relation(spec.family, p, spec.amplitude)
+    n, record = spec.n, spec.record
+    rates = spec.params.omega
+    if record.amplitude_dependent:
+        rates = frequency_relation(spec.family, spec.params, spec.amplitude)
+    x, v, a = np.empty(n), np.empty(n), np.empty(n)
     for i in range(n):
-        A, phi = spec.amplitude[i], spec.phase[i]
-        w = p.omega[i]
-        if spec.family in ("harmonic", "ml1", "ml2"):
-            if spec.family == "harmonic":
-                Om = w
-            else:
-                Om = float(Om_all[i])
-            th = Om * t + phi
-            x[i] = A * math.cos(th)
-            v[i] = -A * Om * math.sin(th)
-            a[i] = -A * Om * Om * math.cos(th)
-        elif spec.family == "powerlaw":
-            Om = (1.0 + p.upsilon) * w
-            pw = 1.0 / (1.0 + p.upsilon)
-            c = math.cos(Om * t + phi)
-            if c <= 0.0:
-                raise DomainViolation(
-                    "power-law closed form leaves its branch (cos <= 0)", t=t, coordinate=i)
-            s = math.sin(Om * t + phi)
-            x[i] = A * c ** pw
-            v[i] = -A * pw * Om * c ** (pw - 1.0) * s
-            a[i] = A * pw * Om * Om * ((pw - 1.0) * c ** (pw - 2.0) * s * s - c ** pw)
-        elif spec.family == "morse":
-            z = p.zeta[i]
-            th = z * w * t + phi
-            u = 1.0 + A * math.cos(th)
-            x[i] = math.log(u) / z
-            v[i] = -A * w * math.sin(th) / u
-            a[i] = -A * z * w * w * (math.cos(th) + A) / (u * u)
-        elif spec.family == "isotonic":
-            k = p.kappa[i]
-            xi, vi, ai = _sqrt_shape(w, w * w * A ** 4, k, w * w * A * A, 0.5,
-                                     np.array([t]), phi)
-            x[i], v[i], a[i] = xi[0], vi[0], ai[0]
-        elif spec.family == "sw1":
-            k = p.kappa[i]
-            Om = float(Om_all[i])
-            xi, vi, ai = _sqrt_shape(Om, Om * Om * A ** 4, k, Om * Om * A * A, 0.5,
-                                     np.array([t]), phi)
-            x[i], v[i], a[i] = xi[0], vi[0], ai[0]
-        elif spec.family == "sw2":
-            eta, beta = p.eta_exp, p.beta
-            k = p.kappa[i]
-            keff = k if spec.variant == AMENDED_FORM else k / (eta * eta)
-            denom = (beta * w * A) ** 2
-            rho = 1.0 / (2.0 * eta)
-            xi, vi, ai = _sqrt_shape(eta * w, w * w * A ** 4, keff, denom, rho,
-                                     np.array([t]), phi)
-            x[i], v[i], a[i] = xi[0], vi[0], ai[0]
-        else:
-            raise UnsupportedFamily(spec.family)
+        x[i], v[i], a[i] = record.closed_form(spec, i, t, float(rates[i]))
     return x, v, a
 
 
@@ -264,9 +137,6 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
     return Trajectory(ts, xs, vs, accs, samples, 0, 0.0, Termination("completed"))
 
 
-# --- energies -------------------------------------------------------------------
-
-
 def exact_energy(spec: ExactSolutionSpec) -> float:
     """Total energy of the closed form.
 
@@ -274,56 +144,13 @@ def exact_energy(spec: ExactSolutionSpec) -> float:
     families are evaluated through total_energy on the solution, which is the
     formula of record (and the cross-check for everything else).
     """
-    p = spec.params
+    term = spec.record.coordinate_energy
+    if term is None:
+        return total_energy(build_exact_system(spec), exact_solution(spec, 0.0)).total
     total = 0.0
-    if spec.family in ("ml1", "ml2", "harmonic"):
-        for i in range(spec.n):
-            A, w = spec.amplitude[i], p.omega[i]
-            if spec.family == "harmonic":
-                total += 0.5 * w * w * A * A
-            elif spec.family == "ml2":
-                # same orbit as the oscillator family in the reduction case,
-                # but the potential differs by the constant (1/2) w^2 eta^2,
-                # so the energy is read off at the turning point directly
-                s = 1.0 if p.sign == "+" else -1.0
-                e2 = p.eta_const[i] ** 2
-                total += 0.5 * w * w * e2 / (1.0 + s * p.lam * A * A)
-            else:
-                s = 1.0 if p.sign == "+" else -1.0
-                total += 0.5 * w * w * A * A / (1.0 + s * p.lam * A * A)
-        return total
-    if spec.family == "powerlaw":
-        for i in range(spec.n):
-            A, w = spec.amplitude[i], p.omega[i]
-            b = A ** (1.0 + p.upsilon)   # validated constant; print says A^(1/(1+upsilon))
-            total += 0.5 * p.alpha ** 2 * w * w * b * b
-        return total
-    if spec.family == "morse":
-        for i in range(spec.n):
-            total += 0.5 * p.omega[i] ** 2 * spec.amplitude[i] ** 2
-        return total
-    if spec.family == "isotonic":
-        for i in range(spec.n):
-            C, w, k = spec.amplitude[i], p.omega[i], p.kappa[i]
-            total += 0.5 * (w * w * C * C + k / (C * C))
-        return total
-    # sw1 / sw2: no printed energy; evaluate the definition of record
-    system = build_exact_system(spec)
-    return total_energy(system, exact_solution(spec, 0.0)).total
-
-
-def ml2_reduction_check(params: ParameterSet) -> bool:
-    """True when the constant-map family collapses onto the oscillator family.
-
-    With the deformation strength kept non-negative, the collapse condition
-    lands on the '-' branch with lam = 1/eta_i^2 for every coordinate.
-    """
-    if params.lam is None or params.sign is None or not params.eta_const:
-        return False
-    if params.sign != "-":
-        return False
-    return all(abs(params.lam - 1.0 / (e * e)) <= 1e-12 * max(1.0, params.lam)
-               for e in params.eta_const)
+    for i in range(spec.n):
+        total += term(spec.params, spec.amplitude[i], i)
+    return total
 
 
 # --- misprint ledger ---------------------------------------------------------

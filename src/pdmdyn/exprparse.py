@@ -302,11 +302,17 @@ class _Slot(NamedTuple):
     known: tuple[float, float, float] | None = None  # fixed before any input
 
 
+def _dual_mul(a: tuple, b: tuple) -> tuple[float, float, float]:
+    return (a[0] * b[0], a[1] * b[0] + a[0] * b[1],
+            a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])
+
+
 def _int_pow(v: float, d1: float, d2: float, k: int,
              where: Expr) -> tuple[float, float, float]:
-    """(v, d1, d2) to the integer power k by repeated multiplication.
+    """(v, d1, d2) to the integer power k; negative bases stay exact and real.
 
-    Repeated multiplication keeps negative bases exact and real.
+    Up to _UNROLL factors one at a time, as the unrolled code does; beyond,
+    square-and-multiply, about 2 log2(k) products, so even k = 1e300 returns.
     """
     if k == 0:
         return 1.0, 0.0, 0.0
@@ -317,15 +323,24 @@ def _int_pow(v: float, d1: float, d2: float, k: int,
         q = 1.0 / t
         q1 = (0.0 - q * t1) / t
         return q, q1, (0.0 - 2.0 * q1 * t1 - q * t2) / t
-    o, o1, o2 = v, d1, d2
-    for _ in range(k - 1):
-        o, o1, o2 = o * v, o1 * v + o * d1, o2 * v + 2.0 * o1 * d1 + o * d2
-    return o, o1, o2
+    base = out = (v, d1, d2)
+    if k <= _UNROLL:
+        for _ in range(k - 1):
+            out = _dual_mul(out, base)
+        return out
+    out = (1.0, 0.0, 0.0)
+    while k:
+        if k & 1:
+            out = _dual_mul(out, base)
+        base = _dual_mul(base, base)
+        k >>= 1
+    return out
 
 
 # the only names the generated code reads besides its arguments and bindings
 _NAMESPACE = {
-    "__builtins__": {"float": float, "int": int, "OverflowError": OverflowError},
+    "__builtins__": {"float": float, "int": int, "OverflowError": OverflowError,
+                     "ValueError": ValueError},
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
     "sqrt": math.sqrt, "int_pow": _int_pow,
     "ExprDomainError": ExprDomainError, "to_source": to_source,
@@ -363,11 +378,12 @@ class _Codegen:
     def raise_domain(self, message: str, where: Expr) -> str:
         return f"raise ExprDomainError({message!r}, to_source({self.bind(where)}))"
 
-    def guarded(self, where: Expr, *lines: str) -> None:
-        """lines, with a float overflow reported as a domain error."""
+    def guarded(self, where: Expr, *lines: str, error: str = "OverflowError",
+                message: str = _OVERFLOW) -> None:
+        """lines, with a float overflow (or the given error) reported as a domain error."""
         self.block("try:", lambda: self.emit(*lines))
-        self.block("except OverflowError:",
-                   lambda: self.emit(self.raise_domain(_OVERFLOW, where) + " from None"))
+        self.block(f"except {error}:",
+                   lambda: self.emit(self.raise_domain(message, where) + " from None"))
 
     def constant(self, value: float, d1: float = 0.0, d2: float = 0.0) -> _Slot:
         return _Slot(self.bind(value), self.bind(d1), self.bind(d2), (value, d1, d2))
@@ -446,11 +462,12 @@ class _Codegen:
         out = self.fresh("v", "p", "q")
         v = out[0]
         c, c2 = self.fresh("c", "e")
-        if node.fn == "sin":
-            self.emit(f"{v} = sin({u.val})", f"{c} = cos({u.val})")
-            return self.chain(out, u, c, f"(-{v})")
-        if node.fn == "cos":
-            self.emit(f"{v} = cos({u.val})", f"{c} = sin({u.val})")
+        if node.fn in ("sin", "cos"):   # both raise ValueError at +-inf
+            other = "cos" if node.fn == "sin" else "sin"
+            self.guarded(node, f"{v} = {node.fn}({u.val})", f"{c} = {other}({u.val})",
+                         error="ValueError", message=f"{node.fn} of an infinite value")
+            if node.fn == "sin":
+                return self.chain(out, u, c, f"(-{v})")
             return self.chain(out, u, f"(-{c})", f"(-{v})")
         if node.fn == "exp":
             self.guarded(node, f"{v} = exp({u.val})")

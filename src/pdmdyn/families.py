@@ -1,0 +1,320 @@
+"""One record per catalog family: everything the package knows about it.
+
+A record owns the family's parameter schema, mass profiles, potential, its
+nonlocal map (q_i, f_i) onto a reference oscillator, and its closed form with
+amplitude checks, frequency relation, position period and energy.  ``core``,
+``transform`` and ``exact`` resolve the record once, when a system, map or
+closed form is built, and call into it.  A new family is one new record plus
+one FAMILIES entry.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from typing import Callable
+
+import numpy as np
+
+from . import profiles as mass
+from .errors import (DomainViolation, InvalidParameter, InvalidSpec,
+                     SingularPoint, UnsupportedFamily)
+
+PUBLISHED_FORM = "published"
+AMENDED_FORM = "amended"
+
+
+def _sign(p) -> float:
+    return 1.0 if p.sign == "+" else -1.0
+
+
+def _unit_profiles(n: int, p) -> tuple:
+    return tuple(mass.CustomProfile.from_text("1") for _ in range(n))
+
+
+def _ml_profiles(n: int, p) -> tuple:
+    return tuple(mass.MathewsLakshmanan(p.lam, p.sign) for _ in range(n))
+
+
+def _oscillator_potential(p, i: int, x: float, m: float, m1: float) -> tuple[float, float]:
+    w2 = p.omega[i] * p.omega[i]
+    return 0.5 * w2 * m * x * x, 0.5 * w2 * (m1 * x * x + 2.0 * m * x)
+
+
+def _cosine(spec, i: int, t: float, rate: float) -> tuple[float, float, float]:
+    A, phi = spec.amplitude[i], spec.phase[i]
+    th = rate * t + phi
+    return A * math.cos(th), -A * rate * math.sin(th), -A * rate * rate * math.cos(th)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog family; ``p`` is its ParameterSet, ``i`` a coordinate.
+
+    Defaults, the common case: Mathews-Lakshmanan profiles in the oscillator
+    potential (1/2) w^2 m x^2, the map q = x sqrt(m), f = 1 + x m'/(2m) onto the
+    harmonic reference, a cosine closed form of period 2 pi / Omega.
+    """
+
+    name: str
+    required: tuple[str, ...]                   # parameters that must be given
+    positive: tuple[str, ...] = ("omega",)      # ... and that must be positive
+    #: (n, p) -> the n mass profiles, after any check beyond the two above
+    profiles: Callable = _ml_profiles
+    #: (p, i, x, m_i, m_i') -> (V_i, dV_i/dx_i)
+    potential: Callable = _oscillator_potential
+    #: (p, i, x, sqrt(m_i)) -> q_i and (p, i, x, m_i'/(2 m_i)) -> f_i
+    q: Callable = lambda p, i, x, root: x * root
+    f: Callable = lambda p, i, x, half: 1.0 + half * x
+    mapped: bool = True                         # False for the references themselves
+    reference: str = "harmonic"
+    #: (p, amplitude) -> None; raises InvalidSpec where no closed form exists
+    check: Callable = lambda p, amplitude: None
+    #: (p, amplitude array, omega array, form) -> angular frequency per coordinate
+    frequency: Callable = lambda p, amp, w, form: w.copy()
+    #: closed form written in that frequency (else in omega_i)
+    amplitude_dependent: bool = False
+    #: (spec, i, t, rate) -> (x_i, xdot_i, xddot_i)
+    closed_form: Callable = _cosine
+    #: (p, A_i, i) -> energy of coordinate i; None: no printed energy formula
+    coordinate_energy: Callable | None = lambda p, A, i: 0.5 * p.omega[i] * p.omega[i] * A * A
+    position_phase: float = 2.0 * math.pi       # phase over one period of x(t)
+
+
+HARMONIC = Family("harmonic", ("omega",), profiles=_unit_profiles, mapped=False,
+                  potential=lambda p, i, x, m, m1: (0.5 * (p.omega[i] * p.omega[i]) * x * x,
+                                                    p.omega[i] * p.omega[i] * x))
+
+
+# --- ml1 and ml2: m = 1/(1 +- lam x^2) ------------------------------------------
+def ml2_reduction_check(params) -> bool:
+    """True when the constant-map family collapses onto the oscillator family.
+
+    With the deformation strength kept non-negative, the collapse condition
+    lands on the '-' branch with lam = 1/eta_i^2 for every coordinate.
+    """
+    if params.lam is None or params.sign != "-" or not params.eta_const:
+        return False
+    return all(e != 0.0 and abs(params.lam - 1.0 / (e * e)) <= 1e-12 * max(1.0, params.lam)
+               for e in params.eta_const)
+
+
+def _ml1_check(p, amplitude):
+    if p.sign == "-" and any(p.lam * a * a >= 1.0 for a in amplitude):
+        raise InvalidSpec("'-' branch needs lam A^2 < 1 for a bounded orbit")
+
+
+def _ml1_frequency(p, amp, w, form):
+    denom = 1.0 + _sign(p) * p.lam * amp * amp
+    if np.any(denom <= 0.0):
+        raise InvalidSpec("amplitude leaves the bounded region")
+    if form == "printed":
+        return w * np.abs(amp) / np.sqrt(denom)
+    return w / np.sqrt(denom)
+
+
+ML1 = Family("ml1", ("omega", "lam", "sign"), check=_ml1_check,
+             frequency=_ml1_frequency, amplitude_dependent=True,
+             coordinate_energy=lambda p, A, i: (0.5 * p.omega[i] * p.omega[i] * A * A
+                                                / (1.0 + _sign(p) * p.lam * A * A)))
+
+
+def _ml2_profiles(n, p):
+    if any(e == 0.0 for e in p.eta_const):
+        raise InvalidParameter("eta_const", "zero collapses the coordinate map")
+    return _ml_profiles(n, p)
+
+
+def _ml2_potential(p, i, x, m, m1):
+    w2 = p.omega[i] * p.omega[i]
+    e2 = p.eta_const[i] * p.eta_const[i]
+    return 0.5 * w2 * e2 * m, 0.5 * w2 * e2 * m1
+
+
+def _ml2_check(p, amplitude):
+    _ml1_check(p, amplitude)
+    if not ml2_reduction_check(p):
+        raise InvalidSpec("the constant-map family has a closed form only in "
+                          "the reduction case lam = 1/eta^2 on the '-' branch")
+
+
+def _ml2_frequency(p, amp, w, form):
+    if not ml2_reduction_check(p):
+        raise UnsupportedFamily("the constant-map family has a frequency relation "
+                                "only in the reduction case")
+    return _ml1_frequency(p, amp, w, form)
+
+
+# the constant map q = eta sqrt(m) with V = (1/2) w^2 eta^2 m; same orbit as
+# ml1 in the reduction case, but the potential differs by the constant
+# (1/2) w^2 eta^2, so the energy is read off at the turning point directly
+ML2 = replace(ML1, name="ml2", required=("omega", "lam", "sign", "eta_const"),
+              profiles=_ml2_profiles, potential=_ml2_potential,
+              q=lambda p, i, x, root: p.eta_const[i] * root,
+              f=lambda p, i, x, half: p.eta_const[i] * half,
+              check=_ml2_check, frequency=_ml2_frequency,
+              coordinate_energy=lambda p, A, i: (0.5 * p.omega[i] * p.omega[i]
+                                                 * p.eta_const[i] ** 2
+                                                 / (1.0 + _sign(p) * p.lam * A * A)))
+
+
+# --- powerlaw: m = alpha^2 x^(2 upsilon) ----------------------------------------
+def _powerlaw_check(p, amplitude):
+    if any(a <= 0.0 for a in amplitude):
+        raise InvalidSpec("power-law amplitude must be positive")
+
+
+def _powerlaw_form(spec, i, t, w):
+    A, phi, u = spec.amplitude[i], spec.phase[i], spec.params.upsilon
+    Om = (1.0 + u) * w
+    pw = 1.0 / (1.0 + u)
+    c = math.cos(Om * t + phi)
+    if c <= 0.0:
+        raise DomainViolation(
+            "power-law closed form leaves its branch (cos <= 0)", t=t, coordinate=i)
+    s = math.sin(Om * t + phi)
+    return (A * c ** pw, -A * pw * Om * c ** (pw - 1.0) * s,
+            A * pw * Om * Om * ((pw - 1.0) * c ** (pw - 2.0) * s * s - c ** pw))
+
+
+def _powerlaw_energy(p, A, i):
+    w = p.omega[i]
+    b = A ** (1.0 + p.upsilon)   # validated constant; print says A^(1/(1+upsilon))
+    return 0.5 * p.alpha ** 2 * w * w * b * b
+
+
+POWERLAW = Family("powerlaw", ("omega", "alpha", "upsilon"), ("omega", "alpha"),
+                  profiles=lambda n, p: tuple(mass.PowerLaw(p.alpha, p.upsilon)
+                                              for _ in range(n)),
+                  check=_powerlaw_check,
+                  frequency=lambda p, amp, w, form: (1.0 + p.upsilon) * w,
+                  closed_form=_powerlaw_form, coordinate_energy=_powerlaw_energy)
+
+
+# --- morse: m = exp(2 zeta x), V = (1/2) w^2 m (1 - e^(-zeta x))^2 ---------------
+def _morse_potential(p, i, x, m, m1):
+    w2 = p.omega[i] * p.omega[i]
+    z = p.zeta[i]
+    ez = math.exp(-z * x)
+    w = 1.0 - ez
+    return 0.5 * w2 * m * w * w, 0.5 * w2 * (m1 * w * w + 2.0 * m * w * z * ez)
+
+
+def _morse_check(p, amplitude):
+    if any(abs(b) >= 1.0 for b in amplitude):
+        raise InvalidSpec("bounded-exponential form needs |B| < 1")
+
+
+def _morse_form(spec, i, t, w):
+    A, phi, z = spec.amplitude[i], spec.phase[i], spec.params.zeta[i]
+    th = z * w * t + phi
+    u = 1.0 + A * math.cos(th)
+    return (math.log(u) / z, -A * w * math.sin(th) / u,
+            -A * z * w * w * (math.cos(th) + A) / (u * u))
+
+
+# the bounded-exponential map; f reduces to the constant zeta for this mass
+MORSE = Family("morse", ("omega", "zeta"), ("omega", "zeta"),
+               profiles=lambda n, p: tuple(mass.Exponential(z) for z in p.zeta),
+               potential=_morse_potential,
+               q=lambda p, i, x, root: root * (1.0 - math.exp(-p.zeta[i] * x)),
+               f=lambda p, i, x, half: half + (p.zeta[i] - half) * math.exp(-p.zeta[i] * x),
+               check=_morse_check,
+               frequency=lambda p, amp, w, form: np.asarray(p.zeta) * w,
+               closed_form=_morse_form,
+               coordinate_energy=lambda p, A, i: 0.5 * p.omega[i] ** 2 * A ** 2)
+
+
+# --- inverse-square families: the potential gains kappa/(m x^2) -----------------
+def _inverse_square_potential(p, i, x, m, m1):
+    w2 = p.omega[i] * p.omega[i]
+    if x == 0.0:
+        raise SingularPoint(f"inverse-square potential singular at x_{i + 1} = 0", i)
+    k = p.kappa[i]
+    v = 0.5 * (w2 * m * x * x + k / (m * x * x))
+    dv = 0.5 * (w2 * (m1 * x * x + 2.0 * m * x)
+                - k * (m1 * x + 2.0 * m) / (m * m * x ** 3))
+    return v, dv
+
+
+def _inverse_square_check(p, amplitude):
+    if any(c == 0.0 for c in amplitude):
+        raise InvalidSpec("inverse-square form needs C != 0")
+
+
+def _sqrt_shape(theta_dot: float, num_s: float, num_c: float, denom: float,
+                rho: float, t: float, phase: float) -> tuple[float, float, float]:
+    """x = u^rho with u = (num_s sin^2 + num_c cos^2)/denom and theta = theta_dot t + phase."""
+    th = theta_dot * np.array([t]) + phase
+    s2 = np.sin(th) ** 2
+    u = (num_c + (num_s - num_c) * s2) / denom
+    ud = (num_s - num_c) * np.sin(2.0 * th) * theta_dot / denom
+    udd = (num_s - num_c) * 2.0 * np.cos(2.0 * th) * theta_dot ** 2 / denom
+    x = u ** rho
+    xd = rho * u ** (rho - 1.0) * ud
+    xdd = rho * (rho - 1.0) * u ** (rho - 2.0) * ud * ud + rho * u ** (rho - 1.0) * udd
+    return x[0], xd[0], xdd[0]
+
+
+def _isotonic_form(spec, i, t, rate):
+    A, k = spec.amplitude[i], spec.params.kappa[i]
+    return _sqrt_shape(rate, rate * rate * A ** 4, k, rate * rate * A * A, 0.5,
+                       t, spec.phase[i])
+
+
+# x^2 oscillates, so the position period is half the phase period; sw1 and
+# sw2 print no energy, so exact_energy evaluates the definition of record
+_INVERSE_SQUARE = Family("", (), ("omega", "kappa"),
+                         potential=_inverse_square_potential, reference="isotonic",
+                         check=_inverse_square_check, closed_form=_isotonic_form,
+                         coordinate_energy=None, position_phase=math.pi)
+
+
+def _isotonic_potential(p, i, x, m, m1):
+    w2 = p.omega[i] * p.omega[i]
+    if x == 0.0:
+        raise SingularPoint(f"inverse-square potential singular at x_{i + 1} = 0", i)
+    k = p.kappa[i]
+    return 0.5 * (w2 * x * x + k / (x * x)), w2 * x - k / x ** 3
+
+
+ISOTONIC = replace(_INVERSE_SQUARE, name="isotonic", required=("omega", "kappa"),
+                   profiles=_unit_profiles, potential=_isotonic_potential, mapped=False,
+                   coordinate_energy=lambda p, C, i: 0.5 * (p.omega[i] * p.omega[i] * C * C
+                                                            + p.kappa[i] / (C * C)))
+
+
+def _sw1_frequency(p, amp, w, form):
+    s = _sign(p)
+    c2 = amp * amp
+    denom = 1.0 + s * p.lam * c2
+    om2 = w * w / denom - s * p.lam * np.asarray(p.kappa) / c2
+    if np.any(om2 <= 0.0) or np.any(denom <= 0.0):
+        raise InvalidSpec("no real oscillation frequency for these constants")
+    return np.sqrt(om2)
+
+
+SW1 = replace(_INVERSE_SQUARE, name="sw1", required=("omega", "lam", "sign", "kappa"),
+              frequency=_sw1_frequency, amplitude_dependent=True)
+
+
+def _sw2_form(spec, i, t, w):
+    p, A = spec.params, spec.amplitude[i]
+    eta, k = p.eta_exp, p.kappa[i]
+    keff = k if spec.variant == AMENDED_FORM else k / (eta * eta)
+    return _sqrt_shape(eta * w, w * w * A ** 4, keff, (p.beta * w * A) ** 2,
+                       1.0 / (2.0 * eta), t, spec.phase[i])
+
+
+# m = beta^2 x^(2(eta-1)); see the misprint ledger for the closed form
+SW2 = replace(_INVERSE_SQUARE, name="sw2", required=("omega", "kappa", "beta", "eta_exp"),
+              positive=("omega", "kappa", "beta"),
+              profiles=lambda n, p: tuple(mass.IsotonicPowerLaw(p.beta, p.eta_exp)
+                                          for _ in range(n)),
+              frequency=lambda p, amp, w, form: abs(p.eta_exp) * w,
+              closed_form=_sw2_form)
+
+
+#: every catalog family by name; the only family registry
+FAMILIES: dict[str, Family] = {f.name: f for f in (
+    ML1, POWERLAW, ML2, MORSE, SW1, SW2, HARMONIC, ISOTONIC)}

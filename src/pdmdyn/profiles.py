@@ -29,13 +29,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi
 
-    def sample_box(self, margin: float = 0.05, span: float = 3.0) -> tuple[float, float]:
-        """A finite closed box safely inside the interval, for random sampling."""
-        lo = self.lo if math.isfinite(self.lo) else -span
-        hi = self.hi if math.isfinite(self.hi) else span
-        pad = margin * (hi - lo)
-        return lo + pad, hi - pad
-
 
 class MassProfile:
     """Base class: positive scalar field with two derivatives and a domain."""
@@ -219,13 +212,3 @@ class CoupledProfile:
         if m <= 0.0:
             raise DomainViolation(f"coupled profile '{self.text}' is {m!r} <= 0 at {list(xs)!r}")
         return m, grad
-
-
-def profile_eval(profile: MassProfile, x: float) -> tuple[float, float, float]:
-    """(m, m', m'') at x; raises DomainViolation outside the validity interval."""
-    return profile.eval(x)
-
-
-def profile_domain(profile: MassProfile) -> Interval:
-    """Maximal open interval on which the profile stays positive."""
-    return profile.domain

@@ -6,7 +6,9 @@ Per coordinate the bundle is (q_i(x_i), f_i(x_i), tau_i) with
 
 so (dq/dx)^2 = m f^2 always holds.  dq/dx is returned signed: the isotonic
 power-law family with a negative exponent has a decreasing coordinate map,
-and the squared identity is the invariant, not the sign.
+and the squared identity is the invariant, not the sign.  Each family's
+q_i, f_i and reference oscillator live in its record in ``families``; a
+NonlocalMap carries the record and this module calls into it.
 
 The same machinery powers the negative result: for a shared mass multiplier
 in two or more dimensions the mapped velocity acquires a term with no
@@ -26,27 +28,15 @@ from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory,
 from .eom import (ReferenceSystem, el1_acceleration, el2_acceleration,
                   reference_potential, reference_potential_gradient)
 from .errors import InvalidParameter, NonPositiveScale, UnsupportedFamily
+from .families import Family
 from .integrate import sample_dense
-
-OSCILLATOR_MAP = "oscillator"
-CONSTANT_MAP = "constant"
-MORSE_MAP = "morse"
-ISOTONIC_MAP = "isotonic"
-
-_MAP_KIND = {"ml1": OSCILLATOR_MAP, "powerlaw": OSCILLATOR_MAP,
-             "ml2": CONSTANT_MAP, "morse": MORSE_MAP,
-             "sw1": ISOTONIC_MAP, "sw2": ISOTONIC_MAP}
 
 
 @dataclass(frozen=True)
 class NonlocalMap:
-    kind: str
+    record: Family          # the family whose q_i, f_i the map uses
     profiles: tuple
     params: ParameterSet
-
-    def __post_init__(self):
-        if self.kind not in (OSCILLATOR_MAP, CONSTANT_MAP, MORSE_MAP, ISOTONIC_MAP):
-            raise InvalidParameter("kind", f"unknown map kind {self.kind!r}")
 
 
 @dataclass
@@ -61,43 +51,28 @@ class MappedTrajectory:
 
 def reference_map(system: PdmSystem) -> tuple[NonlocalMap, ReferenceSystem]:
     """The transformation bundle and reference oscillator for a catalog family."""
-    family = system.potential.family
-    kind = _MAP_KIND.get(family)
-    if kind is None:
-        raise UnsupportedFamily(f"no reference map catalogued for {family!r}")
+    record = system.potential.record
+    if not record.mapped:
+        raise UnsupportedFamily(
+            f"no reference map catalogued for {system.potential.family!r}")
     p = system.potential.params
-    if family in ("sw1", "sw2"):
-        ref = ReferenceSystem(system.n, "isotonic", p.omega, p.kappa)
-    else:
-        ref = ReferenceSystem(system.n, "harmonic", p.omega)
-    return NonlocalMap(kind, system.profiles, p), ref
+    ref = ReferenceSystem(system.n, record.reference, p.omega, p.kappa)
+    return NonlocalMap(record, system.profiles, p), ref
 
 
 def f_scale(nmap: NonlocalMap, i: int, x: float) -> float:
     """Time-rescaling factor f_i at x."""
     m, m1, _ = nmap.profiles[i].eval(x)
-    half = m1 / (2.0 * m)
-    if nmap.kind in (OSCILLATOR_MAP, ISOTONIC_MAP):
-        return 1.0 + half * x
-    if nmap.kind == CONSTANT_MAP:
-        return nmap.params.eta_const[i] * half
-    # bounded-exponential map; reduces to the constant zeta for m = exp(2 zeta x)
-    z = nmap.params.zeta[i]
-    return half + (z - half) * math.exp(-z * x)
+    return nmap.record.f(nmap.params, i, x, m1 / (2.0 * m))
 
 
 def q_map(nmap: NonlocalMap, i: int, x: float) -> tuple[float, float]:
     """(q_i, dq_i/dx_i) at x; the derivative is f_i sqrt(m_i), sign included."""
     m, m1, _ = nmap.profiles[i].eval(x)
     root = math.sqrt(m)
-    if nmap.kind in (OSCILLATOR_MAP, ISOTONIC_MAP):
-        q = x * root
-    elif nmap.kind == CONSTANT_MAP:
-        q = nmap.params.eta_const[i] * root
-    else:
-        z = nmap.params.zeta[i]
-        q = root * (1.0 - math.exp(-z * x))
-    return q, f_scale(nmap, i, x) * root
+    p = nmap.params
+    return (nmap.record.q(p, i, x, root),
+            nmap.record.f(p, i, x, m1 / (2.0 * m)) * root)
 
 
 def inverse_q(nmap: NonlocalMap, i: int, q: float,
@@ -151,15 +126,10 @@ def tau_values(nmap: NonlocalMap, traj: Trajectory, i: int,
     return np.concatenate([[0.0], np.cumsum(dtau)])
 
 
-def tau_accumulate(nmap: NonlocalMap, traj: Trajectory, i: int) -> np.ndarray:
-    """Strictly increasing tau_i(t); raises NonPositiveScale if f_i <= 0 anywhere."""
-    return tau_values(nmap, traj, i, require_positive=True)
-
-
 def map_to_reference(nmap: NonlocalMap, traj: Trajectory) -> MappedTrajectory:
     """Image (tau_i, q_i, qtilde_i) of a trajectory, one clock per coordinate."""
     n = traj.x.shape[1]
-    tau = np.column_stack([tau_accumulate(nmap, traj, i) for i in range(n)])
+    tau = np.column_stack([tau_values(nmap, traj, i) for i in range(n)])
     q = np.empty_like(traj.x)
     qt = np.empty_like(traj.v)
     for k in range(len(traj.t)):
@@ -187,7 +157,8 @@ def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: ReferenceSystem,
     equations of motion at the state.
     """
     acc = el1_acceleration(system, state)
-    grad_ref = _mapped_reference_gradient(nmap, ref, state.x)
+    q = np.array([q_map(nmap, i, float(state.x[i]))[0] for i in range(system.n)])
+    grad_ref = reference_potential_gradient(ref, q)
     out = np.empty(system.n)
     for i in range(system.n):
         m, m1, _ = system.profiles[i].eval(float(state.x[i]))
@@ -199,12 +170,6 @@ def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: ReferenceSystem,
             continue
         out[i] = dqt_dt / f + grad_ref[i]
     return out
-
-
-def _mapped_reference_gradient(nmap: NonlocalMap, ref: ReferenceSystem,
-                               x: np.ndarray) -> np.ndarray:
-    q = np.array([q_map(nmap, i, float(x[i]))[0] for i in range(len(x))])
-    return reference_potential_gradient(ref, q)
 
 
 def el2_obstruction(system: PdmSystem, state: State) -> float:

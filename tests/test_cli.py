@@ -4,9 +4,14 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pdmdyn
 from pdmdyn.cli import run_cli
 
 ML1_CONFIG = {
@@ -185,6 +190,38 @@ class TestSimulate:
         code, _, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
         assert code == 2
         assert err == "error: float overflow in 'exp(x)'\n"
+
+    def test_from_exact_amplitude_longer_than_n_exit_2(self, tmp_path):
+        cfg_data = with_value(ML1_CONFIG, ("initial",),
+                              {"from_exact": {"amplitude": [1.0, 0.5]}})
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert code == 2
+        assert err == "error: omega: expected 2 entries, got 1\n"
+
+    def test_sine_of_infinity_exit_2(self, tmp_path):
+        cfg_data = dict(ML1_CONFIG, family="custom",
+                        custom={"mass": ["1"], "potential": ["sin(x*1e999)"]},
+                        initial={"x": [0.5], "v": [0.0]})
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert code == 2
+        assert err == "error: sin of an infinite value in 'sin(x*inf)'\n"
+
+    @pytest.mark.parametrize("custom,x0,code,err", [
+        # a constant exponent of 1e300: about 2000 products, V underflows to 0
+        ({"mass": ["1"], "potential": ["x^1e300"]}, 0.5, 0, ""),
+        # the value pass of a type2 mass meets the integer exponent 3^27 at run time
+        ({"kind": "type2", "mass": ["x1^(x1^(x1^x1))"], "potential": ["0.5*x^2"]},
+         3.0, 2, "error: float overflow in 'x1^x1^x1^x1'\n"),
+    ])
+    def test_huge_integer_exponent_returns(self, tmp_path, custom, x0, code, err):
+        cfg_data = dict(ML1_CONFIG, family="custom", custom=custom,
+                        initial={"x": [x0], "v": [0.0]})
+        env = dict(os.environ, PYTHONPATH=str(Path(pdmdyn.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "pdmdyn.cli", "simulate", "--config",
+             write_config(tmp_path, cfg_data)],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert (done.returncode, done.stderr) == (code, err)
 
     def test_non_numeric_fixed_step_exit_2(self, tmp_path):
         cfg_data = dict(ML1_CONFIG, integrator={"scheme": "fixed_rk4", "t_end": 1.0,

@@ -7,11 +7,21 @@ import pytest
 
 from pdmdyn.core import parameter_set, total_energy
 from pdmdyn.eom import el1_residual
-from pdmdyn.errors import (DomainViolation, InvalidSpec, UnsupportedFamily)
+from pdmdyn.errors import (DomainViolation, InvalidParameter, InvalidSpec,
+                           UnsupportedFamily)
 from pdmdyn.exact import (AMENDED_FORM, ExactSolutionSpec, MISPRINTS,
                           build_exact_system, exact_energy, exact_solution,
                           frequency_relation, kinematics, ml2_reduction_check,
-                          oscillation_period, solution_fn, sw1_omega_from)
+                          oscillation_period, solution_fn)
+
+
+def sw1_omega_from(params, Omega, amplitude):
+    """The published direction of the inverse-square relation: omega from (Omega, C)."""
+    s = 1.0 if params.sign == "+" else -1.0
+    Om = np.asarray(Omega, dtype=float)
+    c2 = np.asarray(amplitude, dtype=float) ** 2
+    k = np.asarray(params.kappa)
+    return np.sqrt((1.0 + s * params.lam * c2) * (Om * Om + s * params.lam * k / c2))
 
 
 def spec_of(family, params, amplitude, **kw):
@@ -66,6 +76,11 @@ class TestClosedFormValues:
 
 
 class TestValidation:
+    def test_amplitude_and_omega_lengths_differ(self):
+        p = parameter_set({"omega": [1.0], "lambda": 1.0, "sign": "+"}, 1)
+        with pytest.raises(InvalidParameter, match="omega: expected 2 entries"):
+            ExactSolutionSpec("ml1", p, (1.0, 0.5))
+
     def test_morse_amplitude_bound(self):
         with pytest.raises(InvalidSpec):
             spec_of("morse", {"omega": [1.0], "zeta": [1.0]}, [1.0])
@@ -268,6 +283,14 @@ class TestMl2Reduction:
         p = parameter_set({"omega": [1.0, 1.0], "lambda": 0.25, "sign": "-",
                            "eta_const": [2.0, 3.0]}, 2)
         assert ml2_reduction_check(p) is False
+
+    def test_zero_eta_is_no_reduction(self):
+        # lam = 1/eta^2 has no solution at eta = 0; the check must not divide
+        p = parameter_set({"omega": [1.0], "lambda": 0.25, "sign": "-",
+                           "eta_const": [0.0]}, 1)
+        assert ml2_reduction_check(p) is False
+        with pytest.raises(InvalidSpec, match="reduction case"):
+            ExactSolutionSpec("ml2", p, (0.5,))
 
 
 class TestSubstitutionIdentity:

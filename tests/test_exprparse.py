@@ -17,8 +17,10 @@ from pdmdyn.exprparse import (FUNCTIONS, MAX_DEPTH, BinOp, Call, Expr, Neg, Num,
 # --- reference oracle ---------------------------------------------------------
 # The tree walker the compiled code replaced, kept as the reference: the
 # compiled code must give the same floats, or raise the same exception with
-# the same message.  One deliberate change: a float overflow in exp or in a
-# power is an ExprDomainError here too, where the walker let OverflowError out.
+# the same message.  Deliberate changes, made in both: a float overflow in exp
+# or in a power, and sin or cos of an infinite value, are ExprDomainErrors
+# here too, where the walker let OverflowError and ValueError out; an integer
+# power beyond 16 squares and multiplies instead of multiplying k times.
 
 @dataclass(frozen=True)
 class Dual2:
@@ -69,9 +71,17 @@ def _int_pow(u: Dual2, k: int, where: Expr) -> Dual2:
         return Dual2.const(1.0)
     if k < 0:
         return _div(Dual2.const(1.0), _int_pow(u, -k, where), where)
-    out = u
-    for _ in range(k - 1):
-        out = _mul(out, u)
+    if k <= 16:
+        out = u
+        for _ in range(k - 1):
+            out = _mul(out, u)
+        return out
+    out = Dual2.const(1.0)
+    while k:
+        if k & 1:
+            out = _mul(out, u)
+        u = _mul(u, u)
+        k >>= 1
     return out
 
 
@@ -113,12 +123,13 @@ def _eval(e: Expr, env: dict[str, Dual2]) -> Dual2:
         return Dual2(-u.val, -u.d1, -u.d2)
     if isinstance(e, Call):
         u = _eval(e.arg, env)
-        if e.fn == "sin":
-            s, c = math.sin(u.val), math.cos(u.val)
-            return _chain(u, s, c, -s)
-        if e.fn == "cos":
-            s, c = math.sin(u.val), math.cos(u.val)
-            return _chain(u, c, -s, -c)
+        if e.fn in ("sin", "cos"):
+            try:
+                s, c = math.sin(u.val), math.cos(u.val)
+            except ValueError:
+                raise ExprDomainError(f"{e.fn} of an infinite value",
+                                      to_source(e)) from None
+            return _chain(u, s, c, -s) if e.fn == "sin" else _chain(u, c, -s, -c)
         if e.fn == "exp":
             return _exp(u, e)
         if e.fn == "ln":
@@ -387,7 +398,12 @@ class TestCompiledMatchesReference:
         ("1/(x-1)", 1.0),
         ("exp(x)", 720.0),
         ("-exp(x)", 709.0),
-        ("sin(x*1e999)", 1.0),      # math.sin(inf) raises ValueError on both
+        ("sin(x*1e999)", 1.0),      # math.sin(inf): a domain error on both
+        ("cos(-x*1e999)", 1.0),
+        ("x^1e300", 0.5),           # square-and-multiply, about 2000 products
+        ("x^(x^(x^x))", 3.0),
+        ("x^17", -1.3),
+        ("x^-33", 1.01),
         ("ln(x)+sqrt(x)", 0.0),
         ("x^0*ln(x)", -1.0),
     ])
@@ -400,6 +416,21 @@ class TestCompiledMatchesReference:
             eval_dual(parse_expression("exp(x)"), 720.0)
         with pytest.raises(ExprDomainError, match="float overflow in 'x\\^1.5'"):
             eval_dual(parse_expression("x^1.5"), 1e300)
+
+    @pytest.mark.parametrize("text,x", [("x^1e300", 0.5), ("x^1e300", -1.0),
+                                        ("x^(x^(x^x))", 3.0), ("x^-(x^(x^x))", 3.0)])
+    def test_huge_integer_exponent_at_run_time_returns(self, text, x):
+        # zero seeds keep every exponent constant, so the integer power runs
+        expr = parse_expression(text)
+        assert (outcome(lambda: [eval_value(expr, {"x": x})])
+                == outcome(lambda: [_eval(expr, {"x": Dual2.const(x)}).val]))
+        assert (outcome(eval_gradient, expr, ["x"], [x])
+                == outcome(reference_gradient, expr, ["x"], [x]))
+
+    @pytest.mark.parametrize("fn", ["sin", "cos"])
+    def test_trig_of_infinity_is_a_domain_error(self, fn):
+        with pytest.raises(ExprDomainError, match=f"{fn} of an infinite value"):
+            eval_dual(parse_expression(f"{fn}(x*1e999)"), 0.5)
 
     def test_compiled_once_per_expression_and_variables(self, monkeypatch):
         from pdmdyn import exprparse

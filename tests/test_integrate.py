@@ -199,10 +199,10 @@ class TestIntegrate:
         assert np.max(np.abs(xs[:, 0] - np.cos(ts))) < 1e-7
         assert np.max(np.abs(vs[:, 0] + np.sin(ts))) < 1e-7
 
-    def test_samples_property_round_trips(self):
+    def test_states_round_trip(self):
         opts = IntegratorOptions(t_end=1.0, scheme=FIXED_RK4, h=0.25)
         traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
-        states = traj.samples
+        states = [traj.state(k) for k in range(len(traj))]
         assert len(states) == len(traj.t)
         assert states[0].x[0] == 1.0
         assert np.all(np.diff(traj.t) > 0)

@@ -7,45 +7,44 @@ import pytest
 
 from pdmdyn.errors import DomainViolation
 from pdmdyn.profiles import (CoupledProfile, CustomProfile, Exponential,
-                             IsotonicPowerLaw, MathewsLakshmanan, PowerLaw,
-                             profile_domain, profile_eval)
+                             IsotonicPowerLaw, MathewsLakshmanan, PowerLaw)
 
 
 class TestCatalogValues:
     def test_inverse_quadratic_plus(self):
-        m, m1, m2 = profile_eval(MathewsLakshmanan(1.0, "+"), 1.0)
+        m, m1, m2 = MathewsLakshmanan(1.0, "+").eval(1.0)
         assert (m, m1, m2) == pytest.approx((0.5, -0.5, 0.5))
 
     def test_power_law(self):
-        assert profile_eval(PowerLaw(1.0, 1.0), 2.0) == pytest.approx((4.0, 4.0, 2.0))
+        assert PowerLaw(1.0, 1.0).eval(2.0) == pytest.approx((4.0, 4.0, 2.0))
 
     def test_exponential(self):
-        assert profile_eval(Exponential(1.0), 0.0) == pytest.approx((1.0, 2.0, 4.0))
+        assert Exponential(1.0).eval(0.0) == pytest.approx((1.0, 2.0, 4.0))
 
     def test_isotonic_power_law(self):
-        m, m1, m2 = profile_eval(IsotonicPowerLaw(1.0, -1.0), 1.0)
+        m, m1, m2 = IsotonicPowerLaw(1.0, -1.0).eval(1.0)
         assert (m, m1, m2) == pytest.approx((1.0, -4.0, 20.0))
 
     def test_custom_profile_uses_duals(self):
         profile = CustomProfile.from_text("1/(1+x^2)")
-        assert profile_eval(profile, 1.0) == pytest.approx((0.5, -0.5, 0.5))
+        assert profile.eval(1.0) == pytest.approx((0.5, -0.5, 0.5))
 
 
 class TestDomains:
     def test_minus_branch_is_bounded(self):
-        d = profile_domain(MathewsLakshmanan(1.0, "-"))
+        d = MathewsLakshmanan(1.0, "-").domain
         assert (d.lo, d.hi) == (-1.0, 1.0)
 
     def test_plus_branch_is_unbounded(self):
-        d = profile_domain(MathewsLakshmanan(1.0, "+"))
+        d = MathewsLakshmanan(1.0, "+").domain
         assert d.lo == -math.inf and d.hi == math.inf
 
     def test_power_law_positive_half_line(self):
-        d = profile_domain(PowerLaw(1.0, 1.0))
+        d = PowerLaw(1.0, 1.0).domain
         assert (d.lo, d.hi) == (0.0, math.inf)
 
     def test_lambda_zero_minus_branch_degenerates_to_line(self):
-        d = profile_domain(MathewsLakshmanan(0.0, "-"))
+        d = MathewsLakshmanan(0.0, "-").domain
         assert d.lo == -math.inf and d.hi == math.inf
 
     @pytest.mark.parametrize("profile,x", [
@@ -57,12 +56,12 @@ class TestDomains:
     ])
     def test_outside_domain_raises(self, profile, x):
         with pytest.raises(DomainViolation):
-            profile_eval(profile, x)
+            profile.eval(x)
 
     def test_custom_profile_rejects_nonpositive_values(self):
         profile = CustomProfile.from_text("x")  # goes nonpositive at x <= 0
         with pytest.raises(DomainViolation):
-            profile_eval(profile, -1.0)
+            profile.eval(-1.0)
 
 
 class TestDerivativeConsistency:

@@ -11,13 +11,14 @@ from pdmdyn.errors import (InvalidParameter, NonPositiveScale,
                            UnsupportedFamily)
 from pdmdyn.exact import (ExactSolutionSpec, exact_trajectory,
                           kinematics as kinematics_of)
+from pdmdyn.families import FAMILIES
 from pdmdyn.integrate import ADAPTIVE45, IntegratorOptions, integrate
 from pdmdyn.profiles import CustomProfile
 from pdmdyn.transform import (NonlocalMap, el2_mapped_residual,
                               el2_obstruction, elg_residual, f_scale,
                               inverse_q, map_to_reference,
                               potential_match_residual, q_map, reference_map,
-                              tau_accumulate, tau_values)
+                              tau_values)
 from pdmdyn.verify import el1_rhs, el2_rhs
 
 
@@ -109,7 +110,7 @@ class TestTau:
         spec = ExactSolutionSpec("morse", parameter_set(
             {"omega": [1.0], "zeta": [2.0]}, 1), (0.5,))
         traj = exact_trajectory(spec, 0.0, 3.0, 301)
-        tau = tau_accumulate(nmap, traj, 0)
+        tau = tau_values(nmap, traj, 0, require_positive=True)
         assert np.max(np.abs(tau - 2.0 * traj.t)) < 1e-12
 
     def test_ml1_period_maps_to_two_pi(self):
@@ -118,7 +119,7 @@ class TestTau:
             {"omega": [1.0], "lambda": 1.0, "sign": "+"}, 1), (1.0,))
         T = 2.0 * math.pi * math.sqrt(2.0)
         traj = exact_trajectory(spec, 0.0, T, 4001)
-        tau = tau_accumulate(nmap, traj, 0)
+        tau = tau_values(nmap, traj, 0, require_positive=True)
         assert tau[-1] == pytest.approx(2.0 * math.pi, abs=1e-8)
         assert np.all(np.diff(tau) > 0.0)
 
@@ -131,7 +132,7 @@ class TestTau:
             (1.2,))
         traj = exact_trajectory(spec, 0.0, 2.0, 101)
         with pytest.raises(NonPositiveScale):
-            tau_accumulate(nmap, traj, 0)
+            tau_values(nmap, traj, 0, require_positive=True)
         # the signed helper still integrates the decreasing clock
         tau = tau_values(nmap, traj, 0, require_positive=False)
         assert tau[-1] == pytest.approx(-2.0, abs=1e-10)
@@ -140,7 +141,7 @@ class TestTau:
 class TestMapToReference:
     def test_constant_mass_is_identity(self):
         profile = CustomProfile.from_text("1")
-        nmap = NonlocalMap("oscillator", (profile,), ParameterSet())
+        nmap = NonlocalMap(FAMILIES["ml1"], (profile,), ParameterSet())
         spec = ExactSolutionSpec("harmonic", parameter_set({"omega": [1.0]}, 1),
                                  (1.0,))
         traj = exact_trajectory(spec, 0.0, 5.0, 201)
