@@ -57,10 +57,12 @@ def _number(cfg: dict, key: str, default: Any = None, context: str = "",
             kind: type = float) -> Any:
     """cfg[key] as a float (or int); required when no default is given."""
     value = _require(cfg, key, context) if default is None else cfg.get(key, default)
+    name = f"{context}.{key}" if context else key
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as err:
-        name = f"{context}.{key}" if context else key
         raise ConfigError(f"{name} must be a number, got {value!r}") from err
 
 

@@ -1,9 +1,11 @@
-"""Right-hand sides of the three equation families and a residual evaluator.
+"""Right-hand sides of the two equation families and a residual evaluator.
 
 One generic implementation covers every per-coordinate-profile system:
 
     xdd_i = -(m_i'/2m_i) xd_i^2 - (1/m_i) dV/dx_i
 
+The constant-mass reference oscillators are the catalog ``harmonic`` and
+``isotonic`` systems, so this form is their equation of motion too.
 The per-family printed forms in the literature are used as cross-check
 oracles in the tests, never as separate code paths (several of them carry
 typos that the generic form adjudicates).
@@ -11,63 +13,12 @@ typos that the generic form adjudicates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import (TYPE1, TYPE2, PdmSystem, State, potential_gradient)
-from .errors import InvalidParameter, SingularCoefficient, SingularPoint
-
-
-@dataclass(frozen=True)
-class ReferenceSystem:
-    """Constant-unit-mass oscillator in generalized coordinates."""
-
-    n: int
-    potential: str                     # "harmonic" | "isotonic"
-    omega: tuple[float, ...]
-    kappa: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.potential not in ("harmonic", "isotonic"):
-            raise InvalidParameter("potential", f"unknown reference {self.potential!r}")
-        if len(self.omega) != self.n or any(w <= 0 for w in self.omega):
-            raise InvalidParameter("omega", "need n positive frequencies")
-        if self.potential == "isotonic":
-            if self.kappa is None or len(self.kappa) != self.n:
-                raise InvalidParameter("kappa", "isotonic reference needs n strengths")
-            if any(k <= 0 for k in self.kappa):
-                raise InvalidParameter("kappa", "must be positive")
-
-
-def reference_potential(ref: ReferenceSystem, q: Sequence[float]) -> float:
-    qv = np.asarray(q, dtype=float)
-    w = np.asarray(ref.omega)
-    val = 0.5 * float(np.sum(w * w * qv * qv))
-    if ref.potential == "isotonic":
-        if np.any(qv == 0.0):
-            raise SingularPoint("isotonic reference potential singular at q = 0")
-        k = np.asarray(ref.kappa)
-        val += 0.5 * float(np.sum(k / (qv * qv)))
-    return val
-
-
-def reference_potential_gradient(ref: ReferenceSystem, q: Sequence[float]) -> np.ndarray:
-    qv = np.asarray(q, dtype=float)
-    w = np.asarray(ref.omega)
-    grad = w * w * qv
-    if ref.potential == "isotonic":
-        if np.any(qv == 0.0):
-            raise SingularPoint("isotonic reference potential singular at q = 0")
-        k = np.asarray(ref.kappa)
-        grad = grad - k / qv ** 3
-    return grad
-
-
-def reference_acceleration(ref: ReferenceSystem, q: Sequence[float]) -> np.ndarray:
-    """d(qtilde)/dtau for the reference oscillator; velocity-independent."""
-    return -reference_potential_gradient(ref, q)
+from .errors import InvalidParameter, SingularCoefficient
 
 
 def _check_coefficients(system: PdmSystem, x: np.ndarray) -> None:

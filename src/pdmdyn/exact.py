@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (ParameterSet, PdmSystem, State, _check_lengths, build_system,
                    total_energy)
-from .errors import InvalidSpec, UnsupportedFamily
+from .errors import InvalidParameter, InvalidSpec, UnsupportedFamily
 from .families import (AMENDED_FORM, FAMILIES, PUBLISHED_FORM,
                        ml2_reduction_check)
 
@@ -128,6 +128,8 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
     run on a closed form exactly as they would on integrator output.
     """
     from .core import Termination, Trajectory
+    if samples < 1:
+        raise InvalidParameter("samples", f"need at least 1, got {samples!r}")
     ts = np.linspace(t0, t1, samples)
     xs = np.empty((samples, spec.n))
     vs = np.empty((samples, spec.n))

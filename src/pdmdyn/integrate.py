@@ -27,8 +27,10 @@ GuardFn = Callable[[float, np.ndarray, np.ndarray], None]
 FIXED_RK4 = "fixed_rk4"
 ADAPTIVE45 = "adaptive45"
 
+# a float ZeroDivisionError or OverflowError inside a catalog formula (a mass
+# that underflows to 0, an exp that overflows) ends a run like a domain error
 _GUARDABLE = (DomainViolation, SingularCoefficient, SingularPoint,
-              ExprDomainError)
+              ExprDomainError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,9 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.scheme not in (FIXED_RK4, ADAPTIVE45):
             raise InvalidParameter("scheme", f"unknown scheme {self.scheme!r}")
+        for name in ("t_end", "h", "rel_tol", "abs_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameter(name, f"must be finite, got {getattr(self, name)!r}")
         if self.h <= 0.0:
             raise InvalidParameter("h", "must be positive")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
@@ -96,6 +101,9 @@ _E = _B5 - _B4
 
 def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory:
     """Integrate up to opts.t_end, or truncate on a guard/step failure."""
+    if not opts.t_end >= initial.t:
+        raise InvalidParameter("t_end", f"{opts.t_end!r} is before the initial time "
+                                        f"{initial.t!r}")
     f = rhs
     if opts.guard is not None:
         guard = opts.guard
@@ -107,7 +115,11 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
     ts = [initial.t]
     xs = [np.array(initial.x, dtype=float)]
     vs = [np.array(initial.v, dtype=float)]
-    accs = [np.array(f(initial.t, xs[0], vs[0]))]  # initial state must be valid
+    try:
+        accs = [np.array(f(initial.t, xs[0], vs[0]))]  # initial state must be valid
+    except ArithmeticError as err:
+        what = "float overflow" if isinstance(err, OverflowError) else err
+        raise DomainViolation(f"{what} at the initial state", t=initial.t) from err
     if opts.scheme == FIXED_RK4:
         return _run_fixed(f, ts, xs, vs, accs, opts)
     return _run_adaptive(f, ts, xs, vs, accs, opts)

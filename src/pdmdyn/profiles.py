@@ -30,6 +30,9 @@ class Interval:
         return self.lo < x < self.hi
 
 
+_REAL_LINE = Interval(-_INF, _INF)
+
+
 class MassProfile:
     """Base class: positive scalar field with two derivatives and a domain."""
 
@@ -159,7 +162,6 @@ class CustomProfile(MassProfile):
 
     expr: Expr
     text: str
-    declared_domain: Interval = field(default_factory=lambda: Interval(-_INF, _INF))
     family: str = field(default="custom", init=False)
 
     def __post_init__(self):
@@ -167,14 +169,13 @@ class CustomProfile(MassProfile):
         object.__setattr__(self, "_dual", exprparse.compile_expression(self.expr))
 
     @staticmethod
-    def from_text(text: str, variable: str = "x",
-                  domain: Interval | None = None) -> "CustomProfile":
-        expr = exprparse.parse_expression(text, [variable])
-        return CustomProfile(expr, text, domain or Interval(-_INF, _INF))
+    def from_text(text: str, variable: str = "x") -> "CustomProfile":
+        return CustomProfile(exprparse.parse_expression(text, [variable]), text)
 
     @property
     def domain(self) -> Interval:
-        return self.declared_domain
+        # the whole real line: only a non-finite x fails the check
+        return _REAL_LINE
 
     def eval(self, x: float) -> tuple[float, float, float]:
         self._require_in_domain(x)

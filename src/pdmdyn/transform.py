@@ -7,8 +7,11 @@ Per coordinate the bundle is (q_i(x_i), f_i(x_i), tau_i) with
 so (dq/dx)^2 = m f^2 always holds.  dq/dx is returned signed: the isotonic
 power-law family with a negative exponent has a decreasing coordinate map,
 and the squared identity is the invariant, not the sign.  Each family's
-q_i, f_i and reference oscillator live in its record in ``families``; a
-NonlocalMap carries the record and this module calls into it.
+q_i and f_i live in its record in ``families``; a NonlocalMap carries the
+record and this module calls into it.  The reference oscillator is the
+catalog system the record names (``harmonic`` or ``isotonic``), built with
+the family's own parameters, so its potential and gradient are the
+catalog's.
 
 The same machinery powers the negative result: for a shared mass multiplier
 in two or more dimensions the mapped velocity acquires a term with no
@@ -24,9 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory,
-                   potential_energy)
-from .eom import (ReferenceSystem, el1_acceleration, el2_acceleration,
-                  reference_potential, reference_potential_gradient)
+                   build_system, potential_energy, potential_gradient)
+from .eom import el1_acceleration, el2_acceleration
 from .errors import InvalidParameter, NonPositiveScale, UnsupportedFamily
 from .families import Family
 from .integrate import sample_dense
@@ -49,14 +51,14 @@ class MappedTrajectory:
     qtilde: np.ndarray     # (N, n)
 
 
-def reference_map(system: PdmSystem) -> tuple[NonlocalMap, ReferenceSystem]:
+def reference_map(system: PdmSystem) -> tuple[NonlocalMap, PdmSystem]:
     """The transformation bundle and reference oscillator for a catalog family."""
     record = system.potential.record
     if not record.mapped:
         raise UnsupportedFamily(
             f"no reference map catalogued for {system.potential.family!r}")
     p = system.potential.params
-    ref = ReferenceSystem(system.n, record.reference, p.omega, p.kappa)
+    ref = build_system(record.reference, system.n, p)
     return NonlocalMap(record, system.profiles, p), ref
 
 
@@ -141,14 +143,14 @@ def map_to_reference(nmap: NonlocalMap, traj: Trajectory) -> MappedTrajectory:
 
 
 def potential_match_residual(nmap: NonlocalMap, system: PdmSystem,
-                             ref: ReferenceSystem, x: Sequence[float]) -> float:
+                             ref: PdmSystem, x: Sequence[float]) -> float:
     """|V_system(x) - V_ref(q(x))|; zero when the map matches the potentials."""
     xv = np.asarray(x, dtype=float)
     q = np.array([q_map(nmap, i, float(xv[i]))[0] for i in range(system.n)])
-    return abs(potential_energy(system, xv) - reference_potential(ref, q))
+    return abs(potential_energy(system, xv) - potential_energy(ref, q))
 
 
-def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: ReferenceSystem,
+def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
                  state: State) -> np.ndarray:
     """Reference-equation residual of the mapped image of one type1 state.
 
@@ -158,7 +160,7 @@ def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: ReferenceSystem,
     """
     acc = el1_acceleration(system, state)
     q = np.array([q_map(nmap, i, float(state.x[i]))[0] for i in range(system.n)])
-    grad_ref = reference_potential_gradient(ref, q)
+    grad_ref = potential_gradient(ref, q)
     out = np.empty(system.n)
     for i in range(system.n):
         m, m1, _ = system.profiles[i].eval(float(state.x[i]))

@@ -223,6 +223,63 @@ class TestSimulate:
             capture_output=True, text=True, env=env, timeout=10)
         assert (done.returncode, done.stderr) == (code, err)
 
+    @pytest.mark.parametrize("family,params,x0,err", [
+        # m = 1/(1 + x^2) underflows to 0 in m'/(2m)
+        ("ml1", {"omega": [1.0], "lambda": 1.0, "sign": "+"}, 1e200,
+         "error: float division by zero at the initial state\n"),
+        ("powerlaw", {"omega": [1.0], "alpha": 1.0, "upsilon": 2.0}, 1e-90,
+         "error: float division by zero at the initial state\n"),
+        ("powerlaw", {"omega": [1.0], "alpha": 1.0, "upsilon": 2.0}, 1e80,
+         "error: float overflow at the initial state\n"),
+        ("sw1", {"omega": [1.0], "lambda": 1.0, "sign": "+", "kappa": [1.0]}, 1e120,
+         "error: float overflow at the initial state\n"),
+    ])
+    def test_extreme_catalog_state_exit_2(self, tmp_path, family, params, x0, err):
+        cfg_data = dict(ML1_CONFIG, family=family, params=params,
+                        initial={"x": [x0], "v": [0.0]})
+        assert run(["simulate", "--config", write_config(tmp_path, cfg_data)]) == (2, "", err)
+
+    def test_catalog_overflow_mid_run_truncates(self, tmp_path):
+        # h = 3 overshoots the Morse well until exp(-zeta x) overflows
+        cfg_data = dict(ML1_CONFIG, family="morse",
+                        params={"omega": [1.0], "zeta": [1.0]},
+                        initial={"x": [0.5], "v": [0.0]},
+                        integrator={"scheme": "fixed_rk4", "h": 3.0, "t_end": 60.0})
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert code == 0
+        assert err.startswith("note: integration truncated") and "domain_violation" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("t_end", math.nan), ("t_end", math.inf), ("t_end", -5.0),
+        ("rel_tol", math.nan), ("abs_tol", math.inf),
+    ])
+    def test_non_finite_or_backward_integrator_value_exit_2(self, tmp_path, key, value):
+        cfg_data = with_value(ML1_CONFIG, ("integrator", key), value)
+        code, out, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key}")
+
+    def test_non_finite_fixed_step_exit_2(self, tmp_path):
+        cfg_data = dict(ML1_CONFIG, integrator={"scheme": "fixed_rk4", "t_end": 1.0,
+                                                "h": math.nan})
+        code, out, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: h: must be finite")
+
+    @pytest.mark.parametrize("path,value", [
+        (("n",), 1.7), (("n",), math.inf), (("output", "stride"), 100.9),
+    ])
+    def test_non_integral_count_exit_2(self, tmp_path, path, value):
+        cfg_data = with_value(ML1_CONFIG, path, value)
+        code, out, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {'.'.join(path)} must be an integer, got {value!r}\n"
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        a = run(["simulate", "--config", write_config(tmp_path, ML1_CONFIG, "a.json")])
+        cfg_data = with_value(with_value(ML1_CONFIG, ("n",), 1.0), ("output", "stride"), 1.0)
+        assert run(["simulate", "--config", write_config(tmp_path, cfg_data, "b.json")]) == a
+
     def test_non_numeric_fixed_step_exit_2(self, tmp_path):
         cfg_data = dict(ML1_CONFIG, integrator={"scheme": "fixed_rk4", "t_end": 1.0,
                                                 "h": "small"})
@@ -264,6 +321,21 @@ class TestExact:
         code, _, err = run(["exact", "--config", write_config(tmp_path, cfg_data)])
         assert code == 2
         assert err.startswith("error:") and f"grid.{key}" in err
+
+
+    @pytest.mark.parametrize("value,err", [
+        (-1, "error: samples: need at least 1, got -1\n"),
+        (0, "error: samples: need at least 1, got 0\n"),
+        (2.5, "error: grid.samples must be an integer, got 2.5\n"),
+    ])
+    def test_bad_sample_count_exit_2(self, tmp_path, value, err):
+        cfg_data = {
+            "family": "morse", "n": 1,
+            "params": {"omega": [1.0], "zeta": [1.0]},
+            "solution": {"amplitude": [0.5]},
+            "grid": {"t1": 1.0, "samples": value},
+        }
+        assert run(["exact", "--config", write_config(tmp_path, cfg_data)]) == (2, "", err)
 
 
 class TestMap:

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from pdmdyn.core import TYPE2, State, build_system, parameter_set
-from pdmdyn.eom import (ReferenceSystem, el1_acceleration, el1_residual,
-                        el2_acceleration, reference_acceleration)
-from pdmdyn.errors import (InvalidParameter, SingularCoefficient,
-                           SingularPoint)
+from pdmdyn.eom import el1_acceleration, el1_residual, el2_acceleration
+from pdmdyn.errors import (InvalidParameter, MissingParameter,
+                           SingularCoefficient, SingularPoint)
 from pdmdyn.exact import ExactSolutionSpec, kinematics, solution_fn
 
 
@@ -81,24 +80,26 @@ class TestEl2:
 
 
 class TestReference:
+    """The reference oscillators are the catalog unit-mass systems."""
+
     def test_harmonic(self):
-        ref = ReferenceSystem(1, "harmonic", (1.0,))
-        assert reference_acceleration(ref, [1.0]) == pytest.approx([-1.0])
+        ref = build_system("harmonic", 1, {"omega": [1.0]})
+        assert el1_acceleration(ref, State.of(0, [1.0], [0.7])) == pytest.approx([-1.0])
 
     def test_isotonic_equilibrium(self):
-        ref = ReferenceSystem(1, "isotonic", (1.0,), (1.0,))
-        assert reference_acceleration(ref, [1.0]) == pytest.approx([0.0])
+        ref = build_system("isotonic", 1, {"omega": [1.0], "kappa": [1.0]})
+        assert el1_acceleration(ref, State.of(0, [1.0], [0.7])) == pytest.approx([0.0])
 
     def test_isotonic_singular_at_origin(self):
-        ref = ReferenceSystem(1, "isotonic", (1.0,), (1.0,))
+        ref = build_system("isotonic", 1, {"omega": [1.0], "kappa": [1.0]})
         with pytest.raises(SingularPoint):
-            reference_acceleration(ref, [0.0])
+            el1_acceleration(ref, State.of(0, [0.0], [0.0]))
 
     def test_validation(self):
+        with pytest.raises(MissingParameter):
+            build_system("isotonic", 1, {"omega": [1.0]})
         with pytest.raises(InvalidParameter):
-            ReferenceSystem(1, "isotonic", (1.0,), None)
-        with pytest.raises(InvalidParameter):
-            ReferenceSystem(1, "harmonic", (-1.0,))
+            build_system("harmonic", 1, {"omega": [-1.0]})
 
 
 class TestResidualOracle:

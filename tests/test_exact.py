@@ -11,6 +11,7 @@ from pdmdyn.errors import (DomainViolation, InvalidParameter, InvalidSpec,
                            UnsupportedFamily)
 from pdmdyn.exact import (AMENDED_FORM, ExactSolutionSpec, MISPRINTS,
                           build_exact_system, exact_energy, exact_solution,
+                          exact_trajectory,
                           frequency_relation, kinematics, ml2_reduction_check,
                           oscillation_period, solution_fn)
 
@@ -108,6 +109,13 @@ class TestValidation:
         with pytest.raises(InvalidSpec):
             spec_of("ml1", {"omega": [1.0, 1.0], "lambda": 1.0, "sign": "+"},
                     [1.0, 1.0], phase=(0.0,))
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_trajectory_needs_a_sample(self, samples):
+        spec = spec_of("morse", {"omega": [1.0], "zeta": [1.0]}, [0.5])
+        with pytest.raises(InvalidParameter) as err:
+            exact_trajectory(spec, 0.0, 1.0, samples)
+        assert err.value.field == "samples"
 
 
 class TestFrequencyRelations:

@@ -97,6 +97,63 @@ class TestOptions:
         with pytest.raises(InvalidParameter):
             IntegratorOptions(t_end=1.0, h_init=1.0, h_max=0.1)
 
+    @pytest.mark.parametrize("name,value", [
+        ("t_end", math.nan), ("t_end", math.inf), ("t_end", -math.inf),
+        ("h", math.nan), ("h", math.inf),
+        ("rel_tol", math.nan), ("rel_tol", math.inf),
+        ("abs_tol", math.nan), ("abs_tol", math.inf),
+    ])
+    def test_non_finite_values(self, name, value):
+        kw = dict({"t_end": 1.0}, **{name: value})
+        with pytest.raises(InvalidParameter) as err:
+            IntegratorOptions(**kw)
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    def test_end_before_initial_time(self, scheme):
+        opts = IntegratorOptions(t_end=-5.0, scheme=scheme)
+        with pytest.raises(InvalidParameter) as err:
+            integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
+        assert err.value.field == "t_end"
+
+    def test_end_at_initial_time_is_one_row(self):
+        traj = integrate(harmonic_rhs, State.of(2.0, [1.0], [0.0]),
+                         IntegratorOptions(t_end=2.0))
+        assert len(traj) == 1 and traj.termination.kind == "completed"
+
+
+def _raising_beyond(limit, error):
+    """Harmonic RHS that raises error once |x| exceeds limit, as a catalog
+    formula does when a mass underflows to 0 or an exp overflows."""
+    def rhs(t, x, v):
+        if np.any(np.abs(x) > limit):
+            raise error("float arithmetic")
+        return -x
+    return rhs
+
+
+class TestArithmeticErrors:
+    @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    def test_at_initial_state_is_domain_violation(self, scheme, error):
+        opts = IntegratorOptions(t_end=1.0, scheme=scheme)
+        with pytest.raises(DomainViolation) as err:
+            integrate(_raising_beyond(0.5, error), State.of(0.0, [1.0], [0.0]), opts)
+        assert err.value.t == 0.0
+        assert isinstance(err.value.__cause__, error)
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    def test_mid_run_truncates(self, scheme, error):
+        # the orbit x = cos(t) passes |x| = 0.5 and later reaches 1
+        opts = IntegratorOptions(t_end=5.0, scheme=scheme, h=0.01)
+        traj = integrate(_raising_beyond(0.9, error), State.of(0.0, [0.5], [-0.8]), opts)
+        assert traj.termination.kind == "domain_violation"
+        assert 0.0 < traj.termination.t < 5.0
+        assert np.max(np.abs(traj.x)) <= 0.9
+        if scheme == ADAPTIVE45:
+            assert traj.rejected > 0  # retried closer to the boundary first
+
 
 class TestIntegrate:
     def test_ml1_returns_to_start_after_one_period(self):

@@ -63,6 +63,17 @@ class TestDomains:
         with pytest.raises(DomainViolation):
             profile.eval(-1.0)
 
+    def test_custom_profile_domain_is_the_real_line(self):
+        profile = CustomProfile.from_text("1+x^2")
+        d = profile.domain
+        assert d.lo == -math.inf and d.hi == math.inf
+        assert profile.eval(-1e150)[0] == pytest.approx(1e300)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_custom_profile_rejects_non_finite_x(self, x):
+        with pytest.raises(DomainViolation):
+            CustomProfile.from_text("1+x^2").eval(x)
+
 
 class TestDerivativeConsistency:
     PROFILES = [

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pdmdyn.core import (TYPE2, ParameterSet, State, build_system,
-                         parameter_set)
+from pdmdyn.core import (TYPE2, ParameterSet, PdmSystem, State, build_system,
+                         parameter_set, potential_energy, potential_gradient)
 from pdmdyn.errors import (InvalidParameter, NonPositiveScale,
                            UnsupportedFamily)
 from pdmdyn.exact import (ExactSolutionSpec, exact_trajectory,
@@ -213,15 +213,57 @@ class TestPotentialMatch:
         assert potential_match_residual(nmap, system, ref, [1.0]) < 1e-13
 
     def test_detuned_reference_detected(self):
-        from pdmdyn.eom import ReferenceSystem
         system, nmap, _ = ml1_map()
-        wrong = ReferenceSystem(1, "harmonic", (2.0,))
+        wrong = build_system("harmonic", 1, {"omega": [2.0]})
         assert potential_match_residual(nmap, system, wrong, [1.0]) > 0.1
 
     def test_custom_family_has_no_map(self):
         system = build_system("custom", 1, mass_exprs=["1+x^2"])
         with pytest.raises(UnsupportedFamily):
             reference_map(system)
+
+
+# every mapped family, with its parameters other than the seeded omega and kappa
+_MAPPED_PARAMS = {
+    "ml1": {"lambda": 0.7, "sign": "+"},
+    "powerlaw": {"alpha": 1.3, "upsilon": 0.5},
+    "ml2": {"lambda": 0.25, "sign": "-", "eta_const": 2.0},
+    "morse": {"zeta": 0.8},
+    "sw1": {"lambda": 0.6, "sign": "-"},
+    "sw2": {"beta": 1.2, "eta_exp": -1.0},
+}
+
+
+class TestReferenceOracle:
+    """The reference of every mapped family against hand-written V and dV/dq.
+
+    Harmonic: V = (1/2) sum w^2 q^2, dV/dq = w^2 q.  Isotonic: both gain the
+    inverse-square term, V += (1/2) sum kappa/q^2, dV/dq -= kappa/q^3.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(_MAPPED_PARAMS))
+    def test_catalog_reference_matches_hand_written(self, family, n):
+        assert sorted(_MAPPED_PARAMS) == sorted(f for f, r in FAMILIES.items() if r.mapped)
+        record = FAMILIES[family]
+        rng = np.random.default_rng([n, len(family), ord(family[-1])])
+        w = rng.uniform(0.3, 3.0, n)
+        k = rng.uniform(0.2, 2.0, n) if record.reference == "isotonic" else np.zeros(n)
+        params = dict(_MAPPED_PARAMS[family], omega=list(w))
+        if record.reference == "isotonic":
+            params["kappa"] = list(k)
+        _, ref = reference_map(build_system(family, n, params))
+        assert isinstance(ref, PdmSystem)
+        assert ref.potential.family == record.reference
+        for _ in range(1000):
+            q = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 1.0], n)
+            v_want = sum(0.5 * (w[i] * w[i] * q[i] * q[i] + k[i] / (q[i] * q[i]))
+                         for i in range(n))
+            assert abs(potential_energy(ref, q) - v_want) <= 1e-14 * v_want
+            grad = potential_gradient(ref, q)
+            for i in range(n):
+                spring, wall = w[i] * w[i] * q[i], k[i] / q[i] ** 3
+                assert abs(grad[i] - (spring - wall)) <= 1e-14 * (abs(spring) + abs(wall))
 
 
 class TestObstruction:
