@@ -6,21 +6,26 @@ components by a single shared multiplier sqrt(m(x1..xn)).  The rest mass is
 fixed to 1: a general constant would multiply kinetic and potential terms
 alike and add nothing.
 
-Each catalog family's parameters, profiles and potential live in its record
-in ``families``, resolved once when the system is built.
+Every type1 system, catalog or ``custom``, is the same object: n compiled
+mass profiles and n compiled potential terms V_i(x_i).  A catalog family's
+record in ``families`` supplies its parameter checks and its mass and
+potential templates; build_system substitutes each coordinate's parameters
+into them and resolves the record's domain, coefficient singularity and
+potential pole once, so evaluation never branches on the family.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import exprparse
-from .errors import InvalidParameter, MissingParameter
-from .exprparse import Expr
-from .families import FAMILIES, Family
+from .errors import DomainViolation, InvalidParameter, MissingParameter, SingularPoint
+from .exprparse import Expr, compile_expression, parse_cached
+from .families import FAMILIES
 from .profiles import CoupledProfile, CustomProfile
 
 TYPE1 = "type1"
@@ -46,6 +51,13 @@ class ParameterSet:
     beta: float | None = None                  # isotonic power-law scale, > 0
     kappa: tuple[float, ...] | None = None     # inverse-square strengths, > 0
 
+    def __post_init__(self):
+        # no inf or nan reaches a family's formulas or templates
+        for name, value in vars(self).items():
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            if name != "sign" and value is not None and not all(map(math.isfinite, values)):
+                raise InvalidParameter(name, f"must be finite, got {value!r}")
+
     def require(self, *names: str) -> None:
         for name in names:
             if getattr(self, name) is None:
@@ -63,39 +75,42 @@ def parameter_set(data: Mapping | ParameterSet | None, n: int) -> ParameterSet:
         name = aliases.get(key, key)
         if name not in ParameterSet.__dataclass_fields__:
             raise InvalidParameter(key, "unknown parameter")
-        if name in ("omega", "zeta", "eta_const", "kappa") and value is not None:
-            seq = [value] * n if isinstance(value, (int, float)) else list(value)
-            value = tuple(float(v) for v in seq)
-        elif name == "sign":
-            value = str(value)
-        elif value is not None:
-            value = float(value)
+        try:
+            if name in ("omega", "zeta", "eta_const", "kappa") and value is not None:
+                seq = [value] * n if isinstance(value, (int, float)) else list(value)
+                value = tuple(float(v) for v in seq)
+            elif name == "sign":
+                value = str(value)
+            elif value is not None:
+                value = float(value)
+        except (TypeError, ValueError):
+            raise InvalidParameter(name, f"must be a number, got {value!r}") from None
         kw[name] = value
     return ParameterSet(**kw)
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Potential family plus its parameters.
+    """Potential family, its parameters and one expression V_i(x) per coordinate.
 
-    ``custom`` uses one parsed expression per coordinate (the total potential
-    is their sum); catalog families use ``params`` and their family record.
+    The total potential is the sum of the V_i: the user's expressions for
+    ``custom``, the record's template with the coordinate's parameters
+    substituted for a catalog family.  Every x_i must lie inside the open
+    interval ``domain``; x_i == ``pole`` is a SingularPoint.
     """
 
     family: str
     params: ParameterSet
-    exprs: tuple[Expr, ...] | None = None
-    expr_texts: tuple[str, ...] | None = None
+    exprs: tuple[Expr, ...]
+    expr_texts: tuple[str, ...]
+    domain: tuple[float, float] = (-math.inf, math.inf)
+    pole: float | None = None
 
     def __post_init__(self):
         # resolved once, when the system is built: the compiled expressions
-        # x -> (V_i, V_i', V_i'') and the family record; custom gets a record
-        # without a map whose potential runs those expressions
-        compiled = tuple(exprparse.compile_expression(e) for e in self.exprs or ())
-        object.__setattr__(self, "compiled", compiled)
-        object.__setattr__(self, "record", FAMILIES.get(self.family) or Family(
-            self.family, (), mapped=False,
-            potential=lambda p, i, x, m, m1: compiled[i](x, 1.0)))
+        # x -> (V_i, V_i', V_i'') and the family record (None for custom)
+        object.__setattr__(self, "compiled", tuple(compile_expression(e) for e in self.exprs))
+        object.__setattr__(self, "record", FAMILIES.get(self.family))
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,7 @@ class PdmSystem:
 
     n: int
     kind: str                       # TYPE1 or TYPE2
-    profiles: tuple                 # n MassProfile for TYPE1, one CoupledProfile for TYPE2
+    profiles: tuple                 # n CustomProfile for TYPE1, one CoupledProfile for TYPE2
     potential: PotentialSpec
     rest_mass: float = 1.0
 
@@ -213,7 +228,31 @@ def build_system(family: str, n: int = 1,
     p.require(*record.required)
     for name in record.positive:
         _positive(p, name)
-    return PdmSystem(n, TYPE1, record.profiles(n, p), PotentialSpec(family, p))
+    record.validate(p)
+    domain, singularity = record.domain(p), record.singularity(p)
+    profiles = tuple(CustomProfile.from_text(_substitute(record.mass, p, i), domain, singularity)
+                     for i in range(n))
+    texts = tuple(_substitute(record.potential, p, i) for i in range(n))
+    exprs = tuple(parse_cached(s) for s in texts)
+    return PdmSystem(n, TYPE1, profiles, PotentialSpec(family, p, exprs, texts, domain,
+                                                       record.pole))
+
+
+def _substitute(template: str, p: ParameterSet, i: int) -> str:
+    """A record's template for coordinate i: each parameter name becomes its value.
+
+    A vector parameter stands for its entry i and ``sign`` for +1 or -1.
+    repr round-trips the float; a negative one keeps its own parentheses.
+    """
+    def value(match: re.Match) -> str:
+        name = match.group(0)
+        if name not in ParameterSet.__dataclass_fields__:
+            return name
+        v = getattr(p, name)
+        v = (1.0 if v == "+" else -1.0) if name == "sign" else v[i] if isinstance(v, tuple) else v
+        text = repr(v)
+        return f"({text})" if text.startswith("-") else text
+    return re.sub(r"[A-Za-z_]\w*", value, template)
 
 
 def _custom_system(n: int, p: ParameterSet, mass_exprs: Sequence[str] | None,
@@ -232,40 +271,39 @@ def _custom_system(n: int, p: ParameterSet, mass_exprs: Sequence[str] | None,
     texts = tuple(potential_exprs) if potential_exprs else tuple("0" for _ in range(n))
     if len(texts) != n:
         raise InvalidParameter("potential_exprs", f"expected {n} expressions")
-    exprs = tuple(exprparse.parse_expression(s, ["x"]) for s in texts)
+    exprs = tuple(parse_cached(s) for s in texts)
     return PdmSystem(n, want, profiles, PotentialSpec("custom", p, exprs, texts))
 
 
 # --- potential evaluation ------------------------------------------------------
 
 
+def _inside(pot: PotentialSpec, i: int, xi: float) -> float:
+    """x_i, once checked against the potential's domain and pole."""
+    lo, hi = pot.domain
+    if not lo < xi < hi:
+        raise DomainViolation(f"x_{i + 1}={xi!r} outside the domain ({lo}, {hi})",
+                              coordinate=i)
+    if xi == pot.pole:
+        raise SingularPoint(f"potential singular at x_{i + 1} = {xi!r}", i)
+    return xi
+
+
 def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:
-    """V(x) for the system's potential family."""
-    xv = np.asarray(x, dtype=float)
+    """V(x), the sum of the compiled per-coordinate terms."""
     pot = system.potential
     total = 0.0
-    for i in range(system.n):
-        if system.kind == TYPE2:
-            total += pot.compiled[i](xv[i], 1.0)[0]
-            continue
-        xi = float(xv[i])
-        m, m1, _ = system.profiles[i].eval(xi)
-        total += pot.record.potential(pot.params, i, xi, m, m1)[0]
+    for i, term in enumerate(pot.compiled):
+        total += term(_inside(pot, i, float(x[i])), 1.0)[0]
     return total
 
 
 def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
-    """dV/dx as a vector; analytic for catalog families, dual-number for custom."""
-    xv = np.asarray(x, dtype=float)
+    """dV/dx as a vector, exact through the compiled dual-number terms."""
     pot = system.potential
     out = np.empty(system.n)
-    for i in range(system.n):
-        if system.kind == TYPE2:
-            out[i] = pot.compiled[i](xv[i], 1.0)[1]
-            continue
-        xi = float(xv[i])
-        m, m1, _ = system.profiles[i].eval(xi)
-        out[i] = pot.record.potential(pot.params, i, xi, m, m1)[1]
+    for i, term in enumerate(pot.compiled):
+        out[i] = term(_inside(pot, i, float(x[i])), 1.0)[1]
     return out
 
 

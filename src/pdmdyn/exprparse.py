@@ -27,6 +27,7 @@ of the input reaches the generated source.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
@@ -241,6 +242,18 @@ def parse_expression(text: str, variables: Sequence[str] = ("x",)) -> Expr:
     return _Parser(_tokenize(text), variables).parse()
 
 
+@functools.lru_cache(maxsize=1024)
+def parse_cached(text: str, variables: tuple[str, ...] = ("x",)) -> Expr:
+    """parse_expression, run once per (text, variables) among recent calls.
+
+    Systems built from the same text share one Expr, and so the compiled
+    forms kept on it: a rebuilt system neither parses nor compiles again.
+    The cache is bounded, so building systems over a sweep of parameter
+    values does not hold every expression for the life of the process.
+    """
+    return parse_expression(text, variables)
+
+
 # --- pretty printer ---------------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -285,7 +298,9 @@ def _render(e: Expr, parent_prec: int) -> str:
 #   u/w:   q = u/w, q' = (u' - qw')/w, q'' = (u'' - 2q'w' - qw'')/w
 #   f(u):  (f, f'u', f''u'u' + f'u'')
 # and an operation is written the same way, in the same order, wherever it
-# appears, so every path gives bit-identical results.
+# appears, so every path gives bit-identical results.  An operation on two
+# constants (+, -, *, and / by a non-zero constant) is carried out once, at
+# compile time, with that same arithmetic.
 
 #: integer powers up to this are unrolled; larger ones loop at run time
 _UNROLL = 16
@@ -425,6 +440,10 @@ class _Codegen:
 
     def binop(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         if node.op in ("+", "-"):
+            if a.known and b.known:
+                add = node.op == "+"
+                return self.constant(*(u + w if add else u - w
+                                       for u, w in zip(a.known, b.known)))
             v, p, q = self.fresh("v", "p", "q")
             op = node.op
             self.emit(f"{v} = {a.val} {op} {b.val}", f"{p} = {a.d1} {op} {b.d1}",
@@ -437,6 +456,8 @@ class _Codegen:
         return self.power(node, a, b)
 
     def mul(self, a: _Slot, b: _Slot) -> _Slot:
+        if a.known and b.known:
+            return self.constant(*_dual_mul(a.known, b.known))
         v, p, q = self.fresh("v", "p", "q")
         self.emit(f"{v} = {a.val} * {b.val}",
                   f"{p} = {a.d1} * {b.val} + {a.val} * {b.d1}",
@@ -444,6 +465,11 @@ class _Codegen:
         return _Slot(v, p, q)
 
     def div(self, a: _Slot, b: _Slot, where: Expr) -> _Slot:
+        if a.known and b.known and b.known[0] != 0.0:
+            (a0, a1, a2), (b0, b1, b2) = a.known, b.known
+            v = a0 / b0
+            p = (a1 - v * b1) / b0
+            return self.constant(v, p, (a2 - 2.0 * p * b1 - v * b2) / b0)
         v, p, q = self.fresh("v", "p", "q")
         self.block(f"if {b.val} == 0.0:",
                    lambda: self.emit(self.raise_domain("division by zero", where)))

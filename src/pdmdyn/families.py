@@ -1,11 +1,15 @@
 """One record per catalog family: everything the package knows about it.
 
-A record owns the family's parameter schema, mass profiles, potential, its
-nonlocal map (q_i, f_i) onto a reference oscillator, and its closed form with
-amplitude checks, frequency relation, position period and energy.  ``core``,
-``transform`` and ``exact`` resolve the record once, when a system, map or
-closed form is built, and call into it.  A new family is one new record plus
-one FAMILIES entry.
+A record owns the family's parameter schema, its mass profile m_i(x) and
+potential V_i(x) as expression text in x and the parameter names, the
+domain, coefficient singularity and potential pole that no expression can
+state, its nonlocal map (q_i, f_i) onto a reference oscillator, and its
+closed form with amplitude checks, frequency relation, position period and
+energy.  ``core`` substitutes each coordinate's parameter values into the
+two templates and compiles them, so a catalog system evaluates exactly as a
+``custom`` one does; ``transform`` and ``exact`` resolve the record once,
+when a map or closed form is built, and call into it.  A new family is one
+new record plus one FAMILIES entry.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import profiles as mass
-from .errors import (DomainViolation, InvalidParameter, InvalidSpec,
-                     SingularPoint, UnsupportedFamily)
+from .errors import DomainViolation, InvalidParameter, InvalidSpec, UnsupportedFamily
 
 PUBLISHED_FORM = "published"
 AMENDED_FORM = "amended"
@@ -28,17 +30,20 @@ def _sign(p) -> float:
     return 1.0 if p.sign == "+" else -1.0
 
 
-def _unit_profiles(n: int, p) -> tuple:
-    return tuple(mass.CustomProfile.from_text("1") for _ in range(n))
+_LINE = (-math.inf, math.inf)
+_HALF_LINE = (0.0, math.inf)
+
+# m = 1/(1 +- lam x^2) and the oscillator potential (1/2) w^2 m x^2
+_ML = "1/(1+sign*lam*x^2)"
+_ML_OSCILLATOR = "0.5*omega^2*x^2/(1+sign*lam*x^2)"
 
 
-def _ml_profiles(n: int, p) -> tuple:
-    return tuple(mass.MathewsLakshmanan(p.lam, p.sign) for _ in range(n))
-
-
-def _oscillator_potential(p, i: int, x: float, m: float, m1: float) -> tuple[float, float]:
-    w2 = p.omega[i] * p.omega[i]
-    return 0.5 * w2 * m * x * x, 0.5 * w2 * (m1 * x * x + 2.0 * m * x)
+def _ml_domain(p) -> tuple[float, float]:
+    """'+' is defined everywhere, '-' inside |x| < 1/sqrt(lam)."""
+    if p.sign == "-" and p.lam > 0.0:
+        b = 1.0 / math.sqrt(p.lam)
+        return -b, b
+    return _LINE
 
 
 def _cosine(spec, i: int, t: float, rate: float) -> tuple[float, float, float]:
@@ -51,18 +56,25 @@ def _cosine(spec, i: int, t: float, rate: float) -> tuple[float, float, float]:
 class Family:
     """One catalog family; ``p`` is its ParameterSet, ``i`` a coordinate.
 
-    Defaults, the common case: Mathews-Lakshmanan profiles in the oscillator
-    potential (1/2) w^2 m x^2, the map q = x sqrt(m), f = 1 + x m'/(2m) onto the
-    harmonic reference, a cosine closed form of period 2 pi / Omega.
+    ``mass`` and ``potential`` are expression text in x and the names of
+    ParameterSet fields: a vector parameter stands for its entry i, and
+    ``sign`` for +1 or -1.  Defaults, the common case: the whole real line,
+    the map q = x sqrt(m), f = 1 + x m'/(2m) onto the harmonic reference, a
+    cosine closed form of period 2 pi / Omega.
     """
 
     name: str
     required: tuple[str, ...]                   # parameters that must be given
-    positive: tuple[str, ...] = ("omega",)      # ... and that must be positive
-    #: (n, p) -> the n mass profiles, after any check beyond the two above
-    profiles: Callable = _ml_profiles
-    #: (p, i, x, m_i, m_i') -> (V_i, dV_i/dx_i)
-    potential: Callable = _oscillator_potential
+    mass: str                                   # m_i(x)
+    potential: str                              # V_i(x); V is their sum
+    positive: tuple[str, ...] = ("omega",)      # parameters that must be positive
+    #: p -> the open interval (lo, hi) where the profile is defined
+    domain: Callable = lambda p: _LINE
+    #: p -> the x where m'/m and 1/m diverge, if any
+    singularity: Callable = lambda p: None
+    pole: float | None = None                   # x where V_i diverges: SingularPoint
+    #: p -> None; raises InvalidParameter beyond the required/positive checks
+    validate: Callable = lambda p: None
     #: (p, i, x, sqrt(m_i)) -> q_i and (p, i, x, m_i'/(2 m_i)) -> f_i
     q: Callable = lambda p, i, x, root: x * root
     f: Callable = lambda p, i, x, half: 1.0 + half * x
@@ -81,9 +93,7 @@ class Family:
     position_phase: float = 2.0 * math.pi       # phase over one period of x(t)
 
 
-HARMONIC = Family("harmonic", ("omega",), profiles=_unit_profiles, mapped=False,
-                  potential=lambda p, i, x, m, m1: (0.5 * (p.omega[i] * p.omega[i]) * x * x,
-                                                    p.omega[i] * p.omega[i] * x))
+HARMONIC = Family("harmonic", ("omega",), "1", "0.5*omega^2*x^2", mapped=False)
 
 
 # --- ml1 and ml2: m = 1/(1 +- lam x^2) ------------------------------------------
@@ -113,22 +123,16 @@ def _ml1_frequency(p, amp, w, form):
     return w / np.sqrt(denom)
 
 
-ML1 = Family("ml1", ("omega", "lam", "sign"), check=_ml1_check,
+ML1 = Family("ml1", ("omega", "lam", "sign"), _ML, _ML_OSCILLATOR, domain=_ml_domain,
+             check=_ml1_check,
              frequency=_ml1_frequency, amplitude_dependent=True,
              coordinate_energy=lambda p, A, i: (0.5 * p.omega[i] * p.omega[i] * A * A
                                                 / (1.0 + _sign(p) * p.lam * A * A)))
 
 
-def _ml2_profiles(n, p):
+def _ml2_validate(p):
     if any(e == 0.0 for e in p.eta_const):
         raise InvalidParameter("eta_const", "zero collapses the coordinate map")
-    return _ml_profiles(n, p)
-
-
-def _ml2_potential(p, i, x, m, m1):
-    w2 = p.omega[i] * p.omega[i]
-    e2 = p.eta_const[i] * p.eta_const[i]
-    return 0.5 * w2 * e2 * m, 0.5 * w2 * e2 * m1
 
 
 def _ml2_check(p, amplitude):
@@ -149,7 +153,7 @@ def _ml2_frequency(p, amp, w, form):
 # ml1 in the reduction case, but the potential differs by the constant
 # (1/2) w^2 eta^2, so the energy is read off at the turning point directly
 ML2 = replace(ML1, name="ml2", required=("omega", "lam", "sign", "eta_const"),
-              profiles=_ml2_profiles, potential=_ml2_potential,
+              potential="0.5*omega^2*eta_const^2/(1+sign*lam*x^2)", validate=_ml2_validate,
               q=lambda p, i, x, root: p.eta_const[i] * root,
               f=lambda p, i, x, half: p.eta_const[i] * half,
               check=_ml2_check, frequency=_ml2_frequency,
@@ -183,23 +187,17 @@ def _powerlaw_energy(p, A, i):
     return 0.5 * p.alpha ** 2 * w * w * b * b
 
 
-POWERLAW = Family("powerlaw", ("omega", "alpha", "upsilon"), ("omega", "alpha"),
-                  profiles=lambda n, p: tuple(mass.PowerLaw(p.alpha, p.upsilon)
-                                              for _ in range(n)),
+# x > 0 keeps x^(2 upsilon) single-valued for non-integer exponents
+POWERLAW = Family("powerlaw", ("omega", "alpha", "upsilon"), "alpha^2*x^(2*upsilon)",
+                  "0.5*omega^2*alpha^2*x^(2*upsilon+2)", ("omega", "alpha"),
+                  domain=lambda p: _HALF_LINE,
+                  singularity=lambda p: 0.0 if p.upsilon != 0.0 else None,
                   check=_powerlaw_check,
                   frequency=lambda p, amp, w, form: (1.0 + p.upsilon) * w,
                   closed_form=_powerlaw_form, coordinate_energy=_powerlaw_energy)
 
 
 # --- morse: m = exp(2 zeta x), V = (1/2) w^2 m (1 - e^(-zeta x))^2 ---------------
-def _morse_potential(p, i, x, m, m1):
-    w2 = p.omega[i] * p.omega[i]
-    z = p.zeta[i]
-    ez = math.exp(-z * x)
-    w = 1.0 - ez
-    return 0.5 * w2 * m * w * w, 0.5 * w2 * (m1 * w * w + 2.0 * m * w * z * ez)
-
-
 def _morse_check(p, amplitude):
     if any(abs(b) >= 1.0 for b in amplitude):
         raise InvalidSpec("bounded-exponential form needs |B| < 1")
@@ -214,9 +212,9 @@ def _morse_form(spec, i, t, w):
 
 
 # the bounded-exponential map; f reduces to the constant zeta for this mass
-MORSE = Family("morse", ("omega", "zeta"), ("omega", "zeta"),
-               profiles=lambda n, p: tuple(mass.Exponential(z) for z in p.zeta),
-               potential=_morse_potential,
+# V written with one exp: m (1 - e^(-zeta x))^2 = (e^(zeta x) - 1)^2
+MORSE = Family("morse", ("omega", "zeta"), "exp(2*zeta*x)",
+               "0.5*omega^2*(exp(zeta*x)-1)^2", ("omega", "zeta"),
                q=lambda p, i, x, root: root * (1.0 - math.exp(-p.zeta[i] * x)),
                f=lambda p, i, x, half: half + (p.zeta[i] - half) * math.exp(-p.zeta[i] * x),
                check=_morse_check,
@@ -225,18 +223,7 @@ MORSE = Family("morse", ("omega", "zeta"), ("omega", "zeta"),
                coordinate_energy=lambda p, A, i: 0.5 * p.omega[i] ** 2 * A ** 2)
 
 
-# --- inverse-square families: the potential gains kappa/(m x^2) -----------------
-def _inverse_square_potential(p, i, x, m, m1):
-    w2 = p.omega[i] * p.omega[i]
-    if x == 0.0:
-        raise SingularPoint(f"inverse-square potential singular at x_{i + 1} = 0", i)
-    k = p.kappa[i]
-    v = 0.5 * (w2 * m * x * x + k / (m * x * x))
-    dv = 0.5 * (w2 * (m1 * x * x + 2.0 * m * x)
-                - k * (m1 * x + 2.0 * m) / (m * m * x ** 3))
-    return v, dv
-
-
+# --- inverse-square families: V = (1/2)(w^2 m x^2 + kappa/(m x^2)) -------------
 def _inverse_square_check(p, amplitude):
     if any(c == 0.0 for c in amplitude):
         raise InvalidSpec("inverse-square form needs C != 0")
@@ -264,22 +251,14 @@ def _isotonic_form(spec, i, t, rate):
 
 # x^2 oscillates, so the position period is half the phase period; sw1 and
 # sw2 print no energy, so exact_energy evaluates the definition of record
-_INVERSE_SQUARE = Family("", (), ("omega", "kappa"),
-                         potential=_inverse_square_potential, reference="isotonic",
+_INVERSE_SQUARE = Family("", (), "1", "0.5*(omega^2*x^2+kappa/x^2)", ("omega", "kappa"),
+                         pole=0.0, reference="isotonic",
                          check=_inverse_square_check, closed_form=_isotonic_form,
                          coordinate_energy=None, position_phase=math.pi)
 
 
-def _isotonic_potential(p, i, x, m, m1):
-    w2 = p.omega[i] * p.omega[i]
-    if x == 0.0:
-        raise SingularPoint(f"inverse-square potential singular at x_{i + 1} = 0", i)
-    k = p.kappa[i]
-    return 0.5 * (w2 * x * x + k / (x * x)), w2 * x - k / x ** 3
-
-
 ISOTONIC = replace(_INVERSE_SQUARE, name="isotonic", required=("omega", "kappa"),
-                   profiles=_unit_profiles, potential=_isotonic_potential, mapped=False,
+                   mapped=False,
                    coordinate_energy=lambda p, C, i: 0.5 * (p.omega[i] * p.omega[i] * C * C
                                                             + p.kappa[i] / (C * C)))
 
@@ -295,7 +274,9 @@ def _sw1_frequency(p, amp, w, form):
 
 
 SW1 = replace(_INVERSE_SQUARE, name="sw1", required=("omega", "lam", "sign", "kappa"),
-              frequency=_sw1_frequency, amplitude_dependent=True)
+              mass=_ML, potential="0.5*(omega^2*x^2/(1+sign*lam*x^2)"
+                                  "+kappa*(1+sign*lam*x^2)/x^2)",
+              domain=_ml_domain, frequency=_sw1_frequency, amplitude_dependent=True)
 
 
 def _sw2_form(spec, i, t, w):
@@ -308,9 +289,9 @@ def _sw2_form(spec, i, t, w):
 
 # m = beta^2 x^(2(eta-1)); see the misprint ledger for the closed form
 SW2 = replace(_INVERSE_SQUARE, name="sw2", required=("omega", "kappa", "beta", "eta_exp"),
-              positive=("omega", "kappa", "beta"),
-              profiles=lambda n, p: tuple(mass.IsotonicPowerLaw(p.beta, p.eta_exp)
-                                          for _ in range(n)),
+              positive=("omega", "kappa", "beta"), mass="beta^2*x^(2*eta_exp-2)",
+              potential="0.5*(omega^2*beta^2*x^(2*eta_exp)+kappa/(beta^2*x^(2*eta_exp)))",
+              domain=lambda p: _HALF_LINE, singularity=lambda p: 0.0,
               frequency=lambda p, amp, w, form: abs(p.eta_exp) * w,
               closed_form=_sw2_form)
 

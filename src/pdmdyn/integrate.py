@@ -101,6 +101,13 @@ _E = _B5 - _B4
 
 def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory:
     """Integrate up to opts.t_end, or truncate on a guard/step failure."""
+    ts = [initial.t]
+    xs = [np.array(initial.x, dtype=float)]
+    vs = [np.array(initial.v, dtype=float)]
+    if not (math.isfinite(initial.t) and np.all(np.isfinite(xs[0]))
+            and np.all(np.isfinite(vs[0]))):
+        raise InvalidParameter("initial", f"state must be finite, got t={initial.t!r}, "
+                                          f"x={xs[0].tolist()}, v={vs[0].tolist()}")
     if not opts.t_end >= initial.t:
         raise InvalidParameter("t_end", f"{opts.t_end!r} is before the initial time "
                                         f"{initial.t!r}")
@@ -112,14 +119,14 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
             guard(t, x, v)
             return rhs(t, x, v)
 
-    ts = [initial.t]
-    xs = [np.array(initial.x, dtype=float)]
-    vs = [np.array(initial.v, dtype=float)]
     try:
         accs = [np.array(f(initial.t, xs[0], vs[0]))]  # initial state must be valid
     except ArithmeticError as err:
         what = "float overflow" if isinstance(err, OverflowError) else err
         raise DomainViolation(f"{what} at the initial state", t=initial.t) from err
+    # float arithmetic on a finite state turns non-finite only by overflowing
+    if not np.all(np.isfinite(accs[0])):
+        raise DomainViolation("float overflow at the initial state", t=initial.t)
     if opts.scheme == FIXED_RK4:
         return _run_fixed(f, ts, xs, vs, accs, opts)
     return _run_adaptive(f, ts, xs, vs, accs, opts)

@@ -27,6 +27,7 @@ from .exact import (AMENDED_FORM, ExactSolutionSpec, build_exact_system,
                     oscillation_period, solution_fn)
 from .integrate import (ADAPTIVE45, FIXED_RK4, IntegratorOptions,
                         estimate_period, integrate, sample_dense)
+from .profiles import CustomProfile
 from .transform import (el2_mapped_residual, el2_obstruction, elg_residual,
                         f_scale, potential_match_residual, q_map,
                         reference_map, tau_values)
@@ -173,29 +174,32 @@ def _integrate_case(case: Case, periods: float, rel_tol: float,
 # --- check implementations -------------------------------------------------------
 
 
+def _profile(family: str, **params) -> CustomProfile:
+    """The first mass profile of a one-dimensional catalog system."""
+    return build_system(family, 1, {"omega": [1.0], **params}).profiles[0]
+
+
 def _check_profile_derivatives(seed: int, rel_tol=None) -> CheckReport:
-    from .profiles import (CustomProfile, Exponential, IsotonicPowerLaw,
-                           MathewsLakshmanan, PowerLaw)
     rng = _rng(seed, "profiles")
     profiles = [
-        (MathewsLakshmanan(1.0, "+"), (-3.0, 3.0)),
-        (MathewsLakshmanan(1.0, "-"), (-0.9, 0.9)),
-        (PowerLaw(1.3, 1.5), (0.3, 3.0)),
-        (PowerLaw(1.0, 2.0), (0.3, 3.0)),
-        (Exponential(0.8), (-1.5, 1.5)),
-        (IsotonicPowerLaw(1.1, -1.0), (0.3, 3.0)),
-        (IsotonicPowerLaw(1.0, 2.0), (0.3, 3.0)),
+        (_profile("ml1", lam=1.0, sign="+"), (-3.0, 3.0)),
+        (_profile("ml1", lam=1.0, sign="-"), (-0.9, 0.9)),
+        (_profile("powerlaw", alpha=1.3, upsilon=1.5), (0.3, 3.0)),
+        (_profile("powerlaw", alpha=1.0, upsilon=2.0), (0.3, 3.0)),
+        (_profile("morse", zeta=[0.8]), (-1.5, 1.5)),
+        (_profile("sw2", beta=1.1, eta_exp=-1.0, kappa=[1.0]), (0.3, 3.0)),
+        (_profile("sw2", beta=1.0, eta_exp=2.0, kappa=[1.0]), (0.3, 3.0)),
         (CustomProfile.from_text("1/(1+x^2)+exp(-x^2)"), (-2.0, 2.0)),
     ]
     worst = 0.0
     for profile, (lo, hi) in profiles:
         xs = rng.uniform(lo, hi, 10_000 // len(profiles))
-        dom = profile.domain
+        dom_lo, dom_hi = profile.domain
         for x in xs:
             # keep the 5-point stencil well inside the region where the
             # profile is smooth: steep poles need h tied to the distance
             # from the boundary, not to |x|
-            edge = min(abs(x - dom.lo), abs(dom.hi - x))
+            edge = min(abs(x - dom_lo), abs(dom_hi - x))
             h = 0.005 * min(max(1.0, abs(x)), edge)
             vals = [profile.eval(float(x + k * h))[0] for k in (-2, -1, 0, 1, 2)]
             d1_fd = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
@@ -211,12 +215,11 @@ def _check_profile_derivatives(seed: int, rel_tol=None) -> CheckReport:
 
 
 def _check_ml_identity(seed: int, rel_tol=None) -> CheckReport:
-    from .profiles import MathewsLakshmanan
     rng = _rng(seed, "ml-identity")
     worst = 0.0
     for sign, box in (("+", (-3.0, 3.0)), ("-", (-0.95, 0.95))):
         lam = 1.0
-        profile = MathewsLakshmanan(lam, sign)
+        profile = _profile("ml1", lam=lam, sign=sign)
         s = 1.0 if sign == "+" else -1.0
         for x in rng.uniform(*box, 2000):
             m, m1, _ = profile.eval(float(x))

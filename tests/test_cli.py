@@ -231,8 +231,9 @@ class TestSimulate:
          "error: float division by zero at the initial state\n"),
         ("powerlaw", {"omega": [1.0], "alpha": 1.0, "upsilon": 2.0}, 1e80,
          "error: float overflow at the initial state\n"),
-        ("sw1", {"omega": [1.0], "lambda": 1.0, "sign": "+", "kappa": [1.0]}, 1e120,
-         "error: float overflow at the initial state\n"),
+        # m = 1/(1 + x^2) underflows to 0 once x^2 overflows
+        ("sw1", {"omega": [1.0], "lambda": 1.0, "sign": "+", "kappa": [1.0]}, 1e160,
+         "error: float division by zero at the initial state\n"),
     ])
     def test_extreme_catalog_state_exit_2(self, tmp_path, family, params, x0, err):
         cfg_data = dict(ML1_CONFIG, family=family, params=params,
@@ -258,6 +259,38 @@ class TestSimulate:
         code, out, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {key}")
+
+    @pytest.mark.parametrize("family,params,field", [
+        ("ml1", {"omega": [1.0], "lambda": math.nan, "sign": "+"}, "lam"),
+        ("ml1", {"omega": [math.inf], "lambda": 1.0, "sign": "+"}, "omega"),
+        ("powerlaw", {"omega": [1.0], "alpha": 1.0, "upsilon": math.nan}, "upsilon"),
+    ])
+    def test_non_finite_family_parameter_exit_2(self, tmp_path, family, params, field):
+        cfg_data = dict(ML1_CONFIG, family=family, params=params,
+                        initial={"x": [0.5], "v": [0.0]})
+        code, out, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}: must be finite")
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("lambda", "strong", "lam"), ("omega", ["fast"], "omega"), ("omega", [None], "omega"),
+    ])
+    def test_non_numeric_family_parameter_exit_2(self, tmp_path, key, value, field):
+        cfg_data = with_value(ML1_CONFIG, ("params", key), value)
+        code, out, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {field}: must be a number, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "map"])
+    @pytest.mark.parametrize("family,params,initial", [
+        ("morse", {"omega": [1.0], "zeta": [1.0]}, {"x": [math.nan], "v": [0.0]}),
+        ("ml1", {"omega": [1.0], "lambda": 1.0, "sign": "+"}, {"x": [0.5], "v": [math.inf]}),
+    ])
+    def test_non_finite_initial_state_exit_2(self, tmp_path, command, family, params, initial):
+        cfg_data = dict(ML1_CONFIG, family=family, params=params, initial=initial)
+        code, out, err = run([command, "--config", write_config(tmp_path, cfg_data)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: initial: state must be finite")
 
     def test_non_finite_fixed_step_exit_2(self, tmp_path):
         cfg_data = dict(ML1_CONFIG, integrator={"scheme": "fixed_rk4", "t_end": 1.0,

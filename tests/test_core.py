@@ -1,10 +1,13 @@
 """System construction, validation and energy bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 
 from pdmdyn.core import (TYPE1, TYPE2, State, build_system, kinetic_energy,
                          parameter_set, potential_energy, total_energy)
+from pdmdyn.eom import el1_acceleration
 from pdmdyn.errors import (DomainViolation, InvalidParameter,
                            MissingParameter, SingularPoint)
 
@@ -18,11 +21,16 @@ class TestBuildSystem:
         assert len(system.profiles) == 2
         assert system.rest_mass == 1.0
 
+    def test_rebuilt_system_shares_compiled_expressions(self):
+        a, b = (build_system("isotonic", 1, {"omega": [1.0], "kappa": [1.0]})
+                for _ in range(2))
+        assert a.profiles[0].expr is b.profiles[0].expr
+        assert a.potential.compiled[0] is b.potential.compiled[0]
+
     def test_minus_branch_profile_domain(self):
         system = build_system("ml1", 1, {"omega": [1.0], "lambda": 1.0,
                                          "sign": "-"})
-        d = system.profiles[0].domain
-        assert (d.lo, d.hi) == (-1.0, 1.0)
+        assert system.profiles[0].domain == (-1.0, 1.0)
 
     def test_upsilon_minus_one_rejected(self):
         with pytest.raises(InvalidParameter) as err:
@@ -128,6 +136,20 @@ class TestEnergies:
         with pytest.raises(SingularPoint):
             potential_energy(system, [0.0])
 
+    def test_inverse_square_far_from_the_origin(self):
+        # m x^2 -> 1 and kappa/(m x^2) -> kappa: E -> (w^2 + kappa)/2, no overflow
+        system = build_system("sw1", 1, {"omega": [1.0], "lambda": 1.0,
+                                         "sign": "+", "kappa": [1.0]})
+        state = State.of(0, [1e120], [0.0])
+        assert total_energy(system, state).total == 1.0
+        assert abs(el1_acceleration(system, state)[0]) < 1e-100
+
+    def test_type2_potential_rejects_non_finite_x(self):
+        system = build_system("custom", 2, mass_exprs=["1+x1^2+x2^2"],
+                              potential_exprs=["x^2", "x^2"], kind=TYPE2)
+        with pytest.raises(DomainViolation):
+            potential_energy(system, [math.nan, 0.0])
+
     def test_kinetic_domain_violation(self):
         system = build_system("ml1", 1, {"omega": [1.0], "lambda": 1.0, "sign": "-"})
         with pytest.raises(DomainViolation):
@@ -156,6 +178,19 @@ class TestEnergies:
 
 
 class TestParameterSet:
+    @pytest.mark.parametrize("key,value,field", [
+        ("lambda", math.nan, "lam"), ("omega", [math.inf], "omega"),
+        ("upsilon", math.nan, "upsilon"), ("kappa", [1.0, -math.inf], "kappa"),
+    ])
+    def test_non_finite_value_rejected(self, key, value, field):
+        n = len(value) if isinstance(value, list) else 1
+        with pytest.raises(InvalidParameter) as err:
+            parameter_set({key: value}, n)
+        assert err.value.field == field
+        with pytest.raises(InvalidParameter):
+            build_system("ml1", n, {"omega": [1.0] * n, "lambda": 1.0, "sign": "+",
+                                    key: value})
+
     def test_alias_lambda(self):
         p = parameter_set({"lambda": 2.0}, 1)
         assert p.lam == 2.0

@@ -116,6 +116,15 @@ class TestOptions:
             integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
         assert err.value.field == "t_end"
 
+    @pytest.mark.parametrize("t0,x,v", [(0.0, [math.nan], [0.0]), (0.0, [1.0], [math.inf]),
+                                        (0.0, [1.0, -math.inf], [0.0, 0.0]),
+                                        (math.nan, [1.0], [0.0])])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    def test_non_finite_initial_state(self, scheme, t0, x, v):
+        with pytest.raises(InvalidParameter) as err:
+            integrate(harmonic_rhs, State.of(t0, x, v), IntegratorOptions(t_end=1.0, scheme=scheme))
+        assert err.value.field == "initial"
+
     def test_end_at_initial_time_is_one_row(self):
         traj = integrate(harmonic_rhs, State.of(2.0, [1.0], [0.0]),
                          IntegratorOptions(t_end=2.0))
@@ -141,6 +150,14 @@ class TestArithmeticErrors:
             integrate(_raising_beyond(0.5, error), State.of(0.0, [1.0], [0.0]), opts)
         assert err.value.t == 0.0
         assert isinstance(err.value.__cause__, error)
+
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    def test_non_finite_rhs_at_initial_state(self, scheme):
+        # an RHS whose float arithmetic overflowed to inf at a finite state
+        opts = IntegratorOptions(t_end=1.0, scheme=scheme)
+        with pytest.raises(DomainViolation, match="^float overflow at the initial state$"):
+            integrate(lambda t, x, v: np.full_like(x, math.inf),
+                      State.of(0.0, [1.0], [0.0]), opts)
 
     @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
     @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
