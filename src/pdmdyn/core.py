@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainViolation, InvalidParameter, MissingParameter, SingularPoint
 from .exprparse import Expr, compile_expression, parse_cached
 from .families import FAMILIES
-from .profiles import CoupledProfile, CustomProfile
+from .profiles import REAL_LINE, CoupledProfile, CustomProfile
 
 TYPE1 = "type1"
 TYPE2 = "type2"
@@ -103,7 +103,7 @@ class PotentialSpec:
     params: ParameterSet
     exprs: tuple[Expr, ...]
     expr_texts: tuple[str, ...]
-    domain: tuple[float, float] = (-math.inf, math.inf)
+    domain: tuple[float, float] = REAL_LINE
     pole: float | None = None
 
     def __post_init__(self):

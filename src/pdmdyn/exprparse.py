@@ -242,7 +242,7 @@ def parse_expression(text: str, variables: Sequence[str] = ("x",)) -> Expr:
     return _Parser(_tokenize(text), variables).parse()
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=256)
 def parse_cached(text: str, variables: tuple[str, ...] = ("x",)) -> Expr:
     """parse_expression, run once per (text, variables) among recent calls.
 

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainViolation, InvalidParameter, InvalidSpec, UnsupportedFamily
+from .profiles import REAL_LINE
 
 PUBLISHED_FORM = "published"
 AMENDED_FORM = "amended"
@@ -30,7 +31,6 @@ def _sign(p) -> float:
     return 1.0 if p.sign == "+" else -1.0
 
 
-_LINE = (-math.inf, math.inf)
 _HALF_LINE = (0.0, math.inf)
 
 # m = 1/(1 +- lam x^2) and the oscillator potential (1/2) w^2 m x^2
@@ -43,7 +43,7 @@ def _ml_domain(p) -> tuple[float, float]:
     if p.sign == "-" and p.lam > 0.0:
         b = 1.0 / math.sqrt(p.lam)
         return -b, b
-    return _LINE
+    return REAL_LINE
 
 
 def _cosine(spec, i: int, t: float, rate: float) -> tuple[float, float, float]:
@@ -69,7 +69,7 @@ class Family:
     potential: str                              # V_i(x); V is their sum
     positive: tuple[str, ...] = ("omega",)      # parameters that must be positive
     #: p -> the open interval (lo, hi) where the profile is defined
-    domain: Callable = lambda p: _LINE
+    domain: Callable = lambda p: REAL_LINE
     #: p -> the x where m'/m and 1/m diverge, if any
     singularity: Callable = lambda p: None
     pole: float | None = None                   # x where V_i diverges: SingularPoint

@@ -19,7 +19,8 @@ from . import exprparse
 from .errors import DomainViolation
 from .exprparse import Expr
 
-_LINE = (-math.inf, math.inf)
+#: the whole real line, the domain of a profile that states none
+REAL_LINE = (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class CustomProfile:
 
     expr: Expr
     text: str
-    domain: tuple[float, float] = _LINE
+    domain: tuple[float, float] = REAL_LINE
     coefficient_singularity: float | None = None
 
     def __post_init__(self):
@@ -42,7 +43,7 @@ class CustomProfile:
         object.__setattr__(self, "_dual", exprparse.compile_expression(self.expr))
 
     @staticmethod
-    def from_text(text: str, domain: tuple[float, float] = _LINE,
+    def from_text(text: str, domain: tuple[float, float] = REAL_LINE,
                   coefficient_singularity: float | None = None) -> "CustomProfile":
         return CustomProfile(exprparse.parse_cached(text), text, domain,
                              coefficient_singularity)
