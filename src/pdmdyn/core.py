@@ -8,10 +8,15 @@ alike and add nothing.
 
 Every type1 system, catalog or ``custom``, is the same object: n compiled
 mass profiles and n compiled potential terms V_i(x_i).  A catalog family's
-record in ``families`` supplies its parameter checks and its mass and
-potential templates; build_system substitutes each coordinate's parameters
-into them and resolves the record's domain, coefficient singularity and
-potential pole once, so evaluation never branches on the family.
+record in ``families`` supplies its mass and potential templates;
+build_system substitutes each coordinate's parameters into them and resolves
+the record's domain, coefficient singularity and potential pole once, so
+evaluation never branches on the family.
+
+This module is the only place that knows what a parameter is: which ones
+hold one entry per coordinate (VECTORS) and each one's admissible range
+(_validate), the same for every family.  A family requires exactly the
+parameters its templates read.
 """
 
 from __future__ import annotations
@@ -32,22 +37,27 @@ TYPE1 = "type1"
 TYPE2 = "type2"
 
 
+#: parameters with one entry per coordinate; a scalar broadcasts to all n
+VECTORS = ("omega", "zeta", "eta_const", "kappa")
+
+
 @dataclass(frozen=True)
 class ParameterSet:
-    """Union of every parameter any catalog family may need.
+    """The parameters of a system, read by name from a family's templates.
 
-    Only the fields the chosen family requires must be set; build_system
-    enforces presence and ranges.
+    Any field may be left unset; a family needs those its templates read.
+    Construction checks only finiteness: build_system checks shapes and
+    ranges (_validate), for every field that is set.
     """
 
-    omega: tuple[float, ...] | None = None     # angular frequencies, one per coordinate
+    omega: tuple[float, ...] | None = None     # angular frequencies, > 0
     lam: float | None = None                   # deformation strength (kept >= 0)
     sign: str | None = None                    # branch tag for the 1 +- lam x^2 families
     upsilon: float | None = None               # power-law exponent, != -1
     alpha: float | None = None                 # power-law scale, > 0
     zeta: tuple[float, ...] | None = None      # exponential rates, > 0
-    eta_const: tuple[float, ...] | None = None # constants of the constant-map family
-    eta_exp: float | None = None               # isotonic power-law exponent, != 1
+    eta_const: tuple[float, ...] | None = None # constants of the constant-map family, != 0
+    eta_exp: float | None = None               # isotonic power-law exponent, != 0, 1
     beta: float | None = None                  # isotonic power-law scale, > 0
     kappa: tuple[float, ...] | None = None     # inverse-square strengths, > 0
 
@@ -57,11 +67,6 @@ class ParameterSet:
             values = value if isinstance(value, (tuple, list)) else (value,)
             if name != "sign" and value is not None and not all(map(math.isfinite, values)):
                 raise InvalidParameter(name, f"must be finite, got {value!r}")
-
-    def require(self, *names: str) -> None:
-        for name in names:
-            if getattr(self, name) is None:
-                raise MissingParameter(name)
 
 
 def parameter_set(data: Mapping | ParameterSet | None, n: int) -> ParameterSet:
@@ -76,7 +81,7 @@ def parameter_set(data: Mapping | ParameterSet | None, n: int) -> ParameterSet:
         if name not in ParameterSet.__dataclass_fields__:
             raise InvalidParameter(key, "unknown parameter")
         try:
-            if name in ("omega", "zeta", "eta_const", "kappa") and value is not None:
+            if name in VECTORS and value is not None:
                 seq = [value] * n if isinstance(value, (int, float)) else list(value)
                 value = tuple(float(v) for v in seq)
             elif name == "sign":
@@ -102,7 +107,6 @@ class PotentialSpec:
     family: str
     params: ParameterSet
     exprs: tuple[Expr, ...]
-    expr_texts: tuple[str, ...]
     domain: tuple[float, float] = REAL_LINE
     pole: float | None = None
 
@@ -121,7 +125,6 @@ class PdmSystem:
     kind: str                       # TYPE1 or TYPE2
     profiles: tuple                 # n CustomProfile for TYPE1, one CoupledProfile for TYPE2
     potential: PotentialSpec
-    rest_mass: float = 1.0
 
     @property
     def coupled_profile(self) -> CoupledProfile:
@@ -178,34 +181,35 @@ class Trajectory:
 # --- validation and construction ---------------------------------------------
 
 
-def _positive(params: ParameterSet, name: str) -> None:
-    value = getattr(params, name)
-    values = value if isinstance(value, tuple) else (value,)
-    if any(not (v > 0.0) for v in values):
-        raise InvalidParameter(name, f"must be positive, got {value!r}")
-
-
-def _check_lengths(params: ParameterSet, n: int, *names: str) -> None:
-    for name in names:
+def _check_lengths(params: ParameterSet, n: int) -> None:
+    for name in VECTORS:
         value = getattr(params, name)
         if value is not None and len(value) != n:
             raise InvalidParameter(name, f"expected {n} entries, got {len(value)}")
 
 
-def _validate_common(n: int, params: ParameterSet) -> None:
+def _validate(n: int, p: ParameterSet) -> None:
+    """Shape and range of every parameter that is set, whichever family reads it."""
     if n < 1:
         raise InvalidParameter("n", f"dimension must be >= 1, got {n}")
-    _check_lengths(params, n, "omega", "zeta", "eta_const", "kappa")
-    if params.sign is not None and params.sign not in ("+", "-"):
-        raise InvalidParameter("sign", f"must be '+' or '-', got {params.sign!r}")
-    if params.lam is not None and params.lam < 0.0:
+    _check_lengths(p, n)
+    if p.sign is not None and p.sign not in ("+", "-"):
+        raise InvalidParameter("sign", f"must be '+' or '-', got {p.sign!r}")
+    if p.lam is not None and p.lam < 0.0:
         raise InvalidParameter("lam", "kept non-negative; use the sign branch tag")
-    if params.upsilon is not None and params.upsilon == -1.0:
+    if p.upsilon is not None and p.upsilon == -1.0:
         raise InvalidParameter("upsilon", "-1 collapses the coordinate map to a constant")
-    if params.eta_exp is not None and params.eta_exp == 1.0:
+    if p.eta_exp is not None and p.eta_exp == 1.0:
         raise InvalidParameter("eta_exp", "1 reduces to the constant-mass oscillator")
-    if params.eta_exp is not None and params.eta_exp == 0.0:
+    if p.eta_exp is not None and p.eta_exp == 0.0:
         raise InvalidParameter("eta_exp", "0 collapses the coordinate map to a constant")
+    for name in ("omega", "alpha", "zeta", "kappa", "beta"):
+        value = getattr(p, name)
+        values = value if isinstance(value, (tuple, list)) else (value,)
+        if value is not None and min(values) <= 0.0:
+            raise InvalidParameter(name, f"must be positive, got {value!r}")
+    if p.eta_const is not None and 0.0 in p.eta_const:
+        raise InvalidParameter("eta_const", "zero collapses the coordinate map")
 
 
 def build_system(family: str, n: int = 1,
@@ -222,20 +226,14 @@ def build_system(family: str, n: int = 1,
     if record is None and family != "custom":
         raise InvalidParameter("family", f"unknown family {family!r}")
     p = parameter_set(params, n)
-    _validate_common(n, p)
+    _validate(n, p)
     if record is None:
         return _custom_system(n, p, mass_exprs, potential_exprs, kind)
-    p.require(*record.required)
-    for name in record.positive:
-        _positive(p, name)
-    record.validate(p)
+    masses = [_substitute(record.mass, p, i) for i in range(n)]
+    exprs = tuple(parse_cached(_substitute(record.potential, p, i)) for i in range(n))
     domain, singularity = record.domain(p), record.singularity(p)
-    profiles = tuple(CustomProfile.from_text(_substitute(record.mass, p, i), domain, singularity)
-                     for i in range(n))
-    texts = tuple(_substitute(record.potential, p, i) for i in range(n))
-    exprs = tuple(parse_cached(s) for s in texts)
-    return PdmSystem(n, TYPE1, profiles, PotentialSpec(family, p, exprs, texts, domain,
-                                                       record.pole))
+    profiles = tuple(CustomProfile.from_text(m, domain, singularity) for m in masses)
+    return PdmSystem(n, TYPE1, profiles, PotentialSpec(family, p, exprs, domain, record.pole))
 
 
 def _substitute(template: str, p: ParameterSet, i: int) -> str:
@@ -243,12 +241,15 @@ def _substitute(template: str, p: ParameterSet, i: int) -> str:
 
     A vector parameter stands for its entry i and ``sign`` for +1 or -1.
     repr round-trips the float; a negative one keeps its own parentheses.
+    A name the template reads and ``p`` lacks is a MissingParameter.
     """
     def value(match: re.Match) -> str:
         name = match.group(0)
         if name not in ParameterSet.__dataclass_fields__:
             return name
         v = getattr(p, name)
+        if v is None:
+            raise MissingParameter(name)
         v = (1.0 if v == "+" else -1.0) if name == "sign" else v[i] if isinstance(v, tuple) else v
         text = repr(v)
         return f"({text})" if text.startswith("-") else text
@@ -272,7 +273,7 @@ def _custom_system(n: int, p: ParameterSet, mass_exprs: Sequence[str] | None,
     if len(texts) != n:
         raise InvalidParameter("potential_exprs", f"expected {n} expressions")
     exprs = tuple(parse_cached(s) for s in texts)
-    return PdmSystem(n, want, profiles, PotentialSpec("custom", p, exprs, texts))
+    return PdmSystem(n, want, profiles, PotentialSpec("custom", p, exprs))
 
 
 # --- potential evaluation ------------------------------------------------------
@@ -320,6 +321,14 @@ def kinetic_energy(system: PdmSystem, state: State) -> float:
 
 
 def total_energy(system: PdmSystem, state: State) -> EnergyBreakdown:
-    t = kinetic_energy(system, state)
-    v = potential_energy(system, state.x)
+    """T, V and T + V; a DomainViolation when a term overflows or is not finite."""
+    try:
+        t = kinetic_energy(system, state)
+        v = potential_energy(system, state.x)
+    except OverflowError as err:
+        raise DomainViolation(f"float overflow in the energy at t={state.t!r}",
+                              t=state.t) from err
+    if not math.isfinite(t + v):
+        raise DomainViolation(f"energy is not finite at t={state.t!r}: T={t!r}, V={v!r}",
+                              t=state.t)
     return EnergyBreakdown(t, v, t + v)

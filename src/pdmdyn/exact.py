@@ -59,7 +59,7 @@ class ExactSolutionSpec:
         object.__setattr__(self, "phase", phase)
         if len(phase) != n:
             raise InvalidSpec("amplitude and phase lengths differ")
-        _check_lengths(self.params, n, "omega", "zeta", "eta_const", "kappa")
+        _check_lengths(self.params, n)
         record.check(self.params, self.amplitude)
 
     @property

@@ -1,11 +1,13 @@
 """One record per catalog family: everything the package knows about it.
 
-A record owns the family's parameter schema, its mass profile m_i(x) and
-potential V_i(x) as expression text in x and the parameter names, the
-domain, coefficient singularity and potential pole that no expression can
-state, its nonlocal map (q_i, f_i) onto a reference oscillator, and its
-closed form with amplitude checks, frequency relation, position period and
-energy.  ``core`` substitutes each coordinate's parameter values into the
+A record owns the family's mass profile m_i(x) and potential V_i(x) as
+expression text in x and the parameter names, the domain, coefficient
+singularity and potential pole that no expression can state, its nonlocal
+map (q_i, f_i) onto a reference oscillator, and its closed form with
+amplitude checks, frequency relation, position period and energy.  The
+parameters a family requires are the names its two templates read; each
+parameter's shape and range are stated once, in ``core``, alike for every
+family.  ``core`` substitutes each coordinate's parameter values into the
 two templates and compiles them, so a catalog system evaluates exactly as a
 ``custom`` one does; ``transform`` and ``exact`` resolve the record once,
 when a map or closed form is built, and call into it.  A new family is one
@@ -20,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidParameter, InvalidSpec, UnsupportedFamily
+from .errors import DomainViolation, InvalidSpec, UnsupportedFamily
 from .profiles import REAL_LINE
 
 PUBLISHED_FORM = "published"
@@ -58,23 +60,20 @@ class Family:
 
     ``mass`` and ``potential`` are expression text in x and the names of
     ParameterSet fields: a vector parameter stands for its entry i, and
-    ``sign`` for +1 or -1.  Defaults, the common case: the whole real line,
-    the map q = x sqrt(m), f = 1 + x m'/(2m) onto the harmonic reference, a
-    cosine closed form of period 2 pi / Omega.
+    ``sign`` for +1 or -1.  The names they read are the parameters the
+    family requires; ``core`` checks every parameter's range.  Defaults, the
+    common case: the whole real line, the map q = x sqrt(m), f = 1 + x m'/(2m)
+    onto the harmonic reference, a cosine closed form of period 2 pi / Omega.
     """
 
     name: str
-    required: tuple[str, ...]                   # parameters that must be given
     mass: str                                   # m_i(x)
     potential: str                              # V_i(x); V is their sum
-    positive: tuple[str, ...] = ("omega",)      # parameters that must be positive
     #: p -> the open interval (lo, hi) where the profile is defined
     domain: Callable = lambda p: REAL_LINE
     #: p -> the x where m'/m and 1/m diverge, if any
     singularity: Callable = lambda p: None
     pole: float | None = None                   # x where V_i diverges: SingularPoint
-    #: p -> None; raises InvalidParameter beyond the required/positive checks
-    validate: Callable = lambda p: None
     #: (p, i, x, sqrt(m_i)) -> q_i and (p, i, x, m_i'/(2 m_i)) -> f_i
     q: Callable = lambda p, i, x, root: x * root
     f: Callable = lambda p, i, x, half: 1.0 + half * x
@@ -93,7 +92,7 @@ class Family:
     position_phase: float = 2.0 * math.pi       # phase over one period of x(t)
 
 
-HARMONIC = Family("harmonic", ("omega",), "1", "0.5*omega^2*x^2", mapped=False)
+HARMONIC = Family("harmonic", "1", "0.5*omega^2*x^2", mapped=False)
 
 
 # --- ml1 and ml2: m = 1/(1 +- lam x^2) ------------------------------------------
@@ -123,16 +122,10 @@ def _ml1_frequency(p, amp, w, form):
     return w / np.sqrt(denom)
 
 
-ML1 = Family("ml1", ("omega", "lam", "sign"), _ML, _ML_OSCILLATOR, domain=_ml_domain,
-             check=_ml1_check,
+ML1 = Family("ml1", _ML, _ML_OSCILLATOR, domain=_ml_domain, check=_ml1_check,
              frequency=_ml1_frequency, amplitude_dependent=True,
              coordinate_energy=lambda p, A, i: (0.5 * p.omega[i] * p.omega[i] * A * A
                                                 / (1.0 + _sign(p) * p.lam * A * A)))
-
-
-def _ml2_validate(p):
-    if any(e == 0.0 for e in p.eta_const):
-        raise InvalidParameter("eta_const", "zero collapses the coordinate map")
 
 
 def _ml2_check(p, amplitude):
@@ -152,8 +145,7 @@ def _ml2_frequency(p, amp, w, form):
 # the constant map q = eta sqrt(m) with V = (1/2) w^2 eta^2 m; same orbit as
 # ml1 in the reduction case, but the potential differs by the constant
 # (1/2) w^2 eta^2, so the energy is read off at the turning point directly
-ML2 = replace(ML1, name="ml2", required=("omega", "lam", "sign", "eta_const"),
-              potential="0.5*omega^2*eta_const^2/(1+sign*lam*x^2)", validate=_ml2_validate,
+ML2 = replace(ML1, name="ml2", potential="0.5*omega^2*eta_const^2/(1+sign*lam*x^2)",
               q=lambda p, i, x, root: p.eta_const[i] * root,
               f=lambda p, i, x, half: p.eta_const[i] * half,
               check=_ml2_check, frequency=_ml2_frequency,
@@ -188,8 +180,8 @@ def _powerlaw_energy(p, A, i):
 
 
 # x > 0 keeps x^(2 upsilon) single-valued for non-integer exponents
-POWERLAW = Family("powerlaw", ("omega", "alpha", "upsilon"), "alpha^2*x^(2*upsilon)",
-                  "0.5*omega^2*alpha^2*x^(2*upsilon+2)", ("omega", "alpha"),
+POWERLAW = Family("powerlaw", "alpha^2*x^(2*upsilon)",
+                  "0.5*omega^2*alpha^2*x^(2*upsilon+2)",
                   domain=lambda p: _HALF_LINE,
                   singularity=lambda p: 0.0 if p.upsilon != 0.0 else None,
                   check=_powerlaw_check,
@@ -213,8 +205,7 @@ def _morse_form(spec, i, t, w):
 
 # the bounded-exponential map; f reduces to the constant zeta for this mass
 # V written with one exp: m (1 - e^(-zeta x))^2 = (e^(zeta x) - 1)^2
-MORSE = Family("morse", ("omega", "zeta"), "exp(2*zeta*x)",
-               "0.5*omega^2*(exp(zeta*x)-1)^2", ("omega", "zeta"),
+MORSE = Family("morse", "exp(2*zeta*x)", "0.5*omega^2*(exp(zeta*x)-1)^2",
                q=lambda p, i, x, root: root * (1.0 - math.exp(-p.zeta[i] * x)),
                f=lambda p, i, x, half: half + (p.zeta[i] - half) * math.exp(-p.zeta[i] * x),
                check=_morse_check,
@@ -251,14 +242,13 @@ def _isotonic_form(spec, i, t, rate):
 
 # x^2 oscillates, so the position period is half the phase period; sw1 and
 # sw2 print no energy, so exact_energy evaluates the definition of record
-_INVERSE_SQUARE = Family("", (), "1", "0.5*(omega^2*x^2+kappa/x^2)", ("omega", "kappa"),
+_INVERSE_SQUARE = Family("", "1", "0.5*(omega^2*x^2+kappa/x^2)",
                          pole=0.0, reference="isotonic",
                          check=_inverse_square_check, closed_form=_isotonic_form,
                          coordinate_energy=None, position_phase=math.pi)
 
 
-ISOTONIC = replace(_INVERSE_SQUARE, name="isotonic", required=("omega", "kappa"),
-                   mapped=False,
+ISOTONIC = replace(_INVERSE_SQUARE, name="isotonic", mapped=False,
                    coordinate_energy=lambda p, C, i: 0.5 * (p.omega[i] * p.omega[i] * C * C
                                                             + p.kappa[i] / (C * C)))
 
@@ -273,7 +263,7 @@ def _sw1_frequency(p, amp, w, form):
     return np.sqrt(om2)
 
 
-SW1 = replace(_INVERSE_SQUARE, name="sw1", required=("omega", "lam", "sign", "kappa"),
+SW1 = replace(_INVERSE_SQUARE, name="sw1",
               mass=_ML, potential="0.5*(omega^2*x^2/(1+sign*lam*x^2)"
                                   "+kappa*(1+sign*lam*x^2)/x^2)",
               domain=_ml_domain, frequency=_sw1_frequency, amplitude_dependent=True)
@@ -288,8 +278,7 @@ def _sw2_form(spec, i, t, w):
 
 
 # m = beta^2 x^(2(eta-1)); see the misprint ledger for the closed form
-SW2 = replace(_INVERSE_SQUARE, name="sw2", required=("omega", "kappa", "beta", "eta_exp"),
-              positive=("omega", "kappa", "beta"), mass="beta^2*x^(2*eta_exp-2)",
+SW2 = replace(_INVERSE_SQUARE, name="sw2", mass="beta^2*x^(2*eta_exp-2)",
               potential="0.5*(omega^2*beta^2*x^(2*eta_exp)+kappa/(beta^2*x^(2*eta_exp)))",
               domain=lambda p: _HALF_LINE, singularity=lambda p: 0.0,
               frequency=lambda p, amp, w, form: abs(p.eta_exp) * w,

@@ -12,7 +12,7 @@ built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import exprparse
@@ -72,7 +72,6 @@ class CoupledProfile:
     expr: Expr
     text: str
     names: tuple[str, ...]
-    family: str = field(default="coupled", init=False)
 
     def __post_init__(self):
         # compiled once, when the system is built; eval_gradient reuses it

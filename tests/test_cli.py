@@ -240,6 +240,19 @@ class TestSimulate:
                         initial={"x": [x0], "v": [0.0]})
         assert run(["simulate", "--config", write_config(tmp_path, cfg_data)]) == (2, "", err)
 
+    def test_overflowing_energy_exit_2(self, tmp_path):
+        # V = x^2 from x = 1e200 accepts states whose energy overflows
+        cfg_data = dict(ML1_CONFIG, family="custom",
+                        custom={"mass": ["1"], "potential": ["x^2"]},
+                        initial={"x": [1e200], "v": [0.0]},
+                        integrator={"scheme": "adaptive45", "t_end": 1.0})
+        out_path = tmp_path / "traj.csv"
+        code, out, err = run(["simulate", "--config", write_config(tmp_path, cfg_data),
+                              "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "energy" in err
+        assert not out_path.exists()
+
     def test_catalog_overflow_mid_run_truncates(self, tmp_path):
         # h = 3 overshoots the Morse well until exp(-zeta x) overflows
         cfg_data = dict(ML1_CONFIG, family="morse",

@@ -19,7 +19,6 @@ class TestBuildSystem:
         assert system.kind == TYPE1
         assert system.n == 2
         assert len(system.profiles) == 2
-        assert system.rest_mass == 1.0
 
     def test_rebuilt_system_shares_compiled_expressions(self):
         a, b = (build_system("isotonic", 1, {"omega": [1.0], "kappa": [1.0]})
@@ -75,6 +74,21 @@ class TestBuildSystem:
     def test_scalar_omega_broadcasts(self):
         system = build_system("ml1", 3, {"omega": 2.0, "lambda": 1.0, "sign": "+"})
         assert system.potential.params.omega == (2.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("family,extra,field", [
+        ("ml1", {"alpha": -1.0}, "alpha"),
+        ("custom", {"omega": [0.0]}, "omega"),
+        ("harmonic", {"zeta": [-2.0]}, "zeta"),
+        ("isotonic", {"beta": 0.0}, "beta"),
+        ("morse", {"eta_const": [0.0]}, "eta_const"),
+    ])
+    def test_unread_parameter_out_of_range_rejected(self, family, extra, field):
+        # a parameter's range is the same whichever family is built
+        params = {"omega": [1.0], "zeta": [1.0], "kappa": [1.0], "lambda": 1.0,
+                  "sign": "+", **extra}
+        with pytest.raises(InvalidParameter) as err:
+            build_system(family, 1, params, mass_exprs=["1"])
+        assert err.value.field == field
 
     def test_unknown_family(self):
         with pytest.raises(InvalidParameter):
@@ -144,6 +158,12 @@ class TestEnergies:
         assert total_energy(system, state).total == 1.0
         assert abs(el1_acceleration(system, state)[0]) < 1e-100
 
+    @pytest.mark.parametrize("x,v", [(1e200, 0.0), (1.0, 1e200)])
+    def test_overflowing_energy_is_a_domain_violation(self, x, v):
+        system = build_system("custom", 1, mass_exprs=["1"], potential_exprs=["x^2"])
+        with pytest.raises(DomainViolation):
+            total_energy(system, State.of(0, [x], [v]))
+
     def test_type2_potential_rejects_non_finite_x(self):
         system = build_system("custom", 2, mass_exprs=["1+x1^2+x2^2"],
                               potential_exprs=["x^2", "x^2"], kind=TYPE2)
@@ -195,7 +215,8 @@ class TestParameterSet:
         p = parameter_set({"lambda": 2.0}, 1)
         assert p.lam == 2.0
 
-    def test_require_raises_missing(self):
+    def test_missing_parameter_raised_by_build_system(self):
         p = parameter_set({"omega": [1.0]}, 1)
-        with pytest.raises(MissingParameter):
-            p.require("omega", "kappa")
+        with pytest.raises(MissingParameter) as err:
+            build_system("isotonic", 1, p)
+        assert err.value.field == "kappa"

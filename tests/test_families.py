@@ -12,6 +12,7 @@ import pytest
 
 from pdmdyn.core import State, build_system, total_energy
 from pdmdyn.eom import el1_acceleration
+from pdmdyn.errors import MissingParameter
 from pdmdyn.families import FAMILIES
 
 # family, params, twin mass, twin potential, x-range of the sampled states
@@ -38,6 +39,16 @@ TWINS = {
 
 def test_every_family_has_a_twin():
     assert {family for family, *_ in TWINS.values()} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("name,key", [(name, key) for name in sorted(TWINS)
+                                      for key in TWINS[name][1]])
+def test_every_template_parameter_is_required(name, key):
+    # a twin gives exactly the parameters its family's templates read
+    family, params, *_ = TWINS[name]
+    with pytest.raises(MissingParameter) as err:
+        build_system(family, 1, {k: v for k, v in params.items() if k != key})
+    assert err.value.field == ("lam" if key == "lambda" else key)
 
 
 @pytest.mark.parametrize("name", sorted(TWINS))
