@@ -25,7 +25,7 @@ from .errors import (DomainViolation, ExprDomainError, ExprSyntaxError,
 from .exprparse import (eval_dual, eval_gradient, eval_value, parse_expression,
                         to_source)
 from .integrate import (ADAPTIVE45, FIXED_RK4, IntegratorOptions,
-                        estimate_period, integrate, rk4_step, sample_dense)
+                        estimate_period, integrate, sample_dense)
 from .profiles import CoupledProfile, CustomProfile
 from .transform import (MappedTrajectory, NonlocalMap, el2_mapped_residual,
                         el2_obstruction, elg_residual, f_scale, inverse_q,

@@ -291,11 +291,15 @@ def _inside(pot: PotentialSpec, i: int, xi: float) -> float:
 
 
 def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:
-    """V(x), the sum of the compiled per-coordinate terms."""
+    """V(x), the sum of the compiled per-coordinate terms; a DomainViolation
+    when it is not finite."""
     pot = system.potential
     total = 0.0
     for i, term in enumerate(pot.compiled):
         total += term(_inside(pot, i, float(x[i])), 1.0)[0]
+    if not math.isfinite(total):
+        raise DomainViolation(f"potential energy V={total!r} is not finite at "
+                              f"x={[float(xi) for xi in x]}")
     return total
 
 
@@ -309,25 +313,30 @@ def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
 
 
 def kinetic_energy(system: PdmSystem, state: State) -> float:
-    """Kinetic term: per-coordinate multipliers for type1, a shared one for type2."""
-    if system.kind == TYPE2:
-        m, _ = system.coupled_profile.value_and_gradient(state.x)
-        return 0.5 * m * float(np.dot(state.v, state.v))
-    total = 0.0
-    for i in range(system.n):
-        m, _, _ = system.profiles[i].eval(float(state.x[i]))
-        total += 0.5 * m * float(state.v[i]) ** 2
+    """Kinetic term: per-coordinate multipliers for type1, a shared one for
+    type2; a DomainViolation when it overflows or is not finite."""
+    try:
+        if system.kind == TYPE2:
+            m, _ = system.coupled_profile.value_and_gradient(state.x)
+            total = 0.5 * m * float(np.dot(state.v, state.v))
+        else:
+            total = 0.0
+            for i in range(system.n):
+                m, _, _ = system.profiles[i].eval(float(state.x[i]))
+                total += 0.5 * m * float(state.v[i]) ** 2
+    except OverflowError as err:
+        raise DomainViolation(f"float overflow in the kinetic energy at t={state.t!r}",
+                              t=state.t) from err
+    if not math.isfinite(total):
+        raise DomainViolation(f"kinetic energy T={total!r} is not finite at t={state.t!r}",
+                              t=state.t)
     return total
 
 
 def total_energy(system: PdmSystem, state: State) -> EnergyBreakdown:
-    """T, V and T + V; a DomainViolation when a term overflows or is not finite."""
-    try:
-        t = kinetic_energy(system, state)
-        v = potential_energy(system, state.x)
-    except OverflowError as err:
-        raise DomainViolation(f"float overflow in the energy at t={state.t!r}",
-                              t=state.t) from err
+    """T, V and T + V; a DomainViolation when a term or the sum is not finite."""
+    t = kinetic_energy(system, state)
+    v = potential_energy(system, state.x)
     if not math.isfinite(t + v):
         raise DomainViolation(f"energy is not finite at t={state.t!r}: T={t!r}, V={v!r}",
                               t=state.t)

@@ -1,10 +1,14 @@
 """Time integration with domain guards, dense output and period estimation.
 
-Two schemes: a classical fixed-step RK4 and an embedded Dormand-Prince 5(4)
-pair with PI step-size control.  The Dormand-Prince stepper keeps its seven
-stage derivatives in one (7, 2n) array and forms each stage state, the
-propagated solution and the error estimate as tableau-row products with it.
-The domain guard runs at every internal stage, not just accepted steps, so
+Two schemes run on one stepping loop: an embedded Dormand-Prince 5(4) pair
+with PI step-size control, and classical fixed-step RK4.  Each is a tableau
+whose last stage row equals its weights, so the stage at the new state is the
+next step's first (FSAL) and RK4 costs four right-hand-side calls per step.
+The loop keeps the stage derivatives in one (stages, 2n) array and forms each
+stage state, the propagated solution and, for the 5(4) pair, the error
+estimate as tableau-row products with it.  The fixed scheme differs only
+where it must: no error estimate, no step-size change and no retry.  The
+domain guard runs at every internal stage, not just accepted steps, so
 trajectories that approach a mass-profile boundary terminate cleanly instead
 of corrupting the step-size controller.
 """
@@ -22,7 +26,6 @@ from .errors import (DomainViolation, ExprDomainError, InvalidParameter,
                      NoPeriod, SingularCoefficient, SingularPoint)
 
 RhsFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-GuardFn = Callable[[float, np.ndarray, np.ndarray], None]
 
 FIXED_RK4 = "fixed_rk4"
 ADAPTIVE45 = "adaptive45"
@@ -44,7 +47,6 @@ class IntegratorOptions:
     h_min: float = 1e-14
     h_max: float = math.inf
     max_steps: int = 5_000_000
-    guard: GuardFn | None = None
 
     def __post_init__(self):
         if self.scheme not in (FIXED_RK4, ADAPTIVE45):
@@ -52,32 +54,13 @@ class IntegratorOptions:
         for name in ("t_end", "h", "rel_tol", "abs_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameter(name, f"must be finite, got {getattr(self, name)!r}")
-        if self.h <= 0.0:
-            raise InvalidParameter("h", "must be positive")
+        for name in ("h", "h_init", "h_min"):
+            if not getattr(self, name) > 0.0:
+                raise InvalidParameter(name, f"must be positive, got {getattr(self, name)!r}")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise InvalidParameter("rel_tol/abs_tol", "must be positive")
         if not (self.h_min <= self.h_init <= self.h_max):
             raise InvalidParameter("h_init", "need h_min <= h_init <= h_max")
-
-
-def rk4_step(rhs: RhsFn, state: State, h: float) -> State:
-    """One classical 4-stage step of the first-order system (x, v) -> (v, a)."""
-    if h < 0.0:
-        raise InvalidParameter("h", "must be non-negative")
-    if h == 0.0:
-        return state
-    t, x, v = state.t, state.x, state.v
-    a1 = rhs(t, x, v)
-    k1x, k1v = v, a1
-    a2 = rhs(t + 0.5 * h, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-    k2x, k2v = v + 0.5 * h * k1v, a2
-    a3 = rhs(t + 0.5 * h, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-    k3x, k3v = v + 0.5 * h * k2v, a3
-    a4 = rhs(t + h, x + h * k3x, v + h * k3v)
-    k4x, k4v = v + h * k3v, a4
-    xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    vn = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return State(t + h, xn, vn)
 
 
 # Dormand-Prince 5(4) tableau; row i of _A weights the stage derivatives
@@ -98,89 +81,51 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
 
+# Classical RK4 in the same layout: a fifth row at c = 1 holds the weights, so
+# its stage is the derivative at the new state and serves the next step.
+_RK4_C = np.array([0.0, 1 / 2, 1 / 2, 1.0, 1.0])
+_RK4_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 2, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 1 / 2, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0],
+    [1 / 6, 1 / 3, 1 / 3, 1 / 6, 0.0],
+])
+
+# scheme -> (nodes, stage rows, weights, error weights or None for a fixed step)
+_TABLEAUS = {ADAPTIVE45: (_C, _A, _B5, _E), FIXED_RK4: (_RK4_C, _RK4_A, _RK4_A[-1], None)}
+
 
 def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory:
     """Integrate up to opts.t_end, or truncate on a guard/step failure."""
-    ts = [initial.t]
-    xs = [np.array(initial.x, dtype=float)]
-    vs = [np.array(initial.v, dtype=float)]
-    if not (math.isfinite(initial.t) and np.all(np.isfinite(xs[0]))
-            and np.all(np.isfinite(vs[0]))):
-        raise InvalidParameter("initial", f"state must be finite, got t={initial.t!r}, "
-                                          f"x={xs[0].tolist()}, v={vs[0].tolist()}")
-    if not opts.t_end >= initial.t:
-        raise InvalidParameter("t_end", f"{opts.t_end!r} is before the initial time "
-                                        f"{initial.t!r}")
-    f = rhs
-    if opts.guard is not None:
-        guard = opts.guard
-
-        def f(t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-            guard(t, x, v)
-            return rhs(t, x, v)
-
+    t = initial.t
+    x0 = np.array(initial.x, dtype=float)
+    v0 = np.array(initial.v, dtype=float)
+    if not (math.isfinite(t) and np.all(np.isfinite(x0)) and np.all(np.isfinite(v0))):
+        raise InvalidParameter("initial", f"state must be finite, got t={t!r}, "
+                                          f"x={x0.tolist()}, v={v0.tolist()}")
+    if not opts.t_end >= t:
+        raise InvalidParameter("t_end", f"{opts.t_end!r} is before the initial time {t!r}")
     try:
-        accs = [np.array(f(initial.t, xs[0], vs[0]))]  # initial state must be valid
+        a0 = np.array(rhs(t, x0, v0))  # initial state must be valid
     except ArithmeticError as err:
         what = "float overflow" if isinstance(err, OverflowError) else err
-        raise DomainViolation(f"{what} at the initial state", t=initial.t) from err
+        raise DomainViolation(f"{what} at the initial state", t=t) from err
     # float arithmetic on a finite state turns non-finite only by overflowing
-    if not np.all(np.isfinite(accs[0])):
-        raise DomainViolation("float overflow at the initial state", t=initial.t)
-    if opts.scheme == FIXED_RK4:
-        return _run_fixed(f, ts, xs, vs, accs, opts)
-    return _run_adaptive(f, ts, xs, vs, accs, opts)
+    if not np.all(np.isfinite(a0)):
+        raise DomainViolation("float overflow at the initial state", t=t)
 
-
-def _termination_from(err, t: float) -> Termination:
-    coord = getattr(err, "coordinate", None)
-    return Termination("domain_violation", t, coord)
-
-
-def _make_traj(ts, xs, vs, accs, accepted, rejected, max_err, term, nfev) -> Trajectory:
-    return Trajectory(np.array(ts), np.vstack(xs), np.vstack(vs), np.vstack(accs),
-                      accepted, rejected, max_err, term, nfev)
-
-
-def _run_fixed(f, ts, xs, vs, accs, opts: IntegratorOptions) -> Trajectory:
-    nfev = 1  # the initial acceleration
-
-    def counted(tt: float, xx: np.ndarray, vv: np.ndarray) -> np.ndarray:
-        nonlocal nfev
-        nfev += 1
-        return f(tt, xx, vv)
-
-    t, x, v = ts[0], xs[0], vs[0]
-    eps_end = 1e-12 * max(1.0, abs(opts.t_end))
-    accepted = 0
-    term = Termination("completed")
-    while t < opts.t_end - eps_end:
-        if accepted >= opts.max_steps:
-            term = Termination("step_failure", t)
-            break
-        h = min(opts.h, opts.t_end - t)
-        try:
-            nxt = rk4_step(counted, State(t, x, v), h)
-            a = counted(nxt.t, nxt.x, nxt.v)
-        except _GUARDABLE as err:
-            term = _termination_from(err, t)
-            break
-        t, x, v = nxt.t, nxt.x, nxt.v
-        ts.append(t)
-        xs.append(x)
-        vs.append(v)
-        accs.append(a)
-        accepted += 1
-    return _make_traj(ts, xs, vs, accs, accepted, 0, 0.0, term, nfev)
-
-
-def _run_adaptive(f, ts, xs, vs, accs, opts: IntegratorOptions) -> Trajectory:
-    t = ts[0]
-    n = len(xs[0])
-    y = np.concatenate([xs[0], vs[0]])
-    K = np.empty((7, 2 * n))  # stage derivatives (v, a) of y = (x, v), by row
-    K[0] = np.concatenate([vs[0], accs[0]])
-    h = min(opts.h_init, opts.h_max, max(opts.t_end - t, opts.h_min))
+    c, a, b, e = _TABLEAUS[opts.scheme]
+    adaptive = e is not None
+    n = len(x0)
+    ts, xs, vs, accs = [t], [x0], [v0], [a0]
+    y = np.concatenate([x0, v0])
+    K = np.empty((len(c), 2 * n))  # stage derivatives (v, a) of y = (x, v), by row
+    K[0] = np.concatenate([v0, a0])
+    if adaptive:
+        h = min(opts.h_init, opts.h_max, max(opts.t_end - t, opts.h_min))
+    else:
+        h = opts.h
     accepted = rejected = 0
     nfev = 1  # the initial acceleration
     max_err = 0.0
@@ -197,55 +142,59 @@ def _run_adaptive(f, ts, xs, vs, accs, opts: IntegratorOptions) -> Trajectory:
             break
         h = min(h, opts.t_end - t)
         try:
-            for i in range(1, 7):
-                yi = y + h * _A[i, :i].dot(K[:i])
+            for i in range(1, len(c)):
+                yi = y + h * a[i, :i].dot(K[:i])
                 vi = yi[n:]
                 K[i, :n] = vi
-                K[i, n:] = f(t + _C[i] * h, yi[:n], vi)
+                K[i, n:] = rhs(t + c[i] * h, yi[:n], vi)
         except _GUARDABLE as err:
             nfev += i
-            if h > opts.h_min * 4.0:
+            if adaptive and h > opts.h_min * 4.0:
                 # retry closer to the boundary before giving up
                 h = max(h * 0.25, opts.h_min)
                 rejected += 1
                 continue
-            term = _termination_from(err, t)
+            term = Termination("domain_violation", t, getattr(err, "coordinate", None))
             break
-        nfev += 6
+        nfev += len(c) - 1
 
-        y_new = y + h * _B5.dot(K)
-        r = _E.dot(K) / (opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
-        err = h * math.sqrt(r.dot(r) / r.size)  # RMS of the scaled error
+        y_new = y + h * b.dot(K)
+        if adaptive:
+            r = e.dot(K) / (opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+            err = h * math.sqrt(r.dot(r) / r.size)  # RMS of the scaled error
 
-        if not math.isfinite(err):
-            h = max(h * 0.25, opts.h_min)
-            rejected += 1
-            if h <= opts.h_min:
-                term = Termination("step_failure", t)
-                break
-            continue
+            if not math.isfinite(err):
+                h = max(h * 0.25, opts.h_min)
+                rejected += 1
+                if h <= opts.h_min:
+                    term = Termination("step_failure", t)
+                    break
+                continue
 
-        if err <= 1.0:
-            t += h
-            y = y_new  # a fresh array, so the x and v views below stay valid
-            K[0] = K[6]  # FSAL
-            ts.append(t)
-            xs.append(y[:n])
-            vs.append(y[n:])
-            accs.append(K[6, n:].copy())
-            accepted += 1
+            if err > 1.0:
+                rejected += 1
+                if h <= opts.h_min * (1.0 + 1e-12):
+                    term = Termination("step_failure", t)
+                    break
+                factor = max(safety * err ** (-0.2), 0.2)
+                h = max(h * min(factor, 1.0), opts.h_min)
+                continue
+
+        t += h
+        y = y_new  # a fresh array, so the x and v views below stay valid
+        K[0] = K[-1]  # FSAL
+        ts.append(t)
+        xs.append(y[:n])
+        vs.append(y[n:])
+        accs.append(K[-1, n:].copy())
+        accepted += 1
+        if adaptive:
             max_err = max(max_err, err)
             factor = safety * (err ** -k_i if err > 0.0 else 10.0) * (err_prev ** k_p)
             err_prev = max(err, 1e-10)
             h = min(max(h * min(max(factor, 0.2), 5.0), opts.h_min), opts.h_max)
-        else:
-            rejected += 1
-            if h <= opts.h_min * (1.0 + 1e-12):
-                term = Termination("step_failure", t)
-                break
-            factor = max(safety * err ** (-0.2), 0.2)
-            h = max(h * min(factor, 1.0), opts.h_min)
-    return _make_traj(ts, xs, vs, accs, accepted, rejected, max_err, term, nfev)
+    return Trajectory(np.array(ts), np.vstack(xs), np.vstack(vs), np.vstack(accs),
+                      accepted, rejected, max_err, term, nfev)
 
 
 # --- dense output ---------------------------------------------------------------

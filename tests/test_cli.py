@@ -273,6 +273,18 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {key}")
 
+    @pytest.mark.parametrize("steps,key", [
+        ({"h_init": -0.5, "h_min": -1, "h_max": 1}, "h_init"),
+        ({"h_init": 0, "h_min": 0, "h_max": 0}, "h_init"),
+        ({"h_min": 0}, "h_min"),
+    ])
+    def test_non_positive_step_size_exit_2(self, tmp_path, steps, key):
+        # these once stepped backwards or stood still until max_steps
+        cfg_data = dict(ML1_CONFIG, integrator=dict(ML1_CONFIG["integrator"], **steps))
+        code, out, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key}: must be positive") and err.count("\n") == 1
+
     @pytest.mark.parametrize("family,params,field", [
         ("ml1", {"omega": [1.0], "lambda": math.nan, "sign": "+"}, "lam"),
         ("ml1", {"omega": [math.inf], "lambda": 1.0, "sign": "+"}, "omega"),

@@ -164,6 +164,19 @@ class TestEnergies:
         with pytest.raises(DomainViolation):
             total_energy(system, State.of(0, [x], [v]))
 
+    @pytest.mark.parametrize("kind,mass", [(TYPE1, "1"), (TYPE2, "1+0*x1")])
+    def test_overflowing_kinetic_energy_is_a_domain_violation(self, kind, mass):
+        system = build_system("custom", 1, mass_exprs=[mass], potential_exprs=["x^2"],
+                              kind=kind)
+        # numpy warns as the type2 dot product overflows; the raise is what counts
+        with pytest.raises(DomainViolation), np.errstate(over="ignore"):
+            kinetic_energy(system, State.of(0, [1.0], [1e200]))
+
+    def test_overflowing_potential_energy_is_a_domain_violation(self):
+        system = build_system("custom", 1, mass_exprs=["1"], potential_exprs=["x^2"])
+        with pytest.raises(DomainViolation, match="V=inf"):
+            potential_energy(system, [1e200])
+
     def test_type2_potential_rejects_non_finite_x(self):
         system = build_system("custom", 2, mass_exprs=["1+x1^2+x2^2"],
                               potential_exprs=["x^2", "x^2"], kind=TYPE2)

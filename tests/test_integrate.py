@@ -9,8 +9,8 @@ from pdmdyn.core import State, build_system, parameter_set
 from pdmdyn.errors import DomainViolation, InvalidParameter, NoPeriod
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
 from pdmdyn.integrate import (ADAPTIVE45, FIXED_RK4, IntegratorOptions, _A, _B4,
-                              _B5, _C, _E, estimate_period, integrate, rk4_step,
-                              sample_dense)
+                              _B5, _C, _E, _RK4_A, _RK4_C, estimate_period,
+                              integrate, sample_dense)
 from pdmdyn.verify import el1_rhs
 
 
@@ -19,7 +19,7 @@ def harmonic_rhs(t, x, v):
 
 
 class Counted:
-    """An RHS or guard that counts its calls."""
+    """An RHS that counts its calls."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -60,28 +60,25 @@ def reference_dp5_step(rhs, t, x, v, h):
     return y + h * sum(_REF_B5[j] * k[j] for j in range(7))
 
 
-class TestRk4Step:
-    def test_matches_harmonic_oracle(self):
-        st = rk4_step(harmonic_rhs, State.of(0.0, [1.0], [0.0]), 0.1)
-        assert abs(st.x[0] - math.cos(0.1)) < 1e-7
-        assert abs(st.v[0] + math.sin(0.1)) < 1e-7
+def reference_rk4_step(rhs, t, x, v, h):
+    """One classical RK4 step of (x, v) -> (v, a), stage by stage."""
+    k1x, k1v = v, rhs(t, x, v)
+    k2x, k2v = v + 0.5 * h * k1v, rhs(t + 0.5 * h, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+    k3x, k3v = v + 0.5 * h * k2v, rhs(t + 0.5 * h, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+    k4x, k4v = v + h * k3v, rhs(t + h, x + h * k3x, v + h * k3v)
+    xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    vn = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return np.concatenate([xn, vn])
 
-    def test_zero_step_is_identity(self):
-        s0 = State.of(0.0, [1.0], [2.0])
-        s1 = rk4_step(harmonic_rhs, s0, 0.0)
-        assert s1.t == s0.t
-        assert np.array_equal(s1.x, s0.x)
-        assert np.array_equal(s1.v, s0.v)
 
-    def test_error_propagates_from_stage(self):
-        def bad_rhs(t, x, v):
-            raise DomainViolation("outside", t=t)
-        with pytest.raises(DomainViolation):
-            rk4_step(bad_rhs, State.of(0.0, [1.0], [0.0]), 0.1)
+def random_rhs(n, rng):
+    """A smooth, coupled, time-dependent RHS of dimension n."""
+    M = rng.normal(size=(n, n))
+    D = rng.normal(size=(n, n))
 
-    def test_negative_step_rejected(self):
-        with pytest.raises(InvalidParameter):
-            rk4_step(harmonic_rhs, State.of(0.0, [1.0], [0.0]), -0.1)
+    def rhs(t, x, v):
+        return M @ np.sin(x) - D @ (x * v) + math.cos(t)
+    return rhs
 
 
 class TestOptions:
@@ -102,12 +99,25 @@ class TestOptions:
         ("h", math.nan), ("h", math.inf),
         ("rel_tol", math.nan), ("rel_tol", math.inf),
         ("abs_tol", math.nan), ("abs_tol", math.inf),
+        # step sizes must also be positive
+        ("h", 0.0), ("h", -0.1),
+        ("h_init", 0.0), ("h_init", -0.5), ("h_init", math.nan),
+        ("h_min", 0.0), ("h_min", -1.0), ("h_min", -math.inf), ("h_min", math.nan),
     ])
     def test_non_finite_values(self, name, value):
         kw = dict({"t_end": 1.0}, **{name: value})
         with pytest.raises(InvalidParameter) as err:
             IntegratorOptions(**kw)
         assert err.value.field == name
+
+    @pytest.mark.parametrize("steps", [{"h_init": -0.5, "h_min": -1.0, "h_max": 1.0},
+                                       {"h_init": 0.0, "h_min": 0.0, "h_max": 0.0}])
+    def test_ordered_non_positive_steps(self, steps):
+        # these pass h_min <= h_init <= h_max, yet stepped backwards or stood
+        # still until max_steps
+        with pytest.raises(InvalidParameter) as err:
+            IntegratorOptions(t_end=1.0, **steps)
+        assert err.value.field == "h_init"
 
     @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
     def test_end_before_initial_time(self, scheme):
@@ -237,26 +247,32 @@ class TestIntegrate:
         assert (traj.nfev - 1) % 6 != 0
         assert traj.nfev == rhs.calls
 
-    def test_custom_guard_predicate_truncates(self):
-        def predicate(t, x, v):
+    @pytest.mark.parametrize("scheme", [ADAPTIVE45, FIXED_RK4])
+    def test_domain_violation_truncates_at_its_coordinate(self, scheme):
+        def rhs(t, x, v):
             if abs(x[0]) > 0.5:
                 raise DomainViolation("left the watched region", t=t, coordinate=0)
+            return -x
 
-        for scheme in (ADAPTIVE45, FIXED_RK4):
-            guard = Counted(predicate)
-            opts = IntegratorOptions(t_end=10.0, scheme=scheme, h=0.01, rel_tol=1e-8,
-                                     guard=guard)
-            traj = integrate(harmonic_rhs, State.of(0.0, [0.0], [1.0]), opts)
-            assert traj.termination.kind == "domain_violation"
-            assert traj.termination.coordinate == 0
-            assert np.all(np.abs(traj.x) <= 0.5 + 1e-12)
-            assert guard.calls == traj.nfev  # the guard runs at every evaluation
+        opts = IntegratorOptions(t_end=10.0, scheme=scheme, h=0.01, rel_tol=1e-8)
+        traj = integrate(rhs, State.of(0.0, [0.0], [1.0]), opts)
+        assert traj.termination.kind == "domain_violation"
+        assert traj.termination.coordinate == 0
+        assert np.all(np.abs(traj.x) <= 0.5)
 
     def test_fixed_rk4_scheme(self):
         opts = IntegratorOptions(t_end=2.0 * math.pi, scheme=FIXED_RK4, h=1e-3)
         traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
         assert traj.termination.kind == "completed"
         assert abs(traj.x[-1, 0] - 1.0) < 1e-10
+
+    def test_fixed_rk4_reuses_the_last_stage(self):
+        # four RHS calls per step plus the initial acceleration
+        opts = IntegratorOptions(t_end=1.0, scheme=FIXED_RK4, h=0.01)
+        rhs = Counted(harmonic_rhs)
+        traj = integrate(rhs, State.of(0.0, [1.0], [0.0]), opts)
+        assert (traj.termination.kind, traj.accepted) == ("completed", 100)
+        assert traj.nfev == rhs.calls == 1 + 4 * traj.accepted
 
     def test_step_statistics_populated(self):
         opts = IntegratorOptions(t_end=5.0, scheme=ADAPTIVE45, rel_tol=1e-10)
@@ -303,12 +319,7 @@ class TestDormandPrince:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_step_matches_loop_reference(self, n):
         rng = np.random.default_rng(7 + n)
-        M = rng.normal(size=(n, n))
-        D = rng.normal(size=(n, n))
-
-        def rhs(t, x, v):
-            return M @ np.sin(x) - D @ (x * v) + math.cos(t)
-
+        rhs = random_rhs(n, rng)
         for _ in range(25):
             x, v = rng.normal(size=n), rng.normal(size=n)
             t0, h = rng.uniform(-1.0, 1.0), rng.uniform(0.01, 0.2)
@@ -317,6 +328,31 @@ class TestDormandPrince:
             traj = integrate(rhs, State(t0, x, v), opts)
             assert (traj.accepted, traj.rejected) == (1, 0)
             ref = reference_dp5_step(rhs, t0, x, v, h)
+            got = np.concatenate([traj.x[-1], traj.v[-1]])
+            assert np.max(np.abs(got - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
+
+
+class TestRk4Tableau:
+    def test_tableau_rows_sum_to_nodes(self):
+        for i in range(5):
+            assert math.fsum(_RK4_A[i]) == pytest.approx(_RK4_C[i], abs=1e-15)
+
+    def test_last_row_is_the_weights(self):
+        # first-same-as-last: the last stage is evaluated at the new state
+        assert np.array_equal(_RK4_A[4], [1 / 6, 1 / 3, 1 / 3, 1 / 6, 0.0])
+        assert math.fsum(_RK4_A[4]) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_step_matches_loop_reference(self, n):
+        rng = np.random.default_rng(17 + n)
+        rhs = random_rhs(n, rng)
+        for _ in range(25):
+            x, v = rng.normal(size=n), rng.normal(size=n)
+            t0, h = rng.uniform(-1.0, 1.0), rng.uniform(0.01, 0.2)
+            opts = IntegratorOptions(t_end=t0 + h, scheme=FIXED_RK4, h=h)
+            traj = integrate(rhs, State(t0, x, v), opts)
+            assert traj.accepted == 1
+            ref = reference_rk4_step(rhs, t0, x, v, h)
             got = np.concatenate([traj.x[-1], traj.v[-1]])
             assert np.max(np.abs(got - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
 
