@@ -12,7 +12,7 @@ from .core import (EnergyBreakdown, ParameterSet, PdmSystem, PotentialSpec,
                    State, Termination, Trajectory, TYPE1, TYPE2, build_system,
                    kinetic_energy, parameter_set, potential_energy,
                    potential_gradient, total_energy)
-from .eom import el1_acceleration, el1_residual, el2_acceleration
+from .eom import el1_acceleration, el1_residual, el1_rhs, el2_acceleration, el2_rhs
 from .exact import (AMENDED_FORM, PUBLISHED_FORM, ExactSolutionSpec, MISPRINTS,
                     exact_energy, exact_solution, exact_trajectory,
                     frequency_relation, kinematics, ml2_reduction_check,

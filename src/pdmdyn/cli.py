@@ -27,13 +27,13 @@ import numpy as np
 
 from .core import (TYPE1, TYPE2, PdmSystem, State, Trajectory, build_system,
                    parameter_set, total_energy)
+from .eom import el1_rhs, el2_rhs
 from .errors import PdmError
 from .exact import (ExactSolutionSpec, exact_energy, exact_trajectory,
                     kinematics, MISPRINTS, oscillation_period)
 from .integrate import ADAPTIVE45, FIXED_RK4, IntegratorOptions, integrate
 from .transform import map_to_reference, reference_map
-from .verify import (check_names, el1_rhs, el2_rhs, el2_demo_residual,
-                     run_suite)
+from .verify import check_names, el2_demo_residual, run_suite
 
 _FMT = "%.17g"
 
@@ -172,6 +172,8 @@ def _trajectory_rows(system: PdmSystem, traj: Trajectory,
 def _output_settings(cfg: dict, args) -> tuple[str | None, str, int]:
     out = cfg.get("output", {})
     path = args.out if getattr(args, "out", None) else out.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"output.path must be a string, got {path!r}")
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {fmt!r}")

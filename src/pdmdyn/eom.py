@@ -17,43 +17,65 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (TYPE1, TYPE2, PdmSystem, State, potential_gradient)
+from .core import TYPE1, TYPE2, PdmSystem, State, _inside
 from .errors import InvalidParameter, SingularCoefficient
 
 
-def _check_coefficients(system: PdmSystem, x: np.ndarray) -> None:
-    for i in range(system.n):
-        s = system.profiles[i].coefficient_singularity
-        if s is not None and float(x[i]) == s:
-            raise SingularCoefficient(
-                f"equation-of-motion coefficient diverges at x_{i + 1} = {s}", i)
+def el1_rhs(system: PdmSystem) -> Callable:
+    """rhs(t, x, v) of a type1 system: lists of n floats in, n floats out."""
+    if system.kind != TYPE1:
+        raise InvalidParameter("kind", "el1_rhs needs a type1 system")
+    pot = system.potential
+    (lo, hi), pole = pot.domain, pot.pole
+    coords = tuple((i, p.coefficient_singularity, term, p._dual, p.eval)
+                   for i, (p, term) in enumerate(zip(system.profiles, pot.compiled)))
+
+    def rhs(t, x, v):
+        out = []
+        for (i, singular, term, mass, profile), xi, vi in zip(coords, x, v):
+            if xi == singular:
+                raise SingularCoefficient(f"m'/m and 1/m diverge at x_{i + 1} = {xi!r}", i)
+            if not lo < xi < hi or xi == pole:  # the profiles share this domain
+                _inside(pot, i, xi)  # raises the coordinate's error
+            dv = term(xi, 1.0)[1]
+            m, m1, _ = mass(xi, 1.0)
+            if m < 0.0:
+                profile(xi)  # raises the negative-mass DomainViolation
+            out.append(-(m1 / (2.0 * m)) * vi * vi - dv / m)
+        return out
+    return rhs
+
+
+def el2_rhs(system: PdmSystem) -> Callable:
+    """rhs(t, x, v) of a type2 system, as el1_rhs; m <= 0 is a DomainViolation."""
+    if system.kind != TYPE2:
+        raise InvalidParameter("kind", "el2_rhs needs a type2 system")
+    pot = system.potential
+    (lo, hi), pole = pot.domain, pot.pole
+
+    def rhs(t, x, v):
+        m, gradm = system.coupled_profile.value_and_gradient(x)
+        mdot = v2 = 0.0
+        for g, vi in zip(gradm, v):
+            mdot += g * vi
+            v2 += vi * vi
+        out = []
+        for (i, term), xi, vi, g in zip(enumerate(pot.compiled), x, v, gradm):
+            if not lo < xi < hi or xi == pole:
+                _inside(pot, i, xi)  # raises the coordinate's error
+            out.append(-(mdot / m) * vi + 0.5 * (g / m) * v2 - term(xi, 1.0)[1] / m)
+        return out
+    return rhs
 
 
 def el1_acceleration(system: PdmSystem, state: State) -> np.ndarray:
     """Accelerations of the per-coordinate-profile system at a state."""
-    if system.kind != TYPE1:
-        raise InvalidParameter("kind", "el1_acceleration needs a type1 system")
-    _check_coefficients(system, state.x)
-    grad = potential_gradient(system, state.x)
-    out = np.empty(system.n)
-    for i in range(system.n):
-        m, m1, _ = system.profiles[i].eval(float(state.x[i]))
-        vi = float(state.v[i])
-        out[i] = -(m1 / (2.0 * m)) * vi * vi - grad[i] / m
-    return out
+    return np.array(el1_rhs(system)(state.t, [*map(float, state.x)], [*map(float, state.v)]))
 
 
 def el2_acceleration(system: PdmSystem, state: State) -> np.ndarray:
     """Accelerations of the shared-multiplier system at a state."""
-    if system.kind != TYPE2:
-        raise InvalidParameter("kind", "el2_acceleration needs a type2 system")
-    m, gradm = system.coupled_profile.value_and_gradient(state.x)
-    gradm = np.asarray(gradm)
-    v = state.v
-    mdot = float(np.dot(gradm, v))
-    v2 = float(np.dot(v, v))
-    gradV = potential_gradient(system, state.x)
-    return -(mdot / m) * v + 0.5 * (gradm / m) * v2 - gradV / m
+    return np.array(el2_rhs(system)(state.t, [*map(float, state.x)], [*map(float, state.v)]))
 
 
 SolutionFn = Callable[[float], tuple]
@@ -81,10 +103,4 @@ def el1_residual(system: PdmSystem, solution: SolutionFn, t: float) -> np.ndarra
     printed formula.
     """
     x, v, a = _kinematics(solution, t)
-    _check_coefficients(system, x)
-    grad = potential_gradient(system, x)
-    r = np.empty(system.n)
-    for i in range(system.n):
-        m, m1, _ = system.profiles[i].eval(float(x[i]))
-        r[i] = a[i] + (m1 / (2.0 * m)) * v[i] ** 2 + grad[i] / m
-    return r
+    return a - el1_rhs(system)(t, x.tolist(), v.tolist())

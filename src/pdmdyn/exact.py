@@ -99,14 +99,18 @@ def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
 
 
 def kinematics(spec: ExactSolutionSpec, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic (x, xdot, xddot) of the closed form at time t."""
+    """Analytic (x, xdot, xddot) of the closed form at time t; an InvalidSpec
+    where an extreme amplitude makes it overflow or divide by zero."""
     n, record = spec.n, spec.record
-    rates = spec.params.omega
-    if record.amplitude_dependent:
-        rates = frequency_relation(spec.family, spec.params, spec.amplitude)
     x, v, a = np.empty(n), np.empty(n), np.empty(n)
-    for i in range(n):
-        x[i], v[i], a[i] = record.closed_form(spec, i, t, float(rates[i]))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rates = (frequency_relation(spec.family, spec.params, spec.amplitude)
+                     if record.amplitude_dependent else spec.params.omega)
+            for i in range(n):
+                x[i], v[i], a[i] = record.closed_form(spec, i, t, float(rates[i]))
+    except ArithmeticError as err:
+        raise InvalidSpec(f"closed form fails at amplitude {spec.amplitude}: {err}") from err
     return x, v, a
 
 

@@ -4,13 +4,12 @@ Two schemes run on one stepping loop: an embedded Dormand-Prince 5(4) pair
 with PI step-size control, and classical fixed-step RK4.  Each is a tableau
 whose last stage row equals its weights, so the stage at the new state is the
 next step's first (FSAL) and RK4 costs four right-hand-side calls per step.
-The loop keeps the stage derivatives in one (stages, 2n) array and forms each
-stage state, the propagated solution and, for the 5(4) pair, the error
-estimate as tableau-row products with it.  The fixed scheme differs only
-where it must: no error estimate, no step-size change and no retry.  The
-domain guard runs at every internal stage, not just accepted steps, so
-trajectories that approach a mass-profile boundary terminate cleanly instead
-of corrupting the step-size controller.
+The loop runs on lists of floats; each stage state, the new state and the
+5(4) error estimate sum a tableau row's non-zero weights in stage order.  The
+fixed scheme differs only where it must: no error estimate, no step-size
+change, no retry, and a non-finite step ends it.  The domain guard runs at
+every internal stage, so a trajectory that approaches a mass-profile boundary
+terminates cleanly instead of corrupting the step-size controller.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .core import State, Termination, Trajectory
 from .errors import (DomainViolation, ExprDomainError, InvalidParameter,
                      NoPeriod, SingularCoefficient, SingularPoint)
 
-RhsFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+RhsFn = Callable[[float, list, list], Sequence[float]]  # x, v: lists of n floats
 
 FIXED_RK4 = "fixed_rk4"
 ADAPTIVE45 = "adaptive45"
@@ -92,36 +91,52 @@ _RK4_A = np.array([
     [1 / 6, 1 / 3, 1 / 3, 1 / 6, 0.0],
 ])
 
-# scheme -> (nodes, stage rows, weights, error weights or None for a fixed step)
-_TABLEAUS = {ADAPTIVE45: (_C, _A, _B5, _E), FIXED_RK4: (_RK4_C, _RK4_A, _RK4_A[-1], None)}
+
+def _pairs(row) -> tuple:
+    return tuple((k, float(w)) for k, w in enumerate(row) if w)
+
+
+# scheme -> (nodes of stages 1.., non-zero (stage, weight) pairs of their rows,
+# those of the error weights or None for a fixed step)
+_TABLEAUS = {ADAPTIVE45: (_C[1:].tolist(), [_pairs(r) for r in _A[1:]], _pairs(_E)),
+             FIXED_RK4: (_RK4_C[1:].tolist(), [_pairs(r) for r in _RK4_A[1:]], None)}
+
+
+def _combine(y: list, h: float, K: list, pairs: tuple) -> list:
+    """y + h * (sum of w * K[k] over the pairs, in stage order), componentwise."""
+    out = []
+    for j, p in enumerate(y):
+        s = 0.0
+        for k, w in pairs:
+            s += w * K[k][j]
+        out.append(p + h * s)
+    return out
 
 
 def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory:
     """Integrate up to opts.t_end, or truncate on a guard/step failure."""
     t = initial.t
-    x0 = np.array(initial.x, dtype=float)
-    v0 = np.array(initial.v, dtype=float)
-    if not (math.isfinite(t) and np.all(np.isfinite(x0)) and np.all(np.isfinite(v0))):
+    x0, v0 = (np.array(s, dtype=float).tolist() for s in (initial.x, initial.v))
+    if not (math.isfinite(t) and all(map(math.isfinite, x0 + v0))):
         raise InvalidParameter("initial", f"state must be finite, got t={t!r}, "
-                                          f"x={x0.tolist()}, v={v0.tolist()}")
+                                          f"x={x0}, v={v0}")
     if not opts.t_end >= t:
         raise InvalidParameter("t_end", f"{opts.t_end!r} is before the initial time {t!r}")
     try:
-        a0 = np.array(rhs(t, x0, v0))  # initial state must be valid
+        a0 = [*map(float, rhs(t, x0, v0))]  # initial state must be valid
     except ArithmeticError as err:
         what = "float overflow" if isinstance(err, OverflowError) else err
         raise DomainViolation(f"{what} at the initial state", t=t) from err
     # float arithmetic on a finite state turns non-finite only by overflowing
-    if not np.all(np.isfinite(a0)):
+    if not all(map(math.isfinite, a0)):
         raise DomainViolation("float overflow at the initial state", t=t)
 
-    c, a, b, e = _TABLEAUS[opts.scheme]
+    nodes, rows, e = _TABLEAUS[opts.scheme]
     adaptive = e is not None
     n = len(x0)
+    y = x0 + v0
     ts, xs, vs, accs = [t], [x0], [v0], [a0]
-    y = np.concatenate([x0, v0])
-    K = np.empty((len(c), 2 * n))  # stage derivatives (v, a) of y = (x, v), by row
-    K[0] = np.concatenate([v0, a0])
+    K = [v0 + a0] + [None] * len(rows)  # stage derivatives (v, a) of y = (x, v)
     if adaptive:
         h = min(opts.h_init, opts.h_max, max(opts.t_end - t, opts.h_min))
     else:
@@ -137,16 +152,15 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
     term = Termination("completed")
 
     while t < opts.t_end - eps_end:
-        if accepted + rejected >= opts.max_steps:
+        h = min(h, opts.t_end - t)
+        if accepted + rejected >= opts.max_steps or t + h == t:  # h too small to move t
             term = Termination("step_failure", t)
             break
-        h = min(h, opts.t_end - t)
         try:
-            for i in range(1, len(c)):
-                yi = y + h * a[i, :i].dot(K[:i])
+            for i, (c, row) in enumerate(zip(nodes, rows), 1):
+                yi = _combine(y, h, K, row)
                 vi = yi[n:]
-                K[i, :n] = vi
-                K[i, n:] = rhs(t + c[i] * h, yi[:n], vi)
+                K[i] = vi + [*map(float, rhs(t + c * h, yi[:n], vi))]
         except _GUARDABLE as err:
             nfev += i
             if adaptive and h > opts.h_min * 4.0:
@@ -156,12 +170,15 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
                 continue
             term = Termination("domain_violation", t, getattr(err, "coordinate", None))
             break
-        nfev += len(c) - 1
+        nfev += len(rows)
 
-        y_new = y + h * b.dot(K)
+        y_new = yi  # the last stage row is the weights
         if adaptive:
-            r = e.dot(K) / (opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
-            err = h * math.sqrt(r.dot(r) / r.size)  # RMS of the scaled error
+            sq = 0.0
+            for d, p, q in zip(_combine([0.0] * len(y), 1.0, K, e), y, y_new):
+                r = d / (opts.abs_tol + opts.rel_tol * max(abs(p), abs(q)))
+                sq += r * r
+            err = h * math.sqrt(sq / len(y))  # RMS of the scaled error
 
             if not math.isfinite(err):
                 h = max(h * 0.25, opts.h_min)
@@ -179,21 +196,24 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
                 factor = max(safety * err ** (-0.2), 0.2)
                 h = max(h * min(factor, 1.0), opts.h_min)
                 continue
+        elif not all(map(math.isfinite, y_new + K[-1])):
+            term = Termination("step_failure", t)  # no error estimate caught it
+            break
 
         t += h
-        y = y_new  # a fresh array, so the x and v views below stay valid
+        y = y_new
         K[0] = K[-1]  # FSAL
         ts.append(t)
         xs.append(y[:n])
         vs.append(y[n:])
-        accs.append(K[-1, n:].copy())
+        accs.append(K[0][n:])
         accepted += 1
         if adaptive:
             max_err = max(max_err, err)
             factor = safety * (err ** -k_i if err > 0.0 else 10.0) * (err_prev ** k_p)
             err_prev = max(err, 1e-10)
             h = min(max(h * min(max(factor, 0.2), 5.0), opts.h_min), opts.h_max)
-    return Trajectory(np.array(ts), np.vstack(xs), np.vstack(vs), np.vstack(accs),
+    return Trajectory(np.array(ts), np.array(xs), np.array(vs), np.array(accs),
                       accepted, rejected, max_err, term, nfev)
 
 

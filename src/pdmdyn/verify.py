@@ -19,7 +19,7 @@ import numpy as np
 from . import exprparse
 from .core import (TYPE2, PdmSystem, State, build_system, parameter_set,
                    total_energy)
-from .eom import el1_acceleration, el1_residual, el2_acceleration
+from .eom import el1_acceleration, el1_residual, el1_rhs, el2_acceleration, el2_rhs
 from .errors import ExprError, PdmError, UnknownCheck
 from .exact import (AMENDED_FORM, ExactSolutionSpec, build_exact_system,
                     exact_energy, exact_solution, exact_trajectory,
@@ -139,18 +139,6 @@ def standard_case(name: str) -> Case:
     if name not in CASES:
         raise UnknownCheck(f"no benchmark case named {name!r}")
     return CASES[name]
-
-
-def el1_rhs(system: PdmSystem):
-    def rhs(t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return el1_acceleration(system, State(t, x, v))
-    return rhs
-
-
-def el2_rhs(system: PdmSystem):
-    def rhs(t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return el2_acceleration(system, State(t, x, v))
-    return rhs
 
 
 def _adaptive(t_end: float, rel_tol: float = 1e-10, abs_tol: float | None = None,

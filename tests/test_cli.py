@@ -223,6 +223,20 @@ class TestSimulate:
             capture_output=True, text=True, env=env, timeout=10)
         assert (done.returncode, done.stderr) == (code, err)
 
+    def test_extreme_tolerances_write_only_the_note(self, tmp_path):
+        # the scaled error overflows at tolerances of 5e-324; stderr must hold
+        # the truncation note and nothing else, no numpy warning
+        cfg_data = copy.deepcopy(ML1_CONFIG)
+        cfg_data["integrator"].update(rel_tol=5e-324, abs_tol=5e-324)
+        env = dict(os.environ, PYTHONPATH=str(Path(pdmdyn.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "pdmdyn.cli", "simulate", "--config",
+             write_config(tmp_path, cfg_data)],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode == 0
+        assert done.stderr == ("note: integration truncated: "
+                               "Termination(kind='step_failure', t=0.0, coordinate=None)\n")
+
     @pytest.mark.parametrize("family,params,x0,err", [
         # m = 1/(1 + x^2) underflows to 0 in m'/(2m)
         ("ml1", {"omega": [1.0], "lambda": 1.0, "sign": "+"}, 1e200,

@@ -1,5 +1,5 @@
-"""Property tests: any ``params`` mapping or ``integrator`` block through
-``pdmdyn simulate`` ends cleanly.
+"""Property tests: any ``params`` mapping, ``integrator``, ``initial`` or
+``output`` block through ``pdmdyn simulate`` ends cleanly.
 
 The run must exit 0 (possibly with a truncation note) or exit 2 with a single
 ``error:`` line; any other exception escapes run_cli and fails the test.
@@ -19,6 +19,7 @@ from pdmdyn.families import FAMILIES
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
+example = hypothesis.example
 
 # in range for every parameter, so any family builds from it
 BASE = {"omega": 1.0, "lambda": 0.5, "sign": "+", "alpha": 1.0, "upsilon": 1.5,
@@ -29,7 +30,9 @@ _numbers = st.floats(allow_nan=True, allow_infinity=True)
 _values = st.one_of(_numbers, st.sampled_from(["+", "-"]), st.lists(_numbers, max_size=4))
 
 
-def simulate_ends_cleanly(cfg):
+def simulate_ends_cleanly(cfg, io_error=False):
+    """Run cfg; io_error allows an ``i/o error:`` line for an unwritable
+    output path where an ``error:`` line is allowed."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
         path.write_text(json.dumps(cfg))
@@ -38,10 +41,12 @@ def simulate_ends_cleanly(cfg):
     hypothesis.event(f"exit {code}" + (", note" if err.getvalue().startswith("note") else ""))
     if code == 2:
         assert out.getvalue() == ""
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        lead = ("error:", "i/o error:") if io_error else "error:"
+        assert err.getvalue().startswith(lead) and err.getvalue().count("\n") == 1
     else:
         assert code == 0
         assert err.getvalue() == "" or err.getvalue().startswith("note: ")
+    return code, out.getvalue()
 
 
 @given(family=st.sampled_from(sorted(FAMILIES) + ["custom"]),
@@ -95,3 +100,78 @@ def test_integrator_block_ends_in_exit_0_or_an_error_line(scheme, block):
         "family": "ml1", "n": 1, "params": {"omega": [1.0], "lambda": 0.5, "sign": "+"},
         "initial": {"x": [0.5], "v": [0.1]},
         "integrator": dict(block, scheme=scheme)})
+
+
+_EXTREME = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, _LARGEST, -_LARGEST,
+            math.nan, math.inf, -math.inf]
+_coordinate = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(_EXTREME),
+                        st.floats(allow_nan=True, allow_infinity=True))
+_vector = st.one_of(st.lists(_coordinate, max_size=4), _coordinate, st.none(),
+                    st.sampled_from(["", "x", [None], [[0.5]]]))
+# finite start times are -0.01 or later, so no example integrates over a long
+# span, or far enough back (-1e300) that a step cannot advance t; later,
+# non-finite or misspelt ones are errors
+_t0 = st.one_of(st.sampled_from([0.0, -0.01, 0.005, 0.02, 1e300, _LARGEST, None, "0"]),
+                st.sampled_from(_EXTREME[5:]), st.floats(-0.01, 0.01))
+_from_exact = st.fixed_dictionaries({"amplitude": _vector}, optional={
+    "t0": _t0, "phase": _vector, "variant": st.sampled_from(["published", "amended", "x"])})
+
+
+@given(family=st.sampled_from(sorted(FAMILIES) + ["custom"]),
+       n=st.integers(1, 3),
+       initial=st.one_of(
+           st.fixed_dictionaries({}, optional={"x": _vector, "v": _vector, "t0": _t0}),
+           st.fixed_dictionaries({"from_exact": _from_exact})),
+       scheme=st.sampled_from(["adaptive45", "fixed_rk4"]))
+# closed forms that overflowed (A^4) or divided by zero, with a traceback
+@example(family="sw2", n=1, initial={"from_exact": {"amplitude": [1e300]}},
+         scheme="adaptive45")
+@example(family="isotonic", n=2, initial={"from_exact": {"amplitude": [5e-324, 1.0]}},
+         scheme="fixed_rk4")
+# t + h == t from here: the run stood still until max_steps
+@example(family="ml1", n=1, initial={"x": [0.5], "v": [0.1], "t0": -1e300},
+         scheme="adaptive45")
+@settings(max_examples=200, deadline=None)
+def test_initial_block_ends_in_exit_0_or_an_error_line(family, n, initial, scheme):
+    """Positions and velocities of any length holding finite, zero, tiny,
+    huge, NaN or infinite values, or not lists at all; start times; and
+    closed-form starts with any amplitudes."""
+    simulate_ends_cleanly({
+        "family": family, "n": n, "params": BASE,
+        "custom": {"mass": ["1+x^2"] * n, "potential": ["0.5*x^2"] * n},
+        "initial": initial,
+        "integrator": {"scheme": scheme, "t_end": 0.01, "h_min": 1e-4}})
+
+
+# file names under the example's directory, the directory itself, a missing
+# directory, and values that are no path at all
+_NAMES = ["out.csv", "out.json", "", ".", "missing/out.csv"]
+
+
+@given(output=st.fixed_dictionaries({}, optional={
+           "format": st.one_of(st.sampled_from(["csv", "json", "CSV", "", "tsv"]),
+                               st.none(), st.integers(), st.lists(st.text(max_size=2))),
+           "stride": st.one_of(st.integers(-3, 5), st.sampled_from(_EXTREME + [10**30]),
+                               st.none(), st.sampled_from(["2", "x", [1], 1.5, True])),
+           "path": st.one_of(st.sampled_from(_NAMES), st.none(), st.integers(),
+                             st.sampled_from([[], ["out.csv"], {}, True, 1.5]))}))
+@example(output={"path": 0})  # a traceback from Path(0)
+@example(output={"path": "missing/out.csv", "format": "json", "stride": 3})
+@settings(max_examples=200, deadline=None)
+def test_output_block_ends_in_exit_0_or_an_error_line(output):
+    """Formats, strides and paths drawn valid, misspelt, out of range or of
+    the wrong type; a run that exits 0 writes its table where asked.  A path
+    that names a directory or lies in a missing one is an ``i/o error:``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(output.get("path"), str):
+            output = dict(output, path=str(Path(tmp) / output["path"]))
+        code, out = simulate_ends_cleanly({
+            "family": "ml1", "n": 1, "params": {"omega": [1.0], "lambda": 0.5, "sign": "+"},
+            "initial": {"x": [0.5], "v": [0.1]},
+            "integrator": {"t_end": 0.01}, "output": output}, io_error=True)
+        if code == 0:
+            path = output.get("path")
+            table = Path(path).read_text() if path is not None else out
+            assert table.startswith('t,x_1,v_1,E\n' if output.get("format", "csv") == "csv"
+                                    else '{\n "columns"')
+            assert out == ("" if path is not None else table)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pdmdyn.core import TYPE2, State, build_system, parameter_set
-from pdmdyn.eom import el1_acceleration, el1_residual, el2_acceleration
-from pdmdyn.errors import (InvalidParameter, MissingParameter,
+from pdmdyn.core import TYPE2, State, build_system, parameter_set, potential_gradient
+from pdmdyn.eom import el1_acceleration, el1_residual, el1_rhs, el2_acceleration, el2_rhs
+from pdmdyn.errors import (DomainViolation, InvalidParameter, MissingParameter,
                            SingularCoefficient, SingularPoint)
 from pdmdyn.exact import ExactSolutionSpec, kinematics, solution_fn
 
@@ -150,3 +150,140 @@ class TestResidualOracle:
         for t in np.linspace(0.1, 6.0, 25):
             r = el1_residual(system, no_accel, float(t))
             assert abs(r[0]) < 1e-5
+
+
+# --- the fused closures against the array API and the layered formula ---------
+
+# catalog family -> (parameters besides omega, box of in-domain positions)
+CATALOG = {
+    "ml1+": ("ml1", {"lambda": 0.8, "sign": "+"}, (-2.5, 2.5)),
+    "ml1-": ("ml1", {"lambda": 0.8, "sign": "-"}, (-1.0, 1.0)),
+    "ml2+": ("ml2", {"lambda": 0.8, "sign": "+", "eta_const": 1.3}, (-2.5, 2.5)),
+    "ml2-": ("ml2", {"lambda": 0.8, "sign": "-", "eta_const": -0.7}, (-1.0, 1.0)),
+    "powerlaw": ("powerlaw", {"alpha": 1.2, "upsilon": 1.5}, (0.2, 2.5)),
+    "morse": ("morse", {"zeta": 0.7}, (-1.5, 1.5)),
+    "sw1+": ("sw1", {"lambda": 0.8, "sign": "+", "kappa": 0.9}, (0.2, 2.5)),
+    "sw1-": ("sw1", {"lambda": 0.8, "sign": "-", "kappa": 0.9}, (0.2, 1.0)),
+    "sw2": ("sw2", {"beta": 1.1, "eta_exp": 1.7, "kappa": 0.9}, (0.2, 2.5)),
+    "harmonic": ("harmonic", {}, (-2.5, 2.5)),
+    "isotonic": ("isotonic", {"kappa": 0.9}, (0.2, 2.5)),
+}
+
+# the custom systems of the benchmark's expression workload: (mass, potential)
+CUSTOM1 = {
+    "twin-ml1+": (["1/(1+x^2)"], ["0.5*x^2/(1+x^2)"]),
+    "type1-n2": (["1+0.5*sin(x)^2", "exp(-0.25*x^2)+0.5"],
+                 ["sqrt(1+x^2)-1", "0.5*x^2+0.1*ln(1+x^2)"]),
+}
+CUSTOM2 = {
+    "type2-n2": (["1+x1^2+x2^2"], None),
+    "type2-n3": (["2+sin(x1*x2)+0.5*x3^2"], ["0.5*x^2", "0.5*x^2", "0.5*x^2"]),
+}
+
+
+def reference_el1(system, x, v):
+    """The layered type1 formula: coefficient checks, the potential gradient,
+    then each profile's checked value."""
+    for i, profile in enumerate(system.profiles):
+        if x[i] == profile.coefficient_singularity:
+            raise SingularCoefficient("coefficient diverges", i)
+    grad = potential_gradient(system, x)
+    out = []
+    for i, profile in enumerate(system.profiles):
+        m, m1, _ = profile.eval(x[i])
+        out.append(-(m1 / (2.0 * m)) * v[i] * v[i] - float(grad[i]) / m)
+    return out
+
+
+def reference_el2(system, x, v):
+    """The shared-multiplier formula in array form."""
+    m, gradm = system.coupled_profile.value_and_gradient(x)
+    gradm, v = np.asarray(gradm), np.asarray(v)
+    return -(gradm @ v / m) * v + 0.5 * (gradm / m) * (v @ v) - potential_gradient(system, x) / m
+
+
+def catalog_system(name, n):
+    family, params, _ = CATALOG[name]
+    return build_system(family, n, {"omega": [1.0, 1.3, 0.7][:n], **params})
+
+
+def states(seed, box, n, count=100):
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(*box, n).tolist(), rng.uniform(-2.0, 2.0, n).tolist())
+            for _ in range(count)]
+
+
+class TestFusedRhs:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_closure_is_bit_identical(self, name, n):
+        system = catalog_system(name, n)
+        rhs = el1_rhs(system)
+        for x, v in states(n, CATALOG[name][2], n):
+            got = rhs(0.0, x, v)
+            assert all(type(a) is float for a in got) and len(got) == n
+            assert got == el1_acceleration(system, State.of(0.0, x, v)).tolist()
+            assert got == reference_el1(system, x, v)
+
+    @pytest.mark.parametrize("name", sorted(CUSTOM1))
+    def test_custom_type1_closure_is_bit_identical(self, name):
+        mass, potential = CUSTOM1[name]
+        system = build_system("custom", len(mass), mass_exprs=mass, potential_exprs=potential)
+        rhs = el1_rhs(system)
+        for x, v in states(5, (-2.0, 2.0), system.n):
+            got = rhs(0.0, x, v)
+            assert got == el1_acceleration(system, State.of(0.0, x, v)).tolist()
+            assert got == reference_el1(system, x, v)
+
+    @pytest.mark.parametrize("name", sorted(CUSTOM2))
+    def test_custom_type2_closure_is_bit_identical(self, name):
+        mass, potential = CUSTOM2[name]
+        n = int(name[-1])
+        system = build_system("custom", n, mass_exprs=mass, potential_exprs=potential,
+                              kind=TYPE2)
+        rhs = el2_rhs(system)
+        for x, v in states(6, (-2.0, 2.0), n):
+            got = rhs(0.0, x, v)
+            assert all(type(a) is float for a in got) and len(got) == n
+            assert got == el2_acceleration(system, State.of(0.0, x, v)).tolist()
+            # the array form sums the dot products in its own order
+            assert np.allclose(got, reference_el2(system, x, v), rtol=1e-14, atol=1e-14)
+
+    def test_closures_check_the_kind(self):
+        with pytest.raises(InvalidParameter):
+            el1_rhs(build_system("custom", 1, mass_exprs=["1+x1^2"], kind=TYPE2))
+        with pytest.raises(InvalidParameter):
+            el2_rhs(ml1_system())
+
+    @pytest.mark.parametrize("system,x,error,coordinate", [
+        # the '-' branch's domain edge, 1/sqrt(lambda), in the second coordinate
+        (catalog_system("ml1-", 2), [0.5, 1 / math.sqrt(0.8)], DomainViolation, 1),
+        (catalog_system("ml1-", 2), [-1.2, 0.5], DomainViolation, 0),
+        # the inverse-square pole at 0
+        (catalog_system("isotonic", 2), [0.5, 0.0], SingularPoint, 1),
+        (catalog_system("sw1+", 3), [0.5, 0.7, 0.0], SingularPoint, 2),
+        # the power law's coefficient singularity, on the closure of its domain
+        (catalog_system("powerlaw", 2), [0.5, 0.0], SingularCoefficient, 1),
+        (catalog_system("powerlaw", 2), [0.5, -0.1], DomainViolation, 1),
+        # a custom mass that turns negative
+        (build_system("custom", 2, mass_exprs=["1", "1-x^2"]), [0.5, 2.0], DomainViolation, None),
+    ])
+    def test_type1_errors_match(self, system, x, error, coordinate):
+        v = [0.3] * system.n
+        raised = []
+        for call in (lambda: el1_rhs(system)(0.0, x, v),
+                     lambda: el1_acceleration(system, State.of(0.0, x, v)),
+                     lambda: reference_el1(system, x, v)):
+            with pytest.raises(error) as err:
+                call()
+            raised.append(err.value.coordinate)
+        assert raised == [coordinate] * 3
+
+    def test_type2_negative_mass_matches(self):
+        system = build_system("custom", 2, mass_exprs=["1-x1^2-x2^2"], kind=TYPE2)
+        for call in (lambda: el2_rhs(system)(0.0, [2.0, 0.0], [0.1, 0.2]),
+                     lambda: el2_acceleration(system, State.of(0.0, [2.0, 0.0], [0.1, 0.2])),
+                     lambda: reference_el2(system, [2.0, 0.0], [0.1, 0.2])):
+            with pytest.raises(DomainViolation) as err:
+                call()
+            assert err.value.coordinate is None

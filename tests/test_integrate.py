@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from pdmdyn.core import State, build_system, parameter_set
+from pdmdyn.core import State, Termination, build_system, parameter_set
 from pdmdyn.errors import DomainViolation, InvalidParameter, NoPeriod
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
 from pdmdyn.integrate import (ADAPTIVE45, FIXED_RK4, IntegratorOptions, _A, _B4,
                               _B5, _C, _E, _RK4_A, _RK4_C, estimate_period,
                               integrate, sample_dense)
-from pdmdyn.verify import el1_rhs
+from pdmdyn.eom import el1_rhs
 
 
 def harmonic_rhs(t, x, v):
-    return -x
+    return -np.asarray(x)
 
 
 class Counted:
@@ -31,7 +31,7 @@ class Counted:
 
 
 # Dormand-Prince 5(4) coefficients as separate rows, summed stage by stage
-# with Python sums over lists: the reference for the stage-array stepper.
+# with Python sums over lists: the reference for the stepper.
 _REF_A = [
     [],
     [1 / 5],
@@ -77,6 +77,7 @@ def random_rhs(n, rng):
     D = rng.normal(size=(n, n))
 
     def rhs(t, x, v):
+        x, v = np.asarray(x), np.asarray(v)
         return M @ np.sin(x) - D @ (x * v) + math.cos(t)
     return rhs
 
@@ -147,7 +148,7 @@ def _raising_beyond(limit, error):
     def rhs(t, x, v):
         if np.any(np.abs(x) > limit):
             raise error("float arithmetic")
-        return -x
+        return -np.asarray(x)
     return rhs
 
 
@@ -252,7 +253,7 @@ class TestIntegrate:
         def rhs(t, x, v):
             if abs(x[0]) > 0.5:
                 raise DomainViolation("left the watched region", t=t, coordinate=0)
-            return -x
+            return -np.asarray(x)
 
         opts = IntegratorOptions(t_end=10.0, scheme=scheme, h=0.01, rel_tol=1e-8)
         traj = integrate(rhs, State.of(0.0, [0.0], [1.0]), opts)
@@ -265,6 +266,18 @@ class TestIntegrate:
         traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
         assert traj.termination.kind == "completed"
         assert abs(traj.x[-1, 0] - 1.0) < 1e-10
+
+    def test_fixed_rk4_stops_at_a_non_finite_step(self):
+        # float arithmetic that overflows returns inf instead of raising; the
+        # fixed scheme has no error estimate to reject the step
+        def rhs(t, x, v):
+            return [math.inf if abs(x[0]) > 0.9 else -x[0]]
+
+        opts = IntegratorOptions(t_end=3.0, scheme=FIXED_RK4, h=0.01)
+        traj = integrate(rhs, State.of(0.0, [0.5], [0.8]), opts)
+        assert traj.termination == Termination("step_failure", traj.t[-1])
+        assert 0.0 < traj.t[-1] < 3.0
+        assert all(np.all(np.isfinite(a)) for a in (traj.x, traj.v, traj.a))
 
     def test_fixed_rk4_reuses_the_last_stage(self):
         # four RHS calls per step plus the initial acceleration
@@ -366,6 +379,16 @@ class TestMaxSteps:
         assert traj.termination.kind == "step_failure"
         assert traj.termination.t == traj.t[-1] < 10.0
         assert traj.accepted + traj.rejected == 100
+
+
+class TestStepBelowFloatSpacing:
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    def test_step_that_cannot_advance_time_is_a_step_failure(self, scheme):
+        # at t = -1e300 every step of 1e-3 rounds away: t + h == t
+        opts = IntegratorOptions(t_end=0.01, scheme=scheme, max_steps=10_000)
+        traj = integrate(harmonic_rhs, State.of(-1e300, [1.0], [0.0]), opts)
+        assert traj.termination == Termination("step_failure", -1e300)
+        assert (len(traj), traj.accepted, traj.nfev) == (1, 0, 1)
 
 
 class TestEvaluationCount:

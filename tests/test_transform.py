@@ -19,7 +19,7 @@ from pdmdyn.transform import (NonlocalMap, el2_mapped_residual,
                               inverse_q, map_to_reference,
                               potential_match_residual, q_map, reference_map,
                               tau_values)
-from pdmdyn.verify import el1_rhs, el2_rhs
+from pdmdyn.eom import el1_rhs, el2_rhs
 
 
 def ml1_map(sign="+", lam=1.0, omega=1.0):
