@@ -144,13 +144,6 @@ class State:
 
 
 @dataclass(frozen=True)
-class EnergyBreakdown:
-    kinetic: float
-    potential: float
-    total: float
-
-
-@dataclass(frozen=True)
 class Termination:
     kind: str                      # "completed" | "domain_violation" | "step_failure"
     t: float | None = None
@@ -333,11 +326,11 @@ def kinetic_energy(system: PdmSystem, state: State) -> float:
     return total
 
 
-def total_energy(system: PdmSystem, state: State) -> EnergyBreakdown:
-    """T, V and T + V; a DomainViolation when a term or the sum is not finite."""
+def total_energy(system: PdmSystem, state: State) -> float:
+    """T + V; a DomainViolation when a term or the sum is not finite."""
     t = kinetic_energy(system, state)
     v = potential_energy(system, state.x)
     if not math.isfinite(t + v):
         raise DomainViolation(f"energy is not finite at t={state.t!r}: T={t!r}, V={v!r}",
                               t=state.t)
-    return EnergyBreakdown(t, v, t + v)
+    return t + v

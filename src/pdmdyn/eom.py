@@ -9,6 +9,10 @@ The constant-mass reference oscillators are the catalog ``harmonic`` and
 The per-family printed forms in the literature are used as cross-check
 oracles in the tests, never as separate code paths (several of them carry
 typos that the generic form adjudicates).
+
+el1_residual checks a candidate solution t -> (x, v, a) whose acceleration
+is analytic, as every closed form in ``exact`` supplies it; nothing here is
+finite-differenced.
 """
 
 from __future__ import annotations
@@ -78,29 +82,12 @@ def el2_acceleration(system: PdmSystem, state: State) -> np.ndarray:
     return np.array(el2_rhs(system)(state.t, [*map(float, state.x)], [*map(float, state.v)]))
 
 
-SolutionFn = Callable[[float], tuple]
-
-
-def _kinematics(solution: SolutionFn, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    out = solution(t)
-    if len(out) == 3 and out[2] is not None:
-        x, v, a = out
-        return np.asarray(x, float), np.asarray(v, float), np.asarray(a, float)
-    x, v = out[0], out[1]
-    # no analytic acceleration: 4th-order central difference of x(t)
-    h = 1e-4 * max(1.0, abs(t))
-    xs = [np.asarray(solution(t + k * h)[0], float) for k in (-2, -1, 0, 1, 2)]
-    a = (-xs[4] + 16.0 * xs[3] - 30.0 * xs[2] + 16.0 * xs[1] - xs[0]) / (12.0 * h * h)
-    return np.asarray(x, float), np.asarray(v, float), a
-
-
-def el1_residual(system: PdmSystem, solution: SolutionFn, t: float) -> np.ndarray:
+def el1_residual(system: PdmSystem, solution: Callable[[float], tuple],
+                 t: float) -> np.ndarray:
     """Residual of a candidate solution against the type1 equations of motion.
 
-    ``solution(t)`` returns (x, v) or (x, v, a); without an analytic
-    acceleration a 4th-order central difference with step 1e-4*max(1,|t|)
-    is used.  Zero residual certifies the solution independently of any
-    printed formula.
+    ``solution(t)`` returns the analytic (x, v, a).  Zero residual certifies
+    the solution independently of any printed formula.
     """
-    x, v, a = _kinematics(solution, t)
+    x, v, a = (np.asarray(c, float) for c in solution(t))
     return a - el1_rhs(system)(t, x.tolist(), v.tolist())

@@ -18,13 +18,13 @@ one in MISPRINTS (surfaced by the CLI).  Three such corrections are active:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import (ParameterSet, PdmSystem, State, _check_lengths, build_system,
-                   total_energy)
+from .core import ParameterSet, State, _check_lengths, build_system, total_energy
 from .errors import InvalidParameter, InvalidSpec, UnsupportedFamily
 from .families import (AMENDED_FORM, FAMILIES, PUBLISHED_FORM,
                        ml2_reduction_check)
@@ -60,16 +60,19 @@ class ExactSolutionSpec:
         if len(phase) != n:
             raise InvalidSpec("amplitude and phase lengths differ")
         _check_lengths(self.params, n)
+        if not all(map(math.isfinite, (*self.amplitude, *phase))):
+            raise InvalidSpec(f"amplitude {self.amplitude} and phase {phase} must be finite")
         record.check(self.params, self.amplitude)
+        # an amplitude so large that the relation overflows reads as 0 or inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rates = frequency_relation(self.family, self.params, self.amplitude)
+        if not np.all(np.isfinite(rates) & (rates > 0.0)):
+            raise InvalidSpec(f"no finite positive frequency at amplitude "
+                              f"{self.amplitude}: {rates.tolist()}")
 
     @property
     def n(self) -> int:
         return len(self.amplitude)
-
-
-def build_exact_system(spec: ExactSolutionSpec) -> PdmSystem:
-    """The PdmSystem whose dynamics the closed form solves."""
-    return build_system(spec.family, spec.n, spec.params)
 
 
 def frequency_relation(family: str, params: ParameterSet,
@@ -100,7 +103,8 @@ def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
 
 def kinematics(spec: ExactSolutionSpec, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic (x, xdot, xddot) of the closed form at time t; an InvalidSpec
-    where an extreme amplitude makes it overflow or divide by zero."""
+    where an extreme amplitude or time makes it overflow, divide by zero or
+    take the cosine of an infinite phase."""
     n, record = spec.n, spec.record
     x, v, a = np.empty(n), np.empty(n), np.empty(n)
     try:
@@ -109,8 +113,9 @@ def kinematics(spec: ExactSolutionSpec, t: float) -> tuple[np.ndarray, np.ndarra
                      if record.amplitude_dependent else spec.params.omega)
             for i in range(n):
                 x[i], v[i], a[i] = record.closed_form(spec, i, t, float(rates[i]))
-    except ArithmeticError as err:
-        raise InvalidSpec(f"closed form fails at amplitude {spec.amplitude}: {err}") from err
+    except (ArithmeticError, ValueError) as err:
+        raise InvalidSpec(f"closed form fails at t={t!r}, amplitude {spec.amplitude}: "
+                          f"{err}") from err
     return x, v, a
 
 
@@ -118,11 +123,6 @@ def exact_solution(spec: ExactSolutionSpec, t: float) -> State:
     """State (positions, velocities) of the closed form at time t."""
     x, v, _ = kinematics(spec, t)
     return State(float(t), x, v)
-
-
-def solution_fn(spec: ExactSolutionSpec):
-    """Adapter for the residual oracle: t -> (x, v, a)."""
-    return lambda t: kinematics(spec, t)
 
 
 def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int):
@@ -134,7 +134,12 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
     from .core import Termination, Trajectory
     if samples < 1:
         raise InvalidParameter("samples", f"need at least 1, got {samples!r}")
-    ts = np.linspace(t0, t1, samples)
+    if not math.isfinite(t1 - t0):
+        raise InvalidParameter("t1", f"the grid from t0={t0!r} to t1={t1!r} is not finite")
+    try:
+        ts = np.linspace(t0, t1, samples)
+    except (ValueError, MemoryError) as err:    # more samples than one array can hold
+        raise InvalidParameter("samples", f"too many for one array: {err}") from None
     xs = np.empty((samples, spec.n))
     vs = np.empty((samples, spec.n))
     accs = np.empty((samples, spec.n))
@@ -152,7 +157,8 @@ def exact_energy(spec: ExactSolutionSpec) -> float:
     """
     term = spec.record.coordinate_energy
     if term is None:
-        return total_energy(build_exact_system(spec), exact_solution(spec, 0.0)).total
+        system = build_system(spec.family, spec.n, spec.params)
+        return total_energy(system, exact_solution(spec, 0.0))
     total = 0.0
     for i in range(spec.n):
         total += term(spec.params, spec.amplitude[i], i)

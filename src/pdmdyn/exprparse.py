@@ -23,6 +23,11 @@ compiled function is kept on the Expr object, so a repeated evaluation
 neither walks the tree nor compiles again.  Constants enter the generated
 code as bound float objects and variables as positional arguments; no text
 of the input reaches the generated source.
+
+A per-coordinate expression (a mass profile or a potential term) is written
+in ``x``, the default variable list everywhere; a shared mass is written in
+``x1..xn``.  ``eval_dual`` and ``eval_gradient`` both run the compiled
+function, so an expression evaluated both ways compiles once.
 """
 
 from __future__ import annotations
@@ -580,39 +585,31 @@ def _compile(expr: Expr, names: tuple[str, ...]) -> Callable[..., tuple[float, f
     return namespace["bind"](*gen.bound)
 
 
-def compile_expression(expr: Expr, names: Sequence[str] | None = None
+def compile_expression(expr: Expr, names: Sequence[str] = ("x",)
                        ) -> Callable[..., tuple[float, float, float]]:
     """The compiled form of ``expr`` over the variables ``names``.
 
     The result ``f(x_1, .., x_n, s_1, .., s_n)`` returns (value, d1, d2)
     with x_i the value of variable i and s_i its seed: the derivatives are
-    taken along the direction s.  ``names=None`` means the expression's
-    alphabetically first variable, or "x" when it has none.  Built once per
-    Expr object and variable list; later calls return the same function.
-    A variable missing from ``names`` raises KeyError.
+    taken along the direction s.  Built once per Expr object and variable
+    list; later calls return the same function.  A variable missing from
+    ``names`` raises KeyError.
     """
-    key = None if names is None else tuple(names)
+    key = tuple(names)
     cache = vars(expr).setdefault("_compiled", {})
     fn = cache.get(key)
     if fn is None:
-        if key is None:
-            names = (min(free_variables(expr), default="x"),)
-        fn = cache[key] = _compile(expr, tuple(names))
+        fn = cache[key] = _compile(expr, key)
     return fn
 
 
-def eval_dual(expr: Expr, x: float, variable: str | None = None) -> tuple[float, float, float]:
-    """Evaluate a one-variable expression: (value, d/dx, d2/dx2) at x.
+def eval_dual(expr: Expr, x: float) -> tuple[float, float, float]:
+    """Evaluate an expression in x: (value, d/dx, d2/dx2) at x.
 
     Derivatives are exact for the grammar's function set; nothing is
     finite-differenced internally.
     """
-    return compile_expression(expr, None if variable is None else (variable,))(x, 1.0)
-
-
-def eval_value(expr: Expr, env: dict[str, float]) -> float:
-    """Plain value of a (possibly multivariate) expression."""
-    return compile_expression(expr, env)(*env.values(), *[0.0] * len(env))[0]
+    return compile_expression(expr)(x, 1.0)
 
 
 def eval_gradient(expr: Expr, names: Sequence[str],
@@ -631,15 +628,3 @@ def eval_gradient(expr: Expr, names: Sequence[str],
         grad.append(fn(*args)[1])
         args[i] = 0.0
     return val, grad
-
-
-def free_variables(expr: Expr) -> set[str]:
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Neg):
-        return free_variables(expr.arg)
-    if isinstance(expr, Call):
-        return free_variables(expr.arg)
-    if isinstance(expr, BinOp):
-        return free_variables(expr.left) | free_variables(expr.right)
-    return set()

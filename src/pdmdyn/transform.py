@@ -77,37 +77,6 @@ def q_map(nmap: NonlocalMap, i: int, x: float) -> tuple[float, float]:
             nmap.record.f(p, i, x, m1 / (2.0 * m)) * root)
 
 
-def inverse_q(nmap: NonlocalMap, i: int, q: float,
-              bracket: tuple[float, float]) -> float:
-    """x with q_i(x) = q inside a bracket where the map is monotone.
-
-    Safeguarded bisection with Newton acceleration through dq/dx.
-    """
-    lo, hi = bracket
-    q_lo = q_map(nmap, i, lo)[0] - q
-    q_hi = q_map(nmap, i, hi)[0] - q
-    if q_lo == 0.0:
-        return lo
-    if q_hi == 0.0:
-        return hi
-    if (q_lo > 0.0) == (q_hi > 0.0):
-        raise InvalidParameter("bracket", "does not bracket the target value")
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        qi, dq = q_map(nmap, i, x)
-        r = qi - q
-        if abs(r) < 1e-14 * max(1.0, abs(q)):
-            return x
-        if (r > 0.0) == (q_hi > 0.0):
-            hi = x
-        else:
-            lo = x
-        step = r / dq if dq != 0.0 else math.inf
-        x_newton = x - step
-        x = x_newton if lo < x_newton < hi else 0.5 * (lo + hi)
-    return x
-
-
 def tau_values(nmap: NonlocalMap, traj: Trajectory, i: int,
                require_positive: bool = True) -> np.ndarray:
     """Cumulative rescaled time tau_i(t) along a trajectory, tau_i(t0) = 0.

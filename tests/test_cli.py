@@ -409,8 +409,32 @@ class TestExact:
         }
         assert run(["exact", "--config", write_config(tmp_path, cfg_data)]) == (2, "", err)
 
+    def test_overflowing_frequency_exit_2(self, tmp_path):
+        # 1 + lam A^2 overflows; the error line is all that reaches stderr
+        cfg_data = {
+            "family": "ml1", "n": 1,
+            "params": {"omega": [1.0], "lambda": 0.5, "sign": "+"},
+            "solution": {"amplitude": [1e300]},
+            "grid": {"periods": 1},
+        }
+        assert run(["exact", "--config", write_config(tmp_path, cfg_data)]) == (
+            2, "", "error: no finite positive frequency at amplitude (1e+300,): [0.0]\n")
+
 
 class TestMap:
+    def test_truncated_run_writes_the_note(self, tmp_path):
+        # from rest at x = 1 the power-law orbit reaches the origin at t = pi/4
+        cfg = write_config(tmp_path, {
+            "family": "powerlaw", "n": 1,
+            "params": {"omega": [1.0], "alpha": 1.0, "upsilon": 1.0},
+            "initial": {"x": [1.0], "v": [0.0]},
+            "integrator": {"t_end": 5},
+        })
+        code, _, err = run(["simulate", "--config", cfg])
+        assert code == 0
+        assert err.startswith("note: integration truncated: Termination(kind='step_failure'")
+        assert run(["map", "--config", cfg])[::2] == (0, err)
+
     def test_emits_reference_columns(self, tmp_path):
         cfg_data = dict(ML1_CONFIG)
         cfg_data["integrator"] = dict(cfg_data["integrator"], t_end=2.0)

@@ -1,14 +1,17 @@
 """Property tests: any ``params`` mapping, ``integrator``, ``initial`` or
-``output`` block through ``pdmdyn simulate`` ends cleanly.
+``output`` block through ``pdmdyn simulate``, and any ``solution`` or
+``grid`` block through ``pdmdyn exact``, ends cleanly.
 
-The run must exit 0 (possibly with a truncation note) or exit 2 with a single
-``error:`` line; any other exception escapes run_cli and fails the test.
+The run must exit 0 (possibly with a truncation note, or with the closed-form
+energy line of ``exact``) or exit 2 with a single ``error:`` line; any other
+exception escapes run_cli and fails the test, and so does any warning.
 """
 
 import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -30,19 +33,25 @@ _numbers = st.floats(allow_nan=True, allow_infinity=True)
 _values = st.one_of(_numbers, st.sampled_from(["+", "-"]), st.lists(_numbers, max_size=4))
 
 
-def simulate_ends_cleanly(cfg, io_error=False):
-    """Run cfg; io_error allows an ``i/o error:`` line for an unwritable
-    output path where an ``error:`` line is allowed."""
+def ends_cleanly(cfg, io_error=False, command="simulate"):
+    """Run command on cfg; io_error allows an ``i/o error:`` line for an
+    unwritable output path where an ``error:`` line is allowed."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.json"
         path.write_text(json.dumps(cfg))
         out, err = io.StringIO(), io.StringIO()
-        code = run_cli(["simulate", "--config", str(path)], out, err)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli([command, "--config", str(path)], out, err)
     hypothesis.event(f"exit {code}" + (", note" if err.getvalue().startswith("note") else ""))
     if code == 2:
         assert out.getvalue() == ""
         lead = ("error:", "i/o error:") if io_error else "error:"
         assert err.getvalue().startswith(lead) and err.getvalue().count("\n") == 1
+    elif command == "exact":
+        assert code == 0
+        assert err.getvalue().startswith("closed-form energy: ")
+        assert err.getvalue().count("\n") == 1
     else:
         assert code == 0
         assert err.getvalue() == "" or err.getvalue().startswith("note: ")
@@ -61,7 +70,7 @@ def test_params_end_in_exit_0_or_an_error_line(family, n, override, drop, scheme
     infinite values."""
     params = {k: v for k, v in BASE.items() if k not in drop}
     params.update(override)
-    simulate_ends_cleanly({
+    ends_cleanly({
         "family": family, "n": n, "params": params,
         "custom": {"mass": ["1+x^2"] * n, "potential": ["0.5*x^2"] * n},
         "initial": {"x": [0.5] * n, "v": [0.1] * n},
@@ -96,7 +105,7 @@ def test_integrator_block_ends_in_exit_0_or_an_error_line(scheme, block):
     t_end stays at most 0.01 and positive step sizes at least 1e-5 so each
     example is small; the max_steps budget, not this test, bounds longer runs.
     """
-    simulate_ends_cleanly({
+    ends_cleanly({
         "family": "ml1", "n": 1, "params": {"omega": [1.0], "lambda": 0.5, "sign": "+"},
         "initial": {"x": [0.5], "v": [0.1]},
         "integrator": dict(block, scheme=scheme)})
@@ -128,6 +137,9 @@ _from_exact = st.fixed_dictionaries({"amplitude": _vector}, optional={
          scheme="adaptive45")
 @example(family="isotonic", n=2, initial={"from_exact": {"amplitude": [5e-324, 1.0]}},
          scheme="fixed_rk4")
+# the cosine of an infinite phase: a ValueError traceback
+@example(family="harmonic", n=1, initial={"from_exact": {"amplitude": [0.0], "t0": math.inf}},
+         scheme="adaptive45")
 # t + h == t from here: the run stood still until max_steps
 @example(family="ml1", n=1, initial={"x": [0.5], "v": [0.1], "t0": -1e300},
          scheme="adaptive45")
@@ -136,7 +148,7 @@ def test_initial_block_ends_in_exit_0_or_an_error_line(family, n, initial, schem
     """Positions and velocities of any length holding finite, zero, tiny,
     huge, NaN or infinite values, or not lists at all; start times; and
     closed-form starts with any amplitudes."""
-    simulate_ends_cleanly({
+    ends_cleanly({
         "family": family, "n": n, "params": BASE,
         "custom": {"mass": ["1+x^2"] * n, "potential": ["0.5*x^2"] * n},
         "initial": initial,
@@ -165,7 +177,7 @@ def test_output_block_ends_in_exit_0_or_an_error_line(output):
     with tempfile.TemporaryDirectory() as tmp:
         if isinstance(output.get("path"), str):
             output = dict(output, path=str(Path(tmp) / output["path"]))
-        code, out = simulate_ends_cleanly({
+        code, out = ends_cleanly({
             "family": "ml1", "n": 1, "params": {"omega": [1.0], "lambda": 0.5, "sign": "+"},
             "initial": {"x": [0.5], "v": [0.1]},
             "integrator": {"t_end": 0.01}, "output": output}, io_error=True)
@@ -175,3 +187,60 @@ def test_output_block_ends_in_exit_0_or_an_error_line(output):
             assert table.startswith('t,x_1,v_1,E\n' if output.get("format", "csv") == "csv"
                                     else '{\n "columns"')
             assert out == ("" if path is not None else table)
+
+
+# grid times drawn extreme or non-finite, spans that overflow included
+_times = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_EXTREME), st.none(),
+                   st.sampled_from(["0", [1.0]]))
+# sample counts below 1, so large that no array can hold them (numpy refuses
+# them, or the allocation fails at once), not integers, or no count at all
+_samples = st.one_of(st.integers(-2, 0),
+                     st.sampled_from([2**50, 2**62, 10**30, 1e300, 2.5, math.nan,
+                                      math.inf, None, "many", True]))
+_SOLUTION_KEYS = ("amplitude", "phase", "variant")
+
+
+def _mostly(plain, wild):
+    """plain three times in four, so that many drawn blocks run to exit 0."""
+    return st.integers(0, 3).flatmap(lambda k: plain if k < 3 else wild)
+
+
+def _exact_block(n):
+    """solution and grid keys for n coordinates; plain amplitudes and phases
+    suit every family but ml2."""
+    plain = st.lists(st.floats(0.1, 0.9), min_size=n, max_size=n)
+    return st.fixed_dictionaries({
+        "n": st.just(n),
+        "amplitude": _mostly(plain, _vector), "phase": _mostly(plain, _vector),
+        "variant": _mostly(st.sampled_from(["published", "amended"]),
+                           st.sampled_from(["x", None, 1])),
+        "t0": _mostly(st.floats(-1.0, 1.0), _times),
+        "t1": _mostly(st.floats(1.0, 10.0), _times),
+        "periods": _mostly(st.floats(0.1, 3.0), _times),
+        "samples": _mostly(st.integers(1, 40), _samples)})
+
+
+@given(family=st.sampled_from(sorted(FAMILIES)),
+       block=st.integers(1, 2).flatmap(_exact_block),
+       drop=st.sets(st.sampled_from(["amplitude", "phase", "variant", "t0", "t1",
+                                     "periods", "samples"]), max_size=2))
+# the relation overflowed here: numpy warnings, then the error line
+@example(family="ml1", block={"n": 1, "amplitude": [1e300], "periods": 1}, drop=set())
+# an infinite phase, a span that overflows, and a count no array can hold
+@example(family="harmonic", block={"n": 1, "amplitude": [1.0], "phase": [math.inf], "t1": 1.0},
+         drop=set())
+@example(family="harmonic", drop=set(),
+         block={"n": 1, "amplitude": [1.0], "t0": -_LARGEST, "t1": _LARGEST, "samples": 3})
+@example(family="harmonic", block={"n": 1, "amplitude": [1.0], "t1": 1.0, "samples": 10**30},
+         drop=set())
+@settings(max_examples=200, deadline=None)
+def test_exact_blocks_end_in_exit_0_or_an_error_line(family, block, drop):
+    """Amplitudes, phases and variants, and grid times, period counts and
+    sample counts, drawn finite, zero, negative, NaN, infinite, extreme or
+    left out, for every catalog family."""
+    block = {k: v for k, v in block.items() if k not in drop}
+    ends_cleanly({
+        "family": family, "n": block.pop("n"), "params": BASE,
+        "solution": {k: v for k, v in block.items() if k in _SOLUTION_KEYS},
+        "grid": {k: v for k, v in block.items() if k not in _SOLUTION_KEYS}},
+        command="exact")

@@ -1,6 +1,7 @@
 """Equation-of-motion right-hand sides and the residual oracle."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pdmdyn.core import TYPE2, State, build_system, parameter_set, potential_gra
 from pdmdyn.eom import el1_acceleration, el1_residual, el1_rhs, el2_acceleration, el2_rhs
 from pdmdyn.errors import (DomainViolation, InvalidParameter, MissingParameter,
                            SingularCoefficient, SingularPoint)
-from pdmdyn.exact import ExactSolutionSpec, kinematics, solution_fn
+from pdmdyn.exact import ExactSolutionSpec, kinematics
 
 
 def ml1_system(sign="+", lam=1.0, omega=1.0):
@@ -107,9 +108,8 @@ class TestResidualOracle:
         spec = ExactSolutionSpec("ml1", parameter_set(
             {"omega": [1.0], "lambda": 1.0, "sign": "+"}, 1), (1.0,))
         system = ml1_system()
-        fn = solution_fn(spec)
         for t in np.linspace(0, 17.8, 100):
-            r = el1_residual(system, fn, float(t))
+            r = el1_residual(system, partial(kinematics, spec), float(t))
             assert abs(r[0]) < 1e-10
 
     def test_perturbed_amplitude_detected(self):
@@ -137,19 +137,6 @@ class TestResidualOracle:
 
         r = el1_residual(system, plain_cosine, 0.3)
         assert abs(r[0]) > 1e-2
-
-    def test_finite_difference_fallback(self):
-        spec = ExactSolutionSpec("morse", parameter_set(
-            {"omega": [1.0], "zeta": [1.0]}, 1), (0.5,))
-        system = build_system("morse", 1, {"omega": [1.0], "zeta": [1.0]})
-
-        def no_accel(t):
-            x, v, _ = kinematics(spec, t)
-            return x, v
-
-        for t in np.linspace(0.1, 6.0, 25):
-            r = el1_residual(system, no_accel, float(t))
-            assert abs(r[0]) < 1e-5
 
 
 # --- the fused closures against the array API and the layered formula ---------

@@ -1,19 +1,19 @@
 """Closed-form catalog tests: values, frequencies, energies, misprints."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from pdmdyn.core import parameter_set, total_energy
+from pdmdyn.core import build_system, parameter_set, total_energy
 from pdmdyn.eom import el1_residual
 from pdmdyn.errors import (DomainViolation, InvalidParameter, InvalidSpec,
                            UnsupportedFamily)
 from pdmdyn.exact import (AMENDED_FORM, ExactSolutionSpec, MISPRINTS,
-                          build_exact_system, exact_energy, exact_solution,
-                          exact_trajectory,
+                          exact_energy, exact_solution, exact_trajectory,
                           frequency_relation, kinematics, ml2_reduction_check,
-                          oscillation_period, solution_fn)
+                          oscillation_period)
 
 
 def sw1_omega_from(params, Omega, amplitude):
@@ -117,6 +117,36 @@ class TestValidation:
             exact_trajectory(spec, 0.0, 1.0, samples)
         assert err.value.field == "samples"
 
+    def test_overflowing_frequency(self):
+        # 1 + lam A^2 overflows, so the relation reads 0
+        with pytest.raises(InvalidSpec, match="no finite positive frequency"):
+            spec_of("ml1", {"omega": [1.0], "lambda": 0.5, "sign": "+"}, [1e300])
+
+    @pytest.mark.parametrize("amplitude,phase", [
+        ([math.nan], ()), ([math.inf], ()), ([1.0], (-math.inf,)),
+    ])
+    def test_non_finite_amplitude_or_phase(self, amplitude, phase):
+        with pytest.raises(InvalidSpec, match="must be finite"):
+            spec_of("harmonic", {"omega": [1.0]}, amplitude, phase=phase)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, 1.7e308])
+    def test_time_whose_phase_is_infinite(self, t):
+        # omega t is infinite: math.cos raised a ValueError
+        spec = spec_of("harmonic", {"omega": [2.0]}, [1.0])
+        with pytest.raises(InvalidSpec, match="closed form fails at t="):
+            kinematics(spec, t)
+
+    @pytest.mark.parametrize("t0,t1,samples,field", [
+        (0.0, math.inf, 3, "t1"), (math.nan, 1.0, 3, "t1"),
+        (-1e308, 1e308, 3, "t1"),           # the span overflows
+        (0.0, 1.0, 10**30, "samples"), (0.0, 1.0, 2**62, "samples"),
+    ])
+    def test_trajectory_grid_must_fit(self, t0, t1, samples, field):
+        spec = spec_of("morse", {"omega": [1.0], "zeta": [1.0]}, [0.5])
+        with pytest.raises(InvalidParameter) as err:
+            exact_trajectory(spec, t0, t1, samples)
+        assert err.value.field == field
+
 
 class TestFrequencyRelations:
     def test_powerlaw(self):
@@ -204,11 +234,11 @@ class TestEnergies:
     ])
     def test_energy_constant_along_solution(self, family, params, amp, kw):
         spec = spec_of(family, params, amp, **kw)
-        system = build_exact_system(spec)
+        system = build_system(spec.family, spec.n, spec.params)
         e0 = exact_energy(spec)
         T = float(np.max(oscillation_period(spec)))
         for t in np.linspace(0.0, T, 40):
-            e = total_energy(system, exact_solution(spec, float(t))).total
+            e = total_energy(system, exact_solution(spec, float(t)))
             assert e == pytest.approx(e0, rel=1e-12, abs=1e-12)
 
 
@@ -231,8 +261,8 @@ class TestOracleClosure:
     def test_exact_solutions_annihilate_the_equations(self, family, params,
                                                       amp, kw):
         spec = spec_of(family, params, amp, **kw)
-        system = build_exact_system(spec)
-        fn = solution_fn(spec)
+        system = build_system(spec.family, spec.n, spec.params)
+        fn = partial(kinematics, spec)
         T = float(np.max(oscillation_period(spec)))
         worst = max(float(np.max(np.abs(el1_residual(system, fn, float(t)))))
                     for t in np.linspace(0.0, 3.0 * T, 500))
@@ -241,8 +271,8 @@ class TestOracleClosure:
     def test_sw2_published_form_fails_for_eta_two(self):
         spec = spec_of("sw2", {"omega": [1.0], "kappa": [1.0], "beta": 1.0,
                                "eta_exp": 2.0}, [1.1])
-        system = build_exact_system(spec)
-        fn = solution_fn(spec)
+        system = build_system(spec.family, spec.n, spec.params)
+        fn = partial(kinematics, spec)
         T = float(oscillation_period(spec)[0])
         worst = max(float(np.max(np.abs(el1_residual(system, fn, float(t)))))
                     for t in np.linspace(0.0, 3.0 * T, 300))
@@ -251,16 +281,16 @@ class TestOracleClosure:
     def test_powerlaw_residual_within_branch(self):
         spec = spec_of("powerlaw", {"omega": [1.0], "alpha": 1.0,
                                     "upsilon": 2.0}, [1.0])
-        system = build_exact_system(spec)
-        fn = solution_fn(spec)
+        system = build_system(spec.family, spec.n, spec.params)
+        fn = partial(kinematics, spec)
         for t in np.linspace(-0.5, 0.5, 101):  # cos(3t) > 0 throughout
             assert abs(el1_residual(system, fn, float(t))[0]) < 1e-8
 
     def test_multidimensional_solution(self):
         spec = spec_of("ml1", {"omega": [1.0, 2.0], "lambda": 1.0, "sign": "+"},
                        [1.0, 0.5], phase=(0.0, 0.4))
-        system = build_exact_system(spec)
-        fn = solution_fn(spec)
+        system = build_system(spec.family, spec.n, spec.params)
+        fn = partial(kinematics, spec)
         worst = max(float(np.max(np.abs(el1_residual(system, fn, float(t)))))
                     for t in np.linspace(0.0, 20.0, 200))
         assert worst < 1e-10

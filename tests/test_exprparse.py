@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from pdmdyn.errors import ExprDomainError, ExprSyntaxError, UnknownIdentifier
 from pdmdyn.exprparse import (FUNCTIONS, MAX_DEPTH, BinOp, Call, Expr, Neg, Num, Var,
                               compile_expression, eval_dual, eval_gradient,
-                              eval_value, free_variables, parse_expression,
-                              to_source)
+                              parse_expression, to_source)
 
 
 # --- reference oracle ---------------------------------------------------------
@@ -157,8 +156,7 @@ def _eval(e: Expr, env: dict[str, Dual2]) -> Dual2:
 
 
 def reference_dual(expr: Expr, x: float) -> tuple[float, float, float]:
-    names = sorted(free_variables(expr))
-    out = _eval(expr, {names[0] if names else "x": Dual2.seed(x)})
+    out = _eval(expr, {"x": Dual2.seed(x)})
     return out.val, out.d1, out.d2
 
 
@@ -223,13 +221,13 @@ class TestParsing:
         assert eval_dual(parse_expression("-x^2"), 3.0)[0] == -9.0
 
     def test_power_right_associative(self):
-        assert eval_value(parse_expression("2^3^2"), {}) == 512.0
+        assert eval_dual(parse_expression("2^3^2"), 0.0)[0] == 512.0
 
     def test_negative_exponent(self):
-        assert eval_value(parse_expression("2^-2"), {}) == 0.25
+        assert eval_dual(parse_expression("2^-2"), 0.0)[0] == 0.25
 
     def test_scientific_notation(self):
-        assert eval_value(parse_expression("1.5e2+2E-1"), {}) == pytest.approx(150.2)
+        assert eval_dual(parse_expression("1.5e2+2E-1"), 0.0)[0] == pytest.approx(150.2)
 
     def test_multivariate_identifiers(self):
         expr = parse_expression("x1^2+x2^2", ["x1", "x2"])
@@ -376,10 +374,10 @@ class TestCompiledMatchesReference:
         names = ["x1", "x2", "x3"]
         assert (outcome(eval_gradient, expr, names, xs)
                 == outcome(reference_gradient, expr, names, xs))
-        env = dict(zip(names, xs))
-        assert (outcome(lambda: [eval_value(expr, env)])
+        # the value alone, with every seed 0
+        assert (outcome(lambda: [compile_expression(expr, names)(*xs, 0.0, 0.0, 0.0)[0]])
                 == outcome(lambda: [_eval(expr, {k: Dual2.const(v)
-                                                 for k, v in env.items()}).val]))
+                                                 for k, v in zip(names, xs)}).val]))
 
     @pytest.mark.parametrize("text,x", [
         ("1e999", 0.5),             # inf: a bound constant, never source text
@@ -425,7 +423,7 @@ class TestCompiledMatchesReference:
     def test_huge_integer_exponent_at_run_time_returns(self, text, x):
         # zero seeds keep every exponent constant, so the integer power runs
         expr = parse_expression(text)
-        assert (outcome(lambda: [eval_value(expr, {"x": x})])
+        assert (outcome(lambda: [compile_expression(expr)(x, 0.0)[0]])
                 == outcome(lambda: [_eval(expr, {"x": Dual2.const(x)}).val]))
         assert (outcome(eval_gradient, expr, ["x"], [x])
                 == outcome(reference_gradient, expr, ["x"], [x]))
@@ -445,8 +443,7 @@ class TestCompiledMatchesReference:
         for x in (0.25, 0.5, 0.75):
             eval_dual(expr, x)
             eval_gradient(expr, ["x"], [x])
-            eval_value(expr, {"x": x})
-        assert len(compiles) == 2   # the lone variable, then the list ("x",)
+        assert len(compiles) == 1   # both evaluate over the variables ("x",)
         assert compile_expression(expr) is compile_expression(expr)
 
 

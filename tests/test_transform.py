@@ -16,7 +16,7 @@ from pdmdyn.integrate import ADAPTIVE45, IntegratorOptions, integrate
 from pdmdyn.profiles import CustomProfile
 from pdmdyn.transform import (NonlocalMap, el2_mapped_residual,
                               el2_obstruction, elg_residual, f_scale,
-                              inverse_q, map_to_reference,
+                              map_to_reference,
                               potential_match_residual, q_map, reference_map,
                               tau_values)
 from pdmdyn.eom import el1_rhs, el2_rhs
@@ -298,17 +298,3 @@ class TestObstruction:
         worst = max(float(np.max(np.abs(el2_mapped_residual(system, traj.state(k)))))
                     for k in range(len(traj.t)))
         assert worst < 1e-8
-
-
-class TestInverseMap:
-    def test_round_trip(self):
-        system, nmap, _ = ml1_map()
-        for x in (0.1, 0.7, 1.9):
-            q, _ = q_map(nmap, 0, x)
-            back = inverse_q(nmap, 0, q, (0.0, 5.0))
-            assert back == pytest.approx(x, abs=1e-12)
-
-    def test_requires_bracket(self):
-        system, nmap, _ = ml1_map()
-        with pytest.raises(InvalidParameter):
-            inverse_q(nmap, 0, 10.0, (0.0, 1.0))
