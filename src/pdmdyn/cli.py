@@ -31,7 +31,7 @@ from .eom import el1_rhs, el2_rhs
 from .errors import PdmError
 from .exact import (ExactSolutionSpec, exact_energy, exact_trajectory,
                     kinematics, MISPRINTS, oscillation_period)
-from .integrate import ADAPTIVE45, FIXED_RK4, IntegratorOptions, integrate
+from .integrate import ADAPTIVE45, DOP853, FIXED_RK4, IntegratorOptions, integrate
 from .transform import map_to_reference, reference_map
 from .verify import check_names, run_check, run_suite
 
@@ -124,21 +124,25 @@ def _initial_state(cfg: dict, system: PdmSystem) -> State:
 
 
 def _integrator_options(cfg: dict) -> IntegratorOptions:
+    """The integrator block; with no scheme (or null), DOP853."""
     icfg = _require(cfg, "integrator")
     t_end = _number(icfg, "t_end", context="integrator")
-    scheme = icfg.get("scheme", "adaptive45")
-    if scheme in ("adaptive", "adaptive45"):
-        return IntegratorOptions(
-            t_end=t_end, scheme=ADAPTIVE45,
-            rel_tol=_number(icfg, "rel_tol", 1e-10, "integrator"),
-            abs_tol=_number(icfg, "abs_tol", 1e-12, "integrator"),
-            h_init=_number(icfg, "h_init", 1e-3, "integrator"),
-            h_min=_number(icfg, "h_min", 1e-14, "integrator"),
-            h_max=_number(icfg, "h_max", math.inf, "integrator"))
+    scheme = icfg.get("scheme")
+    if scheme is None:
+        scheme = DOP853
     if scheme in ("fixed", "fixed_rk4"):
         return IntegratorOptions(t_end=t_end, scheme=FIXED_RK4,
                                  h=_number(icfg, "h", 1e-3, "integrator"))
-    raise ConfigError(f"integrator.scheme must be adaptive45 or fixed_rk4, got {scheme!r}")
+    if scheme not in ("adaptive", "adaptive45", "dop853"):
+        raise ConfigError("integrator.scheme must be adaptive45, dop853 or fixed_rk4, "
+                          f"got {scheme!r}")
+    return IntegratorOptions(
+        t_end=t_end, scheme=DOP853 if scheme == DOP853 else ADAPTIVE45,
+        rel_tol=_number(icfg, "rel_tol", 1e-10, "integrator"),
+        abs_tol=_number(icfg, "abs_tol", 1e-12, "integrator"),
+        h_init=_number(icfg, "h_init", 1e-3, "integrator"),
+        h_min=_number(icfg, "h_min", 1e-14, "integrator"),
+        h_max=_number(icfg, "h_max", math.inf, "integrator"))
 
 
 def _write_table(path: str | None, fmt: str, header: list[str],

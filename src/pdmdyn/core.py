@@ -162,7 +162,9 @@ class Trajectory:
     rejected: int
     max_error: float               # largest accepted local error estimate
     termination: Termination
-    nfev: int = 0                  # RHS evaluations integrate attempted
+    nfev: int = 0                  # RHS evaluations attempted, dense output's included
+    rejected_guard: int = 0        # of the rejected steps, those a domain guard stopped
+    dense: object = None           # integrate's DOP853 interpolant; None: cubic Hermite
 
     def __len__(self) -> int:
         return len(self.t)

@@ -136,6 +136,8 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
         raise InvalidParameter("samples", f"need at least 1, got {samples!r}")
     if not math.isfinite(t1 - t0):
         raise InvalidParameter("t1", f"the grid from t0={t0!r} to t1={t1!r} is not finite")
+    if t1 < t0:
+        raise InvalidParameter("t1", f"{t1!r} is before the grid start t0={t0!r}")
     try:
         ts = np.linspace(t0, t1, samples)
     except (ValueError, MemoryError) as err:    # more samples than one array can hold

@@ -77,23 +77,39 @@ def q_map(nmap: NonlocalMap, i: int, x: float) -> tuple[float, float]:
             nmap.record.f(p, i, x, m1 / (2.0 * m)) * root)
 
 
+# 4-point Gauss-Legendre nodes and weights on [0, 1]: exact to degree 7, the
+# degree of DOP853's interpolant
+_GL_ROOTS = [math.sqrt(3 / 7 + s * 2 / 7 * math.sqrt(6 / 5)) for s in (1.0, -1.0)]
+_GL_NODES = np.array([0.5 - 0.5 * _GL_ROOTS[0], 0.5 - 0.5 * _GL_ROOTS[1],
+                      0.5 + 0.5 * _GL_ROOTS[1], 0.5 + 0.5 * _GL_ROOTS[0]])
+_GL_WEIGHTS = np.array([18 - math.sqrt(30), 18 + math.sqrt(30),
+                        18 + math.sqrt(30), 18 - math.sqrt(30)]) / 72
+
+
 def tau_values(nmap: NonlocalMap, traj: Trajectory, i: int,
                require_positive: bool = True) -> np.ndarray:
     """Cumulative rescaled time tau_i(t) along a trajectory, tau_i(t0) = 0.
 
-    Composite Simpson quadrature of f_i over each accepted interval, with the
-    midpoint taken from the dense output.
+    The integral of f_i over each accepted interval is 4-point Gauss-Legendre
+    on a DOP853 trajectory's 7th-order interpolant, and composite Simpson on
+    any other trajectory, with the midpoint from its cubic dense output.
     """
     t = traj.t
-    mids = 0.5 * (t[:-1] + t[1:])
-    x_mid, _ = sample_dense(traj, mids)
+    h = np.diff(t)
+    if traj.dense is not None:
+        inner = (t[:-1, None] + h[:, None] * _GL_NODES).ravel()
+    else:
+        inner = 0.5 * (t[:-1] + t[1:])
+    x_inner, _ = sample_dense(traj, inner)
     f_nodes = np.array([f_scale(nmap, i, float(xk)) for xk in traj.x[:, i]])
-    f_mid = np.array([f_scale(nmap, i, float(xk)) for xk in x_mid[:, i]])
-    if require_positive and (np.any(f_nodes <= 0.0) or np.any(f_mid <= 0.0)):
+    f_inner = np.array([f_scale(nmap, i, float(xk)) for xk in x_inner[:, i]])
+    if require_positive and (np.any(f_nodes <= 0.0) or np.any(f_inner <= 0.0)):
         raise NonPositiveScale(
             f"f_{i + 1} <= 0 along the trajectory; tau_{i + 1} is not increasing")
-    h = np.diff(t)
-    dtau = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_mid + f_nodes[1:])
+    if traj.dense is not None:
+        dtau = h * (f_inner.reshape(-1, 4) @ _GL_WEIGHTS)
+    else:
+        dtau = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_inner + f_nodes[1:])
     return np.concatenate([[0.0], np.cumsum(dtau)])
 
 

@@ -24,7 +24,7 @@ from .errors import ExprError, PdmError, UnknownCheck
 from .exact import (AMENDED_FORM, ExactSolutionSpec, exact_energy,
                     exact_solution, exact_trajectory, frequency_relation,
                     kinematics, ml2_reduction_check, oscillation_period)
-from .integrate import (ADAPTIVE45, FIXED_RK4, IntegratorOptions,
+from .integrate import (ADAPTIVE45, DOP853, FIXED_RK4, IntegratorOptions,
                         estimate_period, integrate, sample_dense)
 from .profiles import CustomProfile
 from .transform import (el2_mapped_residual, el2_obstruction, elg_residual,
@@ -141,19 +141,20 @@ def standard_case(name: str) -> Case:
 
 
 def _adaptive(t_end: float, rel_tol: float = 1e-10, abs_tol: float | None = None,
-              **kw) -> IntegratorOptions:
-    return IntegratorOptions(t_end=t_end, scheme=ADAPTIVE45, rel_tol=rel_tol,
+              scheme: str = ADAPTIVE45, **kw) -> IntegratorOptions:
+    return IntegratorOptions(t_end=t_end, scheme=scheme, rel_tol=rel_tol,
                              abs_tol=abs_tol if abs_tol is not None else rel_tol * 1e-2,
                              h_init=1e-3, **kw)
 
 
-def _integrate_case(case: Case, periods: float, rel_tol: float) -> tuple:
+def _integrate_case(case: Case, periods: float, rel_tol: float,
+                    scheme: str = ADAPTIVE45) -> tuple:
     """(system, spec, trajectory) of the case's closed-form orbit from t = 0."""
     system = case.system()
     spec = case.spec()
     T = float(np.max(oscillation_period(spec)))
     x0, v0, _ = kinematics(spec, 0.0)
-    opts = _adaptive(periods * T, rel_tol=rel_tol)
+    opts = _adaptive(periods * T, rel_tol=rel_tol, scheme=scheme)
     traj = integrate(el1_rhs(system), State(0.0, x0, v0), opts)
     return system, spec, traj
 
@@ -468,7 +469,7 @@ def _check_track_exact(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     case = standard_case(case_name)
     if case.family == "powerlaw":
         return _track_powerlaw(case, tol)
-    system, spec, traj = _integrate_case(case, 10.0, tol)
+    system, spec, traj = _integrate_case(case, 10.0, tol, DOP853)
     worst = 0.0
     for k in range(len(traj.t)):
         x_exact, _, _ = kinematics(spec, float(traj.t[k]))
@@ -501,7 +502,7 @@ def _track_powerlaw(case: Case, tol: float) -> CheckReport:
         t0 = (arc * math.pi - math.pi / 2 + delta) / Om
         t_arc_end = (arc * math.pi + math.pi / 2) / Om
         x0, v0, _ = kinematics(spec, t0)
-        opts = _adaptive(t_arc_end, rel_tol=tol)
+        opts = _adaptive(t_arc_end, rel_tol=tol, scheme=DOP853)
         traj = integrate(el1_rhs(system), State(t0, x0, v0), opts)
         for k in range(len(traj.t)):
             if abs(math.cos(Om * traj.t[k] - arc * math.pi)) < compare_margin:
@@ -522,12 +523,12 @@ def _check_energy_drift(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     tol = rel_tol if rel_tol else 1e-12
     case = standard_case(case_name)
     # every powerlaw orbit reaches the origin within a quarter period, so
-    # that family runs the maximal smooth arc before it, row by row
+    # that family runs the maximal smooth arc before it; every row is read
     arc = case.family == "powerlaw"
-    system, spec, traj = _integrate_case(case, 0.24 if arc else 100.0, tol)
+    system, spec, traj = _integrate_case(case, 0.24 if arc else 100.0, tol, DOP853)
     e0 = exact_energy(spec)
     worst = 0.0
-    for k in range(0, len(traj.t), 1 if arc else 7):
+    for k in range(len(traj.t)):
         e = total_energy(system, traj.state(k))
         worst = max(worst, abs(e - e0) / abs(e0))
     if arc:

@@ -409,6 +409,21 @@ class TestExact:
         }
         assert run(["exact", "--config", write_config(tmp_path, cfg_data)]) == (2, "", err)
 
+    @pytest.mark.parametrize("grid,err", [
+        ({"periods": -1, "samples": 3},
+         "error: t1: -6.283185307179586 is before the grid start t0=0.0\n"),
+        ({"t0": 1, "t1": 0, "samples": 3}, "error: t1: 0.0 is before the grid start t0=1.0\n"),
+    ])
+    def test_backward_grid_exit_2(self, tmp_path, grid, err):
+        # simulate rejects a t_end before the start time; exact did not
+        cfg_data = {
+            "family": "morse", "n": 1,
+            "params": {"omega": [1.0], "zeta": [1.0]},
+            "solution": {"amplitude": [0.5]},
+            "grid": grid,
+        }
+        assert run(["exact", "--config", write_config(tmp_path, cfg_data)]) == (2, "", err)
+
     def test_overflowing_frequency_exit_2(self, tmp_path):
         # 1 + lam A^2 overflows; the error line is all that reaches stderr
         cfg_data = {

@@ -62,7 +62,7 @@ def ends_cleanly(cfg, io_error=False, command="simulate"):
        n=st.integers(1, 3),
        override=st.dictionaries(st.sampled_from(KEYS), _values, max_size=4),
        drop=st.sets(st.sampled_from(sorted(BASE)), max_size=3),
-       scheme=st.sampled_from(["adaptive45", "fixed_rk4"]))
+       scheme=st.sampled_from(["adaptive45", "dop853", "fixed_rk4"]))
 @settings(max_examples=200, deadline=None)
 def test_params_end_in_exit_0_or_an_error_line(family, n, override, drop, scheme):
     """Parameters every family accepts, some overridden or dropped, with
@@ -92,15 +92,16 @@ _t_end = st.one_of(st.floats(0.0, 0.01), st.sampled_from([0.0, 0.01]),
                    st.sampled_from(_BAD))
 
 
-@given(scheme=st.sampled_from(["adaptive45", "adaptive", "fixed_rk4", "fixed", "rk45"]),
+@given(scheme=st.sampled_from(["adaptive45", "adaptive", "dop853", "fixed_rk4", "fixed",
+                               "rk45", None]),
        block=st.fixed_dictionaries({}, optional={
            "t_end": _t_end,
            "h": _steps, "h_init": _steps, "h_min": _steps, "h_max": _steps,
            "rel_tol": _tols, "abs_tol": _tols}))
 @settings(max_examples=200, deadline=None)
 def test_integrator_block_ends_in_exit_0_or_an_error_line(scheme, block):
-    """Schemes, known and unknown, with step sizes, tolerances and t_end drawn
-    finite, zero, negative, NaN, infinite or extreme, or left out.
+    """Schemes, known, unknown or left out, with step sizes, tolerances and
+    t_end drawn finite, zero, negative, NaN, infinite or extreme, or left out.
 
     t_end stays at most 0.01 and positive step sizes at least 1e-5 so each
     example is small; the max_steps budget, not this test, bounds longer runs.
@@ -108,7 +109,7 @@ def test_integrator_block_ends_in_exit_0_or_an_error_line(scheme, block):
     ends_cleanly({
         "family": "ml1", "n": 1, "params": {"omega": [1.0], "lambda": 0.5, "sign": "+"},
         "initial": {"x": [0.5], "v": [0.1]},
-        "integrator": dict(block, scheme=scheme)})
+        "integrator": block if scheme is None else dict(block, scheme=scheme)})
 
 
 _EXTREME = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, _LARGEST, -_LARGEST,
@@ -131,7 +132,7 @@ _from_exact = st.fixed_dictionaries({"amplitude": _vector}, optional={
        initial=st.one_of(
            st.fixed_dictionaries({}, optional={"x": _vector, "v": _vector, "t0": _t0}),
            st.fixed_dictionaries({"from_exact": _from_exact})),
-       scheme=st.sampled_from(["adaptive45", "fixed_rk4"]))
+       scheme=st.sampled_from(["adaptive45", "dop853", "fixed_rk4"]))
 # closed forms that overflowed (A^4) or divided by zero, with a traceback
 @example(family="sw2", n=1, initial={"from_exact": {"amplitude": [1e300]}},
          scheme="adaptive45")
@@ -215,8 +216,8 @@ def _exact_block(n):
         "variant": _mostly(st.sampled_from(["published", "amended"]),
                            st.sampled_from(["x", None, 1])),
         "t0": _mostly(st.floats(-1.0, 1.0), _times),
-        "t1": _mostly(st.floats(1.0, 10.0), _times),
-        "periods": _mostly(st.floats(0.1, 3.0), _times),
+        "t1": _mostly(st.floats(-10.0, 10.0), _times),
+        "periods": _mostly(st.floats(-3.0, 3.0), _times),
         "samples": _mostly(st.integers(1, 40), _samples)})
 
 
@@ -233,14 +234,23 @@ def _exact_block(n):
          block={"n": 1, "amplitude": [1.0], "t0": -_LARGEST, "t1": _LARGEST, "samples": 3})
 @example(family="harmonic", block={"n": 1, "amplitude": [1.0], "t1": 1.0, "samples": 10**30},
          drop=set())
+# grids that run backward: tabulated, exit 0, before they were rejected
+@example(family="morse", block={"n": 1, "amplitude": [0.5], "periods": -1, "samples": 3},
+         drop=set())
+@example(family="morse", block={"n": 1, "amplitude": [0.5], "t0": 1, "t1": 0, "samples": 3},
+         drop=set())
 @settings(max_examples=200, deadline=None)
 def test_exact_blocks_end_in_exit_0_or_an_error_line(family, block, drop):
     """Amplitudes, phases and variants, and grid times, period counts and
     sample counts, drawn finite, zero, negative, NaN, infinite, extreme or
-    left out, for every catalog family."""
+    left out, for every catalog family; spans run forward or backward, and a
+    table that is written runs forward in time."""
     block = {k: v for k, v in block.items() if k not in drop}
-    ends_cleanly({
+    code, out = ends_cleanly({
         "family": family, "n": block.pop("n"), "params": BASE,
         "solution": {k: v for k, v in block.items() if k in _SOLUTION_KEYS},
         "grid": {k: v for k, v in block.items() if k not in _SOLUTION_KEYS}},
         command="exact")
+    if code == 0:
+        times = [float(row.partition(",")[0]) for row in out.splitlines()[1:]]
+        assert times == sorted(times)

@@ -147,6 +147,18 @@ class TestValidation:
             exact_trajectory(spec, t0, t1, samples)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("t0,t1", [(1.0, 0.0), (0.0, -2.0 * math.pi), (0.0, -5e-324)])
+    def test_trajectory_grid_must_run_forward(self, t0, t1):
+        # as integrate rejects a t_end before the start time
+        spec = spec_of("morse", {"omega": [1.0], "zeta": [1.0]}, [0.5])
+        with pytest.raises(InvalidParameter, match="is before the grid start") as err:
+            exact_trajectory(spec, t0, t1, 3)
+        assert err.value.field == "t1"
+
+    def test_trajectory_on_an_empty_span(self):
+        spec = spec_of("morse", {"omega": [1.0], "zeta": [1.0]}, [0.5])
+        assert exact_trajectory(spec, 1.0, 1.0, 3).t.tolist() == [1.0, 1.0, 1.0]
+
 
 class TestFrequencyRelations:
     def test_powerlaw(self):

@@ -1,6 +1,7 @@
 """Integrator tests: step correctness, guards, dense output, periods."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from pdmdyn.core import State, Termination, build_system, parameter_set
 from pdmdyn.errors import DomainViolation, InvalidParameter, NoPeriod
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
-from pdmdyn.integrate import (ADAPTIVE45, FIXED_RK4, IntegratorOptions, _A, _B4,
-                              _B5, _C, _E, _RK4_A, _RK4_C, estimate_period,
-                              integrate, sample_dense)
+from pdmdyn.cli import _integrator_options
+from pdmdyn.integrate import (ADAPTIVE45, DOP853, FIXED_RK4, IntegratorOptions, _A,
+                              _B4, _B5, _C, _DOP_A, _DOP_C, _DOP_D, _DOP_E3, _DOP_E5,
+                              _E, _RK4_A, _RK4_C, estimate_period, integrate,
+                              sample_dense)
 from pdmdyn.eom import el1_rhs
 
 
@@ -370,6 +373,272 @@ class TestRk4Tableau:
             assert np.max(np.abs(got - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
 
 
+def _grow(tree):
+    """Every rooted tree made from tree by attaching one leaf; a tree is the
+    sorted tuple of its root's subtrees."""
+    out = {tuple(sorted(tree + ((),)))}
+    for k, child in enumerate(tree):
+        for grown in _grow(child):
+            out.add(tuple(sorted(tree[:k] + (grown,) + tree[k + 1:])))
+    return out
+
+
+def _trees(order):
+    trees = {()}
+    for _ in range(order - 1):
+        trees = set().union(*map(_grow, trees))
+    return trees
+
+
+def _order_defects(A, b, order):
+    """Largest |gamma(t) b.Phi(t) - 1| over the rooted trees t of this order."""
+    def phi(tree):
+        out = np.ones(len(b))
+        for child in tree:
+            out = out * (A @ phi(child))
+        return out
+
+    def size_gamma(tree):
+        sizes, gammas = zip(*map(size_gamma, tree)) if tree else ((), ())
+        size = 1 + sum(sizes)
+        return size, size * math.prod(gammas)
+
+    return max(abs(size_gamma(t)[1] * float(b @ phi(t)) - 1.0) for t in _trees(order))
+
+
+class TestDop853Tableau:
+    # the method proper: stages 0-11, weights b in row 12
+    A, b = _DOP_A[:12, :12], _DOP_A[12, :12]
+
+    def test_tree_counts(self):
+        assert [len(_trees(p)) for p in range(1, 9)] == [1, 1, 2, 4, 9, 20, 48, 115]
+
+    def test_rows_sum_to_nodes(self):
+        # the three dense-output stages too
+        for row, c in zip(_DOP_A, _DOP_C):
+            assert abs(math.fsum(row) - c) <= 1e-15 * max(1.0, np.abs(row).sum())
+
+    def test_last_row_is_the_weights(self):
+        # first-same-as-last: stage 12 is evaluated at the new state
+        assert _DOP_C[12] == 1.0 and not np.any(_DOP_A[12, 12:])
+        assert math.fsum(self.b) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_weights_are_eighth_order(self, order):
+        assert _order_defects(self.A, self.b, order) <= 1e-13
+
+    def test_weights_are_not_ninth_order(self):
+        assert _order_defects(self.A, self.b, 9) > 1e-3
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_embedded_estimates(self, order):
+        # b - E5 is a 5th-order and b - E3 a 3rd-order solution
+        assert _order_defects(self.A, self.b - _DOP_E5[:12], order) <= 1e-13
+        if order <= 3:
+            assert _order_defects(self.A, self.b - _DOP_E3[:12], order) <= 1e-13
+        assert _order_defects(self.A, self.b - _DOP_E5[:12], 6) > 1e-3
+        assert _order_defects(self.A, self.b - _DOP_E3[:12], 4) > 1e-3
+
+    @pytest.mark.parametrize("theta", [0.1, 0.25, 0.5, 0.8])
+    def test_dense_output_weights_are_seventh_order(self, theta):
+        # sample_dense's F_0 = b, F_1 = e_0 - b, F_2 = 2b - e_0 - e_12 and
+        # F_3..F_6 = D give weights b(theta) over the 16 stages; a 7th-order
+        # interpolant meets gamma(t) b(theta).Phi(t) = theta^|t| through order 7
+        b, e = _DOP_A[12], np.eye(16)
+        F = [b, e[0] - b, 2 * b - e[0] - e[12], *_DOP_D]
+        acc = F[6]
+        for j in range(5, -1, -1):
+            acc = F[j] + (theta if j % 2 else 1.0 - theta) * acc
+        defects = [_order_defects(_DOP_A, theta * acc / theta ** p, p) * theta ** p
+                   for p in range(1, 9)]
+        assert max(defects[:7]) <= 1e-13
+        assert defects[7] > 1e-4
+
+    def test_coefficients_match_scipy(self):
+        dop = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert dop.N_STAGES_EXTENDED == 16
+        for ours, theirs in ((_DOP_A, dop.A), (_DOP_C, dop.C), (_DOP_E5, dop.E5),
+                             (_DOP_E3, dop.E3), (_DOP_D, dop.D)):
+            assert ours.shape == theirs.shape
+            assert np.max(np.abs(ours - theirs)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_step_and_dense_output_match_scipy(self, n):
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        rng = np.random.default_rng(27 + n)
+        rhs = random_rhs(n, rng)
+
+        def fun(t, y):
+            return np.concatenate([y[n:], rhs(t, y[:n], y[n:])])
+
+        for _ in range(10):
+            x, v = rng.normal(size=n), rng.normal(size=n)
+            t0 = rng.uniform(-1.0, 1.0)
+            h = (t0 + rng.uniform(0.05, 0.3)) - t0      # a step both land on exactly
+            solver = rk.DOP853(fun, t0, np.concatenate([x, v]), t0 + 1.0, first_step=h,
+                               rtol=1.0, atol=1.0)
+            solver.step()
+            traj = integrate(rhs, State(t0, x, v), IntegratorOptions(
+                t_end=t0 + h, scheme=DOP853, h_init=h, rel_tol=1.0, abs_tol=1.0))
+            assert (traj.accepted, traj.rejected, solver.t) == (1, 0, traj.t[-1])
+            got = np.concatenate([traj.x[-1], traj.v[-1]])
+            assert np.max(np.abs(got - solver.y)) <= 1e-14 * max(1.0, np.max(np.abs(got)))
+            ts = t0 + h * np.array([0.1, 0.37, 0.5, 0.9])
+            xs, vs = sample_dense(traj, ts)
+            ref = solver.dense_output()(ts).T
+            assert np.max(np.abs(np.hstack([xs, vs]) - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+class TestDop853Order:
+    def test_global_error_is_eighth_order(self):
+        # fixed steps: h_min = h_init = h_max, and tolerances every step meets
+        errs = []
+        for h in (0.4, 0.2):
+            opts = IntegratorOptions(t_end=64.0, scheme=DOP853, h_init=h, h_min=h, h_max=h,
+                                     rel_tol=1.0, abs_tol=1.0)
+            traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
+            assert (traj.termination.kind, traj.rejected) == ("completed", 0)
+            errs.append(float(np.max(np.abs(traj.x[:, 0] - np.cos(traj.t)))))
+        assert 7.5 <= math.log2(errs[0] / errs[1]) <= 8.5
+
+    def test_dense_output_is_seventh_order_at_mid_step(self):
+        # a 7th-order interpolant: the local error at mid-step falls as h^8
+        errs = []
+        for h in (0.8, 0.4):
+            opts = IntegratorOptions(t_end=0.3 + h, scheme=DOP853, h_init=h, rel_tol=1.0,
+                                     abs_tol=1.0)
+            traj = integrate(harmonic_rhs, State.of(0.3, [math.cos(0.3)], [-math.sin(0.3)]),
+                             opts)
+            assert traj.accepted == 1
+            x, v = sample_dense(traj, [0.3 + h / 2])
+            errs.append(abs(x[0, 0] - math.cos(0.3 + h / 2)))
+        assert 7.5 <= math.log2(errs[0] / errs[1]) <= 8.5
+
+    def test_dense_output_beats_the_cubic(self):
+        opts = IntegratorOptions(t_end=6.0, scheme=DOP853, rel_tol=1e-10)
+        traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
+        ts = np.linspace(0.1, 5.9, 137)
+        xs, vs = sample_dense(traj, ts)
+        assert np.max(np.abs(xs[:, 0] - np.cos(ts))) < 1e-9
+        assert np.max(np.abs(vs[:, 0] + np.sin(ts))) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_memory_held_per_step(self, n):
+        # the rows t, x, v, a, and for the interpolant h and the 2n-float
+        # stages 5-11 in one flat buffer of doubles, with room for its growth
+        opts = IntegratorOptions(t_end=150.0, scheme=DOP853, rel_tol=1e-12, abs_tol=1e-14)
+        state = State.of(0.0, [1.0] * n, [0.0] * n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = integrate(harmonic_rhs, state, opts)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert traj.accepted > 500
+        assert held / traj.accepted <= 1.25 * 8 * ((1 + 3 * n) + (1 + 14 * n))
+
+    def test_dense_stages_only_on_demand_and_counted(self):
+        rhs = Counted(harmonic_rhs)
+        opts = IntegratorOptions(t_end=6.0, scheme=DOP853, rel_tol=1e-10)
+        traj = integrate(rhs, State.of(0.0, [1.0], [0.0]), opts)
+        # twelve calls a step, the thirteenth stage being the next step's first
+        assert traj.nfev == rhs.calls == 1 + 12 * (traj.accepted + traj.rejected)
+        sample_dense(traj, [1.0, 2.5])
+        sample_dense(traj, [3.0])
+        # the three extra stages of every step, once
+        assert traj.nfev == rhs.calls == 1 + 12 * (traj.accepted + traj.rejected) \
+            + 3 * traj.accepted
+
+    def test_extra_stage_outside_the_domain_keeps_the_cubic(self):
+        # the guard stops no stage of the step, only the extra one at c = 7/9
+        def rhs(t, x, v):
+            if 0.7 < t < 0.8:
+                raise DomainViolation("extra stage", t=t)
+            return [-x[0]]
+
+        opts = IntegratorOptions(t_end=1.0, scheme=DOP853, h_init=1.0, rel_tol=1.0,
+                                 abs_tol=1.0)
+        traj = integrate(rhs, State.of(0.0, [1.0], [0.0]), opts)
+        assert traj.accepted == 1
+        cubic = IntegratorOptions(t_end=1.0, scheme=ADAPTIVE45, h_init=1.0, rel_tol=1.0,
+                                  abs_tol=1.0)
+        ts = [0.25, 0.5, 0.75]
+        x, v = sample_dense(traj, ts)
+        # the same cubic Hermite as a trajectory without an interpolant
+        plain = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), cubic)
+        plain.x, plain.v, plain.a = traj.x, traj.v, traj.a
+        xh, vh = sample_dense(plain, ts)
+        assert np.allclose(x, xh, rtol=0.0, atol=1e-15)
+        assert np.allclose(v, vh, rtol=0.0, atol=1e-15)
+
+
+class TestDefaultScheme:
+    @pytest.mark.parametrize("block", [{"rel_tol": 1e-12}, {"rel_tol": 1e-9},
+                                       {"rel_tol": 1e-3}, {}, {"scheme": None}])
+    def test_unset_scheme_is_dop853(self, block):
+        opts = _integrator_options({"integrator": {"t_end": 1.0, **block}})
+        assert opts.scheme == DOP853
+
+    @pytest.mark.parametrize("name", ["adaptive45", "adaptive", "dop853"])
+    def test_named_scheme_is_kept(self, name):
+        opts = _integrator_options({"integrator": {"t_end": 1.0, "rel_tol": 1e-12,
+                                                   "scheme": name}})
+        assert opts.scheme == (DOP853 if name == "dop853" else ADAPTIVE45)
+
+    @pytest.mark.parametrize("family,params,x0,v0", [
+        ("ml1", {"omega": [1.0, 2.0], "lambda": 1.0, "sign": "+"}, [0.9, -0.4], [0.0, 0.3]),
+        ("morse", {"omega": [1.0, 2.0, 0.7], "zeta": [1.0, 2.0, 0.5]},
+         [0.3, -0.1, 0.6], [0.2, 0.4, -0.3]),
+    ])
+    def test_each_coordinate_keeps_its_energy(self, family, params, x0, v0):
+        # the setting decouples, so each E_i = m_i v_i^2 / 2 + V_i is conserved;
+        # the total energy cannot see energy moving between coordinates
+        system = build_system(family, len(x0), params)
+        opts = _integrator_options({"integrator": {"t_end": 50.0, "rel_tol": 1e-12,
+                                                   "abs_tol": 1e-14}})
+        assert opts.scheme == DOP853
+        traj = integrate(el1_rhs(system), State.of(0.0, x0, v0), opts)
+        assert traj.termination.kind == "completed"
+
+        def energy(k, i):
+            x, v = float(traj.x[k, i]), float(traj.v[k, i])
+            m = system.profiles[i].eval(x)[0]
+            return 0.5 * m * v * v + system.potential.compiled[i](x, 1.0)[0]
+
+        for i in range(system.n):
+            e0 = energy(0, i)
+            assert max(abs(energy(k, i) - e0) for k in range(len(traj))) <= 1e-8
+
+
+class TestRejectionCauses:
+    @pytest.mark.parametrize("scheme", [ADAPTIVE45, DOP853])
+    def test_guard_rejections_are_counted_apart(self, scheme):
+        # the orbit through x = 0.5 with v = 0.8 reaches |x| = 0.94 > 0.9: the
+        # step is retried at a quarter of its size until it is below 4 h_min,
+        # and the guard's last refusal ends the run
+        refusals = []
+
+        def rhs(t, x, v):
+            if abs(x[0]) > 0.9:
+                refusals.append(t)
+                raise DomainViolation("past the wall", t=t, coordinate=0)
+            return [-x[0]]
+
+        opts = IntegratorOptions(t_end=5.0, scheme=scheme, rel_tol=1e-10)
+        traj = integrate(rhs, State.of(0.0, [0.5], [0.8]), opts)
+        assert traj.termination.kind == "domain_violation"
+        assert traj.rejected_guard == len(refusals) - 1 > 0
+        assert traj.rejected >= traj.rejected_guard
+
+    def test_error_rejections_are_not_guard_rejections(self):
+        # a first step far too long for the tolerance is rejected on its error
+        opts = IntegratorOptions(t_end=5.0, scheme=DOP853, rel_tol=1e-12, h_init=2.0)
+        traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
+        assert traj.termination.kind == "completed"
+        assert traj.rejected > 0 and traj.rejected_guard == 0
+
+
 class TestMaxSteps:
     @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
     def test_step_budget_is_a_step_failure(self, scheme):
@@ -392,7 +661,7 @@ class TestStepBelowFloatSpacing:
 
 
 class TestEvaluationCount:
-    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45, DOP853])
     def test_nfev_counts_every_rhs_call(self, scheme):
         rhs = Counted(harmonic_rhs)
         opts = IntegratorOptions(t_end=3.0, scheme=scheme, h=0.01, rel_tol=1e-10)

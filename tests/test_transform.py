@@ -1,20 +1,23 @@
 """Nonlocal map tests: coordinate maps, time rescaling, invariance."""
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from pdmdyn.cli import run_cli
 from pdmdyn.core import (TYPE2, ParameterSet, PdmSystem, State, build_system,
                          parameter_set, potential_energy, potential_gradient)
 from pdmdyn.errors import (InvalidParameter, NonPositiveScale,
                            UnsupportedFamily)
 from pdmdyn.exact import (ExactSolutionSpec, exact_trajectory,
-                          kinematics as kinematics_of)
+                          kinematics as kinematics_of, oscillation_period)
 from pdmdyn.families import FAMILIES
-from pdmdyn.integrate import ADAPTIVE45, IntegratorOptions, integrate
+from pdmdyn.integrate import ADAPTIVE45, DOP853, IntegratorOptions, integrate, sample_dense
 from pdmdyn.profiles import CustomProfile
-from pdmdyn.transform import (NonlocalMap, el2_mapped_residual,
+from pdmdyn.transform import (_GL_NODES, _GL_WEIGHTS, NonlocalMap, el2_mapped_residual,
                               el2_obstruction, elg_residual, f_scale,
                               map_to_reference,
                               potential_match_residual, q_map, reference_map,
@@ -136,6 +139,43 @@ class TestTau:
         # the signed helper still integrates the decreasing clock
         tau = tau_values(nmap, traj, 0, require_positive=False)
         assert tau[-1] == pytest.approx(-2.0, abs=1e-10)
+
+    def test_gauss_legendre_rule(self):
+        x, w = np.polynomial.legendre.leggauss(4)
+        assert np.max(np.abs(_GL_NODES - 0.5 * (1.0 + x))) <= 1e-15
+        assert np.max(np.abs(_GL_WEIGHTS - 0.5 * w)) <= 1e-15
+
+    def test_interpolant_trajectory_uses_gauss_legendre(self):
+        # f = 1 + x m'/(2m) of ml1+; tau of the interpolant by a much finer
+        # rule on the same dense output agrees to rounding
+        system, nmap, _ = ml1_map()
+        opts = IntegratorOptions(t_end=9.0, scheme=DOP853, rel_tol=1e-12, abs_tol=1e-14)
+        traj = integrate(el1_rhs(system), State.of(0.0, [0.9], [0.0]), opts)
+        tau = tau_values(nmap, traj, 0)
+        fine = np.linspace(0.0, 9.0, 20001)
+        x_fine, _ = sample_dense(traj, fine)
+        f = np.array([f_scale(nmap, 0, float(x)) for x in x_fine[:, 0]])
+        h = fine[1] - fine[0]
+        simpson = h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+        assert abs(tau[-1] - simpson) < 1e-12
+
+    @pytest.mark.parametrize("periods,bound", [(1, 1e-10), (4, 2.5e-10)])
+    def test_map_clock_stays_exact(self, tmp_path, periods, bound):
+        # scheme unset at rtol 1e-12: DOP853, its interpolant and Gauss-Legendre;
+        # each position period of ml1 advances tau by 2 pi
+        params = {"omega": [1.0], "lambda": 1.0, "sign": "+"}
+        spec = ExactSolutionSpec("ml1", parameter_set(params, 1), (0.9,))
+        T = float(oscillation_period(spec)[0])
+        cfg = tmp_path / "map.json"
+        cfg.write_text(json.dumps({
+            "family": "ml1", "n": 1, "params": params,
+            "initial": {"from_exact": {"amplitude": [0.9]}},
+            "integrator": {"rel_tol": 1e-12, "abs_tol": 1e-14, "t_end": periods * T}}))
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(["map", "--config", str(cfg)], out, err) == 0
+        header, *rows = out.getvalue().splitlines()
+        tau_end = float(rows[-1].split(",")[header.split(",").index("tau_1")])
+        assert abs(tau_end - 2.0 * math.pi * periods) < bound
 
 
 class TestMapToReference:
