@@ -23,8 +23,8 @@ from .errors import (DomainViolation, ExprDomainError, ExprSyntaxError,
                      SingularPoint, UnknownCheck, UnknownIdentifier,
                      UnsupportedFamily)
 from .exprparse import eval_dual, eval_gradient, parse_expression, to_source
-from .integrate import (ADAPTIVE45, DOP853, FIXED_RK4, IntegratorOptions,
-                        estimate_period, integrate, sample_dense)
+from .integrate import (DOP853, FIXED_RK4, IntegratorOptions, estimate_period,
+                        integrate, sample_dense)
 from .profiles import CoupledProfile, CustomProfile
 from .transform import (MappedTrajectory, NonlocalMap, el2_mapped_residual,
                         el2_obstruction, elg_residual, f_scale,

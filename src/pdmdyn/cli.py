@@ -31,7 +31,7 @@ from .eom import el1_rhs, el2_rhs
 from .errors import PdmError
 from .exact import (ExactSolutionSpec, exact_energy, exact_trajectory,
                     kinematics, MISPRINTS, oscillation_period)
-from .integrate import ADAPTIVE45, DOP853, FIXED_RK4, IntegratorOptions, integrate
+from .integrate import FIXED_RK4, IntegratorOptions, integrate
 from .transform import map_to_reference, reference_map
 from .verify import check_names, run_check, run_suite
 
@@ -128,16 +128,14 @@ def _integrator_options(cfg: dict) -> IntegratorOptions:
     icfg = _require(cfg, "integrator")
     t_end = _number(icfg, "t_end", context="integrator")
     scheme = icfg.get("scheme")
-    if scheme is None:
-        scheme = DOP853
     if scheme in ("fixed", "fixed_rk4"):
         return IntegratorOptions(t_end=t_end, scheme=FIXED_RK4,
                                  h=_number(icfg, "h", 1e-3, "integrator"))
-    if scheme not in ("adaptive", "adaptive45", "dop853"):
-        raise ConfigError("integrator.scheme must be adaptive45, dop853 or fixed_rk4, "
-                          f"got {scheme!r}")
+    if scheme not in (None, "adaptive", "dop853"):
+        raise ConfigError("integrator.scheme must be dop853 (or adaptive), fixed_rk4 "
+                          f"(or fixed) or left out, got {scheme!r}")
     return IntegratorOptions(
-        t_end=t_end, scheme=DOP853 if scheme == DOP853 else ADAPTIVE45,
+        t_end=t_end,
         rel_tol=_number(icfg, "rel_tol", 1e-10, "integrator"),
         abs_tol=_number(icfg, "abs_tol", 1e-12, "integrator"),
         h_init=_number(icfg, "h_init", 1e-3, "integrator"),
@@ -253,8 +251,10 @@ def _cmd_noninvariance(args, out_stream, err_stream) -> int:
 
 def _cmd_verify(args, out_stream, err_stream) -> int:
     selection = None
-    if args.checks:
+    if args.checks is not None:
         selection = [s for s in args.checks.split(",") if s]
+        if not selection:
+            raise ConfigError(f"--checks {args.checks!r} names no check")
     elif args.suite not in ("default", "all"):
         selection = [args.suite]
     reports, summary = run_suite(selection, seed=args.seed, rel_tol=args.rel_tol)

@@ -1,18 +1,17 @@
 """Time integration with domain guards, dense output and period estimation.
 
-Three schemes run on one stepping loop: the embedded Dormand-Prince 5(4)
-pair, the Dormand-Prince 8(5,3) pair (DOP853), both with PI step-size
-control, and classical fixed-step RK4.  Each is a tableau whose last stage
-row equals its weights, so the stage at the new state is the next step's
-first (FSAL): RK4 costs four right-hand-side calls per step, the 5(4) pair
-six and DOP853 twelve.  The loop runs on lists of floats; each stage state,
-the new state and the error estimates sum a tableau row's non-zero weights
-in stage order.  The 5(4) pair's error norm is the RMS of its one scaled
-estimate, DOP853's blends its 5th- and 3rd-order estimates.  The fixed scheme
-differs only where it must: no error estimate, no step-size change, no
-retry, and a non-finite step ends it.  The domain guard runs at every
-internal stage, so a trajectory that approaches a mass-profile boundary
-terminates cleanly instead of corrupting the step-size controller.
+Two schemes run on one stepping loop: the Dormand-Prince 8(5,3) pair
+(DOP853) with PI step-size control, the default, and classical fixed-step
+RK4.  Each is a tableau whose last stage row equals its weights, so the
+stage at the new state is the next step's first (FSAL): RK4 costs four
+right-hand-side calls per step and DOP853 twelve.  The loop runs on lists of
+floats; each stage state, the new state and the error estimates sum a
+tableau row's non-zero weights in stage order.  DOP853's error norm blends
+its 5th- and 3rd-order estimates.  The fixed scheme differs only where it
+must: no error estimate, no step-size change, no retry, and a non-finite
+step ends it.  The domain guard runs at every internal stage, so a
+trajectory that approaches a mass-profile boundary terminates cleanly
+instead of corrupting the step-size controller.
 
 Dense output: a DOP853 trajectory carries the pair's 7th-order interpolant.
 The loop keeps, per accepted step, only what the interpolant needs beyond
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .errors import (DomainViolation, ExprDomainError, InvalidParameter,
 RhsFn = Callable[[float, list, list], Sequence[float]]  # x, v: lists of n floats
 
 FIXED_RK4 = "fixed_rk4"
-ADAPTIVE45 = "adaptive45"
 DOP853 = "dop853"
 
 # a float ZeroDivisionError or OverflowError inside a catalog formula (a mass
@@ -51,7 +49,7 @@ _GUARDABLE = (DomainViolation, SingularCoefficient, SingularPoint,
 @dataclass(frozen=True)
 class IntegratorOptions:
     t_end: float
-    scheme: str = ADAPTIVE45
+    scheme: str = DOP853
     h: float = 1e-3                 # fixed-step size
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -75,26 +73,9 @@ class IntegratorOptions:
             raise InvalidParameter("h_init", "need h_min <= h_init <= h_max")
 
 
-# Dormand-Prince 5(4) tableau; row i of _A weights the stage derivatives
-# that form stage i.  The 5th-order solution is propagated, and the last row
-# of _A equals _B5, so the last stage is reused as the next first one (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _B5 - _B4
-
-# Classical RK4 in the same layout: a fifth row at c = 1 holds the weights, so
-# its stage is the derivative at the new state and serves the next step.
+# Classical RK4; row i of _RK4_A weights the stage derivatives that form stage
+# i.  A fifth row at c = 1 holds the weights, so its stage is the derivative
+# at the new state and serves the next step as its first (FSAL).
 _RK4_C = np.array([0.0, 1 / 2, 1 / 2, 1.0, 1.0])
 _RK4_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0],
@@ -187,22 +168,16 @@ def _pairs(row) -> tuple:
     return tuple((k, float(w)) for k, w in enumerate(row) if w)
 
 
-class _Tableau(NamedTuple):
-    nodes: list           # c of stages 1..
-    rows: list            # non-zero (stage, weight) pairs of their rows
-    errors: tuple         # those of each error estimate; none for a fixed step
-    order: int            # the step-size controller's exponents are 1/order
-    prev_floor: float     # floor of the previous step's error in the PI term
-
-
-_TABLEAUS = {
-    ADAPTIVE45: _Tableau(_C[1:].tolist(), [_pairs(r) for r in _A[1:]], (_pairs(_E),),
-                         5, 1e-10),
-    # Hairer's DOP853 floors the previous error at 1e-4, so a very accurate
-    # step does not hold back the growth of the next
-    DOP853: _Tableau(_DOP_C[1:13].tolist(), [_pairs(r) for r in _DOP_A[1:13]],
-                     (_pairs(_DOP_E5), _pairs(_DOP_E3)), 8, 1e-4),
-    FIXED_RK4: _Tableau(_RK4_C[1:].tolist(), [_pairs(r) for r in _RK4_A[1:]], (), 4, 0.0)}
+# per scheme: the nodes c of stages 1.. and the non-zero (stage, weight) pairs
+# of their rows
+_TABLEAUS = {DOP853: (_DOP_C[1:13].tolist(), [_pairs(r) for r in _DOP_A[1:13]]),
+             FIXED_RK4: (_RK4_C[1:].tolist(), [_pairs(r) for r in _RK4_A[1:]])}
+# DOP853's 5th- and 3rd-order error estimates.  The step-size controller's
+# exponents are 1/8; as in Hairer's DOP853 the PI term floors the previous
+# step's error at 1e-4, so a very accurate step does not hold back the next
+_DOP_ERRORS = (_pairs(_DOP_E5), _pairs(_DOP_E3))
+_DOP_ORDER = 8
+_DOP_PREV_FLOOR = 1e-4
 # DOP853's dense output: nodes and rows of the extra stages 13-15, rows of D
 _DOP_DENSE = (_DOP_C[13:].tolist(), [_pairs(r) for r in _DOP_A[13:]],
               [_pairs(r) for r in _DOP_D])
@@ -237,15 +212,14 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
     if not all(map(math.isfinite, a0)):
         raise DomainViolation("float overflow at the initial state", t=t)
 
-    tab = _TABLEAUS[opts.scheme]
-    nodes, rows = tab.nodes, tab.rows
-    adaptive = bool(tab.errors)
+    nodes, rows = _TABLEAUS[opts.scheme]
+    adaptive = opts.scheme == DOP853
     n = len(x0)
     y = x0 + v0
     ts, xs, vs, accs = [t], [x0], [v0], [a0]
     K = [v0 + a0] + [None] * len(rows)  # stage derivatives (v, a) of y = (x, v)
     # DOP853 keeps what its interpolant needs beyond the rows: h and stages 5-11
-    kept = array("d") if opts.scheme == DOP853 else None
+    kept = array("d") if adaptive else None
     if adaptive:
         h = min(opts.h_init, opts.h_max, max(opts.t_end - t, opts.h_min))
     else:
@@ -254,8 +228,7 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
     nfev = 1  # the initial acceleration
     max_err = 0.0
     err_prev = 1.0
-    # PI controller exponents for a pair of this order
-    k_i, k_p = 0.7 / tab.order, 0.4 / tab.order
+    k_i, k_p = 0.7 / _DOP_ORDER, 0.4 / _DOP_ORDER  # PI controller exponents
     safety = 0.9
     eps_end = 1e-12 * max(1.0, abs(opts.t_end))
     term = Termination("completed")
@@ -284,7 +257,7 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
 
         y_new = yi  # the last stage row is the weights
         if adaptive:
-            err = _error_norm(tab.errors, h, K, y, y_new, opts.abs_tol, opts.rel_tol)
+            err = _error_norm(h, K, y, y_new, opts.abs_tol, opts.rel_tol)
 
             if not math.isfinite(err):
                 h = max(h * 0.25, opts.h_min)
@@ -299,7 +272,7 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
                 if h <= opts.h_min * (1.0 + 1e-12):
                     term = Termination("step_failure", t)
                     break
-                factor = max(safety * err ** (-1.0 / tab.order), 0.2)
+                factor = max(safety * err ** (-1.0 / _DOP_ORDER), 0.2)
                 h = max(h * min(factor, 1.0), opts.h_min)
                 continue
         elif not all(map(math.isfinite, y_new + K[-1])):
@@ -321,27 +294,25 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
         if adaptive:
             max_err = max(max_err, err)
             factor = safety * (err ** -k_i if err > 0.0 else 10.0) * (err_prev ** k_p)
-            err_prev = max(err, tab.prev_floor)
+            err_prev = max(err, _DOP_PREV_FLOOR)
             h = min(max(h * min(max(factor, 0.2), 5.0), opts.h_min), opts.h_max)
     return Trajectory(np.array(ts), np.array(xs), np.array(vs), np.array(accs),
                       accepted, rejected, max_err, term, nfev, rejected_guard,
                       _Interpolant(rhs, kept) if kept else None)
 
 
-def _error_norm(errors: tuple, h: float, K: list, y: list, y_new: list,
+def _error_norm(h: float, K: list, y: list, y_new: list,
                 abs_tol: float, rel_tol: float) -> float:
-    """h times the scaled error: the RMS of one estimate, or DOP853's blend
-    |e5|^2 / sqrt(N (|e5|^2 + 0.01 |e3|^2)) of its 5th- and 3rd-order ones."""
+    """h times DOP853's scaled error, the blend
+    |e5|^2 / sqrt(N (|e5|^2 + 0.01 |e3|^2)) of its 5th- and 3rd-order estimates."""
     zero = [0.0] * len(y)
     sums = []
-    for e in errors:
+    for e in _DOP_ERRORS:
         sq = 0.0
         for d, p, q in zip(_combine(zero, 1.0, K, e), y, y_new):
             r = d / (abs_tol + rel_tol * max(abs(p), abs(q)))
             sq += r * r
         sums.append(sq)
-    if len(sums) == 1:
-        return h * math.sqrt(sums[0] / len(y))
     sq5, sq3 = sums
     if sq5 == 0.0 and sq3 == 0.0:
         return 0.0

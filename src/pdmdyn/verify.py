@@ -20,12 +20,12 @@ from . import exprparse
 from .core import (TYPE2, PdmSystem, State, build_system, parameter_set,
                    total_energy)
 from .eom import el1_acceleration, el1_residual, el1_rhs, el2_acceleration, el2_rhs
-from .errors import ExprError, PdmError, UnknownCheck
+from .errors import ExprError, InvalidParameter, PdmError, UnknownCheck
 from .exact import (AMENDED_FORM, ExactSolutionSpec, exact_energy,
                     exact_solution, exact_trajectory, frequency_relation,
                     kinematics, ml2_reduction_check, oscillation_period)
-from .integrate import (ADAPTIVE45, DOP853, FIXED_RK4, IntegratorOptions,
-                        estimate_period, integrate, sample_dense)
+from .integrate import (FIXED_RK4, IntegratorOptions, estimate_period, integrate,
+                        sample_dense)
 from .profiles import CustomProfile
 from .transform import (el2_mapped_residual, el2_obstruction, elg_residual,
                         f_scale, potential_match_residual, q_map,
@@ -140,21 +140,20 @@ def standard_case(name: str) -> Case:
     return CASES[name]
 
 
-def _adaptive(t_end: float, rel_tol: float = 1e-10, abs_tol: float | None = None,
-              scheme: str = ADAPTIVE45, **kw) -> IntegratorOptions:
-    return IntegratorOptions(t_end=t_end, scheme=scheme, rel_tol=rel_tol,
-                             abs_tol=abs_tol if abs_tol is not None else rel_tol * 1e-2,
+def _adaptive(t_end: float, rel_tol: float | None = None, **kw) -> IntegratorOptions:
+    """DOP853 at rel_tol (1e-10 when None) and abs_tol = rel_tol / 100."""
+    rel_tol = 1e-10 if rel_tol is None else rel_tol
+    return IntegratorOptions(t_end=t_end, rel_tol=rel_tol, abs_tol=rel_tol * 1e-2,
                              h_init=1e-3, **kw)
 
 
-def _integrate_case(case: Case, periods: float, rel_tol: float,
-                    scheme: str = ADAPTIVE45) -> tuple:
+def _integrate_case(case: Case, periods: float, rel_tol: float | None) -> tuple:
     """(system, spec, trajectory) of the case's closed-form orbit from t = 0."""
     system = case.system()
     spec = case.spec()
     T = float(np.max(oscillation_period(spec)))
     x0, v0, _ = kinematics(spec, 0.0)
-    opts = _adaptive(periods * T, rel_tol=rel_tol, scheme=scheme)
+    opts = _adaptive(periods * T, rel_tol=rel_tol)
     traj = integrate(el1_rhs(system), State(0.0, x0, v0), opts)
     return system, spec, traj
 
@@ -465,11 +464,10 @@ def _check_residual_detects_perturbation(seed: int, rel_tol=None) -> CheckReport
 
 
 def _check_track_exact(seed: int, case_name: str, rel_tol=None) -> CheckReport:
-    tol = rel_tol if rel_tol else 1e-10
     case = standard_case(case_name)
     if case.family == "powerlaw":
-        return _track_powerlaw(case, tol)
-    system, spec, traj = _integrate_case(case, 10.0, tol, DOP853)
+        return _track_powerlaw(case, rel_tol)
+    system, spec, traj = _integrate_case(case, 10.0, rel_tol)
     worst = 0.0
     for k in range(len(traj.t)):
         x_exact, _, _ = kinematics(spec, float(traj.t[k]))
@@ -480,7 +478,7 @@ def _check_track_exact(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     return _report(f"track-exact:{case_name}", worst, 1e-6, details=details)
 
 
-def _track_powerlaw(case: Case, tol: float) -> CheckReport:
+def _track_powerlaw(case: Case, rel_tol: float | None) -> CheckReport:
     """Track the closed form arc by arc across 10 nominal periods.
 
     Every orbit of this family reaches the mass zero at the origin in finite
@@ -502,7 +500,7 @@ def _track_powerlaw(case: Case, tol: float) -> CheckReport:
         t0 = (arc * math.pi - math.pi / 2 + delta) / Om
         t_arc_end = (arc * math.pi + math.pi / 2) / Om
         x0, v0, _ = kinematics(spec, t0)
-        opts = _adaptive(t_arc_end, rel_tol=tol, scheme=DOP853)
+        opts = _adaptive(t_arc_end, rel_tol=rel_tol)
         traj = integrate(el1_rhs(system), State(t0, x0, v0), opts)
         for k in range(len(traj.t)):
             if abs(math.cos(Om * traj.t[k] - arc * math.pi)) < compare_margin:
@@ -520,12 +518,12 @@ def _track_powerlaw(case: Case, tol: float) -> CheckReport:
 
 
 def _check_energy_drift(seed: int, case_name: str, rel_tol=None) -> CheckReport:
-    tol = rel_tol if rel_tol else 1e-12
+    tol = 1e-12 if rel_tol is None else rel_tol
     case = standard_case(case_name)
     # every powerlaw orbit reaches the origin within a quarter period, so
     # that family runs the maximal smooth arc before it; every row is read
     arc = case.family == "powerlaw"
-    system, spec, traj = _integrate_case(case, 0.24 if arc else 100.0, tol, DOP853)
+    system, spec, traj = _integrate_case(case, 0.24 if arc else 100.0, tol)
     e0 = exact_energy(spec)
     worst = 0.0
     for k in range(len(traj.t)):
@@ -561,7 +559,7 @@ def _check_frequency_ml1(seed: int, rel_tol=None, printed: bool = False) -> Chec
     x0, v0, _ = kinematics(spec, 0.0)
     T = float(oscillation_period(spec)[0])
     traj = integrate(el1_rhs(system), State(0.0, x0, v0),
-                     _adaptive(8.0 * T, rel_tol=rel_tol or 1e-10))
+                     _adaptive(8.0 * T, rel_tol=rel_tol))
     measured = estimate_period(traj, 0)
     form = "printed" if printed else "validated"
     Om = float(frequency_relation("ml1", params, [A], form=form)[0])
@@ -608,7 +606,7 @@ def _check_frequency_powerlaw_dynamic(seed: int, rel_tol=None) -> CheckReport:
     x0, v0, _ = kinematics(spec, 0.0)
     t_end = 0.6 * math.pi / Om_expected
     traj = integrate(el1_rhs(system), State(0.0, x0, v0),
-                     _adaptive(t_end, rel_tol=rel_tol or 1e-10, h_min=1e-13))
+                     _adaptive(t_end, rel_tol=rel_tol, h_min=1e-13))
     # q = alpha x^(1+upsilon) stays an exact cosine in t; the integration stops
     # a vanishing distance before its zero, so a secant step lands on it
     p = spec.params
@@ -621,10 +619,9 @@ def _check_frequency_powerlaw_dynamic(seed: int, rel_tol=None) -> CheckReport:
 
 
 def _check_invariance(seed: int, case_name: str, rel_tol=None) -> CheckReport:
-    tol = rel_tol if rel_tol else 1e-10
     case = standard_case(case_name)
     periods = 0.24 if case.family == "powerlaw" else 3.0
-    system, _, traj = _integrate_case(case, periods, tol)
+    system, _, traj = _integrate_case(case, periods, rel_tol)
     nmap, ref = reference_map(system)
     worst = 0.0
     for k in range(len(traj.t)):
@@ -641,7 +638,7 @@ def _el2_demo_system(n: int) -> PdmSystem:
     return build_system("custom", 2, mass_exprs=["1+x1^2+x2^2"], kind=TYPE2)
 
 
-def _el2_demo_residual(n: int, rel_tol: float) -> float:
+def _el2_demo_residual(n: int, rel_tol: float | None) -> float:
     """Largest mapped residual of the shared-multiplier demo orbit in n dimensions."""
     system = _el2_demo_system(n)
     if n == 1:
@@ -658,14 +655,14 @@ def _el2_demo_residual(n: int, rel_tol: float) -> float:
 
 
 def _check_noninvariance_n2(seed: int, rel_tol=None) -> CheckReport:
-    worst = _el2_demo_residual(2, rel_tol or 1e-10)
+    worst = _el2_demo_residual(2, rel_tol)
     return _report("noninvariance:el2-n2", worst, 1e-2, comparison=">=",
                    details="shared multiplier in two dimensions leaves an "
                            "order-one mapped residual")
 
 
 def _check_invariance_el2_n1(seed: int, rel_tol=None) -> CheckReport:
-    worst = _el2_demo_residual(1, rel_tol or 1e-10)
+    worst = _el2_demo_residual(1, rel_tol)
     return _report("invariance:el2-n1", worst, 1e-8,
                    details="the same construction collapses cleanly at n=1")
 
@@ -715,7 +712,7 @@ def _check_rk4_order(seed: int, rel_tol=None) -> CheckReport:
 
 
 def _check_adaptive_vs_fixed(seed: int, rel_tol=None) -> CheckReport:
-    tol = rel_tol if rel_tol else 1e-10
+    tol = 1e-10 if rel_tol is None else rel_tol
     case = standard_case("morse")
     system = case.system()
     spec = case.spec()
@@ -894,9 +891,14 @@ def check_names() -> list[str]:
 
 def run_check(name: str, seed: int = DEFAULT_SEED,
               rel_tol: float | None = None) -> CheckReport:
-    """Run one named check; UnknownCheck if the name is not registered."""
+    """Run one named check; UnknownCheck if the name is not registered, and
+    InvalidParameter unless seed >= 0 and rel_tol is None or finite and > 0."""
     if name not in _REGISTRY:
         raise UnknownCheck(f"no check named {name!r}")
+    if not seed >= 0:
+        raise InvalidParameter("seed", f"must be a non-negative integer, got {seed!r}")
+    if rel_tol is not None and not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise InvalidParameter("rel_tol", f"must be finite and positive, got {rel_tol!r}")
     return _REGISTRY[name](seed, rel_tol=rel_tol)
 
 

@@ -19,7 +19,7 @@ ML1_CONFIG = {
     "n": 1,
     "params": {"omega": [1.0], "lambda": 1.0, "sign": "+"},
     "initial": {"x": [1.0], "v": [0.0]},
-    "integrator": {"scheme": "adaptive45", "rel_tol": 1e-10,
+    "integrator": {"scheme": "dop853", "rel_tol": 1e-10,
                    "abs_tol": 1e-12, "t_end": 8.885765876316732},
     "output": {"format": "csv", "stride": 1},
 }
@@ -123,7 +123,7 @@ class TestSimulate:
             "family": "custom", "n": 2,
             "custom": {"kind": "type2", "mass": ["1+x1^2+x2^2"]},
             "initial": {"x": [0.4, -0.3], "v": [0.7, 0.5]},
-            "integrator": {"scheme": "adaptive45", "t_end": 1.0},
+            "integrator": {"scheme": "dop853", "t_end": 1.0},
         }
         cfg = write_config(tmp_path, cfg_data)
         out_path = tmp_path / "traj.csv"
@@ -259,13 +259,21 @@ class TestSimulate:
         cfg_data = dict(ML1_CONFIG, family="custom",
                         custom={"mass": ["1"], "potential": ["x^2"]},
                         initial={"x": [1e200], "v": [0.0]},
-                        integrator={"scheme": "adaptive45", "t_end": 1.0})
+                        integrator={"scheme": "dop853", "t_end": 1.0})
         out_path = tmp_path / "traj.csv"
         code, out, err = run(["simulate", "--config", write_config(tmp_path, cfg_data),
                               "--out", str(out_path)])
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "energy" in err
         assert not out_path.exists()
+
+    def test_removed_scheme_exit_2(self, tmp_path):
+        # no scheme has this name; running DOP853 under it would silently
+        # change what the config asked for
+        cfg_data = with_value(ML1_CONFIG, ("integrator", "scheme"), "adaptive45")
+        assert run(["simulate", "--config", write_config(tmp_path, cfg_data)]) == (
+            2, "", "error: integrator.scheme must be dop853 (or adaptive), fixed_rk4 "
+                   "(or fixed) or left out, got 'adaptive45'\n")
 
     def test_catalog_overflow_mid_run_truncates(self, tmp_path):
         # h = 3 overshoots the Morse well until exp(-zeta x) overflows
@@ -470,7 +478,7 @@ class TestMapMultiCoordinate:
             "family": "ml1", "n": 2,
             "params": {"omega": [1.0, 2.0], "lambda": 1.0, "sign": "+"},
             "initial": {"from_exact": {"amplitude": [1.0, 0.5]}},
-            "integrator": {"scheme": "adaptive45", "rel_tol": 1e-10,
+            "integrator": {"scheme": "dop853", "rel_tol": 1e-10,
                            "t_end": 3.0},
         }
         cfg = write_config(tmp_path, cfg_data)
@@ -511,7 +519,7 @@ class TestMapDecreasingClock:
             "params": {"omega": [1.0], "kappa": [1.0], "beta": 1.0,
                        "eta_exp": -1.0},
             "initial": {"from_exact": {"amplitude": [1.2]}},
-            "integrator": {"scheme": "adaptive45", "t_end": 5.0},
+            "integrator": {"scheme": "dop853", "t_end": 5.0},
         }
         cfg = write_config(tmp_path, cfg_data)
         code, _, err = run(["map", "--config", cfg,
@@ -530,6 +538,12 @@ class TestNoninvariance:
         assert payload["demonstrated"] is True
         assert float(payload["n2_max_mapped_residual"]) > 1e-2
         assert float(payload["n1_max_mapped_residual"]) < 1e-8
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_non_positive_or_non_finite_rel_tol_exit_2(self, value):
+        # 0 must not fall back to the default tolerance
+        assert run(["noninvariance", "--rel-tol", value]) == (
+            2, "", f"error: rel_tol: must be finite and positive, got {float(value)!r}\n")
 
 
 class TestVerify:
@@ -559,6 +573,25 @@ class TestVerify:
                             "--rel-tol", "1e-4"])
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("check", ["energy-drift:ml1+", "g-identity:ml1+"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_non_positive_or_non_finite_rel_tol_exit_2(self, check, value):
+        # whether or not the check integrates: 0 must not fall back to the
+        # default tolerance, and a check without integration must not ignore it
+        assert run(["verify", "--checks", check, "--rel-tol", value]) == (
+            2, "", f"error: rel_tol: must be finite and positive, got {float(value)!r}\n")
+
+    def test_negative_seed_exit_2(self):
+        # numpy's seeding rejects it with a ValueError, which is no usage error
+        assert run(["verify", "--checks", "g-identity:ml1+", "--seed", "-1"]) == (
+            2, "", "error: seed: must be a non-negative integer, got -1\n")
+
+    @pytest.mark.parametrize("checks", [",", ",,", ""])
+    def test_selection_of_no_check_exit_2(self, checks):
+        # an empty selection must not pass on 0 checks or run the whole suite
+        assert run(["verify", "--checks", checks]) == (
+            2, "", f"error: --checks {checks!r} names no check\n")
 
     def test_list_names(self):
         code, out, _ = run(["verify", "--list"])

@@ -9,11 +9,10 @@ import pytest
 from pdmdyn.core import State, Termination, build_system, parameter_set
 from pdmdyn.errors import DomainViolation, InvalidParameter, NoPeriod
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
-from pdmdyn.cli import _integrator_options
-from pdmdyn.integrate import (ADAPTIVE45, DOP853, FIXED_RK4, IntegratorOptions, _A,
-                              _B4, _B5, _C, _DOP_A, _DOP_C, _DOP_D, _DOP_E3, _DOP_E5,
-                              _E, _RK4_A, _RK4_C, estimate_period, integrate,
-                              sample_dense)
+from pdmdyn.cli import ConfigError, _integrator_options
+from pdmdyn.integrate import (DOP853, FIXED_RK4, IntegratorOptions, _DOP_A, _DOP_C,
+                              _DOP_D, _DOP_E3, _DOP_E5, _RK4_A, _RK4_C, estimate_period,
+                              integrate, sample_dense)
 from pdmdyn.eom import el1_rhs
 
 
@@ -33,23 +32,9 @@ class Counted:
         return self.fn(t, x, v)
 
 
-# Dormand-Prince 5(4) coefficients as separate rows, summed stage by stage
-# with Python sums over lists: the reference for the stepper.
-_REF_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_REF_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
-_REF_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
-
-
-def reference_dp5_step(rhs, t, x, v, h):
-    """One 5th-order Dormand-Prince step of (x, v) -> (v, a), loop form."""
+def reference_dop853_step(rhs, t, x, v, h):
+    """One 8th-order Dormand-Prince step of (x, v) -> (v, a), loop form: stage
+    i sums row i of the dense tableau over every earlier stage, zeros too."""
     n = len(x)
 
     def fy(tt, yy):
@@ -57,10 +42,10 @@ def reference_dp5_step(rhs, t, x, v, h):
 
     y = np.concatenate([x, v])
     k = [fy(t, y)]
-    for i in range(1, 7):
-        yi = y + h * sum(_REF_A[i][j] * k[j] for j in range(i))
-        k.append(fy(t + _REF_C[i] * h, yi))
-    return y + h * sum(_REF_B5[j] * k[j] for j in range(7))
+    for i in range(1, 12):
+        yi = y + h * sum(_DOP_A[i, j] * k[j] for j in range(i))
+        k.append(fy(t + _DOP_C[i] * h, yi))
+    return y + h * sum(_DOP_A[12, j] * k[j] for j in range(12))
 
 
 def reference_rk4_step(rhs, t, x, v, h):
@@ -123,7 +108,7 @@ class TestOptions:
             IntegratorOptions(t_end=1.0, **steps)
         assert err.value.field == "h_init"
 
-    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
     def test_end_before_initial_time(self, scheme):
         opts = IntegratorOptions(t_end=-5.0, scheme=scheme)
         with pytest.raises(InvalidParameter) as err:
@@ -133,7 +118,7 @@ class TestOptions:
     @pytest.mark.parametrize("t0,x,v", [(0.0, [math.nan], [0.0]), (0.0, [1.0], [math.inf]),
                                         (0.0, [1.0, -math.inf], [0.0, 0.0]),
                                         (math.nan, [1.0], [0.0])])
-    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
     def test_non_finite_initial_state(self, scheme, t0, x, v):
         with pytest.raises(InvalidParameter) as err:
             integrate(harmonic_rhs, State.of(t0, x, v), IntegratorOptions(t_end=1.0, scheme=scheme))
@@ -157,7 +142,7 @@ def _raising_beyond(limit, error):
 
 class TestArithmeticErrors:
     @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
-    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
     def test_at_initial_state_is_domain_violation(self, scheme, error):
         opts = IntegratorOptions(t_end=1.0, scheme=scheme)
         with pytest.raises(DomainViolation) as err:
@@ -165,7 +150,7 @@ class TestArithmeticErrors:
         assert err.value.t == 0.0
         assert isinstance(err.value.__cause__, error)
 
-    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
     def test_non_finite_rhs_at_initial_state(self, scheme):
         # an RHS whose float arithmetic overflowed to inf at a finite state
         opts = IntegratorOptions(t_end=1.0, scheme=scheme)
@@ -174,7 +159,7 @@ class TestArithmeticErrors:
                       State.of(0.0, [1.0], [0.0]), opts)
 
     @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
-    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
     def test_mid_run_truncates(self, scheme, error):
         # the orbit x = cos(t) passes |x| = 0.5 and later reaches 1
         opts = IntegratorOptions(t_end=5.0, scheme=scheme, h=0.01)
@@ -182,7 +167,7 @@ class TestArithmeticErrors:
         assert traj.termination.kind == "domain_violation"
         assert 0.0 < traj.termination.t < 5.0
         assert np.max(np.abs(traj.x)) <= 0.9
-        if scheme == ADAPTIVE45:
+        if scheme == DOP853:
             assert traj.rejected > 0  # retried closer to the boundary first
 
 
@@ -191,7 +176,7 @@ class TestIntegrate:
         system = build_system("ml1", 1, {"omega": [1.0], "lambda": 1.0,
                                          "sign": "+"})
         T = 2.0 * math.pi * math.sqrt(2.0)
-        opts = IntegratorOptions(t_end=T, scheme=ADAPTIVE45,
+        opts = IntegratorOptions(t_end=T, scheme=DOP853,
                                  rel_tol=1e-10, abs_tol=1e-12)
         traj = integrate(el1_rhs(system), State.of(0.0, [1.0], [0.0]), opts)
         assert traj.termination.kind == "completed"
@@ -203,7 +188,7 @@ class TestIntegrate:
         spec = ExactSolutionSpec("morse", parameter_set(
             {"omega": [1.0], "zeta": [1.0]}, 1), (0.5,))
         x0, v0, _ = kinematics(spec, 0.0)
-        opts = IntegratorOptions(t_end=40.0, scheme=ADAPTIVE45, rel_tol=1e-10)
+        opts = IntegratorOptions(t_end=40.0, scheme=DOP853, rel_tol=1e-10)
         traj = integrate(el1_rhs(system), State(0.0, x0, v0), opts)
         assert traj.termination.kind == "completed"
         assert np.all(traj.x >= math.log(0.5) - 1e-9)
@@ -227,7 +212,7 @@ class TestIntegrate:
         # a mass zero inside the working interval makes the velocity diverge
         # in finite time; the adaptive run must stop, not wander outside
         system = build_system("custom", 1, mass_exprs=["1-x^2"])
-        opts = IntegratorOptions(t_end=10.0, scheme=ADAPTIVE45, rel_tol=1e-8)
+        opts = IntegratorOptions(t_end=10.0, scheme=DOP853, rel_tol=1e-8)
         rhs = Counted(el1_rhs(system))
         traj = integrate(rhs, State.of(0.0, [0.9], [0.5]), opts)
         assert traj.termination.kind in ("domain_violation", "step_failure")
@@ -241,17 +226,20 @@ class TestIntegrate:
         # scheme resolve the turn instead of aborting
         system = build_system("ml1", 1, {"omega": [1.0], "lambda": 1.0,
                                          "sign": "-"})
-        opts = IntegratorOptions(t_end=10.0, scheme=ADAPTIVE45, rel_tol=1e-8)
+        # from v = 0.5 no DOP853 stage crosses the wall; from 2.0 some do, so
+        # there are retries to count
+        opts = IntegratorOptions(t_end=3.0, scheme=DOP853, rel_tol=1e-8)
         rhs = Counted(el1_rhs(system))
-        traj = integrate(rhs, State.of(0.0, [0.9999], [0.5]), opts)
+        traj = integrate(rhs, State.of(0.0, [0.9999], [2.0]), opts)
         assert traj.termination.kind == "completed"
         assert np.all(np.abs(traj.x) < 1.0)
-        # some attempts stopped part-way through their six stages at the
+        # some attempts stopped part-way through their twelve stages at the
         # domain check and were retried; their stages count too
-        assert (traj.nfev - 1) % 6 != 0
+        assert traj.rejected_guard > 0
+        assert (traj.nfev - 1) % 12 != 0
         assert traj.nfev == rhs.calls
 
-    @pytest.mark.parametrize("scheme", [ADAPTIVE45, FIXED_RK4])
+    @pytest.mark.parametrize("scheme", [DOP853, FIXED_RK4])
     def test_domain_violation_truncates_at_its_coordinate(self, scheme):
         def rhs(t, x, v):
             if abs(x[0]) > 0.5:
@@ -291,14 +279,14 @@ class TestIntegrate:
         assert traj.nfev == rhs.calls == 1 + 4 * traj.accepted
 
     def test_step_statistics_populated(self):
-        opts = IntegratorOptions(t_end=5.0, scheme=ADAPTIVE45, rel_tol=1e-10)
+        opts = IntegratorOptions(t_end=5.0, scheme=DOP853, rel_tol=1e-10)
         traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
         assert traj.accepted == len(traj.t) - 1
         assert traj.max_error <= 1.0
         assert traj.rejected >= 0
 
     def test_dense_output_accuracy(self):
-        opts = IntegratorOptions(t_end=6.0, scheme=ADAPTIVE45, rel_tol=1e-10)
+        opts = IntegratorOptions(t_end=6.0, scheme=DOP853, rel_tol=1e-10)
         traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
         ts = np.linspace(0.1, 5.9, 137)
         xs, vs = sample_dense(traj, ts)
@@ -315,22 +303,8 @@ class TestIntegrate:
 
 
 class TestDormandPrince:
-    def test_tableau_rows_sum_to_nodes(self):
-        for i in range(7):
-            assert math.fsum(_A[i]) == pytest.approx(_C[i], abs=1e-15)
-
-    def test_last_row_is_fifth_order_weights(self):
-        # first-same-as-last: the last stage is evaluated at the new state
-        assert np.array_equal(_A[6], _B5)
-
-    def test_weights_are_consistent(self):
-        assert math.fsum(_B5) == pytest.approx(1.0, abs=1e-15)
-        assert math.fsum(_B4) == pytest.approx(1.0, abs=1e-15)
-
-    def test_error_weights_match_scipy(self):
-        rk = pytest.importorskip("scipy.integrate._ivp.rk")
-        # scipy estimates B4 - B5 where this stepper estimates B5 - B4
-        assert np.max(np.abs(_E + rk.RK45.E)) <= 1e-15
+    """One step of the Dormand-Prince 8(5,3) pair against a loop over its
+    dense tableau, with no scipy."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_step_matches_loop_reference(self, n):
@@ -339,11 +313,10 @@ class TestDormandPrince:
         for _ in range(25):
             x, v = rng.normal(size=n), rng.normal(size=n)
             t0, h = rng.uniform(-1.0, 1.0), rng.uniform(0.01, 0.2)
-            opts = IntegratorOptions(t_end=t0 + h, h_init=h, rel_tol=1.0,
-                                     abs_tol=1.0)
+            opts = IntegratorOptions(t_end=t0 + h, h_init=h, rel_tol=1.0, abs_tol=1.0)
             traj = integrate(rhs, State(t0, x, v), opts)
             assert (traj.accepted, traj.rejected) == (1, 0)
-            ref = reference_dp5_step(rhs, t0, x, v, h)
+            ref = reference_dop853_step(rhs, t0, x, v, h)
             got = np.concatenate([traj.x[-1], traj.v[-1]])
             assert np.max(np.abs(got - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
 
@@ -561,8 +534,7 @@ class TestDop853Order:
                                  abs_tol=1.0)
         traj = integrate(rhs, State.of(0.0, [1.0], [0.0]), opts)
         assert traj.accepted == 1
-        cubic = IntegratorOptions(t_end=1.0, scheme=ADAPTIVE45, h_init=1.0, rel_tol=1.0,
-                                  abs_tol=1.0)
+        cubic = IntegratorOptions(t_end=1.0, scheme=FIXED_RK4, h=1.0)
         ts = [0.25, 0.5, 0.75]
         x, v = sample_dense(traj, ts)
         # the same cubic Hermite as a trajectory without an interpolant
@@ -582,9 +554,18 @@ class TestDefaultScheme:
 
     @pytest.mark.parametrize("name", ["adaptive45", "adaptive", "dop853"])
     def test_named_scheme_is_kept(self, name):
-        opts = _integrator_options({"integrator": {"t_end": 1.0, "rel_tol": 1e-12,
-                                                   "scheme": name}})
-        assert opts.scheme == (DOP853 if name == "dop853" else ADAPTIVE45)
+        block = {"integrator": {"t_end": 1.0, "rel_tol": 1e-12, "scheme": name}}
+        if name == "adaptive45":
+            # no scheme has this name; running DOP853 under it would silently
+            # change what the config asked for
+            with pytest.raises(ConfigError, match="dop853.*fixed_rk4.*'adaptive45'"):
+                _integrator_options(block)
+        else:
+            assert _integrator_options(block).scheme == DOP853
+
+    def test_library_default_is_the_cli_default(self):
+        unset = _integrator_options({"integrator": {"t_end": 1.0}})
+        assert IntegratorOptions(t_end=1.0).scheme == unset.scheme == DOP853
 
     @pytest.mark.parametrize("family,params,x0,v0", [
         ("ml1", {"omega": [1.0, 2.0], "lambda": 1.0, "sign": "+"}, [0.9, -0.4], [0.0, 0.3]),
@@ -612,7 +593,7 @@ class TestDefaultScheme:
 
 
 class TestRejectionCauses:
-    @pytest.mark.parametrize("scheme", [ADAPTIVE45, DOP853])
+    @pytest.mark.parametrize("scheme", [DOP853])
     def test_guard_rejections_are_counted_apart(self, scheme):
         # the orbit through x = 0.5 with v = 0.8 reaches |x| = 0.94 > 0.9: the
         # step is retried at a quarter of its size until it is below 4 h_min,
@@ -640,18 +621,19 @@ class TestRejectionCauses:
 
 
 class TestMaxSteps:
-    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
     def test_step_budget_is_a_step_failure(self, scheme):
-        opts = IntegratorOptions(t_end=10.0, scheme=scheme, h=1e-3,
+        # DOP853 covers 10 time units in fewer than 100 steps, so run to 100
+        opts = IntegratorOptions(t_end=100.0, scheme=scheme, h=1e-3,
                                  rel_tol=1e-12, max_steps=100)
         traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
         assert traj.termination.kind == "step_failure"
-        assert traj.termination.t == traj.t[-1] < 10.0
+        assert traj.termination.t == traj.t[-1] < 100.0
         assert traj.accepted + traj.rejected == 100
 
 
 class TestStepBelowFloatSpacing:
-    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
     def test_step_that_cannot_advance_time_is_a_step_failure(self, scheme):
         # at t = -1e300 every step of 1e-3 rounds away: t + h == t
         opts = IntegratorOptions(t_end=0.01, scheme=scheme, max_steps=10_000)
@@ -661,7 +643,7 @@ class TestStepBelowFloatSpacing:
 
 
 class TestEvaluationCount:
-    @pytest.mark.parametrize("scheme", [FIXED_RK4, ADAPTIVE45, DOP853])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
     def test_nfev_counts_every_rhs_call(self, scheme):
         rhs = Counted(harmonic_rhs)
         opts = IntegratorOptions(t_end=3.0, scheme=scheme, h=0.01, rel_tol=1e-10)
@@ -700,7 +682,7 @@ class TestEstimatePeriod:
         system = build_system("ml1", 1, {"omega": [1.0], "lambda": 1.0,
                                          "sign": "+"})
         T = 2.0 * math.pi * math.sqrt(2.0)
-        opts = IntegratorOptions(t_end=6.0 * T, scheme=ADAPTIVE45, rel_tol=1e-10)
+        opts = IntegratorOptions(t_end=6.0 * T, scheme=DOP853, rel_tol=1e-10)
         traj = integrate(el1_rhs(system), State.of(0.0, [1.0], [0.0]), opts)
         measured = estimate_period(traj, 0)
         assert measured == pytest.approx(8.885766, rel=1e-6)

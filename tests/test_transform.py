@@ -15,7 +15,7 @@ from pdmdyn.errors import (InvalidParameter, NonPositiveScale,
 from pdmdyn.exact import (ExactSolutionSpec, exact_trajectory,
                           kinematics as kinematics_of, oscillation_period)
 from pdmdyn.families import FAMILIES
-from pdmdyn.integrate import ADAPTIVE45, DOP853, IntegratorOptions, integrate, sample_dense
+from pdmdyn.integrate import DOP853, IntegratorOptions, integrate, sample_dense
 from pdmdyn.profiles import CustomProfile
 from pdmdyn.transform import (_GL_NODES, _GL_WEIGHTS, NonlocalMap, el2_mapped_residual,
                               el2_obstruction, elg_residual, f_scale,
@@ -202,7 +202,7 @@ class TestMapToReference:
 
     def test_mapped_trajectory_satisfies_reference_equations(self):
         system, nmap, ref = ml1_map()
-        opts = IntegratorOptions(t_end=20.0, scheme=ADAPTIVE45, rel_tol=1e-10)
+        opts = IntegratorOptions(t_end=20.0, scheme=DOP853, rel_tol=1e-10)
         traj = integrate(el1_rhs(system), State.of(0.0, [1.0], [0.0]), opts)
         worst = max(float(np.max(np.abs(elg_residual(nmap, system, ref,
                                                      traj.state(k)))))
@@ -231,7 +231,7 @@ class TestMapToReference:
         spec = ExactSolutionSpec("ml1", parameter_set(params, 2), (1.0, 0.5),
                                  phase=(0.0, 0.7))
         x0, v0, _ = kinematics_of(spec, 0.0)
-        opts = IntegratorOptions(t_end=15.0, scheme=ADAPTIVE45, rel_tol=1e-10)
+        opts = IntegratorOptions(t_end=15.0, scheme=DOP853, rel_tol=1e-10)
         traj = integrate(el1_rhs(system), State(0.0, x0, v0), opts)
         worst = max(float(np.max(np.abs(elg_residual(nmap, system, ref,
                                                      traj.state(k)))))
@@ -324,7 +324,7 @@ class TestObstruction:
 
     def test_n2_mapped_residual_is_order_one(self):
         system = build_system("custom", 2, mass_exprs=["1+x1^2+x2^2"], kind=TYPE2)
-        opts = IntegratorOptions(t_end=5.0, scheme=ADAPTIVE45, rel_tol=1e-10)
+        opts = IntegratorOptions(t_end=5.0, scheme=DOP853, rel_tol=1e-10)
         traj = integrate(el2_rhs(system), State.of(0.0, [0.4, -0.3], [0.7, 0.5]),
                          opts)
         worst = max(float(np.max(np.abs(el2_mapped_residual(system, traj.state(k)))))
@@ -333,7 +333,7 @@ class TestObstruction:
 
     def test_n1_mapped_residual_vanishes(self):
         system = build_system("custom", 1, mass_exprs=["1+x1^2"], kind=TYPE2)
-        opts = IntegratorOptions(t_end=5.0, scheme=ADAPTIVE45, rel_tol=1e-10)
+        opts = IntegratorOptions(t_end=5.0, scheme=DOP853, rel_tol=1e-10)
         traj = integrate(el2_rhs(system), State.of(0.0, [0.4], [0.7]), opts)
         worst = max(float(np.max(np.abs(el2_mapped_residual(system, traj.state(k)))))
                     for k in range(len(traj.t)))

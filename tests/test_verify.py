@@ -2,7 +2,7 @@
 
 import pytest
 
-from pdmdyn.errors import UnknownCheck
+from pdmdyn.errors import InvalidParameter, UnknownCheck
 from pdmdyn.verify import (CheckReport, check_names, run_check, run_suite,
                            standard_case)
 
@@ -21,6 +21,17 @@ class TestRunCheck:
         a = run_check("ml-profile-identity", seed=1)
         b = run_check("ml-profile-identity", seed=2)
         assert a.passed and b.passed
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, float("nan"), float("inf")])
+    def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
+        with pytest.raises(InvalidParameter) as err:
+            run_check("substitution-identity", rel_tol=rel_tol)
+        assert err.value.field == "rel_tol"
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(InvalidParameter) as err:
+            run_check("ml-profile-identity", seed=-1)
+        assert err.value.field == "seed"
 
     def test_report_fields(self):
         r = run_check("substitution-identity")
