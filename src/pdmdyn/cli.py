@@ -29,8 +29,8 @@ from .core import (TYPE1, TYPE2, PdmSystem, State, Trajectory, build_system,
                    parameter_set, total_energy)
 from .eom import el1_rhs, el2_rhs
 from .errors import PdmError
-from .exact import (ExactSolutionSpec, exact_energy, exact_trajectory,
-                    kinematics, MISPRINTS, oscillation_period)
+from .exact import (ExactSolutionSpec, exact_energy, exact_solution,
+                    exact_trajectory, MISPRINTS, oscillation_period)
 from .integrate import FIXED_RK4, IntegratorOptions, integrate
 from .transform import map_to_reference, reference_map
 from .verify import check_names, run_check, run_suite
@@ -114,8 +114,7 @@ def _initial_state(cfg: dict, system: PdmSystem) -> State:
     if "from_exact" in initial:
         spec = _exact_spec_from(initial["from_exact"], cfg, "initial.from_exact")
         t0 = _number(initial["from_exact"], "t0", 0.0, "initial.from_exact")
-        x, v, _ = kinematics(spec, t0)
-        return State(t0, x, v)
+        return exact_solution(spec, t0)
     x = np.asarray(_numbers(initial, "x", "initial"), dtype=float)
     v = np.asarray(_numbers(initial, "v", "initial"), dtype=float)
     if len(x) != system.n or len(v) != system.n:
@@ -164,10 +163,12 @@ def _trajectory_rows(system: PdmSystem, traj: Trajectory,
     n = system.n
     header = (["t"] + [f"x_{i + 1}" for i in range(n)]
               + [f"v_{i + 1}" for i in range(n)] + ["E"])
+    # total_energy reads any sequences: lists spare two array copies per row
+    ts, xs, vs = traj.t.tolist(), traj.x.tolist(), traj.v.tolist()
     rows = []
-    for k in range(0, len(traj.t), stride):
-        e = total_energy(system, traj.state(k))
-        rows.append([traj.t[k], *traj.x[k], *traj.v[k], e])
+    for k in range(0, len(ts), stride):
+        e = total_energy(system, State(ts[k], xs[k], vs[k]))
+        rows.append([ts[k], *xs[k], *vs[k], e])
     return header, rows
 
 
@@ -255,8 +256,6 @@ def _cmd_verify(args, out_stream, err_stream) -> int:
         selection = [s for s in args.checks.split(",") if s]
         if not selection:
             raise ConfigError(f"--checks {args.checks!r} names no check")
-    elif args.suite not in ("default", "all"):
-        selection = [args.suite]
     reports, summary = run_suite(selection, seed=args.seed, rel_tol=args.rel_tol)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -322,7 +321,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
 
     p = sub.add_parser("verify", help="run verification check suites")
-    p.add_argument("--suite", default="default")
+    p.add_argument("--suite", default="default", choices=("default", "all"))
     p.add_argument("--checks", help="comma-separated check names or prefixes")
     p.add_argument("--report", help="write a JSON report here")
     p.add_argument("--seed", type=int, default=20260810)

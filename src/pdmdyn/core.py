@@ -112,9 +112,11 @@ class PotentialSpec:
 
     def __post_init__(self):
         # resolved once, when the system is built: the compiled expressions
-        # x -> (V_i, V_i', V_i'') and the family record (None for custom)
+        # x -> (V_i, V_i', V_i''), the family record (None for custom) and
+        # the energy closure
         object.__setattr__(self, "compiled", tuple(compile_expression(e) for e in self.exprs))
         object.__setattr__(self, "record", FAMILIES.get(self.family))
+        object.__setattr__(self, "energy", _potential(self))
 
 
 @dataclass(frozen=True)
@@ -271,40 +273,43 @@ def _custom_system(n: int, p: ParameterSet, mass_exprs: Sequence[str] | None,
     return PdmSystem(n, want, profiles, PotentialSpec("custom", p, exprs))
 
 
-# --- potential evaluation ------------------------------------------------------
+# --- energy evaluation -----------------------------------------------------------
 
 
-def _inside(pot: PotentialSpec, i: int, xi: float) -> float:
-    """x_i, once checked against the potential's domain and pole."""
-    lo, hi = pot.domain
-    if not lo < xi < hi:
-        raise DomainViolation(f"x_{i + 1}={xi!r} outside the domain ({lo}, {hi})",
-                              coordinate=i)
-    if xi == pot.pole:
-        raise SingularPoint(f"potential singular at x_{i + 1} = {xi!r}", i)
-    return xi
+def _potential(pot: PotentialSpec):
+    """V(x) on a list of floats: the sum of the compiled terms, each x_i checked
+    first against the domain and the pole; a DomainViolation unless finite."""
+    terms, (lo, hi), pole = pot.compiled, pot.domain, pot.pole
+
+    def energy(x: list[float]) -> float:
+        total = 0.0
+        for i, (term, xi) in enumerate(zip(terms, x)):
+            if not lo < xi < hi:
+                raise DomainViolation(f"x_{i + 1}={xi!r} outside the domain ({lo}, {hi})",
+                                      coordinate=i)
+            if xi == pole:
+                raise SingularPoint(f"potential singular at x_{i + 1} = {xi!r}", i)
+            total += term(xi, 1.0)[0]
+        if not math.isfinite(total):
+            raise DomainViolation(f"potential energy V={total!r} is not finite at x={x}")
+        return total
+    return energy
 
 
 def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:
     """V(x), the sum of the compiled per-coordinate terms; a DomainViolation
     when it is not finite."""
-    pot = system.potential
-    total = 0.0
-    for i, term in enumerate(pot.compiled):
-        total += term(_inside(pot, i, float(x[i])), 1.0)[0]
-    if not math.isfinite(total):
-        raise DomainViolation(f"potential energy V={total!r} is not finite at "
-                              f"x={[float(xi) for xi in x]}")
-    return total
+    return system.potential.energy([*map(float, x)])
 
 
 def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
     """dV/dx as a vector, exact through the compiled dual-number terms."""
     pot = system.potential
-    out = np.empty(system.n)
-    for i, term in enumerate(pot.compiled):
-        out[i] = term(_inside(pot, i, float(x[i])), 1.0)[1]
-    return out
+    (lo, hi), pole = pot.domain, pot.pole
+    xs = [*map(float, x)]
+    if not all(lo < xi < hi and xi != pole for xi in xs):
+        pot.energy(xs)  # raises the first coordinate's error
+    return np.array([term(xi, 1.0)[1] for term, xi in zip(pot.compiled, xs)])
 
 
 def kinetic_energy(system: PdmSystem, state: State) -> float:
@@ -316,9 +321,8 @@ def kinetic_energy(system: PdmSystem, state: State) -> float:
             total = 0.5 * m * float(np.dot(state.v, state.v))
         else:
             total = 0.0
-            for i in range(system.n):
-                m, _, _ = system.profiles[i].eval(float(state.x[i]))
-                total += 0.5 * m * float(state.v[i]) ** 2
+            for profile, xi, vi in zip(system.profiles, state.x, state.v):
+                total += 0.5 * profile.eval(float(xi))[0] * float(vi) ** 2
     except OverflowError as err:
         raise DomainViolation(f"float overflow in the kinetic energy at t={state.t!r}",
                               t=state.t) from err

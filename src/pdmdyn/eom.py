@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TYPE1, TYPE2, PdmSystem, State, _inside
+from .core import TYPE1, TYPE2, PdmSystem, State
 from .errors import InvalidParameter, SingularCoefficient
 
 
@@ -40,7 +40,7 @@ def el1_rhs(system: PdmSystem) -> Callable:
             if xi == singular:
                 raise SingularCoefficient(f"m'/m and 1/m diverge at x_{i + 1} = {xi!r}", i)
             if not lo < xi < hi or xi == pole:  # the profiles share this domain
-                _inside(pot, i, xi)  # raises the coordinate's error
+                pot.energy(x)  # raises the coordinate's error
             dv = term(xi, 1.0)[1]
             m, m1, _ = mass(xi, 1.0)
             if m < 0.0:
@@ -66,7 +66,7 @@ def el2_rhs(system: PdmSystem) -> Callable:
         out = []
         for (i, term), xi, vi, g in zip(enumerate(pot.compiled), x, v, gradm):
             if not lo < xi < hi or xi == pole:
-                _inside(pot, i, xi)  # raises the coordinate's error
+                pot.energy(x)  # raises the coordinate's error
             out.append(-(mdot / m) * vi + 0.5 * (g / m) * v2 - term(xi, 1.0)[1] / m)
         return out
     return rhs

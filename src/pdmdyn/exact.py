@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ParameterSet, State, _check_lengths, build_system, total_energy
+from .core import (ParameterSet, State, Termination, Trajectory, _check_lengths,
+                   build_system, total_energy)
 from .errors import InvalidParameter, InvalidSpec, UnsupportedFamily
 from .families import (AMENDED_FORM, FAMILIES, PUBLISHED_FORM,
                        ml2_reduction_check)
@@ -69,6 +70,8 @@ class ExactSolutionSpec:
         if not np.all(np.isfinite(rates) & (rates > 0.0)):
             raise InvalidSpec(f"no finite positive frequency at amplitude "
                               f"{self.amplitude}: {rates.tolist()}")
+        rates = rates if record.amplitude_dependent else self.params.omega
+        object.__setattr__(self, "rates", tuple(map(float, rates)))  # closed forms' rates
 
     @property
     def n(self) -> int:
@@ -103,16 +106,14 @@ def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
 
 def kinematics(spec: ExactSolutionSpec, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic (x, xdot, xddot) of the closed form at time t; an InvalidSpec
-    where an extreme amplitude or time makes it overflow, divide by zero or
-    take the cosine of an infinite phase."""
-    n, record = spec.n, spec.record
-    x, v, a = np.empty(n), np.empty(n), np.empty(n)
+    where an extreme amplitude or time makes it overflow, divide by zero,
+    take the cosine of an infinite phase or return a value that is not finite."""
+    x, v, a = np.empty((3, spec.n))
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            rates = (frequency_relation(spec.family, spec.params, spec.amplitude)
-                     if record.amplitude_dependent else spec.params.omega)
-            for i in range(n):
-                x[i], v[i], a[i] = record.closed_form(spec, i, t, float(rates[i]))
+        for i, rate in enumerate(spec.rates):
+            x[i], v[i], a[i] = row = spec.record.closed_form(spec, i, t, rate)
+            if not all(map(math.isfinite, row)):
+                raise ArithmeticError(f"(x, xdot, xddot) = {row} is not finite")
     except (ArithmeticError, ValueError) as err:
         raise InvalidSpec(f"closed form fails at t={t!r}, amplitude {spec.amplitude}: "
                           f"{err}") from err
@@ -131,7 +132,6 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
     Lets trajectory consumers (period estimation, the nonlocal map, quadrature)
     run on a closed form exactly as they would on integrator output.
     """
-    from .core import Termination, Trajectory
     if samples < 1:
         raise InvalidParameter("samples", f"need at least 1, got {samples!r}")
     if not math.isfinite(t1 - t0):
@@ -142,11 +142,9 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
         ts = np.linspace(t0, t1, samples)
     except (ValueError, MemoryError) as err:    # more samples than one array can hold
         raise InvalidParameter("samples", f"too many for one array: {err}") from None
-    xs = np.empty((samples, spec.n))
-    vs = np.empty((samples, spec.n))
-    accs = np.empty((samples, spec.n))
-    for k, t in enumerate(ts):
-        xs[k], vs[k], accs[k] = kinematics(spec, float(t))
+    xs, vs, accs = np.empty((3, samples, spec.n))
+    for k, t in enumerate(map(float, ts)):
+        xs[k], vs[k], accs[k] = kinematics(spec, t)
     return Trajectory(ts, xs, vs, accs, samples, 0, 0.0, Termination("completed"))
 
 

@@ -223,15 +223,17 @@ def _inverse_square_check(p, amplitude):
 def _sqrt_shape(theta_dot: float, num_s: float, num_c: float, denom: float,
                 rho: float, t: float, phase: float) -> tuple[float, float, float]:
     """x = u^rho with u = (num_s sin^2 + num_c cos^2)/denom and theta = theta_dot t + phase."""
-    th = theta_dot * np.array([t]) + phase
-    s2 = np.sin(th) ** 2
-    u = (num_c + (num_s - num_c) * s2) / denom
-    ud = (num_s - num_c) * np.sin(2.0 * th) * theta_dot / denom
-    udd = (num_s - num_c) * 2.0 * np.cos(2.0 * th) * theta_dot ** 2 / denom
+    th = theta_dot * t + phase
+    s = math.sin(th)
+    u = (num_c + (num_s - num_c) * (s * s)) / denom
+    if not math.isfinite(u):    # u^rho with rho < 0 would hide it
+        raise OverflowError(f"u = {u!r} is not finite")
+    ud = (num_s - num_c) * math.sin(2.0 * th) * theta_dot / denom
+    udd = (num_s - num_c) * 2.0 * math.cos(2.0 * th) * theta_dot ** 2 / denom
     x = u ** rho
     xd = rho * u ** (rho - 1.0) * ud
     xdd = rho * (rho - 1.0) * u ** (rho - 2.0) * ud * ud + rho * u ** (rho - 1.0) * udd
-    return x[0], xd[0], xdd[0]
+    return x, xd, xdd
 
 
 def _isotonic_form(spec, i, t, rate):

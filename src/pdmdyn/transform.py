@@ -7,8 +7,8 @@ Per coordinate the bundle is (q_i(x_i), f_i(x_i), tau_i) with
 so (dq/dx)^2 = m f^2 always holds.  dq/dx is returned signed: the isotonic
 power-law family with a negative exponent has a decreasing coordinate map,
 and the squared identity is the invariant, not the sign.  Each family's
-q_i and f_i live in its record in ``families``; a NonlocalMap carries the
-record and this module calls into it.  The reference oscillator is the
+q_i and f_i live in its record in ``families``; a NonlocalMap binds them
+into one closure per coordinate.  The reference oscillator is the
 catalog system the record names (``harmonic`` or ``isotonic``), built with
 the family's own parameters, so its potential and gradient are the
 catalog's.
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory,
-                   build_system, potential_energy, potential_gradient)
+                   build_system, potential_gradient)
 from .eom import el1_acceleration, el2_acceleration
 from .errors import InvalidParameter, NonPositiveScale, UnsupportedFamily
 from .families import Family
@@ -39,6 +39,20 @@ class NonlocalMap:
     record: Family          # the family whose q_i, f_i the map uses
     profiles: tuple
     params: ParameterSet
+
+    def __post_init__(self):
+        # points[i]: x -> (q_i, dq_i/dx_i, f_i, m_i) from one checked evaluation of m_i
+        object.__setattr__(self, "points", tuple(map(self._point, range(len(self.profiles)))))
+
+    def _point(self, i: int):
+        q, f, p, mass = self.record.q, self.record.f, self.params, self.profiles[i].eval
+
+        def point(x: float) -> tuple[float, float, float, float]:
+            m, m1, _ = mass(x)
+            root = math.sqrt(m)
+            qi, fi = q(p, i, x, root), f(p, i, x, m1 / (2.0 * m))
+            return qi, fi * root, fi, m
+        return point
 
 
 @dataclass
@@ -64,17 +78,12 @@ def reference_map(system: PdmSystem) -> tuple[NonlocalMap, PdmSystem]:
 
 def f_scale(nmap: NonlocalMap, i: int, x: float) -> float:
     """Time-rescaling factor f_i at x."""
-    m, m1, _ = nmap.profiles[i].eval(x)
-    return nmap.record.f(nmap.params, i, x, m1 / (2.0 * m))
+    return nmap.points[i](x)[2]
 
 
 def q_map(nmap: NonlocalMap, i: int, x: float) -> tuple[float, float]:
     """(q_i, dq_i/dx_i) at x; the derivative is f_i sqrt(m_i), sign included."""
-    m, m1, _ = nmap.profiles[i].eval(x)
-    root = math.sqrt(m)
-    p = nmap.params
-    return (nmap.record.q(p, i, x, root),
-            nmap.record.f(p, i, x, m1 / (2.0 * m)) * root)
+    return nmap.points[i](x)[:2]
 
 
 # 4-point Gauss-Legendre nodes and weights on [0, 1]: exact to degree 7, the
@@ -101,8 +110,9 @@ def tau_values(nmap: NonlocalMap, traj: Trajectory, i: int,
     else:
         inner = 0.5 * (t[:-1] + t[1:])
     x_inner, _ = sample_dense(traj, inner)
-    f_nodes = np.array([f_scale(nmap, i, float(xk)) for xk in traj.x[:, i]])
-    f_inner = np.array([f_scale(nmap, i, float(xk)) for xk in x_inner[:, i]])
+    point = nmap.points[i]
+    f_nodes = np.array([point(xk)[2] for xk in map(float, traj.x[:, i])])
+    f_inner = np.array([point(xk)[2] for xk in map(float, x_inner[:, i])])
     if require_positive and (np.any(f_nodes <= 0.0) or np.any(f_inner <= 0.0)):
         raise NonPositiveScale(
             f"f_{i + 1} <= 0 along the trajectory; tau_{i + 1} is not increasing")
@@ -115,24 +125,20 @@ def tau_values(nmap: NonlocalMap, traj: Trajectory, i: int,
 
 def map_to_reference(nmap: NonlocalMap, traj: Trajectory) -> MappedTrajectory:
     """Image (tau_i, q_i, qtilde_i) of a trajectory, one clock per coordinate."""
-    n = traj.x.shape[1]
-    tau = np.column_stack([tau_values(nmap, traj, i) for i in range(n)])
-    q = np.empty_like(traj.x)
-    qt = np.empty_like(traj.v)
-    for k in range(len(traj.t)):
-        for i in range(n):
-            m, _, _ = nmap.profiles[i].eval(float(traj.x[k, i]))
-            q[k, i] = q_map(nmap, i, float(traj.x[k, i]))[0]
-            qt[k, i] = traj.v[k, i] * math.sqrt(m)
-    return MappedTrajectory(traj.t.copy(), tau, q, qt)
+    tau = np.column_stack([tau_values(nmap, traj, i) for i in range(traj.x.shape[1])])
+    q, m = np.empty_like(traj.x), np.empty_like(traj.x)
+    for i, point in enumerate(nmap.points):
+        for k, xk in enumerate(map(float, traj.x[:, i])):
+            q[k, i], _, _, m[k, i] = point(xk)
+    return MappedTrajectory(traj.t.copy(), tau, q, traj.v * np.sqrt(m))
 
 
 def potential_match_residual(nmap: NonlocalMap, system: PdmSystem,
                              ref: PdmSystem, x: Sequence[float]) -> float:
     """|V_system(x) - V_ref(q(x))|; zero when the map matches the potentials."""
-    xv = np.asarray(x, dtype=float)
-    q = np.array([q_map(nmap, i, float(xv[i]))[0] for i in range(system.n)])
-    return abs(potential_energy(system, xv) - potential_energy(ref, q))
+    xs = [*map(float, x)]
+    q = [point(xi)[0] for point, xi in zip(nmap.points, xs)]
+    return abs(system.potential.energy(xs) - ref.potential.energy(q))
 
 
 def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
@@ -144,13 +150,12 @@ def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
     equations of motion at the state.
     """
     acc = el1_acceleration(system, state)
-    q = np.array([q_map(nmap, i, float(state.x[i]))[0] for i in range(system.n)])
-    grad_ref = potential_gradient(ref, q)
+    images = [point(float(xi)) for point, xi in zip(nmap.points, state.x)]
+    grad_ref = potential_gradient(ref, [image[0] for image in images])
     out = np.empty(system.n)
-    for i in range(system.n):
+    for i, (_, _, f, _) in enumerate(images):
         m, m1, _ = system.profiles[i].eval(float(state.x[i]))
         dqt_dt = math.sqrt(m) * (acc[i] + (m1 / (2.0 * m)) * float(state.v[i]) ** 2)
-        f = f_scale(nmap, i, float(state.x[i]))
         if f == 0.0:
             # removable 0/0 exactly at the turning point of the constant map
             out[i] = 0.0 if dqt_dt == 0.0 else math.inf

@@ -28,8 +28,7 @@ from .integrate import (FIXED_RK4, IntegratorOptions, estimate_period, integrate
                         sample_dense)
 from .profiles import CustomProfile
 from .transform import (el2_mapped_residual, el2_obstruction, elg_residual,
-                        f_scale, potential_match_residual, q_map,
-                        reference_map, tau_values)
+                        potential_match_residual, reference_map, tau_values)
 
 DEFAULT_SEED = 20260810
 
@@ -152,9 +151,8 @@ def _integrate_case(case: Case, periods: float, rel_tol: float | None) -> tuple:
     system = case.system()
     spec = case.spec()
     T = float(np.max(oscillation_period(spec)))
-    x0, v0, _ = kinematics(spec, 0.0)
     opts = _adaptive(periods * T, rel_tol=rel_tol)
-    traj = integrate(el1_rhs(system), State(0.0, x0, v0), opts)
+    traj = integrate(el1_rhs(system), exact_solution(spec, 0.0), opts)
     return system, spec, traj
 
 
@@ -345,7 +343,7 @@ def _printed_eom(case: Case):
 
 def _check_printed_eom(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     case = standard_case(case_name)
-    system = case.system()
+    rhs = el1_rhs(case.system())
     printed = _printed_eom(case)
     rng = _rng(seed, f"printed-{case_name}")
     lo, hi = case.sample_box
@@ -353,7 +351,7 @@ def _check_printed_eom(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     for _ in range(1000):
         x = float(rng.uniform(lo, hi))
         v = float(rng.uniform(-2.0, 2.0))
-        generic = el1_acceleration(system, State.of(0.0, [x], [v]))[0]
+        generic = rhs(0.0, [x], [v])[0]
         ref = printed(x, v)
         worst = max(worst, abs(generic - ref) / max(abs(ref), 1.0))
     return _report(f"printed-eom:{case_name}", worst, 1e-12,
@@ -376,17 +374,20 @@ def _check_el2_collapse(seed: int, rel_tol=None) -> CheckReport:
                    details="shared-multiplier form equals per-coordinate form at n=1")
 
 
-def _check_g_identity(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+def _map_samples(seed: int, tag: str, case_name: str) -> tuple:
+    """(system, map, reference, 10^4 points drawn from the case's sample box)."""
     case = standard_case(case_name)
     system = case.system()
-    nmap, _ = reference_map(system)
-    rng = _rng(seed, f"g-{case_name}")
-    lo, hi = case.sample_box
+    nmap, ref = reference_map(system)
+    xs = _rng(seed, f"{tag}-{case_name}").uniform(*case.sample_box, 10_000)
+    return system, nmap, ref, map(float, xs)
+
+
+def _check_g_identity(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+    _, nmap, _, xs = _map_samples(seed, "g", case_name)
     worst = 0.0
-    for x in rng.uniform(lo, hi, 10_000):
-        m, _, _ = system.profiles[0].eval(float(x))
-        _, dq = q_map(nmap, 0, float(x))
-        f = f_scale(nmap, 0, float(x))
+    for x in xs:
+        _, dq, f, m = nmap.points[0](x)
         g = dq * dq
         target = m * f * f
         worst = max(worst, abs(g - target) / max(abs(target), 1e-30))
@@ -395,14 +396,10 @@ def _check_g_identity(seed: int, case_name: str, rel_tol=None) -> CheckReport:
 
 
 def _check_potential_match(seed: int, case_name: str, rel_tol=None) -> CheckReport:
-    case = standard_case(case_name)
-    system = case.system()
-    nmap, ref = reference_map(system)
-    rng = _rng(seed, f"vmatch-{case_name}")
-    lo, hi = case.sample_box
+    system, nmap, ref, xs = _map_samples(seed, "vmatch", case_name)
     worst = 0.0
-    for x in rng.uniform(lo, hi, 10_000):
-        worst = max(worst, potential_match_residual(nmap, system, ref, [float(x)]))
+    for x in xs:
+        worst = max(worst, potential_match_residual(nmap, system, ref, [x]))
     return _report(f"potential-match:{case_name}", worst, 1e-12,
                    details="|V(x) - V_ref(q(x))| at 10^4 sampled points")
 
@@ -499,9 +496,8 @@ def _track_powerlaw(case: Case, rel_tol: float | None) -> CheckReport:
                                  phase=(-arc * math.pi,))
         t0 = (arc * math.pi - math.pi / 2 + delta) / Om
         t_arc_end = (arc * math.pi + math.pi / 2) / Om
-        x0, v0, _ = kinematics(spec, t0)
         opts = _adaptive(t_arc_end, rel_tol=rel_tol)
-        traj = integrate(el1_rhs(system), State(t0, x0, v0), opts)
+        traj = integrate(el1_rhs(system), exact_solution(spec, t0), opts)
         for k in range(len(traj.t)):
             if abs(math.cos(Om * traj.t[k] - arc * math.pi)) < compare_margin:
                 continue             # position error is unbounded where xdot diverges
@@ -556,9 +552,8 @@ def _check_frequency_ml1(seed: int, rel_tol=None, printed: bool = False) -> Chec
     A = 0.7
     spec = ExactSolutionSpec("ml1", params, (A,))
     system = build_system("ml1", 1, params)
-    x0, v0, _ = kinematics(spec, 0.0)
     T = float(oscillation_period(spec)[0])
-    traj = integrate(el1_rhs(system), State(0.0, x0, v0),
+    traj = integrate(el1_rhs(system), exact_solution(spec, 0.0),
                      _adaptive(8.0 * T, rel_tol=rel_tol))
     measured = estimate_period(traj, 0)
     form = "printed" if printed else "validated"
@@ -603,9 +598,8 @@ def _check_frequency_powerlaw_dynamic(seed: int, rel_tol=None) -> CheckReport:
     system = case.system()
     spec = case.spec()
     Om_expected = float(frequency_relation("powerlaw", spec.params, spec.amplitude)[0])
-    x0, v0, _ = kinematics(spec, 0.0)
     t_end = 0.6 * math.pi / Om_expected
-    traj = integrate(el1_rhs(system), State(0.0, x0, v0),
+    traj = integrate(el1_rhs(system), exact_solution(spec, 0.0),
                      _adaptive(t_end, rel_tol=rel_tol, h_min=1e-13))
     # q = alpha x^(1+upsilon) stays an exact cosine in t; the integration stops
     # a vanishing distance before its zero, so a secant step lands on it
@@ -683,10 +677,10 @@ def _check_ml2_reduction(seed: int, rel_tol=None) -> CheckReport:
     spec = ExactSolutionSpec("ml1", parameter_set(
         {"omega": [1.0], "lambda": 0.25, "sign": "-"}, 1), (1.0,))
     T = float(oscillation_period(spec)[0])
-    x0, v0, _ = kinematics(spec, 0.0)
+    start = exact_solution(spec, 0.0)
     opts = IntegratorOptions(t_end=5.0 * T, scheme=FIXED_RK4, h=2e-3)
-    tr_a = integrate(el1_rhs(sys_ml2), State(0.0, x0, v0), opts)
-    tr_b = integrate(el1_rhs(sys_ml1), State(0.0, x0, v0), opts)
+    tr_a = integrate(el1_rhs(sys_ml2), start, opts)
+    tr_b = integrate(el1_rhs(sys_ml1), start, opts)
     worst = float(np.max(np.abs(tr_a.x - tr_b.x)))
     return _report("ml2-reduction", worst, 1e-9,
                    details="constant-map trajectories coincide with oscillator-map "
@@ -717,10 +711,9 @@ def _check_adaptive_vs_fixed(seed: int, rel_tol=None) -> CheckReport:
     system = case.system()
     spec = case.spec()
     T = float(oscillation_period(spec)[0])
-    x0, v0, _ = kinematics(spec, 0.0)
-    tr_a = integrate(el1_rhs(system), State(0.0, x0, v0),
-                     _adaptive(10.0 * T, rel_tol=tol))
-    tr_f = integrate(el1_rhs(system), State(0.0, x0, v0),
+    start = exact_solution(spec, 0.0)
+    tr_a = integrate(el1_rhs(system), start, _adaptive(10.0 * T, rel_tol=tol))
+    tr_f = integrate(el1_rhs(system), start,
                      IntegratorOptions(t_end=10.0 * T, scheme=FIXED_RK4, h=1e-3))
     xs, _ = sample_dense(tr_f, tr_a.t)
     worst = float(np.max(np.abs(xs - tr_a.x)))
@@ -746,8 +739,7 @@ def _check_substitution_identity(seed: int, rel_tol=None) -> CheckReport:
 def _check_tau_closed_form(seed: int, rel_tol=None) -> CheckReport:
     case = standard_case("ml1+")
     spec = case.spec()
-    system = case.system()
-    nmap, _ = reference_map(system)
+    nmap, _ = reference_map(case.system())
     T = float(oscillation_period(spec)[0])           # 2 pi sqrt(2)
     traj = exact_trajectory(spec, 0.0, T, 4001)
     tau = tau_values(nmap, traj, 0)
@@ -792,8 +784,7 @@ def _reference_closed_form(case: Case, spec: ExactSolutionSpec, phase: float = 0
 def _check_mapped_exactness(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     case = standard_case(case_name)
     spec = case.spec()
-    system = case.system()
-    nmap, _ = reference_map(system)
+    nmap, _ = reference_map(case.system())
     T = float(np.max(oscillation_period(spec)))
     phase = 0.0
     if case.family == "powerlaw":
@@ -804,7 +795,7 @@ def _check_mapped_exactness(seed: int, case_name: str, rel_tol=None) -> CheckRep
         t0, t1 = 0.0, 3.0 * T
     traj = exact_trajectory(spec, t0, t1, 4001)
     tau = tau_values(nmap, traj, 0, require_positive=False)
-    q_num = np.array([q_map(nmap, 0, float(x))[0] for x in traj.x[:, 0]])
+    q_num = np.array([nmap.points[0](x)[0] for x in map(float, traj.x[:, 0])])
     q_ref = _reference_closed_form(case, spec, phase)(tau)
     worst = float(np.max(np.abs(q_num - q_ref)))
     return _report(f"mapped-exactness:{case_name}", worst, 1e-8,

@@ -13,6 +13,7 @@ import pytest
 
 import pdmdyn
 from pdmdyn.cli import run_cli
+from pdmdyn.verify import SuiteSummary
 
 ML1_CONFIG = {
     "family": "ml1",
@@ -592,6 +593,24 @@ class TestVerify:
         # an empty selection must not pass on 0 checks or run the whole suite
         assert run(["verify", "--checks", checks]) == (
             2, "", f"error: --checks {checks!r} names no check\n")
+
+    @pytest.mark.parametrize("suite", ["", "e"])
+    def test_unknown_suite_exit_2(self, suite, capsys):
+        # a suite name, not a prefix of check names
+        assert run(["verify", "--suite", suite])[:2] == (2, "")
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["default", "all"])
+    def test_named_suite_runs_every_check(self, suite, monkeypatch):
+        selections = []
+
+        def run_suite(selection, seed, rel_tol):
+            selections.append(selection)
+            return [], SuiteSummary(0, 0, 0)
+        monkeypatch.setattr("pdmdyn.cli.run_suite", run_suite)
+        assert run(["verify", "--suite", suite]) == (
+            0, "summary: 0 passed, 0 expected-fail, 0 failed\n", "")
+        assert selections == [None]
 
     def test_list_names(self):
         code, out, _ = run(["verify", "--list"])
