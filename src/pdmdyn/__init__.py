@@ -14,9 +14,8 @@ from .core import (ParameterSet, PdmSystem, PotentialSpec, State, Termination,
                    total_energy)
 from .eom import el1_acceleration, el1_residual, el1_rhs, el2_acceleration, el2_rhs
 from .exact import (AMENDED_FORM, PUBLISHED_FORM, ExactSolutionSpec, MISPRINTS,
-                    exact_energy, exact_solution, exact_trajectory,
-                    frequency_relation, kinematics, ml2_reduction_check,
-                    oscillation_period)
+                    exact_energy, exact_solution, exact_trajectory, kinematics,
+                    ml2_reduction_check, oscillation_period)
 from .errors import (DomainViolation, ExprDomainError, ExprSyntaxError,
                      InvalidParameter, InvalidSpec, MissingParameter,
                      NonPositiveScale, NoPeriod, PdmError, SingularCoefficient,

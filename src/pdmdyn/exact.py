@@ -2,7 +2,8 @@
 
 Each family's closed form, amplitude checks, frequency relation, position
 period and energy live in its record in ``families``; an ExactSolutionSpec
-resolves the record once, when it is built.
+resolves the record and evaluates each coordinate's frequency once, when it
+is built.
 
 Wherever a published relation conflicts with the equation-of-motion residual
 oracle, the catalog stores the oracle-validated form and records the printed
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import (ParameterSet, State, Termination, Trajectory, _check_lengths,
                    build_system, total_energy)
-from .errors import InvalidParameter, InvalidSpec, UnsupportedFamily
+from .errors import InvalidParameter, InvalidSpec, MissingParameter
 from .families import (AMENDED_FORM, FAMILIES, PUBLISHED_FORM,
                        ml2_reduction_check)
 
@@ -39,7 +39,9 @@ class ExactSolutionSpec:
     (A for the oscillator families, B for the bounded-exponential one,
     C for the inverse-square ones); ``phase`` the matching phase constant.
     ``variant`` selects the published ("published") or kappa-rescaled
-    ("amended") form of the isotonic power-law solution.
+    ("amended") form of the isotonic power-law solution.  Building it
+    stores ``frequency``, the validated angular frequency Omega_i of each
+    coordinate, and ``rates``, the rate each closed form is written in.
     """
 
     family: str
@@ -64,34 +66,21 @@ class ExactSolutionSpec:
         if not all(map(math.isfinite, (*self.amplitude, *phase))):
             raise InvalidSpec(f"amplitude {self.amplitude} and phase {phase} must be finite")
         record.check(self.params, self.amplitude)
+        if self.params.omega is None:       # every closed form reads omega
+            raise MissingParameter("omega")
+        frequency = tuple(record.frequency(self.params, i, a)
+                          for i, a in enumerate(self.amplitude))
         # an amplitude so large that the relation overflows reads as 0 or inf
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            rates = frequency_relation(self.family, self.params, self.amplitude)
-        if not np.all(np.isfinite(rates) & (rates > 0.0)):
+        if not all(math.isfinite(w) and w > 0.0 for w in frequency):
             raise InvalidSpec(f"no finite positive frequency at amplitude "
-                              f"{self.amplitude}: {rates.tolist()}")
-        rates = rates if record.amplitude_dependent else self.params.omega
-        object.__setattr__(self, "rates", tuple(map(float, rates)))  # closed forms' rates
+                              f"{self.amplitude}: {list(frequency)}")
+        object.__setattr__(self, "frequency", frequency)
+        object.__setattr__(self, "rates",
+                           frequency if record.amplitude_dependent else self.params.omega)
 
     @property
     def n(self) -> int:
         return len(self.amplitude)
-
-
-def frequency_relation(family: str, params: ParameterSet,
-                       amplitude: Sequence[float],
-                       form: str = "validated") -> np.ndarray:
-    """Angular frequency of the closed form, per coordinate.
-
-    ``form="printed"`` returns the published (misprinted) relation where one
-    exists, so tests can document its failure; everything else uses the
-    residual-validated relation.
-    """
-    record = FAMILIES.get(family)
-    if record is None:
-        raise UnsupportedFamily(f"no printed frequency relation for {family!r}")
-    return record.frequency(params, np.asarray(amplitude, dtype=float),
-                            np.asarray(params.omega, dtype=float), form)
 
 
 def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
@@ -100,8 +89,7 @@ def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
     The inverse-square families oscillate in x^2, so their position period is
     half the phase period.
     """
-    Om = frequency_relation(spec.family, spec.params, spec.amplitude)
-    return spec.record.position_phase / Om
+    return spec.record.position_phase / np.array(spec.frequency)
 
 
 def kinematics(spec: ExactSolutionSpec, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,8 +10,9 @@ parameter's shape and range are stated once, in ``core``, alike for every
 family.  ``core`` substitutes each coordinate's parameter values into the
 two templates and compiles them, so a catalog system evaluates exactly as a
 ``custom`` one does; ``transform`` and ``exact`` resolve the record once,
-when a map or closed form is built, and call into it.  A new family is one
-new record plus one FAMILIES entry.
+when a map or closed form is built, and call into it.  Every callable works on
+one coordinate's floats; printed relations are in the misprint ledger, not
+here.  A new family is one new record plus one FAMILIES entry.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
-from .errors import DomainViolation, InvalidSpec, UnsupportedFamily
+from .errors import DomainViolation, InvalidSpec
 from .profiles import REAL_LINE
 
 PUBLISHED_FORM = "published"
@@ -81,8 +80,9 @@ class Family:
     reference: str = "harmonic"
     #: (p, amplitude) -> None; raises InvalidSpec where no closed form exists
     check: Callable = lambda p, amplitude: None
-    #: (p, amplitude array, omega array, form) -> angular frequency per coordinate
-    frequency: Callable = lambda p, amp, w, form: w.copy()
+    #: (p, i, A_i) -> Omega_i in IEEE arithmetic (an extreme A_i may give 0,
+    #: inf or nan); raises InvalidSpec where no real frequency exists
+    frequency: Callable = lambda p, i, A: p.omega[i]
     #: closed form written in that frequency (else in omega_i)
     amplitude_dependent: bool = False
     #: (spec, i, t, rate) -> (x_i, xdot_i, xddot_i)
@@ -113,13 +113,11 @@ def _ml1_check(p, amplitude):
         raise InvalidSpec("'-' branch needs lam A^2 < 1 for a bounded orbit")
 
 
-def _ml1_frequency(p, amp, w, form):
-    denom = 1.0 + _sign(p) * p.lam * amp * amp
-    if np.any(denom <= 0.0):
+def _ml1_frequency(p, i, A):
+    denom = 1.0 + _sign(p) * p.lam * A * A
+    if denom <= 0.0:
         raise InvalidSpec("amplitude leaves the bounded region")
-    if form == "printed":
-        return w * np.abs(amp) / np.sqrt(denom)
-    return w / np.sqrt(denom)
+    return p.omega[i] / math.sqrt(denom)
 
 
 ML1 = Family("ml1", _ML, _ML_OSCILLATOR, domain=_ml_domain, check=_ml1_check,
@@ -135,20 +133,13 @@ def _ml2_check(p, amplitude):
                           "the reduction case lam = 1/eta^2 on the '-' branch")
 
 
-def _ml2_frequency(p, amp, w, form):
-    if not ml2_reduction_check(p):
-        raise UnsupportedFamily("the constant-map family has a frequency relation "
-                                "only in the reduction case")
-    return _ml1_frequency(p, amp, w, form)
-
-
 # the constant map q = eta sqrt(m) with V = (1/2) w^2 eta^2 m; same orbit as
 # ml1 in the reduction case, but the potential differs by the constant
 # (1/2) w^2 eta^2, so the energy is read off at the turning point directly
 ML2 = replace(ML1, name="ml2", potential="0.5*omega^2*eta_const^2/(1+sign*lam*x^2)",
               q=lambda p, i, x, root: p.eta_const[i] * root,
               f=lambda p, i, x, half: p.eta_const[i] * half,
-              check=_ml2_check, frequency=_ml2_frequency,
+              check=_ml2_check,
               coordinate_energy=lambda p, A, i: (0.5 * p.omega[i] * p.omega[i]
                                                  * p.eta_const[i] ** 2
                                                  / (1.0 + _sign(p) * p.lam * A * A)))
@@ -185,7 +176,7 @@ POWERLAW = Family("powerlaw", "alpha^2*x^(2*upsilon)",
                   domain=lambda p: _HALF_LINE,
                   singularity=lambda p: 0.0 if p.upsilon != 0.0 else None,
                   check=_powerlaw_check,
-                  frequency=lambda p, amp, w, form: (1.0 + p.upsilon) * w,
+                  frequency=lambda p, i, A: (1.0 + p.upsilon) * p.omega[i],
                   closed_form=_powerlaw_form, coordinate_energy=_powerlaw_energy)
 
 
@@ -209,7 +200,7 @@ MORSE = Family("morse", "exp(2*zeta*x)", "0.5*omega^2*(exp(zeta*x)-1)^2",
                q=lambda p, i, x, root: root * (1.0 - math.exp(-p.zeta[i] * x)),
                f=lambda p, i, x, half: half + (p.zeta[i] - half) * math.exp(-p.zeta[i] * x),
                check=_morse_check,
-               frequency=lambda p, amp, w, form: np.asarray(p.zeta) * w,
+               frequency=lambda p, i, A: p.zeta[i] * p.omega[i],
                closed_form=_morse_form,
                coordinate_energy=lambda p, A, i: 0.5 * p.omega[i] ** 2 * A ** 2)
 
@@ -255,14 +246,18 @@ ISOTONIC = replace(_INVERSE_SQUARE, name="isotonic", mapped=False,
                                                             + p.kappa[i] / (C * C)))
 
 
-def _sw1_frequency(p, amp, w, form):
+def _sw1_frequency(p, i, A):
     s = _sign(p)
-    c2 = amp * amp
+    c2 = A * A
     denom = 1.0 + s * p.lam * c2
-    om2 = w * w / denom - s * p.lam * np.asarray(p.kappa) / c2
-    if np.any(om2 <= 0.0) or np.any(denom <= 0.0):
+    if denom <= 0.0:
         raise InvalidSpec("no real oscillation frequency for these constants")
-    return np.sqrt(om2)
+    # C^2 underflows to 0 for |C| < 1e-162; shift * inf is then IEEE's shift / +0
+    shift = s * p.lam * p.kappa[i]
+    om2 = p.omega[i] * p.omega[i] / denom - (shift / c2 if c2 else shift * math.inf)
+    if om2 <= 0.0:
+        raise InvalidSpec("no real oscillation frequency for these constants")
+    return math.sqrt(om2)
 
 
 SW1 = replace(_INVERSE_SQUARE, name="sw1",
@@ -283,7 +278,7 @@ def _sw2_form(spec, i, t, w):
 SW2 = replace(_INVERSE_SQUARE, name="sw2", mass="beta^2*x^(2*eta_exp-2)",
               potential="0.5*(omega^2*beta^2*x^(2*eta_exp)+kappa/(beta^2*x^(2*eta_exp)))",
               domain=lambda p: _HALF_LINE, singularity=lambda p: 0.0,
-              frequency=lambda p, amp, w, form: abs(p.eta_exp) * w,
+              frequency=lambda p, i, A: abs(p.eta_exp) * p.omega[i],
               closed_form=_sw2_form)
 
 

@@ -40,6 +40,9 @@ RhsFn = Callable[[float, list, list], Sequence[float]]  # x, v: lists of n float
 FIXED_RK4 = "fixed_rk4"
 DOP853 = "dop853"
 
+#: accepted plus rejected steps after which a run ends as a step failure
+MAX_STEPS = 5_000_000
+
 # a float ZeroDivisionError or OverflowError inside a catalog formula (a mass
 # that underflows to 0, an exp that overflows) ends a run like a domain error
 _GUARDABLE = (DomainViolation, SingularCoefficient, SingularPoint,
@@ -56,7 +59,6 @@ class IntegratorOptions:
     h_init: float = 1e-3
     h_min: float = 1e-14
     h_max: float = math.inf
-    max_steps: int = 5_000_000
 
     def __post_init__(self):
         if self.scheme not in _TABLEAUS:
@@ -235,7 +237,7 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
 
     while t < opts.t_end - eps_end:
         h = min(h, opts.t_end - t)
-        if accepted + rejected >= opts.max_steps or t + h == t:  # h too small to move t
+        if accepted + rejected >= MAX_STEPS or t + h == t:  # h too small to move t
             term = Termination("step_failure", t)
             break
         try:

@@ -95,13 +95,15 @@ _GL_WEIGHTS = np.array([18 - math.sqrt(30), 18 + math.sqrt(30),
                         18 + math.sqrt(30), 18 - math.sqrt(30)]) / 72
 
 
-def tau_values(nmap: NonlocalMap, traj: Trajectory, i: int,
-               require_positive: bool = True) -> np.ndarray:
-    """Cumulative rescaled time tau_i(t) along a trajectory, tau_i(t0) = 0.
+def coordinate_image(nmap: NonlocalMap, traj: Trajectory, i: int,
+                     require_positive: bool = True) -> tuple[np.ndarray, ...]:
+    """(tau_i, q_i, m_i) along a trajectory from one pass over coordinate i:
+    the map closure runs once at each node and once at each quadrature point.
 
-    The integral of f_i over each accepted interval is 4-point Gauss-Legendre
-    on a DOP853 trajectory's 7th-order interpolant, and composite Simpson on
-    any other trajectory, with the midpoint from its cubic dense output.
+    tau_i(t) is the cumulative rescaled time, tau_i(t0) = 0.  The integral of
+    f_i over each accepted interval is 4-point Gauss-Legendre on a DOP853
+    trajectory's 7th-order interpolant, and composite Simpson on any other
+    trajectory, with the midpoint from its cubic dense output.
     """
     t = traj.t
     h = np.diff(t)
@@ -111,7 +113,9 @@ def tau_values(nmap: NonlocalMap, traj: Trajectory, i: int,
         inner = 0.5 * (t[:-1] + t[1:])
     x_inner, _ = sample_dense(traj, inner)
     point = nmap.points[i]
-    f_nodes = np.array([point(xk)[2] for xk in map(float, traj.x[:, i])])
+    q, f_nodes, m = np.empty((3, len(t)))
+    for k, xk in enumerate(map(float, traj.x[:, i])):
+        q[k], _, f_nodes[k], m[k] = point(xk)
     f_inner = np.array([point(xk)[2] for xk in map(float, x_inner[:, i])])
     if require_positive and (np.any(f_nodes <= 0.0) or np.any(f_inner <= 0.0)):
         raise NonPositiveScale(
@@ -120,16 +124,19 @@ def tau_values(nmap: NonlocalMap, traj: Trajectory, i: int,
         dtau = h * (f_inner.reshape(-1, 4) @ _GL_WEIGHTS)
     else:
         dtau = (h / 6.0) * (f_nodes[:-1] + 4.0 * f_inner + f_nodes[1:])
-    return np.concatenate([[0.0], np.cumsum(dtau)])
+    return np.concatenate([[0.0], np.cumsum(dtau)]), q, m
+
+
+def tau_values(nmap: NonlocalMap, traj: Trajectory, i: int,
+               require_positive: bool = True) -> np.ndarray:
+    """Cumulative rescaled time tau_i(t) along a trajectory, tau_i(t0) = 0."""
+    return coordinate_image(nmap, traj, i, require_positive)[0]
 
 
 def map_to_reference(nmap: NonlocalMap, traj: Trajectory) -> MappedTrajectory:
     """Image (tau_i, q_i, qtilde_i) of a trajectory, one clock per coordinate."""
-    tau = np.column_stack([tau_values(nmap, traj, i) for i in range(traj.x.shape[1])])
-    q, m = np.empty_like(traj.x), np.empty_like(traj.x)
-    for i, point in enumerate(nmap.points):
-        for k, xk in enumerate(map(float, traj.x[:, i])):
-            q[k, i], _, _, m[k, i] = point(xk)
+    images = [coordinate_image(nmap, traj, i) for i in range(traj.x.shape[1])]
+    tau, q, m = (np.column_stack(columns) for columns in zip(*images))
     return MappedTrajectory(traj.t.copy(), tau, q, traj.v * np.sqrt(m))
 
 

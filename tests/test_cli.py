@@ -302,7 +302,7 @@ class TestSimulate:
         ({"h_min": 0}, "h_min"),
     ])
     def test_non_positive_step_size_exit_2(self, tmp_path, steps, key):
-        # these once stepped backwards or stood still until max_steps
+        # these once stepped backwards or stood still until MAX_STEPS
         cfg_data = dict(ML1_CONFIG, integrator=dict(ML1_CONFIG["integrator"], **steps))
         code, out, err = run(["simulate", "--config", write_config(tmp_path, cfg_data)])
         assert (code, out) == (2, "")

@@ -105,7 +105,7 @@ def test_integrator_block_ends_in_exit_0_or_an_error_line(scheme, block):
     t_end drawn finite, zero, negative, NaN, infinite or extreme, or left out.
 
     t_end stays at most 0.01 and positive step sizes at least 1e-5 so each
-    example is small; the max_steps budget, not this test, bounds longer runs.
+    example is small; the MAX_STEPS budget, not this test, bounds longer runs.
     """
     ends_cleanly({
         "family": "ml1", "n": 1, "params": {"omega": [1.0], "lambda": 0.5, "sign": "+"},
@@ -142,7 +142,7 @@ _from_exact = st.fixed_dictionaries({"amplitude": _vector}, optional={
 # the cosine of an infinite phase: a ValueError traceback
 @example(family="harmonic", n=1, initial={"from_exact": {"amplitude": [0.0], "t0": math.inf}},
          scheme="dop853")
-# t + h == t from here: the run stood still until max_steps
+# t + h == t from here: the run stood still until MAX_STEPS
 @example(family="ml1", n=1, initial={"x": [0.5], "v": [0.1], "t0": -1e300},
          scheme="dop853")
 @settings(max_examples=200, deadline=None)

@@ -9,11 +9,11 @@ import pytest
 from pdmdyn.core import build_system, parameter_set, total_energy
 from pdmdyn.eom import el1_residual
 from pdmdyn.errors import (DomainViolation, InvalidParameter, InvalidSpec,
-                           UnsupportedFamily)
+                           MissingParameter)
 from pdmdyn.exact import (AMENDED_FORM, ExactSolutionSpec, MISPRINTS,
                           exact_energy, exact_solution, exact_trajectory,
-                          frequency_relation, kinematics, ml2_reduction_check,
-                          oscillation_period)
+                          kinematics, ml2_reduction_check, oscillation_period)
+from pdmdyn.verify import _printed_ml1_frequency
 
 
 def sw1_omega_from(params, Omega, amplitude):
@@ -162,52 +162,69 @@ class TestValidation:
 
 class TestFrequencyRelations:
     def test_powerlaw(self):
-        p = parameter_set({"omega": [1.0], "alpha": 1.0, "upsilon": 1.0}, 1)
-        assert frequency_relation("powerlaw", p, [1.0])[0] == pytest.approx(2.0)
+        spec = spec_of("powerlaw", {"omega": [1.0], "alpha": 1.0, "upsilon": 1.0}, [1.0])
+        assert spec.frequency[0] == pytest.approx(2.0)
 
     def test_ml1_constant_mass_limit(self):
-        p = parameter_set({"omega": [1.0], "lambda": 0.0, "sign": "+"}, 1)
-        assert frequency_relation("ml1", p, [1.0])[0] == pytest.approx(1.0)
+        spec = spec_of("ml1", {"omega": [1.0], "lambda": 0.0, "sign": "+"}, [1.0])
+        assert spec.frequency[0] == pytest.approx(1.0)
 
     def test_ml1_validated_value(self):
-        p = parameter_set({"omega": [1.0], "lambda": 1.0, "sign": "+"}, 1)
-        assert frequency_relation("ml1", p, [1.0])[0] == pytest.approx(
-            1.0 / math.sqrt(2.0))
+        spec = spec_of("ml1", {"omega": [1.0], "lambda": 1.0, "sign": "+"}, [1.0])
+        assert spec.frequency[0] == pytest.approx(1.0 / math.sqrt(2.0))
 
     def test_ml1_printed_form_differs_away_from_unit_amplitude(self):
-        p = parameter_set({"omega": [1.0], "lambda": 1.0, "sign": "+"}, 1)
-        validated = frequency_relation("ml1", p, [0.5])[0]
-        printed = frequency_relation("ml1", p, [0.5], form="printed")[0]
-        assert printed == pytest.approx(0.5 * validated)
-        same = frequency_relation("ml1", p, [1.0], form="printed")[0]
-        assert same == pytest.approx(frequency_relation("ml1", p, [1.0])[0])
+        params = {"omega": [1.0], "lambda": 1.0, "sign": "+"}
+        half, unit = spec_of("ml1", params, [0.5]), spec_of("ml1", params, [1.0])
+        printed = _printed_ml1_frequency(half.params, 0.5)
+        assert printed == pytest.approx(0.5 * half.frequency[0])
+        same = _printed_ml1_frequency(unit.params, 1.0)
+        assert same == pytest.approx(unit.frequency[0])
 
     def test_sw1_printed_direction_round_trips(self):
-        p = parameter_set({"omega": [1.3], "lambda": 0.5, "sign": "+",
-                           "kappa": [0.8]}, 1)
-        Om = frequency_relation("sw1", p, [1.1])
-        w_back = sw1_omega_from(p, Om, [1.1])
+        spec = spec_of("sw1", {"omega": [1.3], "lambda": 0.5, "sign": "+",
+                               "kappa": [0.8]}, [1.1])
+        w_back = sw1_omega_from(spec.params, spec.frequency, [1.1])
         assert w_back[0] == pytest.approx(1.3, rel=1e-13)
 
     def test_morse(self):
-        p = parameter_set({"omega": [1.5], "zeta": [2.0]}, 1)
-        assert frequency_relation("morse", p, [0.5])[0] == pytest.approx(3.0)
+        spec = spec_of("morse", {"omega": [1.5], "zeta": [2.0]}, [0.5])
+        assert spec.frequency[0] == pytest.approx(3.0)
 
     def test_ml2_outside_reduction_unsupported(self):
-        p = parameter_set({"omega": [1.0], "lambda": 0.3, "sign": "-",
-                           "eta_const": [1.0]}, 1)
-        with pytest.raises(UnsupportedFamily):
-            frequency_relation("ml2", p, [0.5])
+        with pytest.raises(InvalidSpec, match="only in the reduction case"):
+            spec_of("ml2", {"omega": [1.0], "lambda": 0.3, "sign": "-",
+                            "eta_const": [1.0]}, [0.5])
 
     def test_custom_unsupported(self):
-        with pytest.raises(UnsupportedFamily):
-            frequency_relation("custom", parameter_set({}, 1), [1.0])
+        with pytest.raises(InvalidSpec, match="no closed form catalogued for 'custom'"):
+            spec_of("custom", {}, [1.0])
 
     def test_sw_position_period_is_half_phase_period(self):
         spec = spec_of("sw1", {"omega": [1.0], "lambda": 0.5, "sign": "+",
                                "kappa": [1.0]}, [1.0])
-        Om = frequency_relation("sw1", spec.params, spec.amplitude)[0]
-        assert oscillation_period(spec)[0] == pytest.approx(math.pi / Om)
+        assert oscillation_period(spec)[0] == pytest.approx(math.pi / spec.frequency[0])
+
+    @pytest.mark.parametrize("sign, amplitude, message", [
+        ("+", 1e-170, "no real oscillation frequency for these constants"),
+        ("+", 1e200, "no real oscillation frequency for these constants"),
+        ("-", 1e200, "no real oscillation frequency for these constants"),
+        # C^2 underflows to 0: the subtracted kappa term is -inf, Omega^2 = +inf
+        ("-", 1e-170, "no finite positive frequency at amplitude (1e-170,): [inf]")])
+    def test_sw1_extreme_amplitude_errors(self, sign, amplitude, message):
+        with pytest.raises(InvalidSpec) as err:
+            spec_of("sw1", {"omega": [1.0], "lambda": 0.5, "sign": sign,
+                            "kappa": [1.0]}, [amplitude])
+        assert str(err.value) == message
+
+    def test_overflowing_relation_is_an_invalid_spec(self):
+        with pytest.raises(InvalidSpec) as err:
+            spec_of("powerlaw", {"omega": [1e10], "alpha": 1.0, "upsilon": 1e300}, [1.0])
+        assert str(err.value) == "no finite positive frequency at amplitude (1.0,): [inf]"
+
+    def test_missing_omega_is_a_missing_parameter(self):
+        with pytest.raises(MissingParameter, match="omega"):
+            spec_of("harmonic", {}, [1.0])
 
 
 class TestEnergies:

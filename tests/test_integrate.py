@@ -1,5 +1,6 @@
 """Integrator tests: step correctness, guards, dense output, periods."""
 
+import importlib
 import math
 import tracemalloc
 
@@ -14,6 +15,9 @@ from pdmdyn.integrate import (DOP853, FIXED_RK4, IntegratorOptions, _DOP_A, _DOP
                               _DOP_D, _DOP_E3, _DOP_E5, _RK4_A, _RK4_C, estimate_period,
                               integrate, sample_dense)
 from pdmdyn.eom import el1_rhs
+
+# the module, which the package's integrate function shadows as an attribute
+integrate_module = importlib.import_module("pdmdyn.integrate")
 
 
 def harmonic_rhs(t, x, v):
@@ -103,7 +107,7 @@ class TestOptions:
                                        {"h_init": 0.0, "h_min": 0.0, "h_max": 0.0}])
     def test_ordered_non_positive_steps(self, steps):
         # these pass h_min <= h_init <= h_max, yet stepped backwards or stood
-        # still until max_steps
+        # still until MAX_STEPS
         with pytest.raises(InvalidParameter) as err:
             IntegratorOptions(t_end=1.0, **steps)
         assert err.value.field == "h_init"
@@ -622,10 +626,10 @@ class TestRejectionCauses:
 
 class TestMaxSteps:
     @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
-    def test_step_budget_is_a_step_failure(self, scheme):
+    def test_step_budget_is_a_step_failure(self, scheme, monkeypatch):
         # DOP853 covers 10 time units in fewer than 100 steps, so run to 100
-        opts = IntegratorOptions(t_end=100.0, scheme=scheme, h=1e-3,
-                                 rel_tol=1e-12, max_steps=100)
+        monkeypatch.setattr(integrate_module, "MAX_STEPS", 100)
+        opts = IntegratorOptions(t_end=100.0, scheme=scheme, h=1e-3, rel_tol=1e-12)
         traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
         assert traj.termination.kind == "step_failure"
         assert traj.termination.t == traj.t[-1] < 100.0
@@ -634,9 +638,10 @@ class TestMaxSteps:
 
 class TestStepBelowFloatSpacing:
     @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
-    def test_step_that_cannot_advance_time_is_a_step_failure(self, scheme):
+    def test_step_that_cannot_advance_time_is_a_step_failure(self, scheme, monkeypatch):
         # at t = -1e300 every step of 1e-3 rounds away: t + h == t
-        opts = IntegratorOptions(t_end=0.01, scheme=scheme, max_steps=10_000)
+        monkeypatch.setattr(integrate_module, "MAX_STEPS", 10_000)
+        opts = IntegratorOptions(t_end=0.01, scheme=scheme)
         traj = integrate(harmonic_rhs, State.of(-1e300, [1.0], [0.0]), opts)
         assert traj.termination == Termination("step_failure", -1e300)
         assert (len(traj), traj.accepted, traj.nfev) == (1, 0, 1)

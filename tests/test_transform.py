@@ -12,7 +12,7 @@ from pdmdyn.core import (TYPE2, ParameterSet, PdmSystem, State, build_system,
                          parameter_set, potential_energy, potential_gradient)
 from pdmdyn.errors import (InvalidParameter, NonPositiveScale,
                            UnsupportedFamily)
-from pdmdyn.exact import (ExactSolutionSpec, exact_trajectory,
+from pdmdyn.exact import (ExactSolutionSpec, exact_solution, exact_trajectory,
                           kinematics as kinematics_of, oscillation_period)
 from pdmdyn.families import FAMILIES
 from pdmdyn.integrate import DOP853, IntegratorOptions, integrate, sample_dense
@@ -189,6 +189,35 @@ class TestMapToReference:
         assert np.allclose(mapped.q, traj.x, atol=1e-14)
         assert np.allclose(mapped.qtilde, traj.v, atol=1e-14)
         assert np.allclose(mapped.tau[:, 0], traj.t, atol=1e-12)
+
+    @pytest.mark.parametrize("dop853", [False, True])
+    def test_each_point_runs_the_map_closure_once(self, dop853):
+        # one closure call per node and per quadrature point: a Simpson
+        # midpoint per interval on 1,001 samples (2,001 calls), or four
+        # Gauss-Legendre points per interval on a DOP853 trajectory
+        params = {"omega": [1.0, 2.0], "lambda": 1.0, "sign": "+"}
+        system = build_system("ml1", 2, params)
+        nmap, _ = reference_map(system)
+        spec = ExactSolutionSpec("ml1", parameter_set(params, 2), (0.9, 0.4))
+        if dop853:
+            traj = integrate(el1_rhs(system), exact_solution(spec, 0.0),
+                             IntegratorOptions(t_end=5.0, scheme=DOP853))
+        else:
+            traj = exact_trajectory(spec, 0.0, 5.0, 1001)
+        calls = [0, 0]
+
+        def counted(i, point):
+            def wrapped(x):
+                calls[i] += 1
+                return point(x)
+            return wrapped
+        expected = [(len(traj.t) + (4 if dop853 else 1) * (len(traj.t) - 1))] * 2
+        plain = map_to_reference(nmap, traj)
+        object.__setattr__(nmap, "points", tuple(map(counted, range(2), nmap.points)))
+        mapped = map_to_reference(nmap, traj)
+        assert calls == expected
+        for name in ("tau", "q", "qtilde"):
+            assert np.array_equal(getattr(mapped, name), getattr(plain, name))
 
     def test_ml1_maps_to_unit_frequency_harmonic(self):
         system, nmap, _ = ml1_map()
