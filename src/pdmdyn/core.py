@@ -21,6 +21,7 @@ parameters its templates read.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -84,7 +85,7 @@ def parameter_set(data: Mapping | ParameterSet | None, n: int) -> ParameterSet:
             if name in VECTORS and value is not None:
                 seq = [value] * n if isinstance(value, (int, float)) else list(value)
                 value = tuple(float(v) for v in seq)
-            elif name == "sign":
+            elif name == "sign" and value is not None:
                 value = str(value)
             elif value is not None:
                 value = float(value)
@@ -111,12 +112,14 @@ class PotentialSpec:
     pole: float | None = None
 
     def __post_init__(self):
-        # resolved once, when the system is built: the compiled expressions
-        # x -> (V_i, V_i', V_i''), the family record (None for custom) and
-        # the energy closure
-        object.__setattr__(self, "compiled", tuple(compile_expression(e) for e in self.exprs))
+        # resolved with the system: the record (None for custom) and the value-only energy
         object.__setattr__(self, "record", FAMILIES.get(self.family))
         object.__setattr__(self, "energy", _potential(self))
+
+    @functools.cached_property
+    def compiled(self) -> tuple:
+        """x -> (V_i, V_i') per coordinate, compiled when first read."""
+        return tuple(compile_expression(e, order=1) for e in self.exprs)
 
 
 @dataclass(frozen=True)
@@ -178,18 +181,18 @@ class Trajectory:
 # --- validation and construction ---------------------------------------------
 
 
-def _check_lengths(params: ParameterSet, n: int) -> None:
+def _check_shape(n: int, p: ParameterSet) -> None:
+    if n < 1:
+        raise InvalidParameter("n", f"dimension must be >= 1, got {n}")
     for name in VECTORS:
-        value = getattr(params, name)
+        value = getattr(p, name)
         if value is not None and len(value) != n:
             raise InvalidParameter(name, f"expected {n} entries, got {len(value)}")
 
 
 def _validate(n: int, p: ParameterSet) -> None:
     """Shape and range of every parameter that is set, whichever family reads it."""
-    if n < 1:
-        raise InvalidParameter("n", f"dimension must be >= 1, got {n}")
-    _check_lengths(p, n)
+    _check_shape(n, p)
     if p.sign is not None and p.sign not in ("+", "-"):
         raise InvalidParameter("sign", f"must be '+' or '-', got {p.sign!r}")
     if p.lam is not None and p.lam < 0.0:
@@ -279,7 +282,8 @@ def _custom_system(n: int, p: ParameterSet, mass_exprs: Sequence[str] | None,
 def _potential(pot: PotentialSpec):
     """V(x) on a list of floats: the sum of the compiled terms, each x_i checked
     first against the domain and the pole; a DomainViolation unless finite."""
-    terms, (lo, hi), pole = pot.compiled, pot.domain, pot.pole
+    terms = tuple(compile_expression(e, order=0) for e in pot.exprs)
+    (lo, hi), pole = pot.domain, pot.pole
 
     def energy(x: list[float]) -> float:
         total = 0.0
@@ -289,7 +293,7 @@ def _potential(pot: PotentialSpec):
                                       coordinate=i)
             if xi == pole:
                 raise SingularPoint(f"potential singular at x_{i + 1} = {xi!r}", i)
-            total += term(xi, 1.0)[0]
+            total += term(xi, 1.0)
         if not math.isfinite(total):
             raise DomainViolation(f"potential energy V={total!r} is not finite at x={x}")
         return total
@@ -322,7 +326,7 @@ def kinetic_energy(system: PdmSystem, state: State) -> float:
         else:
             total = 0.0
             for profile, xi, vi in zip(system.profiles, state.x, state.v):
-                total += 0.5 * profile.eval(float(xi))[0] * float(vi) ** 2
+                total += 0.5 * profile.eval(float(xi), 0) * float(vi) ** 2
     except OverflowError as err:
         raise DomainViolation(f"float overflow in the kinetic energy at t={state.t!r}",
                               t=state.t) from err

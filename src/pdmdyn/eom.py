@@ -31,7 +31,7 @@ def el1_rhs(system: PdmSystem) -> Callable:
         raise InvalidParameter("kind", "el1_rhs needs a type1 system")
     pot = system.potential
     (lo, hi), pole = pot.domain, pot.pole
-    coords = tuple((i, p.coefficient_singularity, term, p._dual, p.eval)
+    coords = tuple((i, p.coefficient_singularity, term, p._kernels[1], p.eval)
                    for i, (p, term) in enumerate(zip(system.profiles, pot.compiled)))
 
     def rhs(t, x, v):
@@ -42,9 +42,9 @@ def el1_rhs(system: PdmSystem) -> Callable:
             if not lo < xi < hi or xi == pole:  # the profiles share this domain
                 pot.energy(x)  # raises the coordinate's error
             dv = term(xi, 1.0)[1]
-            m, m1, _ = mass(xi, 1.0)
+            m, m1 = mass(xi, 1.0)
             if m < 0.0:
-                profile(xi)  # raises the negative-mass DomainViolation
+                profile(xi, 1)  # raises the negative-mass DomainViolation
             out.append(-(m1 / (2.0 * m)) * vi * vi - dv / m)
         return out
     return rhs
@@ -72,14 +72,20 @@ def el2_rhs(system: PdmSystem) -> Callable:
     return rhs
 
 
+def _rhs(system: PdmSystem, build: Callable) -> Callable:
+    """build(system), built on the first call and kept on the system."""
+    kept = vars(system)
+    return kept.get(build.__name__) or kept.setdefault(build.__name__, build(system))
+
+
 def el1_acceleration(system: PdmSystem, state: State) -> np.ndarray:
     """Accelerations of the per-coordinate-profile system at a state."""
-    return np.array(el1_rhs(system)(state.t, [*map(float, state.x)], [*map(float, state.v)]))
+    return np.array(_rhs(system, el1_rhs)(state.t, [*map(float, state.x)], [*map(float, state.v)]))
 
 
 def el2_acceleration(system: PdmSystem, state: State) -> np.ndarray:
     """Accelerations of the shared-multiplier system at a state."""
-    return np.array(el2_rhs(system)(state.t, [*map(float, state.x)], [*map(float, state.v)]))
+    return np.array(_rhs(system, el2_rhs)(state.t, [*map(float, state.x)], [*map(float, state.v)]))
 
 
 def el1_residual(system: PdmSystem, solution: Callable[[float], tuple],
@@ -90,4 +96,4 @@ def el1_residual(system: PdmSystem, solution: Callable[[float], tuple],
     the solution independently of any printed formula.
     """
     x, v, a = (np.asarray(c, float) for c in solution(t))
-    return a - el1_rhs(system)(t, x.tolist(), v.tolist())
+    return a - _rhs(system, el1_rhs)(t, x.tolist(), v.tolist())

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ParameterSet, State, Termination, Trajectory, _check_lengths,
-                   build_system, total_energy)
-from .errors import InvalidParameter, InvalidSpec, MissingParameter
+from .core import (ParameterSet, State, Termination, Trajectory, _check_shape,
+                   _substitute, _validate, build_system, total_energy)
+from .errors import InvalidParameter, InvalidSpec
 from .families import (AMENDED_FORM, FAMILIES, PUBLISHED_FORM,
                        ml2_reduction_check)
 
@@ -62,12 +62,13 @@ class ExactSolutionSpec:
         object.__setattr__(self, "phase", phase)
         if len(phase) != n:
             raise InvalidSpec("amplitude and phase lengths differ")
-        _check_lengths(self.params, n)
+        _check_shape(n, self.params)
+        for template in (record.mass, record.potential):    # as build_system reads them
+            _substitute(template, self.params, 0)           # a MissingParameter if unset
         if not all(map(math.isfinite, (*self.amplitude, *phase))):
             raise InvalidSpec(f"amplitude {self.amplitude} and phase {phase} must be finite")
-        record.check(self.params, self.amplitude)
-        if self.params.omega is None:       # every closed form reads omega
-            raise MissingParameter("omega")
+        record.check(self.params, self.amplitude)   # first: its InvalidSpec is more specific
+        _validate(n, self.params)                   # then the ranges build_system checks
         frequency = tuple(record.frequency(self.params, i, a)
                           for i, a in enumerate(self.amplitude))
         # an amplitude so large that the relation overflows reads as 0 or inf

@@ -1,4 +1,4 @@
-"""Recursive-descent parser and second-order forward automatic differentiation.
+"""Recursive-descent parser and forward automatic differentiation to second order.
 
 Expressions describe custom mass profiles m(x) and potentials V(x).  The
 grammar is deliberately small:
@@ -14,20 +14,20 @@ pair of parentheses is one level of nesting; at most MAX_DEPTH levels are
 accepted, so no expression the parser returns can exhaust the interpreter's
 stack.
 
-Every evaluation carries value, first and second derivative at once
-(truncated Taylor arithmetic), so a single pass yields the (m, m', m'')
-triple needed by the dynamics.  An Expr is compiled once per variable list
-into one generated straight-line Python function of plain floats: each node
-becomes a few assignments to locals, with its domain checks inline.  The
-compiled function is kept on the Expr object, so a repeated evaluation
-neither walks the tree nor compiles again.  Constants enter the generated
-code as bound float objects and variables as positional arguments; no text
-of the input reaches the generated source.
+An evaluation carries value, first and second derivative up to the order its
+caller reads: values for the energies, m, m' and V' for the equations of
+motion and the map, (m, m', m'') on request.  An Expr is compiled once per
+variable list and order into one generated straight-line Python function of
+plain floats: each node becomes a few assignments to locals, with its domain
+checks inline.  The compiled function is kept on the Expr object, so a
+repeated evaluation neither walks the tree nor compiles again.  Constants
+enter the generated code as bound float objects and variables as positional
+arguments; no text of the input reaches the generated source.
 
 A per-coordinate expression (a mass profile or a potential term) is written
 in ``x``, the default variable list everywhere; a shared mass is written in
-``x1..xn``.  ``eval_dual`` and ``eval_gradient`` both run the compiled
-function, so an expression evaluated both ways compiles once.
+``x1..xn``.  ``eval_dual`` runs the order-2 function and ``eval_gradient``
+the order-1 one.
 """
 
 from __future__ import annotations
@@ -306,6 +306,10 @@ def _render(e: Expr, parent_prec: int) -> str:
 # appears, so every path gives bit-identical results.  An operation on two
 # constants (+, -, *, and / by a non-zero constant) is carried out once, at
 # compile time, with that same arithmetic.
+#
+# A kernel of order k emits the value, d1 and d2 lines up to k and every domain
+# check whole, so it raises where order 2 raises.  A varying exponent reads its
+# derivatives, so an expression holding one is compiled at order 2 throughout.
 
 #: integer powers up to this are unrolled; larger ones loop at run time
 _UNROLL = 16
@@ -360,23 +364,29 @@ def _int_pow(v: float, d1: float, d2: float, k: int,
 # the only names the generated code reads besides its arguments and bindings
 _NAMESPACE = {
     "__builtins__": {"float": float, "int": int, "OverflowError": OverflowError,
-                     "ValueError": ValueError},
+                     "ValueError": ValueError, "ZeroDivisionError": ZeroDivisionError},
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
     "sqrt": math.sqrt, "int_pow": _int_pow,
     "ExprDomainError": ExprDomainError, "to_source": to_source,
 }
 
 
-class _Codegen:
-    """Emits the body of one compiled expression, node by node."""
+class _RunTimeExponent(Exception):
+    """Met by a generator below order 2: the exponent of a power varies."""
 
-    def __init__(self, names: tuple[str, ...]):
+
+class _Codegen:
+    """Emits the body of one compiled expression of the given order, node by node."""
+
+    def __init__(self, names: tuple[str, ...], order: int):
         self.index = {name: i for i, name in enumerate(names)}
+        self.order = order
         self.lines: list[str] = []
         self.bound: list[object] = []   # read by the code as k0, k1, ...
         self.count = 0
-        self.indent = 0
+        self.indent = 2                 # inside bind() and compiled()
         self.zero = self.bind(0.0)
+        self.emit(*(f"x{i} = float(x{i})" for i in range(len(names))))
 
     def bind(self, obj: object) -> str:
         self.bound.append(obj)
@@ -388,6 +398,10 @@ class _Codegen:
 
     def emit(self, *lines: str) -> None:
         self.lines.extend("    " * self.indent + line for line in lines)
+
+    def tiers(self, *lines: str, first: int = 0) -> None:
+        """lines[k] computes derivative order first + k; those above the order are dropped."""
+        self.emit(*lines[:max(0, self.order + 1 - first)])
 
     def block(self, head: str, body: Callable[[], None]) -> None:
         self.emit(head)
@@ -440,7 +454,7 @@ class _Codegen:
         if a.known is not None:
             return self.constant(*(-c for c in a.known))
         v, p, q = self.fresh("v", "p", "q")
-        self.emit(f"{v} = -{a.val}", f"{p} = -{a.d1}", f"{q} = -{a.d2}")
+        self.tiers(f"{v} = -{a.val}", f"{p} = -{a.d1}", f"{q} = -{a.d2}")
         return _Slot(v, p, q)
 
     def binop(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
@@ -451,8 +465,8 @@ class _Codegen:
                                        for u, w in zip(a.known, b.known)))
             v, p, q = self.fresh("v", "p", "q")
             op = node.op
-            self.emit(f"{v} = {a.val} {op} {b.val}", f"{p} = {a.d1} {op} {b.d1}",
-                      f"{q} = {a.d2} {op} {b.d2}")
+            self.tiers(f"{v} = {a.val} {op} {b.val}", f"{p} = {a.d1} {op} {b.d1}",
+                       f"{q} = {a.d2} {op} {b.d2}")
             return _Slot(v, p, q)
         if node.op == "*":
             return self.mul(a, b)
@@ -464,9 +478,9 @@ class _Codegen:
         if a.known and b.known:
             return self.constant(*_dual_mul(a.known, b.known))
         v, p, q = self.fresh("v", "p", "q")
-        self.emit(f"{v} = {a.val} * {b.val}",
-                  f"{p} = {a.d1} * {b.val} + {a.val} * {b.d1}",
-                  f"{q} = {a.d2} * {b.val} + 2.0 * {a.d1} * {b.d1} + {a.val} * {b.d2}")
+        self.tiers(f"{v} = {a.val} * {b.val}",
+                   f"{p} = {a.d1} * {b.val} + {a.val} * {b.d1}",
+                   f"{q} = {a.d2} * {b.val} + 2.0 * {a.d1} * {b.d1} + {a.val} * {b.d2}")
         return _Slot(v, p, q)
 
     def div(self, a: _Slot, b: _Slot, where: Expr) -> _Slot:
@@ -478,15 +492,16 @@ class _Codegen:
         v, p, q = self.fresh("v", "p", "q")
         self.block(f"if {b.val} == 0.0:",
                    lambda: self.emit(self.raise_domain("division by zero", where)))
-        self.emit(f"{v} = {a.val} / {b.val}",
-                  f"{p} = ({a.d1} - {v} * {b.d1}) / {b.val}",
-                  f"{q} = ({a.d2} - 2.0 * {p} * {b.d1} - {v} * {b.d2}) / {b.val}")
+        self.tiers(f"{v} = {a.val} / {b.val}",
+                   f"{p} = ({a.d1} - {v} * {b.d1}) / {b.val}",
+                   f"{q} = ({a.d2} - 2.0 * {p} * {b.d1} - {v} * {b.d2}) / {b.val}")
         return _Slot(v, p, q)
 
     def chain(self, out: list[str], u: _Slot, fp: str, fpp: str) -> _Slot:
         """f(u) given out[0] = f and the names of f'(u), f''(u)."""
         v, p, q = out
-        self.emit(f"{p} = {fp} * {u.d1}", f"{q} = {fpp} * {u.d1} * {u.d1} + {fp} * {u.d2}")
+        self.tiers(f"{p} = {fp} * {u.d1}", f"{q} = {fpp} * {u.d1} * {u.d1} + {fp} * {u.d2}",
+                   first=1)
         return _Slot(v, p, q)
 
     def call(self, node: Call, u: _Slot) -> _Slot:
@@ -507,13 +522,17 @@ class _Codegen:
             self.block(f"if {u.val} <= 0.0:", lambda: self.emit(
                 self.raise_domain(f"{node.fn} of a non-positive value", node)))
             if node.fn == "ln":
-                self.emit(f"{v} = log({u.val})", f"{c} = 1.0 / {u.val}",
-                          f"{c2} = -1.0 / ({u.val} * {u.val})")
+                self.log_factors(node, u, v, c, c2)
             else:
-                self.emit(f"{v} = sqrt({u.val})", f"{c} = 0.5 / {v}",
-                          f"{c2} = -0.25 / ({u.val} * {v})")
+                self.tiers(f"{v} = sqrt({u.val})", f"{c} = 0.5 / {v}")
+                self.guarded(node, f"{c2} = -0.25 / ({u.val} * {v})", error="ZeroDivisionError")
             return self.chain(out, u, c, c2)
         raise AssertionError(f"unreachable function {node.fn}")
+
+    def log_factors(self, node: Expr, u: _Slot, v: str, c: str, c2: str) -> None:
+        """v = ln u, u > 0, with derivatives c, c2; c2 overflows where its divisor underflows."""
+        self.tiers(f"{v} = log({u.val})", f"{c} = 1.0 / {u.val}")
+        self.guarded(node, f"{c2} = -1.0 / ({u.val} * {u.val})", error="ZeroDivisionError")
 
     def power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         if b.known is not None and b.known[1] == 0.0 and b.known[2] == 0.0:
@@ -524,6 +543,8 @@ class _Codegen:
                 "non-integer power of a non-positive base", node)))
             return self.const_power(node, a, b.val, self.fresh("v", "p", "q"))
         # the exponent is known only at run time: decide there, as above
+        if self.order < 2:
+            raise _RunTimeExponent
         out = self.fresh("v", "p", "q")
         const = f"{b.d1} == 0.0 and {b.d2} == 0.0"
         self.block(f"if {const} and {b.val}.is_integer():", lambda: self.emit(
@@ -539,8 +560,10 @@ class _Codegen:
         if k == 0:
             return self.constant(1.0)
         if abs(k) > _UNROLL:
+            # derivatives a lower kernel lacks enter as 0; the orders it returns never read them
+            d1, d2 = (d if self.order >= j else self.zero for j, d in ((1, a.d1), (2, a.d2)))
             out = self.fresh("v", "p", "q")
-            self.emit(f"{', '.join(out)} = int_pow({a.val}, {a.d1}, {a.d2}, "
+            self.emit(f"{', '.join(out)} = int_pow({a.val}, {d1}, {d2}, "
                       f"{self.bind(k)}, {self.bind(node)})")
             return _Slot(*out)
         out = a
@@ -559,20 +582,21 @@ class _Codegen:
     def exp_log_power(self, node: BinOp, a: _Slot, b: _Slot, out: list[str]) -> None:
         """a^b = exp(b ln a) for a positive base and a varying exponent."""
         lv, lp, lq, c, c2 = self.fresh("lv", "lp", "lq", "c", "e")
-        self.emit(f"{lv} = log({a.val})", f"{c} = 1.0 / {a.val}",
-                  f"{c2} = -1.0 / ({a.val} * {a.val})")
+        self.log_factors(node, a, lv, c, c2)
         ln_a = self.chain([lv, lp, lq], a, c, c2)
         m = self.mul(b, ln_a)
         self.guarded(node, f"{out[0]} = exp({m.val})")
         self.chain(out, m, out[0], out[0])
 
 
-def _compile(expr: Expr, names: tuple[str, ...]) -> Callable[..., tuple[float, float, float]]:
-    gen = _Codegen(names)
-    gen.indent = 2
-    gen.emit(*(f"x{i} = float(x{i})" for i in range(len(names))))
-    out = gen.walk(expr)
-    gen.emit(f"return {out.val}, {out.d1}, {out.d2}")
+def _compile(expr: Expr, names: tuple[str, ...], order: int) -> Callable:
+    gen = _Codegen(names, order)
+    try:
+        out = gen.walk(expr)
+    except _RunTimeExponent:
+        gen = _Codegen(names, 2)
+        out = gen.walk(expr)
+    gen.emit(f"return {', '.join(out[:order + 1])}")
     args = [f"x{i}" for i in range(len(names))] + [f"s{i}" for i in range(len(names))]
     source = "\n".join([
         f"def bind({', '.join(f'k{j}' for j in range(len(gen.bound)))}):",
@@ -585,21 +609,23 @@ def _compile(expr: Expr, names: tuple[str, ...]) -> Callable[..., tuple[float, f
     return namespace["bind"](*gen.bound)
 
 
-def compile_expression(expr: Expr, names: Sequence[str] = ("x",)
-                       ) -> Callable[..., tuple[float, float, float]]:
+def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
+                       order: int = 2) -> Callable:
     """The compiled form of ``expr`` over the variables ``names``.
 
-    The result ``f(x_1, .., x_n, s_1, .., s_n)`` returns (value, d1, d2)
-    with x_i the value of variable i and s_i its seed: the derivatives are
-    taken along the direction s.  Built once per Expr object and variable
-    list; later calls return the same function.  A variable missing from
+    The result ``f(x_1, .., x_n, s_1, .., s_n)`` returns the value for
+    ``order`` 0, (value, d1) for 1 and (value, d1, d2) for 2, with x_i the
+    value of variable i and s_i its seed: the derivatives are taken along
+    the direction s.  Each order returns what order 2 returns, or raises
+    what it raises.  Built once per Expr object, variable list and order;
+    later calls return the same function.  A variable missing from
     ``names`` raises KeyError.
     """
-    key = tuple(names)
+    key = (tuple(names), order)
     cache = vars(expr).setdefault("_compiled", {})
     fn = cache.get(key)
     if fn is None:
-        fn = cache[key] = _compile(expr, key)
+        fn = cache[key] = _compile(expr, *key)
     return fn
 
 
@@ -616,9 +642,9 @@ def eval_gradient(expr: Expr, names: Sequence[str],
                   values: Sequence[float]) -> tuple[float, list[float]]:
     """Value and first partial derivatives of a multivariate expression.
 
-    One compiled pass per coordinate; second-order components are discarded.
+    One pass of the first-order compiled function per coordinate.
     """
-    fn = compile_expression(expr, names)
+    fn = compile_expression(expr, names, 1)
     n = len(names)
     args = [*values, *[0.0] * n]
     val = fn(*args)[0]

@@ -114,10 +114,8 @@ def _ml1_check(p, amplitude):
 
 
 def _ml1_frequency(p, i, A):
-    denom = 1.0 + _sign(p) * p.lam * A * A
-    if denom <= 0.0:
-        raise InvalidSpec("amplitude leaves the bounded region")
-    return p.omega[i] / math.sqrt(denom)
+    # the spec checks sign and lam are set, and _ml1_check that 1 +- lam A^2 > 0
+    return p.omega[i] / math.sqrt(1.0 + _sign(p) * p.lam * A * A)
 
 
 ML1 = Family("ml1", _ML, _ML_OSCILLATOR, domain=_ml_domain, check=_ml1_check,

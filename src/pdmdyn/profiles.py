@@ -1,12 +1,12 @@
 """Mass profiles m(x) with exact first and second derivatives.
 
 Every per-coordinate profile, catalog or custom, is a parsed one-variable
-expression compiled once into straight-line float code; its derivatives
-come from the compiled dual-number form, so the dynamics never sees a
-finite difference.  A catalog family's profile is its record's mass
-template with the coordinate's parameters substituted, and carries the
-record's domain and coefficient singularity, resolved when the system is
-built.
+expression compiled into straight-line float code, once per derivative
+order a caller reads; its derivatives come from the compiled dual-number
+form, so the dynamics never sees a finite difference.  A catalog family's
+profile is its record's mass template with the coordinate's parameters
+substituted, and carries the record's domain and coefficient singularity,
+resolved when the system is built.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ class CustomProfile:
     coefficient_singularity: float | None = None
 
     def __post_init__(self):
-        # compiled once, when the system is built; eval calls it directly
-        object.__setattr__(self, "_dual", exprparse.compile_expression(self.expr))
+        # _kernels[k] returns m and its first k derivatives; the first-order
+        # one, read by the dynamics and the map, is compiled with the system
+        object.__setattr__(self, "_kernels",
+                           [None, exprparse.compile_expression(self.expr, order=1), None])
 
     @staticmethod
     def from_text(text: str, domain: tuple[float, float] = REAL_LINE,
@@ -48,17 +50,23 @@ class CustomProfile:
         return CustomProfile(exprparse.parse_cached(text), text, domain,
                              coefficient_singularity)
 
-    def eval(self, x: float) -> tuple[float, float, float]:
+    def eval(self, x: float, order: int = 2):
+        """m for order 0, (m, m') for 1 and (m, m', m'') for 2, at x; a
+        DomainViolation outside the domain or where m < 0."""
         lo, hi = self.domain
         if not lo < x < hi:
             raise DomainViolation(f"x={x!r} outside the domain ({lo}, {hi}) "
                                   f"of profile '{self.text}'")
-        m, m1, m2 = self._dual(x, 1.0)
+        fn = self._kernels[order]
+        if fn is None:
+            fn = self._kernels[order] = exprparse.compile_expression(self.expr, order=order)
+        out = fn(x, 1.0)
+        m = out[0] if order else out
         # m == 0 (a vanishing or underflowed mass) is left to the equations
         # of motion, whose division by m raises ZeroDivisionError
         if m < 0.0:
             raise DomainViolation(f"profile '{self.text}' is {m!r} < 0 at x={x!r}")
-        return m, m1, m2
+        return out
 
 
 @dataclass(frozen=True)
@@ -72,10 +80,6 @@ class CoupledProfile:
     expr: Expr
     text: str
     names: tuple[str, ...]
-
-    def __post_init__(self):
-        # compiled once, when the system is built; eval_gradient reuses it
-        exprparse.compile_expression(self.expr, self.names)
 
     @staticmethod
     def from_text(text: str, n: int) -> "CoupledProfile":

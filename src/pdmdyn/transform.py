@@ -48,7 +48,7 @@ class NonlocalMap:
         q, f, p, mass = self.record.q, self.record.f, self.params, self.profiles[i].eval
 
         def point(x: float) -> tuple[float, float, float, float]:
-            m, m1, _ = mass(x)
+            m, m1 = mass(x, 1)
             root = math.sqrt(m)
             qi, fi = q(p, i, x, root), f(p, i, x, m1 / (2.0 * m))
             return qi, fi * root, fi, m
@@ -161,7 +161,7 @@ def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
     grad_ref = potential_gradient(ref, [image[0] for image in images])
     out = np.empty(system.n)
     for i, (_, _, f, _) in enumerate(images):
-        m, m1, _ = system.profiles[i].eval(float(state.x[i]))
+        m, m1 = system.profiles[i].eval(float(state.x[i]), 1)
         dqt_dt = math.sqrt(m) * (acc[i] + (m1 / (2.0 * m)) * float(state.v[i]) ** 2)
         if f == 0.0:
             # removable 0/0 exactly at the turning point of the constant map

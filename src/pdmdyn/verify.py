@@ -187,7 +187,7 @@ def _check_profile_derivatives(seed: int, rel_tol=None) -> CheckReport:
             # from the boundary, not to |x|
             edge = min(abs(x - dom_lo), abs(dom_hi - x))
             h = 0.005 * min(max(1.0, abs(x)), edge)
-            vals = [profile.eval(float(x + k * h))[0] for k in (-2, -1, 0, 1, 2)]
+            vals = [profile.eval(float(x + k * h), 0) for k in (-2, -1, 0, 1, 2)]
             d1_fd = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
             d2_fd = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
             m, d1, d2 = profile.eval(float(x))
@@ -208,7 +208,7 @@ def _check_ml_identity(seed: int, rel_tol=None) -> CheckReport:
         profile = _profile("ml1", lam=lam, sign=sign)
         s = 1.0 if sign == "+" else -1.0
         for x in rng.uniform(*box, 2000):
-            m, m1, _ = profile.eval(float(x))
+            m, m1 = profile.eval(float(x), 1)
             closed = -s * lam * x / (1.0 + s * lam * x * x)
             worst = max(worst, abs(m1 / (2.0 * m) - closed))
     return _report("ml-profile-identity", worst, 1e-12,

@@ -444,6 +444,18 @@ class TestExact:
         assert run(["exact", "--config", write_config(tmp_path, cfg_data)]) == (
             2, "", "error: no finite positive frequency at amplitude (1e+300,): [0.0]\n")
 
+    @pytest.mark.parametrize("params,err", [
+        # the '-' branch check read the unset lambda: a TypeError traceback
+        ({"omega": [1.0], "sign": "-"}, "error: missing parameter: lam\n"),
+        ({"omega": [1.0], "lambda": 0.5}, "error: missing parameter: sign\n"),
+        ({"omega": [-1.0], "lambda": 0.5, "sign": "+"},
+         "error: omega: must be positive, got (-1.0,)\n"),
+    ])
+    def test_spec_parameters_checked_as_build_system_checks_them(self, tmp_path, params, err):
+        cfg_data = {"family": "ml1", "n": 1, "params": params,
+                    "solution": {"amplitude": [0.5]}, "grid": {"t1": 1.0, "samples": 5}}
+        assert run(["exact", "--config", write_config(tmp_path, cfg_data)]) == (2, "", err)
+
 
 class TestMap:
     def test_truncated_run_writes_the_note(self, tmp_path):

@@ -236,6 +236,27 @@ class TestFusedRhs:
             # the array form sums the dot products in its own order
             assert np.allclose(got, reference_el2(system, x, v), rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("build,system", [
+        ("el1_rhs", ml1_system()),
+        ("el2_rhs", build_system("custom", 2, mass_exprs=["1+x1^2+x2^2"], kind=TYPE2)),
+    ])
+    def test_accelerations_build_the_closure_once_per_system(self, monkeypatch, build,
+                                                              system):
+        from pdmdyn import eom
+        built, real = [], getattr(eom, build)
+
+        def counted(system):
+            built.append(system)
+            return real(system)
+        counted.__name__ = build
+        monkeypatch.setattr(eom, build, counted)
+        acceleration = eom.el1_acceleration if build == "el1_rhs" else eom.el2_acceleration
+        for x in (0.1, 0.2, 0.3):
+            acceleration(system, State.of(0.0, [x] * system.n, [0.5] * system.n))
+        if build == "el1_rhs":
+            el1_residual(system, lambda t: ([0.1], [0.5], [0.0]), 0.0)
+        assert len(built) == 1 and built[0] is system
+
     def test_closures_check_the_kind(self):
         with pytest.raises(InvalidParameter):
             el1_rhs(build_system("custom", 1, mass_exprs=["1+x1^2"], kind=TYPE2))

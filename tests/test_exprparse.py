@@ -7,19 +7,24 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pdmdyn.core import VECTORS, State, build_system, total_energy
+from pdmdyn.eom import el1_rhs
 from pdmdyn.errors import ExprDomainError, ExprSyntaxError, UnknownIdentifier
 from pdmdyn.exprparse import (FUNCTIONS, MAX_DEPTH, BinOp, Call, Expr, Neg, Num, Var,
                               compile_expression, eval_dual, eval_gradient,
                               parse_expression, to_source)
+from pdmdyn.families import FAMILIES
 
 
 # --- reference oracle ---------------------------------------------------------
 # The tree walker the compiled code replaced, kept as the reference: the
 # compiled code must give the same floats, or raise the same exception with
 # the same message.  Deliberate changes, made in both: a float overflow in exp
-# or in a power, and sin or cos of an infinite value, are ExprDomainErrors
-# here too, where the walker let OverflowError and ValueError out; an integer
-# power beyond 16 squares and multiplies instead of multiplying k times.
+# or in a power, sin or cos of an infinite value, and a second-derivative
+# factor of ln or sqrt whose divisor underflows to 0, are ExprDomainErrors
+# here too, where the walker let OverflowError, ValueError and
+# ZeroDivisionError out; an integer power beyond 16 squares and multiplies
+# instead of multiplying k times.
 
 @dataclass(frozen=True)
 class Dual2:
@@ -61,6 +66,13 @@ def _div(a: Dual2, b: Dual2, where: Expr) -> Dual2:
     return Dual2(q, q1, q2)
 
 
+def _curvature(num: float, den: float, where: Expr) -> float:
+    try:
+        return num / den
+    except ZeroDivisionError:
+        raise ExprDomainError("float overflow", to_source(where)) from None
+
+
 def _chain(u: Dual2, f: float, fp: float, fpp: float) -> Dual2:
     return Dual2(f, fp * u.d1, fpp * u.d1 * u.d1 + fp * u.d2)
 
@@ -100,7 +112,7 @@ def _pow(a: Dual2, b: Dual2, where: Expr) -> Dual2:
         except OverflowError:
             raise ExprDomainError("float overflow", to_source(where)) from None
         return _chain(a, f, fp, fpp)
-    ln_a = _chain(a, math.log(a.val), 1.0 / a.val, -1.0 / (a.val * a.val))
+    ln_a = _chain(a, math.log(a.val), 1.0 / a.val, _curvature(-1.0, a.val * a.val, where))
     return _exp(_mul(b, ln_a), where)
 
 
@@ -134,12 +146,13 @@ def _eval(e: Expr, env: dict[str, Dual2]) -> Dual2:
         if e.fn == "ln":
             if u.val <= 0.0:
                 raise ExprDomainError("ln of a non-positive value", to_source(e))
-            return _chain(u, math.log(u.val), 1.0 / u.val, -1.0 / (u.val * u.val))
+            return _chain(u, math.log(u.val), 1.0 / u.val,
+                          _curvature(-1.0, u.val * u.val, e))
         if e.fn == "sqrt":
             if u.val <= 0.0:
                 raise ExprDomainError("sqrt of a non-positive value", to_source(e))
             r = math.sqrt(u.val)
-            return _chain(u, r, 0.5 / r, -0.25 / (u.val * r))
+            return _chain(u, r, 0.5 / r, _curvature(-0.25, u.val * r, e))
         raise AssertionError(f"unreachable function {e.fn}")
     assert isinstance(e, BinOp)
     a = _eval(e.left, env)
@@ -407,6 +420,10 @@ class TestCompiledMatchesReference:
         ("x^-33", 1.01),
         ("ln(x)+sqrt(x)", 0.0),
         ("x^0*ln(x)", -1.0),
+        ("ln(x)", 5e-324),          # -1/x^2 overflows: x*x underflows to 0
+        ("sqrt(x)", 5e-324),
+        ("sqrt(x)", 1e-250),
+        ("x^x", 5e-324),            # the same factor inside exp(x ln x)
     ])
     def test_edge_cases(self, text, x):
         expr = parse_expression(text)
@@ -443,8 +460,98 @@ class TestCompiledMatchesReference:
         for x in (0.25, 0.5, 0.75):
             eval_dual(expr, x)
             eval_gradient(expr, ["x"], [x])
-        assert len(compiles) == 1   # both evaluate over the variables ("x",)
+            compile_expression(expr, ["x"], 0)(x, 1.0)
+        # one compile per (expression, variables, order): eval_dual reads
+        # order 2, eval_gradient order 1
+        assert compiles == [(expr, ("x",), 2), (expr, ("x",), 1), (expr, ("x",), 0)]
+        assert all(args[0] is expr for args in compiles)
         assert compile_expression(expr) is compile_expression(expr)
+        assert compile_expression(expr, ["x"], 1) is compile_expression(expr, ("x",), 1)
+
+    def test_a_system_build_compiles_below_order_two(self, monkeypatch):
+        from pdmdyn import exprparse
+        compiles = []
+        real = exprparse._compile
+        monkeypatch.setattr(exprparse, "_compile",
+                            lambda *args: compiles.append(args) or real(*args))
+        # parameters no other test uses, so every expression is parsed afresh
+        params = {"omega": [1.25, 2.5], "lambda": 0.3125, "sign": "+", "kappa": [0.375, 0.625]}
+        system = build_system("sw1", 2, params)
+        assert compiles and all(order < 2 for _, _, order in compiles)
+        el1_rhs(system)(0.0, [0.5, 0.75], [0.25, -0.5])
+        total_energy(system, State.of(0.0, [0.5, 0.75], [0.25, -0.5]))
+        assert all(order < 2 for _, _, order in compiles)
+        keys = [(id(expr), names, order) for expr, names, order in compiles]
+        assert len(keys) == len(set(keys))
+        # both coordinates share one mass expression; its triple comes on request
+        assert system.profiles[0].expr is system.profiles[1].expr
+        for profile in system.profiles:
+            profile.eval(0.5)
+        mass = system.profiles[0].expr
+        assert [args for args in compiles if args[2] == 2] == [(mass, ("x",), 2)]
+
+
+def _parity(expr, names, xs, seeds):
+    """Whether orders 0 and 1 return what order 2 returns, cut to their
+    length, or raise what it raises, with the same message."""
+    args = [*xs, *seeds]
+    full = outcome(compile_expression(expr, names, 2), *args)
+    for order in (0, 1):
+        fn = compile_expression(expr, names, order)
+        got = outcome(lambda: [fn(*args)] if order == 0 else fn(*args))
+        want = full if isinstance(full[0], type) else full[:order + 1]
+        assert got == want, (to_source(expr), order, xs, seeds)
+
+
+#: parameters at n = 3 for every catalog record (n < 3 takes the leading entries)
+_CATALOG = {
+    "ml1": {"omega": [1.0, 2.0, 0.7], "lambda": 0.6, "sign": "-"},
+    "ml2": {"omega": [1.0, 2.0, 0.7], "lambda": 0.25, "sign": "+",
+            "eta_const": [1.5, -2.5, 3.0]},
+    "powerlaw": {"omega": [1.0, 1.7, 0.6], "alpha": 1.2, "upsilon": -0.4},
+    "morse": {"omega": [1.0, 2.0, 0.7], "zeta": [1.0, 2.0, 0.5]},
+    "sw1": {"omega": [1.0, 2.0, 0.7], "lambda": 0.5, "sign": "+", "kappa": [0.3, 0.8, 0.5]},
+    "sw2": {"omega": [1.0, 2.0, 0.7], "kappa": [0.9, 0.4, 1.3], "beta": 1.3, "eta_exp": 1.5},
+    "harmonic": {"omega": [1.0, 2.0, 0.7]},
+    "isotonic": {"omega": [1.0, 2.0, 0.7], "kappa": [0.9, 0.4, 1.3]},
+}
+
+_anywhere = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.floats(min_value=-4.0, max_value=4.0),
+                      st.sampled_from([0.0, -0.0, 5e-324, 1e-250, -1.0, 1.0]))
+_seeds = st.sampled_from([0.0, 1.0, -0.5])
+
+
+class TestOrderParity:
+    """A kernel of order 0 or 1 is the order-2 kernel with the higher lines cut."""
+
+    def test_catalog_covers_every_record(self):
+        assert set(_CATALOG) == set(FAMILIES)
+
+    @given(_exprs(full=True), _anywhere, _seeds)
+    @settings(max_examples=300, deadline=None)
+    @example(parse_expression("ln(x)+sqrt(x)"), 5e-324, 1.0)
+    @example(parse_expression("x^x"), 5e-324, 1.0)
+    @example(parse_expression("(x+1)^20-(2*x)^-17"), 0.75, 1.0)
+    @example(parse_expression("x^(x-x)"), -2.0, 0.0)
+    def test_one_variable(self, expr, x, seed):
+        _parity(expr, ("x",), [x], [seed])
+
+    @given(_exprs(("x1", "x2", "x3"), full=True),
+           st.lists(_points, min_size=3, max_size=3), st.lists(_seeds, min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_three_variables(self, expr, xs, seeds):
+        _parity(expr, ("x1", "x2", "x3"), xs, seeds)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(_CATALOG))
+    @given(x=_anywhere, seed=_seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_catalog_templates(self, family, n, x, seed):
+        params = {k: v[:n] if k in VECTORS else v for k, v in _CATALOG[family].items()}
+        system = build_system(family, n, params)
+        for expr in (*(p.expr for p in system.profiles), *system.potential.exprs):
+            _parity(expr, ("x",), [x], [seed])
 
 
 class TestNestingLimit:
