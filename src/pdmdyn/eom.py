@@ -31,7 +31,7 @@ def el1_rhs(system: PdmSystem) -> Callable:
         raise InvalidParameter("kind", "el1_rhs needs a type1 system")
     pot = system.potential
     (lo, hi), pole = pot.domain, pot.pole
-    coords = tuple((i, p.coefficient_singularity, term, p._kernels[1], p.eval)
+    coords = tuple((i, p.coefficient_singularity, term, p.kernel(1), p.eval)
                    for i, (p, term) in enumerate(zip(system.profiles, pot.compiled)))
 
     def rhs(t, x, v):

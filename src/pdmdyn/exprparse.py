@@ -385,6 +385,7 @@ class _Codegen:
         self.bound: list[object] = []   # read by the code as k0, k1, ...
         self.count = 0
         self.indent = 2                 # inside bind() and compiled()
+        self.value_reads_seeds = False  # set by a power whose exponent varies
         self.zero = self.bind(0.0)
         self.emit(*(f"x{i} = float(x{i})" for i in range(len(names))))
 
@@ -545,6 +546,7 @@ class _Codegen:
         # the exponent is known only at run time: decide there, as above
         if self.order < 2:
             raise _RunTimeExponent
+        self.value_reads_seeds = True
         out = self.fresh("v", "p", "q")
         const = f"{b.d1} == 0.0 and {b.d2} == 0.0"
         self.block(f"if {const} and {b.val}.is_integer():", lambda: self.emit(
@@ -606,7 +608,9 @@ def _compile(expr: Expr, names: tuple[str, ...], order: int) -> Callable:
     ])
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<expression>", "exec"), namespace)
-    return namespace["bind"](*gen.bound)
+    fn = namespace["bind"](*gen.bound)
+    fn.value_reads_seeds = gen.value_reads_seeds
+    return fn
 
 
 def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
@@ -617,9 +621,11 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     ``order`` 0, (value, d1) for 1 and (value, d1, d2) for 2, with x_i the
     value of variable i and s_i its seed: the derivatives are taken along
     the direction s.  Each order returns what order 2 returns, or raises
-    what it raises.  Built once per Expr object, variable list and order;
-    later calls return the same function.  A variable missing from
-    ``names`` raises KeyError.
+    what it raises.  Its ``value_reads_seeds`` is true when the value can
+    depend on the seeds: a power whose exponent varies is a ** b under seeds
+    that leave the exponent constant and exp(b ln a) otherwise.  Built once
+    per Expr object, variable list and order; later calls return the same
+    function.  A variable missing from ``names`` raises KeyError.
     """
     key = (tuple(names), order)
     cache = vars(expr).setdefault("_compiled", {})
@@ -642,15 +648,21 @@ def eval_gradient(expr: Expr, names: Sequence[str],
                   values: Sequence[float]) -> tuple[float, list[float]]:
     """Value and first partial derivatives of a multivariate expression.
 
-    One pass of the first-order compiled function per coordinate.
+    One pass of the first-order compiled function per coordinate.  The value
+    is the first pass's unless it reads the seeds, as a power whose exponent
+    varies does (it takes a ** b or exp(b ln a) by the exponent's
+    derivatives); then it comes from one more pass with every seed 0.
     """
     fn = compile_expression(expr, names, 1)
     n = len(names)
     args = [*values, *[0.0] * n]
-    val = fn(*args)[0]
+    val = fn(*args)[0] if fn.value_reads_seeds or not n else None
     grad = []
     for i in range(n, 2 * n):
         args[i] = 1.0
-        grad.append(fn(*args)[1])
+        first, d1 = fn(*args)
         args[i] = 0.0
+        grad.append(d1)
+        if val is None:
+            val = first
     return val, grad

@@ -4,22 +4,25 @@ Two schemes run on one stepping loop: the Dormand-Prince 8(5,3) pair
 (DOP853) with PI step-size control, the default, and classical fixed-step
 RK4.  Each is a tableau whose last stage row equals its weights, so the
 stage at the new state is the next step's first (FSAL): RK4 costs four
-right-hand-side calls per step and DOP853 twelve.  The loop runs on lists of
-floats; each stage state, the new state and the error estimates sum a
-tableau row's non-zero weights in stage order.  DOP853's error norm blends
-its 5th- and 3rd-order estimates.  The fixed scheme differs only where it
-must: no error estimate, no step-size change, no retry, and a non-finite
-step ends it.  The domain guard runs at every internal stage, so a
-trajectory that approaches a mass-profile boundary terminates cleanly
-instead of corrupting the step-size controller.
+right-hand-side calls per step and DOP853 twelve.  A step is one generated
+function per (scheme, n), built the first time a run needs it: straight-line
+code over float locals in which each stage state, the new state and the
+error estimates sum a tableau row's non-zero weights in stage order, the
+weights written as literals, so it computes what a loop over the tableau
+computes, bit for bit.  DOP853's error norm blends its 5th- and 3rd-order
+estimates.  The fixed scheme differs only where it must: no error estimate,
+no step-size change, no retry, and a non-finite step ends it.  The domain
+guard runs at every internal stage, so a trajectory that approaches a
+mass-profile boundary terminates cleanly instead of corrupting the
+step-size controller.
 
 Dense output: a DOP853 trajectory carries the pair's 7th-order interpolant.
 The loop keeps, per accepted step, only what the interpolant needs beyond
 the trajectory's rows: h and stages 5-11, in one flat buffer of doubles.
-The three extra stages per step are evaluated the first time a caller asks
-for dense data (``sample_dense``), not while integrating, and are added to
-the trajectory's ``nfev`` then.  Every other trajectory interpolates with
-cubic Hermite polynomials.
+The three extra stages per step, generated like a step, are evaluated the
+first time a caller asks for dense data (``sample_dense``), not while
+integrating, and are added to the trajectory's ``nfev`` then.  Every other
+trajectory interpolates with cubic Hermite polynomials.
 """
 
 from __future__ import annotations
@@ -183,17 +186,128 @@ _DOP_PREV_FLOOR = 1e-4
 # DOP853's dense output: nodes and rows of the extra stages 13-15, rows of D
 _DOP_DENSE = (_DOP_C[13:].tolist(), [_pairs(r) for r in _DOP_A[13:]],
               [_pairs(r) for r in _DOP_D])
+# the stages kept per accepted step for the dense output
+_DOP_KEPT = range(5, 12)
 
 
-def _combine(y: list, h: float, K: list, pairs: tuple) -> list:
-    """y + h * (sum of w * K[k] over the pairs, in stage order), componentwise."""
-    out = []
-    for j, p in enumerate(y):
-        s = 0.0
-        for k, w in pairs:
-            s += w * K[k][j]
-        out.append(p + h * s)
-    return out
+# --- generated steps ---------------------------------------------------------
+#
+# A step's locals: k{i}_{j} is component j of stage i's derivative (v, a),
+# whose velocities are the stage state's; x{j} is position j of stage 0 and
+# p{j} that of the latest stage, since no row reads a stage's positions (each
+# stage overwrites the last one's, so fewer floats stay alive, and after a
+# step they are the new state's).
+# Component j of a stage state is y_j + h * (0.0 + w * k{s}_j + ...) over the
+# row's non-zero weights in stage order: the 0.0 start is kept because
+# 0.0 + w * k turns -0.0 into +0.0, so every float is that of the plain loop
+# over the tableau.
+
+#: generated functions per (scheme, n) and ("dense", n), built on first use
+_GENERATED: dict = {}
+
+
+def _weighted(pairs: tuple, j: int) -> str:
+    """Component j of sum(w * K[s]) over the (stage, weight) pairs, from 0.0."""
+    return " + ".join(["0.0", *(f"{w!r} * k{s}_{j}" for s, w in pairs)])
+
+
+def _state(i: int, n: int) -> list:
+    """Stage i's state: its positions, then its velocities."""
+    return [f"p{j}" if i else f"x{j}" for j in range(n)] + [f"k{i}_{j}" for j in range(n)]
+
+
+def _deriv(i: int, n: int) -> list:
+    """Stage i's derivative: its velocities, then its accelerations."""
+    return [f"k{i}_{j}" for j in range(2 * n)]
+
+
+def _listed(names: list) -> str:
+    return f"[{', '.join(names)}]"
+
+
+def _start(n: int) -> list:
+    """Stage 0 from the step's x, v and a."""
+    return [f"{_listed(_state(0, n)[:n])} = x", f"{_listed(_deriv(0, n)[:n])} = v",
+            f"{_listed(_deriv(0, n)[n:])} = a"]
+
+
+def _stages(first: int, nodes: list, rows: list, n: int) -> list:
+    """Stages first.. of a tableau, in a try block: each sets ``stage`` to its
+    count, forms its state from its row and calls the RHS there."""
+    lines = ["try:"]
+    for count, (c, row) in enumerate(zip(nodes, rows), 1):
+        i = first + count - 1
+        state, deriv = _state(i, n), _deriv(i, n)
+        lines.append(f"    stage = {count}")
+        lines += [f"    {s} = {y} + h * ({_weighted(row, j)})"
+                  for j, (s, y) in enumerate(zip(state, _state(0, n)))]
+        lines.append(f"    r = rhs(t + {c!r} * h, {_listed(state[:n])}, {_listed(state[n:])})")
+        lines += [f"    {d} = float(r[{j}])" for j, d in enumerate(deriv[n:])]
+    return lines
+
+
+def _step_source(scheme: str, n: int) -> str:
+    """step(rhs, t, h, x, v, a, abs_tol, rel_tol) -> (stages, guard error,
+    x_new, v_new, a_new, err, kept): the stages evaluated and the error a guard
+    raised at the last of them (None for a whole step), then the new state,
+    its acceleration, DOP853's error norm and its kept stages 5-11 (None for
+    RK4)."""
+    nodes, rows = _TABLEAUS[scheme]
+    last = len(rows)
+    y0, y1, k1 = _state(0, n), _state(last, n), _deriv(last, n)
+    lines = [*_start(n), *_stages(1, nodes, rows, n), "except GUARDABLE as err:",
+             "    return stage, err, None, None, None, None, None"]
+    norm = kept = "None"
+    if scheme == DOP853:
+        # the blend |e5|^2 / sqrt(N (|e5|^2 + 0.01 |e3|^2)) of the 5th- and
+        # 3rd-order estimates, each component scaled by the tolerances;
+        # max(m0, m1) is m0 unless m1 > m0.  An estimate is its weighted sum
+        # alone: y + h * s at y = 0, h = 1 differs only in the sign of a
+        # zero, which the square drops
+        e5, e3 = _DOP_ERRORS
+        lines.append("sq5 = sq3 = 0.0")
+        for j in range(2 * n):
+            lines += [f"m0 = abs({y0[j]})", f"m1 = abs({y1[j]})",
+                      "sc = abs_tol + rel_tol * (m1 if m1 > m0 else m0)",
+                      f"r = ({_weighted(e5, j)}) / sc", "sq5 += r * r",
+                      f"r = ({_weighted(e3, j)}) / sc", "sq3 += r * r"]
+        lines += ["if sq5 == 0.0 and sq3 == 0.0:", "    err = 0.0", "else:",
+                  f"    err = h * sq5 / sqrt((sq5 + 0.01 * sq3) * {2 * n})"]
+        norm = "err"
+        kept = "(" + "".join(f"{d}, " for i in _DOP_KEPT for d in _deriv(i, n)) + ")"
+    lines.append(f"return {last}, None, {_listed(y1[:n])}, {_listed(k1[:n])}, "
+                 f"{_listed(k1[n:])}, {norm}, {kept}")
+    return "\n".join(["def step(rhs, t, h, x, v, a, abs_tol, rel_tol):",
+                      *("    " + line for line in lines)])
+
+
+def _dense_source(n: int) -> str:
+    """step(rhs, t, h, x, v, a, kept, v1, a1) -> (stages, F_3..F_6): DOP853's
+    three extra stages on one accepted step, from its start, its kept stages
+    5-11 and its end, then the interpolant's four high rows; F is None when a
+    guard stopped the last stage evaluated."""
+    nodes, rows, d_rows = _DOP_DENSE
+    k12 = _deriv(12, n)
+    high = ", ".join(_listed([f"0.0 + h * ({_weighted(d, j)})" for j in range(2 * n)])
+                     for d in d_rows)
+    lines = [*_start(n), f"{_listed([d for i in _DOP_KEPT for d in _deriv(i, n)])} = kept",
+             f"{_listed(k12[:n])} = v1", f"{_listed(k12[n:])} = a1",
+             *_stages(13, nodes, rows, n), "except GUARDABLE:", "    return stage, None",
+             f"return {len(rows)}, [{high}]"]
+    return "\n".join(["def step(rhs, t, h, x, v, a, kept, v1, a1):",
+                      *("    " + line for line in lines)])
+
+
+def _generated(kind: str, n: int) -> Callable:
+    """The generated step of scheme ``kind``, or with kind "dense" DOP853's
+    dense-output stages, for n coordinates; built once and kept."""
+    fn = _GENERATED.get((kind, n))
+    if fn is None:
+        source = _dense_source(n) if kind == "dense" else _step_source(kind, n)
+        namespace = {"GUARDABLE": _GUARDABLE, "sqrt": math.sqrt}
+        exec(compile(source, f"<{kind} step, n={n}>", "exec"), namespace)
+        fn = _GENERATED[kind, n] = namespace["step"]
+    return fn
 
 
 def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory:
@@ -214,12 +328,10 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
     if not all(map(math.isfinite, a0)):
         raise DomainViolation("float overflow at the initial state", t=t)
 
-    nodes, rows = _TABLEAUS[opts.scheme]
+    step = _generated(opts.scheme, len(x0))
     adaptive = opts.scheme == DOP853
-    n = len(x0)
-    y = x0 + v0
-    ts, xs, vs, accs = [t], [x0], [v0], [a0]
-    K = [v0 + a0] + [None] * len(rows)  # stage derivatives (v, a) of y = (x, v)
+    x, v, a = x0, v0, a0
+    ts, xs, vs, accs = [t], [x], [v], [a]
     # DOP853 keeps what its interpolant needs beyond the rows: h and stages 5-11
     kept = array("d") if adaptive else None
     if adaptive:
@@ -240,27 +352,20 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
         if accepted + rejected >= MAX_STEPS or t + h == t:  # h too small to move t
             term = Termination("step_failure", t)
             break
-        try:
-            for i, (c, row) in enumerate(zip(nodes, rows), 1):
-                yi = _combine(y, h, K, row)
-                vi = yi[n:]
-                K[i] = vi + [*map(float, rhs(t + c * h, yi[:n], vi))]
-        except _GUARDABLE as err:
-            nfev += i
+        stages, guard, x_new, v_new, a_new, err, mid = step(rhs, t, h, x, v, a,
+                                                             opts.abs_tol, opts.rel_tol)
+        nfev += stages
+        if guard is not None:
             if adaptive and h > opts.h_min * 4.0:
                 # retry closer to the boundary before giving up
                 h = max(h * 0.25, opts.h_min)
                 rejected += 1
                 rejected_guard += 1
                 continue
-            term = Termination("domain_violation", t, getattr(err, "coordinate", None))
+            term = Termination("domain_violation", t, getattr(guard, "coordinate", None))
             break
-        nfev += len(rows)
 
-        y_new = yi  # the last stage row is the weights
         if adaptive:
-            err = _error_norm(h, K, y, y_new, opts.abs_tol, opts.rel_tol)
-
             if not math.isfinite(err):
                 h = max(h * 0.25, opts.h_min)
                 rejected += 1
@@ -277,21 +382,19 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
                 factor = max(safety * err ** (-1.0 / _DOP_ORDER), 0.2)
                 h = max(h * min(factor, 1.0), opts.h_min)
                 continue
-        elif not all(map(math.isfinite, y_new + K[-1])):
+        elif not all(map(math.isfinite, x_new + v_new + a_new)):
             term = Termination("step_failure", t)  # no error estimate caught it
             break
 
         if kept is not None:
             kept.append(h)
-            for k in K[5:12]:
-                kept.extend(k)
+            kept.extend(mid)
         t += h
-        y = y_new
-        K[0] = K[-1]  # FSAL
+        x, v, a = x_new, v_new, a_new  # a is the next step's first stage (FSAL)
         ts.append(t)
-        xs.append(y[:n])
-        vs.append(y[n:])
-        accs.append(K[0][n:])
+        xs.append(x)
+        vs.append(v)
+        accs.append(a)
         accepted += 1
         if adaptive:
             max_err = max(max_err, err)
@@ -301,24 +404,6 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
     return Trajectory(np.array(ts), np.array(xs), np.array(vs), np.array(accs),
                       accepted, rejected, max_err, term, nfev, rejected_guard,
                       _Interpolant(rhs, kept) if kept else None)
-
-
-def _error_norm(h: float, K: list, y: list, y_new: list,
-                abs_tol: float, rel_tol: float) -> float:
-    """h times DOP853's scaled error, the blend
-    |e5|^2 / sqrt(N (|e5|^2 + 0.01 |e3|^2)) of its 5th- and 3rd-order estimates."""
-    zero = [0.0] * len(y)
-    sums = []
-    for e in _DOP_ERRORS:
-        sq = 0.0
-        for d, p, q in zip(_combine(zero, 1.0, K, e), y, y_new):
-            r = d / (abs_tol + rel_tol * max(abs(p), abs(q)))
-            sq += r * r
-        sums.append(sq)
-    sq5, sq3 = sums
-    if sq5 == 0.0 and sq3 == 0.0:
-        return 0.0
-    return h * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
 
 
 # --- dense output ---------------------------------------------------------------
@@ -353,31 +438,22 @@ def _dense_coefficients(traj: Trajectory) -> np.ndarray:
     stages fail the guard or overflow keeps F_3..F_6 = 0, its cubic Hermite."""
     dense = traj.dense
     if dense.coeffs is None:
-        nodes, rows, d_rows = _DOP_DENSE
         n = traj.x.shape[1]
-        cubic = [[0.0] * (2 * n)] * len(d_rows)
-        ts = traj.t.tolist()
-        ys = np.hstack([traj.x, traj.v]).tolist()
-        derivs = np.hstack([traj.v, traj.a]).tolist()
+        extra = _generated("dense", n)
+        cubic = [[0.0] * (2 * n)] * 4  # F_3..F_6 of the cubic Hermite
+        ts, xs, vs, accs = (c.tolist() for c in (traj.t, traj.x, traj.v, traj.a))
         kept = np.frombuffer(dense.kept).reshape(len(ts) - 1, 1 + 14 * n).tolist()
         out = []
         for k, (h, *mid) in enumerate(kept):
-            t, y, y_new = ts[k], ys[k], ys[k + 1]
-            K = [derivs[k], None, None, None, None,
-                 *(mid[j:j + 2 * n] for j in range(0, 14 * n, 2 * n)), derivs[k + 1]]
-            try:
-                for c, row in zip(nodes, rows):
-                    yi = _combine(y, h, K, row)
-                    traj.nfev += 1
-                    K.append(yi[n:] + [*map(float, dense.rhs(t + c * h, yi[:n], yi[n:]))])
-                high = [_combine(cubic[0], h, K, d) for d in d_rows]
-            except _GUARDABLE:
+            stages, high = extra(dense.rhs, ts[k], h, xs[k], vs[k], accs[k], mid,
+                                 vs[k + 1], accs[k + 1])
+            traj.nfev += stages
+            if high is None or not all(math.isfinite(f) for fs in high for f in fs):
                 high = cubic
-            if not all(math.isfinite(f) for fs in high for f in fs):
-                high = cubic
-            dy = [q - p for p, q in zip(y, y_new)]
-            out.append([dy, [h * f - d for f, d in zip(K[0], dy)],
-                        [2 * d - h * (f1 + f0) for d, f0, f1 in zip(dy, K[0], K[12])], *high])
+            f0, f1 = vs[k] + accs[k], vs[k + 1] + accs[k + 1]
+            dy = [q - p for p, q in zip(xs[k] + vs[k], xs[k + 1] + vs[k + 1])]
+            out.append([dy, [h * f - d for f, d in zip(f0, dy)],
+                        [2 * d - h * (g1 + g0) for d, g0, g1 in zip(dy, f0, f1)], *high])
         dense.coeffs, dense.kept = np.array(out), None
     return dense.coeffs
 

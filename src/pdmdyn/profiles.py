@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import exprparse
 from .errors import DomainViolation
@@ -39,16 +39,22 @@ class CustomProfile:
     coefficient_singularity: float | None = None
 
     def __post_init__(self):
-        # _kernels[k] returns m and its first k derivatives; the first-order
-        # one, read by the dynamics and the map, is compiled with the system
-        object.__setattr__(self, "_kernels",
-                           [None, exprparse.compile_expression(self.expr, order=1), None])
+        # _kernels[k] returns m and its first k derivatives, compiled on first read
+        object.__setattr__(self, "_kernels", [None, None, None])
 
     @staticmethod
     def from_text(text: str, domain: tuple[float, float] = REAL_LINE,
                   coefficient_singularity: float | None = None) -> "CustomProfile":
         return CustomProfile(exprparse.parse_cached(text), text, domain,
                              coefficient_singularity)
+
+    def kernel(self, order: int) -> Callable:
+        """The compiled m and its first ``order`` derivatives, f(x, 1.0), with
+        no domain check; compiled on the first call."""
+        fn = self._kernels[order]
+        if fn is None:
+            fn = self._kernels[order] = exprparse.compile_expression(self.expr, order=order)
+        return fn
 
     def eval(self, x: float, order: int = 2):
         """m for order 0, (m, m') for 1 and (m, m', m'') for 2, at x; a
@@ -57,10 +63,7 @@ class CustomProfile:
         if not lo < x < hi:
             raise DomainViolation(f"x={x!r} outside the domain ({lo}, {hi}) "
                                   f"of profile '{self.text}'")
-        fn = self._kernels[order]
-        if fn is None:
-            fn = self._kernels[order] = exprparse.compile_expression(self.expr, order=order)
-        out = fn(x, 1.0)
+        out = (self._kernels[order] or self.kernel(order))(x, 1.0)
         m = out[0] if order else out
         # m == 0 (a vanishing or underflowed mass) is left to the equations
         # of motion, whose division by m raises ZeroDivisionError

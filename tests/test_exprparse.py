@@ -1,6 +1,7 @@
 """Parser and dual-number differentiation tests."""
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -197,6 +198,30 @@ def outcome(fn, *args):
     return tuple("nan" if math.isnan(f) else (f, math.copysign(1.0, f)) for f in flat)
 
 
+def gradient_with_unseeded_value(expr, names, values):
+    """eval_gradient in n + 1 calls: the value from a call with every seed 0,
+    then one call per coordinate for its partial derivative."""
+    fn = compile_expression(expr, names, 1)
+    n = len(names)
+    args = [*values, *[0.0] * n]
+    val = fn(*args)[0]
+    grad = []
+    for i in range(n, 2 * n):
+        args[i] = 1.0
+        grad.append(fn(*args)[1])
+        args[i] = 0.0
+    return val, grad
+
+
+def bit_outcome(fn, *args):
+    """The bytes of the (value, gradient) fn returns, or the exception it raises."""
+    try:
+        val, grad = fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+    return struct.pack(f"<{1 + len(grad)}d", val, *grad)
+
+
 class TestParsing:
     def test_well_formed(self):
         expr = parse_expression("1/(1+x^2)")
@@ -391,6 +416,25 @@ class TestCompiledMatchesReference:
         assert (outcome(lambda: [compile_expression(expr, names)(*xs, 0.0, 0.0, 0.0)[0]])
                 == outcome(lambda: [_eval(expr, {k: Dual2.const(v)
                                                  for k, v in zip(names, xs)}).val]))
+
+    @given(st.sampled_from([st.tuples(_exprs(tuple(f"x{i + 1}" for i in range(n)), full=True),
+                                      st.lists(_points, min_size=n, max_size=n))
+                            for n in (1, 2, 3, 4)]).flatmap(lambda case: case))
+    @example((parse_expression("ln(x1)*x2", ["x1", "x2"]), [-1.0, 2.0]))
+    @example((parse_expression("x2/x1+sqrt(x3)", ["x1", "x2", "x3"]), [0.0, 1.0, 4.0]))
+    @example((parse_expression("exp(x4*x1)^x2", ["x1", "x2", "x3", "x4"]), [3.0, 2.0, 1.0, 300.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_eval_gradient_matches_the_unseeded_value_form(self, case):
+        # the value comes from the first seeded call: bit for bit, errors too
+        expr, xs = case
+        names = [f"x{i + 1}" for i in range(len(xs))]
+        assert (bit_outcome(eval_gradient, expr, names, xs)
+                == bit_outcome(gradient_with_unseeded_value, expr, names, xs))
+
+    def test_eval_gradient_of_no_variables(self):
+        expr = parse_expression("2*3")
+        assert eval_gradient(expr, [], []) == gradient_with_unseeded_value(expr, [], []) \
+            == (6.0, [])
 
     @pytest.mark.parametrize("text,x", [
         ("1e999", 0.5),             # inf: a bound constant, never source text

@@ -2,10 +2,17 @@
 
 import importlib
 import math
+import os
+import random
+import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdmdyn.core import State, Termination, build_system, parameter_set
 from pdmdyn.errors import DomainViolation, InvalidParameter, NoPeriod
@@ -711,3 +718,238 @@ class TestEstimatePeriod:
                           Termination("completed"))
         with pytest.raises(NoPeriod):
             estimate_period(traj, 0)
+
+
+# --- the generated step against the plain tableau loop -------------------------
+
+GUARDABLE = integrate_module._GUARDABLE
+
+
+def nonzero(rows):
+    """Each row of a dense tableau as its (stage, weight) pairs with a non-zero weight."""
+    return [[(k, float(w)) for k, w in enumerate(row) if w] for row in rows]
+
+
+# per scheme: nodes and rows of stages 1..; DOP853's error estimates; the
+# dense output's extra stages and D rows
+LOOP_TABLEAUS = {DOP853: (_DOP_C[1:13].tolist(), nonzero(_DOP_A[1:13])),
+                 FIXED_RK4: (_RK4_C[1:].tolist(), nonzero(_RK4_A[1:]))}
+LOOP_ERRORS = nonzero([_DOP_E5, _DOP_E3])
+LOOP_DENSE = (_DOP_C[13:].tolist(), nonzero(_DOP_A[13:]), nonzero(_DOP_D))
+
+
+def combine(y, h, K, pairs):
+    """y + h * (sum of w * K[k] over the pairs, in stage order), componentwise."""
+    out = []
+    for j, p in enumerate(y):
+        s = 0.0
+        for k, w in pairs:
+            s += w * K[k][j]
+        out.append(p + h * s)
+    return out
+
+
+def loop_error_norm(h, K, y, y_new, abs_tol, rel_tol):
+    """h times DOP853's blend |e5|^2 / sqrt(N (|e5|^2 + 0.01 |e3|^2))."""
+    zero = [0.0] * len(y)
+    sums = []
+    for e in LOOP_ERRORS:
+        sq = 0.0
+        for d, p, q in zip(combine(zero, 1.0, K, e), y, y_new):
+            r = d / (abs_tol + rel_tol * max(abs(p), abs(q)))
+            sq += r * r
+        sums.append(sq)
+    sq5, sq3 = sums
+    if sq5 == 0.0 and sq3 == 0.0:
+        return 0.0
+    return h * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
+
+
+def loop_step(scheme, rhs, t, h, x, v, a, abs_tol, rel_tol):
+    """One step stage by stage over lists: (stages evaluated, guard error, K,
+    new state, error norm); K holds stage 0 and every stage evaluated."""
+    nodes, rows = LOOP_TABLEAUS[scheme]
+    n = len(x)
+    y = x + v
+    K = [v + a]
+    for i, (c, row) in enumerate(zip(nodes, rows), 1):
+        yi = combine(y, h, K, row)
+        try:
+            K.append(yi[n:] + [*map(float, rhs(t + c * h, yi[:n], yi[n:]))])
+        except GUARDABLE as err:
+            return i, err, K, None, None
+    err = loop_error_norm(h, K, y, yi, abs_tol, rel_tol) if scheme == DOP853 else None
+    return len(rows), None, K, yi, err
+
+
+def loop_dense(rhs, t, h, y, K):
+    """DOP853's extra stages 13-15 after stages 0-12 of K and its rows F_3..F_6:
+    (stages evaluated, rows or None after a guard error)."""
+    n = len(y) // 2
+    K = list(K)
+    for i, (c, row) in enumerate(zip(*LOOP_DENSE[:2]), 1):
+        yi = combine(y, h, K, row)
+        try:
+            K.append(yi[n:] + [*map(float, rhs(t + c * h, yi[:n], yi[n:]))])
+        except GUARDABLE:
+            return i, None
+    return 3, [combine([0.0] * (2 * n), h, K, d) for d in LOOP_DENSE[2]]
+
+
+def bits(values):
+    """The doubles' bytes: equal only when every value is bit for bit equal."""
+    values = list(values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class Recorded:
+    """An RHS that records each call's (t, x, v) and can refuse call k."""
+
+    def __init__(self, fn, refuse=None):
+        self.fn, self.refuse, self.calls = fn, refuse, []
+
+    def __call__(self, t, x, v):
+        self.calls.append(bits([t, *x, *v]))
+        if len(self.calls) == self.refuse:
+            raise DomainViolation("refused", t=t, coordinate=len(x) - 1)
+        return self.fn(t, x, v)
+
+
+def rhs_kind(kind, n, seed):
+    """A pure-float RHS: float arithmetic overflows to inf or nan, never raises."""
+    if kind == "polynomial":
+        rng = random.Random(seed)
+        M, D = ([[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        return lambda t, x, v: [sum(m * xj - d * xj * vj for m, d, xj, vj in zip(Mi, Di, x, v))
+                                + 0.5 * t for Mi, Di in zip(M, D)]
+    if kind == "negative-zero":
+        return lambda t, x, v: [-0.0] * n
+    return lambda t, x, v: [1e300 * (xi - vi) for xi, vi in zip(x, v)]
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def assert_step_matches_the_loop(scheme, fn, t, h, x, v, a, abs_tol, rel_tol):
+    n = len(x)
+    ours, ref = Recorded(fn), Recorded(fn)
+    stages, guard, x1, v1, a1, err, kept = integrate_module._generated(scheme, n)(
+        ours, t, h, x, v, a, abs_tol, rel_tol)
+    ref_stages, ref_guard, K, y1, ref_err = loop_step(scheme, ref, t, h, x, v, a,
+                                                      abs_tol, rel_tol)
+    # every stage state and time the RHS saw, hence every stage derivative
+    assert ours.calls == ref.calls
+    assert (stages, guard, ref_guard) == (ref_stages, None, None)
+    assert bits(x1 + v1) == bits(y1)
+    assert bits(v1 + a1) == bits(K[-1])
+    if scheme == FIXED_RK4:
+        assert err is kept is None
+        return
+    assert bits([err]) == bits([ref_err])
+    assert bits(kept) == bits(f for k in K[5:12] for f in k)
+
+    ours, ref = Recorded(fn), Recorded(fn)
+    count, high = integrate_module._generated("dense", n)(ours, t, h, x, v, a, list(kept),
+                                                          v1, a1)
+    ref_count, ref_high = loop_dense(ref, t, h, x + v, K)
+    assert ours.calls == ref.calls
+    assert count == ref_count == 3
+    assert [bits(row) for row in high] == [bits(row) for row in ref_high]
+
+
+class TestGeneratedStep:
+    """The generated step and dense stages do the loop's float operations in the
+    loop's order, so they must equal it bit for bit."""
+
+    @given(scheme=st.sampled_from([DOP853, FIXED_RK4]), n=st.integers(1, 4),
+           kind=st.sampled_from(["polynomial", "polynomial", "negative-zero", "overflow"]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data(),
+           t=st.floats(-100.0, 100.0), h=st.floats(1e-9, 2.0),
+           abs_tol=st.floats(1e-14, 1.0), rel_tol=st.floats(1e-14, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_step_and_dense_stages_match_the_loop(self, scheme, n, kind, seed, data, t, h,
+                                                  abs_tol, rel_tol):
+        x, v, a = (data.draw(st.lists(finite, min_size=n, max_size=n)) for _ in range(3))
+        assert_step_matches_the_loop(scheme, rhs_kind(kind, n, seed), t, h, x, v, a,
+                                     abs_tol, rel_tol)
+
+    @pytest.mark.parametrize("scheme", [DOP853, FIXED_RK4])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_signed_zeros_match_the_loop(self, scheme, n):
+        # each sum starts from 0.0, which turns a -0.0 sum into +0.0
+        zeros = [-0.0] * n
+        assert_step_matches_the_loop(scheme, rhs_kind("negative-zero", n, 0), -0.0, 0.5,
+                                     zeros, zeros, zeros, 1e-12, 1e-10)
+
+    @pytest.mark.parametrize("scheme, stage", [(DOP853, i) for i in range(1, 13)]
+                             + [(FIXED_RK4, i) for i in range(1, 5)])
+    def test_guard_at_each_stage(self, scheme, stage):
+        # a guard error at stage i: i evaluations, then DOP853 retries at a
+        # quarter of the step and fixed RK4 ends the run at its start
+        x, v = [0.3, -0.2], [0.1, 0.4]
+        a = [-0.3, 0.2]
+        ours, ref = Recorded(harmonic_rhs, stage), Recorded(harmonic_rhs, stage)
+        got = integrate_module._generated(scheme, 2)(ours, 0.0, 0.1, x, v, a, 1e-12, 1e-10)
+        want = loop_step(scheme, ref, 0.0, 0.1, x, v, a, 1e-12, 1e-10)
+        assert ours.calls == ref.calls
+        assert got[0] == want[0] == stage
+        assert isinstance(got[1], DomainViolation) and isinstance(want[1], DomainViolation)
+
+        opts = IntegratorOptions(t_end=1.0, scheme=scheme, h=0.1, h_init=0.1, rel_tol=1e-10)
+        state = State.of(0.0, x, v)
+        traj = integrate(Recorded(harmonic_rhs, 1 + stage), state, opts)
+        if scheme == FIXED_RK4:
+            assert traj.termination == Termination("domain_violation", 0.0, 1)
+            assert (len(traj), traj.nfev, traj.rejected, traj.rejected_guard) == (1, 1 + stage, 0, 0)
+            return
+        # the retry is the run that starts at a quarter of the step
+        retried = integrate(harmonic_rhs, state, IntegratorOptions(
+            t_end=1.0, scheme=scheme, h_init=0.025, rel_tol=1e-10))
+        assert traj.termination == retried.termination == Termination("completed")
+        assert traj.nfev == retried.nfev + stage
+        assert (traj.rejected, traj.rejected_guard) == (retried.rejected + 1, 1)
+        for name in ("t", "x", "v", "a"):
+            assert getattr(traj, name).tobytes() == getattr(retried, name).tobytes()
+        assert traj.max_error == retried.max_error
+
+    @pytest.mark.parametrize("stage", [1, 2, 3])
+    def test_guard_at_each_dense_stage(self, stage):
+        x, v, a = [0.3], [0.1], [-0.3]
+        _, _, x1, v1, a1, _, kept = integrate_module._generated(DOP853, 1)(
+            harmonic_rhs, 0.0, 0.1, x, v, a, 1e-12, 1e-10)
+        K = loop_step(DOP853, harmonic_rhs, 0.0, 0.1, x, v, a, 1e-12, 1e-10)[2]
+        ours, ref = Recorded(harmonic_rhs, stage), Recorded(harmonic_rhs, stage)
+        got = integrate_module._generated("dense", 1)(ours, 0.0, 0.1, x, v, a, list(kept), v1, a1)
+        assert got == loop_dense(ref, 0.0, 0.1, x + v, K) == (stage, None)
+        assert ours.calls == ref.calls
+        # the trajectory counts the stages tried and keeps the cubic on that step
+        traj = integrate(harmonic_rhs, State.of(0.0, x, v), IntegratorOptions(
+            t_end=0.1, h_init=0.1, rel_tol=1.0, abs_tol=1.0))
+        assert traj.accepted == 1
+        nfev, traj.dense.rhs = traj.nfev, Recorded(harmonic_rhs, stage)
+        sample_dense(traj, [0.05])
+        assert traj.nfev == nfev + stage
+        assert not traj.dense.coeffs[0, 3:].any()
+
+    def test_one_step_function_per_scheme_and_dimension(self, monkeypatch):
+        built = []
+        step_source = integrate_module._step_source
+        monkeypatch.setattr(integrate_module, "_GENERATED", {})
+        monkeypatch.setattr(integrate_module, "_step_source",
+                            lambda scheme, n: built.append((scheme, n)) or step_source(scheme, n))
+        keys = [(scheme, n) for scheme in (DOP853, FIXED_RK4) for n in (1, 2, 3)]
+        kept = None
+        for _ in range(2):
+            for scheme, n in keys:
+                opts = IntegratorOptions(t_end=0.05, scheme=scheme, h=0.01)
+                integrate(harmonic_rhs, State.of(0.0, [1.0] * n, [0.0] * n), opts)
+            kept = kept or dict(integrate_module._GENERATED)
+        assert built == keys
+        assert integrate_module._GENERATED == kept and list(kept) == keys
+
+    def test_nothing_is_generated_at_import(self):
+        code = "import importlib; print(len(importlib.import_module('pdmdyn.integrate')._GENERATED))"
+        src = str(Path(integrate_module.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "0"
