@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidParameter, MissingParameter, SingularPoint
+from .errors import (DomainViolation, ExprDomainError, InvalidParameter, MissingParameter,
+                     SingularPoint)
 from .exprparse import Expr, compile_expression, parse_cached
 from .families import FAMILIES
 from .profiles import REAL_LINE, CoupledProfile, CustomProfile
@@ -112,9 +114,11 @@ class PotentialSpec:
     pole: float | None = None
 
     def __post_init__(self):
-        # resolved with the system: the record (None for custom) and the value-only energy
+        # resolved with the system: the record (None for custom) and the
+        # value-only energy, at one point and at many
         object.__setattr__(self, "record", FAMILIES.get(self.family))
         object.__setattr__(self, "energy", _potential(self))
+        object.__setattr__(self, "energies", _potential_many(self))
 
     @functools.cached_property
     def compiled(self) -> tuple:
@@ -300,6 +304,29 @@ def _potential(pot: PotentialSpec):
     return energy
 
 
+def _potential_many(pot: PotentialSpec):
+    """V at many points, given as one list of floats per coordinate: each
+    coordinate's batch term, summed point by point from 0.0 in coordinate
+    order as energy sums them.  Where any check fails, energy replays the
+    points in order and raises what it raises at the first failing one."""
+    (lo, hi), pole = pot.domain, pot.pole
+
+    def energies(columns: list[list[float]]) -> list[float]:
+        totals = [0.0] * len(columns[0])
+        if all(lo < xi < hi and xi != pole for column in columns for xi in column):
+            try:
+                for expr, column in zip(pot.exprs, columns):
+                    term = compile_expression(expr, order=0, batch=True)
+                    totals = list(map(operator.add, totals, term(column, 1.0)))
+            except ExprDomainError:
+                pass
+            else:
+                if all(map(math.isfinite, totals)):
+                    return totals
+        return [pot.energy([*x]) for x in zip(*columns)]
+    return energies
+
+
 def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:
     """V(x), the sum of the compiled per-coordinate terms; a DomainViolation
     when it is not finite."""
@@ -321,7 +348,7 @@ def kinetic_energy(system: PdmSystem, state: State) -> float:
     type2; a DomainViolation when it overflows or is not finite."""
     try:
         if system.kind == TYPE2:
-            m, _ = system.coupled_profile.value_and_gradient(state.x)
+            m = system.coupled_profile.value(state.x)
             total = 0.5 * m * float(np.dot(state.v, state.v))
         else:
             total = 0.0

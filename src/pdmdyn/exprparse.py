@@ -28,6 +28,14 @@ A per-coordinate expression (a mass profile or a potential term) is written
 in ``x``, the default variable list everywhere; a shared mass is written in
 ``x1..xn``.  ``eval_dual`` runs the order-2 function and ``eval_gradient``
 the order-1 one.
+
+The same per-point lines and guards also come in a batch shape: one
+generated ``for`` loop over a list of points, with the seeds bound once
+before it, returning the list of per-point results.  Each entry is
+bit-identical to the per-point function's, and the first failing point
+raises what the per-point function raises there.  Callers that evaluate
+many independent points (the map, the potential energy and the mass over
+10^4 samples or a trajectory's nodes) pay one call instead of one per point.
 """
 
 from __future__ import annotations
@@ -376,15 +384,16 @@ class _RunTimeExponent(Exception):
 
 
 class _Codegen:
-    """Emits the body of one compiled expression of the given order, node by node."""
+    """Emits the body of one compiled expression of the given order, node by node;
+    for a batch, the body of its loop over the points."""
 
-    def __init__(self, names: tuple[str, ...], order: int):
+    def __init__(self, names: tuple[str, ...], order: int, batch: bool = False):
         self.index = {name: i for i, name in enumerate(names)}
         self.order = order
         self.lines: list[str] = []
         self.bound: list[object] = []   # read by the code as k0, k1, ...
         self.count = 0
-        self.indent = 2                 # inside bind() and compiled()
+        self.indent = 3 if batch else 2  # inside bind(), compiled() and the loop
         self.value_reads_seeds = False  # set by a power whose exponent varies
         self.zero = self.bind(0.0)
         self.emit(*(f"x{i} = float(x{i})" for i in range(len(names))))
@@ -591,19 +600,32 @@ class _Codegen:
         self.chain(out, m, out[0], out[0])
 
 
-def _compile(expr: Expr, names: tuple[str, ...], order: int) -> Callable:
-    gen = _Codegen(names, order)
+def _compile(expr: Expr, names: tuple[str, ...], order: int,
+             batch: bool = False) -> Callable:
+    gen = _Codegen(names, order, batch)
     try:
         out = gen.walk(expr)
     except _RunTimeExponent:
-        gen = _Codegen(names, 2)
+        gen = _Codegen(names, 2, batch)
         out = gen.walk(expr)
-    gen.emit(f"return {', '.join(out[:order + 1])}")
-    args = [f"x{i}" for i in range(len(names))] + [f"s{i}" for i in range(len(names))]
+    result = ", ".join(out[:order + 1])
+    xs = [f"x{i}" for i in range(len(names))]
+    seeds = [f"s{i}" for i in range(len(names))]
+    if batch:
+        gen.emit(f"append(({result}))" if order else f"append({result})")
+        head = [f"    def compiled(xs, {', '.join(seeds)}):",
+                "        out = []",
+                "        append = out.append",
+                f"        for {', '.join(xs)} in xs:"]
+        tail = ["        return out"]
+    else:
+        gen.emit(f"return {result}")
+        head, tail = [f"    def compiled({', '.join(xs + seeds)}):"], []
     source = "\n".join([
         f"def bind({', '.join(f'k{j}' for j in range(len(gen.bound)))}):",
-        f"    def compiled({', '.join(args)}):",
+        *head,
         *gen.lines,
+        *tail,
         "    return compiled",
     ])
     namespace = dict(_NAMESPACE)
@@ -614,7 +636,7 @@ def _compile(expr: Expr, names: tuple[str, ...], order: int) -> Callable:
 
 
 def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
-                       order: int = 2) -> Callable:
+                       order: int = 2, batch: bool = False) -> Callable:
     """The compiled form of ``expr`` over the variables ``names``.
 
     The result ``f(x_1, .., x_n, s_1, .., s_n)`` returns the value for
@@ -623,11 +645,20 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     the direction s.  Each order returns what order 2 returns, or raises
     what it raises.  Its ``value_reads_seeds`` is true when the value can
     depend on the seeds: a power whose exponent varies is a ** b under seeds
-    that leave the exponent constant and exp(b ln a) otherwise.  Built once
-    per Expr object, variable list and order; later calls return the same
-    function.  A variable missing from ``names`` raises KeyError.
+    that leave the exponent constant and exp(b ln a) otherwise.
+
+    With ``batch``, the result ``f(points, s_1, .., s_n)`` takes an iterable
+    of points (floats for one variable, n-tuples for n) and returns the list
+    of what the per-point form returns at each, in order: the same lines
+    and guards run inside one loop, with the seeds shared by every point,
+    so each entry is bit-identical and the first failing point raises what
+    the per-point form raises there.
+
+    Built once per Expr object, variable list, order and shape; later calls
+    return the same function.  A variable missing from ``names`` raises
+    KeyError.
     """
-    key = (tuple(names), order)
+    key = (tuple(names), order, True) if batch else (tuple(names), order)
     cache = vars(expr).setdefault("_compiled", {})
     fn = cache.get(key)
     if fn is None:

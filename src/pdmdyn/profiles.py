@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import exprparse
-from .errors import DomainViolation
+from .errors import DomainViolation, ExprDomainError
 from .exprparse import Expr
 
 #: the whole real line, the domain of a profile that states none
@@ -71,6 +71,22 @@ class CustomProfile:
             raise DomainViolation(f"profile '{self.text}' is {m!r} < 0 at x={x!r}")
         return out
 
+    def eval_many(self, xs: list[float], order: int = 2) -> list:
+        """[eval(x, order) for x in xs] from one batch kernel call when every x
+        passes every check; otherwise that per-point loop itself, which raises
+        what eval raises at the first failing x."""
+        lo, hi = self.domain
+        if all(lo < x < hi for x in xs):
+            try:
+                out = exprparse.compile_expression(self.expr, order=order, batch=True)(xs, 1.0)
+            except ExprDomainError:
+                pass
+            else:
+                ms = (o[0] for o in out) if order else out
+                if not any(m < 0.0 for m in ms):
+                    return out
+        return [self.eval(x, order) for x in xs]
+
 
 @dataclass(frozen=True)
 class CoupledProfile:
@@ -90,8 +106,18 @@ class CoupledProfile:
         expr = exprparse.parse_cached(text, names)
         return CoupledProfile(expr, text, names)
 
+    def value(self, xs: Sequence[float]) -> float:
+        """m alone, from one value-only kernel call with every seed 0: the
+        value eval_gradient returns; a DomainViolation where m <= 0."""
+        n = len(self.names)
+        m = exprparse.compile_expression(self.expr, self.names, 0)(*xs, *[0.0] * n)
+        return self._positive(m, xs)
+
     def value_and_gradient(self, xs: Sequence[float]) -> tuple[float, list[float]]:
         m, grad = exprparse.eval_gradient(self.expr, self.names, xs)
+        return self._positive(m, xs), grad
+
+    def _positive(self, m: float, xs: Sequence[float]) -> float:
         if m <= 0.0:
             raise DomainViolation(f"coupled profile '{self.text}' is {m!r} <= 0 at {list(xs)!r}")
-        return m, grad
+        return m

@@ -8,7 +8,12 @@ so (dq/dx)^2 = m f^2 always holds.  dq/dx is returned signed: the isotonic
 power-law family with a negative exponent has a decreasing coordinate map,
 and the squared identity is the invariant, not the sign.  Each family's
 q_i and f_i live in its record in ``families``; a NonlocalMap binds them
-into one closure per coordinate.  The reference oscillator is the
+into one closure per coordinate for a single point, and one batch per
+coordinate for a list of points, built on the mass's batch kernel; the
+batch returns the four columns (q_i, dq_i/dx_i, f_i, m_i) bit for bit as the
+point closure gives them, and raises what the point closure raises at the
+first failing point.  ``coordinate_image`` and ``potential_match_residual``
+run on the batches.  The reference oscillator is the
 catalog system the record names (``harmonic`` or ``isotonic``), built with
 the family's own parameters, so its potential and gradient are the
 catalog's.
@@ -29,7 +34,7 @@ import numpy as np
 from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory,
                    build_system, potential_gradient)
 from .eom import el1_acceleration, el2_acceleration
-from .errors import InvalidParameter, NonPositiveScale, UnsupportedFamily
+from .errors import InvalidParameter, NonPositiveScale, PdmError, UnsupportedFamily
 from .families import Family
 from .integrate import sample_dense
 
@@ -41,8 +46,11 @@ class NonlocalMap:
     params: ParameterSet
 
     def __post_init__(self):
-        # points[i]: x -> (q_i, dq_i/dx_i, f_i, m_i) from one checked evaluation of m_i
-        object.__setattr__(self, "points", tuple(map(self._point, range(len(self.profiles)))))
+        # points[i]: x -> (q_i, dq_i/dx_i, f_i, m_i) from one checked evaluation of m_i;
+        # batches[i]: a list of x -> the lists of the same four, from one batch of m_i
+        coordinates = range(len(self.profiles))
+        object.__setattr__(self, "points", tuple(map(self._point, coordinates)))
+        object.__setattr__(self, "batches", tuple(map(self._batch, coordinates)))
 
     def _point(self, i: int):
         q, f, p, mass = self.record.q, self.record.f, self.params, self.profiles[i].eval
@@ -53,6 +61,29 @@ class NonlocalMap:
             qi, fi = q(p, i, x, root), f(p, i, x, m1 / (2.0 * m))
             return qi, fi * root, fi, m
         return point
+
+    def _batch(self, i: int):
+        q, f, p, point = self.record.q, self.record.f, self.params, self.points[i]
+        masses = self.profiles[i].eval_many
+
+        def batch(xs: list[float]) -> tuple[list[float], ...]:
+            try:
+                mm = masses(xs, 1)
+            except PdmError:
+                # some m_i fails, so the point map raises too, at or before that x
+                for x in xs:
+                    point(x)
+                raise
+            qs, dqs, fs, ms = out = ([], [], [], [])
+            for x, (m, m1) in zip(xs, mm):
+                root = math.sqrt(m)
+                qi, fi = q(p, i, x, root), f(p, i, x, m1 / (2.0 * m))
+                qs.append(qi)
+                dqs.append(fi * root)
+                fs.append(fi)
+                ms.append(m)
+            return out
+        return batch
 
 
 @dataclass
@@ -98,7 +129,8 @@ _GL_WEIGHTS = np.array([18 - math.sqrt(30), 18 + math.sqrt(30),
 def coordinate_image(nmap: NonlocalMap, traj: Trajectory, i: int,
                      require_positive: bool = True) -> tuple[np.ndarray, ...]:
     """(tau_i, q_i, m_i) along a trajectory from one pass over coordinate i:
-    the map closure runs once at each node and once at each quadrature point.
+    the batch map runs once over the nodes and once over the quadrature
+    points, so each point is mapped once.
 
     tau_i(t) is the cumulative rescaled time, tau_i(t0) = 0.  The integral of
     f_i over each accepted interval is 4-point Gauss-Legendre on a DOP853
@@ -112,11 +144,9 @@ def coordinate_image(nmap: NonlocalMap, traj: Trajectory, i: int,
     else:
         inner = 0.5 * (t[:-1] + t[1:])
     x_inner, _ = sample_dense(traj, inner)
-    point = nmap.points[i]
-    q, f_nodes, m = np.empty((3, len(t)))
-    for k, xk in enumerate(map(float, traj.x[:, i])):
-        q[k], _, f_nodes[k], m[k] = point(xk)
-    f_inner = np.array([point(xk)[2] for xk in map(float, x_inner[:, i])])
+    batch = nmap.batches[i]
+    q, _, f_nodes, m = map(np.array, batch(traj.x[:, i].tolist()))
+    f_inner = np.array(batch(x_inner[:, i].tolist())[2])
     if require_positive and (np.any(f_nodes <= 0.0) or np.any(f_inner <= 0.0)):
         raise NonPositiveScale(
             f"f_{i + 1} <= 0 along the trajectory; tau_{i + 1} is not increasing")
@@ -140,12 +170,33 @@ def map_to_reference(nmap: NonlocalMap, traj: Trajectory) -> MappedTrajectory:
     return MappedTrajectory(traj.t.copy(), tau, q, traj.v * np.sqrt(m))
 
 
-def potential_match_residual(nmap: NonlocalMap, system: PdmSystem,
-                             ref: PdmSystem, x: Sequence[float]) -> float:
-    """|V_system(x) - V_ref(q(x))|; zero when the map matches the potentials."""
-    xs = [*map(float, x)]
-    q = [point(xi)[0] for point, xi in zip(nmap.points, xs)]
-    return abs(system.potential.energy(xs) - ref.potential.energy(q))
+def potential_match_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
+                             points: Sequence[Sequence[float]]) -> list[float]:
+    """|V_system(x) - V_ref(q(x))| at each of N points x, an (N, n) array,
+    in order; zero where the map matches the potentials.
+
+    The map and both energies run as batches over all points.  Where any of
+    them fails, the points are replayed one at a time, so the error raised is
+    that of the first failing point.
+    """
+    xs = np.asarray(points, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != system.n:
+        raise InvalidParameter("points", f"expected an (N, {system.n}) array, "
+                                         f"got shape {xs.shape}")
+    columns = xs.T.tolist()
+    try:
+        qs = [batch(column)[0] for batch, column in zip(nmap.batches, columns)]
+        pairs = zip(system.potential.energies(columns), ref.potential.energies(qs))
+        return [abs(v - v_ref) for v, v_ref in pairs]
+    except (PdmError, ArithmeticError):
+        return [_point_residual(nmap, system, ref, x) for x in xs.tolist()]
+
+
+def _point_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
+                    x: list[float]) -> float:
+    """The residual at one point, through the point closures."""
+    q = [point(xi)[0] for point, xi in zip(nmap.points, x)]
+    return abs(system.potential.energy(x) - ref.potential.energy(q))
 
 
 def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
@@ -200,7 +251,11 @@ def el2_mapped_residual(system: PdmSystem, state: State) -> np.ndarray:
     mdot = float(np.dot(np.asarray(gradm), state.v))
     out = np.empty(system.n)
     for i in range(system.n):
-        dqt_dt = math.sqrt(m) * (acc[i] + (mdot / (2.0 * m)) * float(state.v[i]))
+        dqt_dt = math.sqrt(m) * (float(acc[i]) + (mdot / (2.0 * m)) * float(state.v[i]))
         f = 1.0 + (gradm[i] / (2.0 * m)) * float(state.x[i])
+        if f == 0.0:
+            # as in elg_residual: a removable 0/0, else an unbounded residual
+            out[i] = 0.0 if dqt_dt == 0.0 else math.inf
+            continue
         out[i] = dqt_dt / f
     return out

@@ -382,32 +382,38 @@ def _check_el2_collapse(seed: int, rel_tol=None) -> CheckReport:
                    details="shared-multiplier form equals per-coordinate form at n=1")
 
 
+#: points per batch in the 10^4-point checks: bounds the lists a batch holds at once
+_BATCH = 1_000
+
+
 def _map_samples(seed: int, tag: str, case_name: str) -> tuple:
-    """(system, map, reference, 10^4 points drawn from the case's sample box)."""
+    """(system, map, reference, 10^4 points drawn from the case's sample box,
+    in batches of _BATCH)."""
     case = standard_case(case_name)
     system = case.system()
     nmap, ref = reference_map(system)
     xs = _rng(seed, f"{tag}-{case_name}").uniform(*case.sample_box, 10_000)
-    return system, nmap, ref, map(float, xs)
+    return system, nmap, ref, [xs[k:k + _BATCH] for k in range(0, len(xs), _BATCH)]
 
 
 def _check_g_identity(seed: int, case_name: str, rel_tol=None) -> CheckReport:
-    _, nmap, _, xs = _map_samples(seed, "g", case_name)
+    _, nmap, _, batches = _map_samples(seed, "g", case_name)
     worst = 0.0
-    for x in xs:
-        _, dq, f, m = nmap.points[0](x)
-        g = dq * dq
-        target = m * f * f
-        worst = max(worst, abs(g - target) / max(abs(target), 1e-30))
+    for xs in batches:
+        _, dqs, fs, ms = nmap.batches[0](xs.tolist())
+        for dq, f, m in zip(dqs, fs, ms):
+            g = dq * dq
+            target = m * f * f
+            worst = max(worst, abs(g - target) / max(abs(target), 1e-30))
     return _report(f"g-identity:{case_name}", worst, 1e-10,
                    details="(dq/dx)^2 = m f^2 at 10^4 sampled points")
 
 
 def _check_potential_match(seed: int, case_name: str, rel_tol=None) -> CheckReport:
-    system, nmap, ref, xs = _map_samples(seed, "vmatch", case_name)
+    system, nmap, ref, batches = _map_samples(seed, "vmatch", case_name)
     worst = 0.0
-    for x in xs:
-        worst = max(worst, potential_match_residual(nmap, system, ref, [x]))
+    for xs in batches:
+        worst = max([worst, *potential_match_residual(nmap, system, ref, xs[:, None])])
     return _report(f"potential-match:{case_name}", worst, 1e-12,
                    details="|V(x) - V_ref(q(x))| at 10^4 sampled points")
 

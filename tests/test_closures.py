@@ -8,15 +8,18 @@ where those raised.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pdmdyn.core import VECTORS, build_system, parameter_set, potential_energy
 from pdmdyn.errors import DomainViolation, InvalidSpec, SingularPoint
+from pdmdyn.profiles import CustomProfile
 from pdmdyn.exact import ExactSolutionSpec, kinematics
 from pdmdyn.families import FAMILIES, _sqrt_shape
-from pdmdyn.transform import f_scale, q_map, reference_map
+from pdmdyn.transform import f_scale, potential_match_residual, q_map, reference_map
 
 # family, parameters at n = 3 (n < 3 takes the leading entries), a box inside
 # every coordinate's domain, and a point outside it (None: the real line)
@@ -121,6 +124,110 @@ class TestEnergyClosureChecks:
         energy = build_system("harmonic", 2, {"omega": [1.0, 2.0]}).potential.energy
         with pytest.raises(DomainViolation, match="not finite"):
             energy([1.0, 1e200])
+
+
+# --- the batch forms against the per-point closures --------------------------------
+
+
+def _bits(fn, *args):
+    """The bytes of every float fn returns (lists of floats or of tuples, in
+    order), or the type and message of the exception it raises."""
+    try:
+        out = fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+    flat = []
+    for item in out:
+        for entry in item if isinstance(item, (list, tuple)) else [item]:
+            flat.extend(entry if isinstance(entry, tuple) else [entry])
+    return struct.pack(f"<{len(flat)}d", *flat)
+
+
+def _columns(rows, n):
+    """Per-point results (tuples of n) as n lists, the batch layout."""
+    return tuple([row[k] for row in rows] for k in range(n))
+
+
+# points inside and outside every case's box, the poles, overflowing and
+# non-finite values; lists put good points before and between bad ones
+_xs = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([0.0, -0.0, 1.3, -2.0, 5e-324, -800.0, 1e200]))
+
+
+@pytest.mark.parametrize("name,n", CASES)
+@given(xs=st.lists(_xs, max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_batch_map_is_the_point_map_at_each_x(name, n, xs):
+    nmap, _ = reference_map(_system(name, n))
+    lo, hi = MAPPED[name][2]
+    inside = np.linspace(lo, hi, 7).tolist()
+    for i, (point, batch) in enumerate(zip(nmap.points, nmap.batches)):
+        for points in (xs, inside + xs, xs + inside):
+            assert (_bits(batch, points)
+                    == _bits(lambda: _columns([point(x) for x in points], 4))), (i, points)
+
+
+@pytest.mark.parametrize("text,domain", [
+    ("1/(1+x^2)", (-math.inf, math.inf)),
+    ("1/(1-0.5*x^2)", (-1.2, 1.2)),
+    ("x-1", (-math.inf, math.inf)),            # m < 0 below x = 1
+    ("exp(x)*ln(x)", (-math.inf, 700.0)),      # m < 0 below 1, ln domain, overflow
+    ("1/x+sin(x*1e300*1e300)", (-math.inf, math.inf)),  # division by zero, sin(inf)
+])
+@given(xs=st.lists(_xs, max_size=6))
+@example(xs=[2.0, 0.5, math.nan])
+@example(xs=[2.0, 0.0, -1.0])
+@example(xs=[1.5, 1e200, 0.5])
+@settings(max_examples=60, deadline=None)
+def test_batch_mass_is_eval_at_each_x(text, domain, xs):
+    profile = CustomProfile.from_text(text, domain)
+    for order in (0, 1):
+        assert (_bits(profile.eval_many, xs, order)
+                == _bits(lambda: [profile.eval(x, order) for x in xs])), order
+
+
+_ENERGIES = {
+    "ml1-": ("ml1", 2, {"omega": [1.0, 2.0], "lambda": 0.6, "sign": "-"}),   # domain
+    "isotonic": ("isotonic", 2, {"omega": [1.0, 2.0], "kappa": [1.0, 0.5]}),  # pole
+    "harmonic": ("harmonic", 3, {"omega": [1.0, 2.0, 0.5]}),                # overflow
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENERGIES) + ["custom"])
+@given(points=st.lists(st.lists(_xs, min_size=3, max_size=3), max_size=5))
+@example(points=[[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
+@example(points=[[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.5, 1e200, 1.0]])
+@settings(max_examples=60, deadline=None)
+def test_batch_energy_is_energy_at_each_point(name, points):
+    if name == "custom":   # division by zero, sin(inf), a ln domain error
+        system = build_system("custom", 3, mass_exprs=["1"] * 3,
+                              potential_exprs=["1/x", "sin(x*1e300*1e300)", "ln(x)"])
+    else:
+        family, n, params = _ENERGIES[name]
+        system = build_system(family, n, params)
+    rows = [row[:system.n] for row in points]
+    energies = system.potential.energies
+    assert (_bits(lambda: energies(list(map(list, zip(*rows)))) if rows else [])
+            == _bits(lambda: [system.potential.energy(x) for x in rows]))
+
+
+@pytest.mark.parametrize("name,n", CASES)
+@given(points=st.lists(st.lists(_xs, min_size=3, max_size=3), min_size=1, max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_potential_match_residual_is_the_point_residual_at_each_x(name, n, points):
+    system = _system(name, n)
+    nmap, ref = reference_map(system)
+    rows = [row[:n] for row in points]
+
+    def point_by_point():
+        out = []
+        for x in rows:
+            q = [point(xi)[0] for point, xi in zip(nmap.points, x)]
+            out.append(abs(system.potential.energy(x) - ref.potential.energy(q)))
+        return out
+    assert (_bits(potential_match_residual, nmap, system, ref, rows)
+            == _bits(point_by_point))
 
 
 # --- the inverse-square closed forms on floats ------------------------------------

@@ -1,6 +1,7 @@
 """System construction, validation and energy bookkeeping."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -209,6 +210,28 @@ class TestEnergies:
                                                            abs=1e-15)
             assert potential_energy(s1, st.x) == pytest.approx(
                 potential_energy(s2, st.x), abs=1e-15)
+
+    @pytest.mark.parametrize("mass", ["1+x1^2+x2^2", "exp(-x1^2-x2^2)*(2+sin(x2))",
+                                      "(2+x1^2)^(1+x2^2/4)", "x1^x2+3"])
+    def test_type2_kinetic_energy_reads_the_gradient_calls_value(self, mass):
+        # one value-only call gives, bit for bit, the m of value_and_gradient,
+        # also where the exponent varies (a ** b under zero seeds)
+        system = build_system("custom", 2, mass_exprs=[mass], kind=TYPE2)
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            st = State.of(0, rng.uniform(0.2, 2.0, 2), rng.uniform(-2.0, 2.0, 2))
+            m, _ = system.coupled_profile.value_and_gradient(st.x)
+            want = 0.5 * m * float(np.dot(st.v, st.v))
+            assert struct.pack("<d", kinetic_energy(system, st)) == struct.pack("<d", want)
+
+    def test_type2_kinetic_energy_rejects_a_non_positive_mass(self):
+        system = build_system("custom", 2, mass_exprs=["x1-x2"], kind=TYPE2)
+        st = State.of(0, [1.0, 1.5], [1.0, 0.0])
+        with pytest.raises(DomainViolation) as want:
+            system.coupled_profile.value_and_gradient(st.x)
+        with pytest.raises(DomainViolation) as got:
+            kinetic_energy(system, st)
+        assert str(got.value) == str(want.value)
 
 
 class TestParameterSet:

@@ -598,6 +598,59 @@ class TestOrderParity:
             _parity(expr, ("x",), [x], [seed])
 
 
+def batch_outcome(fn, *args):
+    """The bytes of every entry of the list fn returns, or the exception it raises."""
+    try:
+        out = fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+    return [struct.pack(f"<{len(o)}d", *o) if isinstance(o, tuple) else struct.pack("<d", o)
+            for o in out]
+
+
+def _per_point(fn, points, seeds):
+    """The per-point kernel at each point in turn, as a list."""
+    return [fn(*(x if isinstance(x, tuple) else (x,)), *seeds) for x in points]
+
+
+class TestBatchParity:
+    """A batch kernel returns, bit for bit, the list of per-point results, and
+    raises at the first failing point what the per-point kernel raises there."""
+
+    @given(_exprs(full=True), st.lists(_anywhere, max_size=8), _seeds,
+           st.sampled_from([0, 1, 2]))
+    @settings(max_examples=300, deadline=None)
+    @example(parse_expression("1/(x-1)"), [0.5, 1.0, 2.0], 1.0, 1)        # division by zero
+    @example(parse_expression("exp(x)+ln(x)"), [1.0, 800.0, -1.0], 1.0, 0)  # overflow first
+    @example(parse_expression("ln(x)+exp(x)"), [1.0, -1.0, 800.0], 1.0, 2)  # domain first
+    @example(parse_expression("sin(x*1e999)"), [0.0, 1.0], 1.0, 0)       # sin(inf)
+    @example(parse_expression("x^x"), [2.0, -2.0, -1.5], 0.0, 2)         # run-time exponent
+    @example(parse_expression("x^-20"), [1.0, 0.0], 1.0, 1)
+    def test_one_variable(self, expr, xs, seed, order):
+        batch = compile_expression(expr, ("x",), order, batch=True)
+        fn = compile_expression(expr, ("x",), order)
+        assert batch_outcome(batch, xs, seed) == batch_outcome(_per_point, fn, xs, [seed])
+        assert batch.value_reads_seeds == fn.value_reads_seeds
+
+    @given(_exprs(("x1", "x2", "x3"), full=True),
+           st.lists(st.tuples(_points, _points, _points), max_size=6),
+           st.lists(_seeds, min_size=3, max_size=3), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_three_variables(self, expr, points, seeds, order):
+        names = ("x1", "x2", "x3")
+        batch = compile_expression(expr, names, order, batch=True)
+        fn = compile_expression(expr, names, order)
+        assert (batch_outcome(batch, points, *seeds)
+                == batch_outcome(_per_point, fn, points, seeds))
+
+    def test_cached_apart_from_the_per_point_form(self):
+        expr = parse_expression("x^2+1")
+        batch = compile_expression(expr, ("x",), 0, batch=True)
+        assert batch is compile_expression(expr, ["x"], 0, batch=True)
+        assert batch is not compile_expression(expr, ("x",), 0)
+        assert batch([], 1.0) == []
+
+
 class TestNestingLimit:
     @pytest.mark.parametrize("text", [
         "(" * 5000 + "x" + ")" * 5000,

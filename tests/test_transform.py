@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,9 +193,9 @@ class TestMapToReference:
 
     @pytest.mark.parametrize("dop853", [False, True])
     def test_each_point_runs_the_map_closure_once(self, dop853):
-        # one closure call per node and per quadrature point: a Simpson
-        # midpoint per interval on 1,001 samples (2,001 calls), or four
-        # Gauss-Legendre points per interval on a DOP853 trajectory
+        # the batch map sees each node and each quadrature point once: a
+        # Simpson midpoint per interval on 1,001 samples (2,001 points), or
+        # four Gauss-Legendre points per interval on a DOP853 trajectory
         params = {"omega": [1.0, 2.0], "lambda": 1.0, "sign": "+"}
         system = build_system("ml1", 2, params)
         nmap, _ = reference_map(system)
@@ -206,14 +207,14 @@ class TestMapToReference:
             traj = exact_trajectory(spec, 0.0, 5.0, 1001)
         calls = [0, 0]
 
-        def counted(i, point):
-            def wrapped(x):
-                calls[i] += 1
-                return point(x)
+        def counted(i, batch):
+            def wrapped(xs):
+                calls[i] += len(xs)
+                return batch(xs)
             return wrapped
         expected = [(len(traj.t) + (4 if dop853 else 1) * (len(traj.t) - 1))] * 2
         plain = map_to_reference(nmap, traj)
-        object.__setattr__(nmap, "points", tuple(map(counted, range(2), nmap.points)))
+        object.__setattr__(nmap, "batches", tuple(map(counted, range(2), nmap.batches)))
         mapped = map_to_reference(nmap, traj)
         assert calls == expected
         for name in ("tau", "q", "qtilde"):
@@ -274,17 +275,23 @@ class TestPotentialMatch:
         for x in np.linspace(-2.0, 2.0, 41):
             if x == 0.0:
                 continue
-            assert potential_match_residual(nmap, system, ref, [x]) < 1e-13
+            assert potential_match_residual(nmap, system, ref, [[x]])[0] < 1e-13
 
     def test_morse_matches_harmonic(self):
         system = build_system("morse", 1, {"omega": [1.0], "zeta": [1.0]})
         nmap, ref = reference_map(system)
-        assert potential_match_residual(nmap, system, ref, [1.0]) < 1e-13
+        assert potential_match_residual(nmap, system, ref, [[1.0]])[0] < 1e-13
 
     def test_detuned_reference_detected(self):
         system, nmap, _ = ml1_map()
         wrong = build_system("harmonic", 1, {"omega": [2.0]})
-        assert potential_match_residual(nmap, system, wrong, [1.0]) > 0.1
+        assert potential_match_residual(nmap, system, wrong, [[1.0]])[0] > 0.1
+
+    @pytest.mark.parametrize("points", [[1.0, 2.0], [[1.0, 2.0]], [[[1.0]]]])
+    def test_points_must_be_an_n_column_array(self, points):
+        system, nmap, ref = ml1_map()
+        with pytest.raises(InvalidParameter, match="expected an"):
+            potential_match_residual(nmap, system, ref, points)
 
     def test_custom_family_has_no_map(self):
         system = build_system("custom", 1, mass_exprs=["1+x^2"])
@@ -359,6 +366,17 @@ class TestObstruction:
         worst = max(float(np.max(np.abs(el2_mapped_residual(system, traj.state(k)))))
                     for k in range(len(traj.t)))
         assert worst > 1e-2
+
+    def test_mapped_residual_where_f_vanishes(self):
+        # f_1 = 1 - x_1^2 is 0 at x_1 = 1: an unbounded residual, with no
+        # numpy division warning, as elg_residual treats f = 0
+        system = build_system("custom", 2, mass_exprs=["exp(-x1^2-x2^2)"], kind=TYPE2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moving = el2_mapped_residual(system, State.of(0.0, [1.0, 0.5], [0.3, 0.2]))
+            at_rest = el2_mapped_residual(system, State.of(0.0, [1.0, 0.0], [0.0, 0.0]))
+        assert moving[0] == math.inf and moving[1] == pytest.approx(0.0107052, rel=1e-5)
+        assert at_rest[0] == 0.0
 
     def test_n1_mapped_residual_vanishes(self):
         system = build_system("custom", 1, mass_exprs=["1+x1^2"], kind=TYPE2)

@@ -106,6 +106,17 @@ def _cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+def _environment(load_before: tuple) -> dict:
+    """The machine and interpreter a run measured, with the load around it."""
+    import numpy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "machine": platform.machine(), "cpu": _cpu_model(),
+            "nproc": len(os.sched_getaffinity(0)), "loadavg_before": load_before,
+            "loadavg_after": os.getloadavg(),
+            "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")}
+
+
 def _summary(rounds: list[dict]) -> dict:
     """Per case: the median over rounds of each round's time per step and per call."""
     return {case: {key: statistics.median(r[case][key] for r in rounds)
@@ -125,7 +136,6 @@ def main(argv=None) -> int:
     for root in sides.values():
         if not (root / "src" / "pdmdyn" / "__init__.py").is_file():
             p.error(f"no src/pdmdyn under {root}")
-    import numpy
 
     load_before = os.getloadavg()
     rounds = {name: [] for name in sides}
@@ -140,11 +150,7 @@ def main(argv=None) -> int:
         "seconds_per_orbit": 0.0 if args.quick else SECONDS,
         "checkouts": {name: {"commit": _commit(sides[name]), "median": _summary(rs),
                              "rounds": rs} for name, rs in rounds.items()},
-        "env": {"python": platform.python_version(), "numpy": numpy.__version__,
-                "machine": platform.machine(), "cpu": _cpu_model(),
-                "nproc": len(os.sched_getaffinity(0)), "loadavg_before": load_before,
-                "loadavg_after": os.getloadavg(),
-                "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")},
+        "env": _environment(load_before),
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for name, side in result["checkouts"].items():
