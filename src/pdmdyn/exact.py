@@ -3,7 +3,8 @@
 Each family's closed form, amplitude checks, frequency relation, position
 period and energy live in its record in ``families``; an ExactSolutionSpec
 resolves the record and evaluates each coordinate's frequency once, when it
-is built.
+is built.  exact_trajectory builds a grid one coordinate at a time: one loop
+of that coordinate's closed form over the sample times.
 
 Wherever a published relation conflicts with the equation-of-motion residual
 oracle, the catalog stores the oracle-validated form and records the printed
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import (ParameterSet, State, Termination, Trajectory, _check_shape,
                    _substitute, _validate, build_system, total_energy)
-from .errors import InvalidParameter, InvalidSpec
+from .errors import InvalidParameter, InvalidSpec, PdmError
 from .families import (AMENDED_FORM, FAMILIES, PUBLISHED_FORM,
                        ml2_reduction_check)
 
@@ -119,7 +120,12 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
     """A Trajectory holding dense analytic samples of the closed form.
 
     Lets trajectory consumers (period estimation, the nonlocal map, quadrature)
-    run on a closed form exactly as they would on integrator output.
+    run on a closed form exactly as they would on integrator output.  Each
+    coordinate's column is one loop of its closed form over the times, as
+    Python floats, so every sample holds the bits kinematics gives at its
+    time.  Where any sample fails (an error, or a value that is not finite),
+    the grid is rebuilt sample by sample through kinematics, which raises
+    what it raises at the first failing time.
     """
     if samples < 1:
         raise InvalidParameter("samples", f"need at least 1, got {samples!r}")
@@ -131,9 +137,21 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
         ts = np.linspace(t0, t1, samples)
     except (ValueError, MemoryError) as err:    # more samples than one array can hold
         raise InvalidParameter("samples", f"too many for one array: {err}") from None
-    xs, vs, accs = np.empty((3, samples, spec.n))
-    for k, t in enumerate(map(float, ts)):
-        xs[k], vs[k], accs[k] = kinematics(spec, t)
+    times = ts.tolist()
+    xs, vs, accs = grid = np.empty((3, samples, spec.n))
+    form = spec.record.closed_form
+    try:
+        for i, rate in enumerate(spec.rates):
+            # one (x, xdot, xddot) row per time, straight into the array
+            rows = (form(spec, i, t, rate) for t in times)
+            grid[:, :, i] = np.fromiter(rows, (float, 3), samples).T
+        finite = np.isfinite(grid).all()
+    except (PdmError, ArithmeticError, ValueError):
+        finite = False
+    if not finite:
+        # some sample fails: kinematics raises what it owes at the first that does
+        for k, t in enumerate(times):
+            xs[k], vs[k], accs[k] = kinematics(spec, t)
     return Trajectory(ts, xs, vs, accs, samples, 0, 0.0, Termination("completed"))
 
 

@@ -36,6 +36,10 @@ bit-identical to the per-point function's, and the first failing point
 raises what the per-point function raises there.  Callers that evaluate
 many independent points (the map, the potential energy and the mass over
 10^4 samples or a trajectory's nodes) pay one call instead of one per point.
+
+A coordinate's nonlocal map is one more function from the same generator
+(``compile_map``): its mass lines at order 1 and the values of its q and f,
+written in ``x``, ``root`` and ``half``, per point or in one batch loop.
 """
 
 from __future__ import annotations
@@ -384,18 +388,19 @@ class _RunTimeExponent(Exception):
 
 
 class _Codegen:
-    """Emits the body of one compiled expression of the given order, node by node;
-    for a batch, the body of its loop over the points."""
+    """Emits the body of one compiled function, node by node: one expression,
+    or a map's mass, q and f; for a batch, the body of its loop over the points."""
 
-    def __init__(self, names: tuple[str, ...], order: int, batch: bool = False):
-        self.index = {name: i for i, name in enumerate(names)}
-        self.order = order
+    def __init__(self, names: tuple[str, ...], batch: bool = False):
+        self.order = 2                  # of the expression being walked: set by _walk
         self.lines: list[str] = []
         self.bound: list[object] = []   # read by the code as k0, k1, ...
         self.count = 0
         self.indent = 3 if batch else 2  # inside bind(), compiled() and the loop
         self.value_reads_seeds = False  # set by a power whose exponent varies
         self.zero = self.bind(0.0)
+        #: each variable's slot: its value x_i and seed s_i
+        self.slots = {name: _Slot(f"x{i}", f"s{i}", self.zero) for i, name in enumerate(names)}
         self.emit(*(f"x{i} = float(x{i})" for i in range(len(names))))
 
     def bind(self, obj: object) -> str:
@@ -441,8 +446,7 @@ class _Codegen:
             if isinstance(node, Num):
                 done.append(self.constant(float(node.value)))
             elif isinstance(node, Var):
-                i = self.index[node.name]
-                done.append(_Slot(f"x{i}", f"s{i}", self.zero))
+                done.append(self.slots[node.name])
             elif not ready:
                 todo.append((node, True))
                 if isinstance(node, BinOp):
@@ -600,32 +604,26 @@ class _Codegen:
         self.chain(out, m, out[0], out[0])
 
 
-def _compile(expr: Expr, names: tuple[str, ...], order: int,
-             batch: bool = False) -> Callable:
-    gen = _Codegen(names, order, batch)
+def _walk(gen: _Codegen, expr: Expr, order: int) -> _Slot:
+    """The lines of expr at the given order, or at order 2 where a power's
+    exponent varies; returns the root's slot."""
+    mark = len(gen.lines)
+    gen.order = order
     try:
-        out = gen.walk(expr)
+        return gen.walk(expr)
     except _RunTimeExponent:
-        gen = _Codegen(names, 2, batch)
-        out = gen.walk(expr)
-    result = ", ".join(out[:order + 1])
-    xs = [f"x{i}" for i in range(len(names))]
-    seeds = [f"s{i}" for i in range(len(names))]
-    if batch:
-        gen.emit(f"append(({result}))" if order else f"append({result})")
-        head = [f"    def compiled(xs, {', '.join(seeds)}):",
-                "        out = []",
-                "        append = out.append",
-                f"        for {', '.join(xs)} in xs:"]
-        tail = ["        return out"]
-    else:
-        gen.emit(f"return {result}")
-        head, tail = [f"    def compiled({', '.join(xs + seeds)}):"], []
+        del gen.lines[mark:]
+        gen.order = 2
+        return gen.walk(expr)
+
+
+def _function(gen: _Codegen, head: list[str], tail: list[str]) -> Callable:
+    """``compiled``: the head, gen's lines and the tail, with gen's constants bound."""
     source = "\n".join([
         f"def bind({', '.join(f'k{j}' for j in range(len(gen.bound)))}):",
-        *head,
+        *("    " + line for line in head),
         *gen.lines,
-        *tail,
+        *("    " + line for line in tail),
         "    return compiled",
     ])
     namespace = dict(_NAMESPACE)
@@ -633,6 +631,52 @@ def _compile(expr: Expr, names: tuple[str, ...], order: int,
     fn = namespace["bind"](*gen.bound)
     fn.value_reads_seeds = gen.value_reads_seeds
     return fn
+
+
+def _compile(expr: Expr, names: tuple[str, ...], order: int,
+             batch: bool = False) -> Callable:
+    gen = _Codegen(names, batch)
+    result = ", ".join(_walk(gen, expr, order)[:order + 1])
+    xs = [f"x{i}" for i in range(len(names))]
+    seeds = [f"s{i}" for i in range(len(names))]
+    if batch:
+        gen.emit(f"append(({result}))" if order else f"append({result})")
+        head = [f"def compiled(xs, {', '.join(seeds)}):",
+                "    out = []",
+                "    append = out.append",
+                f"    for {', '.join(xs)} in xs:"]
+        return _function(gen, head, ["    return out"])
+    gen.emit(f"return {result}")
+    return _function(gen, [f"def compiled({', '.join(xs + seeds)}):"], [])
+
+
+#: the variables of a map's q and f: the point, sqrt(m) and m'/(2m) there
+MAP_NAMES = ("x", "root", "half")
+
+
+def _compile_map(mass: Expr, q: Expr, f: Expr, batch: bool) -> Callable:
+    gen = _Codegen(("x",), batch)
+    gen.block("if not lo < x0 < hi:", lambda: gen.emit("return None"))
+    m = _walk(gen, mass, 1)
+    gen.block(f"if {m.val} < 0.0:", lambda: gen.emit("return None"))
+    gen.emit(f"root = sqrt({m.val})")
+    # q and f are values: every variable's seed is 0
+    gen.slots = {name: _Slot(local, gen.zero, gen.zero)
+                 for name, local in zip(MAP_NAMES, ("x0", "root", "half"))}
+    qv = _walk(gen, q, 0).val
+    gen.emit(f"half = {m.d1} / (2.0 * {m.val})")
+    fv = _walk(gen, f, 0).val
+    columns = (qv, f"{fv} * root", fv, m.val)
+    if batch:
+        gen.emit(*(f"append{k}({c})" for k, c in enumerate(columns)))
+        head = ["def compiled(xs, lo, hi):",
+                "    s0 = 1.0",
+                "    out = [], [], [], []",
+                *(f"    append{k} = out[{k}].append" for k in range(4)),
+                "    for x0 in xs:"]
+        return _function(gen, head, ["    return out"])
+    gen.emit(f"return {', '.join(columns)}")
+    return _function(gen, ["def compiled(x0, lo, hi):", "    s0 = 1.0"], [])
 
 
 def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
@@ -663,6 +707,31 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     fn = cache.get(key)
     if fn is None:
         fn = cache[key] = _compile(expr, *key)
+    return fn
+
+
+def compile_map(mass: Expr, q: Expr, f: Expr, batch: bool = False) -> Callable:
+    """One coordinate's nonlocal map as one compiled function.
+
+    ``mass`` is m in ``x``; ``q`` and ``f`` are written in MAP_NAMES: ``x``,
+    ``root`` = sqrt(m) and ``half`` = m'/(2m).  The result ``kernel(x, lo, hi)``
+    returns (q, dq/dx, f, m) with dq/dx = f * root.  It runs, in this order,
+    the lines of the order-1 mass kernel (so m and m' are its bits), root,
+    q, half and f, and raises the first error among them; where x lies
+    outside (lo, hi), or m < 0, it returns None before anything after that
+    check runs, and the caller raises what it owes there.
+
+    With ``batch``, the result ``kernel(xs, lo, hi)`` runs the same lines inside
+    one loop over a list of floats and returns the four lists (q, dq/dx, f,
+    m), or None at the first point that fails a check.
+
+    Built once per (mass, q, f) and shape, and kept on ``mass``.
+    """
+    key = (q, f, batch)
+    cache = vars(mass).setdefault("_compiled", {})
+    fn = cache.get(key)
+    if fn is None:
+        fn = cache[key] = _compile_map(mass, *key)
     return fn
 
 

@@ -1,18 +1,21 @@
 """One record per catalog family: everything the package knows about it.
 
-A record owns the family's mass profile m_i(x) and potential V_i(x) as
-expression text in x and the parameter names, the domain, coefficient
-singularity and potential pole that no expression can state, its nonlocal
-map (q_i, f_i) onto a reference oscillator, and its closed form with
+A record owns four templates, expression text in x and the parameter names:
+the family's mass profile m_i(x), its potential V_i(x), and its nonlocal map
+(q_i, f_i) onto a reference oscillator, which also reads root = sqrt(m_i)
+and half = m_i'/(2 m_i).  It also owns the domain, coefficient singularity
+and potential pole that no expression can state, and its closed form with
 amplitude checks, frequency relation, position period and energy.  The
-parameters a family requires are the names its two templates read; each
-parameter's shape and range are stated once, in ``core``, alike for every
-family.  ``core`` substitutes each coordinate's parameter values into the
-two templates and compiles them, so a catalog system evaluates exactly as a
-``custom`` one does; ``transform`` and ``exact`` resolve the record once,
-when a map or closed form is built, and call into it.  Every callable works on
-one coordinate's floats; printed relations are in the misprint ledger, not
-here.  A new family is one new record plus one FAMILIES entry.
+parameters a family requires are the names its mass and potential templates
+read (q and f read no other); each parameter's shape and range are stated
+once, in ``core``, alike for every family.  ``core`` substitutes each
+coordinate's parameter values into the templates and compiles them, so a
+catalog system evaluates exactly as a ``custom`` one does; ``transform``
+compiles the map's q and f, with the mass, into one kernel per coordinate,
+and ``exact`` resolves the record once, when a closed form is built, and
+calls into it.  Every callable works on one coordinate's floats; printed
+relations are in the misprint ledger, not here.  A new family is one new
+record plus one FAMILIES entry.
 """
 
 from __future__ import annotations
@@ -60,9 +63,11 @@ class Family:
     ``mass`` and ``potential`` are expression text in x and the names of
     ParameterSet fields: a vector parameter stands for its entry i, and
     ``sign`` for +1 or -1.  The names they read are the parameters the
-    family requires; ``core`` checks every parameter's range.  Defaults, the
-    common case: the whole real line, the map q = x sqrt(m), f = 1 + x m'/(2m)
-    onto the harmonic reference, a cosine closed form of period 2 pi / Omega.
+    family requires; ``core`` checks every parameter's range.  ``q`` and
+    ``f`` are written the same way, also in ``root`` = sqrt(m_i) and
+    ``half`` = m_i'/(2 m_i).  Defaults, the common case: the whole real line,
+    the map q = x sqrt(m), f = 1 + x m'/(2m) onto the harmonic reference, a
+    cosine closed form of period 2 pi / Omega.
     """
 
     name: str
@@ -73,9 +78,8 @@ class Family:
     #: p -> the x where m'/m and 1/m diverge, if any
     singularity: Callable = lambda p: None
     pole: float | None = None                   # x where V_i diverges: SingularPoint
-    #: (p, i, x, sqrt(m_i)) -> q_i and (p, i, x, m_i'/(2 m_i)) -> f_i
-    q: Callable = lambda p, i, x, root: x * root
-    f: Callable = lambda p, i, x, half: 1.0 + half * x
+    q: str = "x*root"                           # q_i in x, root = sqrt(m_i)
+    f: str = "1+half*x"                         # f_i in x, half = m_i'/(2 m_i)
     mapped: bool = True                         # False for the references themselves
     reference: str = "harmonic"
     #: (p, amplitude) -> None; raises InvalidSpec where no closed form exists
@@ -135,8 +139,7 @@ def _ml2_check(p, amplitude):
 # ml1 in the reduction case, but the potential differs by the constant
 # (1/2) w^2 eta^2, so the energy is read off at the turning point directly
 ML2 = replace(ML1, name="ml2", potential="0.5*omega^2*eta_const^2/(1+sign*lam*x^2)",
-              q=lambda p, i, x, root: p.eta_const[i] * root,
-              f=lambda p, i, x, half: p.eta_const[i] * half,
+              q="eta_const*root", f="eta_const*half",
               check=_ml2_check,
               coordinate_energy=lambda p, A, i: (0.5 * p.omega[i] * p.omega[i]
                                                  * p.eta_const[i] ** 2
@@ -195,8 +198,7 @@ def _morse_form(spec, i, t, w):
 # the bounded-exponential map; f reduces to the constant zeta for this mass
 # V written with one exp: m (1 - e^(-zeta x))^2 = (e^(zeta x) - 1)^2
 MORSE = Family("morse", "exp(2*zeta*x)", "0.5*omega^2*(exp(zeta*x)-1)^2",
-               q=lambda p, i, x, root: root * (1.0 - math.exp(-p.zeta[i] * x)),
-               f=lambda p, i, x, half: half + (p.zeta[i] - half) * math.exp(-p.zeta[i] * x),
+               q="root*(1-exp(-zeta*x))", f="half+(zeta-half)*exp(-zeta*x)",
                check=_morse_check,
                frequency=lambda p, i, A: p.zeta[i] * p.omega[i],
                closed_form=_morse_form,

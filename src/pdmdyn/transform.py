@@ -7,13 +7,15 @@ Per coordinate the bundle is (q_i(x_i), f_i(x_i), tau_i) with
 so (dq/dx)^2 = m f^2 always holds.  dq/dx is returned signed: the isotonic
 power-law family with a negative exponent has a decreasing coordinate map,
 and the squared identity is the invariant, not the sign.  Each family's
-q_i and f_i live in its record in ``families``; a NonlocalMap binds them
-into one closure per coordinate for a single point, and one batch per
-coordinate for a list of points, built on the mass's batch kernel; the
-batch returns the four columns (q_i, dq_i/dx_i, f_i, m_i) bit for bit as the
-point closure gives them, and raises what the point closure raises at the
-first failing point.  ``coordinate_image`` and ``potential_match_residual``
-run on the batches.  The reference oscillator is the
+q_i and f_i are expression text in its record in ``families``, in x,
+root = sqrt(m_i) and half = m_i'/(2 m_i); a NonlocalMap substitutes each
+coordinate's parameters into them and runs them with the coordinate's mass
+as one compiled map kernel (``exprparse.compile_map``), in two shapes: a
+point closure and a batch over a list of points.  The batch returns the
+four columns (q_i, dq_i/dx_i, f_i, m_i) bit for bit as the point closure
+gives them, and raises what the point closure raises at the first failing
+point.  ``coordinate_image`` and ``potential_match_residual`` run on the
+batches.  The reference oscillator is the
 catalog system the record names (``harmonic`` or ``isotonic``), built with
 the family's own parameters, so its potential and gradient are the
 catalog's.
@@ -31,10 +33,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory,
+from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory, _substitute,
                    build_system, potential_gradient)
 from .eom import el1_acceleration, el2_acceleration
 from .errors import InvalidParameter, NonPositiveScale, PdmError, UnsupportedFamily
+from .exprparse import MAP_NAMES, compile_map, parse_cached
 from .families import Family
 from .integrate import sample_dense
 
@@ -47,41 +50,52 @@ class NonlocalMap:
 
     def __post_init__(self):
         # points[i]: x -> (q_i, dq_i/dx_i, f_i, m_i) from one checked evaluation of m_i;
-        # batches[i]: a list of x -> the lists of the same four, from one batch of m_i
+        # batches[i]: a list of x -> the lists of the same four
         coordinates = range(len(self.profiles))
         object.__setattr__(self, "points", tuple(map(self._point, coordinates)))
         object.__setattr__(self, "batches", tuple(map(self._batch, coordinates)))
 
+    def _exprs(self, i: int) -> tuple:
+        """Coordinate i's mass, q and f: what its map kernel is compiled from."""
+        q, f = (parse_cached(_substitute(template, self.params, i), MAP_NAMES)
+                for template in (self.record.q, self.record.f))
+        return self.profiles[i].expr, q, f
+
     def _point(self, i: int):
-        q, f, p, mass = self.record.q, self.record.f, self.params, self.profiles[i].eval
+        profile, exprs = self.profiles[i], self._exprs(i)
+        lo, hi = profile.domain
+        kernel = None
 
         def point(x: float) -> tuple[float, float, float, float]:
-            m, m1 = mass(x, 1)
-            root = math.sqrt(m)
-            qi, fi = q(p, i, x, root), f(p, i, x, m1 / (2.0 * m))
-            return qi, fi * root, fi, m
+            nonlocal kernel
+            if kernel is None:  # compiled on the first call
+                kernel = compile_map(*exprs)
+            out = kernel(x, lo, hi)
+            if out is None:
+                # x is outside the domain or m_i < 0: the profile raises what it owes
+                profile.eval(x, 1)
+            return out
         return point
 
     def _batch(self, i: int):
-        q, f, p, point = self.record.q, self.record.f, self.params, self.points[i]
-        masses = self.profiles[i].eval_many
+        point, exprs = self.points[i], self._exprs(i)
+        lo, hi = self.profiles[i].domain
+        kernel = None
 
         def batch(xs: list[float]) -> tuple[list[float], ...]:
+            nonlocal kernel
+            if kernel is None:  # compiled on the first call
+                kernel = compile_map(*exprs, batch=True)
             try:
-                mm = masses(xs, 1)
-            except PdmError:
-                # some m_i fails, so the point map raises too, at or before that x
+                out = kernel(xs, lo, hi)
+            except (PdmError, ArithmeticError):
+                out = None
+            if out is None:
+                # some x fails: the point map raises at the first that does
+                out = [], [], [], []
                 for x in xs:
-                    point(x)
-                raise
-            qs, dqs, fs, ms = out = ([], [], [], [])
-            for x, (m, m1) in zip(xs, mm):
-                root = math.sqrt(m)
-                qi, fi = q(p, i, x, root), f(p, i, x, m1 / (2.0 * m))
-                qs.append(qi)
-                dqs.append(fi * root)
-                fs.append(fi)
-                ms.append(m)
+                    for column, value in zip(out, point(x)):
+                        column.append(value)
             return out
         return batch
 

@@ -69,6 +69,16 @@ def _report(name: str, metric: float, threshold: float,
                        comparison, details)
 
 
+def _worst(worst: float, *residuals: float) -> float:
+    """The largest of worst and the residuals, or nan where any of them is
+    nan.  max() keeps its running value past a nan (max(0.0, nan) is 0.0),
+    so a nan residual would vanish from the metric and the check pass."""
+    for r in residuals:
+        if r > worst or r != r:
+            worst = r
+    return worst
+
+
 def _rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
@@ -179,23 +189,25 @@ def _check_profile_derivatives(seed: int, rel_tol=None) -> CheckReport:
     ]
     worst = 0.0
     for profile, (lo, hi) in profiles:
-        xs = rng.uniform(lo, hi, 10_000 // len(profiles))
+        xs = rng.uniform(lo, hi, 10_000 // len(profiles)).tolist()
         dom_lo, dom_hi = profile.domain
-        for x in xs:
-            # keep the 5-point stencil well inside the region where the
-            # profile is smooth: steep poles need h tied to the distance
-            # from the boundary, not to |x|
-            edge = min(abs(x - dom_lo), abs(dom_hi - x))
-            h = 0.005 * min(max(1.0, abs(x)), edge)
-            vals = [profile.eval(float(x + k * h), 0) for k in (-2, -1, 0, 1, 2)]
+        # keep the 5-point stencil well inside the region where the profile
+        # is smooth: steep poles need h tied to the distance from the
+        # boundary, not to |x|
+        hs = [0.005 * min(max(1.0, abs(x)), min(abs(x - dom_lo), abs(dom_hi - x)))
+              for x in xs]
+        stencil = zip(*(profile.eval_many([x + k * h for x, h in zip(xs, hs)], 0)
+                        for k in (-2, -1, 0, 1, 2)))
+        errors = []
+        for h, vals, (m, d1, d2) in zip(hs, stencil, profile.eval_many(xs)):
             d1_fd = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
             d2_fd = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
-            m, d1, d2 = profile.eval(float(x))
             # relative to the profile's own scale: the derivatives cross zero
             # inside every domain, where a bare relative error is ill-posed
             scale1 = max(abs(d1), abs(d1_fd), abs(m), 1e-8)
             scale2 = max(abs(d2), abs(d2_fd), abs(m), 1e-8)
-            worst = max(worst, abs(d1 - d1_fd) / scale1, abs(d2 - d2_fd) / scale2)
+            errors += abs(d1 - d1_fd) / scale1, abs(d2 - d2_fd) / scale2
+        worst = _worst(worst, *errors)
     return _report("profiles-derivatives", worst, 1e-6,
                    details="analytic m', m'' vs 4th-order central differences")
 
@@ -210,7 +222,7 @@ def _check_ml_identity(seed: int, rel_tol=None) -> CheckReport:
         for x in rng.uniform(*box, 2000):
             m, m1 = profile.eval(float(x), 1)
             closed = -s * lam * x / (1.0 + s * lam * x * x)
-            worst = max(worst, abs(m1 / (2.0 * m) - closed))
+            worst = _worst(worst, abs(m1 / (2.0 * m) - closed))
     return _report("ml-profile-identity", worst, 1e-12,
                    details="m'/(2m) equals the closed rational form")
 
@@ -278,7 +290,7 @@ def _check_parser_ad(seed: int, rel_tol=None, order: int = 1) -> CheckReport:
             continue
         produced += 1
         err = abs(d - fd_h2) / max(abs(d), abs(fd_h2), scale)
-        worst = max(worst, err)
+        worst = _worst(worst, err)
     return _report(f"parser-ad-d{order}", worst, threshold,
                    details="1000 generated expressions vs converged central differences")
 
@@ -355,14 +367,14 @@ def _check_printed_eom(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     printed = _printed_eom(case)
     rng = _rng(seed, f"printed-{case_name}")
     lo, hi = case.sample_box
-    worst = 0.0
+    errors = []
     for _ in range(1000):
         x = float(rng.uniform(lo, hi))
         v = float(rng.uniform(-2.0, 2.0))
         generic = rhs(0.0, [x], [v])[0]
         ref = printed(x, v)
-        worst = max(worst, abs(generic - ref) / max(abs(ref), 1.0))
-    return _report(f"printed-eom:{case_name}", worst, 1e-12,
+        errors.append(abs(generic - ref) / max(abs(ref), 1.0))
+    return _report(f"printed-eom:{case_name}", _worst(0.0, *errors), 1e-12,
                    details="generic form vs hand-coded printed equation "
                            "(relative, floored at unit scale)")
 
@@ -376,8 +388,8 @@ def _check_el2_collapse(seed: int, rel_tol=None) -> CheckReport:
     worst = 0.0
     for _ in range(1000):
         st = State.of(0.0, [rng.uniform(-2, 2)], [rng.uniform(-2, 2)])
-        worst = max(worst, abs(el1_acceleration(sys1, st)[0]
-                               - el2_acceleration(sys2, st)[0]))
+        worst = _worst(worst, abs(el1_acceleration(sys1, st)[0]
+                                  - el2_acceleration(sys2, st)[0]))
     return _report("el2-collapse-n1", worst, 1e-12,
                    details="shared-multiplier form equals per-coordinate form at n=1")
 
@@ -401,10 +413,9 @@ def _check_g_identity(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     worst = 0.0
     for xs in batches:
         _, dqs, fs, ms = nmap.batches[0](xs.tolist())
-        for dq, f, m in zip(dqs, fs, ms):
-            g = dq * dq
-            target = m * f * f
-            worst = max(worst, abs(g - target) / max(abs(target), 1e-30))
+        targets = [m * f * f for f, m in zip(fs, ms)]
+        worst = _worst(worst, *[abs(dq * dq - target) / max(abs(target), 1e-30)
+                                for dq, target in zip(dqs, targets)])
     return _report(f"g-identity:{case_name}", worst, 1e-10,
                    details="(dq/dx)^2 = m f^2 at 10^4 sampled points")
 
@@ -413,7 +424,7 @@ def _check_potential_match(seed: int, case_name: str, rel_tol=None) -> CheckRepo
     system, nmap, ref, batches = _map_samples(seed, "vmatch", case_name)
     worst = 0.0
     for xs in batches:
-        worst = max([worst, *potential_match_residual(nmap, system, ref, xs[:, None])])
+        worst = _worst(worst, *potential_match_residual(nmap, system, ref, xs[:, None]))
     return _report(f"potential-match:{case_name}", worst, 1e-12,
                    details="|V(x) - V_ref(q(x))| at 10^4 sampled points")
 
@@ -435,7 +446,7 @@ def _closed_form_residual(case: Case, periods: float = 3.0) -> float:
     worst = 0.0
     for t in _residual_times(case, spec, periods):
         r = el1_residual(system, lambda s: kinematics(spec, s), float(t))
-        worst = max(worst, float(np.max(np.abs(r))))
+        worst = _worst(worst, float(np.max(np.abs(r))))
     return worst
 
 
@@ -469,7 +480,7 @@ def _check_residual_detects_perturbation(seed: int, rel_tol=None) -> CheckReport
     T = float(np.max(oscillation_period(spec)))
     worst = 0.0
     for t in np.linspace(0.0, T, 200):
-        worst = max(worst, float(np.max(np.abs(el1_residual(system, detuned, float(t))))))
+        worst = _worst(worst, float(np.max(np.abs(el1_residual(system, detuned, float(t))))))
     return _report("residual-detects-perturbation", worst, 1e-2, comparison=">=",
                    details="10% amplitude perturbation must light up the residual")
 
@@ -482,7 +493,7 @@ def _check_track_exact(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     worst = 0.0
     for k in range(len(traj.t)):
         x_exact, _, _ = kinematics(spec, float(traj.t[k]))
-        worst = max(worst, float(np.max(np.abs(traj.x[k] - x_exact))))
+        worst = _worst(worst, float(np.max(np.abs(traj.x[k] - x_exact))))
     details = f"10 periods, {traj.accepted} steps, termination {traj.termination.kind}"
     if traj.termination.kind != "completed":
         worst = math.inf
@@ -519,7 +530,7 @@ def _track_powerlaw(case: Case, rel_tol: float | None) -> CheckReport:
                 x_exact, _, _ = kinematics(spec, float(traj.t[k]))
             except PdmError:
                 continue
-            worst = max(worst, float(np.max(np.abs(traj.x[k] - x_exact))))
+            worst = _worst(worst, float(np.max(np.abs(traj.x[k] - x_exact))))
         covered += (traj.t[-1] - t0) / T
     details = (f"20 re-anchored arcs covering {covered:.2f} of 10 periods; "
                "every orbit hits the origin with diverging velocity, so no "
@@ -538,7 +549,7 @@ def _check_energy_drift(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     worst = 0.0
     for k in range(len(traj.t)):
         e = total_energy(system, traj.state(k))
-        worst = max(worst, abs(e - e0) / abs(e0))
+        worst = _worst(worst, abs(e - e0) / abs(e0))
     if arc:
         details = f"maximal smooth arc before the origin encounter ({traj.accepted} steps)"
     else:
@@ -556,7 +567,7 @@ def _check_energy_formula(seed: int, case_name: str, rel_tol=None) -> CheckRepor
     worst = 0.0
     for t in _residual_times(case, spec, 1.0, samples=60):
         e = total_energy(system, exact_solution(spec, float(t)))
-        worst = max(worst, abs(e - e_formula) / max(abs(e_formula), 1e-30))
+        worst = _worst(worst, abs(e - e_formula) / max(abs(e_formula), 1e-30))
     return _report(f"energy-formula:{case_name}", worst, 1e-12,
                    details="closed-form energy equals the energy along the solution")
 
@@ -633,7 +644,7 @@ def _check_invariance(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     worst = 0.0
     for k in range(len(traj.t)):
         r = elg_residual(nmap, system, ref, traj.state(k))
-        worst = max(worst, float(np.max(np.abs(r))))
+        worst = _worst(worst, float(np.max(np.abs(r))))
     return _report(f"invariance:{case_name}", worst, 1e-6,
                    details="mapped trajectory satisfies the reference equations "
                            f"({len(traj.t)} states)")
@@ -657,7 +668,7 @@ def _el2_demo_residual(n: int, rel_tol: float | None) -> float:
     worst = 0.0
     for k in range(len(traj.t)):
         r = el2_mapped_residual(system, traj.state(k))
-        worst = max(worst, float(np.max(np.abs(r))))
+        worst = _worst(worst, float(np.max(np.abs(r))))
     return worst
 
 
@@ -744,7 +755,7 @@ def _check_substitution_identity(seed: int, rel_tol=None) -> CheckReport:
         for x in xs:
             q2 = x * x / (1.0 + sign * lam * x * x)
             back = q2 / (1.0 - sign * lam * q2)
-            worst = max(worst, abs(back - x * x) / max(x * x, 1e-30))
+            worst = _worst(worst, abs(back - x * x) / max(x * x, 1e-30))
     return _report("substitution-identity", worst, 1e-12,
                    details="q^2 = x^2/(1 +- lam x^2) inverts to x^2 = q^2/(1 -+ lam q^2)")
 

@@ -1,25 +1,33 @@
-"""The per-point closures against the code paths they replaced.
+"""The per-point closures and batch kernels against the code paths they replaced.
 
-A NonlocalMap's point closure, a PotentialSpec's energy closure and the
-closed forms evaluated on Python floats must return exactly what the
-layered evaluations returned (the map and the energy), or agree with the
+A NonlocalMap's point and batch kernels, a PotentialSpec's energy closure,
+exact_trajectory's grid and the closed forms evaluated on Python floats must
+return exactly what the layered evaluations returned (the map as Python q
+and f callables, the energy, the grid sample by sample), or agree with the
 numpy evaluation to rounding (the inverse-square closed forms), and raise
 where those raised.
 """
 
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pdmdyn import exprparse
 from pdmdyn.core import VECTORS, build_system, parameter_set, potential_energy
-from pdmdyn.errors import DomainViolation, InvalidSpec, SingularPoint
+from pdmdyn.errors import (DomainViolation, ExprDomainError, InvalidSpec, PdmError,
+                           SingularPoint)
 from pdmdyn.profiles import CustomProfile
-from pdmdyn.exact import ExactSolutionSpec, kinematics
+from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
 from pdmdyn.families import FAMILIES, _sqrt_shape
-from pdmdyn.transform import f_scale, potential_match_residual, q_map, reference_map
+from pdmdyn.transform import (NonlocalMap, f_scale, potential_match_residual, q_map,
+                              reference_map)
 
 # family, parameters at n = 3 (n < 3 takes the leading entries), a box inside
 # every coordinate's domain, and a point outside it (None: the real line)
@@ -50,14 +58,44 @@ def _system(name, n):
                                     for k, v in params.items()})
 
 
+#: each family's q_i and f_i as Python callables, (p, i, x, sqrt(m_i)) -> q_i
+#: and (p, i, x, m_i'/(2 m_i)) -> f_i, as the records held them before they
+#: became templates: the reference the compiled map kernel is held to
+ORACLE_QF = {
+    "default": (lambda p, i, x, root: x * root,
+                lambda p, i, x, half: 1.0 + half * x),
+    "ml2": (lambda p, i, x, root: p.eta_const[i] * root,
+            lambda p, i, x, half: p.eta_const[i] * half),
+    "morse": (lambda p, i, x, root: root * (1.0 - math.exp(-p.zeta[i] * x)),
+              lambda p, i, x, half: half + (p.zeta[i] - half) * math.exp(-p.zeta[i] * x)),
+}
+
+
+def _oracle_qf(nmap):
+    return ORACLE_QF.get(nmap.record.name, ORACLE_QF["default"])
+
+
+def oracle_point(nmap, i):
+    """The point map as it was before its kernel: the profile's checked
+    order-1 mass, sqrt(m), q, m'/(2m) and f, in that order."""
+    (q, f), p, mass = _oracle_qf(nmap), nmap.params, nmap.profiles[i].eval
+
+    def point(x):
+        m, m1 = mass(x, 1)
+        root = math.sqrt(m)
+        qi, fi = q(p, i, x, root), f(p, i, x, m1 / (2.0 * m))
+        return qi, fi * root, fi, m
+    return point
+
+
 def _layered(nmap, i, x):
     """(q, dq/dx, f, m) as q_map and f_scale computed them, one mass
     evaluation each."""
-    p, record = nmap.params, nmap.record
+    p, (q, f) = nmap.params, _oracle_qf(nmap)
     m, m1, _ = nmap.profiles[i].eval(x)
     root = math.sqrt(m)
-    f = record.f(p, i, x, m1 / (2.0 * m))
-    return record.q(p, i, x, root), f * root, f, m
+    fi = f(p, i, x, m1 / (2.0 * m))
+    return q(p, i, x, root), fi * root, fi, m
 
 
 def test_every_mapped_family_is_covered():
@@ -168,6 +206,116 @@ def test_batch_map_is_the_point_map_at_each_x(name, n, xs):
                     == _bits(lambda: _columns([point(x) for x in points], 4))), (i, points)
 
 
+def assert_oracle_outcome(got, want):
+    """The kernel's outcome is the oracle's, bits or exception type and
+    message, except that an OverflowError of math.exp in the oracle's q or f
+    is the kernel's typed float overflow, a PdmError."""
+    if isinstance(want, tuple) and want[0] is OverflowError:
+        assert got[0] is ExprDomainError and issubclass(got[0], PdmError), got
+        assert got[1].startswith("float overflow in 'exp("), got
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("name,n", CASES)
+@given(xs=st.lists(_xs, max_size=6))
+@example(xs=[0.5, -400.0, 1.0])    # morse: m underflows to 0, then m'/(2m) divides by it
+@example(xs=[0.5, 5e-324])         # powerlaw: m underflows to 0 at the smallest x
+@settings(max_examples=25, deadline=None)
+def test_map_kernels_are_the_oracle_map(name, n, xs):
+    nmap, _ = reference_map(_system(name, n))
+    lo, hi = MAPPED[name][2]
+    inside = np.linspace(lo, hi, 7).tolist()
+    for i, (point, batch) in enumerate(zip(nmap.points, nmap.batches)):
+        oracle = oracle_point(nmap, i)
+        for points in (xs, inside + xs):
+            want = _bits(lambda: _columns([oracle(x) for x in points], 4))
+            assert_oracle_outcome(_bits(lambda: _columns([point(x) for x in points], 4)), want)
+            assert_oracle_outcome(_bits(batch, points), want)
+
+
+def _custom_map(text):
+    """A one-coordinate map with the default q and f over a custom mass."""
+    return NonlocalMap(FAMILIES["ml1"], (CustomProfile.from_text(text),), parameter_set({}, 1))
+
+
+class TestMapKernelFailures:
+    """At the first failing point, the point and batch kernels raise what the
+    oracle raises there, good points before it or not."""
+
+    CASES = {   # the map, good points, the bad point, what it raises there
+        "outside the domain": (lambda: reference_map(_system("ml1-", 1))[0], (0.5, 0.75), 1.3,
+                               DomainViolation, "x=1.3 outside the domain"),
+        "m < 0": (lambda: _custom_map("x-1"), (1.5, 2.0), 0.5,
+                  DomainViolation, "profile 'x-1' is -0.5 < 0 at x=0.5"),
+        "m = 0": (lambda: reference_map(_system("morse", 1))[0], (1.5, 2.0), -400.0,
+                  ZeroDivisionError, "float division by zero"),
+        "mass expression": (lambda: _custom_map("1/x"), (1.5, 2.0), 0.0,
+                            ExprDomainError, "division by zero in '1.0/x'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_first_failure_is_the_oracles(self, case):
+        make, (a, b), bad, error, message = self.CASES[case]
+        nmap = make()
+        oracle = oracle_point(nmap, 0)
+        for xs in ([bad], [a, bad, b], [a, b, bad, bad]):
+            want = _bits(lambda: _columns([oracle(x) for x in xs], 4))
+            assert want[0] is error and want[1].startswith(message)
+            assert _bits(lambda: _columns([nmap.points[0](x) for x in xs], 4)) == want
+            assert _bits(nmap.batches[0], xs) == want
+
+    def test_morse_q_overflow_is_a_typed_domain_error(self):
+        # math.exp(800) in the q lambda raised a bare OverflowError; the
+        # compiled q reports it as the expression's float overflow
+        nmap, _ = reference_map(_system("morse", 1))
+        with pytest.raises(OverflowError):
+            oracle_point(nmap, 0)(-800.0)
+        for fn in (nmap.points[0], lambda x: nmap.batches[0]([0.5, x])):
+            with pytest.raises(ExprDomainError) as err:
+                fn(-800.0)
+            assert isinstance(err.value, PdmError)
+            assert str(err.value) == "float overflow in 'exp(-1.0*x)'"
+
+
+class TestMapKernelCompiles:
+    # parameters no other test uses, so every expression is parsed afresh
+    PARAMS = {"omega": [1.0, 2.0], "zeta": [1.375, 0.625]}
+
+    def test_compiled_on_first_use_once_per_mass_q_and_f(self, monkeypatch):
+        compiles = []
+        real = exprparse._compile_map
+        monkeypatch.setattr(exprparse, "_compile_map",
+                            lambda *args: compiles.append(args) or real(*args))
+        system = build_system("morse", 2, self.PARAMS)
+        nmap, _ = reference_map(system)
+        assert compiles == []
+        for _ in range(2):
+            nmap.points[0](0.25)
+            nmap.batches[0]([0.25, 0.5])
+        assert [args[3] for args in compiles] == [False, True]
+        assert compiles[0][0] is system.profiles[0].expr
+        # a rebuilt system and map reuse both kernels
+        again, _ = reference_map(build_system("morse", 2, self.PARAMS))
+        assert again.points[0](0.25) == nmap.points[0](0.25)
+        assert again.batches[0]([0.25]) == nmap.batches[0]([0.25])
+        assert len(compiles) == 2
+        # the other coordinate has its own zeta, so its own mass, q and f
+        nmap.points[1](0.25)
+        assert len(compiles) == 3 and compiles[2][0] is system.profiles[1].expr
+
+    def test_nothing_is_compiled_at_import(self):
+        # every compiled form is kept on its expression: count them all
+        code = ("import gc, pdmdyn, pdmdyn.cli, pdmdyn.verify\n"
+                "from pdmdyn.exprparse import BinOp, Call, Neg, Num, Var\n"
+                "nodes = [o for o in gc.get_objects() if type(o) in (BinOp, Call, Neg, Num, Var)]\n"
+                "print(sum(len(vars(e).get('_compiled', {})) for e in nodes))")
+        src = str(Path(exprparse.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "0"
+
+
 @pytest.mark.parametrize("text,domain", [
     ("1/(1+x^2)", (-math.inf, math.inf)),
     ("1/(1-0.5*x^2)", (-1.2, 1.2)),
@@ -228,6 +376,73 @@ def test_potential_match_residual_is_the_point_residual_at_each_x(name, n, point
         return out
     assert (_bits(potential_match_residual, nmap, system, ref, rows)
             == _bits(point_by_point))
+
+
+# --- the closed-form grid against the per-sample loop -----------------------------
+
+
+def trajectory_by_sample(spec, t0, t1, samples):
+    """exact_trajectory's (t, x, v, a) as it was built before its column loop:
+    one kinematics call per sample, assigned row by row."""
+    ts = np.linspace(t0, t1, samples)
+    xs, vs, accs = np.empty((3, samples, spec.n))
+    for k, t in enumerate(map(float, ts)):
+        xs[k], vs[k], accs[k] = kinematics(spec, t)
+    return ts, xs, vs, accs
+
+
+def _grid_outcome(fn):
+    """Each array's shape, strides and bytes, or the exception's type and message."""
+    try:
+        out = fn()
+    except Exception as err:
+        return type(err), str(err)
+    return [(a.shape, a.strides, a.tobytes()) for a in out]
+
+
+# family, parameters at n = 3 (n < 3 takes the leading entries), amplitudes and
+# variant; the power-law orbit leaves its branch within a quarter period, the
+# huge frequency overflows the acceleration, and the tiny inverse-square
+# amplitude leaves a closed form that is not finite
+GRIDS = {
+    "ml1+": ("ml1", {"omega": [1.0, 2.0, 0.7], "lambda": 0.6, "sign": "+"},
+             (1.0, 0.5, 2.0), "published"),
+    "ml1-": ("ml1", {"omega": [1.0, 2.0, 0.7], "lambda": 0.6, "sign": "-"},
+             (0.5, 1.0, 0.25), "published"),
+    "ml2": ("ml2", {"omega": [1.0, 2.0, 0.7], "lambda": 0.25, "sign": "-",
+                    "eta_const": [2.0, -2.0, 2.0]}, (1.0, 0.5, 1.5), "published"),
+    "powerlaw": ("powerlaw", {"omega": [1.0, 1.7, 0.6], "alpha": 1.2, "upsilon": 1.5},
+                 (1.0, 0.5, 2.0), "published"),
+    "morse": ("morse", {"omega": [1.0, 2.0, 0.7], "zeta": [1.0, 2.0, 0.5]},
+              (0.5, -0.3, 0.9), "published"),
+    "sw1": ("sw1", {"omega": [1.0, 2.0, 0.7], "lambda": 0.5, "sign": "+",
+                    "kappa": [0.3, 0.8, 0.5]}, (1.0, 0.7, 1.5), "published"),
+    "sw2": ("sw2", {"omega": [1.0, 2.0, 0.7], "kappa": [0.9, 0.4, 1.3], "beta": 1.3,
+                    "eta_exp": 2.0}, (1.0, 0.7, 1.5), "amended"),
+    "isotonic": ("isotonic", {"omega": [1.0, 2.0, 0.7], "kappa": [0.9, 0.4, 1.3]},
+                 (1.0, 0.7, 1e-160), "published"),
+    "harmonic": ("harmonic", {"omega": [1.0, 2.0, 1e200]}, (1.0, 0.5, 2.0), "published"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(t0=st.floats(-30.0, 30.0), span=st.one_of(st.floats(0.0, 30.0), st.just(1.7e308)),
+       samples=st.integers(1, 40))
+@example(t0=-0.1, span=0.2, samples=11)     # inside the power-law branch
+@settings(max_examples=25, deadline=None)
+def test_exact_trajectory_is_the_per_sample_grid(name, n, t0, span, samples):
+    family, params, amplitude, variant = GRIDS[name]
+    spec = ExactSolutionSpec(family, parameter_set({k: v[:n] if k in VECTORS else v
+                                                    for k, v in params.items()}, n),
+                             amplitude[:n], variant=variant)
+    t1 = t0 + span
+    want = _grid_outcome(lambda: trajectory_by_sample(spec, t0, t1, samples))
+
+    def grid():
+        traj = exact_trajectory(spec, t0, t1, samples)
+        return traj.t, traj.x, traj.v, traj.a
+    assert _grid_outcome(grid) == want
 
 
 # --- the inverse-square closed forms on floats ------------------------------------

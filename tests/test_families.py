@@ -6,12 +6,14 @@ no formula with the family record.
 """
 
 import math
+import re
 import zlib
 
 import numpy as np
 import pytest
 
-from pdmdyn.core import VECTORS, State, build_system, parameter_set, total_energy
+from pdmdyn.core import (VECTORS, ParameterSet, State, build_system, parameter_set,
+                         total_energy)
 from pdmdyn.eom import el1_acceleration
 from pdmdyn.errors import MissingParameter
 from pdmdyn.exact import (ExactSolutionSpec, exact_energy, exact_solution,
@@ -53,6 +55,17 @@ def test_every_template_parameter_is_required(name, key):
     with pytest.raises(MissingParameter) as err:
         build_system(family, 1, {k: v for k, v in params.items() if k != key})
     assert err.value.field == ("lam" if key == "lambda" else key)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_map_templates_read_no_other_parameter(name):
+    # so the mass and potential state every parameter the family requires
+    record = FAMILIES[name]
+
+    def reads(*templates):
+        return {word for text in templates for word in re.findall(r"[A-Za-z_]\w*", text)
+                if word in ParameterSet.__dataclass_fields__}
+    assert reads(record.q, record.f) <= reads(record.mass, record.potential)
 
 
 @pytest.mark.parametrize("name", sorted(TWINS))

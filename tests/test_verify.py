@@ -1,8 +1,13 @@
 """Check registry semantics: determinism, selection, report contracts."""
 
+import math
+
 import pytest
 
+from pdmdyn import verify
 from pdmdyn.errors import InvalidParameter, UnknownCheck
+from pdmdyn.profiles import CustomProfile
+from pdmdyn.transform import reference_map
 from pdmdyn.verify import (CheckReport, check_names, run_check, run_suite,
                            standard_case)
 
@@ -94,3 +99,54 @@ class TestCatalog:
                       "noninvariance:el2-n2", "parser-ad-d1", "parser-ad-d2",
                       "tau-closed-form:ml1", "substitution-identity"):
             assert exact in names
+
+
+class TestNanResiduals:
+    """A nan residual anywhere fails the check: the reduction keeps it, where
+    max() would keep its running value past it and pass."""
+
+    def test_the_reduction_keeps_nan(self):
+        from pdmdyn.verify import _worst
+        nan = float("nan")
+        assert max(0.0, 1.0, nan) == 1.0        # what it replaces
+        for residuals in ([1.0, nan], [nan, 1.0], [nan], [0.5, nan, 2.0]):
+            assert math.isnan(_worst(0.0, *residuals))
+        assert _worst(0.0, 0.5, 2.0, 1.0) == 2.0 and _worst(3.0) == 3.0
+
+    def test_g_identity(self, monkeypatch):
+        def with_nan(system):
+            nmap, ref = reference_map(system)
+
+            def batch(xs, real=nmap.batches[0]):
+                q, dq, f, m = real(xs)
+                dq[len(dq) // 2] = math.nan
+                return q, dq, f, m
+            object.__setattr__(nmap, "batches", (batch,))
+            return nmap, ref
+        monkeypatch.setattr(verify, "reference_map", with_nan)
+        report = run_check("g-identity:ml1+", seed=1)
+        assert math.isnan(report.metric) and not report.passed
+
+    def test_potential_match(self, monkeypatch):
+        real = verify.potential_match_residual
+
+        def with_nan(*args):
+            out = real(*args)
+            out[len(out) // 2] = math.nan
+            return out
+        monkeypatch.setattr(verify, "potential_match_residual", with_nan)
+        report = run_check("potential-match:morse", seed=1)
+        assert math.isnan(report.metric) and not report.passed
+
+    def test_profiles_derivatives(self, monkeypatch):
+        real = CustomProfile.eval_many
+
+        def with_nan(profile, xs, order=2):
+            out = real(profile, xs, order)
+            if order == 2:
+                m, d1, d2 = out[len(out) // 2]
+                out[len(out) // 2] = m, math.nan, d2
+            return out
+        monkeypatch.setattr(CustomProfile, "eval_many", with_nan)
+        report = run_check("profiles-derivatives", seed=1)
+        assert math.isnan(report.metric) and not report.passed
