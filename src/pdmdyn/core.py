@@ -306,23 +306,25 @@ def _potential(pot: PotentialSpec):
 
 def _potential_many(pot: PotentialSpec):
     """V at many points, given as one list of floats per coordinate: each
-    coordinate's batch term, summed point by point from 0.0 in coordinate
-    order as energy sums them.  Where any check fails, energy replays the
-    points in order and raises what it raises at the first failing one."""
+    coordinate's batch term, which checks the domain and the pole point by
+    point, summed point by point from 0.0 in coordinate order as energy sums
+    them.  Where any check fails, energy replays the points in order and
+    raises what it raises at the first failing one."""
     (lo, hi), pole = pot.domain, pot.pole
 
     def energies(columns: list[list[float]]) -> list[float]:
         totals = [0.0] * len(columns[0])
-        if all(lo < xi < hi and xi != pole for column in columns for xi in column):
-            try:
-                for expr, column in zip(pot.exprs, columns):
-                    term = compile_expression(expr, order=0, batch=True)
-                    totals = list(map(operator.add, totals, term(column, 1.0)))
-            except ExprDomainError:
-                pass
+        try:
+            for expr, column in zip(pot.exprs, columns):
+                term = compile_expression(expr, order=0, batch=True)(column, 1.0, lo, hi, pole)
+                if term is None:
+                    break
+                totals = list(map(operator.add, totals, term))
             else:
                 if all(map(math.isfinite, totals)):
                     return totals
+        except ExprDomainError:
+            pass
         return [pot.energy([*x]) for x in zip(*columns)]
     return energies
 

@@ -4,8 +4,11 @@ One generic implementation covers every per-coordinate-profile system:
 
     xdd_i = -(m_i'/2m_i) xd_i^2 - (1/m_i) dV/dx_i
 
-The constant-mass reference oscillators are the catalog ``harmonic`` and
-``isotonic`` systems, so this form is their equation of motion too.
+It is one generated function per system's masses and potentials
+(``exprparse.compile_rhs``), with no loop over the coordinates; this module
+binds it to the errors its failed checks owe.  The constant-mass reference
+oscillators are the catalog ``harmonic`` and ``isotonic`` systems, so this
+form is their equation of motion too.
 The per-family printed forms in the literature are used as cross-check
 oracles in the tests, never as separate code paths (several of them carry
 typos that the generic form adjudicates).
@@ -23,31 +26,33 @@ import numpy as np
 
 from .core import TYPE1, TYPE2, PdmSystem, State
 from .errors import InvalidParameter, SingularCoefficient
+from .exprparse import compile_rhs
 
 
 def el1_rhs(system: PdmSystem) -> Callable:
-    """rhs(t, x, v) of a type1 system: lists of n floats in, n floats out."""
+    """rhs(t, x, v) of a type1 system: lists of n floats in, n floats out.
+
+    The generated kernel of the system's masses and potentials
+    (``exprparse.compile_rhs``, compiled by the first call for them), bound
+    to the error it owes at each failed check.
+    """
     if system.kind != TYPE1:
         raise InvalidParameter("kind", "el1_rhs needs a type1 system")
-    pot = system.potential
+    pot, profiles = system.potential, system.profiles
     (lo, hi), pole = pot.domain, pot.pole
-    coords = tuple((i, p.coefficient_singularity, term, p.kernel(1), p.eval)
-                   for i, (p, term) in enumerate(zip(system.profiles, pot.compiled)))
 
-    def rhs(t, x, v):
-        out = []
-        for (i, singular, term, mass, profile), xi, vi in zip(coords, x, v):
-            if xi == singular:
-                raise SingularCoefficient(f"m'/m and 1/m diverge at x_{i + 1} = {xi!r}", i)
-            if not lo < xi < hi or xi == pole:  # the profiles share this domain
-                pot.energy(x)  # raises the coordinate's error
-            dv = term(xi, 1.0)[1]
-            m, m1 = mass(xi, 1.0)
-            if m < 0.0:
-                profile(xi, 1)  # raises the negative-mass DomainViolation
-            out.append(-(m1 / (2.0 * m)) * vi * vi - dv / m)
-        return out
-    return rhs
+    def fail(i, x):
+        """Raise what coordinate i's failed check owes at x."""
+        profile, xi = profiles[i], x[i]
+        if xi == profile.coefficient_singularity:
+            raise SingularCoefficient(f"m'/m and 1/m diverge at x_{i + 1} = {xi!r}", i)
+        if not lo < xi < hi or xi == pole:  # the profiles share this domain
+            pot.energy(x)  # raises the coordinate's error
+        profile.eval(xi, 1)  # raises the negative-mass DomainViolation
+
+    singularities = tuple(p.coefficient_singularity for p in profiles)
+    return compile_rhs(tuple(p.expr for p in profiles), pot.exprs, singularities,
+                       pot.domain, pole)(fail)
 
 
 def el2_rhs(system: PdmSystem) -> Callable:

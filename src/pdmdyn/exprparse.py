@@ -33,13 +33,17 @@ The same per-point lines and guards also come in a batch shape: one
 generated ``for`` loop over a list of points, with the seeds bound once
 before it, returning the list of per-point results.  Each entry is
 bit-identical to the per-point function's, and the first failing point
-raises what the per-point function raises there.  Callers that evaluate
+raises what the per-point function raises there.  A one-variable batch also
+checks each point's domain and pole in the loop.  Callers that evaluate
 many independent points (the map, the potential energy and the mass over
 10^4 samples or a trajectory's nodes) pay one call instead of one per point.
 
 A coordinate's nonlocal map is one more function from the same generator
 (``compile_map``): its mass lines at order 1 and the values of its q and f,
 written in ``x``, ``root`` and ``half``, per point or in one batch loop.
+So is a type1 system's right-hand side (``compile_rhs``): every
+coordinate's checks, its potential's and its mass's lines at order 1 and
+its acceleration, one coordinate after another.
 """
 
 from __future__ import annotations
@@ -389,14 +393,15 @@ class _RunTimeExponent(Exception):
 
 class _Codegen:
     """Emits the body of one compiled function, node by node: one expression,
-    or a map's mass, q and f; for a batch, the body of its loop over the points."""
+    a map's mass, q and f, or a right-hand side's masses and potentials; for
+    a batch, the body of its loop over the points."""
 
-    def __init__(self, names: tuple[str, ...], batch: bool = False):
+    def __init__(self, names: tuple[str, ...], indent: int = 2):
         self.order = 2                  # of the expression being walked: set by _walk
         self.lines: list[str] = []
         self.bound: list[object] = []   # read by the code as k0, k1, ...
         self.count = 0
-        self.indent = 3 if batch else 2  # inside bind(), compiled() and the loop
+        self.indent = indent            # 2 inside bind() and compiled(), 3 in a loop
         self.value_reads_seeds = False  # set by a power whose exponent varies
         self.zero = self.bind(0.0)
         #: each variable's slot: its value x_i and seed s_i
@@ -635,13 +640,16 @@ def _function(gen: _Codegen, head: list[str], tail: list[str]) -> Callable:
 
 def _compile(expr: Expr, names: tuple[str, ...], order: int,
              batch: bool = False) -> Callable:
-    gen = _Codegen(names, batch)
+    gen = _Codegen(names, 3 if batch else 2)
+    checked = batch and len(names) == 1
+    if checked:
+        gen.block("if not lo < x0 < hi or x0 == pole:", lambda: gen.emit("return None"))
     result = ", ".join(_walk(gen, expr, order)[:order + 1])
     xs = [f"x{i}" for i in range(len(names))]
     seeds = [f"s{i}" for i in range(len(names))]
     if batch:
         gen.emit(f"append(({result}))" if order else f"append({result})")
-        head = [f"def compiled(xs, {', '.join(seeds)}):",
+        head = [f"def compiled(xs, {', '.join(seeds + ['lo, hi, pole'] * checked)}):",
                 "    out = []",
                 "    append = out.append",
                 f"    for {', '.join(xs)} in xs:"]
@@ -655,7 +663,7 @@ MAP_NAMES = ("x", "root", "half")
 
 
 def _compile_map(mass: Expr, q: Expr, f: Expr, batch: bool) -> Callable:
-    gen = _Codegen(("x",), batch)
+    gen = _Codegen(("x",), 3 if batch else 2)
     gen.block("if not lo < x0 < hi:", lambda: gen.emit("return None"))
     m = _walk(gen, mass, 1)
     gen.block(f"if {m.val} < 0.0:", lambda: gen.emit("return None"))
@@ -679,6 +687,33 @@ def _compile_map(mass: Expr, q: Expr, f: Expr, batch: bool) -> Callable:
     return _function(gen, ["def compiled(x0, lo, hi):", "    s0 = 1.0"], [])
 
 
+def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
+                 domain: tuple[float, float], pole: float | None) -> Callable:
+    n = len(masses)
+    gen = _Codegen((), 3)
+    lo, hi = map(gen.bind, domain)
+    # velocities are u_i: v<count> names the emitter's own locals
+    gen.emit("s0 = 1.0", f"{''.join(f'x{i}, ' for i in range(n))}= x",
+             f"{''.join(f'u{i}, ' for i in range(n))}= v")
+    for i, (mass, potential, singular) in enumerate(zip(masses, potentials, singularities)):
+        x = f"x{i}"
+        fails = lambda: gen.emit(f"fail({i}, x)")
+        gen.emit(f"{x} = float({x})")
+        if singular is not None:
+            gen.block(f"if {x} == {gen.bind(singular)}:", fails)
+        outside = f"not {lo} < {x} < {hi}"
+        if pole is not None:
+            outside += f" or {x} == {gen.bind(pole)}"
+        gen.block(f"if {outside}:", fails)
+        gen.slots = {"x": _Slot(x, "s0", gen.zero)}
+        dv = _walk(gen, potential, 1).d1
+        m = _walk(gen, mass, 1)
+        gen.block(f"if {m.val} < 0.0:", fails)
+        gen.emit(f"a{i} = -({m.d1} / (2.0 * {m.val})) * u{i} * u{i} - {dv} / {m.val}")
+    gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
+    return _function(gen, ["def compiled(fail):", "    def rhs(t, x, v):"], ["    return rhs"])
+
+
 def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
                        order: int = 2, batch: bool = False) -> Callable:
     """The compiled form of ``expr`` over the variables ``names``.
@@ -696,7 +731,10 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     of what the per-point form returns at each, in order: the same lines
     and guards run inside one loop, with the seeds shared by every point,
     so each entry is bit-identical and the first failing point raises what
-    the per-point form raises there.
+    the per-point form raises there.  For one variable it is
+    ``f(xs, s, lo, hi, pole)``: each point is first checked to lie inside
+    (lo, hi) and off ``pole`` (None for none), and the result is None at the
+    first point that fails, before anything after the check runs there.
 
     Built once per Expr object, variable list, order and shape; later calls
     return the same function.  A variable missing from ``names`` raises
@@ -732,6 +770,36 @@ def compile_map(mass: Expr, q: Expr, f: Expr, batch: bool = False) -> Callable:
     fn = cache.get(key)
     if fn is None:
         fn = cache[key] = _compile_map(mass, *key)
+    return fn
+
+
+def compile_rhs(masses: Sequence[Expr], potentials: Sequence[Expr],
+                singularities: Sequence[float | None], domain: tuple[float, float],
+                pole: float | None) -> Callable:
+    """The type1 right-hand side of n coordinates as one compiled function.
+
+    Coordinate i has the mass ``masses[i]`` and the potential term
+    ``potentials[i]``, both in ``x``; every coordinate lies in the open
+    interval ``domain`` and off ``pole``, and off its own entry of
+    ``singularities`` where that is not None.  The result ``make(fail)``
+    returns ``rhs(t, x, v)``, which takes lists of n floats and returns the
+    list of the n accelerations -(m'/2m) v^2 - V'/m.  For each coordinate in
+    turn it runs the singularity check, the domain and pole check, the lines
+    of the potential term's and of the mass's order-1 kernels (so V', m and
+    m' are their bits), the m < 0 check and the acceleration line.  A failed
+    check calls ``fail(i, x)``, which raises what the caller owes for
+    coordinate i; an error inside the lines (ExprDomainError, or
+    ZeroDivisionError where m = 0) is raised where it happens, so the first
+    error is that of the first failing coordinate.
+
+    Built once per (masses, potentials, singularities, domain, pole), and
+    kept on ``masses[0]``.
+    """
+    key = (tuple(masses), tuple(potentials), tuple(singularities), tuple(domain), pole)
+    cache = vars(key[0][0]).setdefault("_compiled", {})
+    fn = cache.get(key)
+    if fn is None:
+        fn = cache[key] = _compile_rhs(*key)
     return fn
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import exprparse
 from .errors import DomainViolation, ExprDomainError
@@ -48,14 +48,6 @@ class CustomProfile:
         return CustomProfile(exprparse.parse_cached(text), text, domain,
                              coefficient_singularity)
 
-    def kernel(self, order: int) -> Callable:
-        """The compiled m and its first ``order`` derivatives, f(x, 1.0), with
-        no domain check; compiled on the first call."""
-        fn = self._kernels[order]
-        if fn is None:
-            fn = self._kernels[order] = exprparse.compile_expression(self.expr, order=order)
-        return fn
-
     def eval(self, x: float, order: int = 2):
         """m for order 0, (m, m') for 1 and (m, m', m'') for 2, at x; a
         DomainViolation outside the domain or where m < 0."""
@@ -63,7 +55,10 @@ class CustomProfile:
         if not lo < x < hi:
             raise DomainViolation(f"x={x!r} outside the domain ({lo}, {hi}) "
                                   f"of profile '{self.text}'")
-        out = (self._kernels[order] or self.kernel(order))(x, 1.0)
+        fn = self._kernels[order]
+        if fn is None:
+            fn = self._kernels[order] = exprparse.compile_expression(self.expr, order=order)
+        out = fn(x, 1.0)
         m = out[0] if order else out
         # m == 0 (a vanishing or underflowed mass) is left to the equations
         # of motion, whose division by m raises ZeroDivisionError
@@ -72,19 +67,19 @@ class CustomProfile:
         return out
 
     def eval_many(self, xs: list[float], order: int = 2) -> list:
-        """[eval(x, order) for x in xs] from one batch kernel call when every x
-        passes every check; otherwise that per-point loop itself, which raises
-        what eval raises at the first failing x."""
-        lo, hi = self.domain
-        if all(lo < x < hi for x in xs):
-            try:
-                out = exprparse.compile_expression(self.expr, order=order, batch=True)(xs, 1.0)
-            except ExprDomainError:
-                pass
-            else:
-                ms = (o[0] for o in out) if order else out
-                if not any(m < 0.0 for m in ms):
-                    return out
+        """[eval(x, order) for x in xs] from one batch kernel call, which checks
+        the domain point by point, when every x passes every check; otherwise
+        that per-point loop itself, which raises what eval raises at the first
+        failing x."""
+        kernel = exprparse.compile_expression(self.expr, order=order, batch=True)
+        try:
+            out = kernel(xs, 1.0, *self.domain, None)
+        except ExprDomainError:
+            out = None
+        if out is not None:
+            ms = (o[0] for o in out) if order else out
+            if not any(m < 0.0 for m in ms):
+                return out
         return [self.eval(x, order) for x in xs]
 
 

@@ -367,10 +367,10 @@ def _check_printed_eom(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     printed = _printed_eom(case)
     rng = _rng(seed, f"printed-{case_name}")
     lo, hi = case.sample_box
+    # one call draws the (x, v) pairs of 1000 scalar draws, bit for bit
+    draws = rng.uniform(np.tile([lo, -2.0], 1000), np.tile([hi, 2.0], 1000)).tolist()
     errors = []
-    for _ in range(1000):
-        x = float(rng.uniform(lo, hi))
-        v = float(rng.uniform(-2.0, 2.0))
+    for x, v in zip(draws[0::2], draws[1::2]):
         generic = rhs(0.0, [x], [v])[0]
         ref = printed(x, v)
         errors.append(abs(generic - ref) / max(abs(ref), 1.0))

@@ -327,6 +327,11 @@ class TestMapKernelCompiles:
 @example(xs=[2.0, 0.5, math.nan])
 @example(xs=[2.0, 0.0, -1.0])
 @example(xs=[1.5, 1e200, 0.5])
+# the domain check inside the batch loop: a boundary, +-inf and NaN
+@example(xs=[0.5, 1.2, math.nan])
+@example(xs=[-1.2, 0.5])
+@example(xs=[0.5, math.inf, -1.0])
+@example(xs=[0.5, -math.inf])
 @settings(max_examples=60, deadline=None)
 def test_batch_mass_is_eval_at_each_x(text, domain, xs):
     profile = CustomProfile.from_text(text, domain)
@@ -346,6 +351,12 @@ _ENERGIES = {
 @given(points=st.lists(st.lists(_xs, min_size=3, max_size=3), max_size=5))
 @example(points=[[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
 @example(points=[[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.5, 1e200, 1.0]])
+# the domain and pole checks inside the batch loop: -0.0 against the pole
+# 0.0, the '-' branch's boundary, +-inf and NaN, in a later column first
+@example(points=[[1.0, 1.0, 1.0], [1.0, -0.0, 1.0], [-0.0, 1.0, 1.0]])
+@example(points=[[1.0, 1.0, 1.0], [0.5, 1 / math.sqrt(0.6), 1.0], [math.nan, 0.5, 1.0]])
+@example(points=[[1.0, math.inf, 1.0], [-math.inf, 1.0, 1.0]])
+@example(points=[[0.5, 0.5, math.nan], [0.5, 0.5, 0.5]])
 @settings(max_examples=60, deadline=None)
 def test_batch_energy_is_energy_at_each_point(name, points):
     if name == "custom":   # division by zero, sin(inf), a ln domain error

@@ -1,16 +1,22 @@
 """Equation-of-motion right-hand sides and the residual oracle."""
 
 import math
-from functools import partial
+import struct
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pdmdyn.core import TYPE2, State, build_system, parameter_set, potential_gradient
+from pdmdyn import exprparse
+from pdmdyn.core import (TYPE1, TYPE2, PdmSystem, PotentialSpec, State, build_system,
+                         parameter_set, potential_gradient)
 from pdmdyn.eom import el1_acceleration, el1_residual, el1_rhs, el2_acceleration, el2_rhs
-from pdmdyn.errors import (DomainViolation, InvalidParameter, MissingParameter,
-                           SingularCoefficient, SingularPoint)
+from pdmdyn.errors import (DomainViolation, ExprDomainError, InvalidParameter,
+                           MissingParameter, SingularCoefficient, SingularPoint)
 from pdmdyn.exact import ExactSolutionSpec, kinematics
+from pdmdyn.integrate import IntegratorOptions, integrate, sample_dense
+from pdmdyn.profiles import REAL_LINE, CustomProfile
 
 
 def ml1_system(sign="+", lam=1.0, omega=1.0):
@@ -139,7 +145,8 @@ class TestResidualOracle:
         assert abs(r[0]) > 1e-2
 
 
-# --- the fused closures against the array API and the layered formula ---------
+# --- the right-hand sides against the array API, the layered formula and ------
+# --- the per-coordinate closure ------------------------------------------------
 
 # catalog family -> (parameters besides omega, box of in-domain positions)
 CATALOG = {
@@ -168,6 +175,36 @@ CUSTOM2 = {
 }
 
 
+#: a custom type1 system whose powers have varying exponents
+VARYING = (["(2+sin(x))^(0.5*cos(x))"], ["0.1*(1+x^2)^(1+0.2*x)"])
+
+
+def closure_el1(system):
+    """The per-coordinate closure el1_rhs was before its generated kernel: for
+    each coordinate in turn, the checks, the potential's and the mass's
+    order-1 kernels and the acceleration."""
+    pot = system.potential
+    (lo, hi), pole = pot.domain, pot.pole
+    coords = tuple((i, p.coefficient_singularity, term,
+                    exprparse.compile_expression(p.expr, order=1), p.eval)
+                   for i, (p, term) in enumerate(zip(system.profiles, pot.compiled)))
+
+    def rhs(t, x, v):
+        out = []
+        for (i, singular, term, mass, profile), xi, vi in zip(coords, x, v):
+            if xi == singular:
+                raise SingularCoefficient(f"m'/m and 1/m diverge at x_{i + 1} = {xi!r}", i)
+            if not lo < xi < hi or xi == pole:  # the profiles share this domain
+                pot.energy(x)  # raises the coordinate's error
+            dv = term(xi, 1.0)[1]
+            m, m1 = mass(xi, 1.0)
+            if m < 0.0:
+                profile(xi, 1)  # raises the negative-mass DomainViolation
+            out.append(-(m1 / (2.0 * m)) * vi * vi - dv / m)
+        return out
+    return rhs
+
+
 def reference_el1(system, x, v):
     """The layered type1 formula: coefficient checks, the potential gradient,
     then each profile's checked value."""
@@ -191,7 +228,7 @@ def reference_el2(system, x, v):
 
 def catalog_system(name, n):
     family, params, _ = CATALOG[name]
-    return build_system(family, n, {"omega": [1.0, 1.3, 0.7][:n], **params})
+    return build_system(family, n, {"omega": [1.0, 1.3, 0.7, 1.9][:n], **params})
 
 
 def states(seed, box, n, count=100):
@@ -205,12 +242,13 @@ class TestFusedRhs:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_catalog_closure_is_bit_identical(self, name, n):
         system = catalog_system(name, n)
-        rhs = el1_rhs(system)
+        rhs, closure = el1_rhs(system), closure_el1(system)
         for x, v in states(n, CATALOG[name][2], n):
             got = rhs(0.0, x, v)
             assert all(type(a) is float for a in got) and len(got) == n
             assert got == el1_acceleration(system, State.of(0.0, x, v)).tolist()
             assert got == reference_el1(system, x, v)
+            assert got == closure(0.0, x, v)
 
     @pytest.mark.parametrize("name", sorted(CUSTOM1))
     def test_custom_type1_closure_is_bit_identical(self, name):
@@ -281,11 +319,12 @@ class TestFusedRhs:
         raised = []
         for call in (lambda: el1_rhs(system)(0.0, x, v),
                      lambda: el1_acceleration(system, State.of(0.0, x, v)),
-                     lambda: reference_el1(system, x, v)):
+                     lambda: reference_el1(system, x, v),
+                     lambda: closure_el1(system)(0.0, x, v)):
             with pytest.raises(error) as err:
                 call()
             raised.append(err.value.coordinate)
-        assert raised == [coordinate] * 3
+        assert raised == [coordinate] * 4
 
     def test_type2_negative_mass_matches(self):
         system = build_system("custom", 2, mass_exprs=["1-x1^2-x2^2"], kind=TYPE2)
@@ -295,3 +334,134 @@ class TestFusedRhs:
             with pytest.raises(DomainViolation) as err:
                 call()
             assert err.value.coordinate is None
+
+
+# --- the generated type1 kernel against the per-coordinate closure -------------
+
+def outcome(fn, *args):
+    """The bytes of every float fn returns, or the type, message and
+    coordinate of the exception it raises."""
+    try:
+        out = fn(*args)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "coordinate", None)
+    assert all(type(a) is float for a in out)
+    return [struct.pack("<d", a) for a in out]
+
+
+@lru_cache(maxsize=None)
+def parity_system(name, n):
+    """A catalog family, or a custom type1 system with its expressions
+    repeated over n coordinates; built once per (name, n)."""
+    if name in CATALOG:
+        return catalog_system(name, n)
+    mass, potential = {**CUSTOM1, "varying-power": VARYING}[name]
+    return build_system("custom", n, mass_exprs=[mass[i % len(mass)] for i in range(n)],
+                        potential_exprs=[potential[i % len(potential)] for i in range(n)])
+
+
+_PARITY = sorted(CATALOG) + sorted(CUSTOM1) + ["varying-power"]
+#: positions off every box: singularities, poles, domain edges, overflows
+_EDGES = [0.0, -0.0, 1.0, -1.0, 1 / math.sqrt(0.8), -1 / math.sqrt(0.8), math.nan,
+          math.inf, -math.inf, 5e-324, 1100.0, -1100.0, 1e200]
+
+
+@pytest.mark.parametrize("name", _PARITY)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_generated_rhs_is_the_closure(name, data):
+    n = data.draw(st.integers(1, 4), label="n")
+    system = parity_system(name, n)
+    box = CATALOG[name][2] if name in CATALOG else (-2.0, 2.0)
+    xs = st.one_of(st.floats(*box), st.floats(*box), st.sampled_from(_EDGES),
+                   st.floats(allow_nan=True, allow_infinity=True))
+    vs = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e200, math.nan]))
+    x = data.draw(st.lists(xs, min_size=n, max_size=n), label="x")
+    v = data.draw(st.lists(vs, min_size=n, max_size=n), label="v")
+    assert outcome(el1_rhs(system), 0.0, x, v) == outcome(closure_el1(system), 0.0, x, v)
+
+
+@pytest.mark.parametrize("system,x,error,coordinate", [
+    # an expression's guard error in coordinate 0 comes before coordinate 1's check
+    (build_system("custom", 2, mass_exprs=["1", "1"], potential_exprs=["ln(x)", "x"]),
+     [-1.0, math.nan], ExprDomainError, None),
+    (build_system("custom", 2, mass_exprs=["1", "1"], potential_exprs=["ln(x)", "x"]),
+     [1.0, math.nan], DomainViolation, 1),
+    # the mass's guard comes after the potential's
+    (build_system("custom", 1, mass_exprs=["sqrt(x)"], potential_exprs=["1/x"]),
+     [0.0], ExprDomainError, None),
+    # m = 0 divides by zero in the acceleration line
+    (build_system("custom", 2, mass_exprs=["1", "x^2"]), [0.5, 0.0], ZeroDivisionError, None),
+    # a morse exp overflow in the second coordinate
+    (catalog_system("morse", 2), [0.5, 1100.0], ExprDomainError, None),
+    # its mass underflows to 0 far on the other side
+    (catalog_system("morse", 2), [-1100.0, 0.5], ZeroDivisionError, None),
+    # a failed check in coordinate 0 comes before coordinate 1's
+    (catalog_system("isotonic", 2), [0.0, -1.0], SingularPoint, 0),
+    (catalog_system("isotonic", 2), [-0.0, 0.5], SingularPoint, 0),
+    (catalog_system("powerlaw", 3), [0.5, 0.0, math.nan], SingularCoefficient, 1),
+    (catalog_system("ml1-", 2), [0.5, -math.inf], DomainViolation, 1),
+    (build_system("custom", 2, mass_exprs=["1", "1-x^2"]), [0.5, -2.0], DomainViolation, None),
+    # a coefficient singularity inside the domain, which no domain check catches
+    (PdmSystem(2, TYPE1, (CustomProfile.from_text("1"),
+                          CustomProfile.from_text("x^2", REAL_LINE, 0.0)),
+               PotentialSpec("custom", parameter_set({}, 2), (exprparse.parse_cached("x"),) * 2)),
+     [0.5, 0.0], SingularCoefficient, 1),
+])
+def test_generated_rhs_raises_the_closures_first_error(system, x, error, coordinate):
+    v = [0.3] * system.n
+    got = outcome(el1_rhs(system), 0.0, x, v)
+    assert got == outcome(closure_el1(system), 0.0, x, v)
+    assert got[0] is error and got[2] == coordinate
+
+
+class TestCompiledOnce:
+    """One generated kernel per (masses, potentials, singularities, domain,
+    pole), compiled on the first call and read by every type1 path."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        seen, real = [], exprparse._compile_rhs
+        monkeypatch.setattr(exprparse, "_compile_rhs",
+                            lambda *key: seen.append(key) or real(*key))
+        return seen
+
+    # parameters no other test uses, so every expression is parsed afresh
+    PARAMS = {"omega": [1.0625, 2.125], "lambda": 0.4375, "sign": "+"}
+
+    def test_none_at_build_and_one_per_key(self, compiles):
+        system = build_system("ml1", 2, self.PARAMS)
+        assert compiles == []
+        rhs = el1_rhs(system)
+        assert len(compiles) == 1
+        state = State.of(0.0, [0.5, 0.25], [0.125, -0.5])
+        assert rhs(0.0, [0.5, 0.25], [0.125, -0.5]) == el1_acceleration(system, state).tolist()
+        el1_residual(system, lambda t: ([0.5, 0.25], [0.125, -0.5], [0.0, 0.0]), 0.0)
+        traj = integrate(el1_rhs(system), state, IntegratorOptions(t_end=1.0, rel_tol=1e-8))
+        nfev = traj.nfev
+        sample_dense(traj, [0.5])  # the dense output's extra stages call it too
+        assert traj.nfev > nfev
+        # a rebuilt system shares the parsed expressions and so the kernel
+        again = build_system("ml1", 2, self.PARAMS)
+        assert again.profiles[0].expr is system.profiles[0].expr
+        assert el1_rhs(again)(0.0, [0.5, 0.25], [0.125, -0.5]) == rhs(0.0, [0.5, 0.25],
+                                                                      [0.125, -0.5])
+        assert len(compiles) == 1
+        # another omega is another potential, so another key
+        other = build_system("ml1", 2, {**self.PARAMS, "omega": [1.0625, 3.125]})
+        el1_rhs(other)
+        assert len(compiles) == 2
+        masses, potentials = compiles[1][:2]
+        assert masses == compiles[0][0] and potentials != compiles[0][1]
+
+    def test_every_key_part_counts(self, compiles):
+        mass, potential = (exprparse.parse_cached(t) for t in ("1+0.5625*x^2", "0.5625*x^2"))
+        key = ((mass,), (potential,), (None,), (-math.inf, math.inf), None)
+        first = exprparse.compile_rhs(*key)
+        assert exprparse.compile_rhs(*key) is first
+        for k, part in enumerate([(mass, mass), (mass,), (0.0,), (-1.0, 1.0), 0.0]):
+            changed = [*key[:k], part, *key[k + 1:]]
+            if k == 0:
+                changed[1:3] = [(potential, potential), (None, None)]
+            assert exprparse.compile_rhs(*changed) is not first
+        assert len(compiles) == 6

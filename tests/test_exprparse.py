@@ -599,11 +599,14 @@ class TestOrderParity:
 
 
 def batch_outcome(fn, *args):
-    """The bytes of every entry of the list fn returns, or the exception it raises."""
+    """The bytes of every entry of the list fn returns, None, or the exception
+    it raises."""
     try:
         out = fn(*args)
     except Exception as err:
         return type(err), str(err)
+    if out is None:
+        return None
     return [struct.pack(f"<{len(o)}d", *o) if isinstance(o, tuple) else struct.pack("<d", o)
             for o in out]
 
@@ -613,23 +616,55 @@ def _per_point(fn, points, seeds):
     return [fn(*(x if isinstance(x, tuple) else (x,)), *seeds) for x in points]
 
 
+def _per_point_checked(fn, xs, seed, lo, hi, pole):
+    """The one-variable per-point kernel at each x in turn, as a list; None
+    at the first x outside (lo, hi) or at the pole."""
+    out = []
+    for x in xs:
+        if not lo < x < hi or x == pole:
+            return None
+        out.append(fn(x, seed))
+    return out
+
+
+#: (lo, hi, pole) of a one-variable batch: the whole line, bounds, poles
+_checks = st.sampled_from([(-math.inf, math.inf, None), (-1.0, 1.0, None),
+                           (0.0, math.inf, None), (-math.inf, math.inf, 0.0),
+                           (-1.0, 2.0, 1.0)])
+_checked_xs = st.one_of(_anywhere, st.sampled_from([math.nan, math.inf, -math.inf, 2.0]))
+
+
 class TestBatchParity:
     """A batch kernel returns, bit for bit, the list of per-point results, and
     raises at the first failing point what the per-point kernel raises there."""
 
-    @given(_exprs(full=True), st.lists(_anywhere, max_size=8), _seeds,
-           st.sampled_from([0, 1, 2]))
+    @given(_exprs(full=True), st.lists(_checked_xs, max_size=8), _seeds,
+           st.sampled_from([0, 1, 2]), _checks)
     @settings(max_examples=300, deadline=None)
-    @example(parse_expression("1/(x-1)"), [0.5, 1.0, 2.0], 1.0, 1)        # division by zero
-    @example(parse_expression("exp(x)+ln(x)"), [1.0, 800.0, -1.0], 1.0, 0)  # overflow first
-    @example(parse_expression("ln(x)+exp(x)"), [1.0, -1.0, 800.0], 1.0, 2)  # domain first
-    @example(parse_expression("sin(x*1e999)"), [0.0, 1.0], 1.0, 0)       # sin(inf)
-    @example(parse_expression("x^x"), [2.0, -2.0, -1.5], 0.0, 2)         # run-time exponent
-    @example(parse_expression("x^-20"), [1.0, 0.0], 1.0, 1)
-    def test_one_variable(self, expr, xs, seed, order):
+    @example(parse_expression("1/(x-1)"), [0.5, 1.0, 2.0], 1.0, 1,       # division by zero
+             (-math.inf, math.inf, None))
+    @example(parse_expression("exp(x)+ln(x)"), [1.0, 800.0, -1.0], 1.0, 0,  # overflow first
+             (-math.inf, math.inf, None))
+    @example(parse_expression("ln(x)+exp(x)"), [1.0, -1.0, 800.0], 1.0, 2,  # domain first
+             (-math.inf, math.inf, None))
+    @example(parse_expression("sin(x*1e999)"), [0.0, 1.0], 1.0, 0,      # sin(inf)
+             (-math.inf, math.inf, None))
+    @example(parse_expression("x^x"), [2.0, -2.0, -1.5], 0.0, 2,        # run-time exponent
+             (-math.inf, math.inf, None))
+    @example(parse_expression("x^-20"), [1.0, 0.0], 1.0, 1, (-math.inf, math.inf, None))
+    # the failed check comes before a later point's guard error, not after an earlier one's
+    @example(parse_expression("ln(x)"), [1.0, math.nan, -1.0], 1.0, 1, (-math.inf, math.inf, None))
+    @example(parse_expression("ln(x)"), [1.0, -1.0, math.nan], 1.0, 1, (-math.inf, math.inf, None))
+    @example(parse_expression("1/x"), [0.5, math.inf], 1.0, 0, (-math.inf, math.inf, None))
+    @example(parse_expression("1/x"), [0.5, -math.inf], 1.0, 0, (-math.inf, math.inf, 0.0))
+    @example(parse_expression("x"), [0.5, 1.0], 1.0, 0, (-1.0, 1.0, None))   # a boundary
+    @example(parse_expression("1/x"), [0.5, -0.0], 1.0, 2, (-1.0, 2.0, 0.0))  # -0.0 is the pole
+    @example(parse_expression("x^2"), [0.5, 1.0], 1.0, 2, (-1.0, 2.0, 1.0))   # the pole
+    def test_one_variable(self, expr, xs, seed, order, check):
         batch = compile_expression(expr, ("x",), order, batch=True)
         fn = compile_expression(expr, ("x",), order)
-        assert batch_outcome(batch, xs, seed) == batch_outcome(_per_point, fn, xs, [seed])
+        assert (batch_outcome(batch, xs, seed, *check)
+                == batch_outcome(_per_point_checked, fn, xs, seed, *check))
         assert batch.value_reads_seeds == fn.value_reads_seeds
 
     @given(_exprs(("x1", "x2", "x3"), full=True),
@@ -648,7 +683,7 @@ class TestBatchParity:
         batch = compile_expression(expr, ("x",), 0, batch=True)
         assert batch is compile_expression(expr, ["x"], 0, batch=True)
         assert batch is not compile_expression(expr, ("x",), 0)
-        assert batch([], 1.0) == []
+        assert batch([], 1.0, -math.inf, math.inf, None) == []
 
 
 class TestNestingLimit:

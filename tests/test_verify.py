@@ -150,3 +150,25 @@ class TestNanResiduals:
         monkeypatch.setattr(CustomProfile, "eval_many", with_nan)
         report = run_check("profiles-derivatives", seed=1)
         assert math.isnan(report.metric) and not report.passed
+
+
+_EOM_CASES = ("ml1+", "ml1-", "powerlaw-1", "ml2-reduction", "morse", "sw1+",
+              "sw2-amended-eta2")
+
+
+@pytest.mark.parametrize("seed", [7, 2 ** 40])
+@pytest.mark.parametrize("case_name", _EOM_CASES)
+def test_printed_eom_draws_the_scalar_sequence(case_name, seed):
+    """One vector draw of the (x, v) pairs gives the metric of 2,000 scalar
+    draws, bit for bit."""
+    case = standard_case(case_name)
+    rhs, printed = verify.el1_rhs(case.system()), verify._printed_eom(case)
+    rng = verify._rng(seed, f"printed-{case_name}")
+    errors = []
+    for _ in range(1000):
+        x = float(rng.uniform(*case.sample_box))
+        v = float(rng.uniform(-2.0, 2.0))
+        ref = printed(x, v)
+        errors.append(abs(rhs(0.0, [x], [v])[0] - ref) / max(abs(ref), 1.0))
+    metric = run_check(f"printed-eom:{case_name}", seed=seed).metric
+    assert metric.hex() == verify._worst(0.0, *errors).hex()

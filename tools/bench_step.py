@@ -1,4 +1,5 @@
-"""Step-level benchmark of ``integrate``: time per accepted step and per RHS call.
+"""Step-level benchmark of ``integrate``: time per accepted step and per RHS call,
+and of one right-hand-side call on its own.
 
     python3 tools/bench_step.py [--against OTHER_CHECKOUT] [--out BENCH_step.json]
     python3 tools/bench_step.py --quick --out bench-step-quick.json
@@ -10,7 +11,10 @@ t = 25.  A measurement runs in a fresh interpreter that imports ``pdmdyn``
 from the checkout's ``src``; it integrates each orbit once untimed (building
 whatever the first call builds), then repeatedly for a second, and reports
 the median run time divided by the accepted steps and by the RHS calls
-(``nfev``, the initial acceleration included).  There are five rounds of
+(``nfev``, the initial acceleration included).  ``rhs_us`` times the
+right-hand side apart from ``integrate``: passes of one ``el1_rhs`` call at
+each state of the orbit's trajectory, repeated for a quarter second, give
+the median pass time divided by the states.  There are five rounds of
 measurements; with ``--against``, each round measures both checkouts,
 alternating which goes first, and the JSON keeps every round.  ``--quick``
 runs one round that integrates each orbit once to t = 1: it shows that the
@@ -39,11 +43,24 @@ DIMENSIONS = (1, 2, 3)
 OMEGA, X0 = (1.0, 1.5, 2.0), (0.5, -0.4, 0.3)
 T_END, QUICK_T_END = 25.0, 1.0
 REL_TOL, ABS_TOL, RK4_H = 1e-12, 1e-14, 1e-2
-ROUNDS, SECONDS = 5, 1.0
+ROUNDS, SECONDS, RHS_SECONDS = 5, 1.0, 0.25
+
+
+def _median_run(fn, seconds: float) -> tuple[float, int]:
+    """The median time of fn() over its repeats for ``seconds`` (at least one
+    repeat), and the number of repeats."""
+    runs = []
+    stop = time.perf_counter() + seconds
+    while not runs or time.perf_counter() < stop:
+        t0 = time.perf_counter()
+        fn()
+        runs.append(time.perf_counter() - t0)
+    return statistics.median(runs), len(runs)
 
 
 def _measure(t_end: float, seconds: float) -> dict:
-    """Per (scheme, n): median microseconds per accepted step and per RHS call."""
+    """Per (scheme, n): median microseconds per accepted step, per RHS call
+    inside ``integrate`` and per RHS call on its own."""
     from pdmdyn import IntegratorOptions, State, build_system, el1_rhs, integrate
 
     out = {}
@@ -56,17 +73,18 @@ def _measure(t_end: float, seconds: float) -> dict:
             opts = IntegratorOptions(t_end=t_end, scheme=scheme, h=RK4_H,
                                      rel_tol=REL_TOL, abs_tol=ABS_TOL)
             traj = integrate(rhs, state, opts)
-            runs = []
-            stop = time.perf_counter() + seconds
-            while not runs or time.perf_counter() < stop:
-                t0 = time.perf_counter()
-                integrate(rhs, state, opts)
-                runs.append(time.perf_counter() - t0)
-            s = statistics.median(runs)
+            s, runs = _median_run(lambda: integrate(rhs, state, opts), seconds)
+            states = list(zip(traj.t.tolist(), traj.x.tolist(), traj.v.tolist()))
+
+            def calls():
+                for t, x, v in states:
+                    rhs(t, x, v)
+            r, _ = _median_run(calls, seconds and RHS_SECONDS)
             out[f"{scheme}/n={n}"] = {"us_per_step": s / traj.accepted * 1e6,
                                       "us_per_rhs": s / traj.nfev * 1e6,
+                                      "rhs_us": r / len(states) * 1e6,
                                       "accepted": traj.accepted, "nfev": traj.nfev,
-                                      "runs": len(runs)}
+                                      "runs": runs}
     return out
 
 
@@ -120,7 +138,7 @@ def _environment(load_before: tuple) -> dict:
 def _summary(rounds: list[dict]) -> dict:
     """Per case: the median over rounds of each round's time per step and per call."""
     return {case: {key: statistics.median(r[case][key] for r in rounds)
-                   for key in ("us_per_step", "us_per_rhs")}
+                   for key in ("us_per_step", "us_per_rhs", "rhs_us")}
             for case in rounds[0]}
 
 
@@ -148,6 +166,7 @@ def main(argv=None) -> int:
                    "t_end": QUICK_T_END if args.quick else T_END, "dop853_rel_tol": REL_TOL,
                    "dop853_abs_tol": ABS_TOL, "fixed_rk4_h": RK4_H},
         "seconds_per_orbit": 0.0 if args.quick else SECONDS,
+        "rhs_seconds_per_orbit": 0.0 if args.quick else RHS_SECONDS,
         "checkouts": {name: {"commit": _commit(sides[name]), "median": _summary(rs),
                              "rounds": rs} for name, rs in rounds.items()},
         "env": _environment(load_before),
@@ -156,7 +175,7 @@ def main(argv=None) -> int:
     for name, side in result["checkouts"].items():
         for case, m in side["median"].items():
             print(f"{name:8s} {case:14s} {m['us_per_step']:9.2f} us/step "
-                  f"{m['us_per_rhs']:7.3f} us/rhs call")
+                  f"{m['us_per_rhs']:7.3f} us/rhs call {m['rhs_us']:7.3f} us/rhs alone")
     return 0
 
 
