@@ -23,16 +23,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (DomainViolation, ExprDomainError, InvalidParameter, MissingParameter,
-                     SingularPoint)
-from .exprparse import Expr, compile_expression, parse_cached
+from .errors import DomainViolation, InvalidParameter, MissingParameter, SingularPoint
+from .exprparse import Expr, compile_expression, compile_potential, parse_cached
 from .families import FAMILIES
 from .profiles import REAL_LINE, CoupledProfile, CustomProfile
 
@@ -105,6 +103,11 @@ class PotentialSpec:
     ``custom``, the record's template with the coordinate's parameters
     substituted for a catalog family.  Every x_i must lie inside the open
     interval ``domain``; x_i == ``pole`` is a SingularPoint.
+
+    ``energies`` is the terms' one generated kernel
+    (``exprparse.compile_potential``), compiled when first read and bound
+    to ``_fail``; ``energy`` runs it on one point.  Building a system
+    compiles nothing.
     """
 
     family: str
@@ -114,11 +117,31 @@ class PotentialSpec:
     pole: float | None = None
 
     def __post_init__(self):
-        # resolved with the system: the record (None for custom) and the
-        # value-only energy, at one point and at many
+        # resolved with the system: the record, None for custom
         object.__setattr__(self, "record", FAMILIES.get(self.family))
-        object.__setattr__(self, "energy", _potential(self))
-        object.__setattr__(self, "energies", _potential_many(self))
+
+    @functools.cached_property
+    def energies(self) -> Callable:
+        """Points of n floats -> the list of V at each, in order; at the first
+        point that fails, what energy raises there."""
+        return compile_potential(self.exprs, self.domain, self.pole)(self._fail)
+
+    def energy(self, x: Sequence[float]) -> float:
+        """V(x) on n floats: the terms summed from 0.0 in coordinate order,
+        each x_i checked first against the domain and the pole; a
+        DomainViolation unless finite."""
+        return self.energies((x,))[0]
+
+    def _fail(self, i: int | None, x: Sequence[float], total: float | None = None):
+        """Raise what the energy owes at x: for coordinate i's failed check,
+        or (i None) for the sum total that is not finite."""
+        if i is None:
+            raise DomainViolation(f"potential energy V={total!r} is not finite at x={list(x)}")
+        (lo, hi), xi = self.domain, x[i]
+        if not lo < xi < hi:
+            raise DomainViolation(f"x_{i + 1}={xi!r} outside the domain ({lo}, {hi})",
+                                  coordinate=i)
+        raise SingularPoint(f"potential singular at x_{i + 1} = {xi!r}", i)
 
     @functools.cached_property
     def compiled(self) -> tuple:
@@ -281,52 +304,6 @@ def _custom_system(n: int, p: ParameterSet, mass_exprs: Sequence[str] | None,
 
 
 # --- energy evaluation -----------------------------------------------------------
-
-
-def _potential(pot: PotentialSpec):
-    """V(x) on a list of floats: the sum of the compiled terms, each x_i checked
-    first against the domain and the pole; a DomainViolation unless finite."""
-    terms = tuple(compile_expression(e, order=0) for e in pot.exprs)
-    (lo, hi), pole = pot.domain, pot.pole
-
-    def energy(x: list[float]) -> float:
-        total = 0.0
-        for i, (term, xi) in enumerate(zip(terms, x)):
-            if not lo < xi < hi:
-                raise DomainViolation(f"x_{i + 1}={xi!r} outside the domain ({lo}, {hi})",
-                                      coordinate=i)
-            if xi == pole:
-                raise SingularPoint(f"potential singular at x_{i + 1} = {xi!r}", i)
-            total += term(xi, 1.0)
-        if not math.isfinite(total):
-            raise DomainViolation(f"potential energy V={total!r} is not finite at x={x}")
-        return total
-    return energy
-
-
-def _potential_many(pot: PotentialSpec):
-    """V at many points, given as one list of floats per coordinate: each
-    coordinate's batch term, which checks the domain and the pole point by
-    point, summed point by point from 0.0 in coordinate order as energy sums
-    them.  Where any check fails, energy replays the points in order and
-    raises what it raises at the first failing one."""
-    (lo, hi), pole = pot.domain, pot.pole
-
-    def energies(columns: list[list[float]]) -> list[float]:
-        totals = [0.0] * len(columns[0])
-        try:
-            for expr, column in zip(pot.exprs, columns):
-                term = compile_expression(expr, order=0, batch=True)(column, 1.0, lo, hi, pole)
-                if term is None:
-                    break
-                totals = list(map(operator.add, totals, term))
-            else:
-                if all(map(math.isfinite, totals)):
-                    return totals
-        except ExprDomainError:
-            pass
-        return [pot.energy([*x]) for x in zip(*columns)]
-    return energies
 
 
 def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:

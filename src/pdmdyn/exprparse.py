@@ -32,18 +32,25 @@ the order-1 one.
 The same per-point lines and guards also come in a batch shape: one
 generated ``for`` loop over a list of points, with the seeds bound once
 before it, returning the list of per-point results.  Each entry is
-bit-identical to the per-point function's, and the first failing point
-raises what the per-point function raises there.  A one-variable batch also
-checks each point's domain and pole in the loop.  Callers that evaluate
-many independent points (the map, the potential energy and the mass over
-10^4 samples or a trajectory's nodes) pay one call instead of one per point.
+bit-identical to the per-point function's.  Callers that evaluate many
+independent points (the map, the potential energy and the mass over 10^4
+samples or a trajectory's nodes) pay one call instead of one per point.
+
+A kernel that checks its points (the mass's batch, a nonlocal map, a
+potential's energies and a type1 right-hand side) has one failure path: a
+failed check (a domain, a pole, a singularity, m < 0, a non-finite energy)
+calls the ``fail`` its caller bound, which raises what the caller owes
+there, and an error inside the lines is raised where it happens.  The loop
+runs the points in order, so the first failing point raises its own error
+and no caller replays the points.
 
 A coordinate's nonlocal map is one more function from the same generator
-(``compile_map``): its mass lines at order 1 and the values of its q and f,
-written in ``x``, ``root`` and ``half``, per point or in one batch loop.
-So is a type1 system's right-hand side (``compile_rhs``): every
-coordinate's checks, its potential's and its mass's lines at order 1 and
-its acceleration, one coordinate after another.
+(``compile_map``): a batch loop over its mass lines at order 1 and the
+values of its q and f, written in ``x``, ``root`` and ``half``.  So is a
+potential's energy (``compile_potential``): every coordinate's checks and
+value lines, summed, per point.  So is a type1 system's right-hand side
+(``compile_rhs``): every coordinate's checks, its potential's and its
+mass's lines at order 1 and its acceleration, one coordinate after another.
 """
 
 from __future__ import annotations
@@ -382,7 +389,7 @@ _NAMESPACE = {
     "__builtins__": {"float": float, "int": int, "OverflowError": OverflowError,
                      "ValueError": ValueError, "ZeroDivisionError": ZeroDivisionError},
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-    "sqrt": math.sqrt, "int_pow": _int_pow,
+    "sqrt": math.sqrt, "isfinite": math.isfinite, "int_pow": _int_pow,
     "ExprDomainError": ExprDomainError, "to_source": to_source,
 }
 
@@ -393,15 +400,15 @@ class _RunTimeExponent(Exception):
 
 class _Codegen:
     """Emits the body of one compiled function, node by node: one expression,
-    a map's mass, q and f, or a right-hand side's masses and potentials; for
-    a batch, the body of its loop over the points."""
+    a map's mass, q and f, a potential's terms, or a right-hand side's masses
+    and potentials; for a batch, the body of its loop over the points."""
 
     def __init__(self, names: tuple[str, ...], indent: int = 2):
         self.order = 2                  # of the expression being walked: set by _walk
         self.lines: list[str] = []
         self.bound: list[object] = []   # read by the code as k0, k1, ...
         self.count = 0
-        self.indent = indent            # 2 inside bind() and compiled(), 3 in a loop
+        self.indent = indent            # 2 inside bind() and compiled(), more in a loop
         self.value_reads_seeds = False  # set by a power whose exponent varies
         self.zero = self.bind(0.0)
         #: each variable's slot: its value x_i and seed s_i
@@ -428,6 +435,26 @@ class _Codegen:
         self.indent += 1
         body()
         self.indent -= 1
+
+    def check(self, failed: str, args: str) -> None:
+        """Call the bound ``fail(args)`` where the condition ``failed`` holds."""
+        self.block(f"if {failed}:", lambda: self.emit(f"fail({args})"))
+
+    def coordinate(self, i: int, domain: tuple[float, float], pole: float | None,
+                   singular: float | None = None) -> None:
+        """x_i of the point x as a float, then its singularity check and its
+        domain and pole check, each failing as fail(i, x); the expressions
+        walked next read x_i as ``x``, seeded by s0."""
+        x = f"x{i}"
+        self.emit(f"{x} = float({x})")
+        if singular is not None:
+            self.check(f"{x} == {self.bind(singular)}", f"{i}, x")
+        lo, hi = map(self.bind, domain)
+        outside = f"not {lo} < {x} < {hi}"
+        if pole is not None:
+            outside += f" or {x} == {self.bind(pole)}"
+        self.check(outside, f"{i}, x")
+        self.slots = {"x": _Slot(x, "s0", self.zero)}
 
     def raise_domain(self, message: str, where: Expr) -> str:
         return f"raise ExprDomainError({message!r}, to_source({self.bind(where)}))"
@@ -643,13 +670,16 @@ def _compile(expr: Expr, names: tuple[str, ...], order: int,
     gen = _Codegen(names, 3 if batch else 2)
     checked = batch and len(names) == 1
     if checked:
-        gen.block("if not lo < x0 < hi or x0 == pole:", lambda: gen.emit("return None"))
-    result = ", ".join(_walk(gen, expr, order)[:order + 1])
+        gen.check("not lo < x0 < hi", "x0")
+    slot = _walk(gen, expr, order)
+    if checked:
+        gen.check(f"{slot.val} < 0.0", "x0")
+    result = ", ".join(slot[:order + 1])
     xs = [f"x{i}" for i in range(len(names))]
     seeds = [f"s{i}" for i in range(len(names))]
     if batch:
         gen.emit(f"append(({result}))" if order else f"append({result})")
-        head = [f"def compiled(xs, {', '.join(seeds + ['lo, hi, pole'] * checked)}):",
+        head = [f"def compiled(xs, {', '.join(seeds + ['lo, hi, fail'] * checked)}):",
                 "    out = []",
                 "    append = out.append",
                 f"    for {', '.join(xs)} in xs:"]
@@ -662,11 +692,11 @@ def _compile(expr: Expr, names: tuple[str, ...], order: int,
 MAP_NAMES = ("x", "root", "half")
 
 
-def _compile_map(mass: Expr, q: Expr, f: Expr, batch: bool) -> Callable:
-    gen = _Codegen(("x",), 3 if batch else 2)
-    gen.block("if not lo < x0 < hi:", lambda: gen.emit("return None"))
+def _compile_map(mass: Expr, q: Expr, f: Expr) -> Callable:
+    gen = _Codegen(("x",), 3)
+    gen.check("not lo < x0 < hi", "x0")
     m = _walk(gen, mass, 1)
-    gen.block(f"if {m.val} < 0.0:", lambda: gen.emit("return None"))
+    gen.check(f"{m.val} < 0.0", "x0")
     gen.emit(f"root = sqrt({m.val})")
     # q and f are values: every variable's seed is 0
     gen.slots = {name: _Slot(local, gen.zero, gen.zero)
@@ -674,44 +704,62 @@ def _compile_map(mass: Expr, q: Expr, f: Expr, batch: bool) -> Callable:
     qv = _walk(gen, q, 0).val
     gen.emit(f"half = {m.d1} / (2.0 * {m.val})")
     fv = _walk(gen, f, 0).val
-    columns = (qv, f"{fv} * root", fv, m.val)
-    if batch:
-        gen.emit(*(f"append{k}({c})" for k, c in enumerate(columns)))
-        head = ["def compiled(xs, lo, hi):",
-                "    s0 = 1.0",
-                "    out = [], [], [], []",
-                *(f"    append{k} = out[{k}].append" for k in range(4)),
-                "    for x0 in xs:"]
-        return _function(gen, head, ["    return out"])
-    gen.emit(f"return {', '.join(columns)}")
-    return _function(gen, ["def compiled(x0, lo, hi):", "    s0 = 1.0"], [])
+    gen.emit(*(f"append{k}({c})" for k, c in enumerate((qv, f"{fv} * root", fv, m.val))))
+    head = ["def compiled(xs, lo, hi, fail):",
+            "    s0 = 1.0",
+            "    out = [], [], [], []",
+            *(f"    append{k} = out[{k}].append" for k in range(4)),
+            "    for x0 in xs:"]
+    return _function(gen, head, ["    return out"])
+
+
+def _compile_potential(exprs: tuple, domain: tuple[float, float],
+                       pole: float | None) -> Callable:
+    gen = _Codegen((), 4)
+    gen.emit(f"{''.join(f'x{i}, ' for i in range(len(exprs)))}= x")
+    terms = []
+    for i, expr in enumerate(exprs):
+        gen.coordinate(i, domain, pole)
+        terms.append(_walk(gen, expr, 0).val)
+    gen.emit(f"total = {' + '.join(['0.0', *terms])}")
+    gen.check("not isfinite(total)", "None, x, total")
+    gen.emit("append(total)")
+    head = ["def compiled(fail):",
+            "    def energies(points):",
+            "        s0 = 1.0",
+            "        out = []",
+            "        append = out.append",
+            "        for x in points:"]
+    return _function(gen, head, ["        return out", "    return energies"])
 
 
 def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
                  domain: tuple[float, float], pole: float | None) -> Callable:
     n = len(masses)
     gen = _Codegen((), 3)
-    lo, hi = map(gen.bind, domain)
     # velocities are u_i: v<count> names the emitter's own locals
     gen.emit("s0 = 1.0", f"{''.join(f'x{i}, ' for i in range(n))}= x",
              f"{''.join(f'u{i}, ' for i in range(n))}= v")
     for i, (mass, potential, singular) in enumerate(zip(masses, potentials, singularities)):
-        x = f"x{i}"
-        fails = lambda: gen.emit(f"fail({i}, x)")
-        gen.emit(f"{x} = float({x})")
-        if singular is not None:
-            gen.block(f"if {x} == {gen.bind(singular)}:", fails)
-        outside = f"not {lo} < {x} < {hi}"
-        if pole is not None:
-            outside += f" or {x} == {gen.bind(pole)}"
-        gen.block(f"if {outside}:", fails)
-        gen.slots = {"x": _Slot(x, "s0", gen.zero)}
+        gen.coordinate(i, domain, pole, singular)
         dv = _walk(gen, potential, 1).d1
         m = _walk(gen, mass, 1)
-        gen.block(f"if {m.val} < 0.0:", fails)
+        gen.check(f"{m.val} < 0.0", f"{i}, x")
         gen.emit(f"a{i} = -({m.d1} / (2.0 * {m.val})) * u{i} * u{i} - {dv} / {m.val}")
     gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
     return _function(gen, ["def compiled(fail):", "    def rhs(t, x, v):"], ["    return rhs"])
+
+
+def _cached(holder: Expr, key: tuple, build: Callable) -> Callable:
+    """build(holder, *key), run once per key and kept on the holder expression.
+
+    A hit builds no argument tuple: compile_expression runs this on every
+    evaluation of a shared (type2) mass."""
+    cache = vars(holder).setdefault("_compiled", {})
+    fn = cache.get(key)
+    if fn is None:
+        fn = cache[key] = build(holder, *key)
+    return fn
 
 
 def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
@@ -731,46 +779,53 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     of what the per-point form returns at each, in order: the same lines
     and guards run inside one loop, with the seeds shared by every point,
     so each entry is bit-identical and the first failing point raises what
-    the per-point form raises there.  For one variable it is
-    ``f(xs, s, lo, hi, pole)``: each point is first checked to lie inside
-    (lo, hi) and off ``pole`` (None for none), and the result is None at the
-    first point that fails, before anything after the check runs there.
+    the per-point form raises there.  For one variable, a mass, it is
+    ``f(xs, s, lo, hi, fail)``: a point outside (lo, hi) fails before its
+    lines run and a point where the value is < 0 after them, and a failed
+    point calls ``fail(x)``, which raises what the caller owes at x.
 
     Built once per Expr object, variable list, order and shape; later calls
     return the same function.  A variable missing from ``names`` raises
     KeyError.
     """
     key = (tuple(names), order, True) if batch else (tuple(names), order)
-    cache = vars(expr).setdefault("_compiled", {})
-    fn = cache.get(key)
-    if fn is None:
-        fn = cache[key] = _compile(expr, *key)
-    return fn
+    return _cached(expr, key, _compile)
 
 
-def compile_map(mass: Expr, q: Expr, f: Expr, batch: bool = False) -> Callable:
-    """One coordinate's nonlocal map as one compiled function.
+def compile_map(mass: Expr, q: Expr, f: Expr) -> Callable:
+    """One coordinate's nonlocal map as one compiled batch function.
 
     ``mass`` is m in ``x``; ``q`` and ``f`` are written in MAP_NAMES: ``x``,
-    ``root`` = sqrt(m) and ``half`` = m'/(2m).  The result ``kernel(x, lo, hi)``
-    returns (q, dq/dx, f, m) with dq/dx = f * root.  It runs, in this order,
-    the lines of the order-1 mass kernel (so m and m' are its bits), root,
-    q, half and f, and raises the first error among them; where x lies
-    outside (lo, hi), or m < 0, it returns None before anything after that
-    check runs, and the caller raises what it owes there.
+    ``root`` = sqrt(m) and ``half`` = m'/(2m).  The result
+    ``kernel(xs, lo, hi, fail)`` returns the four lists (q, dq/dx, f, m) over
+    the floats xs, with dq/dx = f * root.  At each x it runs, in this order,
+    the domain check, the lines of the order-1 mass kernel (so m and m' are
+    its bits), the m < 0 check, root, q, half and f.  A failed check calls
+    ``fail(x)``, which raises what the caller owes at x; an error inside the
+    lines is raised where it happens.
 
-    With ``batch``, the result ``kernel(xs, lo, hi)`` runs the same lines inside
-    one loop over a list of floats and returns the four lists (q, dq/dx, f,
-    m), or None at the first point that fails a check.
-
-    Built once per (mass, q, f) and shape, and kept on ``mass``.
+    Built once per (mass, q, f), and kept on ``mass``.
     """
-    key = (q, f, batch)
-    cache = vars(mass).setdefault("_compiled", {})
-    fn = cache.get(key)
-    if fn is None:
-        fn = cache[key] = _compile_map(mass, *key)
-    return fn
+    return _cached(mass, (q, f), _compile_map)
+
+
+def compile_potential(exprs: Sequence[Expr], domain: tuple[float, float],
+                      pole: float | None) -> Callable:
+    """The potential energy of n coordinates as one compiled batch function.
+
+    Coordinate i has the term ``exprs[i]`` in ``x``, inside ``domain`` and
+    off ``pole``.  The result ``make(fail)`` returns ``energies(points)``,
+    which takes an iterable of points of n floats and returns the list of
+    the sums of the terms.  At each point it runs each coordinate's domain
+    and pole check and value lines in turn, then sums the values from 0.0 in
+    coordinate order.  A failed check calls ``fail(i, x)``, a sum that is
+    not finite ``fail(None, x, total)``; an error inside the lines is raised
+    where it happens.
+
+    Built once per (exprs, domain, pole), and kept on ``exprs[0]``.
+    """
+    key = (tuple(exprs), tuple(domain), pole)
+    return _cached(key[0][0], key, lambda _, *key: _compile_potential(*key))
 
 
 def compile_rhs(masses: Sequence[Expr], potentials: Sequence[Expr],
@@ -796,11 +851,7 @@ def compile_rhs(masses: Sequence[Expr], potentials: Sequence[Expr],
     kept on ``masses[0]``.
     """
     key = (tuple(masses), tuple(potentials), tuple(singularities), tuple(domain), pole)
-    cache = vars(key[0][0]).setdefault("_compiled", {})
-    fn = cache.get(key)
-    if fn is None:
-        fn = cache[key] = _compile_rhs(*key)
-    return fn
+    return _cached(key[0][0], key, lambda _, *key: _compile_rhs(*key))
 
 
 def eval_dual(expr: Expr, x: float) -> tuple[float, float, float]:

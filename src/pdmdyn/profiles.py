@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import exprparse
-from .errors import DomainViolation, ExprDomainError
+from .errors import DomainViolation
 from .exprparse import Expr
 
 #: the whole real line, the domain of a profile that states none
@@ -68,19 +68,10 @@ class CustomProfile:
 
     def eval_many(self, xs: list[float], order: int = 2) -> list:
         """[eval(x, order) for x in xs] from one batch kernel call, which checks
-        the domain point by point, when every x passes every check; otherwise
-        that per-point loop itself, which raises what eval raises at the first
-        failing x."""
+        each x's domain and m < 0 in turn and, at the first x that fails,
+        calls eval there to raise what it owes."""
         kernel = exprparse.compile_expression(self.expr, order=order, batch=True)
-        try:
-            out = kernel(xs, 1.0, *self.domain, None)
-        except ExprDomainError:
-            out = None
-        if out is not None:
-            ms = (o[0] for o in out) if order else out
-            if not any(m < 0.0 for m in ms):
-                return out
-        return [self.eval(x, order) for x in xs]
+        return kernel(xs, 1.0, *self.domain, lambda x: self.eval(x, order))
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,13 @@ and the squared identity is the invariant, not the sign.  Each family's
 q_i and f_i are expression text in its record in ``families``, in x,
 root = sqrt(m_i) and half = m_i'/(2 m_i); a NonlocalMap substitutes each
 coordinate's parameters into them and runs them with the coordinate's mass
-as one compiled map kernel (``exprparse.compile_map``), in two shapes: a
-point closure and a batch over a list of points.  The batch returns the
-four columns (q_i, dq_i/dx_i, f_i, m_i) bit for bit as the point closure
-gives them, and raises what the point closure raises at the first failing
-point.  ``coordinate_image`` and ``potential_match_residual`` run on the
-batches.  The reference oscillator is the
-catalog system the record names (``harmonic`` or ``isotonic``), built with
-the family's own parameters, so its potential and gradient are the
-catalog's.
+as one compiled batch kernel (``exprparse.compile_map``) over a list of
+points.  It returns the four columns (q_i, dq_i/dx_i, f_i, m_i), and at the
+first point outside the domain or where m_i < 0 the profile raises what it
+owes there.  Every map evaluation runs on these batches, a single point
+as a batch of one.  The reference oscillator is the catalog system the
+record names (``harmonic`` or ``isotonic``), built with the family's own
+parameters, so its potential and gradient are the catalog's.
 
 The same machinery powers the negative result: for a shared mass multiplier
 in two or more dimensions the mapped velocity acquires a term with no
@@ -49,54 +47,22 @@ class NonlocalMap:
     params: ParameterSet
 
     def __post_init__(self):
-        # points[i]: x -> (q_i, dq_i/dx_i, f_i, m_i) from one checked evaluation of m_i;
-        # batches[i]: a list of x -> the lists of the same four
-        coordinates = range(len(self.profiles))
-        object.__setattr__(self, "points", tuple(map(self._point, coordinates)))
-        object.__setattr__(self, "batches", tuple(map(self._batch, coordinates)))
-
-    def _exprs(self, i: int) -> tuple:
-        """Coordinate i's mass, q and f: what its map kernel is compiled from."""
-        q, f = (parse_cached(_substitute(template, self.params, i), MAP_NAMES)
-                for template in (self.record.q, self.record.f))
-        return self.profiles[i].expr, q, f
-
-    def _point(self, i: int):
-        profile, exprs = self.profiles[i], self._exprs(i)
-        lo, hi = profile.domain
-        kernel = None
-
-        def point(x: float) -> tuple[float, float, float, float]:
-            nonlocal kernel
-            if kernel is None:  # compiled on the first call
-                kernel = compile_map(*exprs)
-            out = kernel(x, lo, hi)
-            if out is None:
-                # x is outside the domain or m_i < 0: the profile raises what it owes
-                profile.eval(x, 1)
-            return out
-        return point
+        # batches[i]: a list of x -> the lists (q_i, dq_i/dx_i, f_i, m_i) there
+        object.__setattr__(self, "batches", tuple(map(self._batch, range(len(self.profiles)))))
 
     def _batch(self, i: int):
-        point, exprs = self.points[i], self._exprs(i)
-        lo, hi = self.profiles[i].domain
+        profile = self.profiles[i]
+        q, f = (parse_cached(_substitute(template, self.params, i), MAP_NAMES)
+                for template in (self.record.q, self.record.f))
+        lo, hi = profile.domain
+        fail = lambda x: profile.eval(x, 1)  # outside the domain or m_i < 0: raises there
         kernel = None
 
         def batch(xs: list[float]) -> tuple[list[float], ...]:
             nonlocal kernel
             if kernel is None:  # compiled on the first call
-                kernel = compile_map(*exprs, batch=True)
-            try:
-                out = kernel(xs, lo, hi)
-            except (PdmError, ArithmeticError):
-                out = None
-            if out is None:
-                # some x fails: the point map raises at the first that does
-                out = [], [], [], []
-                for x in xs:
-                    for column, value in zip(out, point(x)):
-                        column.append(value)
-            return out
+                kernel = compile_map(profile.expr, q, f)
+            return kernel(xs, lo, hi, fail)
         return batch
 
 
@@ -123,12 +89,13 @@ def reference_map(system: PdmSystem) -> tuple[NonlocalMap, PdmSystem]:
 
 def f_scale(nmap: NonlocalMap, i: int, x: float) -> float:
     """Time-rescaling factor f_i at x."""
-    return nmap.points[i](x)[2]
+    return nmap.batches[i]([x])[2][0]
 
 
 def q_map(nmap: NonlocalMap, i: int, x: float) -> tuple[float, float]:
     """(q_i, dq_i/dx_i) at x; the derivative is f_i sqrt(m_i), sign included."""
-    return nmap.points[i](x)[:2]
+    (q,), (dq,), _, _ = nmap.batches[i]([x])
+    return q, dq
 
 
 # 4-point Gauss-Legendre nodes and weights on [0, 1]: exact to degree 7, the
@@ -200,7 +167,8 @@ def potential_match_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSyste
     columns = xs.T.tolist()
     try:
         qs = [batch(column)[0] for batch, column in zip(nmap.batches, columns)]
-        pairs = zip(system.potential.energies(columns), ref.potential.energies(qs))
+        pairs = zip(system.potential.energies(zip(*columns)),
+                    ref.potential.energies(zip(*qs)))
         return [abs(v - v_ref) for v, v_ref in pairs]
     except (PdmError, ArithmeticError):
         return [_point_residual(nmap, system, ref, x) for x in xs.tolist()]
@@ -208,8 +176,8 @@ def potential_match_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSyste
 
 def _point_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
                     x: list[float]) -> float:
-    """The residual at one point, through the point closures."""
-    q = [point(xi)[0] for point, xi in zip(nmap.points, x)]
+    """The residual at one point, through batches of one."""
+    q = [batch([xi])[0][0] for batch, xi in zip(nmap.batches, x)]
     return abs(system.potential.energy(x) - ref.potential.energy(q))
 
 
@@ -222,10 +190,10 @@ def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
     equations of motion at the state.
     """
     acc = el1_acceleration(system, state)
-    images = [point(float(xi)) for point, xi in zip(nmap.points, state.x)]
-    grad_ref = potential_gradient(ref, [image[0] for image in images])
+    images = [batch([float(xi)]) for batch, xi in zip(nmap.batches, state.x)]
+    grad_ref = potential_gradient(ref, [q for (q,), _, _, _ in images])
     out = np.empty(system.n)
-    for i, (_, _, f, _) in enumerate(images):
+    for i, (_, _, (f,), _) in enumerate(images):
         m, m1 = system.profiles[i].eval(float(state.x[i]), 1)
         dqt_dt = math.sqrt(m) * (acc[i] + (m1 / (2.0 * m)) * float(state.v[i]) ** 2)
         if f == 0.0:

@@ -1,11 +1,11 @@
-"""The per-point closures and batch kernels against the code paths they replaced.
+"""The generated kernels and closures against the code paths they replaced.
 
-A NonlocalMap's point and batch kernels, a PotentialSpec's energy closure,
+A NonlocalMap's batch kernels, a PotentialSpec's energy kernel,
 exact_trajectory's grid and the closed forms evaluated on Python floats must
 return exactly what the layered evaluations returned (the map as Python q
-and f callables, the energy, the grid sample by sample), or agree with the
-numpy evaluation to rounding (the inverse-square closed forms), and raise
-where those raised.
+and f callables, the energy as a loop over the compiled terms, the grid
+sample by sample), or agree with the numpy evaluation to rounding (the
+inverse-square closed forms), and raise where those raised.
 """
 
 import math
@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pdmdyn import exprparse
-from pdmdyn.core import VECTORS, build_system, parameter_set, potential_energy
+from pdmdyn.core import (VECTORS, State, build_system, parameter_set, potential_energy,
+                         total_energy)
 from pdmdyn.errors import (DomainViolation, ExprDomainError, InvalidSpec, PdmError,
                            SingularPoint)
 from pdmdyn.profiles import CustomProfile
@@ -108,23 +109,24 @@ def test_map_closure_equals_the_layered_map(name, n):
     system = _system(name, n)
     nmap, _ = reference_map(system)
     lo, hi = MAPPED[name][2]
-    for i, point in enumerate(nmap.points):
-        for x in np.linspace(lo, hi, 41).tolist():
-            got = point(x)
-            assert got == _layered(nmap, i, x), (i, x)
-            assert got[:2] == q_map(nmap, i, x) and got[2] == f_scale(nmap, i, x)
+    xs = np.linspace(lo, hi, 41).tolist()
+    for i, batch in enumerate(nmap.batches):
+        for x, *got in zip(xs, *batch(xs)):
+            assert tuple(got) == _layered(nmap, i, x), (i, x)
+            assert tuple(got[:2]) == q_map(nmap, i, x) and got[2] == f_scale(nmap, i, x)
             assert got[3] == system.profiles[i].eval(x)[0]
 
 
 @pytest.mark.parametrize("name,n", CASES)
 def test_map_closure_raises_the_profile_error(name, n):
     nmap, _ = reference_map(_system(name, n))
-    outside = MAPPED[name][3]
-    for i, point in enumerate(nmap.points):
+    (lo, _), outside = MAPPED[name][2:]
+    for i, batch in enumerate(nmap.batches):
         for x in [math.nan] + ([] if outside is None else [outside]):
             with pytest.raises(DomainViolation) as want:
                 nmap.profiles[i].eval(x)
-            for fn in (point, lambda x: q_map(nmap, i, x), lambda x: f_scale(nmap, i, x)):
+            for fn in (lambda x: batch([lo, x]),
+                       lambda x: q_map(nmap, i, x), lambda x: f_scale(nmap, i, x)):
                 with pytest.raises(DomainViolation) as got:
                     fn(x)
                 assert str(got.value) == str(want.value)
@@ -169,11 +171,12 @@ class TestEnergyClosureChecks:
 
 def _bits(fn, *args):
     """The bytes of every float fn returns (lists of floats or of tuples, in
-    order), or the type and message of the exception it raises."""
+    order), or the type, message and coordinate (None for none) of the
+    exception it raises."""
     try:
         out = fn(*args)
     except Exception as err:
-        return type(err), str(err)
+        return type(err), str(err), getattr(err, "coordinate", None)
     flat = []
     for item in out:
         for entry in item if isinstance(item, (list, tuple)) else [item]:
@@ -193,6 +196,11 @@ _xs = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
                 st.sampled_from([0.0, -0.0, 1.3, -2.0, 5e-324, -800.0, 1e200]))
 
 
+def _one_at_a_time(batch, xs):
+    """The batch map run on one x at a time, its results as the batch's columns."""
+    return _columns([[column[0] for column in batch([x])] for x in xs], 4)
+
+
 @pytest.mark.parametrize("name,n", CASES)
 @given(xs=st.lists(_xs, max_size=6))
 @settings(max_examples=25, deadline=None)
@@ -200,10 +208,10 @@ def test_batch_map_is_the_point_map_at_each_x(name, n, xs):
     nmap, _ = reference_map(_system(name, n))
     lo, hi = MAPPED[name][2]
     inside = np.linspace(lo, hi, 7).tolist()
-    for i, (point, batch) in enumerate(zip(nmap.points, nmap.batches)):
+    for i, batch in enumerate(nmap.batches):
         for points in (xs, inside + xs, xs + inside):
             assert (_bits(batch, points)
-                    == _bits(lambda: _columns([point(x) for x in points], 4))), (i, points)
+                    == _bits(_one_at_a_time, batch, points)), (i, points)
 
 
 def assert_oracle_outcome(got, want):
@@ -226,11 +234,10 @@ def test_map_kernels_are_the_oracle_map(name, n, xs):
     nmap, _ = reference_map(_system(name, n))
     lo, hi = MAPPED[name][2]
     inside = np.linspace(lo, hi, 7).tolist()
-    for i, (point, batch) in enumerate(zip(nmap.points, nmap.batches)):
+    for i, batch in enumerate(nmap.batches):
         oracle = oracle_point(nmap, i)
         for points in (xs, inside + xs):
             want = _bits(lambda: _columns([oracle(x) for x in points], 4))
-            assert_oracle_outcome(_bits(lambda: _columns([point(x) for x in points], 4)), want)
             assert_oracle_outcome(_bits(batch, points), want)
 
 
@@ -240,8 +247,8 @@ def _custom_map(text):
 
 
 class TestMapKernelFailures:
-    """At the first failing point, the point and batch kernels raise what the
-    oracle raises there, good points before it or not."""
+    """At the first failing point, the batch kernel raises what the oracle
+    raises there, good points before it or not."""
 
     CASES = {   # the map, good points, the bad point, what it raises there
         "outside the domain": (lambda: reference_map(_system("ml1-", 1))[0], (0.5, 0.75), 1.3,
@@ -262,7 +269,6 @@ class TestMapKernelFailures:
         for xs in ([bad], [a, bad, b], [a, b, bad, bad]):
             want = _bits(lambda: _columns([oracle(x) for x in xs], 4))
             assert want[0] is error and want[1].startswith(message)
-            assert _bits(lambda: _columns([nmap.points[0](x) for x in xs], 4)) == want
             assert _bits(nmap.batches[0], xs) == want
 
     def test_morse_q_overflow_is_a_typed_domain_error(self):
@@ -271,7 +277,7 @@ class TestMapKernelFailures:
         nmap, _ = reference_map(_system("morse", 1))
         with pytest.raises(OverflowError):
             oracle_point(nmap, 0)(-800.0)
-        for fn in (nmap.points[0], lambda x: nmap.batches[0]([0.5, x])):
+        for fn in (lambda x: q_map(nmap, 0, x), lambda x: nmap.batches[0]([0.5, x])):
             with pytest.raises(ExprDomainError) as err:
                 fn(-800.0)
             assert isinstance(err.value, PdmError)
@@ -291,18 +297,17 @@ class TestMapKernelCompiles:
         nmap, _ = reference_map(system)
         assert compiles == []
         for _ in range(2):
-            nmap.points[0](0.25)
+            q_map(nmap, 0, 0.25)
             nmap.batches[0]([0.25, 0.5])
-        assert [args[3] for args in compiles] == [False, True]
-        assert compiles[0][0] is system.profiles[0].expr
-        # a rebuilt system and map reuse both kernels
+        # one kernel for the point and batch calls alike
+        assert len(compiles) == 1 and compiles[0][0] is system.profiles[0].expr
+        # a rebuilt system and map reuse it
         again, _ = reference_map(build_system("morse", 2, self.PARAMS))
-        assert again.points[0](0.25) == nmap.points[0](0.25)
         assert again.batches[0]([0.25]) == nmap.batches[0]([0.25])
-        assert len(compiles) == 2
+        assert len(compiles) == 1
         # the other coordinate has its own zeta, so its own mass, q and f
-        nmap.points[1](0.25)
-        assert len(compiles) == 3 and compiles[2][0] is system.profiles[1].expr
+        f_scale(nmap, 1, 0.25)
+        assert len(compiles) == 2 and compiles[1][0] is system.profiles[1].expr
 
     def test_nothing_is_compiled_at_import(self):
         # every compiled form is kept on its expression: count them all
@@ -340,6 +345,28 @@ def test_batch_mass_is_eval_at_each_x(text, domain, xs):
                 == _bits(lambda: [profile.eval(x, order) for x in xs])), order
 
 
+def oracle_energy(pot):
+    """V(x) as PotentialSpec.energy computed it before its generated kernel:
+    for each coordinate in turn the domain and pole checks and the term's
+    value-only kernel, summed from 0.0; a DomainViolation unless finite."""
+    terms = tuple(exprparse.compile_expression(e, order=0) for e in pot.exprs)
+    (lo, hi), pole = pot.domain, pot.pole
+
+    def energy(x):
+        total = 0.0
+        for i, (term, xi) in enumerate(zip(terms, x)):
+            if not lo < xi < hi:
+                raise DomainViolation(f"x_{i + 1}={xi!r} outside the domain ({lo}, {hi})",
+                                      coordinate=i)
+            if xi == pole:
+                raise SingularPoint(f"potential singular at x_{i + 1} = {xi!r}", i)
+            total += term(xi, 1.0)
+        if not math.isfinite(total):
+            raise DomainViolation(f"potential energy V={total!r} is not finite at x={x}")
+        return total
+    return energy
+
+
 _ENERGIES = {
     "ml1-": ("ml1", 2, {"omega": [1.0, 2.0], "lambda": 0.6, "sign": "-"}),   # domain
     "isotonic": ("isotonic", 2, {"omega": [1.0, 2.0], "kappa": [1.0, 0.5]}),  # pole
@@ -351,12 +378,16 @@ _ENERGIES = {
 @given(points=st.lists(st.lists(_xs, min_size=3, max_size=3), max_size=5))
 @example(points=[[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
 @example(points=[[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.5, 1e200, 1.0]])
-# the domain and pole checks inside the batch loop: -0.0 against the pole
-# 0.0, the '-' branch's boundary, +-inf and NaN, in a later column first
+# the domain and pole checks: -0.0 against the pole 0.0, the '-' branch's
+# boundary, +-inf and NaN, in a later column first
 @example(points=[[1.0, 1.0, 1.0], [1.0, -0.0, 1.0], [-0.0, 1.0, 1.0]])
 @example(points=[[1.0, 1.0, 1.0], [0.5, 1 / math.sqrt(0.6), 1.0], [math.nan, 0.5, 1.0]])
 @example(points=[[1.0, math.inf, 1.0], [-math.inf, 1.0, 1.0]])
 @example(points=[[0.5, 0.5, math.nan], [0.5, 0.5, 0.5]])
+# a sum that is not finite; a guard error in coordinate 0 (custom: 1/0)
+# ahead of a failed check in coordinate 1
+@example(points=[[0.5, 0.5, 0.5], [1e200, 1e200, 1e200]])
+@example(points=[[0.5, 0.5, 0.5], [0.0, math.nan, 0.5]])
 @settings(max_examples=60, deadline=None)
 def test_batch_energy_is_energy_at_each_point(name, points):
     if name == "custom":   # division by zero, sin(inf), a ln domain error
@@ -366,9 +397,43 @@ def test_batch_energy_is_energy_at_each_point(name, points):
         family, n, params = _ENERGIES[name]
         system = build_system(family, n, params)
     rows = [row[:system.n] for row in points]
-    energies = system.potential.energies
-    assert (_bits(lambda: energies(list(map(list, zip(*rows)))) if rows else [])
-            == _bits(lambda: [system.potential.energy(x) for x in rows]))
+    pot, oracle = system.potential, oracle_energy(system.potential)
+    want = _bits(lambda: [oracle(x) for x in rows])
+    assert _bits(lambda: [pot.energy(x) for x in rows]) == want
+    assert _bits(lambda: [potential_energy(system, x) for x in rows]) == want
+    assert _bits(pot.energies, rows) == want
+    assert _bits(pot.energies, zip(*zip(*rows))) == want   # tuples, as potential-match passes
+
+
+class TestPotentialKernelCompiles:
+    # parameters no other test uses, so every expression is parsed afresh
+    PARAMS = {"omega": [1.1875, 2.375], "kappa": [0.8125, 0.4375]}
+
+    def test_one_per_key_and_none_for_a_rebuilt_system(self, monkeypatch):
+        compiles = []
+        real = exprparse._compile_potential
+        monkeypatch.setattr(exprparse, "_compile_potential",
+                            lambda *key: compiles.append(key) or real(*key))
+        system = build_system("isotonic", 2, self.PARAMS)
+        pot = system.potential
+        assert compiles == []
+        state = State.of(0.0, [0.5, 0.75], [0.25, -0.5])
+        for _ in range(2):
+            pot.energy([0.5, 0.75])
+            pot.energies([(0.5, 0.75), (1.0, 1.5)])
+            total_energy(system, state)
+        assert compiles == [(pot.exprs, pot.domain, pot.pole)]
+        # a rebuilt system shares the parsed terms and so the kernel
+        again = build_system("isotonic", 2, self.PARAMS)
+        assert again.potential.exprs[0] is pot.exprs[0]
+        assert again.potential.energy([0.5, 0.75]) == pot.energy([0.5, 0.75])
+        assert len(compiles) == 1
+        # every key part counts
+        first = exprparse.compile_potential(*compiles[0])
+        for changed in ((pot.exprs[:1], pot.domain, pot.pole),
+                        (pot.exprs, (-1.0, 1.0), pot.pole), (pot.exprs, pot.domain, None)):
+            assert exprparse.compile_potential(*changed) is not first
+        assert len(compiles) == 4
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -382,7 +447,7 @@ def test_potential_match_residual_is_the_point_residual_at_each_x(name, n, point
     def point_by_point():
         out = []
         for x in rows:
-            q = [point(xi)[0] for point, xi in zip(nmap.points, x)]
+            q = [q_map(nmap, i, xi)[0] for i, xi in enumerate(x)]
             out.append(abs(system.potential.energy(x) - ref.potential.energy(q)))
         return out
     assert (_bits(potential_match_residual, nmap, system, ref, rows)

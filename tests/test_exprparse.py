@@ -514,17 +514,20 @@ class TestCompiledMatchesReference:
 
     def test_a_system_build_compiles_below_order_two(self, monkeypatch):
         from pdmdyn import exprparse
-        compiles = []
-        real = exprparse._compile
+        compiles, functions = [], []
+        real, function = exprparse._compile, exprparse._function
         monkeypatch.setattr(exprparse, "_compile",
                             lambda *args: compiles.append(args) or real(*args))
+        # every generated kernel, of any shape, passes through _function
+        monkeypatch.setattr(exprparse, "_function",
+                            lambda *args: functions.append(args) or function(*args))
         # parameters no other test uses, so every expression is parsed afresh
         params = {"omega": [1.25, 2.5], "lambda": 0.3125, "sign": "+", "kappa": [0.375, 0.625]}
         system = build_system("sw1", 2, params)
-        assert compiles and all(order < 2 for _, _, order in compiles)
+        assert functions == []   # building a system compiles nothing
         el1_rhs(system)(0.0, [0.5, 0.75], [0.25, -0.5])
         total_energy(system, State.of(0.0, [0.5, 0.75], [0.25, -0.5]))
-        assert all(order < 2 for _, _, order in compiles)
+        assert compiles and all(order < 2 for _, _, order in compiles)
         keys = [(id(expr), names, order) for expr, names, order in compiles]
         assert len(keys) == len(set(keys))
         # both coordinates share one mass expression; its triple comes on request
@@ -599,14 +602,12 @@ class TestOrderParity:
 
 
 def batch_outcome(fn, *args):
-    """The bytes of every entry of the list fn returns, None, or the exception
-    it raises."""
+    """The bytes of every entry of the list fn returns, or the exception it
+    raises."""
     try:
         out = fn(*args)
     except Exception as err:
         return type(err), str(err)
-    if out is None:
-        return None
     return [struct.pack(f"<{len(o)}d", *o) if isinstance(o, tuple) else struct.pack("<d", o)
             for o in out]
 
@@ -616,21 +617,30 @@ def _per_point(fn, points, seeds):
     return [fn(*(x if isinstance(x, tuple) else (x,)), *seeds) for x in points]
 
 
-def _per_point_checked(fn, xs, seed, lo, hi, pole):
-    """The one-variable per-point kernel at each x in turn, as a list; None
-    at the first x outside (lo, hi) or at the pole."""
+class _Failed(Exception):
+    """Raised by _fail: the point at which a batch failed a check."""
+
+
+def _fail(x):
+    raise _Failed(x)
+
+
+def _per_point_checked(fn, xs, seed, lo, hi, order):
+    """The one-variable per-point kernel at each x in turn, as a list; _fail
+    at the first x outside (lo, hi) or where the value is < 0."""
     out = []
     for x in xs:
-        if not lo < x < hi or x == pole:
-            return None
+        if not lo < x < hi:
+            _fail(x)
         out.append(fn(x, seed))
+        if (out[-1][0] if order else out[-1]) < 0.0:
+            _fail(x)
     return out
 
 
-#: (lo, hi, pole) of a one-variable batch: the whole line, bounds, poles
-_checks = st.sampled_from([(-math.inf, math.inf, None), (-1.0, 1.0, None),
-                           (0.0, math.inf, None), (-math.inf, math.inf, 0.0),
-                           (-1.0, 2.0, 1.0)])
+#: (lo, hi) of a one-variable batch: the whole line and bounds
+_domains = st.sampled_from([(-math.inf, math.inf), (-1.0, 1.0), (0.0, math.inf),
+                            (-1.0, 2.0)])
 _checked_xs = st.one_of(_anywhere, st.sampled_from([math.nan, math.inf, -math.inf, 2.0]))
 
 
@@ -639,32 +649,35 @@ class TestBatchParity:
     raises at the first failing point what the per-point kernel raises there."""
 
     @given(_exprs(full=True), st.lists(_checked_xs, max_size=8), _seeds,
-           st.sampled_from([0, 1, 2]), _checks)
+           st.sampled_from([0, 1, 2]), _domains)
     @settings(max_examples=300, deadline=None)
     @example(parse_expression("1/(x-1)"), [0.5, 1.0, 2.0], 1.0, 1,       # division by zero
-             (-math.inf, math.inf, None))
+             (-math.inf, math.inf))
     @example(parse_expression("exp(x)+ln(x)"), [1.0, 800.0, -1.0], 1.0, 0,  # overflow first
-             (-math.inf, math.inf, None))
+             (-math.inf, math.inf))
     @example(parse_expression("ln(x)+exp(x)"), [1.0, -1.0, 800.0], 1.0, 2,  # domain first
-             (-math.inf, math.inf, None))
+             (-math.inf, math.inf))
     @example(parse_expression("sin(x*1e999)"), [0.0, 1.0], 1.0, 0,      # sin(inf)
-             (-math.inf, math.inf, None))
+             (-math.inf, math.inf))
     @example(parse_expression("x^x"), [2.0, -2.0, -1.5], 0.0, 2,        # run-time exponent
-             (-math.inf, math.inf, None))
-    @example(parse_expression("x^-20"), [1.0, 0.0], 1.0, 1, (-math.inf, math.inf, None))
+             (-math.inf, math.inf))
+    @example(parse_expression("x^-20"), [1.0, 0.0], 1.0, 1, (-math.inf, math.inf))
     # the failed check comes before a later point's guard error, not after an earlier one's
-    @example(parse_expression("ln(x)"), [1.0, math.nan, -1.0], 1.0, 1, (-math.inf, math.inf, None))
-    @example(parse_expression("ln(x)"), [1.0, -1.0, math.nan], 1.0, 1, (-math.inf, math.inf, None))
-    @example(parse_expression("1/x"), [0.5, math.inf], 1.0, 0, (-math.inf, math.inf, None))
-    @example(parse_expression("1/x"), [0.5, -math.inf], 1.0, 0, (-math.inf, math.inf, 0.0))
-    @example(parse_expression("x"), [0.5, 1.0], 1.0, 0, (-1.0, 1.0, None))   # a boundary
-    @example(parse_expression("1/x"), [0.5, -0.0], 1.0, 2, (-1.0, 2.0, 0.0))  # -0.0 is the pole
-    @example(parse_expression("x^2"), [0.5, 1.0], 1.0, 2, (-1.0, 2.0, 1.0))   # the pole
-    def test_one_variable(self, expr, xs, seed, order, check):
+    @example(parse_expression("ln(x)"), [1.0, math.nan, -1.0], 1.0, 1, (-math.inf, math.inf))
+    @example(parse_expression("ln(x)"), [1.0, -1.0, math.nan], 1.0, 1, (-math.inf, math.inf))
+    @example(parse_expression("1/x"), [0.5, math.inf], 1.0, 0, (-math.inf, math.inf))
+    @example(parse_expression("1/x"), [0.5, -math.inf], 1.0, 0, (-math.inf, math.inf))
+    @example(parse_expression("x"), [0.5, 1.0], 1.0, 0, (-1.0, 1.0))     # a boundary
+    # a value < 0 before a later point's guard error, and after an earlier one's
+    @example(parse_expression("ln(x)"), [2.0, 0.5, -1.0], 1.0, 0, (-math.inf, math.inf))
+    @example(parse_expression("ln(x)"), [2.0, -1.0, 0.5], 1.0, 2, (-math.inf, math.inf))
+    @example(parse_expression("x-1"), [1.5, 0.5, 2.0], 1.0, 1, (-1.0, 2.0))
+    @example(parse_expression("x"), [0.5, -0.0, -0.5], 1.0, 0, (-1.0, 1.0))  # -0.0 is not < 0
+    def test_one_variable(self, expr, xs, seed, order, domain):
         batch = compile_expression(expr, ("x",), order, batch=True)
         fn = compile_expression(expr, ("x",), order)
-        assert (batch_outcome(batch, xs, seed, *check)
-                == batch_outcome(_per_point_checked, fn, xs, seed, *check))
+        assert (batch_outcome(batch, xs, seed, *domain, _fail)
+                == batch_outcome(_per_point_checked, fn, xs, seed, *domain, order))
         assert batch.value_reads_seeds == fn.value_reads_seeds
 
     @given(_exprs(("x1", "x2", "x3"), full=True),
@@ -683,7 +696,7 @@ class TestBatchParity:
         batch = compile_expression(expr, ("x",), 0, batch=True)
         assert batch is compile_expression(expr, ["x"], 0, batch=True)
         assert batch is not compile_expression(expr, ("x",), 0)
-        assert batch([], 1.0, -math.inf, math.inf, None) == []
+        assert batch([], 1.0, -math.inf, math.inf, _fail) == []
 
 
 class TestNestingLimit:

@@ -1,6 +1,7 @@
 """Check registry semantics: determinism, selection, report contracts."""
 
 import math
+import struct
 
 import pytest
 
@@ -99,6 +100,23 @@ class TestCatalog:
                       "noninvariance:el2-n2", "parser-ad-d1", "parser-ad-d2",
                       "tau-closed-form:ml1", "substitution-identity"):
             assert exact in names
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20260810])
+def test_g_identity_reduction_is_the_per_point_loop(seed):
+    # the loop the array reduction replaced, kept as its reference: the same
+    # operations per point, so the metric must match bit for bit
+    names = [name for name in check_names() if name.startswith("g-identity:")]
+    assert len(names) == 10
+    for name in names:
+        _, nmap, _, batches = verify._map_samples(seed, "g", name.partition(":")[2])
+        worst = 0.0
+        for xs in batches:
+            _, dqs, fs, ms = nmap.batches[0](xs.tolist())
+            worst = verify._worst(worst, *[abs(dq * dq - m * f * f) / max(abs(m * f * f), 1e-30)
+                                           for dq, f, m in zip(dqs, fs, ms)])
+        metric = run_check(name, seed=seed).metric
+        assert struct.pack("<d", metric) == struct.pack("<d", worst), name
 
 
 class TestNanResiduals:
