@@ -6,7 +6,7 @@ Subcommands:
 * ``exact``          tabulate a closed-form solution on a time grid
 * ``map``            simulate, then append (tau_i, q_i, qtilde_i) columns
 * ``noninvariance``  run the two-dimensional shared-multiplier demonstration
-* ``verify``         run named check suites and report pass/fail
+* ``verify``         run every check, or those named, and report pass/fail
 * ``misprints``      print the ledger of published-vs-validated formulas
 
 Exit codes: 0 success, 1 a check failed, 2 configuration or usage error.
@@ -320,8 +320,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write a JSON report here")
     p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
 
-    p = sub.add_parser("verify", help="run verification check suites")
-    p.add_argument("--suite", default="default", choices=("default", "all"))
+    p = sub.add_parser("verify", help="run the verification checks")
     p.add_argument("--checks", help="comma-separated check names or prefixes")
     p.add_argument("--report", help="write a JSON report here")
     p.add_argument("--seed", type=int, default=20260810)

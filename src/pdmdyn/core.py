@@ -263,22 +263,26 @@ def build_system(family: str, n: int = 1,
     return PdmSystem(n, TYPE1, profiles, PotentialSpec(family, p, exprs, domain, record.pole))
 
 
-def _substitute(template: str, p: ParameterSet, i: int) -> str:
+def _substitute(template: str, p: ParameterSet, i: int, **values: float) -> str:
     """A record's template for coordinate i: each parameter name becomes its value.
 
-    A vector parameter stands for its entry i and ``sign`` for +1 or -1.
+    A vector parameter stands for its entry i and ``sign`` for +1 or -1; a
+    name given in ``values`` (a closed form's A, phase and rate) for that.
     repr round-trips the float; a negative one keeps its own parentheses.
     A name the template reads and ``p`` lacks is a MissingParameter.
     """
     def value(match: re.Match) -> str:
         name = match.group(0)
-        if name not in ParameterSet.__dataclass_fields__:
+        if name in values:
+            v = values[name]
+        elif name not in ParameterSet.__dataclass_fields__:
             return name
-        v = getattr(p, name)
-        if v is None:
-            raise MissingParameter(name)
-        v = (1.0 if v == "+" else -1.0) if name == "sign" else v[i] if isinstance(v, tuple) else v
-        text = repr(v)
+        else:
+            v = getattr(p, name)
+            if v is None:
+                raise MissingParameter(name)
+            v = (1.0 if v == "+" else -1.0) if name == "sign" else v[i] if isinstance(v, tuple) else v
+        text = repr(float(v))   # a numpy float's repr is not a number
         return f"({text})" if text.startswith("-") else text
     return re.sub(r"[A-Za-z_]\w*", value, template)
 
@@ -306,17 +310,25 @@ def _custom_system(n: int, p: ParameterSet, mass_exprs: Sequence[str] | None,
 # --- energy evaluation -----------------------------------------------------------
 
 
+def _coordinates(system: PdmSystem, values: Sequence[float], name: str) -> list[float]:
+    """values as n floats; an InvalidParameter unless there are n of them."""
+    out = [*map(float, values)]
+    if len(out) != system.n:
+        raise InvalidParameter(name, f"expected {system.n} coordinates, got {len(out)}")
+    return out
+
+
 def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:
     """V(x), the sum of the compiled per-coordinate terms; a DomainViolation
     when it is not finite."""
-    return system.potential.energy([*map(float, x)])
+    return system.potential.energy(_coordinates(system, x, "x"))
 
 
 def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
     """dV/dx as a vector, exact through the compiled dual-number terms."""
     pot = system.potential
     (lo, hi), pole = pot.domain, pot.pole
-    xs = [*map(float, x)]
+    xs = _coordinates(system, x, "x")
     if not all(lo < xi < hi and xi != pole for xi in xs):
         pot.energy(xs)  # raises the first coordinate's error
     return np.array([term(xi, 1.0)[1] for term, xi in zip(pot.compiled, xs)])
@@ -325,6 +337,9 @@ def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
 def kinetic_energy(system: PdmSystem, state: State) -> float:
     """Kinetic term: per-coordinate multipliers for type1, a shared one for
     type2; a DomainViolation when it overflows or is not finite."""
+    if len(state.x) != system.n or len(state.v) != system.n:
+        name, values = ("x", state.x) if len(state.x) != system.n else ("v", state.v)
+        raise InvalidParameter(name, f"expected {system.n} coordinates, got {len(values)}")
     try:
         if system.kind == TYPE2:
             m = system.coupled_profile.value(state.x)

@@ -3,8 +3,11 @@
 Each family's closed form, amplitude checks, frequency relation, position
 period and energy live in its record in ``families``; an ExactSolutionSpec
 resolves the record and evaluates each coordinate's frequency once, when it
-is built.  exact_trajectory builds a grid one coordinate at a time: one loop
-of that coordinate's closed form over the sample times.
+is built.  On first use it substitutes each coordinate's amplitude, phase,
+rate and parameters into the record's closed-form template and compiles it
+in t at order 2, so (x, xdot, xddot) come from the same dual numbers as the
+equations of motion.  kinematics and exact_trajectory run those kernels
+time by time, coordinate by coordinate.
 
 Wherever a published relation conflicts with the equation-of-motion residual
 oracle, the catalog stores the oracle-validated form and records the printed
@@ -20,6 +23,7 @@ one in MISPRINTS (surfaced by the CLI).  Three such corrections are active:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +31,8 @@ import numpy as np
 
 from .core import (ParameterSet, State, Termination, Trajectory, _check_shape,
                    _substitute, _validate, build_system, total_energy)
-from .errors import InvalidParameter, InvalidSpec, PdmError
+from .errors import ExprError, InvalidParameter, InvalidSpec
+from .exprparse import compile_expression, parse_cached
 from .families import (AMENDED_FORM, FAMILIES, PUBLISHED_FORM,
                        ml2_reduction_check)
 
@@ -84,6 +89,18 @@ class ExactSolutionSpec:
     def n(self) -> int:
         return len(self.amplitude)
 
+    @functools.cached_property
+    def kernels(self) -> tuple:
+        """Each coordinate's closed form, its template with the coordinate's
+        values substituted, compiled in t at order 2 when first read:
+        t, 1.0 -> (x_i, xdot_i, xddot_i)."""
+        record = self.record
+        template = (record.amended_form if self.variant == AMENDED_FORM and record.amended_form
+                    else record.closed_form)
+        return tuple(compile_expression(parse_cached(_substitute(
+            template, self.params, i, A=A, phase=phase, rate=rate), ("t",)), ("t",))
+            for i, (A, phase, rate) in enumerate(zip(self.amplitude, self.phase, self.rates)))
+
 
 def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
     """Period of the position signal per coordinate.
@@ -94,19 +111,36 @@ def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
     return spec.record.position_phase / np.array(spec.frequency)
 
 
+def _values(spec: ExactSolutionSpec, times):
+    """x_i, xdot_i and xddot_i for each time in turn, coordinate by
+    coordinate; at the first that fails, the InvalidSpec (or the branch's
+    error) it owes."""
+    p, branch, pole = spec.params, spec.record.branch, spec.record.pole
+    forms = tuple(zip(range(spec.n), spec.kernels, spec.rates, spec.phase))
+    isfinite = math.isfinite
+    for t in times:
+        try:
+            for i, kernel, rate, phase in forms:
+                if branch is not None:
+                    branch(p, i, t, rate, phase)
+                x, v, a = row = kernel(t, 1.0)
+                if pole is not None and x == pole:  # u^rho, rho < 0, reads 0 where u overflows
+                    raise OverflowError(f"x = {x!r} is the pole: u is not finite")
+                if not (isfinite(x) and isfinite(v) and isfinite(a)):
+                    raise ArithmeticError(f"(x, xdot, xddot) = {row} is not finite")
+                yield x
+                yield v
+                yield a
+        except (ArithmeticError, ValueError, ExprError) as err:
+            raise InvalidSpec(f"closed form fails at t={t!r}, amplitude {spec.amplitude}: "
+                              f"{err}") from err
+
+
 def kinematics(spec: ExactSolutionSpec, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic (x, xdot, xddot) of the closed form at time t; an InvalidSpec
     where an extreme amplitude or time makes it overflow, divide by zero,
     take the cosine of an infinite phase or return a value that is not finite."""
-    x, v, a = np.empty((3, spec.n))
-    try:
-        for i, rate in enumerate(spec.rates):
-            x[i], v[i], a[i] = row = spec.record.closed_form(spec, i, t, rate)
-            if not all(map(math.isfinite, row)):
-                raise ArithmeticError(f"(x, xdot, xddot) = {row} is not finite")
-    except (ArithmeticError, ValueError) as err:
-        raise InvalidSpec(f"closed form fails at t={t!r}, amplitude {spec.amplitude}: "
-                          f"{err}") from err
+    x, v, a = np.array(list(_values(spec, (t,)))).reshape(spec.n, 3).T.copy()
     return x, v, a
 
 
@@ -120,12 +154,10 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
     """A Trajectory holding dense analytic samples of the closed form.
 
     Lets trajectory consumers (period estimation, the nonlocal map, quadrature)
-    run on a closed form exactly as they would on integrator output.  Each
-    coordinate's column is one loop of its closed form over the times, as
-    Python floats, so every sample holds the bits kinematics gives at its
-    time.  Where any sample fails (an error, or a value that is not finite),
-    the grid is rebuilt sample by sample through kinematics, which raises
-    what it raises at the first failing time.
+    run on a closed form exactly as they would on integrator output.  The
+    grid runs the closed-form kernels kinematics runs, time by time, so
+    every sample holds the bits kinematics gives at its time, and the first
+    failing time raises what kinematics raises there.
     """
     if samples < 1:
         raise InvalidParameter("samples", f"need at least 1, got {samples!r}")
@@ -134,24 +166,14 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
     if t1 < t0:
         raise InvalidParameter("t1", f"{t1!r} is before the grid start t0={t0!r}")
     try:
-        ts = np.linspace(t0, t1, samples)
+        # near the largest float the last step's product overflows before
+        # linspace sets that sample to t1 itself
+        with np.errstate(over="ignore"):
+            ts = np.linspace(t0, t1, samples)
     except (ValueError, MemoryError) as err:    # more samples than one array can hold
         raise InvalidParameter("samples", f"too many for one array: {err}") from None
-    times = ts.tolist()
-    xs, vs, accs = grid = np.empty((3, samples, spec.n))
-    form = spec.record.closed_form
-    try:
-        for i, rate in enumerate(spec.rates):
-            # one (x, xdot, xddot) row per time, straight into the array
-            rows = (form(spec, i, t, rate) for t in times)
-            grid[:, :, i] = np.fromiter(rows, (float, 3), samples).T
-        finite = np.isfinite(grid).all()
-    except (PdmError, ArithmeticError, ValueError):
-        finite = False
-    if not finite:
-        # some sample fails: kinematics raises what it owes at the first that does
-        for k, t in enumerate(times):
-            xs[k], vs[k], accs[k] = kinematics(spec, t)
+    flat = np.fromiter(_values(spec, ts.tolist()), float, 3 * samples * spec.n)
+    xs, vs, accs = flat.reshape(samples, spec.n, 3).transpose(2, 0, 1).copy()
     return Trajectory(ts, xs, vs, accs, samples, 0, 0.0, Termination("completed"))
 
 

@@ -26,15 +26,16 @@ arguments; no text of the input reaches the generated source.
 
 A per-coordinate expression (a mass profile or a potential term) is written
 in ``x``, the default variable list everywhere; a shared mass is written in
-``x1..xn``.  ``eval_dual`` runs the order-2 function and ``eval_gradient``
-the order-1 one.
+``x1..xn``, and a closed form x_i(t) in ``t``, so its velocity and
+acceleration come from the same arithmetic as m' and V'.  ``eval_dual``
+runs the order-2 function and ``eval_gradient`` the order-1 one.
 
-The same per-point lines and guards also come in a batch shape: one
-generated ``for`` loop over a list of points, with the seeds bound once
-before it, returning the list of per-point results.  Each entry is
-bit-identical to the per-point function's.  Callers that evaluate many
-independent points (the map, the potential energy and the mass over 10^4
-samples or a trajectory's nodes) pay one call instead of one per point.
+The per-point lines and guards of a mass also come in a batch shape: one
+generated ``for`` loop over a list of floats, returning the list of
+per-point results.  Each entry is bit-identical to the per-point
+function's.  Callers that evaluate many independent points (the map, the
+potential energy and the mass over 10^4 samples or a trajectory's nodes)
+pay one call instead of one per point.
 
 A kernel that checks its points (the mass's batch, a nonlocal map, a
 potential's energies and a type1 right-hand side) has one failure path: a
@@ -668,24 +669,21 @@ def _function(gen: _Codegen, head: list[str], tail: list[str]) -> Callable:
 def _compile(expr: Expr, names: tuple[str, ...], order: int,
              batch: bool = False) -> Callable:
     gen = _Codegen(names, 3 if batch else 2)
-    checked = batch and len(names) == 1
-    if checked:
+    if batch:
         gen.check("not lo < x0 < hi", "x0")
     slot = _walk(gen, expr, order)
-    if checked:
-        gen.check(f"{slot.val} < 0.0", "x0")
     result = ", ".join(slot[:order + 1])
-    xs = [f"x{i}" for i in range(len(names))]
-    seeds = [f"s{i}" for i in range(len(names))]
     if batch:
+        gen.check(f"{slot.val} < 0.0", "x0")
         gen.emit(f"append(({result}))" if order else f"append({result})")
-        head = [f"def compiled(xs, {', '.join(seeds + ['lo, hi, fail'] * checked)}):",
+        head = ["def compiled(xs, s0, lo, hi, fail):",
                 "    out = []",
                 "    append = out.append",
-                f"    for {', '.join(xs)} in xs:"]
+                "    for x0 in xs:"]
         return _function(gen, head, ["    return out"])
+    args = [f"x{i}" for i in range(len(names))] + [f"s{i}" for i in range(len(names))]
     gen.emit(f"return {result}")
-    return _function(gen, [f"def compiled({', '.join(xs + seeds)}):"], [])
+    return _function(gen, [f"def compiled({', '.join(args)}):"], [])
 
 
 #: the variables of a map's q and f: the point, sqrt(m) and m'/(2m) there
@@ -774,15 +772,14 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     depend on the seeds: a power whose exponent varies is a ** b under seeds
     that leave the exponent constant and exp(b ln a) otherwise.
 
-    With ``batch``, the result ``f(points, s_1, .., s_n)`` takes an iterable
-    of points (floats for one variable, n-tuples for n) and returns the list
-    of what the per-point form returns at each, in order: the same lines
-    and guards run inside one loop, with the seeds shared by every point,
-    so each entry is bit-identical and the first failing point raises what
-    the per-point form raises there.  For one variable, a mass, it is
-    ``f(xs, s, lo, hi, fail)``: a point outside (lo, hi) fails before its
-    lines run and a point where the value is < 0 after them, and a failed
-    point calls ``fail(x)``, which raises what the caller owes at x.
+    With ``batch``, for one variable, a mass, the result
+    ``f(xs, s, lo, hi, fail)`` takes an iterable of floats and returns the
+    list of what the per-point form returns at each, in order: the same
+    lines and guards run inside one loop, with the seed shared by every
+    point, so each entry is bit-identical.  A point outside (lo, hi) fails
+    before its lines run and a point where the value is < 0 after them; a
+    failed point calls ``fail(x)``, which raises what the caller owes at x,
+    and a guard's error is raised where it happens.
 
     Built once per Expr object, variable list, order and shape; later calls
     return the same function.  A variable missing from ``names`` raises

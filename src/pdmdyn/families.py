@@ -1,21 +1,24 @@
 """One record per catalog family: everything the package knows about it.
 
-A record owns four templates, expression text in x and the parameter names:
-the family's mass profile m_i(x), its potential V_i(x), and its nonlocal map
-(q_i, f_i) onto a reference oscillator, which also reads root = sqrt(m_i)
-and half = m_i'/(2 m_i).  It also owns the domain, coefficient singularity
-and potential pole that no expression can state, and its closed form with
-amplitude checks, frequency relation, position period and energy.  The
-parameters a family requires are the names its mass and potential templates
-read (q and f read no other); each parameter's shape and range are stated
-once, in ``core``, alike for every family.  ``core`` substitutes each
-coordinate's parameter values into the templates and compiles them, so a
-catalog system evaluates exactly as a ``custom`` one does; ``transform``
-compiles the map's q and f, with the mass, into one kernel per coordinate,
-and ``exact`` resolves the record once, when a closed form is built, and
-calls into it.  Every callable works on one coordinate's floats; printed
-relations are in the misprint ledger, not here.  A new family is one new
-record plus one FAMILIES entry.
+A record owns five templates, expression text in the parameter names: the
+family's mass profile m_i(x), its potential V_i(x) and its nonlocal map
+(q_i, f_i) onto a reference oscillator, in x (q and f also in root =
+sqrt(m_i) and half = m_i'/(2 m_i)), and its closed form x_i(t), in t, A,
+phase and rate.  It also owns what no expression can state: the domain,
+coefficient singularity and potential pole, the closed form's branch where
+a power alone would not leave it, the amplitude checks, frequency relation,
+position period and energy, and the constant of the reference orbit each
+coordinate maps onto.  The parameters a family requires are the names its
+mass and potential templates read (the others read no other); each
+parameter's shape and range are stated once, in ``core``, alike for every
+family.  ``core`` substitutes each coordinate's parameter values into the
+templates and compiles them, so a catalog system evaluates exactly as a
+``custom`` one does; ``transform`` compiles the map's q and f, with the
+mass, into one kernel per coordinate, and ``exact`` compiles each
+coordinate's closed form in t, so its velocity and acceleration come from
+the same dual numbers.  Every callable works on one coordinate's floats;
+printed relations are in the misprint ledger, not here.  A new family is
+one new record plus one FAMILIES entry.
 """
 
 from __future__ import annotations
@@ -50,12 +53,6 @@ def _ml_domain(p) -> tuple[float, float]:
     return REAL_LINE
 
 
-def _cosine(spec, i: int, t: float, rate: float) -> tuple[float, float, float]:
-    A, phi = spec.amplitude[i], spec.phase[i]
-    th = rate * t + phi
-    return A * math.cos(th), -A * rate * math.sin(th), -A * rate * rate * math.cos(th)
-
-
 @dataclass(frozen=True)
 class Family:
     """One catalog family; ``p`` is its ParameterSet, ``i`` a coordinate.
@@ -65,9 +62,11 @@ class Family:
     ``sign`` for +1 or -1.  The names they read are the parameters the
     family requires; ``core`` checks every parameter's range.  ``q`` and
     ``f`` are written the same way, also in ``root`` = sqrt(m_i) and
-    ``half`` = m_i'/(2 m_i).  Defaults, the common case: the whole real line,
-    the map q = x sqrt(m), f = 1 + x m'/(2m) onto the harmonic reference, a
-    cosine closed form of period 2 pi / Omega.
+    ``half`` = m_i'/(2 m_i); ``closed_form`` in ``t``, ``A`` = A_i,
+    ``phase`` = phase_i and ``rate``, the rate the spec writes coordinate i
+    in.  Defaults, the common case: the whole real line, the map
+    q = x sqrt(m), f = 1 + x m'/(2m) onto the harmonic reference, a cosine
+    closed form of period 2 pi / Omega whose reference orbit has amplitude A.
     """
 
     name: str
@@ -89,8 +88,12 @@ class Family:
     frequency: Callable = lambda p, i, A: p.omega[i]
     #: closed form written in that frequency (else in omega_i)
     amplitude_dependent: bool = False
-    #: (spec, i, t, rate) -> (x_i, xdot_i, xddot_i)
-    closed_form: Callable = _cosine
+    closed_form: str = "A*cos(rate*t+phase)"   # x_i(t)
+    amended_form: str | None = None             # the amended variant's, where it differs
+    #: (p, i, t, rate, phase) -> None; raises where the closed form leaves its branch
+    branch: Callable | None = None
+    #: (p, i, A_i) -> the constant of the reference orbit coordinate i maps onto
+    image: Callable = lambda p, i, A: A
     #: (p, A_i, i) -> energy of coordinate i; None: no printed energy formula
     coordinate_energy: Callable | None = lambda p, A, i: 0.5 * p.omega[i] * p.omega[i] * A * A
     position_phase: float = 2.0 * math.pi       # phase over one period of x(t)
@@ -124,6 +127,7 @@ def _ml1_frequency(p, i, A):
 
 ML1 = Family("ml1", _ML, _ML_OSCILLATOR, domain=_ml_domain, check=_ml1_check,
              frequency=_ml1_frequency, amplitude_dependent=True,
+             image=lambda p, i, A: A / math.sqrt(1.0 + _sign(p) * p.lam * A * A),
              coordinate_energy=lambda p, A, i: (0.5 * p.omega[i] * p.omega[i] * A * A
                                                 / (1.0 + _sign(p) * p.lam * A * A)))
 
@@ -141,6 +145,7 @@ def _ml2_check(p, amplitude):
 ML2 = replace(ML1, name="ml2", potential="0.5*omega^2*eta_const^2/(1+sign*lam*x^2)",
               q="eta_const*root", f="eta_const*half",
               check=_ml2_check,
+              image=lambda p, i, A: p.eta_const[i] / math.sqrt(1.0 + _sign(p) * p.lam * A * A),
               coordinate_energy=lambda p, A, i: (0.5 * p.omega[i] * p.omega[i]
                                                  * p.eta_const[i] ** 2
                                                  / (1.0 + _sign(p) * p.lam * A * A)))
@@ -152,17 +157,11 @@ def _powerlaw_check(p, amplitude):
         raise InvalidSpec("power-law amplitude must be positive")
 
 
-def _powerlaw_form(spec, i, t, w):
-    A, phi, u = spec.amplitude[i], spec.phase[i], spec.params.upsilon
-    Om = (1.0 + u) * w
-    pw = 1.0 / (1.0 + u)
-    c = math.cos(Om * t + phi)
-    if c <= 0.0:
+def _powerlaw_branch(p, i, t, rate, phase):
+    # the closed form's cos; where 1/(1+upsilon) is an integer its power raises nothing
+    if math.cos((1.0 + p.upsilon) * rate * t + phase) <= 0.0:
         raise DomainViolation(
             "power-law closed form leaves its branch (cos <= 0)", t=t, coordinate=i)
-    s = math.sin(Om * t + phi)
-    return (A * c ** pw, -A * pw * Om * c ** (pw - 1.0) * s,
-            A * pw * Om * Om * ((pw - 1.0) * c ** (pw - 2.0) * s * s - c ** pw))
 
 
 def _powerlaw_energy(p, A, i):
@@ -171,14 +170,18 @@ def _powerlaw_energy(p, A, i):
     return 0.5 * p.alpha ** 2 * w * w * b * b
 
 
-# x > 0 keeps x^(2 upsilon) single-valued for non-integer exponents
+# x > 0 keeps x^(2 upsilon) single-valued for non-integer exponents; the
+# reference orbit's amplitude is Q = alpha A^(1+upsilon)
 POWERLAW = Family("powerlaw", "alpha^2*x^(2*upsilon)",
                   "0.5*omega^2*alpha^2*x^(2*upsilon+2)",
                   domain=lambda p: _HALF_LINE,
                   singularity=lambda p: 0.0 if p.upsilon != 0.0 else None,
                   check=_powerlaw_check,
                   frequency=lambda p, i, A: (1.0 + p.upsilon) * p.omega[i],
-                  closed_form=_powerlaw_form, coordinate_energy=_powerlaw_energy)
+                  closed_form="A*cos((1+upsilon)*rate*t+phase)^(1/(1+upsilon))",
+                  branch=_powerlaw_branch,
+                  image=lambda p, i, A: p.alpha * A ** (1.0 + p.upsilon),
+                  coordinate_energy=_powerlaw_energy)
 
 
 # --- morse: m = exp(2 zeta x), V = (1/2) w^2 m (1 - e^(-zeta x))^2 ---------------
@@ -187,21 +190,13 @@ def _morse_check(p, amplitude):
         raise InvalidSpec("bounded-exponential form needs |B| < 1")
 
 
-def _morse_form(spec, i, t, w):
-    A, phi, z = spec.amplitude[i], spec.phase[i], spec.params.zeta[i]
-    th = z * w * t + phi
-    u = 1.0 + A * math.cos(th)
-    return (math.log(u) / z, -A * w * math.sin(th) / u,
-            -A * z * w * w * (math.cos(th) + A) / (u * u))
-
-
 # the bounded-exponential map; f reduces to the constant zeta for this mass
 # V written with one exp: m (1 - e^(-zeta x))^2 = (e^(zeta x) - 1)^2
 MORSE = Family("morse", "exp(2*zeta*x)", "0.5*omega^2*(exp(zeta*x)-1)^2",
                q="root*(1-exp(-zeta*x))", f="half+(zeta-half)*exp(-zeta*x)",
                check=_morse_check,
                frequency=lambda p, i, A: p.zeta[i] * p.omega[i],
-               closed_form=_morse_form,
+               closed_form="ln(1+A*cos(zeta*rate*t+phase))/zeta",
                coordinate_energy=lambda p, A, i: 0.5 * p.omega[i] ** 2 * A ** 2)
 
 
@@ -211,33 +206,21 @@ def _inverse_square_check(p, amplitude):
         raise InvalidSpec("inverse-square form needs C != 0")
 
 
-def _sqrt_shape(theta_dot: float, num_s: float, num_c: float, denom: float,
-                rho: float, t: float, phase: float) -> tuple[float, float, float]:
-    """x = u^rho with u = (num_s sin^2 + num_c cos^2)/denom and theta = theta_dot t + phase."""
-    th = theta_dot * t + phase
-    s = math.sin(th)
-    u = (num_c + (num_s - num_c) * (s * s)) / denom
-    if not math.isfinite(u):    # u^rho with rho < 0 would hide it
-        raise OverflowError(f"u = {u!r} is not finite")
-    ud = (num_s - num_c) * math.sin(2.0 * th) * theta_dot / denom
-    udd = (num_s - num_c) * 2.0 * math.cos(2.0 * th) * theta_dot ** 2 / denom
-    x = u ** rho
-    xd = rho * u ** (rho - 1.0) * ud
-    xdd = rho * (rho - 1.0) * u ** (rho - 2.0) * ud * ud + rho * u ** (rho - 1.0) * udd
-    return x, xd, xdd
-
-
-def _isotonic_form(spec, i, t, rate):
-    A, k = spec.amplitude[i], spec.params.kappa[i]
-    return _sqrt_shape(rate, rate * rate * A ** 4, k, rate * rate * A * A, 0.5,
-                       t, spec.phase[i])
+def _inverse_square_form(kappa: str, theta_dot: str, denom: str, rho: str) -> str:
+    """x = u^rho, u = (c + (s - c) sin^2(theta_dot t + phase))/denom with
+    c = kappa and s = rate^2 A^4: u denom is c at theta = 0 and s a quarter
+    turn later."""
+    return f"(({kappa}+(rate*rate*A^4-{kappa})*sin({theta_dot}*t+phase)^2)/({denom}))^({rho})"
 
 
 # x^2 oscillates, so the position period is half the phase period; sw1 and
-# sw2 print no energy, so exact_energy evaluates the definition of record
+# sw2 print no energy, so exact_energy evaluates the definition of record;
+# the reference orbit's constant is C_q^2
 _INVERSE_SQUARE = Family("", "1", "0.5*(omega^2*x^2+kappa/x^2)",
                          pole=0.0, reference="isotonic",
-                         check=_inverse_square_check, closed_form=_isotonic_form,
+                         check=_inverse_square_check,
+                         closed_form=_inverse_square_form("kappa", "rate", "rate*rate*A*A", "0.5"),
+                         image=lambda p, i, C: C * C,
                          coordinate_energy=None, position_phase=math.pi)
 
 
@@ -263,23 +246,19 @@ def _sw1_frequency(p, i, A):
 SW1 = replace(_INVERSE_SQUARE, name="sw1",
               mass=_ML, potential="0.5*(omega^2*x^2/(1+sign*lam*x^2)"
                                   "+kappa*(1+sign*lam*x^2)/x^2)",
-              domain=_ml_domain, frequency=_sw1_frequency, amplitude_dependent=True)
+              domain=_ml_domain, frequency=_sw1_frequency, amplitude_dependent=True,
+              image=lambda p, i, C: C * C / (1.0 + _sign(p) * p.lam * C * C))
 
 
-def _sw2_form(spec, i, t, w):
-    p, A = spec.params, spec.amplitude[i]
-    eta, k = p.eta_exp, p.kappa[i]
-    keff = k if spec.variant == AMENDED_FORM else k / (eta * eta)
-    return _sqrt_shape(eta * w, w * w * A ** 4, keff, (p.beta * w * A) ** 2,
-                       1.0 / (2.0 * eta), t, spec.phase[i])
-
-
-# m = beta^2 x^(2(eta-1)); see the misprint ledger for the closed form
+# m = beta^2 x^(2(eta-1)); see the misprint ledger for the closed form: the
+# printed one reads kappa/eta^2 where the amended one reads kappa
+_SW2_SHAPE = ("eta_exp*rate", "(beta*rate*A)^2", "1/(2*eta_exp)")
 SW2 = replace(_INVERSE_SQUARE, name="sw2", mass="beta^2*x^(2*eta_exp-2)",
               potential="0.5*(omega^2*beta^2*x^(2*eta_exp)+kappa/(beta^2*x^(2*eta_exp)))",
               domain=lambda p: _HALF_LINE, singularity=lambda p: 0.0,
               frequency=lambda p, i, A: abs(p.eta_exp) * p.omega[i],
-              closed_form=_sw2_form)
+              closed_form=_inverse_square_form("kappa/eta_exp^2", *_SW2_SHAPE),
+              amended_form=_inverse_square_form("kappa", *_SW2_SHAPE))
 
 
 #: every catalog family by name; the only family registry

@@ -772,55 +772,38 @@ def _check_tau_closed_form(seed: int, rel_tol=None) -> CheckReport:
                    details="one position period advances the rescaled clock by 2 pi")
 
 
-def _reference_closed_form(case: Case, spec: ExactSolutionSpec, phase: float = 0.0):
-    """Reference-frame closed form q_ref(tau) matched to the mapped solution."""
+def _reference_closed_form(spec: ExactSolutionSpec, i: int, phase: float):
+    """Reference-frame closed form q_ref(tau) of coordinate i, matched to the
+    mapped solution: its orbit constant is the record's image of A_i."""
     p = spec.params
-    w = p.omega[0]
-    A = spec.amplitude[0]
-    if case.family == "ml1":
-        s = 1.0 if p.sign == "+" else -1.0
-        B = A / math.sqrt(1.0 + s * p.lam * A * A)
-        return lambda tau: B * np.cos(w * np.asarray(tau) + phase)
-    if case.family == "morse":
-        return lambda tau: A * np.cos(w * np.asarray(tau) + phase)
-    if case.family == "powerlaw":
-        Q = p.alpha * A ** (1.0 + p.upsilon)
-        return lambda tau: Q * np.cos(w * np.asarray(tau) + phase)
-    if case.family == "ml2":
-        s = 1.0 if p.sign == "+" else -1.0
-        B = p.eta_const[0] / math.sqrt(1.0 + s * p.lam * A * A)
-        return lambda tau: B * np.cos(w * np.asarray(tau))
-    if case.family in ("sw1", "sw2"):
-        k = p.kappa[0]
-        if case.family == "sw1":
-            s = 1.0 if p.sign == "+" else -1.0
-            cq2 = A * A / (1.0 + s * p.lam * A * A)
-        else:
-            cq2 = A * A
-        def q_ref(tau):
-            th = w * np.asarray(tau)
-            return np.sqrt((w * w * cq2 * cq2 * np.sin(th) ** 2
-                            + k * np.cos(th) ** 2) / (w * w * cq2))
-        return q_ref
-    raise UnknownCheck(case.family)
+    w = p.omega[i]
+    c = spec.record.image(p, i, spec.amplitude[i])
+    if spec.record.reference == "harmonic":
+        return lambda tau: c * np.cos(w * np.asarray(tau) + phase)
+    k = p.kappa[i]
+
+    def q_ref(tau):
+        th = w * np.asarray(tau) + phase
+        return np.sqrt((w * w * c * c * np.sin(th) ** 2 + k * np.cos(th) ** 2) / (w * w * c))
+    return q_ref
 
 
 def _check_mapped_exactness(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     case = standard_case(case_name)
     spec = case.spec()
     nmap, _ = reference_map(case.system())
-    T = float(np.max(oscillation_period(spec)))
-    phase = 0.0
     if case.family == "powerlaw":
-        Om = spec.frequency[0]
-        t0, t1 = -0.45 * math.pi / Om, 0.45 * math.pi / Om
-        phase = Om * t0       # the arc does not start at the turning point
+        # an arc inside every coordinate's branch, not starting at a turning point
+        t0 = -0.45 * math.pi / max(spec.frequency)
+        t1 = -t0
     else:
-        t0, t1 = 0.0, 3.0 * T
+        t0, t1 = 0.0, 3.0 * float(np.max(oscillation_period(spec)))
     traj = exact_trajectory(spec, t0, t1, 4001)
-    tau, q_num, _ = coordinate_image(nmap, traj, 0, require_positive=False)
-    q_ref = _reference_closed_form(case, spec, phase)(tau)
-    worst = float(np.max(np.abs(q_num - q_ref)))
+    worst = 0.0
+    for i in range(spec.n):
+        tau, q_num, _ = coordinate_image(nmap, traj, i, require_positive=False)
+        q_ref = _reference_closed_form(spec, i, spec.frequency[i] * t0 + spec.phase[i])(tau)
+        worst = _worst(worst, float(np.max(np.abs(q_num - q_ref))))
     return _report(f"mapped-exactness:{case_name}", worst, 1e-8,
                    details="mapped closed form reproduces the reference solution "
                            "pointwise in the rescaled time")

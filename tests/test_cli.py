@@ -606,22 +606,20 @@ class TestVerify:
         assert run(["verify", "--checks", checks]) == (
             2, "", f"error: --checks {checks!r} names no check\n")
 
-    @pytest.mark.parametrize("suite", ["", "e"])
+    @pytest.mark.parametrize("suite", ["", "e", "default", "all"])
     def test_unknown_suite_exit_2(self, suite, capsys):
-        # a suite name, not a prefix of check names
+        # every check runs without --checks; there is no suite to name
         assert run(["verify", "--suite", suite])[:2] == (2, "")
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments: --suite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["default", "all"])
-    def test_named_suite_runs_every_check(self, suite, monkeypatch):
+    def test_no_selection_runs_every_check(self, monkeypatch):
         selections = []
 
         def run_suite(selection, seed, rel_tol):
             selections.append(selection)
             return [], SuiteSummary(0, 0, 0)
         monkeypatch.setattr("pdmdyn.cli.run_suite", run_suite)
-        assert run(["verify", "--suite", suite]) == (
-            0, "summary: 0 passed, 0 expected-fail, 0 failed\n", "")
+        assert run(["verify"]) == (0, "summary: 0 passed, 0 expected-fail, 0 failed\n", "")
         assert selections == [None]
 
     def test_list_names(self):

@@ -235,6 +235,9 @@ def _exact_block(n):
          block={"n": 1, "amplitude": [1.0], "t0": -_LARGEST, "t1": _LARGEST, "samples": 3})
 @example(family="harmonic", block={"n": 1, "amplitude": [1.0], "t1": 1.0, "samples": 10**30},
          drop=set())
+# a span of the largest float: linspace's last product overflowed with a warning
+@example(family="harmonic", drop=set(),
+         block={"n": 1, "amplitude": [0.5], "t0": 0.0, "t1": _LARGEST, "samples": 4})
 # grids that run backward: tabulated, exit 0, before they were rejected
 @example(family="morse", block={"n": 1, "amplitude": [0.5], "periods": -1, "samples": 3},
          drop=set())

@@ -1,11 +1,11 @@
 """The generated kernels and closures against the code paths they replaced.
 
-A NonlocalMap's batch kernels, a PotentialSpec's energy kernel,
-exact_trajectory's grid and the closed forms evaluated on Python floats must
-return exactly what the layered evaluations returned (the map as Python q
-and f callables, the energy as a loop over the compiled terms, the grid
-sample by sample), or agree with the numpy evaluation to rounding (the
-inverse-square closed forms), and raise where those raised.
+A NonlocalMap's batch kernels, a PotentialSpec's energy kernel and
+exact_trajectory's grid must return exactly what the layered evaluations
+returned (the map as Python q and f callables, the energy as a loop over the
+compiled terms, the grid sample by sample), and raise where those raised;
+the compiled inverse-square closed form must agree with the numpy
+evaluation of its hand-derived shape to rounding.
 """
 
 import math
@@ -20,13 +20,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pdmdyn import exprparse
-from pdmdyn.core import (VECTORS, State, build_system, parameter_set, potential_energy,
-                         total_energy)
+from pdmdyn.core import (VECTORS, State, _substitute, build_system, parameter_set,
+                         potential_energy, total_energy)
 from pdmdyn.errors import (DomainViolation, ExprDomainError, InvalidSpec, PdmError,
                            SingularPoint)
 from pdmdyn.profiles import CustomProfile
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
-from pdmdyn.families import FAMILIES, _sqrt_shape
+from pdmdyn.families import FAMILIES, _inverse_square_form
 from pdmdyn.transform import (NonlocalMap, f_scale, potential_match_residual, q_map,
                               reference_map)
 
@@ -321,6 +321,48 @@ class TestMapKernelCompiles:
         assert out.stdout.strip() == "0"
 
 
+class TestClosedFormKernelCompiles:
+    # values no other test uses, so every closed-form text is parsed afresh
+    PARAMS = {"omega": [1.0625, 2.0625], "zeta": [0.8125, 0.4375]}
+    FIRST = {"kinematics": lambda spec: kinematics(spec, 0.25),
+             "exact_trajectory": lambda spec: exact_trajectory(spec, 0.0, 1.0, 5)}
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        """The expressions compiled in t from now on: the closed-form kernels."""
+        compiles = []
+        real = exprparse._compile
+        monkeypatch.setattr(exprparse, "_compile", lambda expr, names, *rest: (
+            names == ("t",) and compiles.append(expr)) or real(expr, names, *rest))
+        return compiles
+
+    @pytest.mark.parametrize("first,amplitude", [("kinematics", (0.3125, -0.1875)),
+                                                 ("exact_trajectory", (0.28125, -0.15625))])
+    def test_compiled_on_first_use_once_per_template_text(self, first, amplitude,
+                                                          monkeypatch):
+        compiles = self._count(monkeypatch)
+        build_system("morse", 2, self.PARAMS)
+
+        def spec():
+            return ExactSolutionSpec("morse", parameter_set(self.PARAMS, 2), amplitude,
+                                     (0.0625, -0.125))
+        spec_a = spec()
+        assert compiles == []
+        self.FIRST[first](spec_a)
+        assert len(compiles) == 2 and compiles[0] is not compiles[1]
+        for fn in self.FIRST.values():
+            fn(spec_a)
+            fn(spec())          # a repeated spec compiles nothing
+        assert len(compiles) == 2
+
+    def test_equal_coordinates_share_one_kernel(self, monkeypatch):
+        compiles = self._count(monkeypatch)
+        spec = ExactSolutionSpec("harmonic", parameter_set({"omega": 1.15625}, 2),
+                                 (0.40625, 0.40625), (0.5, 0.5))
+        x, _, _ = kinematics(spec, 0.75)
+        assert len(compiles) == 1 and x[0] == x[1]
+
+
 @pytest.mark.parametrize("text,domain", [
     ("1/(1+x^2)", (-math.inf, math.inf)),
     ("1/(1-0.5*x^2)", (-1.2, 1.2)),
@@ -521,12 +563,13 @@ def test_exact_trajectory_is_the_per_sample_grid(name, n, t0, span, samples):
     assert _grid_outcome(grid) == want
 
 
-# --- the inverse-square closed forms on floats ------------------------------------
+# --- the inverse-square closed form against numpy ---------------------------------
 
 
 def _sqrt_shape_numpy(theta_dot, num_s, num_c, denom, rho, t, phase):
-    """The closed form's shape on one-element numpy arrays, the reference for
-    the float version; numpy's power rounds differently from libm's."""
+    """x = u^rho with u = (num_s sin^2 + num_c cos^2)/denom, theta = theta_dot t
+    + phase, and its hand-derived first two derivatives in t, on one-element
+    numpy arrays; numpy's power rounds differently from libm's."""
     th = theta_dot * np.array([t]) + phase
     s2 = np.sin(th) ** 2
     u = (num_c + (num_s - num_c) * s2) / denom
@@ -540,16 +583,25 @@ def _sqrt_shape_numpy(theta_dot, num_s, num_c, denom, rho, t, phase):
 
 @pytest.mark.parametrize("rho", [0.5, 0.25, -0.5, -0.25])
 def test_sqrt_shape_matches_the_numpy_evaluation(rho):
+    # the shape template with one coordinate's values substituted and compiled
+    # in t, as ExactSolutionSpec.kernels does; num_s = rate^2 A^4
+    theta_dot, num_c, denom, A, rate, phase = 1.3, 0.7, 1.7, 1.1, 1.05, 0.4
+    text = _substitute(_inverse_square_form("kappa", repr(theta_dot), repr(denom), repr(rho)),
+                       parameter_set({"omega": 1.0, "kappa": num_c}, 1), 0,
+                       A=A, rate=rate, phase=phase)
+    kernel = exprparse.compile_expression(exprparse.parse_cached(text, ("t",)), ("t",))
     rng = np.random.default_rng(7)
-    theta_dot, num_s, num_c, denom = 1.3, 2.1, 0.7, 1.7
     ts = rng.uniform(-20.0, 20.0, 2000).tolist()
-    got = np.array([_sqrt_shape(theta_dot, num_s, num_c, denom, rho, t, 0.4) for t in ts])
-    want = np.array([_sqrt_shape_numpy(theta_dot, num_s, num_c, denom, rho, t, 0.4)
-                     for t in ts])
+    got = np.array([kernel(t, 1.0) for t in ts])
+    want = np.array([_sqrt_shape_numpy(theta_dot, rate * rate * A ** 4, num_c, denom, rho,
+                                       t, phase) for t in ts])
     # a few ulps of each column's scale: xddot sums two terms that cancel
     # near its zeros, where the last bits move but not the scale
     scale = np.max(np.abs(want), axis=0)
     assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
+# --- closed forms that are not finite ---------------------------------------------
 
 
 TINY = [("isotonic", {"omega": [1.0], "kappa": [1.0]}, "published")] + [

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from pdmdyn.core import (TYPE1, TYPE2, State, build_system, kinetic_energy,
-                         parameter_set, potential_energy, total_energy)
+                         parameter_set, potential_energy, potential_gradient,
+                         total_energy)
 from pdmdyn.eom import el1_acceleration
 from pdmdyn.errors import (DomainViolation, InvalidParameter,
                            MissingParameter, SingularPoint)
@@ -232,6 +233,18 @@ class TestEnergies:
         with pytest.raises(DomainViolation) as got:
             kinetic_energy(system, st)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("given", [1, 3])
+    @pytest.mark.parametrize("fn,arg", [
+        (potential_energy, lambda xs: xs), (potential_gradient, lambda xs: xs),
+        (kinetic_energy, lambda xs: State.of(0.0, xs, xs)),
+        (total_energy, lambda xs: State.of(0.0, xs, xs)),
+    ])
+    def test_wrong_number_of_coordinates(self, fn, arg, given):
+        # neither a raw unpacking error nor a result truncated to the shorter length
+        system = build_system("harmonic", 2, {"omega": [1.0, 2.0]})
+        with pytest.raises(InvalidParameter, match=f"expected 2 coordinates, got {given}"):
+            fn(system, arg([0.5] * given))
 
 
 class TestParameterSet:

@@ -53,6 +53,14 @@ class TestClosedFormValues:
         with pytest.raises(DomainViolation):
             exact_solution(spec, 0.9)  # cos(2 * 0.9) < 0
 
+    @pytest.mark.parametrize("upsilon", [-0.5, 0.0])
+    def test_powerlaw_leaves_branch_at_an_integer_power(self, upsilon):
+        # 1/(1+upsilon) is 2 or 1: the power itself raises nothing at cos <= 0
+        spec = spec_of("powerlaw", {"omega": [1.0], "alpha": 1.0, "upsilon": upsilon}, [1.0])
+        t = 0.6 * math.pi / (1.0 + upsilon)     # 0.6 pi past the turning point
+        with pytest.raises(DomainViolation, match="leaves its branch"):
+            exact_solution(spec, t)
+
     def test_velocity_is_derivative_of_position(self):
         for family, params, amp, kw in [
             ("ml1", {"omega": [1.0], "lambda": 0.5, "sign": "-"}, [0.5], {}),

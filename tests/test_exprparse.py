@@ -612,11 +612,6 @@ def batch_outcome(fn, *args):
             for o in out]
 
 
-def _per_point(fn, points, seeds):
-    """The per-point kernel at each point in turn, as a list."""
-    return [fn(*(x if isinstance(x, tuple) else (x,)), *seeds) for x in points]
-
-
 class _Failed(Exception):
     """Raised by _fail: the point at which a batch failed a check."""
 
@@ -679,17 +674,6 @@ class TestBatchParity:
         assert (batch_outcome(batch, xs, seed, *domain, _fail)
                 == batch_outcome(_per_point_checked, fn, xs, seed, *domain, order))
         assert batch.value_reads_seeds == fn.value_reads_seeds
-
-    @given(_exprs(("x1", "x2", "x3"), full=True),
-           st.lists(st.tuples(_points, _points, _points), max_size=6),
-           st.lists(_seeds, min_size=3, max_size=3), st.sampled_from([0, 1, 2]))
-    @settings(max_examples=200, deadline=None)
-    def test_three_variables(self, expr, points, seeds, order):
-        names = ("x1", "x2", "x3")
-        batch = compile_expression(expr, names, order, batch=True)
-        fn = compile_expression(expr, names, order)
-        assert (batch_outcome(batch, points, *seeds)
-                == batch_outcome(_per_point, fn, points, seeds))
 
     def test_cached_apart_from_the_per_point_form(self):
         expr = parse_expression("x^2+1")
