@@ -318,6 +318,12 @@ def _coordinates(system: PdmSystem, values: Sequence[float], name: str) -> list[
     return out
 
 
+def _state(system: PdmSystem, state: State) -> tuple[list[float], list[float]]:
+    """The state's x and v as lists of n floats; an InvalidParameter unless
+    each holds n."""
+    return _coordinates(system, state.x, "x"), _coordinates(system, state.v, "v")
+
+
 def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:
     """V(x), the sum of the compiled per-coordinate terms; a DomainViolation
     when it is not finite."""

@@ -8,7 +8,12 @@ It is one generated function per system's masses and potentials
 (``exprparse.compile_rhs``), with no loop over the coordinates; this module
 binds it to the errors its failed checks owe.  The constant-mass reference
 oscillators are the catalog ``harmonic`` and ``isotonic`` systems, so this
-form is their equation of motion too.
+form is their equation of motion too.  A shared-multiplier (type2) system,
+
+    xdd_i = -(mdot/m) xd_i + (1/2)(d_i m/m) sum_j xd_j^2 - (1/m) dV/dx_i,
+
+is one generated function per shared mass and potentials
+(``exprparse.compile_rhs2``), bound here in the same way.
 The per-family printed forms in the literature are used as cross-check
 oracles in the tests, never as separate code paths (several of them carry
 typos that the generic form adjudicates).
@@ -24,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TYPE1, TYPE2, PdmSystem, State
+from .core import TYPE1, TYPE2, PdmSystem, State, _state
 from .errors import InvalidParameter, SingularCoefficient
-from .exprparse import compile_rhs
+from .exprparse import compile_rhs, compile_rhs2
 
 
 def el1_rhs(system: PdmSystem) -> Callable:
@@ -56,25 +61,23 @@ def el1_rhs(system: PdmSystem) -> Callable:
 
 
 def el2_rhs(system: PdmSystem) -> Callable:
-    """rhs(t, x, v) of a type2 system, as el1_rhs; m <= 0 is a DomainViolation."""
+    """rhs(t, x, v) of a type2 system, as el1_rhs: the generated kernel of
+    the system's shared mass and potentials (``exprparse.compile_rhs2``,
+    compiled by the first call for them), bound to the error it owes at each
+    failed check.  m <= 0 is the mass's DomainViolation.
+    """
     if system.kind != TYPE2:
         raise InvalidParameter("kind", "el2_rhs needs a type2 system")
-    pot = system.potential
-    (lo, hi), pole = pot.domain, pot.pole
+    pot, profile = system.potential, system.coupled_profile
 
-    def rhs(t, x, v):
-        m, gradm = system.coupled_profile.value_and_gradient(x)
-        mdot = v2 = 0.0
-        for g, vi in zip(gradm, v):
-            mdot += g * vi
-            v2 += vi * vi
-        out = []
-        for (i, term), xi, vi, g in zip(enumerate(pot.compiled), x, v, gradm):
-            if not lo < xi < hi or xi == pole:
-                pot.energy(x)  # raises the coordinate's error
-            out.append(-(mdot / m) * vi + 0.5 * (g / m) * v2 - term(xi, 1.0)[1] / m)
-        return out
-    return rhs
+    def fail(i, x):
+        """Raise what the failed check owes at x: m <= 0 (i None), else
+        coordinate i's domain or pole."""
+        if i is None:
+            profile.value(x)  # raises the non-positive-mass DomainViolation
+        pot.energy(x)  # raises the coordinate's error
+
+    return compile_rhs2(profile.expr, profile.names, pot.exprs, pot.domain, pot.pole)(fail)
 
 
 def _rhs(system: PdmSystem, build: Callable) -> Callable:
@@ -89,8 +92,10 @@ def el1_acceleration(system: PdmSystem, state: State) -> np.ndarray:
 
 
 def el2_acceleration(system: PdmSystem, state: State) -> np.ndarray:
-    """Accelerations of the shared-multiplier system at a state."""
-    return np.array(_rhs(system, el2_rhs)(state.t, [*map(float, state.x)], [*map(float, state.v)]))
+    """Accelerations of the shared-multiplier system at a state; an
+    InvalidParameter unless x and v hold n coordinates each."""
+    rhs = _rhs(system, el2_rhs)
+    return np.array(rhs(state.t, *_state(system, state)))
 
 
 def el1_residual(system: PdmSystem, solution: Callable[[float], tuple],

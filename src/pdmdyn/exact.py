@@ -90,15 +90,16 @@ class ExactSolutionSpec:
         return len(self.amplitude)
 
     @functools.cached_property
-    def kernels(self) -> tuple:
-        """Each coordinate's closed form, its template with the coordinate's
-        values substituted, compiled in t at order 2 when first read:
-        t, 1.0 -> (x_i, xdot_i, xddot_i)."""
+    def forms(self) -> tuple:
+        """(i, kernel, rate, phase) of each coordinate i, read by every
+        evaluation: its closed form, the template with the coordinate's
+        values substituted, compiled in t at order 2 when first read, so
+        kernel(t, 1.0) -> (x_i, xdot_i, xddot_i)."""
         record = self.record
         template = (record.amended_form if self.variant == AMENDED_FORM and record.amended_form
                     else record.closed_form)
-        return tuple(compile_expression(parse_cached(_substitute(
-            template, self.params, i, A=A, phase=phase, rate=rate), ("t",)), ("t",))
+        return tuple((i, compile_expression(parse_cached(_substitute(
+            template, self.params, i, A=A, phase=phase, rate=rate), ("t",)), ("t",)), rate, phase)
             for i, (A, phase, rate) in enumerate(zip(self.amplitude, self.phase, self.rates)))
 
 
@@ -116,8 +117,7 @@ def _values(spec: ExactSolutionSpec, times):
     coordinate; at the first that fails, the InvalidSpec (or the branch's
     error) it owes."""
     p, branch, pole = spec.params, spec.record.branch, spec.record.pole
-    forms = tuple(zip(range(spec.n), spec.kernels, spec.rates, spec.phase))
-    isfinite = math.isfinite
+    forms, isfinite = spec.forms, math.isfinite
     for t in times:
         try:
             for i, kernel, rate, phase in forms:
@@ -140,8 +140,8 @@ def kinematics(spec: ExactSolutionSpec, t: float) -> tuple[np.ndarray, np.ndarra
     """Analytic (x, xdot, xddot) of the closed form at time t; an InvalidSpec
     where an extreme amplitude or time makes it overflow, divide by zero,
     take the cosine of an infinite phase or return a value that is not finite."""
-    x, v, a = np.array(list(_values(spec, (t,)))).reshape(spec.n, 3).T.copy()
-    return x, v, a
+    flat = np.array([*_values(spec, (t,))])
+    return flat[0::3], flat[1::3], flat[2::3]
 
 
 def exact_solution(spec: ExactSolutionSpec, t: float) -> State:

@@ -28,7 +28,11 @@ A per-coordinate expression (a mass profile or a potential term) is written
 in ``x``, the default variable list everywhere; a shared mass is written in
 ``x1..xn``, and a closed form x_i(t) in ``t``, so its velocity and
 acceleration come from the same arithmetic as m' and V'.  ``eval_dual``
-runs the order-2 function and ``eval_gradient`` the order-1 one.
+runs the order-2 function.  A shared mass's value and gradient come from
+one more shape (``compile_gradient``, which ``eval_gradient`` runs): the
+order-1 lines once per seed direction j, with the seed s_j = 1 and every
+other seed 0 held in locals, so no zero seed is folded away and each
+partial derivative has the bits of an order-1 call seeded along x_j.
 
 The per-point lines and guards of a mass also come in a batch shape: one
 generated ``for`` loop over a list of floats, returning the list of
@@ -38,8 +42,9 @@ potential energy and the mass over 10^4 samples or a trajectory's nodes)
 pay one call instead of one per point.
 
 A kernel that checks its points (the mass's batch, a nonlocal map, a
-potential's energies and a type1 right-hand side) has one failure path: a
-failed check (a domain, a pole, a singularity, m < 0, a non-finite energy)
+potential's energies and a type1 or type2 right-hand side) has one failure
+path: a failed check (a domain, a pole, a singularity, m < 0 or, for a
+shared mass, m <= 0, a non-finite energy)
 calls the ``fail`` its caller bound, which raises what the caller owes
 there, and an error inside the lines is raised where it happens.  The loop
 runs the points in order, so the first failing point raises its own error
@@ -52,6 +57,10 @@ potential's energy (``compile_potential``): every coordinate's checks and
 value lines, summed, per point.  So is a type1 system's right-hand side
 (``compile_rhs``): every coordinate's checks, its potential's and its
 mass's lines at order 1 and its acceleration, one coordinate after another.
+So is a type2 system's (``compile_rhs2``): the shared mass's gradient
+lines, as ``compile_gradient`` runs them, and its m <= 0 check, then every
+coordinate's checks, its potential's lines at order 1 and its acceleration
+-(mdot/m) v_i + (1/2)(g_i/m)|v|^2 - V_i'/m, one coordinate after another.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .errors import ExprDomainError, ExprSyntaxError, UnknownIdentifier
+from .errors import ExprDomainError, ExprSyntaxError, InvalidParameter, UnknownIdentifier
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
@@ -442,12 +451,13 @@ class _Codegen:
         self.block(f"if {failed}:", lambda: self.emit(f"fail({args})"))
 
     def coordinate(self, i: int, domain: tuple[float, float], pole: float | None,
-                   singular: float | None = None) -> None:
-        """x_i of the point x as a float, then its singularity check and its
-        domain and pole check, each failing as fail(i, x); the expressions
-        walked next read x_i as ``x``, seeded by s0."""
+                   singular: float | None = None, floated: bool = False) -> None:
+        """x_i of the point x as a float (unless ``floated`` already), then its
+        singularity check and its domain and pole check, each failing as
+        fail(i, x); the expressions walked next read x_i as ``x``, seeded by s0."""
         x = f"x{i}"
-        self.emit(f"{x} = float({x})")
+        if not floated:
+            self.emit(f"{x} = float({x})")
         if singular is not None:
             self.check(f"{x} == {self.bind(singular)}", f"{i}, x")
         lo, hi = map(self.bind, domain)
@@ -686,6 +696,11 @@ def _compile(expr: Expr, names: tuple[str, ...], order: int,
     return _function(gen, [f"def compiled({', '.join(args)}):"], [])
 
 
+def _unpack(target: str, n: int, source: str) -> list[str]:
+    """The line ``target0, .., target(n-1), = source``; none for n = 0."""
+    return [f"{''.join(f'{target}{i}, ' for i in range(n))}= {source}"] if n else []
+
+
 #: the variables of a map's q and f: the point, sqrt(m) and m'/(2m) there
 MAP_NAMES = ("x", "root", "half")
 
@@ -714,7 +729,7 @@ def _compile_map(mass: Expr, q: Expr, f: Expr) -> Callable:
 def _compile_potential(exprs: tuple, domain: tuple[float, float],
                        pole: float | None) -> Callable:
     gen = _Codegen((), 4)
-    gen.emit(f"{''.join(f'x{i}, ' for i in range(len(exprs)))}= x")
+    gen.emit(*_unpack("x", len(exprs), "x"))
     terms = []
     for i, expr in enumerate(exprs):
         gen.coordinate(i, domain, pole)
@@ -736,8 +751,7 @@ def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
     n = len(masses)
     gen = _Codegen((), 3)
     # velocities are u_i: v<count> names the emitter's own locals
-    gen.emit("s0 = 1.0", f"{''.join(f'x{i}, ' for i in range(n))}= x",
-             f"{''.join(f'u{i}, ' for i in range(n))}= v")
+    gen.emit("s0 = 1.0", *_unpack("x", n, "x"), *_unpack("u", n, "v"))
     for i, (mass, potential, singular) in enumerate(zip(masses, potentials, singularities)):
         gen.coordinate(i, domain, pole, singular)
         dv = _walk(gen, potential, 1).d1
@@ -746,6 +760,62 @@ def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
         gen.emit(f"a{i} = -({m.d1} / (2.0 * {m.val})) * u{i} * u{i} - {dv} / {m.val}")
     gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
     return _function(gen, ["def compiled(fail):", "    def rhs(t, x, v):"], ["    return rhs"])
+
+
+def _gradient(gen: _Codegen, mass: Expr, n: int) -> None:
+    """Lines that leave in m and g0..g(n-1) the value and the first partial
+    derivatives of mass over gen's variables x0..x(n-1), bit for bit as
+    calls of the order-1 kernel give them, one call per seed direction: the
+    mass's lines once per direction j, with the seed s_j = 1.0 and every
+    other seed 0.0, after one pass with every seed 0.0 that gives the value
+    where the value reads the seeds (or there are no variables).  The seeds
+    are locals set before each pass, so no zero is folded.  gen is fresh: no
+    earlier walk has set its value_reads_seeds."""
+    mark = len(gen.lines)
+    gen.emit(*(f"s{j} = 0.0" for j in range(n)))
+    value = _walk(gen, mass, 1).val
+    seeds: list = [0.0] * n         # each seed as the lines so far leave it
+    if n and not gen.value_reads_seeds:  # every seeded pass gives the value
+        del gen.lines[mark:]
+        value, seeds = None, [None] * n
+    for j in range(n):
+        want = [float(k == j) for k in range(n)]
+        gen.emit(*(f"s{k} = {w}" for k, (w, was) in enumerate(zip(want, seeds)) if w != was))
+        seeds = want
+        slot = _walk(gen, mass, 1)
+        gen.emit(f"g{j} = {slot.d1}")   # a copy: d1 may be a seed, set again by the next pass
+        value = value or slot.val
+    gen.emit(f"m = {value}")
+
+
+def _compile_gradient(expr: Expr, names: tuple[str, ...]) -> Callable:
+    gen = _Codegen(names)
+    _gradient(gen, expr, len(names))
+    gen.emit(f"return m, [{', '.join(f'g{j}' for j in range(len(names)))}]")
+    head = ["def compiled(x):", *("    " + line for line in _unpack("x", len(names), "x"))]
+    return _function(gen, head, [])
+
+
+def _compile_rhs2(mass: Expr, names: tuple[str, ...], potentials: tuple,
+                  domain: tuple[float, float], pole: float | None) -> Callable:
+    n = len(names)
+    gen = _Codegen(names, 3)
+    _gradient(gen, mass, n)
+    gen.check("m <= 0.0", "None, x")
+    # mdot and |v|^2 (vv: v<count> names the emitter's own locals) summed from
+    # 0.0 in coordinate order, as a running sum adds them; the potential terms
+    # are seeded by s0 = 1.0, as compile_rhs seeds them
+    gen.emit(f"mdot = {' + '.join(['0.0', *(f'g{i} * u{i}' for i in range(n))])}",
+             f"vv = {' + '.join(['0.0', *(f'u{i} * u{i}' for i in range(n))])}",
+             "s0 = 1.0")
+    for i, potential in enumerate(potentials):
+        gen.coordinate(i, domain, pole, floated=True)
+        dv = _walk(gen, potential, 1).d1
+        gen.emit(f"a{i} = -(mdot / m) * u{i} + 0.5 * (g{i} / m) * vv - {dv} / m")
+    gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
+    head = ["def compiled(fail):", "    def rhs(t, x, v):",
+            *("        " + line for line in _unpack("x", n, "x") + _unpack("u", n, "v"))]
+    return _function(gen, head, ["    return rhs"])
 
 
 def _cached(holder: Expr, key: tuple, build: Callable) -> Callable:
@@ -860,25 +930,59 @@ def eval_dual(expr: Expr, x: float) -> tuple[float, float, float]:
     return compile_expression(expr)(x, 1.0)
 
 
+def compile_gradient(expr: Expr, names: Sequence[str]) -> Callable:
+    """The value and first partial derivatives of ``expr`` over the variables
+    ``names`` as one compiled function.
+
+    The result ``gradient(x)`` takes a sequence of len(names) numbers and
+    returns (value, [d/dx_1, .., d/dx_n]).  It runs the lines of the order-1
+    kernel once per seed direction j, with s_j = 1 and every other seed 0,
+    one direction after another, so each derivative holds the bits of that
+    kernel's call with those seeds.  The value is the first direction's,
+    unless it reads the seeds, as a power whose exponent varies does (it
+    takes a ** b or exp(b ln a) by the exponent's derivatives); then it
+    comes from one more pass, first, with every seed 0.  An error inside the
+    lines is raised where it happens, so the first error is that of the
+    first pass that raises.
+
+    Built once per (expr, names), and kept on ``expr``.
+    """
+    return _cached(expr, (tuple(names),), _compile_gradient)
+
+
+def compile_rhs2(mass: Expr, names: Sequence[str], potentials: Sequence[Expr],
+                 domain: tuple[float, float], pole: float | None) -> Callable:
+    """The type2 right-hand side of n coordinates as one compiled function.
+
+    ``mass`` is the shared mass m over the variables ``names`` (x1..xn);
+    coordinate i has the potential term ``potentials[i]`` in ``x``, and every
+    coordinate lies in the open interval ``domain`` and off ``pole``.  The
+    result ``make(fail)`` returns ``rhs(t, x, v)``, which takes lists of n
+    floats and returns the list of the n accelerations
+
+        -(mdot/m) v_i + (1/2)(g_i/m) |v|^2 - V_i'/m,  g = grad m, mdot = g.v.
+
+    It runs, in this order: each x_i as a float; m's gradient lines, as
+    compile_gradient runs them, so m and g are its bits; the m <= 0 check,
+    failing as fail(None, x); mdot and |v|^2, each summed from 0.0 in
+    coordinate order; then for each coordinate in turn the domain and pole
+    check, failing as fail(i, x), the lines of the potential term's order-1
+    kernel (so V_i' is its bits) and the acceleration line.  fail raises
+    what the caller owes there; an error inside the lines is raised where it
+    happens, so the first error is that of the first failing pass or
+    coordinate.
+
+    Built once per (mass, names, potentials, domain, pole), and kept on
+    ``mass``.
+    """
+    return _cached(mass, (tuple(names), tuple(potentials), tuple(domain), pole), _compile_rhs2)
+
+
 def eval_gradient(expr: Expr, names: Sequence[str],
                   values: Sequence[float]) -> tuple[float, list[float]]:
-    """Value and first partial derivatives of a multivariate expression.
-
-    One pass of the first-order compiled function per coordinate.  The value
-    is the first pass's unless it reads the seeds, as a power whose exponent
-    varies does (it takes a ** b or exp(b ln a) by the exponent's
-    derivatives); then it comes from one more pass with every seed 0.
-    """
-    fn = compile_expression(expr, names, 1)
-    n = len(names)
-    args = [*values, *[0.0] * n]
-    val = fn(*args)[0] if fn.value_reads_seeds or not n else None
-    grad = []
-    for i in range(n, 2 * n):
-        args[i] = 1.0
-        first, d1 = fn(*args)
-        args[i] = 0.0
-        grad.append(d1)
-        if val is None:
-            val = first
-    return val, grad
+    """Value and first partial derivatives of a multivariate expression at
+    ``values``: one call of its compile_gradient function; an
+    InvalidParameter unless there is one value per name."""
+    if len(values) != len(names):
+        raise InvalidParameter("values", f"expected {len(names)} coordinates, got {len(values)}")
+    return compile_gradient(expr, names)(values)

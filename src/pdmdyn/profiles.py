@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import exprparse
-from .errors import DomainViolation
+from .errors import DomainViolation, InvalidParameter
 from .exprparse import Expr
 
 #: the whole real line, the domain of a profile that states none
@@ -79,7 +79,8 @@ class CoupledProfile:
     """Single mass field m(x1..xn) shared by all velocity components.
 
     Not a per-coordinate profile: it exposes the value and the gradient,
-    which is all the coupled equations of motion require.
+    which is all the coupled equations of motion require.  A point is a
+    sequence of n numbers; any other length is an InvalidParameter.
     """
 
     expr: Expr
@@ -94,14 +95,23 @@ class CoupledProfile:
 
     def value(self, xs: Sequence[float]) -> float:
         """m alone, from one value-only kernel call with every seed 0: the
-        value eval_gradient returns; a DomainViolation where m <= 0."""
-        n = len(self.names)
+        value value_and_gradient returns; a DomainViolation where m <= 0."""
+        n = self._check(xs)
         m = exprparse.compile_expression(self.expr, self.names, 0)(*xs, *[0.0] * n)
         return self._positive(m, xs)
 
     def value_and_gradient(self, xs: Sequence[float]) -> tuple[float, list[float]]:
-        m, grad = exprparse.eval_gradient(self.expr, self.names, xs)
+        """(m, grad m) from one call of the gradient kernel; a DomainViolation
+        where m <= 0."""
+        self._check(xs)
+        m, grad = exprparse.compile_gradient(self.expr, self.names)(xs)
         return self._positive(m, xs), grad
+
+    def _check(self, xs: Sequence[float]) -> int:
+        n = len(self.names)
+        if len(xs) != n:
+            raise InvalidParameter("x", f"expected {n} coordinates, got {len(xs)}")
+        return n
 
     def _positive(self, m: float, xs: Sequence[float]) -> float:
         if m <= 0.0:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory, _substitute,
+from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory, _state, _substitute,
                    build_system, potential_gradient)
 from .eom import el1_acceleration, el2_acceleration
 from .errors import InvalidParameter, NonPositiveScale, PdmError, UnsupportedFamily
@@ -212,6 +212,7 @@ def el2_obstruction(system: PdmSystem, state: State) -> float:
     """
     if system.kind != TYPE2:
         raise InvalidParameter("kind", "el2_obstruction needs a type2 system")
+    _state(system, state)   # an InvalidParameter unless x and v hold n coordinates
     m, gradm = system.coupled_profile.value_and_gradient(state.x)
     v2 = float(np.dot(state.v, state.v))
     vec = 0.5 * (np.asarray(gradm) / m) * v2
@@ -228,6 +229,7 @@ def el2_mapped_residual(system: PdmSystem, state: State) -> np.ndarray:
     """
     if system.kind != TYPE2:
         raise InvalidParameter("kind", "el2_mapped_residual needs a type2 system")
+    _state(system, state)   # an InvalidParameter unless x and v hold n coordinates
     m, gradm = system.coupled_profile.value_and_gradient(state.x)
     acc = el2_acceleration(system, state)
     mdot = float(np.dot(np.asarray(gradm), state.v))

@@ -584,7 +584,7 @@ def _sqrt_shape_numpy(theta_dot, num_s, num_c, denom, rho, t, phase):
 @pytest.mark.parametrize("rho", [0.5, 0.25, -0.5, -0.25])
 def test_sqrt_shape_matches_the_numpy_evaluation(rho):
     # the shape template with one coordinate's values substituted and compiled
-    # in t, as ExactSolutionSpec.kernels does; num_s = rate^2 A^4
+    # in t, as ExactSolutionSpec.forms does; num_s = rate^2 A^4
     theta_dot, num_c, denom, A, rate, phase = 1.3, 0.7, 1.7, 1.1, 1.05, 0.4
     text = _substitute(_inverse_square_form("kappa", repr(theta_dot), repr(denom), repr(rho)),
                        parameter_set({"omega": 1.0, "kappa": num_c}, 1), 0,

@@ -16,7 +16,9 @@ from pdmdyn.errors import (DomainViolation, ExprDomainError, InvalidParameter,
                            MissingParameter, SingularCoefficient, SingularPoint)
 from pdmdyn.exact import ExactSolutionSpec, kinematics
 from pdmdyn.integrate import IntegratorOptions, integrate, sample_dense
-from pdmdyn.profiles import REAL_LINE, CustomProfile
+from pdmdyn.exprparse import eval_gradient
+from pdmdyn.profiles import REAL_LINE, CoupledProfile, CustomProfile
+from pdmdyn.transform import el2_mapped_residual, el2_obstruction
 
 
 def ml1_system(sign="+", lam=1.0, omega=1.0):
@@ -205,6 +207,51 @@ def closure_el1(system):
     return rhs
 
 
+def gradient_passes(expr, names, values):
+    """eval_gradient as it was before its one-call kernel: one call of the
+    order-1 kernel per coordinate, seeded along it; the value is the first
+    call's, unless it reads the seeds, when one more call with every seed 0
+    comes first and gives it."""
+    fn = exprparse.compile_expression(expr, names, 1)
+    n = len(names)
+    args = [*values, *[0.0] * n]
+    val = fn(*args)[0] if fn.value_reads_seeds or not n else None
+    grad = []
+    for i in range(n, 2 * n):
+        args[i] = 1.0
+        first, d1 = fn(*args)
+        args[i] = 0.0
+        grad.append(d1)
+        if val is None:
+            val = first
+    return val, grad
+
+
+def closure_el2(system):
+    """The closure el2_rhs was before its generated kernel: the shared mass's
+    value and gradient by gradient_passes and the m <= 0 check, then for
+    each coordinate in turn its domain and pole check, its potential term's
+    order-1 kernel and the acceleration."""
+    profile, pot = system.coupled_profile, system.potential
+    (lo, hi), pole = pot.domain, pot.pole
+
+    def rhs(t, x, v):
+        m, gradm = gradient_passes(profile.expr, profile.names, x)
+        if m <= 0.0:
+            raise DomainViolation(f"coupled profile '{profile.text}' is {m!r} <= 0 at {list(x)!r}")
+        mdot = v2 = 0.0
+        for g, vi in zip(gradm, v):
+            mdot += g * vi
+            v2 += vi * vi
+        out = []
+        for (i, term), xi, vi, g in zip(enumerate(pot.compiled), x, v, gradm):
+            if not lo < xi < hi or xi == pole:
+                pot.energy(x)  # raises the coordinate's error
+            out.append(-(mdot / m) * vi + 0.5 * (g / m) * v2 - term(xi, 1.0)[1] / m)
+        return out
+    return rhs
+
+
 def reference_el1(system, x, v):
     """The layered type1 formula: coefficient checks, the potential gradient,
     then each profile's checked value."""
@@ -271,6 +318,7 @@ class TestFusedRhs:
             got = rhs(0.0, x, v)
             assert all(type(a) is float for a in got) and len(got) == n
             assert got == el2_acceleration(system, State.of(0.0, x, v)).tolist()
+            assert got == closure_el2(system)(0.0, x, v)
             # the array form sums the dot products in its own order
             assert np.allclose(got, reference_el2(system, x, v), rtol=1e-14, atol=1e-14)
 
@@ -330,7 +378,8 @@ class TestFusedRhs:
         system = build_system("custom", 2, mass_exprs=["1-x1^2-x2^2"], kind=TYPE2)
         for call in (lambda: el2_rhs(system)(0.0, [2.0, 0.0], [0.1, 0.2]),
                      lambda: el2_acceleration(system, State.of(0.0, [2.0, 0.0], [0.1, 0.2])),
-                     lambda: reference_el2(system, [2.0, 0.0], [0.1, 0.2])):
+                     lambda: reference_el2(system, [2.0, 0.0], [0.1, 0.2]),
+                     lambda: closure_el2(system)(0.0, [2.0, 0.0], [0.1, 0.2])):
             with pytest.raises(DomainViolation) as err:
                 call()
             assert err.value.coordinate is None
@@ -465,3 +514,213 @@ class TestCompiledOnce:
                 changed[1:3] = [(potential, potential), (None, None)]
             assert exprparse.compile_rhs(*changed) is not first
         assert len(compiles) == 6
+
+
+# --- the generated type2 kernel against the closure ------------------------------
+
+#: shared masses in x1 and {last}, the last variable (x1 itself at n = 1), or
+#: in every variable ({sum}: x1+..+xn, {squares}: x1^2+..+xn^2): the
+#: benchmark's two, two varying exponents, masses that reach 0, turn negative
+#: or fail inside their own lines, a constant, and one whose derivative is a seed
+TYPE2_MASSES = {
+    "every": "1+{squares}+0.25*sin({sum})",
+    "squares": "1+x1^2+{last}^2",
+    "trig": "2+sin(x1*{last})+0.5*{last}^2",
+    "varying-power": "x1^{last}+0.5",
+    "varying-exponent": "(1+{last}^2)^(0.5*x1)",
+    "disc": "1-x1^2-{last}^2",
+    "product": "x1*{last}",
+    "log": "ln(x1)+sqrt({last})",
+    "constant": "1",
+    "linear": "{last}",
+}
+#: potential terms, cycled over the coordinates; the last two fail inside their lines
+TYPE2_POTENTIALS = ("0.5*x^2", "ln(1+x^2)", "1/x", "sqrt(x)")
+
+
+@lru_cache(maxsize=None)
+def type2_system(name, n, bounded):
+    """A type2 system of the named mass over n coordinates, built once per
+    (name, n, bounded).  bounded: the domain (-1.5, 1.5) and the pole 0, which
+    no custom system states, with force-free potential terms."""
+    names = [f"x{i + 1}" for i in range(n)]
+    mass = TYPE2_MASSES[name].format(last=names[-1], sum="+".join(names),
+                                     squares="+".join(f"{x}^2" for x in names))
+    if not bounded:
+        return build_system("custom", n, mass_exprs=[mass], kind=TYPE2,
+                            potential_exprs=[TYPE2_POTENTIALS[i % 4] for i in range(n)])
+    potential = PotentialSpec("custom", parameter_set({}, n),
+                              (exprparse.parse_cached("0"),) * n, (-1.5, 1.5), 0.0)
+    return PdmSystem(n, TYPE2, (CoupledProfile.from_text(mass, n),), potential)
+
+
+def nan_alike(got):
+    """An outcome with every NaN read alike.  Where two NaNs of opposite sign
+    meet, CPython's float operation returns the one its machine code puts
+    first, and that order changes once the interpreter specializes the
+    instruction after a few calls; so a NaN's sign is not a bit of the
+    arithmetic."""
+    if isinstance(got, tuple):
+        return got
+    return ["nan" if math.isnan(struct.unpack("<d", b)[0]) else b for b in got]
+
+
+def gradient_outcome(fn, *args):
+    """nan_alike outcome of fn's (value, gradient) as one flat list."""
+    return nan_alike(outcome(lambda: (lambda m, grad: [m, *grad])(*fn(*args))))
+
+
+_TYPE2_EDGES = [*_EDGES, 1.5, -1.5, 0.5, -2.0, 2.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(TYPE2_MASSES))
+def test_generated_type2_rhs_is_the_closure_at_seeded_states(name, n):
+    system = type2_system(name, n, False)
+    rhs, closure = el2_rhs(system), closure_el2(system)
+    for x, v in states(n, (-2.0, 2.0), n):
+        assert nan_alike(outcome(rhs, 0.0, x, v)) == nan_alike(outcome(closure, 0.0, x, v))
+
+
+@pytest.mark.parametrize("name", sorted(TYPE2_MASSES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_generated_type2_rhs_is_the_closure(name, data):
+    n = data.draw(st.integers(1, 4), label="n")
+    system = type2_system(name, n, data.draw(st.booleans(), label="bounded"))
+    xs = st.one_of(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.sampled_from(_TYPE2_EDGES),
+                   st.floats(allow_nan=True, allow_infinity=True))
+    vs = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e200, math.nan]))
+    x = data.draw(st.lists(xs, min_size=n, max_size=n), label="x")
+    v = data.draw(st.lists(vs, min_size=n, max_size=n), label="v")
+    assert (nan_alike(outcome(el2_rhs(system), 0.0, x, v))
+            == nan_alike(outcome(closure_el2(system), 0.0, x, v)))
+
+
+@pytest.mark.parametrize("name", sorted(TYPE2_MASSES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_gradient_kernel_is_the_passes(name, data):
+    n = data.draw(st.integers(1, 4), label="n")
+    profile = type2_system(name, n, False).coupled_profile
+    xs = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(_TYPE2_EDGES),
+                   st.floats(allow_nan=True, allow_infinity=True))
+    x = data.draw(st.lists(xs, min_size=n, max_size=n), label="x")
+    want = gradient_outcome(gradient_passes, profile.expr, profile.names, x)
+    assert gradient_outcome(eval_gradient, profile.expr, profile.names, x) == want
+    kernel = exprparse.compile_gradient(profile.expr, profile.names)
+    assert gradient_outcome(kernel, x) == want
+
+
+def _bounded(mass):
+    return type2_system(mass, 2, True)
+
+
+def _custom2(mass, potentials=None):
+    return build_system("custom", 2, mass_exprs=[mass], potential_exprs=potentials, kind=TYPE2)
+
+
+@pytest.mark.parametrize("system,x,error,coordinate", [
+    # m = 0, m = -0.0 and m < 0
+    (_custom2("1-x1^2-x2^2"), [1.0, 0.0], DomainViolation, None),
+    (_custom2("x1*x2"), [0.0, -1.0], DomainViolation, None),
+    (_custom2("1-x1^2-x2^2"), [2.0, 0.0], DomainViolation, None),
+    # a non-positive mass comes before the first coordinate's domain check
+    (_bounded("disc"), [2.0, 0.0], DomainViolation, None),
+    # the varying exponent fails in the zero-seed pass, or only in x2's pass
+    (_custom2("x1^x2+0.5"), [-2.0, 0.5], ExprDomainError, None),
+    (_custom2("x1^x2+0.5"), [-2.0, 2.0], ExprDomainError, None),
+    (_custom2("ln(x1)+2"), [-1.0, 0.5], ExprDomainError, None),
+    # a potential's domain, pole or line fails after the mass
+    (_bounded("squares"), [0.5, 0.0], SingularPoint, 1),
+    (_bounded("squares"), [0.5, 1.5], DomainViolation, 1),
+    (_bounded("squares"), [-1.5, 0.0], DomainViolation, 0),
+    (_custom2("1+x1^2+x2^2"), [0.5, math.nan], DomainViolation, 1),
+    (_custom2("1+x1^2+x2^2", ["0.5*x^2", "1/x"]), [0.5, 0.0], ExprDomainError, None),
+])
+def test_generated_type2_rhs_raises_the_closures_first_error(system, x, error, coordinate):
+    v = [0.3] * system.n
+    got = outcome(el2_rhs(system), 0.0, x, v)
+    assert got == outcome(closure_el2(system), 0.0, x, v)
+    assert got[0] is error and got[2] == coordinate
+
+
+class TestType2CompiledOnce:
+    """One generated type2 kernel per (mass, names, potentials, domain, pole)
+    and one gradient kernel per (mass, names), each compiled on the first
+    call for it."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        seen = {name: [] for name in ("_compile_rhs2", "_compile_gradient", "_function")}
+        for name, calls in seen.items():
+            real = getattr(exprparse, name)
+            monkeypatch.setattr(exprparse, name, lambda *args, real=real, calls=calls:
+                                calls.append(args) or real(*args))
+        return seen
+
+    # expressions no other test uses, so every one is parsed afresh
+    MASS, POTENTIALS = "1.0625+x1^2+0.4375*x2^2", ["0.5625*x^2", "0.3125*x^2"]
+
+    def build(self, potentials=POTENTIALS):
+        return build_system("custom", 2, mass_exprs=[self.MASS], potential_exprs=potentials,
+                            kind=TYPE2)
+
+    def test_none_at_build_and_one_per_key(self, compiles):
+        system = self.build()
+        assert compiles["_function"] == []   # building a system compiles nothing
+        rhs = el2_rhs(system)
+        assert len(compiles["_compile_rhs2"]) == 1
+        x, v = [0.5, 0.25], [0.125, -0.5]
+        state = State.of(0.0, x, v)
+        assert rhs(0.0, x, v) == el2_acceleration(system, state).tolist()
+        traj = integrate(el2_rhs(system), state, IntegratorOptions(t_end=1.0, rel_tol=1e-8))
+        sample_dense(traj, [0.5])
+        assert len(compiles["_compile_rhs2"]) == 1 and compiles["_compile_gradient"] == []
+        el2_obstruction(system, state)
+        el2_mapped_residual(system, state)
+        system.coupled_profile.value_and_gradient(x)
+        assert len(compiles["_compile_gradient"]) == 1
+        # a rebuilt system shares the parsed expressions and so both kernels
+        again = self.build()
+        assert again.coupled_profile.expr is system.coupled_profile.expr
+        assert el2_rhs(again)(0.0, x, v) == rhs(0.0, x, v)
+        el2_obstruction(again, state)
+        assert len(compiles["_compile_rhs2"]) == 1 and len(compiles["_compile_gradient"]) == 1
+        # another potential is another key, with the same gradient kernel
+        other = self.build([self.POTENTIALS[0], "0.5*x^2"])
+        el2_rhs(other)
+        el2_obstruction(other, state)
+        assert len(compiles["_compile_rhs2"]) == 2 and len(compiles["_compile_gradient"]) == 1
+
+    def test_every_key_part_counts(self, compiles):
+        mass = exprparse.parse_cached("1+0.6875*x1^2", ("x1",))
+        potential = exprparse.parse_cached("0.6875*x^2")
+        key = (mass, ("x1",), (potential,), (-math.inf, math.inf), None)
+        first = exprparse.compile_rhs2(*key)
+        assert exprparse.compile_rhs2(*key) is first
+        for k, part in enumerate([exprparse.parse_cached("1+0.6875*x1^4", ("x1",)),
+                                  ("x1", "x2"), (potential, potential), (-1.0, 1.0), 0.0]):
+            changed = [*key[:k], part, *key[k + 1:]]
+            if k == 1:
+                changed[2] = (potential, potential)
+            assert exprparse.compile_rhs2(*changed) is not first
+        assert len(compiles["_compile_rhs2"]) == 6
+
+
+@pytest.mark.parametrize("given", [1, 3])
+@pytest.mark.parametrize("call,reads_v", [
+    (lambda system, x, v: el2_acceleration(system, State.of(0.0, x, v)), True),
+    (lambda system, x, v: el2_obstruction(system, State.of(0.0, x, v)), True),
+    (lambda system, x, v: el2_mapped_residual(system, State.of(0.0, x, v)), True),
+    (lambda system, x, v: system.coupled_profile.value(x), False),
+    (lambda system, x, v: system.coupled_profile.value_and_gradient(x), False),
+], ids=["el2_acceleration", "el2_obstruction", "el2_mapped_residual", "value",
+        "value_and_gradient"])
+def test_type2_wrong_number_of_coordinates(call, reads_v, given):
+    system = _custom2("1+x1^2+x2^2")
+    with pytest.raises(InvalidParameter, match=f"^x: expected 2 coordinates, got {given}$"):
+        call(system, [0.5] * given, [0.1, 0.2])
+    if reads_v:
+        with pytest.raises(InvalidParameter, match=f"^v: expected 2 coordinates, got {given}$"):
+            call(system, [0.5, 0.25], [0.1] * given)

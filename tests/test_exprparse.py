@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pdmdyn.core import VECTORS, State, build_system, total_energy
 from pdmdyn.eom import el1_rhs
-from pdmdyn.errors import ExprDomainError, ExprSyntaxError, UnknownIdentifier
+from pdmdyn.errors import ExprDomainError, ExprSyntaxError, InvalidParameter, UnknownIdentifier
 from pdmdyn.exprparse import (FUNCTIONS, MAX_DEPTH, BinOp, Call, Expr, Neg, Num, Var,
                               compile_expression, eval_dual, eval_gradient,
                               parse_expression, to_source)
@@ -431,6 +431,13 @@ class TestCompiledMatchesReference:
         assert (bit_outcome(eval_gradient, expr, names, xs)
                 == bit_outcome(gradient_with_unseeded_value, expr, names, xs))
 
+    @pytest.mark.parametrize("values", [[1.0], [1.0, 2.0, 3.0]])
+    def test_eval_gradient_wrong_number_of_values(self, values):
+        expr = parse_expression("x1*x2", ["x1", "x2"])
+        with pytest.raises(InvalidParameter, match=f"^values: expected 2 coordinates, "
+                                                   f"got {len(values)}$"):
+            eval_gradient(expr, ["x1", "x2"], values)
+
     def test_eval_gradient_of_no_variables(self):
         expr = parse_expression("2*3")
         assert eval_gradient(expr, [], []) == gradient_with_unseeded_value(expr, [], []) \
@@ -497,18 +504,20 @@ class TestCompiledMatchesReference:
     def test_compiled_once_per_expression_and_variables(self, monkeypatch):
         from pdmdyn import exprparse
         compiles = []
-        real = exprparse._compile
-        monkeypatch.setattr(exprparse, "_compile",
-                            lambda *args: compiles.append(args) or real(*args))
+        for name in ("_compile", "_compile_gradient"):
+            real = getattr(exprparse, name)
+            monkeypatch.setattr(exprparse, name, lambda *args, real=real:
+                                compiles.append(args) or real(*args))
         expr = parse_expression("x^2+sin(x)")
         for x in (0.25, 0.5, 0.75):
             eval_dual(expr, x)
             eval_gradient(expr, ["x"], [x])
             compile_expression(expr, ["x"], 0)(x, 1.0)
         # one compile per (expression, variables, order): eval_dual reads
-        # order 2, eval_gradient order 1
-        assert compiles == [(expr, ("x",), 2), (expr, ("x",), 1), (expr, ("x",), 0)]
+        # order 2, eval_gradient its gradient shape (expression, variables)
+        assert compiles == [(expr, ("x",), 2), (expr, ("x",)), (expr, ("x",), 0)]
         assert all(args[0] is expr for args in compiles)
+        assert exprparse.compile_gradient(expr, ["x"]) is exprparse.compile_gradient(expr, ("x",))
         assert compile_expression(expr) is compile_expression(expr)
         assert compile_expression(expr, ["x"], 1) is compile_expression(expr, ("x",), 1)
 

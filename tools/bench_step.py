@@ -7,12 +7,14 @@ and of one right-hand-side call on its own.
 Each (scheme, n), n = 1..3, integrates one fixed orbit of the catalog ``ml1``
 '+' system (omega_i = 1, 1.5, 2, lambda 1) through its type1 right-hand side
 ``el1_rhs``: DOP853 at rel_tol 1e-12 and fixed RK4 at h = 1e-2, both to
-t = 25.  A measurement runs in a fresh interpreter that imports ``pdmdyn``
+t = 25.  The cases ``type2/n=2`` and ``type2/n=3`` integrate the type2 systems
+of perfbench's ``expr`` workload, from its base states, through ``el2_rhs``
+with DOP853 in the same way.  A measurement runs in a fresh interpreter that imports ``pdmdyn``
 from the checkout's ``src``; it integrates each orbit once untimed (building
 whatever the first call builds), then repeatedly for a second, and reports
 the median run time divided by the accepted steps and by the RHS calls
 (``nfev``, the initial acceleration included).  ``rhs_us`` times the
-right-hand side apart from ``integrate``: passes of one ``el1_rhs`` call at
+right-hand side apart from ``integrate``: passes of one right-hand-side call at
 each state of the orbit's trajectory, repeated for a quarter second, give
 the median pass time divided by the states.  There are five rounds of
 measurements; with ``--against``, each round measures both checkouts,
@@ -44,6 +46,10 @@ OMEGA, X0 = (1.0, 1.5, 2.0), (0.5, -0.4, 0.3)
 T_END, QUICK_T_END = 25.0, 1.0
 REL_TOL, ABS_TOL, RK4_H = 1e-12, 1e-14, 1e-2
 ROUNDS, SECONDS, RHS_SECONDS = 5, 1.0, 0.25
+#: perfbench's expr type2 systems by n: the shared mass, the potential terms
+#: (None: force-free) and the base state (x0, v0)
+TYPE2 = {2: ("1+x1^2+x2^2", None, (0.4, -0.3), (0.7, 0.5)),
+         3: ("2+sin(x1*x2)+0.5*x3^2", ["0.5*x^2"] * 3, (0.4, -0.3, 0.2), (0.3, 0.4, -0.2))}
 
 
 def _median_run(fn, seconds: float) -> tuple[float, int]:
@@ -58,33 +64,42 @@ def _median_run(fn, seconds: float) -> tuple[float, int]:
     return statistics.median(runs), len(runs)
 
 
-def _measure(t_end: float, seconds: float) -> dict:
-    """Per (scheme, n): median microseconds per accepted step, per RHS call
-    inside ``integrate`` and per RHS call on its own."""
-    from pdmdyn import IntegratorOptions, State, build_system, el1_rhs, integrate
+def _cases():
+    """(case, scheme, rhs, initial state) of every orbit."""
+    from pdmdyn import TYPE2 as KIND2, State, build_system, el1_rhs, el2_rhs
 
-    out = {}
     for scheme in SCHEMES:
         for n in DIMENSIONS:
             system = build_system("ml1", n, {"omega": list(OMEGA[:n]), "lambda": 1.0,
                                              "sign": "+"})
-            rhs = el1_rhs(system)
-            state = State.of(0.0, X0[:n], [0.0] * n)
-            opts = IntegratorOptions(t_end=t_end, scheme=scheme, h=RK4_H,
-                                     rel_tol=REL_TOL, abs_tol=ABS_TOL)
-            traj = integrate(rhs, state, opts)
-            s, runs = _median_run(lambda: integrate(rhs, state, opts), seconds)
-            states = list(zip(traj.t.tolist(), traj.x.tolist(), traj.v.tolist()))
+            yield f"{scheme}/n={n}", scheme, el1_rhs(system), State.of(0.0, X0[:n], [0.0] * n)
+    for n, (mass, potentials, x0, v0) in TYPE2.items():
+        system = build_system("custom", n, mass_exprs=[mass], potential_exprs=potentials,
+                              kind=KIND2)
+        yield f"type2/n={n}", "dop853", el2_rhs(system), State.of(0.0, x0, v0)
 
-            def calls():
-                for t, x, v in states:
-                    rhs(t, x, v)
-            r, _ = _median_run(calls, seconds and RHS_SECONDS)
-            out[f"{scheme}/n={n}"] = {"us_per_step": s / traj.accepted * 1e6,
-                                      "us_per_rhs": s / traj.nfev * 1e6,
-                                      "rhs_us": r / len(states) * 1e6,
-                                      "accepted": traj.accepted, "nfev": traj.nfev,
-                                      "runs": runs}
+
+def _measure(t_end: float, seconds: float) -> dict:
+    """Per case: median microseconds per accepted step, per RHS call inside
+    ``integrate`` and per RHS call on its own."""
+    from pdmdyn import IntegratorOptions, integrate
+
+    out = {}
+    for case, scheme, rhs, state in _cases():
+        opts = IntegratorOptions(t_end=t_end, scheme=scheme, h=RK4_H,
+                                 rel_tol=REL_TOL, abs_tol=ABS_TOL)
+        traj = integrate(rhs, state, opts)
+        s, runs = _median_run(lambda: integrate(rhs, state, opts), seconds)
+        states = list(zip(traj.t.tolist(), traj.x.tolist(), traj.v.tolist()))
+
+        def calls():
+            for t, x, v in states:
+                rhs(t, x, v)
+        r, _ = _median_run(calls, seconds and RHS_SECONDS)
+        out[case] = {"us_per_step": s / traj.accepted * 1e6,
+                     "us_per_rhs": s / traj.nfev * 1e6,
+                     "rhs_us": r / len(states) * 1e6,
+                     "accepted": traj.accepted, "nfev": traj.nfev, "runs": runs}
     return out
 
 
@@ -163,6 +178,9 @@ def main(argv=None) -> int:
     result = {
         "harness": "tools/bench_step.py", "quick": args.quick,
         "orbits": {"family": "ml1", "sign": "+", "omega": OMEGA, "lambda": 1.0, "x0": X0,
+                   "type2": {f"n={n}": {"mass": mass, "potential": potentials, "x0": x0,
+                                        "v0": v0}
+                             for n, (mass, potentials, x0, v0) in TYPE2.items()},
                    "t_end": QUICK_T_END if args.quick else T_END, "dop853_rel_tol": REL_TOL,
                    "dop853_abs_tol": ABS_TOL, "fixed_rk4_h": RK4_H},
         "seconds_per_orbit": 0.0 if args.quick else SECONDS,
