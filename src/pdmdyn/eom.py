@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TYPE1, TYPE2, PdmSystem, State, _state
+from .core import TYPE1, TYPE2, PdmSystem, State, _coordinates, _state
 from .errors import InvalidParameter, SingularCoefficient
 from .exprparse import compile_rhs, compile_rhs2
 
@@ -87,8 +87,9 @@ def _rhs(system: PdmSystem, build: Callable) -> Callable:
 
 
 def el1_acceleration(system: PdmSystem, state: State) -> np.ndarray:
-    """Accelerations of the per-coordinate-profile system at a state."""
-    return np.array(_rhs(system, el1_rhs)(state.t, [*map(float, state.x)], [*map(float, state.v)]))
+    """Accelerations of the per-coordinate-profile system at a state; an
+    InvalidParameter unless x and v hold n coordinates each."""
+    return np.array(_rhs(system, el1_rhs)(state.t, *_state(system, state)))
 
 
 def el2_acceleration(system: PdmSystem, state: State) -> np.ndarray:
@@ -103,7 +104,9 @@ def el1_residual(system: PdmSystem, solution: Callable[[float], tuple],
     """Residual of a candidate solution against the type1 equations of motion.
 
     ``solution(t)`` returns the analytic (x, v, a).  Zero residual certifies
-    the solution independently of any printed formula.
+    the solution independently of any printed formula.  An InvalidParameter
+    unless x, v and a hold n coordinates each.
     """
-    x, v, a = (np.asarray(c, float) for c in solution(t))
-    return a - _rhs(system, el1_rhs)(t, x.tolist(), v.tolist())
+    x, v, a = solution(t)
+    x, v = _state(system, State.of(t, x, v))
+    return np.array(_coordinates(system, a, "a")) - _rhs(system, el1_rhs)(t, x, v)

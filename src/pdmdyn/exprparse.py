@@ -341,8 +341,10 @@ def _render(e: Expr, parent_prec: int) -> str:
 # compile time, with that same arithmetic.
 #
 # A kernel of order k emits the value, d1 and d2 lines up to k and every domain
-# check whole, so it raises where order 2 raises.  A varying exponent reads its
-# derivatives, so an expression holding one is compiled at order 2 throughout.
+# check whole, so it raises where order 2 raises.  A power's rule is fixed when
+# its lines are emitted, from the exponent's tree: one that reads a variable is
+# exp(b ln a) on a positive base, any other an integer or a real power.  No
+# value line reads a derivative, so no value depends on the seeds.
 
 #: integer powers up to this are unrolled; larger ones loop at run time
 _UNROLL = 16
@@ -404,22 +406,17 @@ _NAMESPACE = {
 }
 
 
-class _RunTimeExponent(Exception):
-    """Met by a generator below order 2: the exponent of a power varies."""
-
-
 class _Codegen:
     """Emits the body of one compiled function, node by node: one expression,
     a map's mass, q and f, a potential's terms, or a right-hand side's masses
     and potentials; for a batch, the body of its loop over the points."""
 
     def __init__(self, names: tuple[str, ...], indent: int = 2):
-        self.order = 2                  # of the expression being walked: set by _walk
+        self.order = 2                  # of the expression being walked: set by walk
         self.lines: list[str] = []
         self.bound: list[object] = []   # read by the code as k0, k1, ...
         self.count = 0
         self.indent = indent            # 2 inside bind() and compiled(), more in a loop
-        self.value_reads_seeds = False  # set by a power whose exponent varies
         self.zero = self.bind(0.0)
         #: each variable's slot: its value x_i and seed s_i
         self.slots = {name: _Slot(f"x{i}", f"s{i}", self.zero) for i, name in enumerate(names)}
@@ -480,8 +477,10 @@ class _Codegen:
     def constant(self, value: float, d1: float = 0.0, d2: float = 0.0) -> _Slot:
         return _Slot(self.bind(value), self.bind(d1), self.bind(d2), (value, d1, d2))
 
-    def walk(self, root: Expr) -> _Slot:
-        """Post-order over the tree without recursion; returns the root's slot."""
+    def walk(self, root: Expr, order: int) -> _Slot:
+        """The lines of root at the given order, in post-order over the tree
+        without recursion; returns the root's slot."""
+        self.order = order
         todo: list[tuple[Expr, bool]] = [(root, False)]
         done: list[_Slot] = []
         while todo:
@@ -592,37 +591,39 @@ class _Codegen:
         self.guarded(node, f"{c2} = -1.0 / ({u.val} * {u.val})", error="ZeroDivisionError")
 
     def power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
-        if b.known is not None and b.known[1] == 0.0 and b.known[2] == 0.0:
+        """a^b by a rule fixed here, from the exponent's tree alone: an
+        exponent that reads a variable is exp(b ln a) on a positive base;
+        any other is an integer or a real power, decided now if it folded to
+        a constant and by its value at run time if not."""
+        if _reads_variable(node.right):
+            return self.exp_log_power(node, a, b)
+        if b.known is not None:
             p = b.known[0]
             if p.is_integer():
                 return self.int_power(node, a, int(p))
             self.block(f"if {a.val} <= 0.0:", lambda: self.emit(self.raise_domain(
                 "non-integer power of a non-positive base", node)))
             return self.const_power(node, a, b.val, self.fresh("v", "p", "q"))
-        # the exponent is known only at run time: decide there, as above
-        if self.order < 2:
-            raise _RunTimeExponent
-        self.value_reads_seeds = True
         out = self.fresh("v", "p", "q")
-        const = f"{b.d1} == 0.0 and {b.d2} == 0.0"
-        self.block(f"if {const} and {b.val}.is_integer():", lambda: self.emit(
-            f"{', '.join(out)} = int_pow({a.val}, {a.d1}, {a.d2}, int({b.val}), "
-            f"{self.bind(node)})"))
+        self.block(f"if {b.val}.is_integer():",
+                   lambda: self.int_pow(node, a, f"int({b.val})", out))
         self.block(f"elif {a.val} <= 0.0:", lambda: self.emit(self.raise_domain(
             "non-integer power of a non-positive base", node)))
-        self.block(f"elif {const}:", lambda: self.const_power(node, a, b.val, out))
-        self.block("else:", lambda: self.exp_log_power(node, a, b, out))
+        self.block("else:", lambda: self.const_power(node, a, b.val, out))
         return _Slot(*out)
+
+    def int_pow(self, node: BinOp, a: _Slot, k: str, out: list[str]) -> None:
+        """out = a^k by the run-time int_pow, k the text of an integer."""
+        # derivatives a lower kernel lacks enter as 0; the orders it returns never read them
+        d1, d2 = (d if self.order >= j else self.zero for j, d in ((1, a.d1), (2, a.d2)))
+        self.emit(f"{', '.join(out)} = int_pow({a.val}, {d1}, {d2}, {k}, {self.bind(node)})")
 
     def int_power(self, node: BinOp, a: _Slot, k: int) -> _Slot:
         if k == 0:
             return self.constant(1.0)
         if abs(k) > _UNROLL:
-            # derivatives a lower kernel lacks enter as 0; the orders it returns never read them
-            d1, d2 = (d if self.order >= j else self.zero for j, d in ((1, a.d1), (2, a.d2)))
             out = self.fresh("v", "p", "q")
-            self.emit(f"{', '.join(out)} = int_pow({a.val}, {d1}, {d2}, "
-                      f"{self.bind(k)}, {self.bind(node)})")
+            self.int_pow(node, a, self.bind(k), out)
             return _Slot(*out)
         out = a
         for _ in range(abs(k) - 1):
@@ -637,27 +638,31 @@ class _Codegen:
                      f"{c2} = {p} * ({p} - 1.0) * {a.val} ** ({p} - 2.0)")
         return self.chain(out, a, c, c2)
 
-    def exp_log_power(self, node: BinOp, a: _Slot, b: _Slot, out: list[str]) -> None:
-        """a^b = exp(b ln a) for a positive base and a varying exponent."""
+    def exp_log_power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
+        """a^b = exp(b ln a) for a varying exponent, on a positive base only."""
+        out = self.fresh("v", "p", "q")
+        self.block(f"if {a.val} <= 0.0:", lambda: self.emit(self.raise_domain(
+            "varying power of a non-positive base", node)))
         lv, lp, lq, c, c2 = self.fresh("lv", "lp", "lq", "c", "e")
         self.log_factors(node, a, lv, c, c2)
         ln_a = self.chain([lv, lp, lq], a, c, c2)
         m = self.mul(b, ln_a)
         self.guarded(node, f"{out[0]} = exp({m.val})")
-        self.chain(out, m, out[0], out[0])
+        return self.chain(out, m, out[0], out[0])
 
 
-def _walk(gen: _Codegen, expr: Expr, order: int) -> _Slot:
-    """The lines of expr at the given order, or at order 2 where a power's
-    exponent varies; returns the root's slot."""
-    mark = len(gen.lines)
-    gen.order = order
-    try:
-        return gen.walk(expr)
-    except _RunTimeExponent:
-        del gen.lines[mark:]
-        gen.order = 2
-        return gen.walk(expr)
+def _reads_variable(expr: Expr) -> bool:
+    """Whether a variable occurs in expr; a walk without recursion."""
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Var):
+            return True
+        if isinstance(node, BinOp):
+            todo += [node.left, node.right]
+        elif isinstance(node, (Neg, Call)):
+            todo.append(node.arg)
+    return False
 
 
 def _function(gen: _Codegen, head: list[str], tail: list[str]) -> Callable:
@@ -671,9 +676,7 @@ def _function(gen: _Codegen, head: list[str], tail: list[str]) -> Callable:
     ])
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<expression>", "exec"), namespace)
-    fn = namespace["bind"](*gen.bound)
-    fn.value_reads_seeds = gen.value_reads_seeds
-    return fn
+    return namespace["bind"](*gen.bound)
 
 
 def _compile(expr: Expr, names: tuple[str, ...], order: int,
@@ -681,7 +684,7 @@ def _compile(expr: Expr, names: tuple[str, ...], order: int,
     gen = _Codegen(names, 3 if batch else 2)
     if batch:
         gen.check("not lo < x0 < hi", "x0")
-    slot = _walk(gen, expr, order)
+    slot = gen.walk(expr, order)
     result = ", ".join(slot[:order + 1])
     if batch:
         gen.check(f"{slot.val} < 0.0", "x0")
@@ -708,15 +711,15 @@ MAP_NAMES = ("x", "root", "half")
 def _compile_map(mass: Expr, q: Expr, f: Expr) -> Callable:
     gen = _Codegen(("x",), 3)
     gen.check("not lo < x0 < hi", "x0")
-    m = _walk(gen, mass, 1)
+    m = gen.walk(mass, 1)
     gen.check(f"{m.val} < 0.0", "x0")
     gen.emit(f"root = sqrt({m.val})")
     # q and f are values: every variable's seed is 0
     gen.slots = {name: _Slot(local, gen.zero, gen.zero)
                  for name, local in zip(MAP_NAMES, ("x0", "root", "half"))}
-    qv = _walk(gen, q, 0).val
+    qv = gen.walk(q, 0).val
     gen.emit(f"half = {m.d1} / (2.0 * {m.val})")
-    fv = _walk(gen, f, 0).val
+    fv = gen.walk(f, 0).val
     gen.emit(*(f"append{k}({c})" for k, c in enumerate((qv, f"{fv} * root", fv, m.val))))
     head = ["def compiled(xs, lo, hi, fail):",
             "    s0 = 1.0",
@@ -733,7 +736,7 @@ def _compile_potential(exprs: tuple, domain: tuple[float, float],
     terms = []
     for i, expr in enumerate(exprs):
         gen.coordinate(i, domain, pole)
-        terms.append(_walk(gen, expr, 0).val)
+        terms.append(gen.walk(expr, 0).val)
     gen.emit(f"total = {' + '.join(['0.0', *terms])}")
     gen.check("not isfinite(total)", "None, x, total")
     gen.emit("append(total)")
@@ -754,8 +757,8 @@ def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
     gen.emit("s0 = 1.0", *_unpack("x", n, "x"), *_unpack("u", n, "v"))
     for i, (mass, potential, singular) in enumerate(zip(masses, potentials, singularities)):
         gen.coordinate(i, domain, pole, singular)
-        dv = _walk(gen, potential, 1).d1
-        m = _walk(gen, mass, 1)
+        dv = gen.walk(potential, 1).d1
+        m = gen.walk(mass, 1)
         gen.check(f"{m.val} < 0.0", f"{i}, x")
         gen.emit(f"a{i} = -({m.d1} / (2.0 * {m.val})) * u{i} * u{i} - {dv} / {m.val}")
     gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
@@ -767,22 +770,16 @@ def _gradient(gen: _Codegen, mass: Expr, n: int) -> None:
     derivatives of mass over gen's variables x0..x(n-1), bit for bit as
     calls of the order-1 kernel give them, one call per seed direction: the
     mass's lines once per direction j, with the seed s_j = 1.0 and every
-    other seed 0.0, after one pass with every seed 0.0 that gives the value
-    where the value reads the seeds (or there are no variables).  The seeds
-    are locals set before each pass, so no zero is folded.  gen is fresh: no
-    earlier walk has set its value_reads_seeds."""
-    mark = len(gen.lines)
-    gen.emit(*(f"s{j} = 0.0" for j in range(n)))
-    value = _walk(gen, mass, 1).val
-    seeds: list = [0.0] * n         # each seed as the lines so far leave it
-    if n and not gen.value_reads_seeds:  # every seeded pass gives the value
-        del gen.lines[mark:]
-        value, seeds = None, [None] * n
+    other seed 0.0.  The value is the first direction's (no value reads the
+    seeds), or with no variables that of one pass of the value lines.  The
+    seeds are locals set before each pass, so no zero is folded."""
+    value = None if n else gen.walk(mass, 0).val
+    seeds: list = [None] * n        # each seed as the lines so far leave it
     for j in range(n):
         want = [float(k == j) for k in range(n)]
         gen.emit(*(f"s{k} = {w}" for k, (w, was) in enumerate(zip(want, seeds)) if w != was))
         seeds = want
-        slot = _walk(gen, mass, 1)
+        slot = gen.walk(mass, 1)
         gen.emit(f"g{j} = {slot.d1}")   # a copy: d1 may be a seed, set again by the next pass
         value = value or slot.val
     gen.emit(f"m = {value}")
@@ -810,7 +807,7 @@ def _compile_rhs2(mass: Expr, names: tuple[str, ...], potentials: tuple,
              "s0 = 1.0")
     for i, potential in enumerate(potentials):
         gen.coordinate(i, domain, pole, floated=True)
-        dv = _walk(gen, potential, 1).d1
+        dv = gen.walk(potential, 1).d1
         gen.emit(f"a{i} = -(mdot / m) * u{i} + 0.5 * (g{i} / m) * vv - {dv} / m")
     gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
     head = ["def compiled(fail):", "    def rhs(t, x, v):",
@@ -838,9 +835,9 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     ``order`` 0, (value, d1) for 1 and (value, d1, d2) for 2, with x_i the
     value of variable i and s_i its seed: the derivatives are taken along
     the direction s.  Each order returns what order 2 returns, or raises
-    what it raises.  Its ``value_reads_seeds`` is true when the value can
-    depend on the seeds: a power whose exponent varies is a ** b under seeds
-    that leave the exponent constant and exp(b ln a) otherwise.
+    what it raises, and the value is the same under every seed: a power
+    whose exponent reads a variable is exp(b ln a), and an ExprDomainError
+    where a <= 0, whatever the seeds.
 
     With ``batch``, for one variable, a mass, the result
     ``f(xs, s, lo, hi, fail)`` takes an iterable of floats and returns the
@@ -939,11 +936,8 @@ def compile_gradient(expr: Expr, names: Sequence[str]) -> Callable:
     kernel once per seed direction j, with s_j = 1 and every other seed 0,
     one direction after another, so each derivative holds the bits of that
     kernel's call with those seeds.  The value is the first direction's,
-    unless it reads the seeds, as a power whose exponent varies does (it
-    takes a ** b or exp(b ln a) by the exponent's derivatives); then it
-    comes from one more pass, first, with every seed 0.  An error inside the
-    lines is raised where it happens, so the first error is that of the
-    first pass that raises.
+    which no seed changes.  An error inside the lines is raised where it
+    happens, so the first error is that of the first pass that raises.
 
     Built once per (expr, names), and kept on ``expr``.
     """

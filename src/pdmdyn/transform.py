@@ -87,14 +87,22 @@ def reference_map(system: PdmSystem) -> tuple[NonlocalMap, PdmSystem]:
     return NonlocalMap(record, system.profiles, p), ref
 
 
+def _coordinate_batch(nmap: NonlocalMap, i: int):
+    """Coordinate i's batch map; an InvalidParameter unless 0 <= i < n."""
+    n = len(nmap.batches)
+    if not 0 <= i < n:
+        raise InvalidParameter("i", f"expected a coordinate index 0 <= i < {n}, got {i!r}")
+    return nmap.batches[i]
+
+
 def f_scale(nmap: NonlocalMap, i: int, x: float) -> float:
     """Time-rescaling factor f_i at x."""
-    return nmap.batches[i]([x])[2][0]
+    return _coordinate_batch(nmap, i)([x])[2][0]
 
 
 def q_map(nmap: NonlocalMap, i: int, x: float) -> tuple[float, float]:
     """(q_i, dq_i/dx_i) at x; the derivative is f_i sqrt(m_i), sign included."""
-    (q,), (dq,), _, _ = nmap.batches[i]([x])
+    (q,), (dq,), _, _ = _coordinate_batch(nmap, i)([x])
     return q, dq
 
 
@@ -118,6 +126,7 @@ def coordinate_image(nmap: NonlocalMap, traj: Trajectory, i: int,
     trajectory's 7th-order interpolant, and composite Simpson on any other
     trajectory, with the midpoint from its cubic dense output.
     """
+    batch = _coordinate_batch(nmap, i)
     t = traj.t
     h = np.diff(t)
     if traj.dense is not None:
@@ -125,7 +134,6 @@ def coordinate_image(nmap: NonlocalMap, traj: Trajectory, i: int,
     else:
         inner = 0.5 * (t[:-1] + t[1:])
     x_inner, _ = sample_dense(traj, inner)
-    batch = nmap.batches[i]
     q, _, f_nodes, m = map(np.array, batch(traj.x[:, i].tolist()))
     f_inner = np.array(batch(x_inner[:, i].tolist())[2])
     if require_positive and (np.any(f_nodes <= 0.0) or np.any(f_inner <= 0.0)):

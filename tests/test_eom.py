@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdmdyn import exprparse
 from pdmdyn.core import (TYPE1, TYPE2, PdmSystem, PotentialSpec, State, build_system,
-                         parameter_set, potential_gradient)
+                         kinetic_energy, parameter_set, potential_gradient, total_energy)
 from pdmdyn.eom import el1_acceleration, el1_residual, el1_rhs, el2_acceleration, el2_rhs
 from pdmdyn.errors import (DomainViolation, ExprDomainError, InvalidParameter,
                            MissingParameter, SingularCoefficient, SingularPoint)
@@ -18,7 +18,7 @@ from pdmdyn.exact import ExactSolutionSpec, kinematics
 from pdmdyn.integrate import IntegratorOptions, integrate, sample_dense
 from pdmdyn.exprparse import eval_gradient
 from pdmdyn.profiles import REAL_LINE, CoupledProfile, CustomProfile
-from pdmdyn.transform import el2_mapped_residual, el2_obstruction
+from pdmdyn.transform import el2_mapped_residual, el2_obstruction, elg_residual, reference_map
 
 
 def ml1_system(sign="+", lam=1.0, omega=1.0):
@@ -210,12 +210,11 @@ def closure_el1(system):
 def gradient_passes(expr, names, values):
     """eval_gradient as it was before its one-call kernel: one call of the
     order-1 kernel per coordinate, seeded along it; the value is the first
-    call's, unless it reads the seeds, when one more call with every seed 0
-    comes first and gives it."""
+    call's, or with no coordinates that of a call with no seeds."""
     fn = exprparse.compile_expression(expr, names, 1)
     n = len(names)
     args = [*values, *[0.0] * n]
-    val = fn(*args)[0] if fn.value_reads_seeds or not n else None
+    val = None if n else fn()[0]
     grad = []
     for i in range(n, 2 * n):
         args[i] = 1.0
@@ -398,6 +397,17 @@ def outcome(fn, *args):
     return [struct.pack("<d", a) for a in out]
 
 
+def nan_alike(got):
+    """An outcome with every NaN read alike.  Where two NaNs of opposite sign
+    meet, CPython's float operation returns the one its machine code puts
+    first, and that order changes once the interpreter specializes the
+    instruction after a few calls; so a NaN's sign is not a bit of the
+    arithmetic."""
+    if isinstance(got, tuple):
+        return got
+    return ["nan" if math.isnan(struct.unpack("<d", b)[0]) else b for b in got]
+
+
 @lru_cache(maxsize=None)
 def parity_system(name, n):
     """A catalog family, or a custom type1 system with its expressions
@@ -427,7 +437,8 @@ def test_generated_rhs_is_the_closure(name, data):
     vs = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e200, math.nan]))
     x = data.draw(st.lists(xs, min_size=n, max_size=n), label="x")
     v = data.draw(st.lists(vs, min_size=n, max_size=n), label="v")
-    assert outcome(el1_rhs(system), 0.0, x, v) == outcome(closure_el1(system), 0.0, x, v)
+    assert (nan_alike(outcome(el1_rhs(system), 0.0, x, v))
+            == nan_alike(outcome(closure_el1(system), 0.0, x, v)))
 
 
 @pytest.mark.parametrize("system,x,error,coordinate", [
@@ -554,17 +565,6 @@ def type2_system(name, n, bounded):
     return PdmSystem(n, TYPE2, (CoupledProfile.from_text(mass, n),), potential)
 
 
-def nan_alike(got):
-    """An outcome with every NaN read alike.  Where two NaNs of opposite sign
-    meet, CPython's float operation returns the one its machine code puts
-    first, and that order changes once the interpreter specializes the
-    instruction after a few calls; so a NaN's sign is not a bit of the
-    arithmetic."""
-    if isinstance(got, tuple):
-        return got
-    return ["nan" if math.isnan(struct.unpack("<d", b)[0]) else b for b in got]
-
-
 def gradient_outcome(fn, *args):
     """nan_alike outcome of fn's (value, gradient) as one flat list."""
     return nan_alike(outcome(lambda: (lambda m, grad: [m, *grad])(*fn(*args))))
@@ -627,7 +627,7 @@ def _custom2(mass, potentials=None):
     (_custom2("1-x1^2-x2^2"), [2.0, 0.0], DomainViolation, None),
     # a non-positive mass comes before the first coordinate's domain check
     (_bounded("disc"), [2.0, 0.0], DomainViolation, None),
-    # the varying exponent fails in the zero-seed pass, or only in x2's pass
+    # a varying exponent on a negative base fails, an integer one too
     (_custom2("x1^x2+0.5"), [-2.0, 0.5], ExprDomainError, None),
     (_custom2("x1^x2+0.5"), [-2.0, 2.0], ExprDomainError, None),
     (_custom2("ln(x1)+2"), [-1.0, 0.5], ExprDomainError, None),
@@ -724,3 +724,42 @@ def test_type2_wrong_number_of_coordinates(call, reads_v, given):
     if reads_v:
         with pytest.raises(InvalidParameter, match=f"^v: expected 2 coordinates, got {given}$"):
             call(system, [0.5, 0.25], [0.1] * given)
+
+
+def _elg_residual(system, x, v):
+    nmap, ref = reference_map(system)
+    return elg_residual(nmap, system, ref, State.of(0.0, x, v))
+
+
+@pytest.mark.parametrize("given", [1, 3])
+@pytest.mark.parametrize("call", [
+    lambda system, x, v: el1_acceleration(system, State.of(0.0, x, v)),
+    lambda system, x, v: el1_residual(system, lambda t: (x, v, [0.0, 0.0]), 0.0),
+    _elg_residual,
+], ids=["el1_acceleration", "el1_residual", "elg_residual"])
+def test_type1_wrong_number_of_coordinates(call, given):
+    system = catalog_system("ml1+", 2)
+    with pytest.raises(InvalidParameter, match=f"^x: expected 2 coordinates, got {given}$"):
+        call(system, [0.5] * given, [0.1, 0.2])
+    with pytest.raises(InvalidParameter, match=f"^v: expected 2 coordinates, got {given}$"):
+        call(system, [0.5, 0.25], [0.1] * given)
+
+
+@pytest.mark.parametrize("given", [1, 3])
+def test_el1_residual_wrong_number_of_accelerations(given):
+    # one acceleration would broadcast over both coordinates without a word
+    system = catalog_system("ml1+", 2)
+    with pytest.raises(InvalidParameter, match=f"^a: expected 2 coordinates, got {given}$"):
+        el1_residual(system, lambda t: ([0.5, 0.25], [0.1, 0.2], [0.0] * given), 0.0)
+
+
+def test_type2_varying_power_raises_on_every_path():
+    # the exponent of x1^x2 reads x2, so no path takes (-1)^2 as an integer
+    # power, whatever seeds it evaluates the mass with
+    system = _custom2("2+x1^x2")
+    state = State.of(0.0, [-1.0, 2.0], [0.5, 0.5])
+    for call in (kinetic_energy, total_energy, el2_acceleration,
+                 lambda system, state: system.coupled_profile.value_and_gradient(state.x)):
+        with pytest.raises(ExprDomainError,
+                           match="^varying power of a non-positive base in 'x1\\^x2'$"):
+            call(system, state)

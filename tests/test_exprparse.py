@@ -97,24 +97,34 @@ def _int_pow(u: Dual2, k: int, where: Expr) -> Dual2:
     return out
 
 
-def _pow(a: Dual2, b: Dual2, where: Expr) -> Dual2:
-    exponent_constant = b.d1 == 0.0 and b.d2 == 0.0
-    if exponent_constant and float(b.val).is_integer():
+def _reads_variable(e: Expr) -> bool:
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, BinOp):
+        return _reads_variable(e.left) or _reads_variable(e.right)
+    return isinstance(e, (Neg, Call)) and _reads_variable(e.arg)
+
+
+def _pow(a: Dual2, b: Dual2, where: BinOp) -> Dual2:
+    # the rule follows the exponent's tree, never its derivatives
+    if _reads_variable(where.right):
+        if a.val <= 0.0:
+            raise ExprDomainError("varying power of a non-positive base", to_source(where))
+        ln_a = _chain(a, math.log(a.val), 1.0 / a.val, _curvature(-1.0, a.val * a.val, where))
+        return _exp(_mul(b, ln_a), where)
+    if float(b.val).is_integer():
         # repeated multiplication keeps negative bases exact and real
         return _int_pow(a, int(b.val), where)
     if a.val <= 0.0:
         raise ExprDomainError(
             "non-integer power of a non-positive base", to_source(where))
-    if exponent_constant:
-        p = b.val
-        try:
-            f = a.val ** p
-            fp, fpp = p * a.val ** (p - 1.0), p * (p - 1.0) * a.val ** (p - 2.0)
-        except OverflowError:
-            raise ExprDomainError("float overflow", to_source(where)) from None
-        return _chain(a, f, fp, fpp)
-    ln_a = _chain(a, math.log(a.val), 1.0 / a.val, _curvature(-1.0, a.val * a.val, where))
-    return _exp(_mul(b, ln_a), where)
+    p = b.val
+    try:
+        f = a.val ** p
+        fp, fpp = p * a.val ** (p - 1.0), p * (p - 1.0) * a.val ** (p - 2.0)
+    except OverflowError:
+        raise ExprDomainError("float overflow", to_source(where)) from None
+    return _chain(a, f, fp, fpp)
 
 
 def _exp(u: Dual2, where: Expr) -> Dual2:
@@ -322,6 +332,22 @@ class TestDualEvaluation:
         assert v == pytest.approx(4.0)
         assert d1 == pytest.approx(4.0 * (math.log(2.0) + 1.0))
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0.0, 1.0])
+    def test_varying_exponent_needs_a_positive_base(self, order, seed):
+        # the exponent reads x, so an integer value there is no integer power
+        fn = compile_expression(parse_expression("x^x"), ("x",), order)
+        with pytest.raises(ExprDomainError,
+                           match="^varying power of a non-positive base in 'x\\^x'$"):
+            fn(-2.0, seed)
+
+    def test_exponents_that_read_no_variable_keep_their_rule(self):
+        assert eval_dual(parse_expression("x^sqrt(4)"), -1.0) == (1.0, -2.0, 2.0)
+        p = 2.0 ** 0.5   # 2^0.5 is a power, which no constant folding carries out
+        assert eval_dual(parse_expression("x^(2^0.5)"), 2.0) == (
+            2.0 ** p, p * 2.0 ** (p - 1.0), p * (p - 1.0) * 2.0 ** (p - 2.0))
+        assert eval_dual(parse_expression("x^1e300"), 0.5) == (0.0, 0.0, 0.0)
+
 
 # hypothesis strategy over the grammar's AST
 def _exprs(names=("x",), full=False):
@@ -451,7 +477,7 @@ class TestCompiledMatchesReference:
         ("2^-2", 0.0),
         ("x^-2", 0.0),              # 1 / x^2 at x = 0
         ("x^x", 2.0),
-        ("x^x", -2.0),              # integer exponent at run time
+        ("x^x", -2.0),              # a varying exponent: no integer power
         ("x^x", -1.5),
         ("x^x", 800.0),             # exp(x ln x) overflows
         ("x^0.5", -2.0),
@@ -487,10 +513,14 @@ class TestCompiledMatchesReference:
             eval_dual(parse_expression("x^1.5"), 1e300)
 
     @pytest.mark.parametrize("text,x", [("x^1e300", 0.5), ("x^1e300", -1.0),
-                                        ("x^(x^(x^x))", 3.0), ("x^-(x^(x^x))", 3.0)])
+                                        ("x^(1e300*sqrt(1))", 0.5),
+                                        ("x^(1e300*sqrt(1))", -1.0),
+                                        ("x^-(1e300*sqrt(1))", -1.0)])
     def test_huge_integer_exponent_at_run_time_returns(self, text, x):
-        # zero seeds keep every exponent constant, so the integer power runs
+        # an exponent that reads no variable and does not fold is decided by
+        # its value at run time: an integer there squares and multiplies
         expr = parse_expression(text)
+        assert outcome(eval_dual, expr, x) == outcome(reference_dual, expr, x)
         assert (outcome(lambda: [compile_expression(expr)(x, 0.0)[0]])
                 == outcome(lambda: [_eval(expr, {"x": Dual2.const(x)}).val]))
         assert (outcome(eval_gradient, expr, ["x"], [x])
@@ -610,6 +640,39 @@ class TestOrderParity:
             _parity(expr, ("x",), [x], [seed])
 
 
+def _value_outcome(expr, names, xs, seeds, order):
+    """The value the order's kernel returns at xs under the seeds, or the
+    exception it raises."""
+    fn = compile_expression(expr, names, order)
+    return outcome(lambda: [fn(*xs, *seeds)] if order == 0 else fn(*xs, *seeds)[:1])
+
+
+class TestSeedFreeValues:
+    """No value reads the seeds: a power's rule is fixed by its exponent's
+    tree when the kernel is generated, so every seed vector gives the same
+    value, or the same error, at every order."""
+
+    @given(_exprs(full=True), _anywhere, st.lists(_seeds, min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    @example(parse_expression("x^(x-x)"), 0.0, [0.0, 1.0])
+    @example(parse_expression("x^x"), -2.0, [0.0, 1.0])
+    def test_one_variable(self, expr, x, seeds):
+        for order in (0, 1, 2):
+            assert (_value_outcome(expr, ("x",), [x], seeds[:1], order)
+                    == _value_outcome(expr, ("x",), [x], seeds[1:], order))
+
+    @given(_exprs(("x1", "x2", "x3"), full=True), st.lists(_points, min_size=3, max_size=3),
+           st.lists(_seeds, min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    @example(parse_expression("x1^x2", ["x1", "x2", "x3"]), [-2.0, 2.0, 1.0],
+             [0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    def test_three_variables(self, expr, xs, seeds):
+        names = ("x1", "x2", "x3")
+        for order in (0, 1, 2):
+            assert (_value_outcome(expr, names, xs, seeds[:3], order)
+                    == _value_outcome(expr, names, xs, seeds[3:], order))
+
+
 def batch_outcome(fn, *args):
     """The bytes of every entry of the list fn returns, or the exception it
     raises."""
@@ -663,7 +726,7 @@ class TestBatchParity:
              (-math.inf, math.inf))
     @example(parse_expression("sin(x*1e999)"), [0.0, 1.0], 1.0, 0,      # sin(inf)
              (-math.inf, math.inf))
-    @example(parse_expression("x^x"), [2.0, -2.0, -1.5], 0.0, 2,        # run-time exponent
+    @example(parse_expression("x^x"), [2.0, -2.0, -1.5], 0.0, 2,        # varying exponent
              (-math.inf, math.inf))
     @example(parse_expression("x^-20"), [1.0, 0.0], 1.0, 1, (-math.inf, math.inf))
     # the failed check comes before a later point's guard error, not after an earlier one's
@@ -682,7 +745,6 @@ class TestBatchParity:
         fn = compile_expression(expr, ("x",), order)
         assert (batch_outcome(batch, xs, seed, *domain, _fail)
                 == batch_outcome(_per_point_checked, fn, xs, seed, *domain, order))
-        assert batch.value_reads_seeds == fn.value_reads_seeds
 
     def test_cached_apart_from_the_per_point_form(self):
         expr = parse_expression("x^2+1")

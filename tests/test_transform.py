@@ -18,8 +18,8 @@ from pdmdyn.exact import (ExactSolutionSpec, exact_solution, exact_trajectory,
 from pdmdyn.families import FAMILIES
 from pdmdyn.integrate import DOP853, IntegratorOptions, integrate, sample_dense
 from pdmdyn.profiles import CustomProfile
-from pdmdyn.transform import (_GL_NODES, _GL_WEIGHTS, NonlocalMap, el2_mapped_residual,
-                              el2_obstruction, elg_residual, f_scale,
+from pdmdyn.transform import (_GL_NODES, _GL_WEIGHTS, NonlocalMap, coordinate_image,
+                              el2_mapped_residual, el2_obstruction, elg_residual, f_scale,
                               map_to_reference,
                               potential_match_residual, q_map, reference_map,
                               tau_values)
@@ -140,6 +140,19 @@ class TestTau:
         # the signed helper still integrates the decreasing clock
         tau = tau_values(nmap, traj, 0, require_positive=False)
         assert tau[-1] == pytest.approx(-2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_coordinate_index_out_of_range(self, i):
+        # neither a raw IndexError nor a negative index counted from the end
+        system = build_system("ml1", 2, {"omega": [1.0, 2.0], "lambda": 0.5, "sign": "+"})
+        nmap, _ = reference_map(system)
+        traj = integrate(el1_rhs(system), State.of(0.0, [0.5, 0.25], [0.0, 0.0]),
+                         IntegratorOptions(t_end=1.0))
+        message = f"^i: expected a coordinate index 0 <= i < 2, got {i}$"
+        for call in (lambda: q_map(nmap, i, 0.5), lambda: f_scale(nmap, i, 0.5),
+                     lambda: coordinate_image(nmap, traj, i), lambda: tau_values(nmap, traj, i)):
+            with pytest.raises(InvalidParameter, match=message):
+                call()
 
     def test_gauss_legendre_rule(self):
         x, w = np.polynomial.legendre.leggauss(4)

@@ -1,7 +1,10 @@
 """Check registry semantics: determinism, selection, report contracts."""
 
+import json
 import math
+import runpy
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +193,20 @@ def test_printed_eom_draws_the_scalar_sequence(case_name, seed):
         errors.append(abs(rhs(0.0, [x], [v])[0] - ref) / max(abs(ref), 1.0))
     metric = run_check(f"printed-eom:{case_name}", seed=seed).metric
     assert metric.hex() == verify._worst(0.0, *errors).hex()
+
+
+def test_verify_diff_counts_moved_details(tmp_path, capsys):
+    tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "verify_diff.py"))
+    entry = {"name": "a", "passed": True, "metric": "1.0", "threshold": "2.0",
+             "comparison": "<=", "details": "steps 10"}
+    reports = {"before": [entry, {**entry, "name": "b"}, {**entry, "name": "c"}],
+               "after": [{**entry, "details": "steps 11"}, {**entry, "name": "b"},
+                         {**entry, "name": "c", "metric": "1.5", "details": "E0 2"}]}
+    paths = []
+    for key, checks in reports.items():
+        paths.append(tmp_path / f"{key}.json")
+        paths[-1].write_text(json.dumps({"summary": {}, "checks": checks}))
+    assert tool["main"]([str(p) for p in paths]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a details 'steps 10' 'steps 11'", "c 1.0 1.5", "c details 'steps 10' 'E0 2'",
+        "2 moved"]

@@ -3,9 +3,11 @@
     python3 tools/verify_diff.py BEFORE.json AFTER.json
 
 Prints one line per check whose metric moved (name, before, after; the
-metrics are the report's 17-digit text, so any moved bit shows), then the
-number moved.  Exits 1 when the two reports name different checks or any
-check's verdict (passed) or threshold differs, else 0, however many metrics
+metrics are the report's 17-digit text, so any moved bit shows) and one per
+check whose details text moved (name, ``details``, before, after: the text
+holds step counts, the termination and E0), then the number of checks with
+either moved.  Exits 1 when the two reports name different checks or any
+check's verdict (passed) or threshold differs, else 0, however many checks
 moved.
 """
 
@@ -40,7 +42,9 @@ def main(argv: list[str] | None = None) -> int:
                 status = 1
         if b["metric"] != a["metric"]:
             print(f"{name} {b['metric']} {a['metric']}")
-            moved += 1
+        if b["details"] != a["details"]:
+            print(f"{name} details {b['details']!r} {a['details']!r}")
+        moved += (b["metric"], b["details"]) != (a["metric"], a["details"])
     print(f"{moved} moved")
     return status
 
