@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainViolation, InvalidParameter, MissingParameter, SingularPoint
-from .exprparse import Expr, compile_expression, compile_potential, parse_cached
+from .exprparse import Expr, compile_potential, parse_cached
 from .families import FAMILIES
 from .profiles import REAL_LINE, CoupledProfile, CustomProfile
 
@@ -104,10 +104,9 @@ class PotentialSpec:
     substituted for a catalog family.  Every x_i must lie inside the open
     interval ``domain``; x_i == ``pole`` is a SingularPoint.
 
-    ``energies`` is the terms' one generated kernel
-    (``exprparse.compile_potential``), compiled when first read and bound
-    to ``_fail``; ``energy`` runs it on one point.  Building a system
-    compiles nothing.
+    ``energies`` and ``gradients`` are the terms' generated kernels
+    (``exprparse.compile_potential`` at order 0 and 1), each compiled when
+    first read and bound to ``_fail``.  Building a system compiles nothing.
     """
 
     family: str
@@ -122,15 +121,16 @@ class PotentialSpec:
 
     @functools.cached_property
     def energies(self) -> Callable:
-        """Points of n floats -> the list of V at each, in order; at the first
-        point that fails, what energy raises there."""
-        return compile_potential(self.exprs, self.domain, self.pole)(self._fail)
+        """Points of n floats -> the list of V at each, in order: the terms
+        summed from 0.0 in coordinate order, each x_i checked first against
+        the domain and the pole; a DomainViolation unless finite."""
+        return compile_potential(self.exprs, self.domain, self.pole, 0)(self._fail)
 
-    def energy(self, x: Sequence[float]) -> float:
-        """V(x) on n floats: the terms summed from 0.0 in coordinate order,
-        each x_i checked first against the domain and the pole; a
-        DomainViolation unless finite."""
-        return self.energies((x,))[0]
+    @functools.cached_property
+    def gradients(self) -> Callable:
+        """Points of n floats -> the list of [V_1', .., V_n'] at each, in
+        order, each x_i checked first against the domain and the pole."""
+        return compile_potential(self.exprs, self.domain, self.pole, 1)(self._fail)
 
     def _fail(self, i: int | None, x: Sequence[float], total: float | None = None):
         """Raise what the energy owes at x: for coordinate i's failed check,
@@ -142,11 +142,6 @@ class PotentialSpec:
             raise DomainViolation(f"x_{i + 1}={xi!r} outside the domain ({lo}, {hi})",
                                   coordinate=i)
         raise SingularPoint(f"potential singular at x_{i + 1} = {xi!r}", i)
-
-    @functools.cached_property
-    def compiled(self) -> tuple:
-        """x -> (V_i, V_i') per coordinate, compiled when first read."""
-        return tuple(compile_expression(e, order=1) for e in self.exprs)
 
 
 @dataclass(frozen=True)
@@ -327,17 +322,12 @@ def _state(system: PdmSystem, state: State) -> tuple[list[float], list[float]]:
 def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:
     """V(x), the sum of the compiled per-coordinate terms; a DomainViolation
     when it is not finite."""
-    return system.potential.energy(_coordinates(system, x, "x"))
+    return system.potential.energies((_coordinates(system, x, "x"),))[0]
 
 
 def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
     """dV/dx as a vector, exact through the compiled dual-number terms."""
-    pot = system.potential
-    (lo, hi), pole = pot.domain, pot.pole
-    xs = _coordinates(system, x, "x")
-    if not all(lo < xi < hi and xi != pole for xi in xs):
-        pot.energy(xs)  # raises the first coordinate's error
-    return np.array([term(xi, 1.0)[1] for term, xi in zip(pot.compiled, xs)])
+    return np.array(system.potential.gradients((_coordinates(system, x, "x"),))[0])
 
 
 def kinetic_energy(system: PdmSystem, state: State) -> float:

@@ -44,20 +44,20 @@ def el1_rhs(system: PdmSystem) -> Callable:
     if system.kind != TYPE1:
         raise InvalidParameter("kind", "el1_rhs needs a type1 system")
     pot, profiles = system.potential, system.profiles
-    (lo, hi), pole = pot.domain, pot.pole
 
-    def fail(i, x):
-        """Raise what coordinate i's failed check owes at x."""
+    def fail(i, x, m=None):
+        """Raise what coordinate i's failed check owes at x: given the mass
+        m there, m < 0; else the singular coefficient, the domain or the pole."""
         profile, xi = profiles[i], x[i]
+        if m is not None:
+            profile._fail(xi, m)
         if xi == profile.coefficient_singularity:
             raise SingularCoefficient(f"m'/m and 1/m diverge at x_{i + 1} = {xi!r}", i)
-        if not lo < xi < hi or xi == pole:  # the profiles share this domain
-            pot.energy(x)  # raises the coordinate's error
-        profile.eval(xi, 1)  # raises the negative-mass DomainViolation
+        pot._fail(i, x)  # the profiles share the potential's domain
 
     singularities = tuple(p.coefficient_singularity for p in profiles)
     return compile_rhs(tuple(p.expr for p in profiles), pot.exprs, singularities,
-                       pot.domain, pole)(fail)
+                       pot.domain, pot.pole)(fail)
 
 
 def el2_rhs(system: PdmSystem) -> Callable:
@@ -70,12 +70,12 @@ def el2_rhs(system: PdmSystem) -> Callable:
         raise InvalidParameter("kind", "el2_rhs needs a type2 system")
     pot, profile = system.potential, system.coupled_profile
 
-    def fail(i, x):
-        """Raise what the failed check owes at x: m <= 0 (i None), else
-        coordinate i's domain or pole."""
+    def fail(i, x, m=None):
+        """Raise what the failed check owes at x: the mass m <= 0 (i None),
+        else coordinate i's domain or pole."""
         if i is None:
-            profile.value(x)  # raises the non-positive-mass DomainViolation
-        pot.energy(x)  # raises the coordinate's error
+            profile._positive(m, x)
+        pot._fail(i, x)
 
     return compile_rhs2(profile.expr, profile.names, pot.exprs, pot.domain, pot.pole)(fail)
 

@@ -42,19 +42,21 @@ potential energy and the mass over 10^4 samples or a trajectory's nodes)
 pay one call instead of one per point.
 
 A kernel that checks its points (the mass's batch, a nonlocal map, a
-potential's energies and a type1 or type2 right-hand side) has one failure
-path: a failed check (a domain, a pole, a singularity, m < 0 or, for a
-shared mass, m <= 0, a non-finite energy)
-calls the ``fail`` its caller bound, which raises what the caller owes
-there, and an error inside the lines is raised where it happens.  The loop
-runs the points in order, so the first failing point raises its own error
-and no caller replays the points.
+potential's energies and gradients and a type1 or type2 right-hand side)
+has one failure path: a failed check (a domain, a pole, a singularity,
+m < 0 or, for a shared mass, m <= 0, a non-finite energy) calls the
+``fail`` its caller bound with the value it failed on (the point, and the
+mass or the energy that failed), which raises what the caller owes there;
+an error inside the lines is raised where it happens.  The loop runs the
+points in order, so the first failing point raises its own error, and no
+kernel is re-run to learn it.
 
 A coordinate's nonlocal map is one more function from the same generator
 (``compile_map``): a batch loop over its mass lines at order 1 and the
-values of its q and f, written in ``x``, ``root`` and ``half``.  So is a
-potential's energy (``compile_potential``): every coordinate's checks and
-value lines, summed, per point.  So is a type1 system's right-hand side
+values of its q and f, written in ``x``, ``root`` and ``half``.  So are a
+potential's energy and gradient (``compile_potential``): every
+coordinate's checks and its value lines, summed, or its order-1 lines,
+whose V_i' are the gradient, per point.  So is a type1 system's right-hand side
 (``compile_rhs``): every coordinate's checks, its potential's and its
 mass's lines at order 1 and its acceleration, one coordinate after another.
 So is a type2 system's (``compile_rhs2``): the shared mass's gradient
@@ -336,9 +338,10 @@ def _render(e: Expr, parent_prec: int) -> str:
 #   u/w:   q = u/w, q' = (u' - qw')/w, q'' = (u'' - 2q'w' - qw'')/w
 #   f(u):  (f, f'u', f''u'u' + f'u'')
 # and an operation is written the same way, in the same order, wherever it
-# appears, so every path gives bit-identical results.  An operation on two
-# constants (+, -, *, and / by a non-zero constant) is carried out once, at
-# compile time, with that same arithmetic.
+# appears, so every path gives bit-identical results.  A constant is a value
+# whose derivatives are the one bound zero: an operation on two constants
+# (unary -, +, -, *, and / by a non-zero constant) is carried out once, at
+# compile time, on their values alone.
 #
 # A kernel of order k emits the value, d1 and d2 lines up to k and every domain
 # check whole, so it raises where order 2 raises.  A power's rule is fixed when
@@ -358,7 +361,7 @@ class _Slot(NamedTuple):
     val: str
     d1: str
     d2: str
-    known: tuple[float, float, float] | None = None  # fixed before any input
+    known: float | None = None  # the value, fixed before any input
 
 
 def _dual_mul(a: tuple, b: tuple) -> tuple[float, float, float]:
@@ -474,8 +477,8 @@ class _Codegen:
         self.block(f"except {error}:",
                    lambda: self.emit(self.raise_domain(message, where) + " from None"))
 
-    def constant(self, value: float, d1: float = 0.0, d2: float = 0.0) -> _Slot:
-        return _Slot(self.bind(value), self.bind(d1), self.bind(d2), (value, d1, d2))
+    def constant(self, value: float) -> _Slot:
+        return _Slot(self.bind(value), self.zero, self.zero, value)
 
     def walk(self, root: Expr, order: int) -> _Slot:
         """The lines of root at the given order, in post-order over the tree
@@ -508,17 +511,15 @@ class _Codegen:
 
     def neg(self, a: _Slot) -> _Slot:
         if a.known is not None:
-            return self.constant(*(-c for c in a.known))
+            return self.constant(-a.known)
         v, p, q = self.fresh("v", "p", "q")
         self.tiers(f"{v} = -{a.val}", f"{p} = -{a.d1}", f"{q} = -{a.d2}")
         return _Slot(v, p, q)
 
     def binop(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         if node.op in ("+", "-"):
-            if a.known and b.known:
-                add = node.op == "+"
-                return self.constant(*(u + w if add else u - w
-                                       for u, w in zip(a.known, b.known)))
+            if a.known is not None and b.known is not None:
+                return self.constant(a.known + b.known if node.op == "+" else a.known - b.known)
             v, p, q = self.fresh("v", "p", "q")
             op = node.op
             self.tiers(f"{v} = {a.val} {op} {b.val}", f"{p} = {a.d1} {op} {b.d1}",
@@ -531,8 +532,8 @@ class _Codegen:
         return self.power(node, a, b)
 
     def mul(self, a: _Slot, b: _Slot) -> _Slot:
-        if a.known and b.known:
-            return self.constant(*_dual_mul(a.known, b.known))
+        if a.known is not None and b.known is not None:
+            return self.constant(a.known * b.known)
         v, p, q = self.fresh("v", "p", "q")
         self.tiers(f"{v} = {a.val} * {b.val}",
                    f"{p} = {a.d1} * {b.val} + {a.val} * {b.d1}",
@@ -540,11 +541,8 @@ class _Codegen:
         return _Slot(v, p, q)
 
     def div(self, a: _Slot, b: _Slot, where: Expr) -> _Slot:
-        if a.known and b.known and b.known[0] != 0.0:
-            (a0, a1, a2), (b0, b1, b2) = a.known, b.known
-            v = a0 / b0
-            p = (a1 - v * b1) / b0
-            return self.constant(v, p, (a2 - 2.0 * p * b1 - v * b2) / b0)
+        if a.known is not None and b.known is not None and b.known != 0.0:
+            return self.constant(a.known / b.known)
         v, p, q = self.fresh("v", "p", "q")
         self.block(f"if {b.val} == 0.0:",
                    lambda: self.emit(self.raise_domain("division by zero", where)))
@@ -598,7 +596,7 @@ class _Codegen:
         if _reads_variable(node.right):
             return self.exp_log_power(node, a, b)
         if b.known is not None:
-            p = b.known[0]
+            p = b.known
             if p.is_integer():
                 return self.int_power(node, a, int(p))
             self.block(f"if {a.val} <= 0.0:", lambda: self.emit(self.raise_domain(
@@ -687,7 +685,7 @@ def _compile(expr: Expr, names: tuple[str, ...], order: int,
     slot = gen.walk(expr, order)
     result = ", ".join(slot[:order + 1])
     if batch:
-        gen.check(f"{slot.val} < 0.0", "x0")
+        gen.check(f"{slot.val} < 0.0", f"x0, {slot.val}")
         gen.emit(f"append(({result}))" if order else f"append({result})")
         head = ["def compiled(xs, s0, lo, hi, fail):",
                 "    out = []",
@@ -712,7 +710,7 @@ def _compile_map(mass: Expr, q: Expr, f: Expr) -> Callable:
     gen = _Codegen(("x",), 3)
     gen.check("not lo < x0 < hi", "x0")
     m = gen.walk(mass, 1)
-    gen.check(f"{m.val} < 0.0", "x0")
+    gen.check(f"{m.val} < 0.0", f"x0, {m.val}")
     gen.emit(f"root = sqrt({m.val})")
     # q and f are values: every variable's seed is 0
     gen.slots = {name: _Slot(local, gen.zero, gen.zero)
@@ -730,16 +728,19 @@ def _compile_map(mass: Expr, q: Expr, f: Expr) -> Callable:
 
 
 def _compile_potential(exprs: tuple, domain: tuple[float, float],
-                       pole: float | None) -> Callable:
+                       pole: float | None, order: int) -> Callable:
     gen = _Codegen((), 4)
     gen.emit(*_unpack("x", len(exprs), "x"))
     terms = []
     for i, expr in enumerate(exprs):
         gen.coordinate(i, domain, pole)
-        terms.append(gen.walk(expr, 0).val)
-    gen.emit(f"total = {' + '.join(['0.0', *terms])}")
-    gen.check("not isfinite(total)", "None, x, total")
-    gen.emit("append(total)")
+        terms.append(gen.walk(expr, order)[order])
+    if order:
+        gen.emit(f"append([{', '.join(terms)}])")
+    else:
+        gen.emit(f"total = {' + '.join(['0.0', *terms])}")
+        gen.check("not isfinite(total)", "None, x, total")
+        gen.emit("append(total)")
     head = ["def compiled(fail):",
             "    def energies(points):",
             "        s0 = 1.0",
@@ -759,7 +760,7 @@ def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
         gen.coordinate(i, domain, pole, singular)
         dv = gen.walk(potential, 1).d1
         m = gen.walk(mass, 1)
-        gen.check(f"{m.val} < 0.0", f"{i}, x")
+        gen.check(f"{m.val} < 0.0", f"{i}, x, {m.val}")
         gen.emit(f"a{i} = -({m.d1} / (2.0 * {m.val})) * u{i} * u{i} - {dv} / {m.val}")
     gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
     return _function(gen, ["def compiled(fail):", "    def rhs(t, x, v):"], ["    return rhs"])
@@ -798,7 +799,7 @@ def _compile_rhs2(mass: Expr, names: tuple[str, ...], potentials: tuple,
     n = len(names)
     gen = _Codegen(names, 3)
     _gradient(gen, mass, n)
-    gen.check("m <= 0.0", "None, x")
+    gen.check("m <= 0.0", "None, x, m")
     # mdot and |v|^2 (vv: v<count> names the emitter's own locals) summed from
     # 0.0 in coordinate order, as a running sum adds them; the potential terms
     # are seeded by s0 = 1.0, as compile_rhs seeds them
@@ -844,9 +845,9 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     list of what the per-point form returns at each, in order: the same
     lines and guards run inside one loop, with the seed shared by every
     point, so each entry is bit-identical.  A point outside (lo, hi) fails
-    before its lines run and a point where the value is < 0 after them; a
-    failed point calls ``fail(x)``, which raises what the caller owes at x,
-    and a guard's error is raised where it happens.
+    before its lines run, as ``fail(x)``, and a point where the value m is
+    < 0 after them, as ``fail(x, m)``; fail raises what the caller owes at
+    x, and a guard's error is raised where it happens.
 
     Built once per Expr object, variable list, order and shape; later calls
     return the same function.  A variable missing from ``names`` raises
@@ -865,8 +866,9 @@ def compile_map(mass: Expr, q: Expr, f: Expr) -> Callable:
     the floats xs, with dq/dx = f * root.  At each x it runs, in this order,
     the domain check, the lines of the order-1 mass kernel (so m and m' are
     its bits), the m < 0 check, root, q, half and f.  A failed check calls
-    ``fail(x)``, which raises what the caller owes at x; an error inside the
-    lines is raised where it happens.
+    ``fail(x)`` for the domain and ``fail(x, m)`` for m < 0, which raises
+    what the caller owes at x; an error inside the lines is raised where it
+    happens.
 
     Built once per (mass, q, f), and kept on ``mass``.
     """
@@ -874,21 +876,24 @@ def compile_map(mass: Expr, q: Expr, f: Expr) -> Callable:
 
 
 def compile_potential(exprs: Sequence[Expr], domain: tuple[float, float],
-                      pole: float | None) -> Callable:
-    """The potential energy of n coordinates as one compiled batch function.
+                      pole: float | None, order: int) -> Callable:
+    """The potential energy (``order`` 0) or gradient (``order`` 1) of n
+    coordinates as one compiled batch function.
 
     Coordinate i has the term ``exprs[i]`` in ``x``, inside ``domain`` and
-    off ``pole``.  The result ``make(fail)`` returns ``energies(points)``,
-    which takes an iterable of points of n floats and returns the list of
-    the sums of the terms.  At each point it runs each coordinate's domain
-    and pole check and value lines in turn, then sums the values from 0.0 in
-    coordinate order.  A failed check calls ``fail(i, x)``, a sum that is
-    not finite ``fail(None, x, total)``; an error inside the lines is raised
-    where it happens.
+    off ``pole``.  The result ``make(fail)`` returns a function of an
+    iterable of points of n floats, which runs at each point each
+    coordinate's domain and pole check and its lines of the given order in
+    turn.  At order 0 it returns the list of the sums of the values, summed
+    from 0.0 in coordinate order; at order 1 the list of [V_1', .., V_n'],
+    each the bits of the term's order-1 kernel (the lines compile_rhs runs
+    for V'), with no sum.  A failed check calls ``fail(i, x)``, a sum that
+    is not finite ``fail(None, x, total)``; an error inside the lines is
+    raised where it happens.
 
-    Built once per (exprs, domain, pole), and kept on ``exprs[0]``.
+    Built once per (exprs, domain, pole, order), and kept on ``exprs[0]``.
     """
-    key = (tuple(exprs), tuple(domain), pole)
+    key = (tuple(exprs), tuple(domain), pole, order)
     return _cached(key[0][0], key, lambda _, *key: _compile_potential(*key))
 
 
@@ -906,10 +911,10 @@ def compile_rhs(masses: Sequence[Expr], potentials: Sequence[Expr],
     turn it runs the singularity check, the domain and pole check, the lines
     of the potential term's and of the mass's order-1 kernels (so V', m and
     m' are their bits), the m < 0 check and the acceleration line.  A failed
-    check calls ``fail(i, x)``, which raises what the caller owes for
-    coordinate i; an error inside the lines (ExprDomainError, or
-    ZeroDivisionError where m = 0) is raised where it happens, so the first
-    error is that of the first failing coordinate.
+    check calls ``fail(i, x)``, and the m < 0 check ``fail(i, x, m)``, which
+    raises what the caller owes for coordinate i; an error inside the lines
+    (ExprDomainError, or ZeroDivisionError where m = 0) is raised where it
+    happens, so the first error is that of the first failing coordinate.
 
     Built once per (masses, potentials, singularities, domain, pole), and
     kept on ``masses[0]``.
@@ -958,7 +963,7 @@ def compile_rhs2(mass: Expr, names: Sequence[str], potentials: Sequence[Expr],
 
     It runs, in this order: each x_i as a float; m's gradient lines, as
     compile_gradient runs them, so m and g are its bits; the m <= 0 check,
-    failing as fail(None, x); mdot and |v|^2, each summed from 0.0 in
+    failing as fail(None, x, m); mdot and |v|^2, each summed from 0.0 in
     coordinate order; then for each coordinate in turn the domain and pole
     check, failing as fail(i, x), the lines of the potential term's order-1
     kernel (so V_i' is its bits) and the acceleration line.  fail raises

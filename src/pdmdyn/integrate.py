@@ -311,7 +311,12 @@ def _generated(kind: str, n: int) -> Callable:
 
 
 def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory:
-    """Integrate up to opts.t_end, or truncate on a guard/step failure."""
+    """Integrate up to opts.t_end, or truncate on a guard/step failure.
+
+    An InvalidParameter unless the initial state is finite, x and v are of
+    one length, and the right-hand side takes them and returns as many
+    accelerations.
+    """
     t = initial.t
     x0, v0 = (np.array(s, dtype=float).tolist() for s in (initial.x, initial.v))
     if not (math.isfinite(t) and all(map(math.isfinite, x0 + v0))):
@@ -319,11 +324,18 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
                                           f"x={x0}, v={v0}")
     if not opts.t_end >= t:
         raise InvalidParameter("t_end", f"{opts.t_end!r} is before the initial time {t!r}")
+    if len(x0) != len(v0):
+        raise InvalidParameter("initial", f"x and v differ in length: {len(x0)} and {len(v0)}")
     try:
         a0 = [*map(float, rhs(t, x0, v0))]  # initial state must be valid
     except ArithmeticError as err:
         what = "float overflow" if isinstance(err, OverflowError) else err
         raise DomainViolation(f"{what} at the initial state", t=t) from err
+    except ValueError as err:   # the right-hand side unpacks n coordinates
+        raise InvalidParameter("initial", f"state of length {len(x0)}: {err}") from err
+    if len(a0) != len(x0):
+        raise InvalidParameter("initial", f"state of length {len(x0)} gives "
+                                          f"{len(a0)} accelerations")
     # float arithmetic on a finite state turns non-finite only by overflowing
     if not all(map(math.isfinite, a0)):
         raise DomainViolation("float overflow at the initial state", t=t)
@@ -516,8 +528,13 @@ def estimate_period(traj: Trajectory, coordinate: int = 0) -> float:
     The mean is the time average of the coordinate; each crossing time is
     refined on the dense output.  Returns the mean of the consecutive
     crossing-to-crossing estimates; raises NoPeriod when the signal does not
-    oscillate or the estimates disagree by more than 1%.
+    oscillate or the estimates disagree by more than 1%, and an
+    InvalidParameter unless 0 <= coordinate < n.
     """
+    n = traj.x.shape[1]
+    if not 0 <= coordinate < n:
+        raise InvalidParameter("coordinate", f"expected a coordinate index 0 <= i < {n}, "
+                                             f"got {coordinate!r}")
     if len(traj) < 4:
         raise NoPeriod("trajectory too short")
     y = traj.x[:, coordinate]

@@ -53,8 +53,7 @@ class CustomProfile:
         DomainViolation outside the domain or where m < 0."""
         lo, hi = self.domain
         if not lo < x < hi:
-            raise DomainViolation(f"x={x!r} outside the domain ({lo}, {hi}) "
-                                  f"of profile '{self.text}'")
+            self._fail(x)
         fn = self._kernels[order]
         if fn is None:
             fn = self._kernels[order] = exprparse.compile_expression(self.expr, order=order)
@@ -63,15 +62,23 @@ class CustomProfile:
         # m == 0 (a vanishing or underflowed mass) is left to the equations
         # of motion, whose division by m raises ZeroDivisionError
         if m < 0.0:
-            raise DomainViolation(f"profile '{self.text}' is {m!r} < 0 at x={x!r}")
+            self._fail(x, m)
         return out
 
     def eval_many(self, xs: list[float], order: int = 2) -> list:
         """[eval(x, order) for x in xs] from one batch kernel call, which checks
-        each x's domain and m < 0 in turn and, at the first x that fails,
-        calls eval there to raise what it owes."""
+        each x's domain and m < 0 in turn and raises at the first x that fails."""
         kernel = exprparse.compile_expression(self.expr, order=order, batch=True)
-        return kernel(xs, 1.0, *self.domain, lambda x: self.eval(x, order))
+        return kernel(xs, 1.0, *self.domain, self._fail)
+
+    def _fail(self, x: float, m: float | None = None):
+        """Raise the DomainViolation owed at x: outside the domain, or (given
+        the mass m there) m < 0."""
+        if m is None:
+            lo, hi = self.domain
+            raise DomainViolation(f"x={x!r} outside the domain ({lo}, {hi}) "
+                                  f"of profile '{self.text}'")
+        raise DomainViolation(f"profile '{self.text}' is {m!r} < 0 at x={x!r}")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory, _state, _substitute,
                    build_system, potential_gradient)
 from .eom import el1_acceleration, el2_acceleration
-from .errors import InvalidParameter, NonPositiveScale, PdmError, UnsupportedFamily
+from .errors import InvalidParameter, NonPositiveScale, UnsupportedFamily
 from .exprparse import MAP_NAMES, compile_map, parse_cached
 from .families import Family
 from .integrate import sample_dense
@@ -54,15 +54,13 @@ class NonlocalMap:
         profile = self.profiles[i]
         q, f = (parse_cached(_substitute(template, self.params, i), MAP_NAMES)
                 for template in (self.record.q, self.record.f))
-        lo, hi = profile.domain
-        fail = lambda x: profile.eval(x, 1)  # outside the domain or m_i < 0: raises there
         kernel = None
 
         def batch(xs: list[float]) -> tuple[list[float], ...]:
             nonlocal kernel
             if kernel is None:  # compiled on the first call
                 kernel = compile_map(profile.expr, q, f)
-            return kernel(xs, lo, hi, fail)
+            return kernel(xs, *profile.domain, profile._fail)
         return batch
 
 
@@ -164,29 +162,18 @@ def potential_match_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSyste
     """|V_system(x) - V_ref(q(x))| at each of N points x, an (N, n) array,
     in order; zero where the map matches the potentials.
 
-    The map and both energies run as batches over all points.  Where any of
-    them fails, the points are replayed one at a time, so the error raised is
-    that of the first failing point.
+    The map and both energies run as batches over all points, in this
+    order: the map coordinate by coordinate, then V, then V_ref.  The first
+    batch that fails raises at its own first failing point.
     """
     xs = np.asarray(points, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != system.n:
         raise InvalidParameter("points", f"expected an (N, {system.n}) array, "
                                          f"got shape {xs.shape}")
     columns = xs.T.tolist()
-    try:
-        qs = [batch(column)[0] for batch, column in zip(nmap.batches, columns)]
-        pairs = zip(system.potential.energies(zip(*columns)),
-                    ref.potential.energies(zip(*qs)))
-        return [abs(v - v_ref) for v, v_ref in pairs]
-    except (PdmError, ArithmeticError):
-        return [_point_residual(nmap, system, ref, x) for x in xs.tolist()]
-
-
-def _point_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
-                    x: list[float]) -> float:
-    """The residual at one point, through batches of one."""
-    q = [batch([xi])[0][0] for batch, xi in zip(nmap.batches, x)]
-    return abs(system.potential.energy(x) - ref.potential.energy(q))
+    qs = [batch(column)[0] for batch, column in zip(nmap.batches, columns)]
+    pairs = zip(system.potential.energies(zip(*columns)), ref.potential.energies(zip(*qs)))
+    return [abs(v - v_ref) for v, v_ref in pairs]
 
 
 def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,

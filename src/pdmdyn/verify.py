@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -175,7 +175,7 @@ def _profile(family: str, **params) -> CustomProfile:
     return build_system(family, 1, {"omega": [1.0], **params}).profiles[0]
 
 
-def _check_profile_derivatives(seed: int, rel_tol=None) -> CheckReport:
+def _check_profile_derivatives(seed: int, rel_tol: float | None) -> CheckReport:
     rng = _rng(seed, "profiles")
     profiles = [
         (_profile("ml1", lam=1.0, sign="+"), (-3.0, 3.0)),
@@ -212,7 +212,7 @@ def _check_profile_derivatives(seed: int, rel_tol=None) -> CheckReport:
                    details="analytic m', m'' vs 4th-order central differences")
 
 
-def _check_ml_identity(seed: int, rel_tol=None) -> CheckReport:
+def _check_ml_identity(seed: int, rel_tol: float | None) -> CheckReport:
     rng = _rng(seed, "ml-identity")
     worst = 0.0
     for sign, box in (("+", (-3.0, 3.0)), ("-", (-0.95, 0.95))):
@@ -262,7 +262,7 @@ def _fd_stencil(expr, x: float, h: float, order: int) -> float:
     return (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
 
 
-def _check_parser_ad(seed: int, rel_tol=None, order: int = 1) -> CheckReport:
+def _check_parser_ad(seed: int, rel_tol: float | None, order: int) -> CheckReport:
     rng = _rng(seed, f"parser-ad-{order}")
     threshold = 1e-6 if order == 1 else 1e-4
     worst = 0.0
@@ -295,7 +295,7 @@ def _check_parser_ad(seed: int, rel_tol=None, order: int = 1) -> CheckReport:
                    details="1000 generated expressions vs converged central differences")
 
 
-def _check_parser_roundtrip(seed: int, rel_tol=None) -> CheckReport:
+def _check_parser_roundtrip(seed: int, rel_tol: float | None) -> CheckReport:
     rng = _rng(seed, "parser-roundtrip")
     bad = 0
     for _ in range(500):
@@ -308,7 +308,7 @@ def _check_parser_roundtrip(seed: int, rel_tol=None) -> CheckReport:
                    details="pretty-print then re-parse yields an equal tree")
 
 
-def _check_parser_total(seed: int, rel_tol=None) -> CheckReport:
+def _check_parser_total(seed: int, rel_tol: float | None) -> CheckReport:
     malformed = ["2*sin(x", "1+", "((x)", "x@2", "2**x", "sin()", "foo(x)",
                  "exp(2*z)", "1..2", ")x(", "", "x^", "3e", "x x"]
     bad = 0
@@ -361,7 +361,7 @@ def _printed_ml1_frequency(p, A: float) -> float:
     return p.omega[0] * abs(A) / math.sqrt(1.0 + s * p.lam * A * A)
 
 
-def _check_printed_eom(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+def _check_printed_eom(seed: int, rel_tol: float | None, case_name: str) -> CheckReport:
     case = standard_case(case_name)
     rhs = el1_rhs(case.system())
     printed = _printed_eom(case)
@@ -379,7 +379,7 @@ def _check_printed_eom(seed: int, case_name: str, rel_tol=None) -> CheckReport:
                            "(relative, floored at unit scale)")
 
 
-def _check_el2_collapse(seed: int, rel_tol=None) -> CheckReport:
+def _check_el2_collapse(seed: int, rel_tol: float | None) -> CheckReport:
     sys1 = build_system("custom", 1, mass_exprs=["1+x^2"],
                         potential_exprs=["0.5*x^2"])
     sys2 = build_system("custom", 1, mass_exprs=["1+x1^2"],
@@ -408,7 +408,7 @@ def _map_samples(seed: int, tag: str, case_name: str) -> tuple:
     return system, nmap, ref, [xs[k:k + _BATCH] for k in range(0, len(xs), _BATCH)]
 
 
-def _check_g_identity(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+def _check_g_identity(seed: int, rel_tol: float | None, case_name: str) -> CheckReport:
     _, nmap, _, batches = _map_samples(seed, "g", case_name)
     worst = 0.0
     for xs in batches:
@@ -420,7 +420,7 @@ def _check_g_identity(seed: int, case_name: str, rel_tol=None) -> CheckReport:
                    details="(dq/dx)^2 = m f^2 at 10^4 sampled points")
 
 
-def _check_potential_match(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+def _check_potential_match(seed: int, rel_tol: float | None, case_name: str) -> CheckReport:
     system, nmap, ref, batches = _map_samples(seed, "vmatch", case_name)
     worst = 0.0
     for xs in batches:
@@ -450,19 +450,19 @@ def _closed_form_residual(case: Case, periods: float = 3.0) -> float:
     return worst
 
 
-def _check_exact_residual(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+def _check_exact_residual(seed: int, rel_tol: float | None, case_name: str) -> CheckReport:
     worst = _closed_form_residual(standard_case(case_name))
     return _report(f"exact-residual:{case_name}", worst, 1e-8,
                    details="analytic closed form against the equations of motion, 3 periods")
 
 
-def _check_sw2_published_fails(seed: int, rel_tol=None) -> CheckReport:
+def _check_sw2_published_fails(seed: int, rel_tol: float | None) -> CheckReport:
     worst = _closed_form_residual(standard_case("sw2-published-eta2"))
     return _report("exact-residual:sw2-published-eta2", worst, 1e-1, comparison=">=",
                    details="published kappa normalization is not a solution for eta=2")
 
 
-def _check_residual_detects_perturbation(seed: int, rel_tol=None) -> CheckReport:
+def _check_residual_detects_perturbation(seed: int, rel_tol: float | None) -> CheckReport:
     case = standard_case("ml1+")
     spec = case.spec()
     system = case.system()
@@ -485,7 +485,7 @@ def _check_residual_detects_perturbation(seed: int, rel_tol=None) -> CheckReport
                    details="10% amplitude perturbation must light up the residual")
 
 
-def _check_track_exact(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+def _check_track_exact(seed: int, rel_tol: float | None, case_name: str) -> CheckReport:
     case = standard_case(case_name)
     if case.family == "powerlaw":
         return _track_powerlaw(case, rel_tol)
@@ -538,7 +538,7 @@ def _track_powerlaw(case: Case, rel_tol: float | None) -> CheckReport:
     return _report(f"track-exact:{case.name}", worst, 1e-6, details=details)
 
 
-def _check_energy_drift(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+def _check_energy_drift(seed: int, rel_tol: float | None, case_name: str) -> CheckReport:
     tol = 1e-12 if rel_tol is None else rel_tol
     case = standard_case(case_name)
     # every powerlaw orbit reaches the origin within a quarter period, so
@@ -559,7 +559,7 @@ def _check_energy_drift(seed: int, case_name: str, rel_tol=None) -> CheckReport:
     return _report(f"energy-drift:{case_name}", worst, 1e-8, details=details)
 
 
-def _check_energy_formula(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+def _check_energy_formula(seed: int, rel_tol: float | None, case_name: str) -> CheckReport:
     case = standard_case(case_name)
     spec = case.spec()
     system = case.system()
@@ -572,7 +572,7 @@ def _check_energy_formula(seed: int, case_name: str, rel_tol=None) -> CheckRepor
                    details="closed-form energy equals the energy along the solution")
 
 
-def _check_frequency_ml1(seed: int, rel_tol=None, printed: bool = False) -> CheckReport:
+def _check_frequency_ml1(seed: int, rel_tol: float | None, printed: bool) -> CheckReport:
     params = parameter_set({"omega": [1.0], "lambda": 1.0, "sign": "+"}, 1)
     A = 0.7
     spec = ExactSolutionSpec("ml1", params, (A,))
@@ -591,7 +591,7 @@ def _check_frequency_ml1(seed: int, rel_tol=None, printed: bool = False) -> Chec
                    details=f"measured period {measured:.9f} vs validated relation")
 
 
-def _check_frequency_powerlaw(seed: int, rel_tol=None) -> CheckReport:
+def _check_frequency_powerlaw(seed: int, rel_tol: float | None) -> CheckReport:
     # closed-form period of the cube-root branch solution, measured on samples;
     # the period is read off the monotone image q = alpha x^(1+upsilon), which
     # shares every crossing with x but is smooth there
@@ -616,7 +616,7 @@ def _check_frequency_powerlaw(seed: int, rel_tol=None) -> CheckReport:
                            "monotone image of the position signal")
 
 
-def _check_frequency_powerlaw_dynamic(seed: int, rel_tol=None) -> CheckReport:
+def _check_frequency_powerlaw_dynamic(seed: int, rel_tol: float | None) -> CheckReport:
     """Quarter-period timing of the integrated dynamics against (1+upsilon) omega."""
     case = standard_case("powerlaw-1")
     system = case.system()
@@ -636,7 +636,7 @@ def _check_frequency_powerlaw_dynamic(seed: int, rel_tol=None) -> CheckReport:
                    details=f"origin reached at t={t_star:.9f}; frequency from quarter period")
 
 
-def _check_invariance(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+def _check_invariance(seed: int, rel_tol: float | None, case_name: str) -> CheckReport:
     case = standard_case(case_name)
     periods = 0.24 if case.family == "powerlaw" else 3.0
     system, _, traj = _integrate_case(case, periods, rel_tol)
@@ -672,20 +672,20 @@ def _el2_demo_residual(n: int, rel_tol: float | None) -> float:
     return worst
 
 
-def _check_noninvariance_n2(seed: int, rel_tol=None) -> CheckReport:
+def _check_noninvariance_n2(seed: int, rel_tol: float | None) -> CheckReport:
     worst = _el2_demo_residual(2, rel_tol)
     return _report("noninvariance:el2-n2", worst, 1e-2, comparison=">=",
                    details="shared multiplier in two dimensions leaves an "
                            "order-one mapped residual")
 
 
-def _check_invariance_el2_n1(seed: int, rel_tol=None) -> CheckReport:
+def _check_invariance_el2_n1(seed: int, rel_tol: float | None) -> CheckReport:
     worst = _el2_demo_residual(1, rel_tol)
     return _report("invariance:el2-n1", worst, 1e-8,
                    details="the same construction collapses cleanly at n=1")
 
 
-def _check_el2_obstruction_value(seed: int, rel_tol=None) -> CheckReport:
+def _check_el2_obstruction_value(seed: int, rel_tol: float | None) -> CheckReport:
     system = _el2_demo_system(2)
     st = State.of(0.0, [1.0, 0.0], [0.0, 1.0])
     metric = abs(el2_obstruction(system, st) - 0.5)
@@ -693,7 +693,7 @@ def _check_el2_obstruction_value(seed: int, rel_tol=None) -> CheckReport:
                    details="closed-form value of the obstruction term at a probe state")
 
 
-def _check_ml2_reduction(seed: int, rel_tol=None) -> CheckReport:
+def _check_ml2_reduction(seed: int, rel_tol: float | None) -> CheckReport:
     params = {"omega": [1.0], "lambda": 0.25, "sign": "-", "eta_const": [2.0]}
     assert ml2_reduction_check(parameter_set(params, 1))
     sys_ml2 = build_system("ml2", 1, params)
@@ -711,7 +711,7 @@ def _check_ml2_reduction(seed: int, rel_tol=None) -> CheckReport:
                            "trajectories when lam = 1/eta^2 on the '-' branch")
 
 
-def _check_rk4_order(seed: int, rel_tol=None) -> CheckReport:
+def _check_rk4_order(seed: int, rel_tol: float | None) -> CheckReport:
     system = build_system("harmonic", 1, {"omega": [1.0]})
     rhs = el1_rhs(system)
     T = 2.0 * math.pi
@@ -729,7 +729,7 @@ def _check_rk4_order(seed: int, rel_tol=None) -> CheckReport:
                            "(4th order predicts 16)")
 
 
-def _check_adaptive_vs_fixed(seed: int, rel_tol=None) -> CheckReport:
+def _check_adaptive_vs_fixed(seed: int, rel_tol: float | None) -> CheckReport:
     tol = 1e-10 if rel_tol is None else rel_tol
     case = standard_case("morse")
     system = case.system()
@@ -746,7 +746,7 @@ def _check_adaptive_vs_fixed(seed: int, rel_tol=None) -> CheckReport:
                            "bounded-exponential family")
 
 
-def _check_substitution_identity(seed: int, rel_tol=None) -> CheckReport:
+def _check_substitution_identity(seed: int, rel_tol: float | None) -> CheckReport:
     rng = _rng(seed, "substitution")
     worst = 0.0
     for sign in (1.0, -1.0):
@@ -760,7 +760,7 @@ def _check_substitution_identity(seed: int, rel_tol=None) -> CheckReport:
                    details="q^2 = x^2/(1 +- lam x^2) inverts to x^2 = q^2/(1 -+ lam q^2)")
 
 
-def _check_tau_closed_form(seed: int, rel_tol=None) -> CheckReport:
+def _check_tau_closed_form(seed: int, rel_tol: float | None) -> CheckReport:
     case = standard_case("ml1+")
     spec = case.spec()
     nmap, _ = reference_map(case.system())
@@ -788,7 +788,7 @@ def _reference_closed_form(spec: ExactSolutionSpec, i: int, phase: float):
     return q_ref
 
 
-def _check_mapped_exactness(seed: int, case_name: str, rel_tol=None) -> CheckReport:
+def _check_mapped_exactness(seed: int, rel_tol: float | None, case_name: str) -> CheckReport:
     case = standard_case(case_name)
     spec = case.spec()
     nmap, _ = reference_map(case.system())
@@ -812,70 +812,58 @@ def _check_mapped_exactness(seed: int, case_name: str, rel_tol=None) -> CheckRep
 # --- registry -------------------------------------------------------------------
 
 
-def _build_registry() -> dict[str, Callable]:
-    reg: dict[str, Callable] = {
-        "profiles-derivatives": _check_profile_derivatives,
-        "ml-profile-identity": _check_ml_identity,
-        "parser-ad-d1": lambda s, rel_tol=None: _check_parser_ad(s, rel_tol, order=1),
-        "parser-ad-d2": lambda s, rel_tol=None: _check_parser_ad(s, rel_tol, order=2),
-        "parser-roundtrip": _check_parser_roundtrip,
-        "parser-total": _check_parser_total,
-        "el2-collapse-n1": _check_el2_collapse,
-        "exact-residual:sw2-published-eta2": _check_sw2_published_fails,
-        "residual-detects-perturbation": _check_residual_detects_perturbation,
-        "frequency:ml1": lambda s, rel_tol=None: _check_frequency_ml1(s, rel_tol),
-        "frequency:ml1-printed-form":
-            lambda s, rel_tol=None: _check_frequency_ml1(s, rel_tol, printed=True),
-        "frequency:powerlaw": _check_frequency_powerlaw,
-        "frequency:powerlaw-dynamic": _check_frequency_powerlaw_dynamic,
-        "noninvariance:el2-n2": _check_noninvariance_n2,
-        "invariance:el2-n1": _check_invariance_el2_n1,
-        "el2-obstruction-value": _check_el2_obstruction_value,
-        "ml2-reduction": _check_ml2_reduction,
-        "rk4-order": _check_rk4_order,
-        "adaptive-vs-fixed": _check_adaptive_vs_fixed,
-        "substitution-identity": _check_substitution_identity,
-        "tau-closed-form:ml1": _check_tau_closed_form,
+def _build_registry() -> dict[str, tuple]:
+    """Each name -> (check, *args): run_check calls check(seed, rel_tol, *args)."""
+    reg: dict[str, tuple] = {
+        "profiles-derivatives": (_check_profile_derivatives,),
+        "ml-profile-identity": (_check_ml_identity,),
+        "parser-ad-d1": (_check_parser_ad, 1),
+        "parser-ad-d2": (_check_parser_ad, 2),
+        "parser-roundtrip": (_check_parser_roundtrip,),
+        "parser-total": (_check_parser_total,),
+        "el2-collapse-n1": (_check_el2_collapse,),
+        "exact-residual:sw2-published-eta2": (_check_sw2_published_fails,),
+        "residual-detects-perturbation": (_check_residual_detects_perturbation,),
+        "frequency:ml1": (_check_frequency_ml1, False),
+        "frequency:ml1-printed-form": (_check_frequency_ml1, True),
+        "frequency:powerlaw": (_check_frequency_powerlaw,),
+        "frequency:powerlaw-dynamic": (_check_frequency_powerlaw_dynamic,),
+        "noninvariance:el2-n2": (_check_noninvariance_n2,),
+        "invariance:el2-n1": (_check_invariance_el2_n1,),
+        "el2-obstruction-value": (_check_el2_obstruction_value,),
+        "ml2-reduction": (_check_ml2_reduction,),
+        "rk4-order": (_check_rk4_order,),
+        "adaptive-vs-fixed": (_check_adaptive_vs_fixed,),
+        "substitution-identity": (_check_substitution_identity,),
+        "tau-closed-form:ml1": (_check_tau_closed_form,),
     }
-
-    def add_case(template: str, fn: Callable, names: Iterable[str]) -> None:
-        for name in names:
-            reg[template.format(name)] = (
-                lambda s, rel_tol=None, _n=name, _f=fn: _f(s, _n, rel_tol=rel_tol))
-
     eom_cases = ("ml1+", "ml1-", "powerlaw-1", "ml2-reduction", "morse",
                  "sw1+", "sw2-amended-eta2")
-    add_case("printed-eom:{}", _check_printed_eom, eom_cases)
-
     map_cases = ("ml1+", "ml1-", "powerlaw-1", "powerlaw-2", "ml2-reduction",
                  "morse", "sw1+", "sw1-", "sw2-eta-neg1", "sw2-amended-eta2")
-    add_case("g-identity:{}", _check_g_identity, map_cases)
-    add_case("potential-match:{}", _check_potential_match, map_cases)
-
     residual_cases = ("harmonic", "isotonic", "ml1+", "ml1-", "powerlaw-1",
                       "powerlaw-2", "morse", "sw1+", "sw1-", "sw2-eta-neg1",
                       "sw2-amended-eta2")
-    add_case("exact-residual:{}", _check_exact_residual, residual_cases)
-
     track_cases = ("ml1+", "ml1-", "ml1-0.5+", "ml1-0.5-", "powerlaw-1",
                    "powerlaw-2", "morse", "sw1+", "sw2-eta-neg1")
-    add_case("track-exact:{}", _check_track_exact, track_cases)
-
     drift_cases = ("ml1+", "ml1-", "powerlaw-1", "morse", "sw1+",
                    "sw2-eta-neg1", "ml2-reduction")
-    add_case("energy-drift:{}", _check_energy_drift, drift_cases)
-
     energy_cases = ("harmonic", "isotonic", "ml1+", "ml1-", "powerlaw-1",
                     "powerlaw-2", "morse", "sw1+", "sw1-", "sw2-eta-neg1",
                     "sw2-amended-eta2")
-    add_case("energy-formula:{}", _check_energy_formula, energy_cases)
-
-    add_case("invariance:{}", _check_invariance,
-             INVARIANCE_CASES + ("sw2-amended-eta2",))
-
     mapped_cases = ("ml1+", "powerlaw-1", "ml2-reduction", "morse", "sw1+",
                     "sw2-eta-neg1", "sw2-amended-eta2")
-    add_case("mapped-exactness:{}", _check_mapped_exactness, mapped_cases)
+    for prefix, check, names in (
+            ("printed-eom", _check_printed_eom, eom_cases),
+            ("g-identity", _check_g_identity, map_cases),
+            ("potential-match", _check_potential_match, map_cases),
+            ("exact-residual", _check_exact_residual, residual_cases),
+            ("track-exact", _check_track_exact, track_cases),
+            ("energy-drift", _check_energy_drift, drift_cases),
+            ("energy-formula", _check_energy_formula, energy_cases),
+            ("invariance", _check_invariance, INVARIANCE_CASES + ("sw2-amended-eta2",)),
+            ("mapped-exactness", _check_mapped_exactness, mapped_cases)):
+        reg.update((f"{prefix}:{name}", (check, name)) for name in names)
     return reg
 
 
@@ -896,7 +884,8 @@ def run_check(name: str, seed: int = DEFAULT_SEED,
         raise InvalidParameter("seed", f"must be a non-negative integer, got {seed!r}")
     if rel_tol is not None and not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise InvalidParameter("rel_tol", f"must be finite and positive, got {rel_tol!r}")
-    return _REGISTRY[name](seed, rel_tol=rel_tol)
+    check, *args = _REGISTRY[name]
+    return check(seed, rel_tol, *args)
 
 
 def run_suite(selection: Sequence[str] | None = None, seed: int = DEFAULT_SEED,

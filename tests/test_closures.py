@@ -20,11 +20,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pdmdyn import exprparse
-from pdmdyn.core import (VECTORS, State, _substitute, build_system, parameter_set,
-                         potential_energy, total_energy)
+from pdmdyn.core import (TYPE2, VECTORS, State, _substitute, build_system, parameter_set,
+                         potential_energy, potential_gradient, total_energy)
+from pdmdyn.eom import el1_rhs, el2_rhs
 from pdmdyn.errors import (DomainViolation, ExprDomainError, InvalidSpec, PdmError,
-                           SingularPoint)
-from pdmdyn.profiles import CustomProfile
+                           SingularCoefficient, SingularPoint)
+from pdmdyn.profiles import CoupledProfile, CustomProfile
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
 from pdmdyn.families import FAMILIES, _inverse_square_form
 from pdmdyn.transform import (NonlocalMap, f_scale, potential_match_residual, q_map,
@@ -137,19 +138,20 @@ def test_energy_closure_sums_the_compiled_terms(name, n):
     system = _system(name, n)
     lo, hi = MAPPED[name][2]
     rng = np.random.default_rng(n)
+    terms = [exprparse.compile_expression(e, order=1) for e in system.potential.exprs]
     for x in rng.uniform(lo, hi, (50, n)).tolist():
         total = 0.0
-        for term, xi in zip(system.potential.compiled, x):
+        for term, xi in zip(terms, x):
             total += term(xi, 1.0)[0]
-        assert system.potential.energy(x) == total == potential_energy(system, np.array(x))
+        assert system.potential.energies([x]) == [total]
+        assert potential_energy(system, np.array(x)) == total
 
 
 class TestEnergyClosureChecks:
     def test_isotonic_pole_is_a_singular_point(self):
-        energy = build_system("isotonic", 2, {"omega": [1.0, 2.0],
-                                              "kappa": [1.0, 0.5]}).potential.energy
+        system = build_system("isotonic", 2, {"omega": [1.0, 2.0], "kappa": [1.0, 0.5]})
         with pytest.raises(SingularPoint) as err:
-            energy([0.7, 0.0])
+            potential_energy(system, [0.7, 0.0])
         assert err.value.coordinate == 1
 
     @pytest.mark.parametrize("name,x,coordinate", [("ml1-", [0.2, 1.3], 1),
@@ -157,13 +159,13 @@ class TestEnergyClosureChecks:
                                                    ("sw2", [1.0, math.nan], 1)])
     def test_outside_the_domain_is_a_domain_violation(self, name, x, coordinate):
         with pytest.raises(DomainViolation) as err:
-            _system(name, 2).potential.energy(x)
+            potential_energy(_system(name, 2), x)
         assert err.value.coordinate == coordinate
 
     def test_overflowing_potential_is_a_domain_violation(self):
-        energy = build_system("harmonic", 2, {"omega": [1.0, 2.0]}).potential.energy
+        system = build_system("harmonic", 2, {"omega": [1.0, 2.0]})
         with pytest.raises(DomainViolation, match="not finite"):
-            energy([1.0, 1e200])
+            potential_energy(system, [1.0, 1e200])
 
 
 # --- the batch forms against the per-point closures --------------------------------
@@ -388,7 +390,7 @@ def test_batch_mass_is_eval_at_each_x(text, domain, xs):
 
 
 def oracle_energy(pot):
-    """V(x) as PotentialSpec.energy computed it before its generated kernel:
+    """V(x) as the potential energy was computed before its generated kernel:
     for each coordinate in turn the domain and pole checks and the term's
     value-only kernel, summed from 0.0; a DomainViolation unless finite."""
     terms = tuple(exprparse.compile_expression(e, order=0) for e in pot.exprs)
@@ -441,7 +443,7 @@ def test_batch_energy_is_energy_at_each_point(name, points):
     rows = [row[:system.n] for row in points]
     pot, oracle = system.potential, oracle_energy(system.potential)
     want = _bits(lambda: [oracle(x) for x in rows])
-    assert _bits(lambda: [pot.energy(x) for x in rows]) == want
+    assert _bits(lambda: [pot.energies((x,))[0] for x in rows]) == want
     assert _bits(lambda: [potential_energy(system, x) for x in rows]) == want
     assert _bits(pot.energies, rows) == want
     assert _bits(pot.energies, zip(*zip(*rows))) == want   # tuples, as potential-match passes
@@ -461,21 +463,146 @@ class TestPotentialKernelCompiles:
         assert compiles == []
         state = State.of(0.0, [0.5, 0.75], [0.25, -0.5])
         for _ in range(2):
-            pot.energy([0.5, 0.75])
+            potential_energy(system, [0.5, 0.75])
             pot.energies([(0.5, 0.75), (1.0, 1.5)])
             total_energy(system, state)
-        assert compiles == [(pot.exprs, pot.domain, pot.pole)]
-        # a rebuilt system shares the parsed terms and so the kernel
+        assert compiles == [(pot.exprs, pot.domain, pot.pole, 0)]
+        for _ in range(2):
+            potential_gradient(system, [0.5, 0.75])
+            pot.gradients([(0.5, 0.75), (1.0, 1.5)])
+        assert compiles == [(pot.exprs, pot.domain, pot.pole, order) for order in (0, 1)]
+        # a rebuilt system shares the parsed terms and so the kernels
         again = build_system("isotonic", 2, self.PARAMS)
         assert again.potential.exprs[0] is pot.exprs[0]
-        assert again.potential.energy([0.5, 0.75]) == pot.energy([0.5, 0.75])
-        assert len(compiles) == 1
+        assert potential_energy(again, [0.5, 0.75]) == potential_energy(system, [0.5, 0.75])
+        assert (potential_gradient(again, [0.5, 0.75]).tolist()
+                == potential_gradient(system, [0.5, 0.75]).tolist())
+        assert len(compiles) == 2
         # every key part counts
         first = exprparse.compile_potential(*compiles[0])
-        for changed in ((pot.exprs[:1], pot.domain, pot.pole),
-                        (pot.exprs, (-1.0, 1.0), pot.pole), (pot.exprs, pot.domain, None)):
+        for changed in ((pot.exprs[:1], pot.domain, pot.pole, 0),
+                        (pot.exprs, (-1.0, 1.0), pot.pole, 0), (pot.exprs, pot.domain, None, 0)):
             assert exprparse.compile_potential(*changed) is not first
-        assert len(compiles) == 4
+        assert exprparse.compile_potential(*compiles[1]) is not first
+        assert len(compiles) == 5
+
+
+def oracle_gradient(system):
+    """dV/dx as potential_gradient computed it before its generated kernel:
+    every coordinate's domain and pole check first, raising what the energy
+    raises at the first failing point, then each term's order-1 kernel."""
+    pot = system.potential
+    (lo, hi), pole = pot.domain, pot.pole
+    terms = tuple(exprparse.compile_expression(e, order=1) for e in pot.exprs)
+    energy = oracle_energy(pot)
+
+    def gradient(x):
+        xs = [float(xi) for xi in x]
+        if not all(lo < xi < hi and xi != pole for xi in xs):
+            energy(xs)  # raises the first coordinate's error
+        return [term(xi, 1.0)[1] for term, xi in zip(terms, xs)]
+    return gradient
+
+
+#: division by zero, sin(inf) and a ln domain error, one per coordinate
+_CUSTOM_POTENTIAL = ["1/x", "sin(x*1e300*1e300)", "ln(x)"]
+
+
+@pytest.mark.parametrize("name,n", CASES + [("custom", n) for n in (1, 2, 3)])
+@given(points=st.lists(st.lists(_xs, min_size=3, max_size=3), min_size=1, max_size=5))
+@example(points=[[0.5, 0.5, 0.5], [0.0, 0.5, 0.5], [0.5, 1.3, -0.0], [math.nan, 0.0, 1e200]])
+@settings(max_examples=25, deadline=None)
+def test_potential_gradient_is_the_checked_per_term_gradient(name, n, points):
+    if name == "custom":
+        system = build_system("custom", n, mass_exprs=["1"] * n,
+                              potential_exprs=_CUSTOM_POTENTIAL[:n])
+    else:
+        system = _system(name, n)
+    oracle = oracle_gradient(system)
+    for row in points:
+        x = row[:n]
+        assert (_bits(lambda: [potential_gradient(system, x).tolist()])
+                == _bits(lambda: [oracle(x)]))
+
+
+def _no_replay(*args, **kwargs):
+    raise AssertionError("a failed check re-ran an evaluation to learn its error")
+
+
+def _rhs_at(system):
+    """The system's potential and x -> its right-hand side at x."""
+    rhs = (el2_rhs if system.kind == TYPE2 else el1_rhs)(system)
+    return system.potential, lambda x: rhs(0.0, x, [0.1, 0.2])
+
+
+def _gradient_at(system):
+    return system.potential, lambda x: potential_gradient(system, x)
+
+
+_ML1_DOMAIN = "(-1.2909944487358056, 1.2909944487358056)"
+_ML1M = {"omega": [1.0, 2.0], "lambda": 0.6, "sign": "-"}
+_ISOTONIC = {"omega": [1.0, 2.0], "kappa": [1.0, 0.5]}
+
+
+class TestOneFailurePath:
+    """Each failed check's fail raises from the value the check saw: with the
+    profile's eval and value and the potential's energies replaced once the
+    kernels are built, every failure still raises its own error."""
+
+    CASES = {   # (potential, call), a good x, a bad x, what the call raises there
+        "type1 singular coefficient": (
+            lambda: _rhs_at(build_system("powerlaw", 2, {"omega": [1.0, 1.7], "alpha": 1.2,
+                                                         "upsilon": 1.5})),
+            [0.5, 0.5], [0.5, 0.0],
+            SingularCoefficient, "m'/m and 1/m diverge at x_2 = 0.0", 1),
+        "type1 outside the domain": (
+            lambda: _rhs_at(build_system("ml1", 2, _ML1M)), [0.2, 0.3], [0.2, 1.3],
+            DomainViolation, f"x_2=1.3 outside the domain {_ML1_DOMAIN}", 1),
+        "type1 at the pole": (
+            lambda: _rhs_at(build_system("isotonic", 2, _ISOTONIC)), [0.7, 0.5], [0.7, 0.0],
+            SingularPoint, "potential singular at x_2 = 0.0", 1),
+        "type1 m < 0": (
+            lambda: _rhs_at(build_system("custom", 2, mass_exprs=["1", "1-x^2"],
+                                         potential_exprs=["0.5*x^2"] * 2)),
+            [0.5, 0.5], [0.5, 2.0],
+            DomainViolation, "profile '1-x^2' is -3.0 < 0 at x=2.0", None),
+        "type2 m <= 0": (
+            lambda: _rhs_at(build_system("custom", 2, mass_exprs=["x1+x2"],
+                                         potential_exprs=["0.5*x^2"] * 2, kind=TYPE2)),
+            [1.0, 0.5], [-1.0, 0.5],
+            DomainViolation, "coupled profile 'x1+x2' is -0.5 <= 0 at [-1.0, 0.5]", None),
+        "type2 outside the domain": (
+            lambda: _rhs_at(build_system("custom", 2, mass_exprs=["x1+x2"],
+                                         potential_exprs=["0.5*x^2"] * 2, kind=TYPE2)),
+            [1.0, 0.5], [1.0, math.nan],
+            DomainViolation, "x_2=nan outside the domain (-inf, inf)", 1),
+        "map outside the domain": (
+            lambda: (None, reference_map(_system("ml1-", 1))[0].batches[0]), [0.5], [0.5, 1.3],
+            DomainViolation, f"x=1.3 outside the domain {_ML1_DOMAIN} "
+                             f"of profile '1/(1+(-1.0)*0.6*x^2)'", None),
+        "map m < 0": (
+            lambda: (None, _custom_map("x-1").batches[0]), [1.5], [1.5, 0.5],
+            DomainViolation, "profile 'x-1' is -0.5 < 0 at x=0.5", None),
+        "gradient outside the domain": (
+            lambda: _gradient_at(build_system("ml1", 2, _ML1M)), [0.2, 0.3], [0.2, 1.3],
+            DomainViolation, f"x_2=1.3 outside the domain {_ML1_DOMAIN}", 1),
+        "gradient at the pole": (
+            lambda: _gradient_at(build_system("isotonic", 2, _ISOTONIC)), [0.7, 0.5],
+            [0.7, 0.0], SingularPoint, "potential singular at x_2 = 0.0", 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_fail_reruns_an_evaluation(self, case, monkeypatch):
+        make, good, bad, error, message, coordinate = self.CASES[case]
+        pot, call = make()
+        call(good)   # builds the kernels
+        monkeypatch.setattr(CustomProfile, "eval", _no_replay)
+        monkeypatch.setattr(CoupledProfile, "value", _no_replay)
+        if pot is not None:
+            monkeypatch.setitem(vars(pot), "energies", _no_replay)
+        with pytest.raises(error) as err:
+            call(bad)
+        assert (str(err.value), getattr(err.value, "coordinate", None)) == (message, coordinate)
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -486,14 +613,25 @@ def test_potential_match_residual_is_the_point_residual_at_each_x(name, n, point
     nmap, ref = reference_map(system)
     rows = [row[:n] for row in points]
 
-    def point_by_point():
-        out = []
-        for x in rows:
-            q = [q_map(nmap, i, xi)[0] for i, xi in enumerate(x)]
-            out.append(abs(system.potential.energy(x) - ref.potential.energy(q)))
-        return out
+    def residual(x):
+        q = [q_map(nmap, i, xi)[0] for i, xi in enumerate(x)]
+        return abs(potential_energy(system, x) - potential_energy(ref, q))
+
+    def batch_by_batch():
+        """Each batch point by point: the map coordinate by coordinate, then
+        V, then V_ref, so the first failing batch raises at its first
+        failing point."""
+        qs = [[q_map(nmap, i, x[i])[0] for x in rows] for i in range(n)]
+        energies = [potential_energy(system, x) for x in rows]
+        ref_energies = [potential_energy(ref, q) for q in zip(*qs)]
+        return [abs(v - v_ref) for v, v_ref in zip(energies, ref_energies)]
     assert (_bits(potential_match_residual, nmap, system, ref, rows)
-            == _bits(point_by_point))
+            == _bits(batch_by_batch))
+    # the rows that pass alone give their point-by-point residual
+    good = [x for x in rows if isinstance(_bits(lambda: [residual(x)]), bytes)]
+    if good:
+        assert (_bits(potential_match_residual, nmap, system, ref, good)
+                == _bits(lambda: [residual(x) for x in good]))
 
 
 # --- the closed-form grid against the per-sample loop -----------------------------

@@ -12,6 +12,7 @@ from pdmdyn.core import (TYPE1, TYPE2, State, build_system, kinetic_energy,
 from pdmdyn.eom import el1_acceleration
 from pdmdyn.errors import (DomainViolation, InvalidParameter,
                            MissingParameter, SingularPoint)
+from pdmdyn.exprparse import compile_potential
 
 
 class TestBuildSystem:
@@ -26,7 +27,10 @@ class TestBuildSystem:
         a, b = (build_system("isotonic", 1, {"omega": [1.0], "kappa": [1.0]})
                 for _ in range(2))
         assert a.profiles[0].expr is b.profiles[0].expr
-        assert a.potential.compiled[0] is b.potential.compiled[0]
+        # and so the potential's terms and its gradient kernel
+        assert a.potential.exprs[0] is b.potential.exprs[0]
+        assert (compile_potential(a.potential.exprs, a.potential.domain, a.potential.pole, 1)
+                is compile_potential(b.potential.exprs, b.potential.domain, b.potential.pole, 1))
 
     def test_minus_branch_profile_domain(self):
         system = build_system("ml1", 1, {"omega": [1.0], "lambda": 1.0,

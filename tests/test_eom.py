@@ -187,9 +187,9 @@ def closure_el1(system):
     order-1 kernels and the acceleration."""
     pot = system.potential
     (lo, hi), pole = pot.domain, pot.pole
-    coords = tuple((i, p.coefficient_singularity, term,
+    coords = tuple((i, p.coefficient_singularity, exprparse.compile_expression(e, order=1),
                     exprparse.compile_expression(p.expr, order=1), p.eval)
-                   for i, (p, term) in enumerate(zip(system.profiles, pot.compiled)))
+                   for i, (p, e) in enumerate(zip(system.profiles, pot.exprs)))
 
     def rhs(t, x, v):
         out = []
@@ -197,7 +197,7 @@ def closure_el1(system):
             if xi == singular:
                 raise SingularCoefficient(f"m'/m and 1/m diverge at x_{i + 1} = {xi!r}", i)
             if not lo < xi < hi or xi == pole:  # the profiles share this domain
-                pot.energy(x)  # raises the coordinate's error
+                pot.energies((x,))  # raises the coordinate's error
             dv = term(xi, 1.0)[1]
             m, m1 = mass(xi, 1.0)
             if m < 0.0:
@@ -233,6 +233,7 @@ def closure_el2(system):
     order-1 kernel and the acceleration."""
     profile, pot = system.coupled_profile, system.potential
     (lo, hi), pole = pot.domain, pot.pole
+    terms = [exprparse.compile_expression(e, order=1) for e in pot.exprs]
 
     def rhs(t, x, v):
         m, gradm = gradient_passes(profile.expr, profile.names, x)
@@ -243,9 +244,9 @@ def closure_el2(system):
             mdot += g * vi
             v2 += vi * vi
         out = []
-        for (i, term), xi, vi, g in zip(enumerate(pot.compiled), x, v, gradm):
+        for term, xi, vi, g in zip(terms, x, v, gradm):
             if not lo < xi < hi or xi == pole:
-                pot.energy(x)  # raises the coordinate's error
+                pot.energies((x,))  # raises the coordinate's error
             out.append(-(mdot / m) * vi + 0.5 * (g / m) * v2 - term(xi, 1.0)[1] / m)
         return out
     return rhs

@@ -25,7 +25,10 @@ from pdmdyn.families import FAMILIES
 # factor of ln or sqrt whose divisor underflows to 0, are ExprDomainErrors
 # here too, where the walker let OverflowError, ValueError and
 # ZeroDivisionError out; an integer power beyond 16 squares and multiplies
-# instead of multiplying k times.
+# instead of multiplying k times; an operation on two folded constants
+# (unary -, +, -, *, / by a non-zero constant, an integer power up to 16 of
+# a folded base by a folded exponent) is folded on their values alone, so a
+# folded constant's derivatives are +0.0 whatever its value.
 
 @dataclass(frozen=True)
 class Dual2:
@@ -34,6 +37,7 @@ class Dual2:
     val: float
     d1: float = 0.0
     d2: float = 0.0
+    known: bool = False  # a folded constant
 
     @staticmethod
     def seed(x: float) -> "Dual2":
@@ -43,22 +47,39 @@ class Dual2:
     def const(c: float) -> "Dual2":
         return Dual2(float(c), 0.0, 0.0)
 
+    @staticmethod
+    def folded(c: float) -> "Dual2":
+        return Dual2(float(c), 0.0, 0.0, True)
+
+
+def _plain(u: Dual2) -> Dual2:
+    """u as a value that is not folded: its derivatives take part in the arithmetic."""
+    return Dual2(u.val, u.d1, u.d2)
+
 
 def _add(a: Dual2, b: Dual2) -> Dual2:
+    if a.known and b.known:
+        return Dual2.folded(a.val + b.val)
     return Dual2(a.val + b.val, a.d1 + b.d1, a.d2 + b.d2)
 
 
 def _sub(a: Dual2, b: Dual2) -> Dual2:
+    if a.known and b.known:
+        return Dual2.folded(a.val - b.val)
     return Dual2(a.val - b.val, a.d1 - b.d1, a.d2 - b.d2)
 
 
 def _mul(a: Dual2, b: Dual2) -> Dual2:
+    if a.known and b.known:
+        return Dual2.folded(a.val * b.val)
     return Dual2(a.val * b.val,
                  a.d1 * b.val + a.val * b.d1,
                  a.d2 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d2)
 
 
 def _div(a: Dual2, b: Dual2, where: Expr) -> Dual2:
+    if a.known and b.known and b.val != 0.0:
+        return Dual2.folded(a.val / b.val)
     if b.val == 0.0:
         raise ExprDomainError("division by zero", to_source(where))
     q = a.val / b.val
@@ -80,15 +101,15 @@ def _chain(u: Dual2, f: float, fp: float, fpp: float) -> Dual2:
 
 def _int_pow(u: Dual2, k: int, where: Expr) -> Dual2:
     if k == 0:
-        return Dual2.const(1.0)
+        return Dual2.folded(1.0)
     if k < 0:
-        return _div(Dual2.const(1.0), _int_pow(u, -k, where), where)
+        return _div(Dual2.folded(1.0), _int_pow(u, -k, where), where)
     if k <= 16:
         out = u
         for _ in range(k - 1):
             out = _mul(out, u)
         return out
-    out = Dual2.const(1.0)
+    u, out = _plain(u), Dual2.const(1.0)   # at run time: nothing folds
     while k:
         if k & 1:
             out = _mul(out, u)
@@ -113,8 +134,11 @@ def _pow(a: Dual2, b: Dual2, where: BinOp) -> Dual2:
         ln_a = _chain(a, math.log(a.val), 1.0 / a.val, _curvature(-1.0, a.val * a.val, where))
         return _exp(_mul(b, ln_a), where)
     if float(b.val).is_integer():
-        # repeated multiplication keeps negative bases exact and real
-        return _int_pow(a, int(b.val), where)
+        # repeated multiplication keeps negative bases exact and real; an
+        # exponent that did not fold is a power taken at run time: nothing folds
+        if b.known:
+            return _int_pow(a, int(b.val), where)
+        return _plain(_int_pow(_plain(a), int(b.val), where))
     if a.val <= 0.0:
         raise ExprDomainError(
             "non-integer power of a non-positive base", to_source(where))
@@ -137,12 +161,12 @@ def _exp(u: Dual2, where: Expr) -> Dual2:
 
 def _eval(e: Expr, env: dict[str, Dual2]) -> Dual2:
     if isinstance(e, Num):
-        return Dual2.const(e.value)
+        return Dual2.folded(e.value)
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, Neg):
         u = _eval(e.arg, env)
-        return Dual2(-u.val, -u.d1, -u.d2)
+        return Dual2.folded(-u.val) if u.known else Dual2(-u.val, -u.d1, -u.d2)
     if isinstance(e, Call):
         u = _eval(e.arg, env)
         if e.fn in ("sin", "cos"):
@@ -473,6 +497,9 @@ class TestCompiledMatchesReference:
         ("1e999", 0.5),             # inf: a bound constant, never source text
         ("x*1e999", 0.5),
         ("x*1e999", 0.0),           # 0 * inf
+        ("x+1e999*2", 1.0),         # a folded inf: its derivatives are 0, not NaN
+        ("x*-1", 0.5),              # a folded negative constant: +0.0 derivatives
+        ("(-1)^20*x", 0.5),         # a run-time power of a folded base
         ("-1e999^x", 2.0),
         ("2^-2", 0.0),
         ("x^-2", 0.0),              # 1 / x^2 at x = 0
@@ -505,6 +532,12 @@ class TestCompiledMatchesReference:
     def test_edge_cases(self, text, x):
         expr = parse_expression(text)
         assert outcome(eval_dual, expr, x) == outcome(reference_dual, expr, x)
+
+    def test_a_folded_constant_is_a_value(self):
+        # folding runs on values alone, so an infinite constant carries no NaN
+        assert eval_dual(parse_expression("x+1e999*2"), 1.0) == (math.inf, 1.0, 0.0)
+        assert eval_dual(parse_expression("x+1e999"), 1.0) == (math.inf, 1.0, 0.0)
+        assert math.copysign(1.0, eval_dual(parse_expression("-1"), 1.0)[1]) == 1.0
 
     def test_overflow_is_a_domain_error(self):
         with pytest.raises(ExprDomainError, match="float overflow in 'exp"):
@@ -688,20 +721,21 @@ class _Failed(Exception):
     """Raised by _fail: the point at which a batch failed a check."""
 
 
-def _fail(x):
-    raise _Failed(x)
+def _fail(x, m=None):
+    raise _Failed(x, m)
 
 
 def _per_point_checked(fn, xs, seed, lo, hi, order):
     """The one-variable per-point kernel at each x in turn, as a list; _fail
-    at the first x outside (lo, hi) or where the value is < 0."""
+    at the first x outside (lo, hi), or where the value m is < 0 with m."""
     out = []
     for x in xs:
         if not lo < x < hi:
             _fail(x)
         out.append(fn(x, seed))
-        if (out[-1][0] if order else out[-1]) < 0.0:
-            _fail(x)
+        m = out[-1][0] if order else out[-1]
+        if m < 0.0:
+            _fail(x, m)
     return out
 
 

@@ -18,6 +18,7 @@ from pdmdyn.eom import el1_acceleration
 from pdmdyn.errors import MissingParameter
 from pdmdyn.exact import (ExactSolutionSpec, exact_energy, exact_solution,
                           oscillation_period)
+from pdmdyn.exprparse import compile_expression
 from pdmdyn.families import FAMILIES
 from pdmdyn.transform import f_scale, q_map, reference_map
 
@@ -153,7 +154,8 @@ def _close(a, b):
 def _coordinate_energy(system, x, v, i):
     """E_i = (1/2) m_i(x_i) v_i^2 + V_i(x_i) of a type1 system."""
     m = system.profiles[i].eval(float(x))[0]
-    return 0.5 * m * float(v) ** 2 + system.potential.compiled[i](float(x), 1.0)[0]
+    term = compile_expression(system.potential.exprs[i], order=1)
+    return 0.5 * m * float(v) ** 2 + term(float(x), 1.0)[0]
 
 
 closed_form_cases = pytest.mark.parametrize(

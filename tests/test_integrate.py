@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from pdmdyn.core import State, Termination, build_system, parameter_set
 from pdmdyn.errors import DomainViolation, InvalidParameter, NoPeriod
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
+from pdmdyn.exprparse import compile_expression
 from pdmdyn.cli import ConfigError, _integrator_options
 from pdmdyn.integrate import (DOP853, FIXED_RK4, IntegratorOptions, _DOP_A, _DOP_C,
                               _DOP_D, _DOP_E3, _DOP_E5, _RK4_A, _RK4_C, estimate_period,
@@ -139,6 +140,27 @@ class TestOptions:
         traj = integrate(harmonic_rhs, State.of(2.0, [1.0], [0.0]),
                          IntegratorOptions(t_end=2.0))
         assert len(traj) == 1 and traj.termination.kind == "completed"
+
+    @pytest.mark.parametrize("x,v,message", [
+        ([0.5], [0.1], r"state of length 1: not enough values to unpack \(expected 2, got 1\)"),
+        ([0.5, 0.2], [0.1], "x and v differ in length: 2 and 1"),
+        ([0.5], [0.1, 0.2], "x and v differ in length: 1 and 2"),
+        ([0.5, 0.2, 0.1], [0.1, 0.1, 0.1],
+         r"state of length 3: too many values to unpack \(expected 2\)"),
+    ])
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
+    def test_initial_state_of_the_wrong_length(self, scheme, x, v, message):
+        system = build_system("ml1", 2, {"omega": [1.0, 2.0], "lambda": 0.5, "sign": "+"})
+        with pytest.raises(InvalidParameter, match=f"^initial: {message}$"):
+            integrate(el1_rhs(system), State.of(0.0, x, v),
+                      IntegratorOptions(t_end=1.0, scheme=scheme))
+
+    @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
+    def test_initial_acceleration_of_the_wrong_length(self, scheme):
+        with pytest.raises(InvalidParameter,
+                           match="^initial: state of length 2 gives 1 accelerations$"):
+            integrate(lambda t, x, v: [0.0], State.of(0.0, [1.0, 0.5], [0.0, 0.0]),
+                      IntegratorOptions(t_end=1.0, scheme=scheme))
 
 
 def _raising_beyond(limit, error):
@@ -596,7 +618,8 @@ class TestDefaultScheme:
         def energy(k, i):
             x, v = float(traj.x[k, i]), float(traj.v[k, i])
             m = system.profiles[i].eval(x)[0]
-            return 0.5 * m * v * v + system.potential.compiled[i](x, 1.0)[0]
+            term = compile_expression(system.potential.exprs[i], order=1)
+            return 0.5 * m * v * v + term(x, 1.0)[0]
 
         for i in range(system.n):
             e0 = energy(0, i)
@@ -708,6 +731,16 @@ class TestEstimatePeriod:
         traj = integrate(free, State.of(0.0, [0.0], [1.0]), opts)
         with pytest.raises(NoPeriod):
             estimate_period(traj, 0)
+
+    @pytest.mark.parametrize("coordinate", [2, -1])
+    def test_coordinate_index_is_checked(self, coordinate):
+        system = build_system("ml1", 2, {"omega": [1.0, 2.0], "lambda": 0.5, "sign": "+"})
+        traj = integrate(el1_rhs(system), State.of(0.0, [0.5, 0.2], [0.1, 0.0]),
+                         IntegratorOptions(t_end=20.0))
+        assert estimate_period(traj, 1) == pytest.approx(3.17285, rel=1e-5)
+        with pytest.raises(InvalidParameter, match="^coordinate: expected a coordinate index "
+                                                   f"0 <= i < 2, got {coordinate}$"):
+            estimate_period(traj, coordinate)
 
     def test_drifting_period_rejected(self):
         from pdmdyn.core import Termination, Trajectory

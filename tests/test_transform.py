@@ -11,8 +11,8 @@ import pytest
 from pdmdyn.cli import run_cli
 from pdmdyn.core import (TYPE2, ParameterSet, PdmSystem, State, build_system,
                          parameter_set, potential_energy, potential_gradient)
-from pdmdyn.errors import (InvalidParameter, NonPositiveScale,
-                           UnsupportedFamily)
+from pdmdyn.errors import (DomainViolation, InvalidParameter, NonPositiveScale,
+                           SingularPoint, UnsupportedFamily)
 from pdmdyn.exact import (ExactSolutionSpec, exact_solution, exact_trajectory,
                           kinematics as kinematics_of, oscillation_period)
 from pdmdyn.families import FAMILIES
@@ -299,6 +299,17 @@ class TestPotentialMatch:
         system, nmap, _ = ml1_map()
         wrong = build_system("harmonic", 1, {"omega": [2.0]})
         assert potential_match_residual(nmap, system, wrong, [[1.0]])[0] > 0.1
+
+    def test_the_map_fails_before_the_potential(self):
+        # x = 0 is the potential's pole, 5 outside the profile's domain: the
+        # map's batch over both points runs first and raises at 5
+        system = build_system("sw1", 1, {"omega": [1.0], "lambda": 0.5, "sign": "-",
+                                         "kappa": [0.5]})
+        nmap, ref = reference_map(system)
+        with pytest.raises(DomainViolation, match="^x=5.0 outside the domain .* of profile"):
+            potential_match_residual(nmap, system, ref, [[0.0], [5.0]])
+        with pytest.raises(SingularPoint):
+            potential_match_residual(nmap, system, ref, [[0.0], [1.0]])
 
     @pytest.mark.parametrize("points", [[1.0, 2.0], [[1.0, 2.0]], [[[1.0]]]])
     def test_points_must_be_an_n_column_array(self, points):
