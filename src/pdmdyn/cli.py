@@ -251,6 +251,10 @@ def _cmd_noninvariance(args, out_stream, err_stream) -> int:
 
 
 def _cmd_verify(args, out_stream, err_stream) -> int:
+    if args.list:
+        for name in check_names():
+            out_stream.write(name + "\n")
+        return 0
     selection = None
     if args.checks is not None:
         selection = [s for s in args.checks.split(",") if s]
@@ -304,23 +308,28 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="integrate a configured system")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="output path (defaults to config output.path or stdout)")
 
     p = sub.add_parser("exact", help="tabulate a closed-form solution")
+    p.set_defaults(run=_cmd_exact)
     p.add_argument("--config", required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("map", help="simulate and emit reference-frame columns")
+    p.set_defaults(run=lambda args, out, err: _cmd_simulate(args, out, err, mapped=True))
     p.add_argument("--config", required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("noninvariance",
                        help="run the shared-multiplier two-dimensional demonstration")
+    p.set_defaults(run=_cmd_noninvariance)
     p.add_argument("--report", help="write a JSON report here")
     p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
 
     p = sub.add_parser("verify", help="run the verification checks")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--checks", help="comma-separated check names or prefixes")
     p.add_argument("--report", help="write a JSON report here")
     p.add_argument("--seed", type=int, default=20260810)
@@ -329,6 +338,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list check names and exit")
 
     p = sub.add_parser("misprints", help="print the published-vs-validated ledger")
+    p.set_defaults(run=_cmd_misprints)
     p.add_argument("--json", action="store_true")
     return parser
 
@@ -343,23 +353,7 @@ def run_cli(argv: Sequence[str] | None = None,
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args, out_stream, err_stream)
-        if args.command == "exact":
-            return _cmd_exact(args, out_stream, err_stream)
-        if args.command == "map":
-            return _cmd_simulate(args, out_stream, err_stream, mapped=True)
-        if args.command == "noninvariance":
-            return _cmd_noninvariance(args, out_stream, err_stream)
-        if args.command == "verify":
-            if args.list:
-                for name in check_names():
-                    out_stream.write(name + "\n")
-                return 0
-            return _cmd_verify(args, out_stream, err_stream)
-        if args.command == "misprints":
-            return _cmd_misprints(args, out_stream, err_stream)
-        raise AssertionError(f"unreachable command {args.command}")
+        return args.run(args, out_stream, err_stream)
     except PdmError as err:
         err_stream.write(f"error: {err}\n")
         return 2

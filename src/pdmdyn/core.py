@@ -333,9 +333,7 @@ def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
 def kinetic_energy(system: PdmSystem, state: State) -> float:
     """Kinetic term: per-coordinate multipliers for type1, a shared one for
     type2; a DomainViolation when it overflows or is not finite."""
-    if len(state.x) != system.n or len(state.v) != system.n:
-        name, values = ("x", state.x) if len(state.x) != system.n else ("v", state.v)
-        raise InvalidParameter(name, f"expected {system.n} coordinates, got {len(values)}")
+    _state(system, state)   # an InvalidParameter unless x and v hold n coordinates
     try:
         if system.kind == TYPE2:
             m = system.coupled_profile.value(state.x)

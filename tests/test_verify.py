@@ -6,6 +6,7 @@ import runpy
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdmdyn import verify
@@ -42,6 +43,22 @@ class TestRunCheck:
             run_check("ml-profile-identity", seed=-1)
         assert err.value.field == "seed"
 
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(InvalidParameter) as err:
+            run_check("ml-profile-identity", seed=seed)
+        assert err.value.field == "seed"
+
+    def test_numpy_integer_seed_is_a_seed(self):
+        a = run_check("ml-profile-identity", seed=np.int64(3))
+        assert a.metric == run_check("ml-profile-identity", seed=3).metric
+
+    @pytest.mark.parametrize("rel_tol", ["1e-3", True, 1j])
+    def test_rel_tol_must_be_a_real(self, rel_tol):
+        with pytest.raises(InvalidParameter) as err:
+            run_check("substitution-identity", rel_tol=rel_tol)
+        assert err.value.field == "rel_tol"
+
     def test_report_fields(self):
         r = run_check("substitution-identity")
         assert isinstance(r, CheckReport)
@@ -73,6 +90,13 @@ class TestRunSuite:
         with pytest.raises(UnknownCheck):
             run_suite(["nonexistent-prefix"])
 
+    @pytest.mark.parametrize("selection", ["parser-", ["parser-total", 3], 3])
+    def test_selection_must_be_a_sequence_of_names(self, selection):
+        # a bare string would be walked one character at a time as prefixes
+        with pytest.raises(InvalidParameter) as err:
+            run_suite(selection)
+        assert err.value.field == "selection"
+
     def test_loose_tolerance_fails_energy_drift(self):
         # the documented sensitivity demonstration: a sloppy integrator
         # tolerance must be caught by the drift threshold
@@ -103,6 +127,77 @@ class TestCatalog:
                       "noninvariance:el2-n2", "parser-ad-d1", "parser-ad-d2",
                       "tau-closed-form:ml1", "substitution-identity"):
             assert exact in names
+
+
+#: every check of the suite by its (threshold, comparison): a check may join
+#: the suite, but none may leave it, move its threshold or flip its comparison
+PINNED = {
+    (1e-4, "<="): (
+        "parser-ad-d2",),
+    (1e-6, "<="): (
+        "frequency:ml1", "frequency:powerlaw", "frequency:powerlaw-dynamic",
+        "invariance:ml1+", "invariance:ml2-reduction", "invariance:morse",
+        "invariance:powerlaw-1", "invariance:sw1+", "invariance:sw2-amended-eta2",
+        "invariance:sw2-eta-neg1", "parser-ad-d1", "profiles-derivatives",
+        "track-exact:ml1+", "track-exact:ml1-", "track-exact:ml1-0.5+",
+        "track-exact:ml1-0.5-", "track-exact:morse", "track-exact:powerlaw-1",
+        "track-exact:powerlaw-2", "track-exact:sw1+", "track-exact:sw2-eta-neg1"),
+    (1e-8, "<="): (
+        "energy-drift:ml1+", "energy-drift:ml1-", "energy-drift:ml2-reduction",
+        "energy-drift:morse", "energy-drift:powerlaw-1", "energy-drift:sw1+",
+        "energy-drift:sw2-eta-neg1", "exact-residual:harmonic",
+        "exact-residual:isotonic", "exact-residual:ml1+", "exact-residual:ml1-",
+        "exact-residual:morse", "exact-residual:powerlaw-1",
+        "exact-residual:powerlaw-2", "exact-residual:sw1+", "exact-residual:sw1-",
+        "exact-residual:sw2-amended-eta2", "exact-residual:sw2-eta-neg1",
+        "invariance:el2-n1", "mapped-exactness:ml1+", "mapped-exactness:ml2-reduction",
+        "mapped-exactness:morse", "mapped-exactness:powerlaw-1",
+        "mapped-exactness:sw1+", "mapped-exactness:sw2-amended-eta2",
+        "mapped-exactness:sw2-eta-neg1", "tau-closed-form:ml1"),
+    (1e-9, "<="): (
+        "adaptive-vs-fixed", "ml2-reduction"),
+    (1e-10, "<="): (
+        "g-identity:ml1+", "g-identity:ml1-", "g-identity:ml2-reduction",
+        "g-identity:morse", "g-identity:powerlaw-1", "g-identity:powerlaw-2",
+        "g-identity:sw1+", "g-identity:sw1-", "g-identity:sw2-amended-eta2",
+        "g-identity:sw2-eta-neg1"),
+    (1e-12, "<="): (
+        "el2-collapse-n1", "el2-obstruction-value", "energy-formula:harmonic",
+        "energy-formula:isotonic", "energy-formula:ml1+", "energy-formula:ml1-",
+        "energy-formula:morse", "energy-formula:powerlaw-1",
+        "energy-formula:powerlaw-2", "energy-formula:sw1+", "energy-formula:sw1-",
+        "energy-formula:sw2-amended-eta2", "energy-formula:sw2-eta-neg1",
+        "ml-profile-identity", "potential-match:ml1+", "potential-match:ml1-",
+        "potential-match:ml2-reduction", "potential-match:morse",
+        "potential-match:powerlaw-1", "potential-match:powerlaw-2",
+        "potential-match:sw1+", "potential-match:sw1-",
+        "potential-match:sw2-amended-eta2", "potential-match:sw2-eta-neg1",
+        "printed-eom:ml1+", "printed-eom:ml1-", "printed-eom:ml2-reduction",
+        "printed-eom:morse", "printed-eom:powerlaw-1", "printed-eom:sw1+",
+        "printed-eom:sw2-amended-eta2", "substitution-identity"),
+    (0.0, "<="): (
+        "parser-roundtrip", "parser-total", "rk4-order"),
+    (0.1, ">="): (
+        "exact-residual:sw2-published-eta2",),
+    (0.01, ">="): (
+        "frequency:ml1-printed-form", "noninvariance:el2-n2",
+        "residual-detects-perturbation"),
+}
+
+
+@pytest.mark.parametrize(("name", "threshold", "comparison"),
+                         [(n, t, c) for (t, c), names in PINNED.items() for n in names])
+def test_table_pins_each_threshold_and_comparison(name, threshold, comparison):
+    assert name in check_names()
+    row = verify._REGISTRY[name]
+    at_default = row.threshold(None) if callable(row.threshold) else row.threshold
+    assert (at_default, row.comparison) == (threshold, comparison)
+
+
+def test_only_adaptive_vs_fixed_reads_its_threshold_from_the_run():
+    assert [n for n, row in verify._REGISTRY.items() if callable(row.threshold)] == [
+        "adaptive-vs-fixed"]
+    assert run_check("adaptive-vs-fixed", rel_tol=1e-6).threshold == 10.0 * 1e-6
 
 
 @pytest.mark.parametrize("seed", [1, 7, 20260810])
@@ -210,3 +305,9 @@ def test_verify_diff_counts_moved_details(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "a details 'steps 10' 'steps 11'", "c 1.0 1.5", "c details 'steps 10' 'E0 2'",
         "2 moved"]
+    # the same threshold and verdict under a flipped comparison is a change
+    paths[1].write_text(json.dumps({"summary": {}, "checks": [
+        entry, {**entry, "name": "b", "comparison": ">="}, {**entry, "name": "c"}]}))
+    assert tool["main"]([str(p) for p in paths]) == 1
+    assert capsys.readouterr().out.splitlines() == ["comparison differs: b <= -> >=",
+                                                    "0 moved"]

@@ -7,8 +7,8 @@ metrics are the report's 17-digit text, so any moved bit shows) and one per
 check whose details text moved (name, ``details``, before, after: the text
 holds step counts, the termination and E0), then the number of checks with
 either moved.  Exits 1 when the two reports name different checks or any
-check's verdict (passed) or threshold differs, else 0, however many checks
-moved.
+check's verdict (passed), threshold or comparison differs, else 0, however
+many checks moved.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     moved = 0
     for name in sorted(before.keys() & after.keys()):
         b, a = before[name], after[name]
-        for field in ("passed", "threshold"):
+        for field in ("passed", "threshold", "comparison"):
             if b[field] != a[field]:
                 print(f"{field} differs: {name} {b[field]} -> {a[field]}")
                 status = 1
