@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -29,11 +28,11 @@ from .core import (TYPE1, TYPE2, PdmSystem, State, Trajectory, build_system,
                    parameter_set, total_energy)
 from .eom import el1_rhs, el2_rhs
 from .errors import PdmError
-from .exact import (ExactSolutionSpec, exact_energy, exact_solution,
+from .exact import (PUBLISHED_FORM, ExactSolutionSpec, exact_energy, exact_solution,
                     exact_trajectory, MISPRINTS, oscillation_period)
 from .integrate import FIXED_RK4, IntegratorOptions, integrate
 from .transform import map_to_reference, reference_map
-from .verify import check_names, run_check, run_suite
+from .verify import DEFAULT_SEED, check_names, run_check, run_suite
 
 _FMT = "%.17g"
 
@@ -105,7 +104,7 @@ def _exact_spec_from(cfg: dict, system_cfg: dict, context: str) -> ExactSolution
     params = parameter_set(system_cfg.get("params", {}), n)
     amplitude = _numbers(cfg, "amplitude", context)
     phase = _numbers(cfg, "phase", context, ())
-    variant = cfg.get("variant", "published")
+    variant = cfg.get("variant", PUBLISHED_FORM)
     return ExactSolutionSpec(family, params, amplitude, phase, variant)
 
 
@@ -123,23 +122,20 @@ def _initial_state(cfg: dict, system: PdmSystem) -> State:
 
 
 def _integrator_options(cfg: dict) -> IntegratorOptions:
-    """The integrator block; with no scheme (or null), DOP853."""
+    """The integrator block; with no scheme (or null), DOP853.  A key the
+    block leaves out takes IntegratorOptions' default."""
     icfg = _require(cfg, "integrator")
     t_end = _number(icfg, "t_end", context="integrator")
     scheme = icfg.get("scheme")
     if scheme in ("fixed", "fixed_rk4"):
-        return IntegratorOptions(t_end=t_end, scheme=FIXED_RK4,
-                                 h=_number(icfg, "h", 1e-3, "integrator"))
-    if scheme not in (None, "adaptive", "dop853"):
+        options, keys = {"scheme": FIXED_RK4}, ("h",)
+    elif scheme in (None, "adaptive", "dop853"):
+        options, keys = {}, ("rel_tol", "abs_tol", "h_init", "h_min", "h_max")
+    else:
         raise ConfigError("integrator.scheme must be dop853 (or adaptive), fixed_rk4 "
                           f"(or fixed) or left out, got {scheme!r}")
-    return IntegratorOptions(
-        t_end=t_end,
-        rel_tol=_number(icfg, "rel_tol", 1e-10, "integrator"),
-        abs_tol=_number(icfg, "abs_tol", 1e-12, "integrator"),
-        h_init=_number(icfg, "h_init", 1e-3, "integrator"),
-        h_min=_number(icfg, "h_min", 1e-14, "integrator"),
-        h_max=_number(icfg, "h_max", math.inf, "integrator"))
+    options.update((key, _number(icfg, key, context="integrator")) for key in keys if key in icfg)
+    return IntegratorOptions(t_end=t_end, **options)
 
 
 def _write_table(path: str | None, fmt: str, header: list[str],
@@ -326,13 +322,13 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="run the shared-multiplier two-dimensional demonstration")
     p.set_defaults(run=_cmd_noninvariance)
     p.add_argument("--report", help="write a JSON report here")
-    p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
+    p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
 
     p = sub.add_parser("verify", help="run the verification checks")
     p.set_defaults(run=_cmd_verify)
     p.add_argument("--checks", help="comma-separated check names or prefixes")
     p.add_argument("--report", help="write a JSON report here")
-    p.add_argument("--seed", type=int, default=20260810)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol",
                    help="override integrator tolerance in integration-backed checks")
     p.add_argument("--list", action="store_true", help="list check names and exit")

@@ -330,32 +330,35 @@ def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
     return np.array(system.potential.gradients((_coordinates(system, x, "x"),))[0])
 
 
-def kinetic_energy(system: PdmSystem, state: State) -> float:
-    """Kinetic term: per-coordinate multipliers for type1, a shared one for
-    type2; a DomainViolation when it overflows or is not finite."""
-    _state(system, state)   # an InvalidParameter unless x and v hold n coordinates
+def _kinetic(system: PdmSystem, t: float, x: list[float], v: list[float]) -> float:
+    """T at x and v, n floats each; a DomainViolation unless finite."""
     try:
         if system.kind == TYPE2:
-            m = system.coupled_profile.value(state.x)
-            total = 0.5 * m * float(np.dot(state.v, state.v))
+            total = 0.5 * system.coupled_profile.value(x) * float(np.dot(v, v))
         else:
             total = 0.0
-            for profile, xi, vi in zip(system.profiles, state.x, state.v):
-                total += 0.5 * profile.eval(float(xi), 0) * float(vi) ** 2
+            for profile, xi, vi in zip(system.profiles, x, v):
+                total += 0.5 * profile.eval(xi, 0) * vi ** 2
     except OverflowError as err:
-        raise DomainViolation(f"float overflow in the kinetic energy at t={state.t!r}",
-                              t=state.t) from err
+        raise DomainViolation(f"float overflow in the kinetic energy at t={t!r}", t=t) from err
     if not math.isfinite(total):
-        raise DomainViolation(f"kinetic energy T={total!r} is not finite at t={state.t!r}",
-                              t=state.t)
+        raise DomainViolation(f"kinetic energy T={total!r} is not finite at t={t!r}", t=t)
     return total
 
 
+def kinetic_energy(system: PdmSystem, state: State) -> float:
+    """Kinetic term: per-coordinate multipliers for type1, a shared one for
+    type2; a DomainViolation when it overflows or is not finite."""
+    return _kinetic(system, state.t, *_state(system, state))
+
+
 def total_energy(system: PdmSystem, state: State) -> float:
-    """T + V; a DomainViolation when a term or the sum is not finite."""
-    t = kinetic_energy(system, state)
-    v = potential_energy(system, state.x)
-    if not math.isfinite(t + v):
-        raise DomainViolation(f"energy is not finite at t={state.t!r}: T={t!r}, V={v!r}",
-                              t=state.t)
-    return t + v
+    """T + V from one conversion of the state; a DomainViolation when a
+    term or the sum is not finite."""
+    x, v = _state(system, state)
+    kinetic = _kinetic(system, state.t, x, v)
+    potential = system.potential.energies((x,))[0]
+    if not math.isfinite(kinetic + potential):
+        raise DomainViolation(f"energy is not finite at t={state.t!r}: T={kinetic!r}, "
+                              f"V={potential!r}", t=state.t)
+    return kinetic + potential

@@ -1,13 +1,13 @@
 """Closed-form solutions, frequency relations and energies for all families.
 
-Each family's closed form, amplitude checks, frequency relation, position
-period and energy live in its record in ``families``; an ExactSolutionSpec
-resolves the record and evaluates each coordinate's frequency once, when it
-is built.  On first use it substitutes each coordinate's amplitude, phase,
-rate and parameters into the record's closed-form template and compiles it
-in t at order 2, so (x, xdot, xddot) come from the same dual numbers as the
-equations of motion.  kinematics and exact_trajectory run those kernels
-time by time, coordinate by coordinate.
+Each family's closed form, branch, amplitude checks, frequency relation,
+position period and energy live in its record in ``families``; a spec
+evaluates each coordinate's frequency Omega_i once, when it is built, and
+on first use compiles the closed form with A_i, phase_i, rate = Omega_i and
+the parameters substituted, in t at order 2, so (x, xdot, xddot) come from
+the same dual numbers as the equations of motion.  kinematics and
+exact_trajectory run those kernels time by time, coordinate by coordinate,
+each after its branch check cos(Omega_i t + phase_i) > 0 where it has one.
 
 Wherever a published relation conflicts with the equation-of-motion residual
 oracle, the catalog stores the oracle-validated form and records the printed
@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import (ParameterSet, State, Termination, Trajectory, _check_shape,
                    _substitute, _validate, build_system, total_energy)
-from .errors import ExprError, InvalidParameter, InvalidSpec
+from .errors import DomainViolation, ExprError, InvalidParameter, InvalidSpec
 from .exprparse import compile_expression, parse_cached
 from .families import (AMENDED_FORM, FAMILIES, PUBLISHED_FORM,
                        ml2_reduction_check)
@@ -47,7 +47,7 @@ class ExactSolutionSpec:
     ``variant`` selects the published ("published") or kappa-rescaled
     ("amended") form of the isotonic power-law solution.  Building it
     stores ``frequency``, the validated angular frequency Omega_i of each
-    coordinate, and ``rates``, the rate each closed form is written in.
+    coordinate, which each closed form is written in.
     """
 
     family: str
@@ -82,8 +82,6 @@ class ExactSolutionSpec:
             raise InvalidSpec(f"no finite positive frequency at amplitude "
                               f"{self.amplitude}: {list(frequency)}")
         object.__setattr__(self, "frequency", frequency)
-        object.__setattr__(self, "rates",
-                           frequency if record.amplitude_dependent else self.params.omega)
 
     @property
     def n(self) -> int:
@@ -100,7 +98,7 @@ class ExactSolutionSpec:
                     else record.closed_form)
         return tuple((i, compile_expression(parse_cached(_substitute(
             template, self.params, i, A=A, phase=phase, rate=rate), ("t",)), ("t",)), rate, phase)
-            for i, (A, phase, rate) in enumerate(zip(self.amplitude, self.phase, self.rates)))
+            for i, (A, phase, rate) in enumerate(zip(self.amplitude, self.phase, self.frequency)))
 
 
 def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
@@ -114,15 +112,16 @@ def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
 
 def _values(spec: ExactSolutionSpec, times):
     """x_i, xdot_i and xddot_i for each time in turn, coordinate by
-    coordinate; at the first that fails, the InvalidSpec (or the branch's
-    error) it owes."""
-    p, branch, pole = spec.params, spec.record.branch, spec.record.pole
-    forms, isfinite = spec.forms, math.isfinite
+    coordinate; at the first that fails, the InvalidSpec (or, off the
+    record's branch, the DomainViolation) it owes."""
+    family, branch, pole = spec.family, spec.record.branch, spec.record.pole
+    forms, isfinite, cos = spec.forms, math.isfinite, math.cos
     for t in times:
         try:
             for i, kernel, rate, phase in forms:
-                if branch is not None:
-                    branch(p, i, t, rate, phase)
+                if branch and cos(rate * t + phase) <= 0.0:
+                    raise DomainViolation(f"{family} closed form leaves its branch (cos <= 0)",
+                                          t=t, coordinate=i)
                 x, v, a = row = kernel(t, 1.0)
                 if pole is not None and x == pole:  # u^rho, rho < 0, reads 0 where u overflows
                     raise OverflowError(f"x = {x!r} is the pole: u is not finite")

@@ -4,14 +4,14 @@ A record owns five templates, expression text in the parameter names: the
 family's mass profile m_i(x), its potential V_i(x) and its nonlocal map
 (q_i, f_i) onto a reference oscillator, in x (q and f also in root =
 sqrt(m_i) and half = m_i'/(2 m_i)), and its closed form x_i(t), in t, A,
-phase and rate.  It also owns what no expression can state: the domain,
-coefficient singularity and potential pole, the closed form's branch where
-a power alone would not leave it, the amplitude checks, frequency relation,
-position period and energy, and the constant of the reference orbit each
-coordinate maps onto.  The parameters a family requires are the names its
-mass and potential templates read (the others read no other); each
-parameter's shape and range are stated once, in ``core``, alike for every
-family.  ``core`` substitutes each coordinate's parameter values into the
+phase and rate = Omega_i, coordinate i's frequency.  It also owns what no
+expression can state: the domain, coefficient singularity and potential
+pole, whether the closed form is real only on its branch cos(rate t +
+phase) > 0, the amplitude checks, frequency relation, position period and
+energy, and the constant of the reference orbit each coordinate maps onto.
+The parameters a family requires are the names its mass and potential
+templates read (the others read no other); each parameter's shape and
+range are stated once, in ``core``, alike for every family.  ``core`` substitutes each coordinate's parameter values into the
 templates and compiles them, so a catalog system evaluates exactly as a
 ``custom`` one does; ``transform`` compiles the map's q and f, with the
 mass, into one kernel per coordinate, and ``exact`` compiles each
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .errors import DomainViolation, InvalidSpec
+from .errors import InvalidSpec
 from .profiles import REAL_LINE
 
 PUBLISHED_FORM = "published"
@@ -63,10 +63,11 @@ class Family:
     family requires; ``core`` checks every parameter's range.  ``q`` and
     ``f`` are written the same way, also in ``root`` = sqrt(m_i) and
     ``half`` = m_i'/(2 m_i); ``closed_form`` in ``t``, ``A`` = A_i,
-    ``phase`` = phase_i and ``rate``, the rate the spec writes coordinate i
-    in.  Defaults, the common case: the whole real line, the map
-    q = x sqrt(m), f = 1 + x m'/(2m) onto the harmonic reference, a cosine
-    closed form of period 2 pi / Omega whose reference orbit has amplitude A.
+    ``phase`` = phase_i and ``rate`` = Omega_i, coordinate i's frequency (a
+    template that means omega_i names ``omega``).  Defaults, the common
+    case: the whole real line, the map q = x sqrt(m), f = 1 + x m'/(2m)
+    onto the harmonic reference, a cosine closed form of period 2 pi / Omega
+    whose reference orbit has amplitude A.
     """
 
     name: str
@@ -79,19 +80,15 @@ class Family:
     pole: float | None = None                   # x where V_i diverges: SingularPoint
     q: str = "x*root"                           # q_i in x, root = sqrt(m_i)
     f: str = "1+half*x"                         # f_i in x, half = m_i'/(2 m_i)
-    mapped: bool = True                         # False for the references themselves
-    reference: str = "harmonic"
+    reference: str = "harmonic"                 # a record that is its own is not mapped
     #: (p, amplitude) -> None; raises InvalidSpec where no closed form exists
     check: Callable = lambda p, amplitude: None
     #: (p, i, A_i) -> Omega_i in IEEE arithmetic (an extreme A_i may give 0,
     #: inf or nan); raises InvalidSpec where no real frequency exists
     frequency: Callable = lambda p, i, A: p.omega[i]
-    #: closed form written in that frequency (else in omega_i)
-    amplitude_dependent: bool = False
     closed_form: str = "A*cos(rate*t+phase)"   # x_i(t)
     amended_form: str | None = None             # the amended variant's, where it differs
-    #: (p, i, t, rate, phase) -> None; raises where the closed form leaves its branch
-    branch: Callable | None = None
+    branch: bool = False                        # real only where cos(rate*t+phase) > 0
     #: (p, i, A_i) -> the constant of the reference orbit coordinate i maps onto
     image: Callable = lambda p, i, A: A
     #: (p, A_i, i) -> energy of coordinate i; None: no printed energy formula
@@ -99,7 +96,7 @@ class Family:
     position_phase: float = 2.0 * math.pi       # phase over one period of x(t)
 
 
-HARMONIC = Family("harmonic", "1", "0.5*omega^2*x^2", mapped=False)
+HARMONIC = Family("harmonic", "1", "0.5*omega^2*x^2")
 
 
 # --- ml1 and ml2: m = 1/(1 +- lam x^2) ------------------------------------------
@@ -126,7 +123,7 @@ def _ml1_frequency(p, i, A):
 
 
 ML1 = Family("ml1", _ML, _ML_OSCILLATOR, domain=_ml_domain, check=_ml1_check,
-             frequency=_ml1_frequency, amplitude_dependent=True,
+             frequency=_ml1_frequency,
              image=lambda p, i, A: A / math.sqrt(1.0 + _sign(p) * p.lam * A * A),
              coordinate_energy=lambda p, A, i: (0.5 * p.omega[i] * p.omega[i] * A * A
                                                 / (1.0 + _sign(p) * p.lam * A * A)))
@@ -157,13 +154,6 @@ def _powerlaw_check(p, amplitude):
         raise InvalidSpec("power-law amplitude must be positive")
 
 
-def _powerlaw_branch(p, i, t, rate, phase):
-    # the closed form's cos; where 1/(1+upsilon) is an integer its power raises nothing
-    if math.cos((1.0 + p.upsilon) * rate * t + phase) <= 0.0:
-        raise DomainViolation(
-            "power-law closed form leaves its branch (cos <= 0)", t=t, coordinate=i)
-
-
 def _powerlaw_energy(p, A, i):
     w = p.omega[i]
     b = A ** (1.0 + p.upsilon)   # validated constant; print says A^(1/(1+upsilon))
@@ -178,8 +168,8 @@ POWERLAW = Family("powerlaw", "alpha^2*x^(2*upsilon)",
                   singularity=lambda p: 0.0 if p.upsilon != 0.0 else None,
                   check=_powerlaw_check,
                   frequency=lambda p, i, A: (1.0 + p.upsilon) * p.omega[i],
-                  closed_form="A*cos((1+upsilon)*rate*t+phase)^(1/(1+upsilon))",
-                  branch=_powerlaw_branch,
+                  closed_form="A*cos(rate*t+phase)^(1/(1+upsilon))",
+                  branch=True,   # where 1/(1+upsilon) is an integer its power raises nothing
                   image=lambda p, i, A: p.alpha * A ** (1.0 + p.upsilon),
                   coordinate_energy=_powerlaw_energy)
 
@@ -196,7 +186,7 @@ MORSE = Family("morse", "exp(2*zeta*x)", "0.5*omega^2*(exp(zeta*x)-1)^2",
                q="root*(1-exp(-zeta*x))", f="half+(zeta-half)*exp(-zeta*x)",
                check=_morse_check,
                frequency=lambda p, i, A: p.zeta[i] * p.omega[i],
-               closed_form="ln(1+A*cos(zeta*rate*t+phase))/zeta",
+               closed_form="ln(1+A*cos(rate*t+phase))/zeta",
                coordinate_energy=lambda p, A, i: 0.5 * p.omega[i] ** 2 * A ** 2)
 
 
@@ -206,11 +196,11 @@ def _inverse_square_check(p, amplitude):
         raise InvalidSpec("inverse-square form needs C != 0")
 
 
-def _inverse_square_form(kappa: str, theta_dot: str, denom: str, rho: str) -> str:
+def _inverse_square_form(kappa: str, theta_dot: str, denom: str, rho: str,
+                         s: str = "rate*rate*A^4") -> str:
     """x = u^rho, u = (c + (s - c) sin^2(theta_dot t + phase))/denom with
-    c = kappa and s = rate^2 A^4: u denom is c at theta = 0 and s a quarter
-    turn later."""
-    return f"(({kappa}+(rate*rate*A^4-{kappa})*sin({theta_dot}*t+phase)^2)/({denom}))^({rho})"
+    c = kappa: u denom is c at theta = 0 and s a quarter turn later."""
+    return f"(({kappa}+({s}-{kappa})*sin({theta_dot}*t+phase)^2)/({denom}))^({rho})"
 
 
 # x^2 oscillates, so the position period is half the phase period; sw1 and
@@ -224,7 +214,7 @@ _INVERSE_SQUARE = Family("", "1", "0.5*(omega^2*x^2+kappa/x^2)",
                          coordinate_energy=None, position_phase=math.pi)
 
 
-ISOTONIC = replace(_INVERSE_SQUARE, name="isotonic", mapped=False,
+ISOTONIC = replace(_INVERSE_SQUARE, name="isotonic",
                    coordinate_energy=lambda p, C, i: 0.5 * (p.omega[i] * p.omega[i] * C * C
                                                             + p.kappa[i] / (C * C)))
 
@@ -246,19 +236,21 @@ def _sw1_frequency(p, i, A):
 SW1 = replace(_INVERSE_SQUARE, name="sw1",
               mass=_ML, potential="0.5*(omega^2*x^2/(1+sign*lam*x^2)"
                                   "+kappa*(1+sign*lam*x^2)/x^2)",
-              domain=_ml_domain, frequency=_sw1_frequency, amplitude_dependent=True,
+              domain=_ml_domain, frequency=_sw1_frequency,
               image=lambda p, i, C: C * C / (1.0 + _sign(p) * p.lam * C * C))
 
 
 # m = beta^2 x^(2(eta-1)); see the misprint ledger for the closed form: the
-# printed one reads kappa/eta^2 where the amended one reads kappa
-_SW2_SHAPE = ("eta_exp*rate", "(beta*rate*A)^2", "1/(2*eta_exp)")
+# printed one reads kappa/eta^2 where the amended one reads kappa; its shape
+# is written in omega, its phase in eta omega (Omega = |eta| omega)
+_SW2_SHAPE = dict(theta_dot="eta_exp*omega", denom="(beta*omega*A)^2", rho="1/(2*eta_exp)",
+                  s="omega*omega*A^4")
 SW2 = replace(_INVERSE_SQUARE, name="sw2", mass="beta^2*x^(2*eta_exp-2)",
               potential="0.5*(omega^2*beta^2*x^(2*eta_exp)+kappa/(beta^2*x^(2*eta_exp)))",
               domain=lambda p: _HALF_LINE, singularity=lambda p: 0.0,
               frequency=lambda p, i, A: abs(p.eta_exp) * p.omega[i],
-              closed_form=_inverse_square_form("kappa/eta_exp^2", *_SW2_SHAPE),
-              amended_form=_inverse_square_form("kappa", *_SW2_SHAPE))
+              closed_form=_inverse_square_form("kappa/eta_exp^2", **_SW2_SHAPE),
+              amended_form=_inverse_square_form("kappa", **_SW2_SHAPE))
 
 
 #: every catalog family by name; the only family registry

@@ -122,5 +122,6 @@ class CoupledProfile:
 
     def _positive(self, m: float, xs: Sequence[float]) -> float:
         if m <= 0.0:
-            raise DomainViolation(f"coupled profile '{self.text}' is {m!r} <= 0 at {list(xs)!r}")
+            raise DomainViolation(f"coupled profile '{self.text}' is {m!r} <= 0 "
+                                  f"at {[*map(float, xs)]!r}")
         return m

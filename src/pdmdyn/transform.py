@@ -77,7 +77,7 @@ class MappedTrajectory:
 def reference_map(system: PdmSystem) -> tuple[NonlocalMap, PdmSystem]:
     """The transformation bundle and reference oscillator for a catalog family."""
     record = system.potential.record
-    if record is None or not record.mapped:
+    if record is None or record.reference == record.name:   # a reference itself
         raise UnsupportedFamily(
             f"no reference map catalogued for {system.potential.family!r}")
     p = system.potential.params

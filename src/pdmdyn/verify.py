@@ -27,6 +27,7 @@ from .errors import ExprError, InvalidParameter, PdmError, UnknownCheck
 from .exact import (AMENDED_FORM, ExactSolutionSpec, exact_energy,
                     exact_solution, exact_trajectory, kinematics,
                     ml2_reduction_check, oscillation_period)
+from .families import FAMILIES
 from .integrate import (FIXED_RK4, IntegratorOptions, estimate_period, integrate,
                         sample_dense)
 from .profiles import CustomProfile
@@ -408,14 +409,11 @@ def _check_potential_match(seed: int, rel_tol: float | None, case_name: str) -> 
     return worst, "|V(x) - V_ref(q(x))| at 10^4 sampled points"
 
 
-def _residual_times(case: Case, spec: ExactSolutionSpec, periods: float,
-                    samples: int = 600) -> np.ndarray:
+def _residual_times(spec: ExactSolutionSpec, periods: float, samples: int = 600) -> np.ndarray:
     T = float(np.max(oscillation_period(spec)))
     ts = np.linspace(0.0, periods * T, samples)
-    if case.family == "powerlaw":
-        Om = spec.frequency[0]
-        keep = np.cos(Om * ts) > 0.05     # stay on the branch where the form is real
-        ts = ts[keep]
+    if spec.record.branch:     # stay on the branch where the form is real
+        ts = ts[np.cos(spec.frequency[0] * ts) > 0.05]
     return ts
 
 
@@ -426,7 +424,7 @@ def _check_exact_residual(seed: int, rel_tol: float | None, case_name: str,
     spec = case.spec()
     system = case.system()
     worst = 0.0
-    for t in _residual_times(case, spec, 3.0):
+    for t in _residual_times(spec, 3.0):
         r = el1_residual(system, lambda s: kinematics(spec, s), float(t))
         worst = _worst(worst, float(np.max(np.abs(r))))
     return worst, details
@@ -456,7 +454,7 @@ def _check_residual_detects_perturbation(seed: int, rel_tol: float | None) -> tu
 
 def _check_track_exact(seed: int, rel_tol: float | None, case_name: str) -> tuple[float, str]:
     case = standard_case(case_name)
-    if case.family == "powerlaw":
+    if FAMILIES[case.family].branch:
         return _track_powerlaw(case, rel_tol)
     system, spec, traj = _integrate_case(case, 10.0, rel_tol)
     worst = 0.0
@@ -510,9 +508,9 @@ def _track_powerlaw(case: Case, rel_tol: float | None) -> tuple[float, str]:
 def _check_energy_drift(seed: int, rel_tol: float | None, case_name: str) -> tuple[float, str]:
     tol = 1e-12 if rel_tol is None else rel_tol
     case = standard_case(case_name)
-    # every powerlaw orbit reaches the origin within a quarter period, so
-    # that family runs the maximal smooth arc before it; every row is read
-    arc = case.family == "powerlaw"
+    # an orbit on a branch (the power law's) reaches the origin within a
+    # quarter period, so it runs the maximal smooth arc before it; every row is read
+    arc = FAMILIES[case.family].branch
     system, spec, traj = _integrate_case(case, 0.24 if arc else 100.0, tol)
     e0 = exact_energy(spec)
     worst = 0.0
@@ -534,7 +532,7 @@ def _check_energy_formula(seed: int, rel_tol: float | None, case_name: str) -> t
     system = case.system()
     e_formula = exact_energy(spec)
     worst = 0.0
-    for t in _residual_times(case, spec, 1.0, samples=60):
+    for t in _residual_times(spec, 1.0, samples=60):
         e = total_energy(system, exact_solution(spec, float(t)))
         worst = _worst(worst, abs(e - e_formula) / max(abs(e_formula), 1e-30))
     return worst, "closed-form energy equals the energy along the solution"
@@ -602,7 +600,7 @@ def _check_frequency_powerlaw_dynamic(seed: int, rel_tol: float | None) -> tuple
 
 def _check_invariance(seed: int, rel_tol: float | None, case_name: str) -> tuple[float, str]:
     case = standard_case(case_name)
-    periods = 0.24 if case.family == "powerlaw" else 3.0
+    periods = 0.24 if FAMILIES[case.family].branch else 3.0
     system, _, traj = _integrate_case(case, periods, rel_tol)
     nmap, ref = reference_map(system)
     worst = 0.0
@@ -737,7 +735,7 @@ def _check_mapped_exactness(seed: int, rel_tol: float | None, case_name: str) ->
     case = standard_case(case_name)
     spec = case.spec()
     nmap, _ = reference_map(case.system())
-    if case.family == "powerlaw":
+    if spec.record.branch:
         # an arc inside every coordinate's branch, not starting at a turning point
         t0 = -0.45 * math.pi / max(spec.frequency)
         t1 = -t0
@@ -820,18 +818,23 @@ def check_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def run_check(name: str, seed: int = DEFAULT_SEED,
-              rel_tol: float | None = None) -> CheckReport:
-    """Run one named check; UnknownCheck if the name is not registered, and
-    InvalidParameter unless seed is an integer >= 0 and rel_tol is None or a
-    finite positive real."""
-    if not isinstance(name, str) or name not in _REGISTRY:
-        raise UnknownCheck(f"no check named {name!r}")
+def _validate_run(seed: int, rel_tol: float | None) -> None:
+    """An InvalidParameter unless seed is an integer >= 0 and rel_tol is None
+    or a finite positive real."""
     if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
         raise InvalidParameter("seed", f"must be a non-negative integer, got {seed!r}")
     if rel_tol is not None and (isinstance(rel_tol, bool) or not (
             isinstance(rel_tol, Real) and math.isfinite(rel_tol) and rel_tol > 0.0)):
         raise InvalidParameter("rel_tol", f"must be finite and positive, got {rel_tol!r}")
+
+
+def run_check(name: str, seed: int = DEFAULT_SEED,
+              rel_tol: float | None = None) -> CheckReport:
+    """Run one named check; first _validate_run's InvalidParameter, then
+    UnknownCheck if the name is not registered."""
+    _validate_run(seed, rel_tol)
+    if not isinstance(name, str) or name not in _REGISTRY:
+        raise UnknownCheck(f"no check named {name!r}")
     row = _REGISTRY[name]
     metric, details = row.check(seed, rel_tol, *row.args)
     threshold = row.threshold(rel_tol) if callable(row.threshold) else row.threshold
@@ -846,9 +849,11 @@ def run_suite(selection: Sequence[str] | None = None, seed: int = DEFAULT_SEED,
 
     ``selection`` entries may be exact names or prefixes; ``rel_tol``
     overrides the integrator tolerance of every integration-backed check
-    (the documented way to demonstrate threshold sensitivity).  An
-    InvalidParameter unless ``selection`` is None or a sequence of str.
+    (the documented way to demonstrate threshold sensitivity).  Before it
+    selects, an InvalidParameter unless seed and rel_tol are as run_check
+    takes them and ``selection`` is None or a sequence of str.
     """
+    _validate_run(seed, rel_tol)
     if selection is None:
         names = check_names()
     else:

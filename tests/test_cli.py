@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import pdmdyn
-from pdmdyn.cli import run_cli
+from pdmdyn.cli import _integrator_options, run_cli
+from pdmdyn.integrate import FIXED_RK4, IntegratorOptions
 from pdmdyn.verify import SuiteSummary
 
 ML1_CONFIG = {
@@ -49,6 +50,15 @@ def write_config(tmp_path, cfg, name="run.json"):
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("block,want", [
+        ({"t_end": 2.0}, IntegratorOptions(t_end=2.0)),
+        ({"t_end": 2.0, "scheme": "fixed"}, IntegratorOptions(t_end=2.0, scheme=FIXED_RK4)),
+        ({"t_end": 2.0, "h_min": 1e-12, "h": 0.5},
+         IntegratorOptions(t_end=2.0, h_min=1e-12)),
+    ])
+    def test_an_integrator_key_left_out_takes_the_library_default(self, block, want):
+        assert _integrator_options({"integrator": block}) == want
+
     def test_valid_config_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path, ML1_CONFIG)
         out_path = tmp_path / "traj.csv"

@@ -108,7 +108,7 @@ def test_kinematics_matches_the_symbolic_derivatives(family, sign, variant, n):
     record = spec.record
     template = (record.amended_form if variant == AMENDED_FORM and record.amended_form
                 else record.closed_form)
-    oracles = [_oracle(template, spec.params, i, amplitude[i], phase[i], spec.rates[i])
+    oracles = [_oracle(template, spec.params, i, amplitude[i], phase[i], spec.frequency[i])
                for i in range(n)]
     got = np.array([np.array(kinematics(spec, float(t))).T for t in times])
     want = np.array([[oracle(float(t)) for oracle in oracles] for t in times])

@@ -1,6 +1,8 @@
 """Closed-form catalog tests: values, frequencies, energies, misprints."""
 
 import math
+import zlib
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -9,10 +11,11 @@ import pytest
 from pdmdyn.core import build_system, parameter_set, total_energy
 from pdmdyn.eom import el1_residual
 from pdmdyn.errors import (DomainViolation, InvalidParameter, InvalidSpec,
-                           MissingParameter)
+                           MissingParameter, PdmError)
 from pdmdyn.exact import (AMENDED_FORM, ExactSolutionSpec, MISPRINTS,
                           exact_energy, exact_solution, exact_trajectory,
                           kinematics, ml2_reduction_check, oscillation_period)
+from pdmdyn.families import FAMILIES
 from pdmdyn.verify import _printed_ml1_frequency
 
 
@@ -331,6 +334,75 @@ class TestOracleClosure:
         worst = max(float(np.max(np.abs(el1_residual(system, fn, float(t)))))
                     for t in np.linspace(0.0, 20.0, 200))
         assert worst < 1e-10
+
+
+class TestOmegaWrittenTemplates:
+    """Each closed form is written in rate = Omega_i, its frequency; before,
+    the power law, morse and sw2 were written in rate = omega_i.  Those
+    omega-written templates (rate read as omega) are a bit oracle: the same
+    x, xdot, xddot bits and the same errors at every case and time."""
+
+    SW2 = ("(({c}+(rate*rate*A^4-{c})*sin(eta_exp*rate*t+phase)^2)"
+           "/((beta*rate*A)^2))^(1/(2*eta_exp))")
+    OMEGA_WRITTEN = {
+        "powerlaw": ("A*cos((1+upsilon)*rate*t+phase)^(1/(1+upsilon))",) * 2,
+        "morse": ("ln(1+A*cos(zeta*rate*t+phase))/zeta",) * 2,
+        "sw2": (SW2.format(c="kappa/eta_exp^2"), SW2.format(c="kappa")),
+    }
+    CASES = [
+        ("powerlaw", {"alpha": 1.2, "upsilon": 1.0}, [1.0, 0.6, 1.4], "published"),
+        ("powerlaw", {"alpha": 0.8, "upsilon": -0.5}, [0.9, 1.3, 0.4], "published"),
+        ("powerlaw", {"alpha": 1.0, "upsilon": 2.5}, [1.1, 0.7, 2.0], "published"),
+        ("morse", {"zeta": [0.8, 1.1, 0.6]}, [0.5, -0.7, 0.3], "published"),
+        *(("sw2", {"kappa": [1.0, 0.4, 2.0], "beta": 1.1, "eta_exp": eta},
+           [1.2, 0.8, 1.5], variant)
+          for eta in (-1.0, 2.0, -1.5) for variant in ("published", AMENDED_FORM)),
+        # C^4 overflows: the closed form is not finite
+        ("sw2", {"kappa": [1.0, 0.4, 2.0], "beta": 1.1, "eta_exp": -1.5},
+         [1e80, 1.0, 1e-80], "published"),
+    ]
+    TIMES = (0.0, 40.0, -40.0, 1e10)
+
+    @staticmethod
+    def _outcome(spec, t):
+        try:
+            return np.array(kinematics(spec, t)).tobytes()
+        except PdmError as err:
+            return type(err), str(err)
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family,params,amp,variant", CASES)
+    def test_kinematics_is_the_omega_written_template(self, monkeypatch, family, params,
+                                                      amp, variant, n, seeded):
+        params = {"omega": [1.0, 1.7, 0.45][:n],
+                  **{k: v[:n] if isinstance(v, list) else v for k, v in params.items()}}
+        rng = np.random.default_rng(zlib.crc32(f"{family}{params}{variant}{n}".encode()))
+        phase = tuple(rng.uniform(-1.0, 1.0, n)) if seeded else ()
+        spec = spec_of(family, params, amp[:n], phase=phase, variant=variant)
+        published, amended = (text.replace("rate", "omega")
+                              for text in self.OMEGA_WRITTEN[family])
+        monkeypatch.setitem(FAMILIES, family, replace(
+            FAMILIES[family], closed_form=published, amended_form=amended))
+        oracle = spec_of(family, params, amp[:n], phase=phase, variant=variant)
+        p = spec.params
+        for t in self.TIMES:
+            assert self._outcome(spec, t) == self._outcome(oracle, t), t
+            if family == "powerlaw":  # the branch's cos reads the same float as in omega
+                for i, ph in enumerate(spec.phase):
+                    assert spec.frequency[i] * t + ph == (1.0 + p.upsilon) * p.omega[i] * t + ph
+
+    def test_the_oracle_meets_every_outcome(self):
+        """The cases reach values, the branch error and a failing closed form."""
+        kinds = set()
+        for family, params, amp, variant in self.CASES:
+            spec = spec_of(family, {"omega": [1.0], **{
+                k: v[:1] if isinstance(v, list) else v for k, v in params.items()}},
+                amp[:1], variant=variant)
+            for t in self.TIMES:
+                outcome = self._outcome(spec, t)
+                kinds.add(bytes if isinstance(outcome, bytes) else outcome[0])
+        assert kinds == {bytes, DomainViolation, InvalidSpec}
 
 
 class TestMl2Reduction:

@@ -196,7 +196,7 @@ def test_coordinate_energy_share_is_its_own(name, n):
 
 
 @pytest.mark.parametrize("name,n", [(name, n) for name, n in NDIM_CASES
-                                    if FAMILIES[NDIM[name][0]].mapped])
+                                    if FAMILIES[NDIM[name][0]].reference != NDIM[name][0]])
 def test_coordinate_map_is_its_own(name, n):
     family, full, _, amp, _ = _coordinate(name, n, 0)
     nmap, _ = reference_map(build_system(family, n, full))

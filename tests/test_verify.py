@@ -97,6 +97,16 @@ class TestRunSuite:
             run_suite(selection)
         assert err.value.field == "selection"
 
+    @pytest.mark.parametrize("selection", [[], ["no-such-check"], "parser-"])
+    @pytest.mark.parametrize("field,kw", [("seed", {"seed": "x"}), ("seed", {"seed": -1}),
+                                          ("rel_tol", {"rel_tol": -1.0}),
+                                          ("rel_tol", {"rel_tol": math.nan})])
+    def test_seed_and_rel_tol_are_checked_before_the_selection(self, selection, field, kw):
+        # an empty selection runs no check, so the checks' own test never comes
+        with pytest.raises(InvalidParameter) as err:
+            run_suite(selection, **kw)
+        assert err.value.field == field
+
     def test_loose_tolerance_fails_energy_drift(self):
         # the documented sensitivity demonstration: a sloppy integrator
         # tolerance must be caught by the drift threshold
