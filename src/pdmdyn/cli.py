@@ -11,12 +11,18 @@ Subcommands:
 
 Exit codes: 0 success, 1 a check failed, 2 configuration or usage error.
 Every number is written with 17 significant digits so the files round-trip
-bit-exactly through 64-bit floats.
+bit-exactly through 64-bit floats; a CSV row is one format of them all.
+
+The argument parser is built once per process, by the first ``run_cli``
+call, and reused by every later one: each parse returns a fresh namespace,
+and usage errors and ``--help`` go to the ``sys.stderr`` and ``sys.stdout``
+of the call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -145,9 +151,8 @@ def _write_table(path: str | None, fmt: str, header: list[str],
                    "rows": [[_fmt(v) for v in row] for row in rows]}
         text = json.dumps(payload, indent=1)
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        line = ",".join([_FMT] * len(header))
+        text = "\n".join([",".join(header), *(line % tuple(row) for row in rows)]) + "\n"
     if path is None:
         out_stream.write(text)
     else:
@@ -297,6 +302,7 @@ def _cmd_misprints(args, out_stream, err_stream) -> int:
     return 0
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdmdyn",

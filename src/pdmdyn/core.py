@@ -11,7 +11,9 @@ mass profiles and n compiled potential terms V_i(x_i).  A catalog family's
 record in ``families`` supplies its mass and potential templates;
 build_system substitutes each coordinate's parameters into them and resolves
 the record's domain, coefficient singularity and potential pole once, so
-evaluation never branches on the family.
+evaluation never branches on the family.  A system's energy T + V at a state
+is one generated kernel (``exprparse.compile_energy``), compiled by the
+first ``total_energy`` call for it and kept on the system.
 
 This module is the only place that knows what a parameter is: which ones
 hold one entry per coordinate (VECTORS) and each one's admissible range
@@ -30,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainViolation, InvalidParameter, MissingParameter, SingularPoint
-from .exprparse import Expr, compile_potential, parse_cached
+from .exprparse import Expr, compile_energy, compile_potential, parse_cached
 from .families import FAMILIES
 from .profiles import REAL_LINE, CoupledProfile, CustomProfile
 
@@ -157,6 +159,17 @@ class PdmSystem:
     def coupled_profile(self) -> CoupledProfile:
         assert self.kind == TYPE2
         return self.profiles[0]
+
+    @functools.cached_property
+    def energy(self) -> Callable:
+        """kernel(t, x, v) -> T + V, x and v lists of n floats: the generated
+        energy kernel (``exprparse.compile_energy``), compiled when first read."""
+        return _energy_kernel(self, self.potential.exprs)
+
+    @functools.cached_property
+    def kinetic(self) -> Callable:
+        """kernel(t, x, v) -> T alone, as ``energy``."""
+        return _energy_kernel(self, ())
 
 
 @dataclass(frozen=True)
@@ -306,8 +319,11 @@ def _custom_system(n: int, p: ParameterSet, mass_exprs: Sequence[str] | None,
 
 
 def _coordinates(system: PdmSystem, values: Sequence[float], name: str) -> list[float]:
-    """values as n floats; an InvalidParameter unless there are n of them."""
-    out = [*map(float, values)]
+    """values as n floats; an InvalidParameter unless there are n numbers."""
+    try:
+        out = [*map(float, values)]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameter(name, f"expected {system.n} numbers, got {values!r}") from None
     if len(out) != system.n:
         raise InvalidParameter(name, f"expected {system.n} coordinates, got {len(out)}")
     return out
@@ -330,35 +346,66 @@ def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
     return np.array(system.potential.gradients((_coordinates(system, x, "x"),))[0])
 
 
-def _kinetic(system: PdmSystem, t: float, x: list[float], v: list[float]) -> float:
-    """T at x and v, n floats each; a DomainViolation unless finite."""
-    try:
-        if system.kind == TYPE2:
-            total = 0.5 * system.coupled_profile.value(x) * float(np.dot(v, v))
-        else:
-            total = 0.0
-            for profile, xi, vi in zip(system.profiles, x, v):
-                total += 0.5 * profile.eval(xi, 0) * vi ** 2
-    except OverflowError as err:
-        raise DomainViolation(f"float overflow in the kinetic energy at t={t!r}", t=t) from err
-    if not math.isfinite(total):
-        raise DomainViolation(f"kinetic energy T={total!r} is not finite at t={t!r}", t=t)
-    return total
+#: every |v_i| below this: |v|^2 of fewer than 2^23 terms is below 2^1023
+_SQUARE_SAFE = 2.0 ** 500
+
+
+def _square(v: list[float]) -> float:
+    """|v|^2 with np.dot's bits (its order of summation is not a running
+    sum's); an OverflowError, and no numpy warning, where it overflows."""
+    # a NaN cannot overflow: min and max pass over it unless it comes first,
+    # and then the guarded call below gives the same bits
+    if -_SQUARE_SAFE < min(v) and max(v) < _SQUARE_SAFE:
+        return float(np.dot(v, v))
+    with np.errstate(over="raise"):
+        try:
+            return float(np.dot(v, v))
+        except FloatingPointError:
+            raise OverflowError("|v|^2 overflows") from None
+
+
+def _energy_fail(t: float, kinetic: float | None = None, potential: float | None = None):
+    """Raise the DomainViolation the energy owes at t: a float overflow in
+    T (no value), a T that is not finite, or a T + V that is not."""
+    if kinetic is None:
+        raise DomainViolation(f"float overflow in the kinetic energy at t={t!r}", t=t)
+    if potential is None:
+        raise DomainViolation(f"kinetic energy T={kinetic!r} is not finite at t={t!r}", t=t)
+    raise DomainViolation(f"energy is not finite at t={t!r}: T={kinetic!r}, "
+                          f"V={potential!r}", t=t)
+
+
+def _energy_kernel(system: PdmSystem, potentials: tuple) -> Callable:
+    """The system's ``compile_energy`` kernel over ``potentials`` (none: T
+    alone), bound to the error each failed check owes."""
+    pot = system.potential
+    if system.kind == TYPE2:
+        profile = system.coupled_profile
+        kernel = compile_energy((profile.expr,), profile.names, (), potentials,
+                                pot.domain, pot.pole)
+
+        def mass(i, x, m):
+            """The shared mass m <= 0 at x (i None)."""
+            profile._positive(m, x)
+    else:
+        profiles = system.profiles
+        kernel = compile_energy(tuple(p.expr for p in profiles), None,
+                                tuple(p.domain for p in profiles), potentials,
+                                pot.domain, pot.pole)
+
+        def mass(i, x, m=None):
+            """Coordinate i's mass outside its domain, or (given m) m < 0."""
+            profiles[i]._fail(x[i], m)
+    return kernel(mass, pot._fail, _energy_fail, _square)
 
 
 def kinetic_energy(system: PdmSystem, state: State) -> float:
     """Kinetic term: per-coordinate multipliers for type1, a shared one for
     type2; a DomainViolation when it overflows or is not finite."""
-    return _kinetic(system, state.t, *_state(system, state))
+    return system.kinetic(state.t, *_state(system, state))
 
 
 def total_energy(system: PdmSystem, state: State) -> float:
-    """T + V from one conversion of the state; a DomainViolation when a
-    term or the sum is not finite."""
-    x, v = _state(system, state)
-    kinetic = _kinetic(system, state.t, x, v)
-    potential = system.potential.energies((x,))[0]
-    if not math.isfinite(kinetic + potential):
-        raise DomainViolation(f"energy is not finite at t={state.t!r}: T={kinetic!r}, "
-                              f"V={potential!r}", t=state.t)
-    return kinetic + potential
+    """T + V from one conversion of the state and one call of the system's
+    energy kernel; a DomainViolation when a term or the sum is not finite."""
+    return system.energy(state.t, *_state(system, state))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +159,10 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
     every sample holds the bits kinematics gives at its time, and the first
     failing time raises what kinematics raises there.
     """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise InvalidParameter("samples", f"must be an integer, got {samples!r}") from None
     if samples < 1:
         raise InvalidParameter("samples", f"need at least 1, got {samples!r}")
     if not math.isfinite(t1 - t0):

@@ -63,6 +63,9 @@ So is a type2 system's (``compile_rhs2``): the shared mass's gradient
 lines, as ``compile_gradient`` runs them, and its m <= 0 check, then every
 coordinate's checks, its potential's lines at order 1 and its acceleration
 -(mdot/m) v_i + (1/2)(g_i/m)|v|^2 - V_i'/m, one coordinate after another.
+So is a system's energy at one state (``compile_energy``): the kinetic
+term, from each coordinate's checks and mass value lines (type1) or the
+shared mass's (type2), then the potential's energy lines, and their sum.
 """
 
 from __future__ import annotations
@@ -446,12 +449,13 @@ class _Codegen:
         body()
         self.indent -= 1
 
-    def check(self, failed: str, args: str) -> None:
+    def check(self, failed: str, args: str, fail: str = "fail") -> None:
         """Call the bound ``fail(args)`` where the condition ``failed`` holds."""
-        self.block(f"if {failed}:", lambda: self.emit(f"fail({args})"))
+        self.block(f"if {failed}:", lambda: self.emit(f"{fail}({args})"))
 
     def coordinate(self, i: int, domain: tuple[float, float], pole: float | None,
-                   singular: float | None = None, floated: bool = False) -> None:
+                   singular: float | None = None, floated: bool = False,
+                   fail: str = "fail") -> None:
         """x_i of the point x as a float (unless ``floated`` already), then its
         singularity check and its domain and pole check, each failing as
         fail(i, x); the expressions walked next read x_i as ``x``, seeded by s0."""
@@ -459,12 +463,12 @@ class _Codegen:
         if not floated:
             self.emit(f"{x} = float({x})")
         if singular is not None:
-            self.check(f"{x} == {self.bind(singular)}", f"{i}, x")
+            self.check(f"{x} == {self.bind(singular)}", f"{i}, x", fail)
         lo, hi = map(self.bind, domain)
         outside = f"not {lo} < {x} < {hi}"
         if pole is not None:
             outside += f" or {x} == {self.bind(pole)}"
-        self.check(outside, f"{i}, x")
+        self.check(outside, f"{i}, x", fail)
         self.slots = {"x": _Slot(x, "s0", self.zero)}
 
     def raise_domain(self, message: str, where: Expr) -> str:
@@ -816,6 +820,47 @@ def _compile_rhs2(mass: Expr, names: tuple[str, ...], potentials: tuple,
     return _function(gen, head, ["    return rhs"])
 
 
+def _compile_energy(masses: tuple, names: tuple[str, ...] | None, domains: tuple,
+                    potentials: tuple, domain: tuple[float, float],
+                    pole: float | None) -> Callable:
+    n = len(masses) if names is None else len(names)
+    gen = _Codegen(names or (), 3)
+    # a type1 T reads the velocities u_i; a type2 T passes v to square whole
+    unpacked = _unpack("x", n, "x") + (_unpack("u", n, "v") if names is None else [])
+    head = ["def compiled(mass, fail, energy, square):", "    def kernel(t, x, v):",
+            *("        " + line for line in unpacked)]
+
+    def kinetic() -> None:
+        if names is None:
+            gen.emit("T = 0.0")
+            for i, (expr, mass_domain) in enumerate(zip(masses, domains)):
+                gen.coordinate(i, mass_domain, None, floated=True, fail="mass")
+                m = gen.walk(expr, 0).val
+                gen.check(f"{m} < 0.0", f"{i}, x, {m}", "mass")
+                gen.emit(f"T += 0.5 * {m} * u{i} ** 2")
+        else:
+            m = gen.walk(masses[0], 0).val
+            gen.check(f"{m} <= 0.0", f"None, x, {m}", "mass")
+            gen.emit(f"T = 0.5 * {m} * square(v)")
+
+    gen.block("try:", kinetic)
+    gen.block("except OverflowError:", lambda: gen.emit("energy(t)"))
+    gen.check("not isfinite(T)", "t, T", "energy")
+    result = "T"
+    if potentials:
+        terms = []
+        for i, expr in enumerate(potentials):
+            gen.coordinate(i, domain, pole, floated=True)
+            terms.append(gen.walk(expr, 0).val)
+        gen.emit(f"V = {' + '.join(['0.0', *terms])}")
+        gen.check("not isfinite(V)", "None, x, V")
+        gen.emit("E = T + V")
+        gen.check("not isfinite(E)", "t, T, V", "energy")
+        result = "E"
+    gen.emit(f"return {result}")
+    return _function(gen, head, ["    return kernel"])
+
+
 def _cached(holder: Expr, key: tuple, build: Callable) -> Callable:
     """build(holder, *key), run once per key and kept on the holder expression.
 
@@ -975,6 +1020,40 @@ def compile_rhs2(mass: Expr, names: Sequence[str], potentials: Sequence[Expr],
     ``mass``.
     """
     return _cached(mass, (tuple(names), tuple(potentials), tuple(domain), pole), _compile_rhs2)
+
+
+def compile_energy(masses: Sequence[Expr], names: Sequence[str] | None,
+                   domains: Sequence[tuple[float, float]], potentials: Sequence[Expr],
+                   domain: tuple[float, float], pole: float | None) -> Callable:
+    """The energy T + V of n coordinates (or T alone, with no ``potentials``)
+    as one compiled function.
+
+    With ``names`` None (type1), coordinate i has the mass ``masses[i]`` in
+    ``x`` on the open interval ``domains[i]``, and T = 0.0 + (1/2) m_1 v_1**2
+    + .., a running sum in coordinate order.  With ``names`` (type2),
+    ``masses[0]`` is the shared mass over them and T = (1/2) m |v|^2, with
+    |v|^2 from the bound ``square``.  Coordinate i has the potential term
+    ``potentials[i]`` in ``x``, inside ``domain`` and off ``pole``.  The
+    result ``make(mass, fail, energy, square)`` returns ``kernel(t, x, v)``,
+    which takes lists of n floats and runs, in this order: for type1, each
+    coordinate's domain check, its mass's value lines and its m < 0 check,
+    failing as mass(i, x) and mass(i, x, m), and its term; for type2, the
+    shared mass's value lines and its m <= 0 check, failing as
+    mass(None, x, m), and T.  A float overflow in these (in ``v_i ** 2``,
+    or an OverflowError from ``square``) calls energy(t), a T that is not
+    finite energy(t, T).  Then, as compile_potential's energies at order 0,
+    each coordinate's domain and pole check, failing as fail(i, x), and its
+    term's value lines; their sum V from 0.0, failing as fail(None, x, V)
+    unless finite; and E = T + V, failing as energy(t, T, V) unless finite.
+    fail, mass and energy raise what the caller owes there; an error inside
+    the lines is raised where it happens.
+
+    Built once per (masses, names, domains, potentials, domain, pole), and
+    kept on ``masses[0]``.
+    """
+    key = (tuple(masses), None if names is None else tuple(names), tuple(domains),
+           tuple(potentials), tuple(domain), pole)
+    return _cached(key[0][0], key, lambda _, *key: _compile_energy(*key))
 
 
 def eval_gradient(expr: Expr, names: Sequence[str],

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import pdmdyn
+from pdmdyn import cli
 from pdmdyn.cli import _integrator_options, run_cli
 from pdmdyn.integrate import FIXED_RK4, IntegratorOptions
 from pdmdyn.verify import SuiteSummary
@@ -663,3 +665,25 @@ class TestUsage:
     def test_unknown_command_exit_2(self):
         code, _, _ = run(["frobnicate"])
         assert code == 2
+
+    def test_a_reused_parser_leaks_no_state(self, tmp_path, capsys):
+        # the parser is built once per process: no parse may see an earlier one
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        config = tmp_path / "run.json"
+        config.write_text(re.findall(r"```json\n(.*?)```", readme, re.S)[0])
+        sequence = [["verify", "--suite", "x"], ["--help"], ["verify", "--list"],
+                    ["simulate", "--config", str(config)],
+                    ["verify", "--checks", "printed-eom:ml1+"]]
+        cli._make_parser.cache_clear()
+        passes = []
+        for _ in range(2):
+            outcomes = []
+            for argv in sequence:
+                code, out, err = run(argv)
+                captured = capsys.readouterr()      # usage and --help: sys's streams
+                outcomes.append((code, out, err, captured.out, captured.err))
+            passes.append(outcomes)
+        assert passes[0] == passes[1]
+        assert [o[0] for o in passes[0]] == [2, 0, 0, 0, 0]
+        assert "usage: pdmdyn" in passes[0][0][4] and "usage: pdmdyn" in passes[0][1][3]
+        assert cli._make_parser.cache_info().misses == 1

@@ -25,7 +25,7 @@ from pdmdyn.core import (TYPE2, VECTORS, State, _substitute, build_system, param
 from pdmdyn.eom import el1_rhs, el2_rhs
 from pdmdyn.errors import (DomainViolation, ExprDomainError, InvalidSpec, PdmError,
                            SingularCoefficient, SingularPoint)
-from pdmdyn.profiles import CoupledProfile, CustomProfile
+from pdmdyn.profiles import CustomProfile
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
 from pdmdyn.families import FAMILIES, _inverse_square_form
 from pdmdyn.transform import (NonlocalMap, f_scale, potential_match_residual, q_map,
@@ -539,6 +539,10 @@ def _gradient_at(system):
     return system.potential, lambda x: potential_gradient(system, x)
 
 
+def _energy_at(system):
+    return system.potential, lambda x: total_energy(system, State.of(0.0, x, [0.1, 0.2]))
+
+
 _ML1_DOMAIN = "(-1.2909944487358056, 1.2909944487358056)"
 _ML1M = {"omega": [1.0, 2.0], "lambda": 0.6, "sign": "-"}
 _ISOTONIC = {"omega": [1.0, 2.0], "kappa": [1.0, 0.5]}
@@ -546,8 +550,8 @@ _ISOTONIC = {"omega": [1.0, 2.0], "kappa": [1.0, 0.5]}
 
 class TestOneFailurePath:
     """Each failed check's fail raises from the value the check saw: with the
-    profile's eval and value and the potential's energies replaced once the
-    kernels are built, every failure still raises its own error."""
+    profile's eval and the potential's energies replaced once the kernels
+    are built, every failure still raises its own error."""
 
     CASES = {   # (potential, call), a good x, a bad x, what the call raises there
         "type1 singular coefficient": (
@@ -589,6 +593,23 @@ class TestOneFailurePath:
         "gradient at the pole": (
             lambda: _gradient_at(build_system("isotonic", 2, _ISOTONIC)), [0.7, 0.5],
             [0.7, 0.0], SingularPoint, "potential singular at x_2 = 0.0", 1),
+        "energy outside the mass's domain": (
+            lambda: _energy_at(build_system("ml1", 2, _ML1M)), [0.2, 0.3], [0.2, 1.3],
+            DomainViolation, f"x=1.3 outside the domain {_ML1_DOMAIN} "
+                             f"of profile '1/(1+(-1.0)*0.6*x^2)'", None),
+        "energy at the pole": (
+            lambda: _energy_at(build_system("isotonic", 2, _ISOTONIC)), [0.7, 0.5],
+            [0.7, 0.0], SingularPoint, "potential singular at x_2 = 0.0", 1),
+        "energy type1 m < 0": (
+            lambda: _energy_at(build_system("custom", 2, mass_exprs=["1", "1-x^2"],
+                                            potential_exprs=["0.5*x^2"] * 2)),
+            [0.5, 0.5], [0.5, 2.0],
+            DomainViolation, "profile '1-x^2' is -3.0 < 0 at x=2.0", None),
+        "energy type2 m <= 0": (
+            lambda: _energy_at(build_system("custom", 2, mass_exprs=["x1+x2"],
+                                            potential_exprs=["0.5*x^2"] * 2, kind=TYPE2)),
+            [1.0, 0.5], [-1.0, 0.5],
+            DomainViolation, "coupled profile 'x1+x2' is -0.5 <= 0 at [-1.0, 0.5]", None),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -597,7 +618,6 @@ class TestOneFailurePath:
         pot, call = make()
         call(good)   # builds the kernels
         monkeypatch.setattr(CustomProfile, "eval", _no_replay)
-        monkeypatch.setattr(CoupledProfile, "value", _no_replay)
         if pot is not None:
             monkeypatch.setitem(vars(pot), "energies", _no_replay)
         with pytest.raises(error) as err:

@@ -250,6 +250,22 @@ class TestEnergies:
         with pytest.raises(InvalidParameter, match=f"expected 2 coordinates, got {given}"):
             fn(system, arg([0.5] * given))
 
+    @pytest.mark.parametrize("value", [None, 0.5, "ab", [None, 0.5], [[0.5], [0.5]],
+                                       [10 ** 400, 0.5]])
+    @pytest.mark.parametrize("fn,name,arg", [
+        (potential_energy, "x", lambda xs: xs), (potential_gradient, "x", lambda xs: xs),
+        (kinetic_energy, "x", lambda xs: State(0.0, xs, [0.5, 0.5])),
+        (kinetic_energy, "v", lambda vs: State(0.0, [0.5, 0.5], vs)),
+        (total_energy, "x", lambda xs: State(0.0, xs, [0.5, 0.5])),
+        (total_energy, "v", lambda vs: State(0.0, [0.5, 0.5], vs)),
+    ])
+    def test_coordinates_that_are_not_numbers(self, fn, name, arg, value):
+        # float() of each entry raised a raw TypeError, ValueError or OverflowError
+        system = build_system("harmonic", 2, {"omega": [1.0, 2.0]})
+        with pytest.raises(InvalidParameter) as err:
+            fn(system, arg(value))
+        assert str(err.value) == f"{name}: expected 2 numbers, got {value!r}"
+
 
 class TestParameterSet:
     @pytest.mark.parametrize("key,value,field", [

@@ -128,6 +128,14 @@ class TestValidation:
             exact_trajectory(spec, 0.0, 1.0, samples)
         assert err.value.field == "samples"
 
+    @pytest.mark.parametrize("samples", ["5", 5.0, None])
+    def test_trajectory_samples_must_be_an_integer(self, samples):
+        # '5' < 1 was a raw TypeError, and so was linspace's float count
+        spec = spec_of("morse", {"omega": [1.0], "zeta": [1.0]}, [0.5])
+        with pytest.raises(InvalidParameter,
+                           match=f"^samples: must be an integer, got {samples!r}$"):
+            exact_trajectory(spec, 0, 1, samples)
+
     def test_overflowing_frequency(self):
         # 1 + lam A^2 overflows, so the relation reads 0
         with pytest.raises(InvalidSpec, match="no finite positive frequency"):

@@ -16,7 +16,10 @@ the median run time divided by the accepted steps and by the RHS calls
 (``nfev``, the initial acceleration included).  ``rhs_us`` times the
 right-hand side apart from ``integrate``: passes of one right-hand-side call at
 each state of the orbit's trajectory, repeated for a quarter second, give
-the median pass time divided by the states.  There are five rounds of
+the median pass time divided by the states.  ``energy_us`` times
+``total_energy`` the same way: passes of one call at each state of the
+orbit's trajectory, each state a list-backed ``State`` as the CLI's rows
+build it.  There are five rounds of
 measurements; with ``--against``, each round measures both checkouts,
 alternating which goes first, and the JSON keeps every round.  ``--quick``
 runs one round that integrates each orbit once to t = 1: it shows that the
@@ -65,27 +68,28 @@ def _median_run(fn, seconds: float) -> tuple[float, int]:
 
 
 def _cases():
-    """(case, scheme, rhs, initial state) of every orbit."""
+    """(case, scheme, system, rhs, initial state) of every orbit."""
     from pdmdyn import TYPE2 as KIND2, State, build_system, el1_rhs, el2_rhs
 
     for scheme in SCHEMES:
         for n in DIMENSIONS:
             system = build_system("ml1", n, {"omega": list(OMEGA[:n]), "lambda": 1.0,
                                              "sign": "+"})
-            yield f"{scheme}/n={n}", scheme, el1_rhs(system), State.of(0.0, X0[:n], [0.0] * n)
+            yield (f"{scheme}/n={n}", scheme, system, el1_rhs(system),
+                   State.of(0.0, X0[:n], [0.0] * n))
     for n, (mass, potentials, x0, v0) in TYPE2.items():
         system = build_system("custom", n, mass_exprs=[mass], potential_exprs=potentials,
                               kind=KIND2)
-        yield f"type2/n={n}", "dop853", el2_rhs(system), State.of(0.0, x0, v0)
+        yield f"type2/n={n}", "dop853", system, el2_rhs(system), State.of(0.0, x0, v0)
 
 
 def _measure(t_end: float, seconds: float) -> dict:
     """Per case: median microseconds per accepted step, per RHS call inside
-    ``integrate`` and per RHS call on its own."""
-    from pdmdyn import IntegratorOptions, integrate
+    ``integrate``, per RHS call on its own and per total_energy call."""
+    from pdmdyn import IntegratorOptions, State, integrate, total_energy
 
     out = {}
-    for case, scheme, rhs, state in _cases():
+    for case, scheme, system, rhs, state in _cases():
         opts = IntegratorOptions(t_end=t_end, scheme=scheme, h=RK4_H,
                                  rel_tol=REL_TOL, abs_tol=ABS_TOL)
         traj = integrate(rhs, state, opts)
@@ -96,9 +100,17 @@ def _measure(t_end: float, seconds: float) -> dict:
             for t, x, v in states:
                 rhs(t, x, v)
         r, _ = _median_run(calls, seconds and RHS_SECONDS)
+        rows = [State(t, x, v) for t, x, v in states]
+        total_energy(system, rows[0])    # untimed: the first call compiles the kernel
+
+        def energies():
+            for row in rows:
+                total_energy(system, row)
+        e, _ = _median_run(energies, seconds and RHS_SECONDS)
         out[case] = {"us_per_step": s / traj.accepted * 1e6,
                      "us_per_rhs": s / traj.nfev * 1e6,
                      "rhs_us": r / len(states) * 1e6,
+                     "energy_us": e / len(rows) * 1e6,
                      "accepted": traj.accepted, "nfev": traj.nfev, "runs": runs}
     return out
 
@@ -153,7 +165,7 @@ def _environment(load_before: tuple) -> dict:
 def _summary(rounds: list[dict]) -> dict:
     """Per case: the median over rounds of each round's time per step and per call."""
     return {case: {key: statistics.median(r[case][key] for r in rounds)
-                   for key in ("us_per_step", "us_per_rhs", "rhs_us")}
+                   for key in ("us_per_step", "us_per_rhs", "rhs_us", "energy_us")}
             for case in rounds[0]}
 
 
@@ -193,7 +205,8 @@ def main(argv=None) -> int:
     for name, side in result["checkouts"].items():
         for case, m in side["median"].items():
             print(f"{name:8s} {case:14s} {m['us_per_step']:9.2f} us/step "
-                  f"{m['us_per_rhs']:7.3f} us/rhs call {m['rhs_us']:7.3f} us/rhs alone")
+                  f"{m['us_per_rhs']:7.3f} us/rhs call {m['rhs_us']:7.3f} us/rhs alone "
+                  f"{m['energy_us']:7.3f} us/energy")
     return 0
 
 
