@@ -86,8 +86,7 @@ class CoupledProfile:
     """Single mass field m(x1..xn) shared by all velocity components.
 
     Not a per-coordinate profile: it exposes the value and the gradient,
-    which is all the coupled equations of motion require (the energy reads
-    m from its own kernel, ``exprparse.compile_energy``).  A point is a
+    which is all the coupled equations of motion require.  A point is a
     sequence of n numbers; any other length is an InvalidParameter.
     """
 
@@ -101,13 +100,25 @@ class CoupledProfile:
         expr = exprparse.parse_cached(text, names)
         return CoupledProfile(expr, text, names)
 
+    def value(self, xs: Sequence[float]) -> float:
+        """m alone, from one value-only kernel call with every seed 0: the
+        value value_and_gradient returns; a DomainViolation where m <= 0."""
+        n = self._check(xs)
+        m = exprparse.compile_expression(self.expr, self.names, 0)(*xs, *[0.0] * n)
+        return self._positive(m, xs)
+
     def value_and_gradient(self, xs: Sequence[float]) -> tuple[float, list[float]]:
         """(m, grad m) from one call of the gradient kernel; a DomainViolation
         where m <= 0."""
-        if len(xs) != len(self.names):
-            raise InvalidParameter("x", f"expected {len(self.names)} coordinates, got {len(xs)}")
+        self._check(xs)
         m, grad = exprparse.compile_gradient(self.expr, self.names)(xs)
         return self._positive(m, xs), grad
+
+    def _check(self, xs: Sequence[float]) -> int:
+        n = len(self.names)
+        if len(xs) != n:
+            raise InvalidParameter("x", f"expected {n} coordinates, got {len(xs)}")
+        return n
 
     def _positive(self, m: float, xs: Sequence[float]) -> float:
         if m <= 0.0:

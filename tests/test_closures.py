@@ -25,7 +25,7 @@ from pdmdyn.core import (TYPE2, VECTORS, State, _substitute, build_system, param
 from pdmdyn.eom import el1_rhs, el2_rhs
 from pdmdyn.errors import (DomainViolation, ExprDomainError, InvalidSpec, PdmError,
                            SingularCoefficient, SingularPoint)
-from pdmdyn.profiles import CustomProfile
+from pdmdyn.profiles import CoupledProfile, CustomProfile
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
 from pdmdyn.families import FAMILIES, _inverse_square_form
 from pdmdyn.transform import (NonlocalMap, f_scale, potential_match_residual, q_map,
@@ -550,8 +550,8 @@ _ISOTONIC = {"omega": [1.0, 2.0], "kappa": [1.0, 0.5]}
 
 class TestOneFailurePath:
     """Each failed check's fail raises from the value the check saw: with the
-    profile's eval and the potential's energies replaced once the kernels
-    are built, every failure still raises its own error."""
+    profile's eval and value and the potential's energies replaced once the
+    kernels are built, every failure still raises its own error."""
 
     CASES = {   # (potential, call), a good x, a bad x, what the call raises there
         "type1 singular coefficient": (
@@ -618,6 +618,7 @@ class TestOneFailurePath:
         pot, call = make()
         call(good)   # builds the kernels
         monkeypatch.setattr(CustomProfile, "eval", _no_replay)
+        monkeypatch.setattr(CoupledProfile, "value", _no_replay)
         if pot is not None:
             monkeypatch.setitem(vars(pot), "energies", _no_replay)
         with pytest.raises(error) as err:

@@ -8,6 +8,7 @@ energies kernel and the non-finite checks.  A float overflow anywhere in T,
 np.dot's included, is the one DomainViolation the kernel owes for it.
 """
 
+import functools
 import math
 import warnings
 
@@ -17,7 +18,6 @@ import pytest
 from pdmdyn.core import (TYPE2, State, _state, build_system, kinetic_energy,
                          total_energy)
 from pdmdyn.errors import DomainViolation, PdmError
-from pdmdyn.exprparse import compile_expression
 
 SYSTEMS = {
     "ml1+ n=1": ("ml1", 1, {"omega": [1.0], "lambda": 0.5, "sign": "+"}, {}),
@@ -49,16 +49,10 @@ def _square(v):
             raise OverflowError from None
 
 
-def _shared_mass(profile, x):
-    """m from one value-only kernel call with every seed 0, checked > 0."""
-    m = compile_expression(profile.expr, profile.names, 0)(*x, *[0.0] * len(x))
-    return profile._positive(m, x)
-
-
 def _kinetic(system, t, x, v):
     try:
         if system.kind == TYPE2:
-            total = 0.5 * _shared_mass(system.coupled_profile, x) * _square(v)
+            total = 0.5 * system.coupled_profile.value(x) * _square(v)
         else:
             total = 0.0
             for profile, xi, vi in zip(system.profiles, x, v):
@@ -102,26 +96,29 @@ def _states(n: int, seed: int):
         yield State(float(rng.uniform(-5, 5)), x, v)
 
 
-def _outcomes(name: str, seed: int) -> list[tuple]:
+@functools.cache
+def _outcomes(name: str) -> list[tuple]:
+    """Each state's outcome on system name, checked against the oracle with
+    warnings as errors; computed once per system for both tests below."""
     family, n, params, custom = SYSTEMS[name]
     system = build_system(family, n, params, **custom)
     out = []
-    for state in _states(n, seed):
-        for shaped in (state, State(state.t, np.array(state.x), np.array(state.v))):
-            want = _outcome(_total, system, shaped)
-            got = _outcome(total_energy, system, shaped)
-            assert got == want, (name, shaped)
-            want = _outcome(lambda s, st: _kinetic(s, st.t, *_state(s, st)), system, shaped)
-            assert _outcome(kinetic_energy, system, shaped) == want, (name, shaped)
-            out.append(got)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in _states(n, seed=sum(map(ord, name))):
+            for shaped in (state, State(state.t, np.array(state.x), np.array(state.v))):
+                want = _outcome(_total, system, shaped)
+                got = _outcome(total_energy, system, shaped)
+                assert got == want, (name, shaped)
+                want = _outcome(lambda s, st: _kinetic(s, st.t, *_state(s, st)), system, shaped)
+                assert _outcome(kinetic_energy, system, shaped) == want, (name, shaped)
+                out.append(got)
     return out
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_kernel_matches_the_python_formula(name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        outcomes = _outcomes(name, seed=sum(map(ord, name)))
+    outcomes = _outcomes(name)
     # the draw reaches values and failures alike on every system
     values = sum(isinstance(o, str) for o in outcomes)
     assert 0 < values < len(outcomes)
@@ -130,7 +127,7 @@ def test_kernel_matches_the_python_formula(name):
 def test_draws_reach_every_failure():
     """The oracle runs meet each kind of failure somewhere: the mass's domain
     and sign, the potential's domain, pole and overflow, and T's overflow."""
-    texts = [o[1] for name in SYSTEMS for o in _outcomes(name, sum(map(ord, name)))
+    texts = [o[1] for name in SYSTEMS for o in _outcomes(name)
              if not isinstance(o, str)]
     for needle in ("outside the domain (-1.414", "< 0 at x=", "<= 0 at", "potential singular",
                    "float overflow in the kinetic energy", "kinetic energy T=",

@@ -714,8 +714,10 @@ class TestType2CompiledOnce:
     (lambda system, x, v: el2_acceleration(system, State.of(0.0, x, v)), True),
     (lambda system, x, v: el2_obstruction(system, State.of(0.0, x, v)), True),
     (lambda system, x, v: el2_mapped_residual(system, State.of(0.0, x, v)), True),
+    (lambda system, x, v: system.coupled_profile.value(x), False),
     (lambda system, x, v: system.coupled_profile.value_and_gradient(x), False),
-], ids=["el2_acceleration", "el2_obstruction", "el2_mapped_residual", "value_and_gradient"])
+], ids=["el2_acceleration", "el2_obstruction", "el2_mapped_residual", "value",
+        "value_and_gradient"])
 def test_type2_wrong_number_of_coordinates(call, reads_v, given):
     system = _custom2("1+x1^2+x2^2")
     with pytest.raises(InvalidParameter, match=f"^x: expected 2 coordinates, got {given}$"):
