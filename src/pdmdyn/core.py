@@ -329,10 +329,12 @@ def _coordinates(system: PdmSystem, values: Sequence[float], name: str) -> list[
     return out
 
 
-def _state(system: PdmSystem, state: State) -> tuple[list[float], list[float]]:
-    """The state's x and v as lists of n floats; an InvalidParameter unless
-    each holds n."""
-    return _coordinates(system, state.x, "x"), _coordinates(system, state.v, "v")
+def _state(system: PdmSystem, state: State) -> tuple[float, list[float], list[float]]:
+    """The state's t, and its x and v as lists of n floats; an
+    InvalidParameter unless it is a State whose x and v each hold n."""
+    if not isinstance(state, State):
+        raise InvalidParameter("state", f"expected a State, got {state!r}")
+    return state.t, _coordinates(system, state.x, "x"), _coordinates(system, state.v, "v")
 
 
 def potential_energy(system: PdmSystem, x: Sequence[float]) -> float:
@@ -404,10 +406,10 @@ def _energy_kernel(system: PdmSystem, potentials: tuple) -> Callable:
 def kinetic_energy(system: PdmSystem, state: State) -> float:
     """Kinetic term: per-coordinate multipliers for type1, a shared one for
     type2; a DomainViolation when it overflows or is not finite."""
-    return system.kinetic(state.t, *_state(system, state))
+    return system.kinetic(*_state(system, state))
 
 
 def total_energy(system: PdmSystem, state: State) -> float:
     """T + V from one conversion of the state and one call of the system's
     energy kernel; a DomainViolation when a term or the sum is not finite."""
-    return system.energy(state.t, *_state(system, state))
+    return system.energy(*_state(system, state))

@@ -89,14 +89,14 @@ def _rhs(system: PdmSystem, build: Callable) -> Callable:
 def el1_acceleration(system: PdmSystem, state: State) -> np.ndarray:
     """Accelerations of the per-coordinate-profile system at a state; an
     InvalidParameter unless x and v hold n coordinates each."""
-    return np.array(_rhs(system, el1_rhs)(state.t, *_state(system, state)))
+    return np.array(_rhs(system, el1_rhs)(*_state(system, state)))
 
 
 def el2_acceleration(system: PdmSystem, state: State) -> np.ndarray:
     """Accelerations of the shared-multiplier system at a state; an
     InvalidParameter unless x and v hold n coordinates each."""
     rhs = _rhs(system, el2_rhs)
-    return np.array(rhs(state.t, *_state(system, state)))
+    return np.array(rhs(*_state(system, state)))
 
 
 def el1_residual(system: PdmSystem, solution: Callable[[float], tuple],
@@ -108,5 +108,5 @@ def el1_residual(system: PdmSystem, solution: Callable[[float], tuple],
     unless x, v and a hold n coordinates each.
     """
     x, v, a = solution(t)
-    x, v = _state(system, State.of(t, x, v))
+    _, x, v = _state(system, State.of(t, x, v))
     return np.array(_coordinates(system, a, "a")) - _rhs(system, el1_rhs)(t, x, v)

@@ -3,11 +3,13 @@
 Each family's closed form, branch, amplitude checks, frequency relation,
 position period and energy live in its record in ``families``; a spec
 evaluates each coordinate's frequency Omega_i once, when it is built, and
-on first use compiles the closed form with A_i, phase_i, rate = Omega_i and
+on first use compiles the closed forms with A_i, phase_i, rate = Omega_i and
 the parameters substituted, in t at order 2, so (x, xdot, xddot) come from
-the same dual numbers as the equations of motion.  kinematics and
-exact_trajectory run those kernels time by time, coordinate by coordinate,
-each after its branch check cos(Omega_i t + phase_i) > 0 where it has one.
+the same dual numbers as the equations of motion.  One generated loop (the
+spec's ``grid``) runs them over a grid of times: at each t, coordinate by
+coordinate, the branch check cos(Omega_i t + phase_i) > 0 where the family
+has one, the closed form's lines and its pole and finiteness checks.
+exact_trajectory runs it over its grid, kinematics at one t.
 
 Wherever a published relation conflicts with the equation-of-motion residual
 oracle, the catalog stores the oracle-validated form and records the printed
@@ -27,13 +29,15 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from numbers import Real
+from typing import Callable
 
 import numpy as np
 
 from .core import (ParameterSet, State, Termination, Trajectory, _check_shape,
                    _substitute, _validate, build_system, total_energy)
-from .errors import DomainViolation, ExprError, InvalidParameter, InvalidSpec
-from .exprparse import compile_expression, parse_cached
+from .errors import DomainViolation, InvalidParameter, InvalidSpec
+from .exprparse import compile_grid, parse_cached
 from .families import (AMENDED_FORM, FAMILIES, PUBLISHED_FORM,
                        ml2_reduction_check)
 
@@ -89,17 +93,36 @@ class ExactSolutionSpec:
         return len(self.amplitude)
 
     @functools.cached_property
-    def forms(self) -> tuple:
-        """(i, kernel, rate, phase) of each coordinate i, read by every
-        evaluation: its closed form, the template with the coordinate's
-        values substituted, compiled in t at order 2 when first read, so
-        kernel(t, 1.0) -> (x_i, xdot_i, xddot_i)."""
+    def grid(self) -> Callable:
+        """ts -> the flat list of (x_i, xdot_i, xddot_i), time after time and
+        coordinate after coordinate: every coordinate's closed form, the
+        template with its values substituted, in one ``compile_grid`` loop
+        bound to ``_fail``, compiled when first read."""
         record = self.record
         template = (record.amended_form if self.variant == AMENDED_FORM and record.amended_form
                     else record.closed_form)
-        return tuple((i, compile_expression(parse_cached(_substitute(
-            template, self.params, i, A=A, phase=phase, rate=rate), ("t",)), ("t",)), rate, phase)
-            for i, (A, phase, rate) in enumerate(zip(self.amplitude, self.phase, self.frequency)))
+        exprs = tuple(parse_cached(_substitute(template, self.params, i, A=A, phase=phase,
+                                               rate=rate), ("t",))
+                      for i, (A, phase, rate) in enumerate(zip(self.amplitude, self.phase,
+                                                               self.frequency)))
+        return compile_grid(exprs, self.frequency, self.phase, record.branch,
+                            record.pole)(self._fail)
+
+    def _fail(self, t, i: int | None, *row):
+        """Raise what the closed form owes at t: coordinate i off its branch
+        (no row), at the pole (row (x,)) or not finite (row (x, xdot, xddot));
+        or (i None) the error row[0] its lines raised, as an InvalidSpec."""
+        if i is None:
+            err = row[0]
+        elif not row:
+            raise DomainViolation(f"{self.family} closed form leaves its branch (cos <= 0)",
+                                  t=t, coordinate=i)
+        elif len(row) == 1:     # u^rho, rho < 0, reads 0 where u overflows
+            err = OverflowError(f"x = {row[0]!r} is the pole: u is not finite")
+        else:
+            err = ArithmeticError(f"(x, xdot, xddot) = {row} is not finite")
+        raise InvalidSpec(f"closed form fails at t={t!r}, amplitude {self.amplitude}: "
+                          f"{err}") from err
 
 
 def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
@@ -111,36 +134,21 @@ def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
     return spec.record.position_phase / np.array(spec.frequency)
 
 
-def _values(spec: ExactSolutionSpec, times):
-    """x_i, xdot_i and xddot_i for each time in turn, coordinate by
-    coordinate; at the first that fails, the InvalidSpec (or, off the
-    record's branch, the DomainViolation) it owes."""
-    family, branch, pole = spec.family, spec.record.branch, spec.record.pole
-    forms, isfinite, cos = spec.forms, math.isfinite, math.cos
-    for t in times:
-        try:
-            for i, kernel, rate, phase in forms:
-                if branch and cos(rate * t + phase) <= 0.0:
-                    raise DomainViolation(f"{family} closed form leaves its branch (cos <= 0)",
-                                          t=t, coordinate=i)
-                x, v, a = row = kernel(t, 1.0)
-                if pole is not None and x == pole:  # u^rho, rho < 0, reads 0 where u overflows
-                    raise OverflowError(f"x = {x!r} is the pole: u is not finite")
-                if not (isfinite(x) and isfinite(v) and isfinite(a)):
-                    raise ArithmeticError(f"(x, xdot, xddot) = {row} is not finite")
-                yield x
-                yield v
-                yield a
-        except (ArithmeticError, ValueError, ExprError) as err:
-            raise InvalidSpec(f"closed form fails at t={t!r}, amplitude {spec.amplitude}: "
-                              f"{err}") from err
+def _time(name: str, t) -> None:
+    """An InvalidParameter unless t is a real number (a bool is not)."""
+    # a float passes before the slower check against the abstract Real
+    if type(t) is not float and (isinstance(t, bool) or not isinstance(t, Real)):
+        raise InvalidParameter(name, f"must be a real number, got {t!r}")
 
 
 def kinematics(spec: ExactSolutionSpec, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic (x, xdot, xddot) of the closed form at time t; an InvalidSpec
-    where an extreme amplitude or time makes it overflow, divide by zero,
-    take the cosine of an infinite phase or return a value that is not finite."""
-    flat = np.array([*_values(spec, (t,))])
+    """Analytic (x, xdot, xddot) of the closed form at time t: the spec's grid
+    at the one time t.  An InvalidParameter unless t is a real number; an
+    InvalidSpec where an extreme amplitude or time makes it overflow, divide
+    by zero, take the cosine of an infinite phase or return a value that is
+    not finite; off a branch, a DomainViolation."""
+    _time("t", t)
+    flat = np.array(spec.grid((t,)))
     return flat[0::3], flat[1::3], flat[2::3]
 
 
@@ -155,10 +163,13 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
 
     Lets trajectory consumers (period estimation, the nonlocal map, quadrature)
     run on a closed form exactly as they would on integrator output.  The
-    grid runs the closed-form kernels kinematics runs, time by time, so
-    every sample holds the bits kinematics gives at its time, and the first
-    failing time raises what kinematics raises there.
+    spec's grid runs over the times, so every sample holds the bits
+    kinematics gives at its time, and the first failing time raises what
+    kinematics raises there.  An InvalidParameter unless t0 and t1 are real
+    numbers, samples an integer >= 1, and the grid finite and forward.
     """
+    _time("t0", t0)
+    _time("t1", t1)
     try:
         samples = operator.index(samples)
     except TypeError:
@@ -176,7 +187,7 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
             ts = np.linspace(t0, t1, samples)
     except (ValueError, MemoryError) as err:    # more samples than one array can hold
         raise InvalidParameter("samples", f"too many for one array: {err}") from None
-    flat = np.fromiter(_values(spec, ts.tolist()), float, 3 * samples * spec.n)
+    flat = np.fromiter(spec.grid(ts.tolist()), float, 3 * samples * spec.n)
     xs, vs, accs = flat.reshape(samples, spec.n, 3).transpose(2, 0, 1).copy()
     return Trajectory(ts, xs, vs, accs, samples, 0, 0.0, Termination("completed"))
 

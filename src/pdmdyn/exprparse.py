@@ -66,6 +66,10 @@ coordinate's checks, its potential's lines at order 1 and its acceleration
 So is a system's energy at one state (``compile_energy``): the kinetic
 term, from each coordinate's checks and mass value lines (type1) or the
 shared mass's (type2), then the potential's energy lines, and their sum.
+So are n closed forms over a grid of times (``compile_grid``): at each t,
+coordinate by coordinate, the branch check, the lines at order 2 in t and
+the pole and finiteness checks; there an error inside the lines, too, calls
+``fail``, with its time.
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .errors import ExprDomainError, ExprSyntaxError, InvalidParameter, UnknownIdentifier
+from .errors import (ExprDomainError, ExprError, ExprSyntaxError, InvalidParameter,
+                     UnknownIdentifier)
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
@@ -861,6 +866,35 @@ def _compile_energy(masses: tuple, names: tuple[str, ...] | None, domains: tuple
     return _function(gen, head, ["    return kernel"])
 
 
+def _compile_grid(exprs: tuple, rates: tuple, phases: tuple, branch: bool,
+                  pole: float | None) -> Callable:
+    gen = _Codegen((), 5)
+    gen.slots = {"t": _Slot("x0", "s0", gen.zero)}
+    gen.emit("x0 = float(t)")
+    for i, (expr, rate, phase) in enumerate(zip(exprs, rates, phases)):
+        if branch:
+            gen.check(f"cos({gen.bind(rate)} * x0 + {gen.bind(phase)}) <= 0.0", f"t, {i}")
+        x, v, a = gen.walk(expr, 2)[:3]
+        if pole is not None:
+            gen.check(f"{x} == {gen.bind(pole)}", f"t, {i}, {x}")
+        gen.check(f"not (isfinite({x}) and isfinite({v}) and isfinite({a}))",
+                  f"t, {i}, {x}, {v}, {a}")
+        gen.emit(f"append({x})", f"append({v})", f"append({a})")
+    errors = gen.bind((ArithmeticError, ValueError, ExprError))
+    head = ["def compiled(fail):",
+            "    def grid(ts):",
+            "        s0 = 1.0",
+            "        out = []",
+            "        append = out.append",
+            "        for t in ts:",
+            "            try:"]
+    tail = [f"            except {errors} as err:",
+            "                fail(t, None, err)",
+            "        return out",
+            "    return grid"]
+    return _function(gen, head, tail)
+
+
 def _cached(holder: Expr, key: tuple, build: Callable) -> Callable:
     """build(holder, *key), run once per key and kept on the holder expression.
 
@@ -1054,6 +1088,28 @@ def compile_energy(masses: Sequence[Expr], names: Sequence[str] | None,
     key = (tuple(masses), None if names is None else tuple(names), tuple(domains),
            tuple(potentials), tuple(domain), pole)
     return _cached(key[0][0], key, lambda _, *key: _compile_energy(*key))
+
+
+def compile_grid(exprs: Sequence[Expr], rates: Sequence[float], phases: Sequence[float],
+                 branch: bool, pole: float | None) -> Callable:
+    """The closed forms x_i(t) of n coordinates over a grid of times as one
+    compiled function.
+
+    ``exprs[i]`` is coordinate i's closed form in ``t``, with the rate
+    ``rates[i]`` and phase ``phases[i]``.  The result ``make(fail)`` returns
+    ``grid(ts)``: the flat list of (x_i, xdot_i, xddot_i) at each time in
+    turn, coordinate by coordinate, each triple the bits of the order-2
+    kernel at the seed 1.  At each t, after float(t), each coordinate runs
+    the check cos(rate_i t + phase_i) <= 0 (with ``branch``), failing as
+    fail(t, i); its lines; the check x_i == ``pole`` (unless None), failing
+    as fail(t, i, x_i); and the finiteness check, failing as fail(t, i, x_i,
+    xdot_i, xddot_i).  An ArithmeticError, ValueError or ExprError in the
+    lines calls fail(t, None, err).  fail raises what the caller owes at t.
+
+    Built once per (exprs, rates, phases, branch, pole), and kept on ``exprs[0]``.
+    """
+    key = (tuple(exprs), tuple(rates), tuple(phases), branch, pole)
+    return _cached(key[0][0], key, lambda _, *key: _compile_grid(*key))
 
 
 def eval_gradient(expr: Expr, names: Sequence[str],

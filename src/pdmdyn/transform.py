@@ -158,9 +158,9 @@ def map_to_reference(nmap: NonlocalMap, traj: Trajectory) -> MappedTrajectory:
 
 
 def potential_match_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
-                             points: Sequence[Sequence[float]]) -> list[float]:
+                             points: Sequence[Sequence[float]]) -> np.ndarray:
     """|V_system(x) - V_ref(q(x))| at each of N points x, an (N, n) array,
-    in order; zero where the map matches the potentials.
+    as one array in order; zero where the map matches the potentials.
 
     The map and both energies run as batches over all points, in this
     order: the map coordinate by coordinate, then V, then V_ref.  The first
@@ -172,8 +172,10 @@ def potential_match_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSyste
                                          f"got shape {xs.shape}")
     columns = xs.T.tolist()
     qs = [batch(column)[0] for batch, column in zip(nmap.batches, columns)]
-    pairs = zip(system.potential.energies(zip(*columns)), ref.potential.energies(zip(*qs)))
-    return [abs(v - v_ref) for v, v_ref in pairs]
+    v = np.array(system.potential.energies(zip(*columns)))
+    v_ref = np.array(ref.potential.energies(zip(*qs)))
+    with np.errstate(over="ignore"):    # a difference past the float range is inf, as in floats
+        return np.abs(v - v_ref)
 
 
 def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,

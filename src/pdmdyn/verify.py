@@ -73,6 +73,15 @@ def _worst(worst: float, *residuals: float) -> float:
     return worst
 
 
+def _running_max(first: np.ndarray, *rest) -> np.ndarray:
+    """max(first, *rest) per element as max() takes it: each later value
+    replaces the running one only where it is larger, so a nan stays if it
+    comes first and is passed over after."""
+    for values in rest:
+        first = np.where(values > first, values, first)
+    return first
+
+
 def _rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
@@ -178,25 +187,28 @@ def _check_profile_derivatives(seed: int, rel_tol: float | None) -> tuple[float,
     ]
     worst = 0.0
     for profile, (lo, hi) in profiles:
-        xs = rng.uniform(lo, hi, 10_000 // len(profiles)).tolist()
+        xs = rng.uniform(lo, hi, 10_000 // len(profiles))
         dom_lo, dom_hi = profile.domain
-        # keep the 5-point stencil well inside the region where the profile
-        # is smooth: steep poles need h tied to the distance from the
-        # boundary, not to |x|
-        hs = [0.005 * min(max(1.0, abs(x)), min(abs(x - dom_lo), abs(dom_hi - x)))
-              for x in xs]
-        stencil = zip(*(profile.eval_many([x + k * h for x, h in zip(xs, hs)], 0)
-                        for k in (-2, -1, 0, 1, 2)))
-        errors = []
-        for h, vals, (m, d1, d2) in zip(hs, stencil, profile.eval_many(xs)):
-            d1_fd = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
-            d2_fd = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
+        # each array operation is the float operation the stencil takes per
+        # point, in the same order, so every value keeps its bits; the
+        # arithmetic overflows to inf or nan quietly, as float arithmetic does
+        with np.errstate(over="ignore", invalid="ignore"):
+            # keep the 5-point stencil well inside the region where the
+            # profile is smooth: steep poles need h tied to the distance
+            # from the boundary, not to |x|
+            hs = 0.005 * np.minimum(np.maximum(1.0, np.abs(xs)),
+                                    np.minimum(np.abs(xs - dom_lo), np.abs(dom_hi - xs)))
+            v0, v1, v2, v3, v4 = (np.array(profile.eval_many((xs + k * hs).tolist(), 0))
+                                  for k in (-2, -1, 0, 1, 2))
+            m, d1, d2 = np.array(profile.eval_many(xs.tolist())).T
+            d1_fd = (v0 - 8 * v1 + 8 * v3 - v4) / (12 * hs)
+            d2_fd = (-v0 + 16 * v1 - 30 * v2 + 16 * v3 - v4) / (12 * hs * hs)
             # relative to the profile's own scale: the derivatives cross zero
             # inside every domain, where a bare relative error is ill-posed
-            scale1 = max(abs(d1), abs(d1_fd), abs(m), 1e-8)
-            scale2 = max(abs(d2), abs(d2_fd), abs(m), 1e-8)
-            errors += abs(d1 - d1_fd) / scale1, abs(d2 - d2_fd) / scale2
-        worst = _worst(worst, *errors)
+            scale1 = _running_max(np.abs(d1), np.abs(d1_fd), np.abs(m), 1e-8)
+            scale2 = _running_max(np.abs(d2), np.abs(d2_fd), np.abs(m), 1e-8)
+            errors = np.abs(d1 - d1_fd) / scale1, np.abs(d2 - d2_fd) / scale2
+        worst = _worst(worst, float(np.max(errors)))
     return worst, "analytic m', m'' vs 4th-order central differences"
 
 
@@ -394,10 +406,11 @@ def _check_g_identity(seed: int, rel_tol: float | None, case_name: str) -> tuple
     _, nmap, _, batches = _map_samples(seed, "g", case_name)
     worst = 0.0
     for xs in batches:
-        dqs, fs, ms = map(np.array, nmap.batches[0](xs.tolist())[1:])
-        targets = ms * fs * fs
-        r = np.abs(dqs * dqs - targets) / np.maximum(np.abs(targets), 1e-30)
-        worst = _worst(worst, float(r.max()))
+        for batch in nmap.batches:      # every coordinate's map at the points
+            dqs, fs, ms = map(np.array, batch(xs.tolist())[1:])
+            targets = ms * fs * fs
+            r = np.abs(dqs * dqs - targets) / np.maximum(np.abs(targets), 1e-30)
+            worst = _worst(worst, float(r.max()))
     return worst, "(dq/dx)^2 = m f^2 at 10^4 sampled points"
 
 
@@ -405,15 +418,17 @@ def _check_potential_match(seed: int, rel_tol: float | None, case_name: str) -> 
     system, nmap, ref, batches = _map_samples(seed, "vmatch", case_name)
     worst = 0.0
     for xs in batches:
-        worst = _worst(worst, *potential_match_residual(nmap, system, ref, xs[:, None]))
+        worst = _worst(worst, float(np.max(potential_match_residual(nmap, system, ref,
+                                                                    xs[:, None]))))
     return worst, "|V(x) - V_ref(q(x))| at 10^4 sampled points"
 
 
 def _residual_times(spec: ExactSolutionSpec, periods: float, samples: int = 600) -> np.ndarray:
     T = float(np.max(oscillation_period(spec)))
     ts = np.linspace(0.0, periods * T, samples)
-    if spec.record.branch:     # stay on the branch where the form is real
-        ts = ts[np.cos(spec.frequency[0] * ts) > 0.05]
+    if spec.record.branch:     # stay where every coordinate's form is real
+        ts = ts[np.all([np.cos(rate * ts + phase) > 0.05
+                        for rate, phase in zip(spec.frequency, spec.phase)], axis=0)]
     return ts
 
 

@@ -331,11 +331,12 @@ class TestClosedFormKernelCompiles:
 
     @staticmethod
     def _count(monkeypatch) -> list:
-        """The expressions compiled in t from now on: the closed-form kernels."""
+        """The closed-form grid kernels compiled from now on, each as its
+        tuple of closed forms in t, one per coordinate."""
         compiles = []
-        real = exprparse._compile
-        monkeypatch.setattr(exprparse, "_compile", lambda expr, names, *rest: (
-            names == ("t",) and compiles.append(expr)) or real(expr, names, *rest))
+        real = exprparse._compile_grid
+        monkeypatch.setattr(exprparse, "_compile_grid", lambda exprs, *rest: (
+            compiles.append(exprs)) or real(exprs, *rest))
         return compiles
 
     @pytest.mark.parametrize("first,amplitude", [("kinematics", (0.3125, -0.1875)),
@@ -351,18 +352,19 @@ class TestClosedFormKernelCompiles:
         spec_a = spec()
         assert compiles == []
         self.FIRST[first](spec_a)
-        assert len(compiles) == 2 and compiles[0] is not compiles[1]
+        assert len(compiles) == 1 and len(compiles[0]) == 2
+        assert compiles[0][0] is not compiles[0][1]
         for fn in self.FIRST.values():
             fn(spec_a)
             fn(spec())          # a repeated spec compiles nothing
-        assert len(compiles) == 2
+        assert len(compiles) == 1
 
     def test_equal_coordinates_share_one_kernel(self, monkeypatch):
         compiles = self._count(monkeypatch)
         spec = ExactSolutionSpec("harmonic", parameter_set({"omega": 1.15625}, 2),
                                  (0.40625, 0.40625), (0.5, 0.5))
         x, _, _ = kinematics(spec, 0.75)
-        assert len(compiles) == 1 and x[0] == x[1]
+        assert len(compiles) == 1 and compiles[0][0] is compiles[0][1] and x[0] == x[1]
 
 
 @pytest.mark.parametrize("text,domain", [

@@ -266,6 +266,15 @@ class TestEnergies:
             fn(system, arg(value))
         assert str(err.value) == f"{name}: expected 2 numbers, got {value!r}"
 
+    @pytest.mark.parametrize("state", [None, (0.0, [0.5, 0.5], [0.5, 0.5]), 0.5])
+    @pytest.mark.parametrize("fn", [kinetic_energy, total_energy])
+    def test_state_that_is_not_a_state(self, fn, state):
+        # state.t of None was a raw AttributeError
+        system = build_system("harmonic", 2, {"omega": [1.0, 2.0]})
+        with pytest.raises(InvalidParameter) as err:
+            fn(system, state)
+        assert str(err.value) == f"state: expected a State, got {state!r}"
+
 
 class TestParameterSet:
     @pytest.mark.parametrize("key,value,field", [

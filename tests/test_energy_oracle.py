@@ -65,7 +65,7 @@ def _kinetic(system, t, x, v):
 
 
 def _total(system, state):
-    x, v = _state(system, state)
+    _, x, v = _state(system, state)
     kinetic = _kinetic(system, state.t, x, v)
     potential = system.potential.energies((x,))[0]
     if not math.isfinite(kinetic + potential):
@@ -110,7 +110,7 @@ def _outcomes(name: str) -> list[tuple]:
                 want = _outcome(_total, system, shaped)
                 got = _outcome(total_energy, system, shaped)
                 assert got == want, (name, shaped)
-                want = _outcome(lambda s, st: _kinetic(s, st.t, *_state(s, st)), system, shaped)
+                want = _outcome(lambda s, st: _kinetic(s, *_state(s, st)), system, shaped)
                 assert _outcome(kinetic_energy, system, shaped) == want, (name, shaped)
                 out.append(got)
     return out

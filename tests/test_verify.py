@@ -227,6 +227,115 @@ def test_g_identity_reduction_is_the_per_point_loop(seed):
         assert struct.pack("<d", metric) == struct.pack("<d", worst), name
 
 
+def _loop_profile_derivatives(seed):
+    """profiles-derivatives as a loop over points, as it was before its
+    stencil and errors became arrays."""
+    rng = verify._rng(seed, "profiles")
+    profiles = [
+        (verify._profile("ml1", lam=1.0, sign="+"), (-3.0, 3.0)),
+        (verify._profile("ml1", lam=1.0, sign="-"), (-0.9, 0.9)),
+        (verify._profile("powerlaw", alpha=1.3, upsilon=1.5), (0.3, 3.0)),
+        (verify._profile("powerlaw", alpha=1.0, upsilon=2.0), (0.3, 3.0)),
+        (verify._profile("morse", zeta=[0.8]), (-1.5, 1.5)),
+        (verify._profile("sw2", beta=1.1, eta_exp=-1.0, kappa=[1.0]), (0.3, 3.0)),
+        (verify._profile("sw2", beta=1.0, eta_exp=2.0, kappa=[1.0]), (0.3, 3.0)),
+        (CustomProfile.from_text("1/(1+x^2)+exp(-x^2)"), (-2.0, 2.0)),
+    ]
+    worst = 0.0
+    for profile, (lo, hi) in profiles:
+        xs = rng.uniform(lo, hi, 10_000 // len(profiles)).tolist()
+        dom_lo, dom_hi = profile.domain
+        hs = [0.005 * min(max(1.0, abs(x)), min(abs(x - dom_lo), abs(dom_hi - x)))
+              for x in xs]
+        stencil = zip(*(profile.eval_many([x + k * h for x, h in zip(xs, hs)], 0)
+                        for k in (-2, -1, 0, 1, 2)))
+        errors = []
+        for h, vals, (m, d1, d2) in zip(hs, stencil, profile.eval_many(xs)):
+            d1_fd = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
+            d2_fd = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
+            scale1 = max(abs(d1), abs(d1_fd), abs(m), 1e-8)
+            scale2 = max(abs(d2), abs(d2_fd), abs(m), 1e-8)
+            errors += abs(d1 - d1_fd) / scale1, abs(d2 - d2_fd) / scale2
+        worst = verify._worst(worst, *errors)
+    return worst
+
+
+def _loop_potential_match(seed, case_name):
+    """potential-match as a loop over points, as it was before the residuals
+    became one array per batch."""
+    system, nmap, ref, batches = verify._map_samples(seed, "vmatch", case_name)
+    worst = 0.0
+    for xs in batches:
+        columns = xs[:, None].T.tolist()
+        qs = [batch(column)[0] for batch, column in zip(nmap.batches, columns)]
+        pairs = zip(system.potential.energies(zip(*columns)), ref.potential.energies(zip(*qs)))
+        worst = verify._worst(worst, *[abs(v - v_ref) for v, v_ref in pairs])
+    return worst
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_array_checks_are_the_per_point_loops(seed):
+    # the loops the array forms replaced, kept as their reference: the same
+    # operations per point, so each metric must match bit for bit
+    metric = run_check("profiles-derivatives", seed=seed).metric
+    assert metric.hex() == _loop_profile_derivatives(seed).hex()
+    names = [name for name in check_names() if name.startswith("potential-match:")]
+    assert len(names) == 10
+    for name in names:
+        metric = run_check(name, seed=seed).metric
+        assert metric.hex() == _loop_potential_match(seed, name.partition(":")[2]).hex(), name
+
+
+def test_running_max_is_max_per_element():
+    nan = math.nan
+    rows = [(nan, 1.0, 2.0), (1.0, nan, 2.0), (3.0, 1.0, nan), (0.0, 0.0, 1e-8)]
+    got = verify._running_max(*(np.array(column) for column in zip(*rows)))
+    assert np.array(got).tobytes() == np.array([max(*row) for row in rows]).tobytes()
+
+
+class TestEveryCoordinate:
+    """At n >= 2 the residual times and the g-identity read every coordinate;
+    at n = 1 they are what they were."""
+
+    def test_residual_times_keep_every_coordinate_on_its_branch(self):
+        spec = verify.ExactSolutionSpec("powerlaw", verify.parameter_set(
+            {"omega": [1.0, 1.7], "alpha": 1.0, "upsilon": 1.0}, 2), (1.0, 0.7), (0.0, 0.3))
+        ts = verify._residual_times(spec, 3.0)
+        for rate, phase in zip(spec.frequency, spec.phase):
+            assert np.all(np.cos(rate * ts + phase) > 0.05)
+        # coordinate 0's branch alone keeps times where coordinate 1 is off its own
+        T = float(np.max(verify.oscillation_period(spec)))
+        everywhere = np.linspace(0.0, 3.0 * T, 600)
+        assert len(ts) < np.count_nonzero(np.cos(spec.frequency[0] * everywhere) > 0.05)
+
+    @pytest.mark.parametrize("name", ["powerlaw-1", "powerlaw-2"])
+    def test_residual_times_at_n1_are_coordinate_0s(self, name):
+        spec = standard_case(name).spec()
+        T = float(np.max(verify.oscillation_period(spec)))
+        for periods, samples in ((3.0, 600), (1.0, 60)):
+            ts = np.linspace(0.0, periods * T, samples)
+            want = ts[np.cos(spec.frequency[0] * ts) > 0.05]
+            assert verify._residual_times(spec, periods, samples).tobytes() == want.tobytes()
+
+    def test_g_identity_reads_every_coordinate(self, monkeypatch):
+        monkeypatch.setitem(verify.CASES, "ml1+2", verify.Case(
+            "ml1+2", "ml1", {"omega": [1.0, 2.0], "lambda": 0.6, "sign": "+"}, (1.0, 0.5),
+            sample_box=(-2.5, 2.5)))
+        assert verify._check_g_identity(1, None, "ml1+2")[0] <= 1e-10
+
+        def with_nan(system):
+            nmap, ref = reference_map(system)
+
+            def batch(xs, real=nmap.batches[1]):
+                q, dq, f, m = real(xs)
+                dq[len(dq) // 2] = math.nan
+                return q, dq, f, m
+            object.__setattr__(nmap, "batches", (nmap.batches[0], batch))
+            return nmap, ref
+        monkeypatch.setattr(verify, "reference_map", with_nan)
+        assert math.isnan(verify._check_g_identity(1, None, "ml1+2")[0])
+
+
 class TestNanResiduals:
     """A nan residual anywhere fails the check: the reduction keeps it, where
     max() would keep its running value past it and pass."""

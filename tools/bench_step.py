@@ -1,5 +1,5 @@
 """Step-level benchmark of ``integrate``: time per accepted step and per RHS call,
-and of one right-hand-side call on its own.
+and of one right-hand-side, energy and closed-form call on its own.
 
     python3 tools/bench_step.py [--against OTHER_CHECKOUT] [--out BENCH_step.json]
     python3 tools/bench_step.py --quick --out bench-step-quick.json
@@ -9,21 +9,27 @@ Each (scheme, n), n = 1..3, integrates one fixed orbit of the catalog ``ml1``
 ``el1_rhs``: DOP853 at rel_tol 1e-12 and fixed RK4 at h = 1e-2, both to
 t = 25.  The cases ``type2/n=2`` and ``type2/n=3`` integrate the type2 systems
 of perfbench's ``expr`` workload, from its base states, through ``el2_rhs``
-with DOP853 in the same way.  A measurement runs in a fresh interpreter that imports ``pdmdyn``
-from the checkout's ``src``; it integrates each orbit once untimed (building
-whatever the first call builds), then repeatedly for a second, and reports
-the median run time divided by the accepted steps and by the RHS calls
-(``nfev``, the initial acceleration included).  ``rhs_us`` times the
-right-hand side apart from ``integrate``: passes of one right-hand-side call at
-each state of the orbit's trajectory, repeated for a quarter second, give
-the median pass time divided by the states.  ``energy_us`` times
-``total_energy`` the same way: passes of one call at each state of the
-orbit's trajectory, each state a list-backed ``State`` as the CLI's rows
-build it.  There are five rounds of
-measurements; with ``--against``, each round measures both checkouts,
-alternating which goes first, and the JSON keeps every round.  ``--quick``
-runs one round that integrates each orbit once to t = 1: it shows that the
-harness runs, and its timings mean nothing.
+with DOP853 in the same way.  A measurement integrates each orbit once
+untimed (building whatever the first call builds), then repeatedly for a
+second, and reports the median run time divided by the accepted steps and
+by the RHS calls (``nfev``, the initial acceleration included).  ``rhs_us``
+times the right-hand side apart from ``integrate``: passes of one
+right-hand-side call at each state of the orbit's trajectory, repeated for
+a quarter second, give the median pass time divided by the states.
+``energy_us`` times ``total_energy`` the same way: passes of one call at
+each state of the orbit's trajectory, each state a list-backed ``State`` as
+the CLI's rows build it.  ``kinematics_us`` (the ``ml1`` cases only) times
+``kinematics`` the same way at each time of the trajectory, on the closed
+form the orbit follows: amplitude x0, phase 0.
+
+Every checkout is measured in this one process: its package is imported
+from its ``src`` under a module name of its own (``pdmdyn_this``,
+``pdmdyn_against``), so the comparison carries no process-to-process
+difference in speed.  There are five rounds of measurements; with
+``--against``, each round measures both checkouts, alternating which goes
+first, and the JSON keeps every round.  ``--quick`` runs one round that
+integrates each orbit once to t = 1: it shows that the harness runs, and
+its timings mean nothing.
 
 Writes ``--out`` (default ``BENCH_step.json``) with the environment record;
 exit code 0, or non-zero when a measurement fails.
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import importlib.util
 import json
 import os
 import platform
@@ -67,64 +74,72 @@ def _median_run(fn, seconds: float) -> tuple[float, int]:
     return statistics.median(runs), len(runs)
 
 
-def _cases():
-    """(case, scheme, system, rhs, initial state) of every orbit."""
-    from pdmdyn import TYPE2 as KIND2, State, build_system, el1_rhs, el2_rhs
+def load(root: Path, name: str):
+    """The package in root/src/pdmdyn, imported under the module name ``name``."""
+    init = root / "src" / "pdmdyn" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
+
+def _cases(pkg):
+    """(case, scheme, system, rhs, initial state, closed form or None) of every orbit."""
     for scheme in SCHEMES:
         for n in DIMENSIONS:
-            system = build_system("ml1", n, {"omega": list(OMEGA[:n]), "lambda": 1.0,
-                                             "sign": "+"})
-            yield (f"{scheme}/n={n}", scheme, system, el1_rhs(system),
-                   State.of(0.0, X0[:n], [0.0] * n))
+            params = {"omega": list(OMEGA[:n]), "lambda": 1.0, "sign": "+"}
+            system = pkg.build_system("ml1", n, params)
+            spec = pkg.ExactSolutionSpec("ml1", pkg.parameter_set(params, n), X0[:n])
+            yield (f"{scheme}/n={n}", scheme, system, pkg.el1_rhs(system),
+                   pkg.State.of(0.0, X0[:n], [0.0] * n), spec)
     for n, (mass, potentials, x0, v0) in TYPE2.items():
-        system = build_system("custom", n, mass_exprs=[mass], potential_exprs=potentials,
-                              kind=KIND2)
-        yield f"type2/n={n}", "dop853", system, el2_rhs(system), State.of(0.0, x0, v0)
+        system = pkg.build_system("custom", n, mass_exprs=[mass], potential_exprs=potentials,
+                                  kind=pkg.TYPE2)
+        yield (f"type2/n={n}", "dop853", system, pkg.el2_rhs(system),
+               pkg.State.of(0.0, x0, v0), None)
 
 
-def _measure(t_end: float, seconds: float) -> dict:
+def _measure(pkg, t_end: float, seconds: float) -> dict:
     """Per case: median microseconds per accepted step, per RHS call inside
-    ``integrate``, per RHS call on its own and per total_energy call."""
-    from pdmdyn import IntegratorOptions, State, integrate, total_energy
-
+    ``integrate``, per RHS call on its own, per total_energy call and (with
+    a closed form) per kinematics call."""
     out = {}
-    for case, scheme, system, rhs, state in _cases():
-        opts = IntegratorOptions(t_end=t_end, scheme=scheme, h=RK4_H,
-                                 rel_tol=REL_TOL, abs_tol=ABS_TOL)
-        traj = integrate(rhs, state, opts)
-        s, runs = _median_run(lambda: integrate(rhs, state, opts), seconds)
+    for case, scheme, system, rhs, state, spec in _cases(pkg):
+        opts = pkg.IntegratorOptions(t_end=t_end, scheme=scheme, h=RK4_H,
+                                     rel_tol=REL_TOL, abs_tol=ABS_TOL)
+        traj = pkg.integrate(rhs, state, opts)
+        s, runs = _median_run(lambda: pkg.integrate(rhs, state, opts), seconds)
         states = list(zip(traj.t.tolist(), traj.x.tolist(), traj.v.tolist()))
+        per_pass = seconds and RHS_SECONDS
 
         def calls():
             for t, x, v in states:
                 rhs(t, x, v)
-        r, _ = _median_run(calls, seconds and RHS_SECONDS)
-        rows = [State(t, x, v) for t, x, v in states]
+        r, _ = _median_run(calls, per_pass)
+        total_energy, rows = pkg.total_energy, [pkg.State(t, x, v) for t, x, v in states]
         total_energy(system, rows[0])    # untimed: the first call compiles the kernel
 
         def energies():
             for row in rows:
                 total_energy(system, row)
-        e, _ = _median_run(energies, seconds and RHS_SECONDS)
+        e, _ = _median_run(energies, per_pass)
         out[case] = {"us_per_step": s / traj.accepted * 1e6,
                      "us_per_rhs": s / traj.nfev * 1e6,
                      "rhs_us": r / len(states) * 1e6,
                      "energy_us": e / len(rows) * 1e6,
                      "accepted": traj.accepted, "nfev": traj.nfev, "runs": runs}
+        if spec is not None:
+            kinematics, times = pkg.kinematics, [t for t, _, _ in states]
+            kinematics(spec, 0.0)        # untimed: the first call compiles the kernel
+
+            def closed_forms():
+                for t in times:
+                    kinematics(spec, t)
+            k, _ = _median_run(closed_forms, per_pass)
+            out[case]["kinematics_us"] = k / len(times) * 1e6
     return out
-
-
-def _worker(root: Path, quick: bool) -> dict:
-    """Run one measurement of the checkout at root in a fresh interpreter."""
-    code = (f"import json, sys; sys.path.insert(0, {str(root / 'src')!r}); "
-            f"sys.path.insert(0, {str(ROOT / 'tools')!r}); import bench_step; "
-            f"print(json.dumps(bench_step._measure({QUICK_T_END if quick else T_END!r}, "
-            f"{0.0 if quick else SECONDS!r})))")
-    env = dict(os.environ, PYTHONPATH="")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _commit(root: Path) -> str | None:
@@ -162,11 +177,15 @@ def _environment(load_before: tuple) -> dict:
             "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")}
 
 
+#: the timings of a case, in microseconds; kinematics_us where it has a closed form
+TIMINGS = ("us_per_step", "us_per_rhs", "rhs_us", "energy_us", "kinematics_us")
+
+
 def _summary(rounds: list[dict]) -> dict:
     """Per case: the median over rounds of each round's time per step and per call."""
     return {case: {key: statistics.median(r[case][key] for r in rounds)
-                   for key in ("us_per_step", "us_per_rhs", "rhs_us", "energy_us")}
-            for case in rounds[0]}
+                   for key in TIMINGS if key in timings}
+            for case, timings in rounds[0].items()}
 
 
 def main(argv=None) -> int:
@@ -183,10 +202,12 @@ def main(argv=None) -> int:
             p.error(f"no src/pdmdyn under {root}")
 
     load_before = os.getloadavg()
+    packages = {name: load(root, f"pdmdyn_{name}") for name, root in sides.items()}
     rounds = {name: [] for name in sides}
     for k in range(1 if args.quick else ROUNDS):
         for name in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
-            rounds[name].append(_worker(sides[name], args.quick))
+            rounds[name].append(_measure(packages[name], QUICK_T_END if args.quick else T_END,
+                                         0.0 if args.quick else SECONDS))
     result = {
         "harness": "tools/bench_step.py", "quick": args.quick,
         "orbits": {"family": "ml1", "sign": "+", "omega": OMEGA, "lambda": 1.0, "x0": X0,
@@ -204,9 +225,11 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for name, side in result["checkouts"].items():
         for case, m in side["median"].items():
+            kinematics = (f" {m['kinematics_us']:7.3f} us/kinematics"
+                          if "kinematics_us" in m else "")
             print(f"{name:8s} {case:14s} {m['us_per_step']:9.2f} us/step "
                   f"{m['us_per_rhs']:7.3f} us/rhs call {m['rhs_us']:7.3f} us/rhs alone "
-                  f"{m['energy_us']:7.3f} us/energy")
+                  f"{m['energy_us']:7.3f} us/energy" + kinematics)
     return 0
 
 
