@@ -135,10 +135,16 @@ def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
 
 
 def _time(name: str, t) -> None:
-    """An InvalidParameter unless t is a real number (a bool is not)."""
-    # a float passes before the slower check against the abstract Real
-    if type(t) is not float and (isinstance(t, bool) or not isinstance(t, Real)):
+    """An InvalidParameter unless t is a real number (a bool is not) inside
+    the float range."""
+    if type(t) is float:    # before the slower check against the abstract Real
+        return
+    if isinstance(t, bool) or not isinstance(t, Real):
         raise InvalidParameter(name, f"must be a real number, got {t!r}")
+    try:
+        float(t)
+    except OverflowError:   # an int past the largest float
+        raise InvalidParameter(name, f"must be inside the float range, got {t!r}") from None
 
 
 def kinematics(spec: ExactSolutionSpec, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -136,26 +136,33 @@ class TestValidation:
                            match=f"^samples: must be an integer, got {samples!r}$"):
             exact_trajectory(spec, 0, 1, samples)
 
-    @pytest.mark.parametrize("field,t0,t1", [("t0", "0", 1), ("t1", 0, "1"), ("t0", None, 1),
-                                             ("t1", 0.0, True), ("t0", [0.0], 1.0)])
-    def test_trajectory_times_must_be_real(self, field, t0, t1):
+    @pytest.mark.parametrize("field,t0,t1,message", [
+        ("t0", "0", 1, "must be a real number"), ("t1", 0, "1", "must be a real number"),
+        ("t0", None, 1, "must be a real number"), ("t1", 0.0, True, "must be a real number"),
+        ("t0", [0.0], 1.0, "must be a real number"),
+        # t1 - t0 past the float range was a raw OverflowError from math.isfinite
+        ("t1", 0, 10 ** 400, "must be inside the float range"),
+        ("t0", -10 ** 400, 0, "must be inside the float range"),
+    ])
+    def test_trajectory_times_must_be_real(self, field, t0, t1, message):
         # '0' was a raw TypeError from t1 - t0
         spec = spec_of("morse", {"omega": [1.0], "zeta": [1.0]}, [0.5])
         with pytest.raises(InvalidParameter) as err:
             exact_trajectory(spec, t0, t1, 5)
-        assert err.value.field == field and "must be a real number" in str(err.value)
+        assert err.value.field == field and message in str(err.value)
 
     @pytest.mark.parametrize("family,params", [
         ("morse", {"omega": [1.0], "zeta": [1.0]}),
         ("powerlaw", {"omega": [1.0], "alpha": 1.0, "upsilon": 1.0}),   # a branch family
     ])
-    @pytest.mark.parametrize("t", ["0.5", None, True, [0.5], 1j])
+    @pytest.mark.parametrize("t", ["0.5", None, True, [0.5], 1j, 10 ** 400])
     def test_time_must_be_real(self, family, params, t):
         # the branch check's cos(rate * t) was a raw TypeError, and float()
         # read a numeric string as a time
         spec = spec_of(family, params, [0.5])
         for evaluate in (kinematics, exact_solution):
-            with pytest.raises(InvalidParameter, match=r"^t: must be a real number, got "):
+            with pytest.raises(InvalidParameter, match=r"^t: must be (a real number|inside "
+                                                       r"the float range), got "):
                 evaluate(spec, t)
 
     def test_overflowing_frequency(self):
