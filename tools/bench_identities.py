@@ -6,15 +6,16 @@
 The checks are the 44 ``verify`` checks of the seven identity groups
 (``g-identity``, ``potential-match``, ``printed-eom``, ``mapped-exactness``,
 ``invariance``, ``profiles-derivatives``, ``tau-closed-form``), each run
-through ``pdmdyn.verify.run_check`` at seed 1.  A measurement runs in a
-fresh interpreter that imports ``pdmdyn`` from the checkout's ``src``; it
-runs each check once untimed (compiling whatever the first run compiles),
-then repeatedly for a quarter second, and reports the median run time of
-every check and, per group, the sum of its checks' medians.  There are five
-rounds of measurements; with ``--against``, each round measures both
-checkouts, alternating which goes first, and the JSON keeps every round.
-``--quick`` runs one round that times each check once: it shows that the
-harness runs, and its timings mean nothing.
+through ``run_check`` at seed 1.  Every checkout is measured in this one
+process, its package imported from its ``src`` under a module name of its
+own, as ``bench_step.py`` does.  A measurement runs each check once untimed
+(compiling whatever the first run compiles), then repeatedly for a quarter
+second, and reports the median run time of every check and, per group, the
+sum of its checks' medians.  With ``--against``, each check's runs
+alternate between the two checkouts, run by run, so a change in the host's
+speed reaches both alike.  There are five rounds of measurements, and the
+JSON keeps every round.  ``--quick`` runs one round that times each check
+once: it shows that the harness runs, and its timings mean nothing.
 
 Writes ``--out`` (default ``BENCH_identities.json``) with the environment
 record; exit code 0, or non-zero when a measurement fails.
@@ -23,15 +24,14 @@ record; exit code 0, or non-zero when a measurement fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
-import subprocess
 import sys
-import time
 from pathlib import Path
 
-from bench_step import _commit, _environment
+from bench_step import _commit, _environment, _median_runs, load
 
 ROOT = Path(__file__).resolve().parents[1]
 GROUPS = ("g-identity", "potential-match", "printed-eom", "mapped-exactness",
@@ -44,36 +44,19 @@ def _group(check: str) -> str | None:
     return next((g for g in GROUPS if check == g or check.startswith(g + ":")), None)
 
 
-def _measure(seconds: float) -> dict:
-    """Per check: its group, verdict and median seconds per run."""
-    from pdmdyn.verify import check_names, run_check
-
-    out = {}
-    for name in check_names():
+def _measure(packages: list, seconds: float) -> list[dict]:
+    """Per package, per check: its group, verdict and median seconds per run."""
+    out = [{} for _ in packages]
+    for name in packages[0].check_names():
         group = _group(name)
         if group is None:
             continue
-        report = run_check(name, SEED)
-        runs = []
-        stop = time.perf_counter() + seconds
-        while not runs or time.perf_counter() < stop:
-            t0 = time.perf_counter()
-            run_check(name, SEED)
-            runs.append(time.perf_counter() - t0)
-        out[name] = {"group": group, "passed": report.passed,
-                     "s": statistics.median(runs), "runs": len(runs)}
+        reports = [pkg.run_check(name, SEED) for pkg in packages]
+        timings = _median_runs([functools.partial(pkg.run_check, name, SEED)
+                                for pkg in packages], seconds)
+        for checks, report, (median, runs) in zip(out, reports, timings):
+            checks[name] = {"group": group, "passed": report.passed, "s": median, "runs": runs}
     return out
-
-
-def _worker(root: Path, quick: bool) -> dict:
-    """Run one measurement of the checkout at root in a fresh interpreter."""
-    code = (f"import json, sys; sys.path.insert(0, {str(root / 'src')!r}); "
-            f"sys.path.insert(0, {str(ROOT / 'tools')!r}); import bench_identities; "
-            f"print(json.dumps(bench_identities._measure({0.0 if quick else SECONDS!r})))")
-    env = dict(os.environ, PYTHONPATH="")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _groups(checks: dict) -> dict:
@@ -91,7 +74,7 @@ def _summary(rounds: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--against", type=Path, help="another checkout to measure in turn")
+    p.add_argument("--against", type=Path, help="another checkout to measure alongside")
     p.add_argument("--quick", action="store_true", help="one timed run per check")
     p.add_argument("--out", type=Path, default=Path("BENCH_identities.json"))
     args = p.parse_args(argv)
@@ -103,10 +86,11 @@ def main(argv=None) -> int:
             p.error(f"no src/pdmdyn under {root}")
 
     load_before = os.getloadavg()
+    packages = [load(root, f"pdmdyn_{name}") for name, root in sides.items()]
     rounds = {name: [] for name in sides}
-    for k in range(1 if args.quick else ROUNDS):
-        for name in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
-            rounds[name].append(_worker(sides[name], args.quick))
+    for _ in range(1 if args.quick else ROUNDS):
+        for name, checks in zip(sides, _measure(packages, 0.0 if args.quick else SECONDS)):
+            rounds[name].append(checks)
     result = {
         "harness": "tools/bench_identities.py", "quick": args.quick, "seed": SEED,
         "seconds_per_check": 0.0 if args.quick else SECONDS,

@@ -25,11 +25,12 @@ form the orbit follows: amplitude x0, phase 0.
 Every checkout is measured in this one process: its package is imported
 from its ``src`` under a module name of its own (``pdmdyn_this``,
 ``pdmdyn_against``), so the comparison carries no process-to-process
-difference in speed.  There are five rounds of measurements; with
-``--against``, each round measures both checkouts, alternating which goes
-first, and the JSON keeps every round.  ``--quick`` runs one round that
-integrates each orbit once to t = 1: it shows that the harness runs, and
-its timings mean nothing.
+difference in speed.  With ``--against``, each timing runs the two
+checkouts' passes in turn, run by run, alternating which goes first, so a
+change in the host's speed while it runs reaches both alike.  There are
+five rounds of measurements, and the JSON keeps every round.  ``--quick``
+runs one round that integrates each orbit once to t = 1: it shows that the
+harness runs, and its timings mean nothing.
 
 Writes ``--out`` (default ``BENCH_step.json``) with the environment record;
 exit code 0, or non-zero when a measurement fails.
@@ -62,16 +63,19 @@ TYPE2 = {2: ("1+x1^2+x2^2", None, (0.4, -0.3), (0.7, 0.5)),
          3: ("2+sin(x1*x2)+0.5*x3^2", ["0.5*x^2"] * 3, (0.4, -0.3, 0.2), (0.3, 0.4, -0.2))}
 
 
-def _median_run(fn, seconds: float) -> tuple[float, int]:
-    """The median time of fn() over its repeats for ``seconds`` (at least one
-    repeat), and the number of repeats."""
-    runs = []
-    stop = time.perf_counter() + seconds
-    while not runs or time.perf_counter() < stop:
-        t0 = time.perf_counter()
-        fn()
-        runs.append(time.perf_counter() - t0)
-    return statistics.median(runs), len(runs)
+def _median_runs(fns: list, seconds: float) -> list[tuple[float, int]]:
+    """The median time of each fn() and its number of repeats, the fns run in
+    turn, the first of them in alternate turns, for ``seconds`` each (at
+    least one turn): a change in the host's speed reaches every fn alike."""
+    runs = [[] for _ in fns]
+    stop = time.perf_counter() + seconds * len(fns)
+    while not runs[0] or time.perf_counter() < stop:
+        turn = list(zip(fns, runs))
+        for fn, out in (turn if len(runs[0]) % 2 == 0 else turn[::-1]):
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
+    return [(statistics.median(out), len(out)) for out in runs]
 
 
 def load(root: Path, name: str):
@@ -101,44 +105,53 @@ def _cases(pkg):
                pkg.State.of(0.0, x0, v0), None)
 
 
-def _measure(pkg, t_end: float, seconds: float) -> dict:
-    """Per case: median microseconds per accepted step, per RHS call inside
-    ``integrate``, per RHS call on its own, per total_energy call and (with
-    a closed form) per kinematics call."""
-    out = {}
-    for case, scheme, system, rhs, state, spec in _cases(pkg):
-        opts = pkg.IntegratorOptions(t_end=t_end, scheme=scheme, h=RK4_H,
-                                     rel_tol=REL_TOL, abs_tol=ABS_TOL)
-        traj = pkg.integrate(rhs, state, opts)
-        s, runs = _median_run(lambda: pkg.integrate(rhs, state, opts), seconds)
-        states = list(zip(traj.t.tolist(), traj.x.tolist(), traj.v.tolist()))
-        per_pass = seconds and RHS_SECONDS
+def _timed(pkg, scheme, system, rhs, state, spec, t_end: float) -> tuple[dict, dict]:
+    """One package's case: its trajectory's counts, and the passes to time,
+    each with the number of calls (or steps) it makes."""
+    opts = pkg.IntegratorOptions(t_end=t_end, scheme=scheme, h=RK4_H,
+                                 rel_tol=REL_TOL, abs_tol=ABS_TOL)
+    traj = pkg.integrate(rhs, state, opts)
+    states = list(zip(traj.t.tolist(), traj.x.tolist(), traj.v.tolist()))
+    total_energy, rows = pkg.total_energy, [pkg.State(t, x, v) for t, x, v in states]
+    total_energy(system, rows[0])    # untimed: the first call compiles the kernel
 
-        def calls():
-            for t, x, v in states:
-                rhs(t, x, v)
-        r, _ = _median_run(calls, per_pass)
-        total_energy, rows = pkg.total_energy, [pkg.State(t, x, v) for t, x, v in states]
-        total_energy(system, rows[0])    # untimed: the first call compiles the kernel
+    def calls():
+        for t, x, v in states:
+            rhs(t, x, v)
 
-        def energies():
-            for row in rows:
-                total_energy(system, row)
-        e, _ = _median_run(energies, per_pass)
-        out[case] = {"us_per_step": s / traj.accepted * 1e6,
-                     "us_per_rhs": s / traj.nfev * 1e6,
-                     "rhs_us": r / len(states) * 1e6,
-                     "energy_us": e / len(rows) * 1e6,
-                     "accepted": traj.accepted, "nfev": traj.nfev, "runs": runs}
-        if spec is not None:
-            kinematics, times = pkg.kinematics, [t for t, _, _ in states]
-            kinematics(spec, 0.0)        # untimed: the first call compiles the kernel
+    def energies():
+        for row in rows:
+            total_energy(system, row)
+    passes = {"us_per_step": (lambda: pkg.integrate(rhs, state, opts), traj.accepted),
+              "rhs_us": (calls, len(states)), "energy_us": (energies, len(rows))}
+    if spec is not None:
+        kinematics, times = pkg.kinematics, [t for t, _, _ in states]
+        kinematics(spec, 0.0)        # untimed: the first call compiles the kernel
 
-            def closed_forms():
-                for t in times:
-                    kinematics(spec, t)
-            k, _ = _median_run(closed_forms, per_pass)
-            out[case]["kinematics_us"] = k / len(times) * 1e6
+        def closed_forms():
+            for t in times:
+                kinematics(spec, t)
+        passes["kinematics_us"] = (closed_forms, len(times))
+    return {"accepted": traj.accepted, "nfev": traj.nfev}, passes
+
+
+def _measure(packages: list, t_end: float, seconds: float) -> list[dict]:
+    """Per package, per case: median microseconds per accepted step, per RHS
+    call inside ``integrate``, per RHS call on its own, per total_energy call
+    and (with a closed form) per kinematics call.  Each is timed for all
+    packages at once, run by run in turn (``_median_runs``)."""
+    out = [{} for _ in packages]
+    for cases in zip(*map(_cases, packages)):
+        sides = [_timed(pkg, *case[1:], t_end) for pkg, case in zip(packages, cases)]
+        for key in sides[0][1]:
+            timings = _median_runs([passes[key][0] for _, passes in sides],
+                                   seconds if key == "us_per_step" else seconds and RHS_SECONDS)
+            for (counts, passes), (median, runs) in zip(sides, timings):
+                counts[key] = median / passes[key][1] * 1e6
+                if key == "us_per_step":
+                    counts.update(runs=runs, us_per_rhs=median / counts["nfev"] * 1e6)
+        for cases_of, (counts, _) in zip(out, sides):
+            cases_of[cases[0][0]] = counts
     return out
 
 
@@ -190,7 +203,7 @@ def _summary(rounds: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--against", type=Path, help="another checkout to measure in turn")
+    p.add_argument("--against", type=Path, help="another checkout to measure alongside")
     p.add_argument("--quick", action="store_true", help="one short run per orbit")
     p.add_argument("--out", type=Path, default=Path("BENCH_step.json"))
     args = p.parse_args(argv)
@@ -202,12 +215,13 @@ def main(argv=None) -> int:
             p.error(f"no src/pdmdyn under {root}")
 
     load_before = os.getloadavg()
-    packages = {name: load(root, f"pdmdyn_{name}") for name, root in sides.items()}
+    packages = [load(root, f"pdmdyn_{name}") for name, root in sides.items()]
     rounds = {name: [] for name in sides}
-    for k in range(1 if args.quick else ROUNDS):
-        for name in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
-            rounds[name].append(_measure(packages[name], QUICK_T_END if args.quick else T_END,
-                                         0.0 if args.quick else SECONDS))
+    for _ in range(1 if args.quick else ROUNDS):
+        measured = _measure(packages, QUICK_T_END if args.quick else T_END,
+                            0.0 if args.quick else SECONDS)
+        for name, cases in zip(sides, measured):
+            rounds[name].append(cases)
     result = {
         "harness": "tools/bench_step.py", "quick": args.quick,
         "orbits": {"family": "ml1", "sign": "+", "omega": OMEGA, "lambda": 1.0, "x0": X0,
