@@ -134,6 +134,10 @@ def oscillation_period(spec: ExactSolutionSpec) -> np.ndarray:
     return spec.record.position_phase / np.array(spec.frequency)
 
 
+#: times per grid call in exact_trajectory: bounds the Python floats held at once
+_CHUNK = 4096
+
+
 def _time(name: str, t) -> None:
     """An InvalidParameter unless t is a real number (a bool is not) inside
     the float range."""
@@ -191,9 +195,13 @@ def exact_trajectory(spec: ExactSolutionSpec, t0: float, t1: float, samples: int
         # linspace sets that sample to t1 itself
         with np.errstate(over="ignore"):
             ts = np.linspace(t0, t1, samples)
+        width = 3 * spec.n
+        flat = np.empty(samples * width)
     except (ValueError, MemoryError) as err:    # more samples than one array can hold
         raise InvalidParameter("samples", f"too many for one array: {err}") from None
-    flat = np.fromiter(spec.grid(ts.tolist()), float, 3 * samples * spec.n)
+    for k in range(0, samples, _CHUNK):
+        part = spec.grid(ts[k:k + _CHUNK].tolist())
+        flat[k * width:k * width + len(part)] = np.fromiter(part, float, len(part))
     xs, vs, accs = flat.reshape(samples, spec.n, 3).transpose(2, 0, 1).copy()
     return Trajectory(ts, xs, vs, accs, samples, 0, 0.0, Termination("completed"))
 

@@ -20,8 +20,8 @@ import pytest
 from pdmdyn import verify
 from pdmdyn.core import Termination, Trajectory, _substitute, parameter_set
 from pdmdyn.errors import DomainViolation, ExprError, InvalidSpec, PdmError
-from pdmdyn.exact import (ExactSolutionSpec, exact_solution, exact_trajectory, kinematics,
-                          oscillation_period)
+from pdmdyn.exact import (_CHUNK, ExactSolutionSpec, exact_solution, exact_trajectory,
+                          kinematics, oscillation_period)
 from pdmdyn.exprparse import compile_expression, parse_cached
 from pdmdyn.families import AMENDED_FORM
 
@@ -124,12 +124,12 @@ SPECS = {**{f"case:{name}": case.spec() for name, case in verify.CASES.items()},
 
 
 def _grids(spec):
-    """(t0, t1, samples): 3 periods from 0 and from a negative start, an arc
-    inside every branch, and a grid that ends at a time whose phase is
-    infinite."""
+    """(t0, t1, samples): 3 periods from 0 and from a negative start, over
+    more than two of exact_trajectory's chunks, an arc inside every branch,
+    and a grid that ends at a time whose phase is infinite."""
     T = float(np.max(oscillation_period(spec)))
     arc = 0.2 / max(spec.frequency)
-    return [(0.0, 3.0 * T, 301), (-1.3 * T, 1.7 * T, 97), (-arc, arc, 41),
+    return [(0.0, 3.0 * T, 301), (-1.3 * T, 1.7 * T, 2 * _CHUNK + 5), (-arc, arc, 41),
             (0.0, 0.0, 1), (1e300, 1.7e308, 3)]
 
 
@@ -168,6 +168,16 @@ def test_the_cases_meet_every_outcome():
                 for spec in FAILING.values()]
     assert any("is the pole" in m for m in messages)
     assert any("is not finite" in m and "(x, xdot, xddot)" in m for m in messages)
+
+
+def test_a_branch_left_in_a_later_chunk():
+    # cos(Omega t) <= 0 from t = pi/(2 Omega): 95% into the grid, its third chunk
+    spec = SPECS["case:powerlaw-1"]
+    quarter = 0.5 * math.pi / spec.frequency[0]
+    grid = (-0.9 * quarter, 1.1 * quarter, 2 * _CHUNK + 5)
+    out = _outcome(exact_trajectory, spec, *grid)
+    assert out[0] is DomainViolation and out[2] > 0.9 * quarter
+    assert out == _outcome(_oracle_trajectory, spec, *grid)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
