@@ -52,8 +52,12 @@ points in order, so the first failing point raises its own error, and no
 kernel is re-run to learn it.
 
 A coordinate's nonlocal map is one more function from the same generator
-(``compile_map``): a batch loop over its mass lines at order 1 and the
-values of its q and f, written in ``x``, ``root`` and ``half``.  So are a
+(``compile_map``): a batch loop over its mass lines and the values of its q
+and f, written in ``x``, ``root`` and ``half``.  It returns the columns its
+caller reads, a subset of (q, dq/dx, f, m), and runs only their lines: the
+checks and q always, the mass at order 1, half and f only where something
+reads half.  A set without f and dq/dx therefore returns q where m
+underflows to 0, where the full set divides by m in m'/(2m).  So are a
 potential's energy and gradient (``compile_potential``): every
 coordinate's checks and its value lines, summed, or its order-1 lines,
 whose V_i' are the gradient, per point.  So is a type1 system's right-hand side
@@ -658,12 +662,13 @@ class _Codegen:
         return self.chain(out, m, out[0], out[0])
 
 
-def _reads_variable(expr: Expr) -> bool:
-    """Whether a variable occurs in expr; a walk without recursion."""
+def _reads_variable(expr: Expr, name: str | None = None) -> bool:
+    """Whether a variable (the variable ``name``, if given) occurs in expr;
+    a walk without recursion."""
     todo = [expr]
     while todo:
         node = todo.pop()
-        if isinstance(node, Var):
+        if isinstance(node, Var) and name in (None, node.name):
             return True
         if isinstance(node, BinOp):
             todo += [node.left, node.right]
@@ -713,25 +718,35 @@ def _unpack(target: str, n: int, source: str) -> list[str]:
 
 #: the variables of a map's q and f: the point, sqrt(m) and m'/(2m) there
 MAP_NAMES = ("x", "root", "half")
+#: the columns a map kernel can return: q, dq/dx, f and m
+MAP_COLUMNS = ("q", "dq", "f", "m")
 
 
-def _compile_map(mass: Expr, q: Expr, f: Expr) -> Callable:
+def _compile_map(mass: Expr, q: Expr, f: Expr, columns: tuple[str, ...]) -> Callable:
+    reads_f = "f" in columns or "dq" in columns
+    half_first = _reads_variable(q, "half")
     gen = _Codegen(("x",), 3)
     gen.check("not lo < x0 < hi", "x0")
-    m = gen.walk(mass, 1)
+    m = gen.walk(mass, 1 if reads_f or half_first else 0)
     gen.check(f"{m.val} < 0.0", f"x0, {m.val}")
     gen.emit(f"root = sqrt({m.val})")
     # q and f are values: every variable's seed is 0
     gen.slots = {name: _Slot(local, gen.zero, gen.zero)
                  for name, local in zip(MAP_NAMES, ("x0", "root", "half"))}
-    qv = gen.walk(q, 0).val
-    gen.emit(f"half = {m.d1} / (2.0 * {m.val})")
-    fv = gen.walk(f, 0).val
-    gen.emit(*(f"append{k}({c})" for k, c in enumerate((qv, f"{fv} * root", fv, m.val))))
+    half = f"half = {m.d1} / (2.0 * {m.val})"
+    if half_first:
+        gen.emit(half)
+    values = {"q": gen.walk(q, 0).val, "m": m.val}
+    if reads_f:
+        if not half_first:
+            gen.emit(half)
+        values["f"] = gen.walk(f, 0).val
+        values["dq"] = f"{values['f']} * root"
+    gen.emit(*(f"append{k}({values[c]})" for k, c in enumerate(columns)))
     head = ["def compiled(xs, lo, hi, fail):",
             "    s0 = 1.0",
-            "    out = [], [], [], []",
-            *(f"    append{k} = out[{k}].append" for k in range(4)),
+            f"    out = {', '.join(['[]'] * len(columns))}{',' * (len(columns) == 1)}",
+            *(f"    append{k} = out[{k}].append" for k in range(len(columns))),
             "    for x0 in xs:"]
     return _function(gen, head, ["    return out"])
 
@@ -936,22 +951,28 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     return _cached(expr, key, _compile)
 
 
-def compile_map(mass: Expr, q: Expr, f: Expr) -> Callable:
+def compile_map(mass: Expr, q: Expr, f: Expr, columns: tuple[str, ...]) -> Callable:
     """One coordinate's nonlocal map as one compiled batch function.
 
     ``mass`` is m in ``x``; ``q`` and ``f`` are written in MAP_NAMES: ``x``,
-    ``root`` = sqrt(m) and ``half`` = m'/(2m).  The result
-    ``kernel(xs, lo, hi, fail)`` returns the four lists (q, dq/dx, f, m) over
-    the floats xs, with dq/dx = f * root.  At each x it runs, in this order,
-    the domain check, the lines of the order-1 mass kernel (so m and m' are
-    its bits), the m < 0 check, root, q, half and f.  A failed check calls
-    ``fail(x)`` for the domain and ``fail(x, m)`` for m < 0, which raises
-    what the caller owes at x; an error inside the lines is raised where it
-    happens.
+    ``root`` = sqrt(m) and ``half`` = m'/(2m).  ``columns`` names the lists
+    the kernel returns, in order, from MAP_COLUMNS: q, dq/dx = f * root, f
+    and m.  The result ``kernel(xs, lo, hi, fail)`` returns one list per
+    column over the floats xs.  At each x it runs, in this order, the domain
+    check, the lines of the mass kernel, the m < 0 check, root, q, half and
+    f.  The mass runs at order 1 (so m and m' are its bits) where something
+    reads half: f or dq is a column, or q names half (then half runs before
+    q); otherwise at order 0, which raises where order 1 raises.  half and
+    f run only where f or dq is a column, and f * root only where dq is.  A
+    failed check calls ``fail(x)`` for the domain and ``fail(x, m)`` for
+    m < 0, which raises what the caller owes at x; an error inside the
+    lines is raised where it happens.  So every column set returns the full
+    set's columns and raises where it raises, except that a set without f
+    and dq returns q where m underflows to 0 and half would divide by it.
 
-    Built once per (mass, q, f), and kept on ``mass``.
+    Built once per (mass, q, f, columns), and kept on ``mass``.
     """
-    return _cached(mass, (q, f), _compile_map)
+    return _cached(mass, (q, f, columns), _compile_map)
 
 
 def compile_potential(exprs: Sequence[Expr], domain: tuple[float, float],

@@ -11,12 +11,16 @@ q_i and f_i are expression text in its record in ``families``, in x,
 root = sqrt(m_i) and half = m_i'/(2 m_i); a NonlocalMap substitutes each
 coordinate's parameters into them and runs them with the coordinate's mass
 as one compiled batch kernel (``exprparse.compile_map``) over a list of
-points.  It returns the four columns (q_i, dq_i/dx_i, f_i, m_i), and at the
-first point outside the domain or where m_i < 0 the profile raises what it
-owes there.  Every map evaluation runs on these batches, a single point
-as a batch of one.  The reference oscillator is the catalog system the
-record names (``harmonic`` or ``isotonic``), built with the family's own
-parameters, so its potential and gradient are the catalog's.
+points.  It returns the columns its caller names from (q_i, dq_i/dx_i, f_i,
+m_i), all four by default, and runs only the lines they need; at the first
+point outside the domain or where m_i < 0 the profile raises what it owes
+there.  Every map evaluation runs on these batches, a single point as a
+batch of one, and each caller names only the columns it reads.  Where m_i
+underflows to 0, q alone (``potential_match_residual``'s column) is q_i,
+while any set with f_i raises ZeroDivisionError in m_i'/(2 m_i).  The
+reference oscillator is the catalog system the record names (``harmonic``
+or ``isotonic``), built with the family's own parameters, so its potential
+and gradient are the catalog's.
 
 The same machinery powers the negative result: for a shared mass multiplier
 in two or more dimensions the mapped velocity acquires a term with no
@@ -26,6 +30,7 @@ counterpart in the reference equations, and el2_obstruction measures it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +40,7 @@ from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory, _state, _s
                    build_system, potential_gradient)
 from .eom import el1_acceleration, el2_acceleration
 from .errors import InvalidParameter, NonPositiveScale, UnsupportedFamily
-from .exprparse import MAP_NAMES, compile_map, parse_cached
+from .exprparse import MAP_COLUMNS, MAP_NAMES, compile_map, parse_cached
 from .families import Family
 from .integrate import sample_dense
 
@@ -47,19 +52,20 @@ class NonlocalMap:
     params: ParameterSet
 
     def __post_init__(self):
-        # batches[i]: a list of x -> the lists (q_i, dq_i/dx_i, f_i, m_i) there
+        # batches[i]: a list of x (and a tuple of MAP_COLUMNS) -> one list per
+        # column there, by default (q_i, dq_i/dx_i, f_i, m_i)
         object.__setattr__(self, "batches", tuple(map(self._batch, range(len(self.profiles)))))
 
     def _batch(self, i: int):
         profile = self.profiles[i]
         q, f = (parse_cached(_substitute(template, self.params, i), MAP_NAMES)
                 for template in (self.record.q, self.record.f))
-        kernel = None
+        kernels = {}
 
-        def batch(xs: list[float]) -> tuple[list[float], ...]:
-            nonlocal kernel
-            if kernel is None:  # compiled on the first call
-                kernel = compile_map(profile.expr, q, f)
+        def batch(xs: list[float], columns: tuple[str, ...] = MAP_COLUMNS) -> tuple[list, ...]:
+            kernel = kernels.get(columns)
+            if kernel is None:  # compiled on the first call with these columns
+                kernel = kernels[columns] = compile_map(profile.expr, q, f, columns)
             return kernel(xs, *profile.domain, profile._fail)
         return batch
 
@@ -86,21 +92,37 @@ def reference_map(system: PdmSystem) -> tuple[NonlocalMap, PdmSystem]:
 
 
 def _coordinate_batch(nmap: NonlocalMap, i: int):
-    """Coordinate i's batch map; an InvalidParameter unless 0 <= i < n."""
+    """Coordinate i's batch map; an InvalidParameter unless i is an integer
+    0 <= i < n."""
     n = len(nmap.batches)
-    if not 0 <= i < n:
+    try:
+        k = operator.index(i)
+    except TypeError:
+        k = -1
+    if not 0 <= k < n:
         raise InvalidParameter("i", f"expected a coordinate index 0 <= i < {n}, got {i!r}")
-    return nmap.batches[i]
+    return nmap.batches[k]
+
+
+def _point_map(nmap: NonlocalMap, i: int, x: float) -> tuple[list[float], ...]:
+    """Coordinate i's four columns at the one point x; an InvalidParameter
+    unless x is a number."""
+    batch = _coordinate_batch(nmap, i)
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameter("x", f"expected a number, got {x!r}") from None
+    return batch([x])
 
 
 def f_scale(nmap: NonlocalMap, i: int, x: float) -> float:
     """Time-rescaling factor f_i at x."""
-    return _coordinate_batch(nmap, i)([x])[2][0]
+    return _point_map(nmap, i, x)[2][0]
 
 
 def q_map(nmap: NonlocalMap, i: int, x: float) -> tuple[float, float]:
     """(q_i, dq_i/dx_i) at x; the derivative is f_i sqrt(m_i), sign included."""
-    (q,), (dq,), _, _ = _coordinate_batch(nmap, i)([x])
+    (q,), (dq,), _, _ = _point_map(nmap, i, x)
     return q, dq
 
 
@@ -132,8 +154,8 @@ def coordinate_image(nmap: NonlocalMap, traj: Trajectory, i: int,
     else:
         inner = 0.5 * (t[:-1] + t[1:])
     x_inner, _ = sample_dense(traj, inner)
-    q, _, f_nodes, m = map(np.array, batch(traj.x[:, i].tolist()))
-    f_inner = np.array(batch(x_inner[:, i].tolist())[2])
+    q, f_nodes, m = map(np.array, batch(traj.x[:, i].tolist(), ("q", "f", "m")))
+    f_inner = np.array(batch(x_inner[:, i].tolist(), ("f",))[0])
     if require_positive and (np.any(f_nodes <= 0.0) or np.any(f_inner <= 0.0)):
         raise NonPositiveScale(
             f"f_{i + 1} <= 0 along the trajectory; tau_{i + 1} is not increasing")
@@ -164,14 +186,21 @@ def potential_match_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSyste
 
     The map and both energies run as batches over all points, in this
     order: the map coordinate by coordinate, then V, then V_ref.  The first
-    batch that fails raises at its own first failing point.
+    batch that fails raises at its own first failing point.  The map runs
+    its q column alone, so where m_i underflows to 0 it gives q_i there and
+    raises nothing the full map's m_i'/(2 m_i) would.  An InvalidParameter
+    unless points is an (N, n) array of numbers.
     """
-    xs = np.asarray(points, dtype=float)
+    try:
+        xs = np.asarray(points, dtype=float)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise InvalidParameter("points", f"expected an (N, {system.n}) array of numbers: "
+                                         f"{err}") from None
     if xs.ndim != 2 or xs.shape[1] != system.n:
         raise InvalidParameter("points", f"expected an (N, {system.n}) array, "
                                          f"got shape {xs.shape}")
     columns = xs.T.tolist()
-    qs = [batch(column)[0] for batch, column in zip(nmap.batches, columns)]
+    qs = [batch(column, ("q",))[0] for batch, column in zip(nmap.batches, columns)]
     v = np.array(system.potential.energies(zip(*columns)))
     v_ref = np.array(ref.potential.energies(zip(*qs)))
     with np.errstate(over="ignore"):    # a difference past the float range is inf, as in floats
@@ -187,10 +216,10 @@ def elg_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSystem,
     equations of motion at the state.
     """
     acc = el1_acceleration(system, state)
-    images = [batch([float(xi)]) for batch, xi in zip(nmap.batches, state.x)]
-    grad_ref = potential_gradient(ref, [q for (q,), _, _, _ in images])
+    images = [batch([float(xi)], ("q", "f")) for batch, xi in zip(nmap.batches, state.x)]
+    grad_ref = potential_gradient(ref, [q for (q,), _ in images])
     out = np.empty(system.n)
-    for i, (_, _, (f,), _) in enumerate(images):
+    for i, (_, (f,)) in enumerate(images):
         m, m1 = system.profiles[i].eval(float(state.x[i]), 1)
         dqt_dt = math.sqrt(m) * (acc[i] + (m1 / (2.0 * m)) * float(state.v[i]) ** 2)
         if f == 0.0:

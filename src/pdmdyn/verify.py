@@ -393,12 +393,13 @@ _BATCH = 1_000
 
 
 def _map_samples(seed: int, tag: str, case_name: str) -> tuple:
-    """(system, map, reference, 10^4 points drawn from the case's sample box,
-    in batches of _BATCH)."""
+    """(system, map, reference, 10^4 points of n coordinates drawn from the
+    case's sample box, an (N, n) array in batches of _BATCH rows).  At n = 1
+    the draws are those of 10^4 scalars, bit for bit."""
     case = standard_case(case_name)
     system = case.system()
     nmap, ref = reference_map(system)
-    xs = _rng(seed, f"{tag}-{case_name}").uniform(*case.sample_box, 10_000)
+    xs = _rng(seed, f"{tag}-{case_name}").uniform(*case.sample_box, (10_000, system.n))
     return system, nmap, ref, [xs[k:k + _BATCH] for k in range(0, len(xs), _BATCH)]
 
 
@@ -406,8 +407,8 @@ def _check_g_identity(seed: int, rel_tol: float | None, case_name: str) -> tuple
     _, nmap, _, batches = _map_samples(seed, "g", case_name)
     worst = 0.0
     for xs in batches:
-        for batch in nmap.batches:      # every coordinate's map at the points
-            dqs, fs, ms = map(np.array, batch(xs.tolist())[1:])
+        for batch, column in zip(nmap.batches, xs.T):   # each coordinate's map at its x_i
+            dqs, fs, ms = map(np.array, batch(column.tolist(), ("dq", "f", "m")))
             targets = ms * fs * fs
             r = np.abs(dqs * dqs - targets) / np.maximum(np.abs(targets), 1e-30)
             worst = _worst(worst, float(r.max()))
@@ -418,8 +419,7 @@ def _check_potential_match(seed: int, rel_tol: float | None, case_name: str) -> 
     system, nmap, ref, batches = _map_samples(seed, "vmatch", case_name)
     worst = 0.0
     for xs in batches:
-        worst = _worst(worst, float(np.max(potential_match_residual(nmap, system, ref,
-                                                                    xs[:, None]))))
+        worst = _worst(worst, float(np.max(potential_match_residual(nmap, system, ref, xs))))
     return worst, "|V(x) - V_ref(q(x))| at 10^4 sampled points"
 
 

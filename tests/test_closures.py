@@ -8,6 +8,7 @@ the compiled inverse-square closed form must agree with the numpy
 evaluation of its hand-derived shape to rounding.
 """
 
+import dataclasses
 import math
 import os
 import struct
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pdmdyn import exprparse
+from pdmdyn import exprparse, transform
 from pdmdyn.core import (TYPE2, VECTORS, State, _substitute, build_system, parameter_set,
                          potential_energy, potential_gradient, total_energy)
 from pdmdyn.eom import el1_rhs, el2_rhs
@@ -27,9 +28,11 @@ from pdmdyn.errors import (DomainViolation, ExprDomainError, InvalidSpec, PdmErr
                            SingularCoefficient, SingularPoint)
 from pdmdyn.profiles import CoupledProfile, CustomProfile
 from pdmdyn.exact import ExactSolutionSpec, exact_trajectory, kinematics
+from pdmdyn.exprparse import MAP_COLUMNS
 from pdmdyn.families import FAMILIES, _inverse_square_form
 from pdmdyn.transform import (NonlocalMap, f_scale, potential_match_residual, q_map,
                               reference_map)
+from pdmdyn.verify import run_check
 
 # family, parameters at n = 3 (n < 3 takes the leading entries), a box inside
 # every coordinate's domain, and a point outside it (None: the real line)
@@ -88,6 +91,13 @@ def oracle_point(nmap, i):
         qi, fi = q(p, i, x, root), f(p, i, x, m1 / (2.0 * m))
         return qi, fi * root, fi, m
     return point
+
+
+def oracle_q(nmap, i):
+    """q_i as the map's q column alone computes it: the profile's checked
+    order-0 mass, sqrt(m) and q, and no m'/(2m)."""
+    (q, _), p, mass = _oracle_qf(nmap), nmap.params, nmap.profiles[i].eval
+    return lambda x: q(p, i, x, math.sqrt(mass(x, 0)))
 
 
 def _layered(nmap, i, x):
@@ -311,6 +321,25 @@ class TestMapKernelCompiles:
         f_scale(nmap, 1, 0.25)
         assert len(compiles) == 2 and compiles[1][0] is system.profiles[1].expr
 
+    def test_one_kernel_per_mass_q_f_and_columns(self, monkeypatch):
+        compiles = []
+        real = exprparse._compile_map
+        monkeypatch.setattr(exprparse, "_compile_map",
+                            lambda *args: compiles.append(args) or real(*args))
+        params = {"omega": [1.0], "zeta": [1.4375]}   # parsed afresh: no other test's zeta
+        system = build_system("morse", 1, params)
+        nmap, _ = reference_map(system)
+        for _ in range(2):
+            for columns in (MAP_COLUMNS, *COLUMN_SETS):
+                nmap.batches[0]([0.25, 0.5], columns)
+        assert [args[3] for args in compiles] == [MAP_COLUMNS, *COLUMN_SETS]
+        assert all(args[0] is system.profiles[0].expr for args in compiles)
+        # a rebuilt system and map reuse every one
+        again, _ = reference_map(build_system("morse", 1, params))
+        for columns in (MAP_COLUMNS, *COLUMN_SETS):
+            assert again.batches[0]([0.25], columns) == nmap.batches[0]([0.25], columns)
+        assert len(compiles) == 1 + len(COLUMN_SETS)
+
     def test_nothing_is_compiled_at_import(self):
         # every compiled form is kept on its expression: count them all
         code = ("import gc, pdmdyn, pdmdyn.cli, pdmdyn.verify\n"
@@ -321,6 +350,94 @@ class TestMapKernelCompiles:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert out.stdout.strip() == "0"
+
+
+# --- the map's column sets against its full set -------------------------------------
+
+
+#: the column sets the package's callers read, besides the full set MAP_COLUMNS
+COLUMN_SETS = [("q",), ("q", "f", "m"), ("f",), ("dq", "f", "m"), ("q", "f")]
+
+
+def test_the_column_sets_are_the_ones_the_callers_read(monkeypatch):
+    read = set()
+    real = transform.compile_map
+    monkeypatch.setattr(transform, "compile_map",
+                        lambda *args: read.add(args[3]) or real(*args))
+    for name in ("potential-match:ml1+", "g-identity:ml1+", "mapped-exactness:ml1+",
+                 "tau-closed-form:ml1", "invariance:ml1+"):
+        assert run_check(name, seed=1).passed, name
+    nmap, _ = reference_map(_system("ml1+", 1))
+    q_map(nmap, 0, 0.5)
+    f_scale(nmap, 0, 0.5)
+    assert read == {MAP_COLUMNS, *COLUMN_SETS}
+
+
+@pytest.mark.parametrize("name,n", CASES)
+@given(xs=st.lists(_xs, max_size=6))
+@example(xs=[0.5, -400.0, 1.0])    # morse: m underflows to 0
+@example(xs=[0.5, 1.3408e154])     # ml1+: x^2 overflows, so m = 1/x^2 is 0
+@example(xs=[0.5, 5e-324])         # powerlaw: m underflows to 0 at the smallest x
+@example(xs=[0.5, -800.0])         # morse: q overflows where f would too
+@settings(max_examples=25, deadline=None)
+def test_column_sets_are_the_full_sets_columns(name, n, xs):
+    # where the full set returns, each set returns its columns bit for bit;
+    # where it raises, each set raises the same, except that q alone needs
+    # no m'/(2m) and returns q where m is 0
+    nmap, _ = reference_map(_system(name, n))
+    lo, hi = MAPPED[name][2]
+    inside = np.linspace(lo, hi, 7).tolist()
+    for i, batch in enumerate(nmap.batches):
+        for points in (xs, inside + xs):
+            full = _bits(batch, points)
+            for columns in COLUMN_SETS:
+                got = _bits(batch, points, columns)
+                if isinstance(full, bytes):
+                    out = batch(points)
+                    assert got == _bits(lambda: [out[MAP_COLUMNS.index(c)] for c in columns])
+                elif columns == ("q",) and full[0] is ZeroDivisionError:
+                    first = next(x for x in points if not isinstance(_bits(batch, [x]), bytes))
+                    assert nmap.profiles[i].eval(first, 0) == 0.0
+                    q = oracle_q(nmap, i)
+                    assert_oracle_outcome(got, _bits(lambda: [[q(x) for x in points]]))
+                else:
+                    assert got == full, (i, points, columns)
+
+
+@pytest.mark.parametrize("name,x", [("morse", -400.0), ("ml1+", 1.3408e154),
+                                    ("powerlaw", 5e-324)])
+def test_q_alone_returns_q_where_m_is_zero(name, x):
+    system = _system(name, 1)
+    nmap, ref = reference_map(system)
+    assert system.profiles[0].eval(x, 0) == 0.0
+    with pytest.raises(ZeroDivisionError):
+        q_map(nmap, 0, x)
+    (q,) = nmap.batches[0]([0.5, x], ("q",))
+    assert q[1] == oracle_q(nmap, 0)(x)
+    # potential-match reads q alone: a residual or a typed error, not the
+    # division by m = 0
+    try:
+        potential_match_residual(nmap, system, ref, [[x]])
+    except Exception as err:
+        assert isinstance(err, PdmError), err
+
+
+def test_a_q_that_names_half_runs_half_first():
+    # half then runs before q in every set, and the mass at order 1
+    record = dataclasses.replace(FAMILIES["ml1"], q="root*(x+half)")
+    profile = CustomProfile.from_text("1+x^2")
+    nmap = NonlocalMap(record, (profile,), parameter_set({}, 1))
+    xs = [-1.5, 0.25, 2.0]
+    want = []
+    for x in xs:
+        m, m1 = profile.eval(x, 1)
+        root, half = math.sqrt(m), m1 / (2.0 * m)
+        want.append((root * (x + half), (1.0 + half * x) * root, 1.0 + half * x, m))
+    full = _columns(want, 4)
+    assert nmap.batches[0](xs) == full
+    for columns in COLUMN_SETS:
+        assert nmap.batches[0](xs, columns) == tuple(full[MAP_COLUMNS.index(c)]
+                                                     for c in columns)
 
 
 class TestClosedFormKernelCompiles:
@@ -635,21 +752,22 @@ def test_potential_match_residual_is_the_point_residual_at_each_x(name, n, point
     system = _system(name, n)
     nmap, ref = reference_map(system)
     rows = [row[:n] for row in points]
+    q_of = [oracle_q(nmap, i) for i in range(n)]
 
     def residual(x):
-        q = [q_map(nmap, i, xi)[0] for i, xi in enumerate(x)]
+        q = [q_of[i](xi) for i, xi in enumerate(x)]
         return abs(potential_energy(system, x) - potential_energy(ref, q))
 
     def batch_by_batch():
         """Each batch point by point: the map coordinate by coordinate, then
         V, then V_ref, so the first failing batch raises at its first
         failing point."""
-        qs = [[q_map(nmap, i, x[i])[0] for x in rows] for i in range(n)]
+        qs = [[q_of[i](x[i]) for x in rows] for i in range(n)]
         energies = [potential_energy(system, x) for x in rows]
         ref_energies = [potential_energy(ref, q) for q in zip(*qs)]
         return [abs(v - v_ref) for v, v_ref in zip(energies, ref_energies)]
-    assert (_bits(potential_match_residual, nmap, system, ref, rows)
-            == _bits(batch_by_batch))
+    assert_oracle_outcome(_bits(potential_match_residual, nmap, system, ref, rows),
+                          _bits(batch_by_batch))
     # the rows that pass alone give their point-by-point residual
     good = [x for x in rows if isinstance(_bits(lambda: [residual(x)]), bytes)]
     if good:

@@ -15,6 +15,7 @@ from pdmdyn.errors import (DomainViolation, InvalidParameter, NonPositiveScale,
                            SingularPoint, UnsupportedFamily)
 from pdmdyn.exact import (ExactSolutionSpec, exact_solution, exact_trajectory,
                           kinematics as kinematics_of, oscillation_period)
+from pdmdyn.exprparse import MAP_COLUMNS
 from pdmdyn.families import FAMILIES
 from pdmdyn.integrate import DOP853, IntegratorOptions, integrate, sample_dense
 from pdmdyn.profiles import CustomProfile
@@ -154,6 +155,23 @@ class TestTau:
             with pytest.raises(InvalidParameter, match=message):
                 call()
 
+    def test_inputs_that_are_not_an_index_or_a_number(self):
+        # each raised a raw TypeError, IndexError or ValueError before
+        system, nmap, ref = ml1_map()
+        traj = exact_trajectory(ExactSolutionSpec("ml1", system.potential.params, (1.0,)),
+                                0.0, 1.0, 11)
+        for call, name, got in [
+                (lambda: q_map(nmap, 0.5, 0), "i", "0.5"),
+                (lambda: q_map(nmap, "0", 0.5), "i", "'0'"),
+                (lambda: tau_values(nmap, traj, "0"), "i", "'0'"),
+                (lambda: f_scale(nmap, 0, None), "x", "None"),
+                (lambda: q_map(nmap, 0, [0.5]), "x", r"\[0.5\]"),
+                (lambda: f_scale(nmap, 0, 10 ** 400), "x", "1" + "0" * 400)]:
+            with pytest.raises(InvalidParameter, match=f"^{name}: expected .*, got {got}$"):
+                call()
+        # an integer index of any integer type, and a numeric x, are taken
+        assert q_map(nmap, np.int64(0), 1) == q_map(nmap, 0, 1.0)
+
     def test_gauss_legendre_rule(self):
         x, w = np.polynomial.legendre.leggauss(4)
         assert np.max(np.abs(_GL_NODES - 0.5 * (1.0 + x))) <= 1e-15
@@ -221,9 +239,9 @@ class TestMapToReference:
         calls = [0, 0]
 
         def counted(i, batch):
-            def wrapped(xs):
+            def wrapped(xs, columns=MAP_COLUMNS):
                 calls[i] += len(xs)
-                return batch(xs)
+                return batch(xs, columns)
             return wrapped
         expected = [(len(traj.t) + (4 if dop853 else 1) * (len(traj.t) - 1))] * 2
         plain = map_to_reference(nmap, traj)
@@ -311,7 +329,8 @@ class TestPotentialMatch:
         with pytest.raises(SingularPoint):
             potential_match_residual(nmap, system, ref, [[0.0], [1.0]])
 
-    @pytest.mark.parametrize("points", [[1.0, 2.0], [[1.0, 2.0]], [[[1.0]]]])
+    @pytest.mark.parametrize("points", [[1.0, 2.0], [[1.0, 2.0]], [[[1.0]]], [["a"]],
+                                        [[1.0], [1.0, 2.0]], [[10 ** 400]]])
     def test_points_must_be_an_n_column_array(self, points):
         system, nmap, ref = ml1_map()
         with pytest.raises(InvalidParameter, match="expected an"):

@@ -11,6 +11,7 @@ import pytest
 
 from pdmdyn import verify
 from pdmdyn.errors import InvalidParameter, UnknownCheck
+from pdmdyn.exprparse import MAP_COLUMNS
 from pdmdyn.profiles import CustomProfile
 from pdmdyn.transform import reference_map
 from pdmdyn.verify import (CheckReport, check_names, run_check, run_suite,
@@ -220,7 +221,7 @@ def test_g_identity_reduction_is_the_per_point_loop(seed):
         _, nmap, _, batches = verify._map_samples(seed, "g", name.partition(":")[2])
         worst = 0.0
         for xs in batches:
-            _, dqs, fs, ms = nmap.batches[0](xs.tolist())
+            _, dqs, fs, ms = nmap.batches[0](xs[:, 0].tolist())
             worst = verify._worst(worst, *[abs(dq * dq - m * f * f) / max(abs(m * f * f), 1e-30)
                                            for dq, f, m in zip(dqs, fs, ms)])
         metric = run_check(name, seed=seed).metric
@@ -266,7 +267,7 @@ def _loop_potential_match(seed, case_name):
     system, nmap, ref, batches = verify._map_samples(seed, "vmatch", case_name)
     worst = 0.0
     for xs in batches:
-        columns = xs[:, None].T.tolist()
+        columns = xs.T.tolist()
         qs = [batch(column)[0] for batch, column in zip(nmap.batches, columns)]
         pairs = zip(system.potential.energies(zip(*columns)), ref.potential.energies(zip(*qs)))
         worst = verify._worst(worst, *[abs(v - v_ref) for v, v_ref in pairs])
@@ -326,14 +327,33 @@ class TestEveryCoordinate:
         def with_nan(system):
             nmap, ref = reference_map(system)
 
-            def batch(xs, real=nmap.batches[1]):
-                q, dq, f, m = real(xs)
+            def batch(xs, columns=MAP_COLUMNS, real=nmap.batches[1]):
+                out = real(xs, columns)
+                dq = out[columns.index("dq")]
                 dq[len(dq) // 2] = math.nan
-                return q, dq, f, m
+                return out
             object.__setattr__(nmap, "batches", (nmap.batches[0], batch))
             return nmap, ref
         monkeypatch.setattr(verify, "reference_map", with_nan)
         assert math.isnan(verify._check_g_identity(1, None, "ml1+2")[0])
+
+
+@pytest.mark.parametrize("case", [
+    verify.Case("ml1+2", "ml1", {"omega": [1.0, 2.0], "lambda": 1.0, "sign": "+"}, (1.0, 0.5),
+                sample_box=(-2.5, 2.5)),
+    verify.Case("morse2", "morse", {"omega": [1.0, 1.0], "zeta": [1.0, 2.0]}, (0.5, 0.5),
+                sample_box=(-1.5, 1.5)),
+    verify.Case("sw1+2", "sw1", {"omega": [1.0, 1.0], "lambda": 0.5, "sign": "+",
+                                 "kappa": [1.0, 0.7]}, (1.0, 1.0), sample_box=(0.2, 2.0)),
+], ids=lambda case: case.name)
+def test_map_identities_at_n2(case, monkeypatch):
+    # the points are (N, n): the potential match reads whole rows and the
+    # g-identity runs coordinate i's map on column i
+    monkeypatch.setitem(verify.CASES, case.name, case)
+    _, _, _, batches = verify._map_samples(1, "vmatch", case.name)
+    assert len(batches) == 10 and all(xs.shape == (1_000, 2) for xs in batches)
+    assert verify._check_potential_match(1, None, case.name)[0] <= 1e-12
+    assert verify._check_g_identity(1, None, case.name)[0] <= 1e-10
 
 
 class TestNanResiduals:
@@ -352,10 +372,11 @@ class TestNanResiduals:
         def with_nan(system):
             nmap, ref = reference_map(system)
 
-            def batch(xs, real=nmap.batches[0]):
-                q, dq, f, m = real(xs)
+            def batch(xs, columns=MAP_COLUMNS, real=nmap.batches[0]):
+                out = real(xs, columns)
+                dq = out[columns.index("dq")]
                 dq[len(dq) // 2] = math.nan
-                return q, dq, f, m
+                return out
             object.__setattr__(nmap, "batches", (batch,))
             return nmap, ref
         monkeypatch.setattr(verify, "reference_map", with_nan)

@@ -20,7 +20,13 @@ a quarter second, give the median pass time divided by the states.
 each state of the orbit's trajectory, each state a list-backed ``State`` as
 the CLI's rows build it.  ``kinematics_us`` (the ``ml1`` cases only) times
 ``kinematics`` the same way at each time of the trajectory, on the closed
-form the orbit follows: amplitude x0, phase 0.
+form the orbit follows: amplitude x0, phase 0.  The cases ``map/ml1+``,
+``map/morse`` and ``map/sw1+`` time the coordinate map of those verify
+cases, in passes of one batch call over 1,000 evenly spaced points of the
+case's sample box, per point: ``map_us`` for the full column set (q, dq/dx,
+f, m) and ``map_q_us`` for q alone, the column ``potential_match_residual``
+reads.  A checkout whose map has no column sets is timed on its one kernel
+for both.
 
 Every checkout is measured in this one process: its package is imported
 from its ``src`` under a module name of its own (``pdmdyn_this``,
@@ -41,6 +47,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -61,6 +68,8 @@ ROUNDS, SECONDS, RHS_SECONDS = 5, 1.0, 0.25
 #: (None: force-free) and the base state (x0, v0)
 TYPE2 = {2: ("1+x1^2+x2^2", None, (0.4, -0.3), (0.7, 0.5)),
          3: ("2+sin(x1*x2)+0.5*x3^2", ["0.5*x^2"] * 3, (0.4, -0.3, 0.2), (0.3, 0.4, -0.2))}
+#: the verify cases whose coordinate map map_us times, and the points per call
+MAP_CASES, MAP_POINTS = ("ml1+", "morse", "sw1+"), 1_000
 
 
 def _median_runs(fns: list, seconds: float) -> list[tuple[float, int]]:
@@ -135,14 +144,32 @@ def _timed(pkg, scheme, system, rhs, state, spec, t_end: float) -> tuple[dict, d
     return {"accepted": traj.accepted, "nfev": traj.nfev}, passes
 
 
+def _map_timed(pkg, name: str) -> tuple[dict, dict]:
+    """One package's map case: the full column set's pass and q's, over
+    MAP_POINTS points of the verify case's sample box; a map without column
+    sets runs its one kernel in both."""
+    case = pkg.standard_case(name)
+    batch = pkg.reference_map(case.system())[0].batches[0]
+    lo, hi = case.sample_box
+    xs = [lo + (hi - lo) * k / (MAP_POINTS - 1) for k in range(MAP_POINTS)]
+    q = [("q",)] if "columns" in inspect.signature(batch).parameters else []
+    batch(xs)
+    batch(xs, *q)    # untimed: the first calls compile the kernels
+    return {}, {"map_us": (lambda: batch(xs), len(xs)),
+                "map_q_us": (lambda: batch(xs, *q), len(xs))}
+
+
 def _measure(packages: list, t_end: float, seconds: float) -> list[dict]:
     """Per package, per case: median microseconds per accepted step, per RHS
     call inside ``integrate``, per RHS call on its own, per total_energy call
-    and (with a closed form) per kinematics call.  Each is timed for all
-    packages at once, run by run in turn (``_median_runs``)."""
+    and (with a closed form) per kinematics call; per map case, per point of
+    the map's batch call.  Each is timed for all packages at once, run by
+    run in turn (``_median_runs``)."""
     out = [{} for _ in packages]
-    for cases in zip(*map(_cases, packages)):
-        sides = [_timed(pkg, *case[1:], t_end) for pkg, case in zip(packages, cases)]
+    timed = [(cases[0][0], [_timed(pkg, *case[1:], t_end) for pkg, case in zip(packages, cases)])
+             for cases in zip(*map(_cases, packages))]
+    timed += [(f"map/{name}", [_map_timed(pkg, name) for pkg in packages]) for name in MAP_CASES]
+    for case, sides in timed:
         for key in sides[0][1]:
             timings = _median_runs([passes[key][0] for _, passes in sides],
                                    seconds if key == "us_per_step" else seconds and RHS_SECONDS)
@@ -151,7 +178,7 @@ def _measure(packages: list, t_end: float, seconds: float) -> list[dict]:
                 if key == "us_per_step":
                     counts.update(runs=runs, us_per_rhs=median / counts["nfev"] * 1e6)
         for cases_of, (counts, _) in zip(out, sides):
-            cases_of[cases[0][0]] = counts
+            cases_of[case] = counts
     return out
 
 
@@ -190,8 +217,10 @@ def _environment(load_before: tuple) -> dict:
             "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")}
 
 
-#: the timings of a case, in microseconds; kinematics_us where it has a closed form
-TIMINGS = ("us_per_step", "us_per_rhs", "rhs_us", "energy_us", "kinematics_us")
+#: the timings of a case, in microseconds; kinematics_us where it has a closed
+#: form, and only map_us and map_q_us for a map case
+TIMINGS = ("us_per_step", "us_per_rhs", "rhs_us", "energy_us", "kinematics_us", "map_us",
+           "map_q_us")
 
 
 def _summary(rounds: list[dict]) -> dict:
@@ -230,6 +259,7 @@ def main(argv=None) -> int:
                              for n, (mass, potentials, x0, v0) in TYPE2.items()},
                    "t_end": QUICK_T_END if args.quick else T_END, "dop853_rel_tol": REL_TOL,
                    "dop853_abs_tol": ABS_TOL, "fixed_rk4_h": RK4_H},
+        "maps": {"cases": MAP_CASES, "points": MAP_POINTS},
         "seconds_per_orbit": 0.0 if args.quick else SECONDS,
         "rhs_seconds_per_orbit": 0.0 if args.quick else RHS_SECONDS,
         "checkouts": {name: {"commit": _commit(sides[name]), "median": _summary(rs),
@@ -239,6 +269,10 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for name, side in result["checkouts"].items():
         for case, m in side["median"].items():
+            if "map_us" in m:
+                print(f"{name:8s} {case:14s} {m['map_us']:7.3f} us/point full map "
+                      f"{m['map_q_us']:7.3f} us/point q alone")
+                continue
             kinematics = (f" {m['kinematics_us']:7.3f} us/kinematics"
                           if "kinematics_us" in m else "")
             print(f"{name:8s} {case:14s} {m['us_per_step']:9.2f} us/step "
