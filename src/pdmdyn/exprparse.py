@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -367,6 +368,10 @@ _UNROLL = 16
 _OVERFLOW = "float overflow"
 
 
+#: a name or a number: the text of a sum that does no arithmetic
+_ATOM = re.compile(r"[\w.]+")
+
+
 class _Slot(NamedTuple):
     """Names holding a node's value and derivatives in the generated code."""
 
@@ -433,6 +438,9 @@ class _Codegen:
         self.count = 0
         self.indent = indent            # 2 inside bind() and compiled(), more in a loop
         self.zero = self.bind(0.0)
+        #: the seed that holds 1.0 in the lines that follow, if any: the
+        #: kernels that set s0 = 1.0 before they walk name it here
+        self.unit: str | None = None
         #: each variable's slot: its value x_i and seed s_i
         self.slots = {name: _Slot(f"x{i}", f"s{i}", self.zero) for i, name in enumerate(names)}
         self.emit(*(f"x{i} = float(x{i})" for i in range(len(names))))
@@ -447,10 +455,6 @@ class _Codegen:
 
     def emit(self, *lines: str) -> None:
         self.lines.extend("    " * self.indent + line for line in lines)
-
-    def tiers(self, *lines: str, first: int = 0) -> None:
-        """lines[k] computes derivative order first + k; those above the order are dropped."""
-        self.emit(*lines[:max(0, self.order + 1 - first)])
 
     def block(self, head: str, body: Callable[[], None]) -> None:
         self.emit(head)
@@ -467,7 +471,8 @@ class _Codegen:
                    fail: str = "fail") -> None:
         """x_i of the point x as a float (unless ``floated`` already), then its
         singularity check and its domain and pole check, each failing as
-        fail(i, x); the expressions walked next read x_i as ``x``, seeded by s0."""
+        fail(i, x); the expressions walked next read x_i as ``x``, seeded by the
+        unit seed s0 = 1.0, which the kernel sets before its lines."""
         x = f"x{i}"
         if not floated:
             self.emit(f"{x} = float({x})")
@@ -479,6 +484,7 @@ class _Codegen:
             outside += f" or {x} == {self.bind(pole)}"
         self.check(outside, f"{i}, x", fail)
         self.slots = {"x": _Slot(x, "s0", self.zero)}
+        self.unit = "s0"
 
     def raise_domain(self, message: str, where: Expr) -> str:
         return f"raise ExprDomainError({message!r}, to_source({self.bind(where)}))"
@@ -522,12 +528,59 @@ class _Codegen:
                 done.append(self.call(node, done.pop()))
         return done.pop()
 
+    def product(self, factors: Sequence[str]) -> str | None:
+        """The text of one product of factors: None where a factor is the
+        bound zero; a factor that is the unit seed is left out, since x * 1.0
+        is x bit for bit, unless it is the only one."""
+        if self.zero in factors:
+            return None
+        return " * ".join([f for f in factors if f != self.unit] or [self.unit])
+
+    def total(self, terms: Sequence[tuple[str, ...]]) -> str | None:
+        """The text of a sum of products, each a tuple of factors whose first
+        entry "-" subtracts it ("+" adds it), left to right; the products that drop (see
+        ``product``) are left out, and None stands for an empty sum."""
+        text = ""
+        for term in terms:
+            sign = term[0] if term[0] in ("+", "-") else "+"
+            product = self.product(term[1:] if term[0] == sign else term)
+            if product is not None:
+                text += (f" {sign} " if text else sign.strip("+")) + product
+        return text or None
+
+    def ratio(self, num: str, den: str) -> str:
+        """num / den as one factor: the bound zero where num is."""
+        return self.zero if num == self.zero else f"({num} / {den})"
+
+    def derivative(self, name: str, order: int, terms: Sequence[tuple[str, ...]],
+                   over: str | None = None, force: bool = False) -> str:
+        """The name that holds a derivative of the given order, the sum of
+        terms (divided by over): the bound zero above this kernel's order or
+        where every term drops; a single term that is a name alone, that
+        name; otherwise ``name``, assigned here.  With ``force``, ``name``
+        is assigned whatever the sum is, up to this kernel's order."""
+        if self.order < order:
+            return self.zero
+        text = self.total(terms) or self.zero
+        if not force and (text == self.zero or over is None and _ATOM.fullmatch(text)):
+            return text
+        if over is not None and text != self.zero:
+            text = f"{text} / {over}" if _ATOM.fullmatch(text) else f"({text}) / {over}"
+        self.emit(f"{name} = {text}")
+        return name
+
+    def reads(self, u: _Slot) -> tuple[bool, bool]:
+        """Whether the chain rule on u reads f'(u) and f''(u) at this order."""
+        d1 = self.order >= 1 and u.d1 != self.zero
+        return d1 or self.order >= 2 and u.d2 != self.zero, d1 and self.order >= 2
+
     def neg(self, a: _Slot) -> _Slot:
         if a.known is not None:
             return self.constant(-a.known)
         v, p, q = self.fresh("v", "p", "q")
-        self.tiers(f"{v} = -{a.val}", f"{p} = -{a.d1}", f"{q} = -{a.d2}")
-        return _Slot(v, p, q)
+        self.emit(f"{v} = -{a.val}")
+        return _Slot(v, self.derivative(p, 1, [("-", a.d1)]),
+                     self.derivative(q, 2, [("-", a.d2)]))
 
     def binop(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         if node.op in ("+", "-"):
@@ -535,9 +588,9 @@ class _Codegen:
                 return self.constant(a.known + b.known if node.op == "+" else a.known - b.known)
             v, p, q = self.fresh("v", "p", "q")
             op = node.op
-            self.tiers(f"{v} = {a.val} {op} {b.val}", f"{p} = {a.d1} {op} {b.d1}",
-                       f"{q} = {a.d2} {op} {b.d2}")
-            return _Slot(v, p, q)
+            self.emit(f"{v} = {a.val} {op} {b.val}")
+            return _Slot(v, self.derivative(p, 1, [(a.d1,), (op, b.d1)]),
+                         self.derivative(q, 2, [(a.d2,), (op, b.d2)]))
         if node.op == "*":
             return self.mul(a, b)
         if node.op == "/":
@@ -548,10 +601,10 @@ class _Codegen:
         if a.known is not None and b.known is not None:
             return self.constant(a.known * b.known)
         v, p, q = self.fresh("v", "p", "q")
-        self.tiers(f"{v} = {a.val} * {b.val}",
-                   f"{p} = {a.d1} * {b.val} + {a.val} * {b.d1}",
-                   f"{q} = {a.d2} * {b.val} + 2.0 * {a.d1} * {b.d1} + {a.val} * {b.d2}")
-        return _Slot(v, p, q)
+        self.emit(f"{v} = {a.val} * {b.val}")
+        return _Slot(v, self.derivative(p, 1, [(a.d1, b.val), (a.val, b.d1)]),
+                     self.derivative(q, 2, [(a.d2, b.val), ("2.0", a.d1, b.d1),
+                                            (a.val, b.d2)]))
 
     def div(self, a: _Slot, b: _Slot, where: Expr) -> _Slot:
         if a.known is not None and b.known is not None and b.known != 0.0:
@@ -559,25 +612,28 @@ class _Codegen:
         v, p, q = self.fresh("v", "p", "q")
         self.block(f"if {b.val} == 0.0:",
                    lambda: self.emit(self.raise_domain("division by zero", where)))
-        self.tiers(f"{v} = {a.val} / {b.val}",
-                   f"{p} = ({a.d1} - {v} * {b.d1}) / {b.val}",
-                   f"{q} = ({a.d2} - 2.0 * {p} * {b.d1} - {v} * {b.d2}) / {b.val}")
-        return _Slot(v, p, q)
+        self.emit(f"{v} = {a.val} / {b.val}")
+        p = self.derivative(p, 1, [(a.d1,), ("-", v, b.d1)], b.val)
+        return _Slot(v, p, self.derivative(q, 2, [(a.d2,), ("-", "2.0", p, b.d1),
+                                                  ("-", v, b.d2)], b.val))
 
-    def chain(self, out: list[str], u: _Slot, fp: str, fpp: str) -> _Slot:
-        """f(u) given out[0] = f and the names of f'(u), f''(u)."""
+    def chain(self, out: list[str], u: _Slot, fp: str, fpp: str,
+              force: bool = False) -> _Slot:
+        """f(u) given out[0] = f and the texts of f'(u), f''(u), whose lines
+        are emitted where ``reads`` says they are read; with ``force`` its
+        derivatives are assigned to out[1] and out[2]."""
         v, p, q = out
-        self.tiers(f"{p} = {fp} * {u.d1}", f"{q} = {fpp} * {u.d1} * {u.d1} + {fp} * {u.d2}",
-                   first=1)
-        return _Slot(v, p, q)
+        return _Slot(v, self.derivative(p, 1, [(fp, u.d1)], force=force),
+                     self.derivative(q, 2, [(fpp, u.d1, u.d1), (fp, u.d2)], force=force))
 
     def call(self, node: Call, u: _Slot) -> _Slot:
         out = self.fresh("v", "p", "q")
         v = out[0]
         c, c2 = self.fresh("c", "e")
+        fp, fpp = self.reads(u)
         if node.fn in ("sin", "cos"):   # both raise ValueError at +-inf
             other = "cos" if node.fn == "sin" else "sin"
-            self.guarded(node, f"{v} = {node.fn}({u.val})", f"{c} = {other}({u.val})",
+            self.guarded(node, f"{v} = {node.fn}({u.val})", *[f"{c} = {other}({u.val})"][:fp],
                          error="ValueError", message=f"{node.fn} of an infinite value")
             if node.fn == "sin":
                 return self.chain(out, u, c, f"(-{v})")
@@ -591,15 +647,20 @@ class _Codegen:
             if node.fn == "ln":
                 self.log_factors(node, u, v, c, c2)
             else:
-                self.tiers(f"{v} = sqrt({u.val})", f"{c} = 0.5 / {v}")
-                self.guarded(node, f"{c2} = -0.25 / ({u.val} * {v})", error="ZeroDivisionError")
+                self.emit(f"{v} = sqrt({u.val})", *[f"{c} = 0.5 / {v}"][:fp])
+                if fpp:
+                    self.guarded(node, f"{c2} = -0.25 / ({u.val} * {v})",
+                                 error="ZeroDivisionError")
             return self.chain(out, u, c, c2)
         raise AssertionError(f"unreachable function {node.fn}")
 
     def log_factors(self, node: Expr, u: _Slot, v: str, c: str, c2: str) -> None:
-        """v = ln u, u > 0, with derivatives c, c2; c2 overflows where its divisor underflows."""
-        self.tiers(f"{v} = log({u.val})", f"{c} = 1.0 / {u.val}")
-        self.guarded(node, f"{c2} = -1.0 / ({u.val} * {u.val})", error="ZeroDivisionError")
+        """v = ln u, u > 0, with the derivatives c, c2 where they are read; c2
+        overflows where its divisor underflows."""
+        fp, fpp = self.reads(u)
+        self.emit(f"{v} = log({u.val})", *[f"{c} = 1.0 / {u.val}"][:fp])
+        if fpp:
+            self.guarded(node, f"{c2} = -1.0 / ({u.val} * {u.val})", error="ZeroDivisionError")
 
     def power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         """a^b by a rule fixed here, from the exponent's tree alone: an
@@ -620,7 +681,8 @@ class _Codegen:
                    lambda: self.int_pow(node, a, f"int({b.val})", out))
         self.block(f"elif {a.val} <= 0.0:", lambda: self.emit(self.raise_domain(
             "non-integer power of a non-positive base", node)))
-        self.block("else:", lambda: self.const_power(node, a, b.val, out))
+        # both branches assign the names in out, which the lines after them read
+        self.block("else:", lambda: self.const_power(node, a, b.val, out, force=True))
         return _Slot(*out)
 
     def int_pow(self, node: BinOp, a: _Slot, k: str, out: list[str]) -> None:
@@ -641,13 +703,15 @@ class _Codegen:
             out = self.mul(out, a)
         return self.div(self.constant(1.0), out, node) if k < 0 else out
 
-    def const_power(self, node: BinOp, a: _Slot, p: str, out: list[str]) -> _Slot:
+    def const_power(self, node: BinOp, a: _Slot, p: str, out: list[str],
+                    force: bool = False) -> _Slot:
         v, _, _ = out
         c, c2 = self.fresh("c", "e")
+        fp, fpp = self.reads(a)
         self.guarded(node, f"{v} = {a.val} ** {p}",
-                     f"{c} = {p} * {a.val} ** ({p} - 1.0)",
-                     f"{c2} = {p} * ({p} - 1.0) * {a.val} ** ({p} - 2.0)")
-        return self.chain(out, a, c, c2)
+                     *[f"{c} = {p} * {a.val} ** ({p} - 1.0)"][:fp],
+                     *[f"{c2} = {p} * ({p} - 1.0) * {a.val} ** ({p} - 2.0)"][:fpp])
+        return self.chain(out, a, c, c2, force)
 
     def exp_log_power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         """a^b = exp(b ln a) for a varying exponent, on a positive base only."""
@@ -726,6 +790,7 @@ def _compile_map(mass: Expr, q: Expr, f: Expr, columns: tuple[str, ...]) -> Call
     reads_f = "f" in columns or "dq" in columns
     half_first = _reads_variable(q, "half")
     gen = _Codegen(("x",), 3)
+    gen.unit = "s0"
     gen.check("not lo < x0 < hi", "x0")
     m = gen.walk(mass, 1 if reads_f or half_first else 0)
     gen.check(f"{m.val} < 0.0", f"x0, {m.val}")
@@ -785,7 +850,9 @@ def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
         dv = gen.walk(potential, 1).d1
         m = gen.walk(mass, 1)
         gen.check(f"{m.val} < 0.0", f"{i}, x, {m.val}")
-        gen.emit(f"a{i} = -({m.d1} / (2.0 * {m.val})) * u{i} * u{i} - {dv} / {m.val}")
+        a = gen.total([("-", gen.ratio(m.d1, f"(2.0 * {m.val})"), f"u{i}", f"u{i}"),
+                       ("-", gen.ratio(dv, m.val))])
+        gen.emit(f"a{i} = {a or gen.zero}")
     gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
     return _function(gen, ["def compiled(fail):", "    def rhs(t, x, v):"], ["    return rhs"])
 
@@ -833,7 +900,9 @@ def _compile_rhs2(mass: Expr, names: tuple[str, ...], potentials: tuple,
     for i, potential in enumerate(potentials):
         gen.coordinate(i, domain, pole, floated=True)
         dv = gen.walk(potential, 1).d1
-        gen.emit(f"a{i} = -(mdot / m) * u{i} + 0.5 * (g{i} / m) * vv - {dv} / m")
+        a = gen.total([("-", "(mdot / m)", f"u{i}"), ("0.5", f"(g{i} / m)", "vv"),
+                       ("-", gen.ratio(dv, "m"))])
+        gen.emit(f"a{i} = {a}")
     gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
     head = ["def compiled(fail):", "    def rhs(t, x, v):",
             *("        " + line for line in _unpack("x", n, "x") + _unpack("u", n, "v"))]
@@ -885,6 +954,7 @@ def _compile_grid(exprs: tuple, rates: tuple, phases: tuple, branch: bool,
                   pole: float | None) -> Callable:
     gen = _Codegen((), 5)
     gen.slots = {"t": _Slot("x0", "s0", gen.zero)}
+    gen.unit = "s0"
     gen.emit("x0 = float(t)")
     for i, (expr, rate, phase) in enumerate(zip(exprs, rates, phases)):
         if branch:
@@ -1027,8 +1097,13 @@ def eval_dual(expr: Expr, x: float) -> tuple[float, float, float]:
     """Evaluate an expression in x: (value, d/dx, d2/dx2) at x.
 
     Derivatives are exact for the grammar's function set; nothing is
-    finite-differenced internally.
+    finite-differenced internally.  An InvalidParameter unless x is a
+    number.
     """
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameter("x", f"expected a number, got {x!r}") from None
     return compile_expression(expr)(x, 1.0)
 
 

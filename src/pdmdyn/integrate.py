@@ -28,6 +28,8 @@ trajectory interpolates with cubic Hermite polynomials.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -64,6 +66,10 @@ class IntegratorOptions:
     h_max: float = math.inf
 
     def __post_init__(self):
+        for name in ("t_end", "h", "rel_tol", "abs_tol", "h_init", "h_min", "h_max"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise InvalidParameter(name, f"expected a real number, got {value!r}")
         if self.scheme not in _TABLEAUS:
             raise InvalidParameter("scheme", f"unknown scheme {self.scheme!r}")
         for name in ("t_end", "h", "rel_tol", "abs_tol"):
@@ -475,9 +481,13 @@ def sample_dense(traj: Trajectory, t_eval: Sequence[float]) -> tuple[np.ndarray,
 
     A DOP853 trajectory evaluates its 7th-order interpolant.  Otherwise
     positions interpolate cubically with velocities as slopes, and
-    velocities with the stored accelerations as slopes.
+    velocities with the stored accelerations as slopes.  An InvalidParameter
+    unless t_eval holds numbers inside the span.
     """
-    tq = np.asarray(t_eval, dtype=float)
+    try:
+        tq = np.asarray(t_eval, dtype=float)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise InvalidParameter("t_eval", f"expected a sequence of times: {err}") from None
     if np.any(tq < traj.t[0] - 1e-12) or np.any(tq > traj.t[-1] + 1e-12):
         raise InvalidParameter("t_eval", "outside the trajectory time span")
     idx = np.clip(np.searchsorted(traj.t, tq, side="right") - 1, 0, len(traj.t) - 2)
@@ -529,10 +539,14 @@ def estimate_period(traj: Trajectory, coordinate: int = 0) -> float:
     refined on the dense output.  Returns the mean of the consecutive
     crossing-to-crossing estimates; raises NoPeriod when the signal does not
     oscillate or the estimates disagree by more than 1%, and an
-    InvalidParameter unless 0 <= coordinate < n.
+    InvalidParameter unless coordinate is an integer 0 <= coordinate < n.
     """
     n = traj.x.shape[1]
-    if not 0 <= coordinate < n:
+    try:
+        in_range = 0 <= operator.index(coordinate) < n
+    except TypeError:
+        in_range = False
+    if not in_range:
         raise InvalidParameter("coordinate", f"expected a coordinate index 0 <= i < {n}, "
                                              f"got {coordinate!r}")
     if len(traj) < 4:

@@ -192,7 +192,11 @@ def potential_match_residual(nmap: NonlocalMap, system: PdmSystem, ref: PdmSyste
     unless points is an (N, n) array of numbers.
     """
     try:
-        xs = np.asarray(points, dtype=float)
+        xs = np.asarray(points)
+        # numpy would read a None entry as nan
+        if xs.dtype == object and any(x is None for x in xs.flat):
+            raise TypeError("an entry is None")
+        xs = xs.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as err:
         raise InvalidParameter("points", f"expected an (N, {system.n}) array of numbers: "
                                          f"{err}") from None

@@ -184,16 +184,19 @@ VARYING = (["(2+sin(x))^(0.5*cos(x))"], ["0.1*(1+x^2)^(1+0.2*x)"])
 def closure_el1(system):
     """The per-coordinate closure el1_rhs was before its generated kernel: for
     each coordinate in turn, the checks, the potential's and the mass's
-    order-1 kernels and the acceleration."""
+    order-1 kernels and the acceleration.  A mass or a term that reads no
+    variable has m' or V' the known zero, whose product the kernel leaves
+    out of the acceleration, so this leaves it out too (0.0 where both go)."""
     pot = system.potential
     (lo, hi), pole = pot.domain, pot.pole
     coords = tuple((i, p.coefficient_singularity, exprparse.compile_expression(e, order=1),
-                    exprparse.compile_expression(p.expr, order=1), p.eval)
+                    exprparse.compile_expression(p.expr, order=1), p.eval,
+                    exprparse._reads_variable(p.expr), exprparse._reads_variable(e))
                    for i, (p, e) in enumerate(zip(system.profiles, pot.exprs)))
 
     def rhs(t, x, v):
         out = []
-        for (i, singular, term, mass, profile), xi, vi in zip(coords, x, v):
+        for (i, singular, term, mass, profile, varying, forced), xi, vi in zip(coords, x, v):
             if xi == singular:
                 raise SingularCoefficient(f"m'/m and 1/m diverge at x_{i + 1} = {xi!r}", i)
             if not lo < xi < hi or xi == pole:  # the profiles share this domain
@@ -202,7 +205,10 @@ def closure_el1(system):
             m, m1 = mass(xi, 1.0)
             if m < 0.0:
                 profile(xi, 1)  # raises the negative-mass DomainViolation
-            out.append(-(m1 / (2.0 * m)) * vi * vi - dv / m)
+            a = -(m1 / (2.0 * m)) * vi * vi if varying else None
+            if forced:
+                a = -(dv / m) if a is None else a - dv / m
+            out.append(0.0 if a is None else a)
         return out
     return rhs
 

@@ -1,6 +1,8 @@
 """Parser and dual-number differentiation tests."""
 
+import contextlib
 import math
+import re
 import struct
 import sys
 from dataclasses import dataclass
@@ -8,13 +10,18 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pdmdyn.core import VECTORS, State, build_system, total_energy
-from pdmdyn.eom import el1_rhs
-from pdmdyn.errors import ExprDomainError, ExprSyntaxError, InvalidParameter, UnknownIdentifier
-from pdmdyn.exprparse import (FUNCTIONS, MAX_DEPTH, BinOp, Call, Expr, Neg, Num, Var,
-                              compile_expression, eval_dual, eval_gradient,
+from pdmdyn.core import (TYPE1, TYPE2, VECTORS, State, build_system, potential_energy,
+                         potential_gradient, total_energy)
+from pdmdyn.eom import el1_rhs, el2_rhs
+from pdmdyn.errors import (ExprDomainError, ExprSyntaxError, InvalidParameter, PdmError,
+                           UnknownIdentifier)
+from pdmdyn.exact import kinematics
+from pdmdyn.exprparse import (FUNCTIONS, MAP_COLUMNS, MAX_DEPTH, BinOp, Call, Expr, Neg,
+                              Num, Var, compile_expression, eval_dual, eval_gradient,
                               parse_expression, to_source)
 from pdmdyn.families import FAMILIES
+from pdmdyn.transform import reference_map
+from pdmdyn.verify import CASES
 
 
 # --- reference oracle ---------------------------------------------------------
@@ -29,62 +36,99 @@ from pdmdyn.families import FAMILIES
 # (unary -, +, -, *, / by a non-zero constant, an integer power up to 16 of
 # a folded base by a folded exponent) is folded on their values alone, so a
 # folded constant's derivatives are +0.0 whatever its value.
+#
+# Known zeros, as the compiled code knows them: a folded constant's
+# derivatives and a variable's second derivative are structural zeros
+# (None here), and every derivative is a sum of products in which a product
+# with a structural zero factor is left out; a sum left empty is a
+# structural zero, which reads +0.0.  A derivative above the order
+# evaluated is a structural zero too, and a factor f'(u) or f''(u) is
+# computed only where a product that is kept reads it, so its error (an
+# overflow, say) is raised only there.  A power whose exponent did not fold
+# runs exprparse's int_pow or a real power at run time on plain floats: its
+# structural zeros enter as 0.0 and its derivatives are plain floats.
 
 @dataclass(frozen=True)
 class Dual2:
-    """Value with first and second derivative with respect to one seed."""
+    """Value with first and second derivative with respect to one seed; a
+    derivative None is a structural zero."""
 
     val: float
-    d1: float = 0.0
-    d2: float = 0.0
+    d1: float | None = None
+    d2: float | None = None
     known: bool = False  # a folded constant
 
     @staticmethod
-    def seed(x: float) -> "Dual2":
-        return Dual2(float(x), 1.0, 0.0)
+    def seed(x: float, s: float = 1.0) -> "Dual2":
+        """A variable at x, seeded by s: its second derivative is a structural zero."""
+        return Dual2(float(x), float(s), None)
 
     @staticmethod
     def const(c: float) -> "Dual2":
+        """A value computed at run time with zero derivatives."""
         return Dual2(float(c), 0.0, 0.0)
 
     @staticmethod
     def folded(c: float) -> "Dual2":
-        return Dual2(float(c), 0.0, 0.0, True)
+        return Dual2(float(c), None, None, True)
 
 
-def _plain(u: Dual2) -> Dual2:
-    """u as a value that is not folded: its derivatives take part in the arithmetic."""
-    return Dual2(u.val, u.d1, u.d2)
+def _total(order: int, k: int, *terms) -> float | None:
+    """Derivative k at this order: the sum of the products (sign, factors..)
+    left to right, those with a structural zero factor left out; None where
+    every product is left out or k is above the order."""
+    out = None
+    for sign, *factors in terms if k <= order else ():
+        if any(f is None for f in factors):
+            continue
+        prod = factors[0]
+        for f in factors[1:]:
+            prod = prod * f
+        out = (-prod if sign < 0 else prod) if out is None else (
+            out - prod if sign < 0 else out + prod)
+    return out
 
 
-def _add(a: Dual2, b: Dual2) -> Dual2:
+def _plain(u: Dual2, order: int) -> Dual2:
+    """u as the floats a run-time power receives: its structural zeros up to
+    the order as 0.0, above it 0.0 as well (the bound zero)."""
+    return Dual2(u.val, 0.0 if u.d1 is None or order < 1 else u.d1,
+                 0.0 if u.d2 is None or order < 2 else u.d2)
+
+
+def _cut(u: Dual2, order: int) -> Dual2:
+    """A run-time result at the order: the derivatives above it unread."""
+    return Dual2(u.val, u.d1 if order >= 1 else None, u.d2 if order >= 2 else None)
+
+
+def _add(a: Dual2, b: Dual2, order: int, sign: int = 1) -> Dual2:
     if a.known and b.known:
-        return Dual2.folded(a.val + b.val)
-    return Dual2(a.val + b.val, a.d1 + b.d1, a.d2 + b.d2)
+        return Dual2.folded(a.val + b.val if sign > 0 else a.val - b.val)
+    return Dual2(a.val + b.val if sign > 0 else a.val - b.val,
+                 _total(order, 1, (1, a.d1), (sign, b.d1)),
+                 _total(order, 2, (1, a.d2), (sign, b.d2)))
 
 
-def _sub(a: Dual2, b: Dual2) -> Dual2:
-    if a.known and b.known:
-        return Dual2.folded(a.val - b.val)
-    return Dual2(a.val - b.val, a.d1 - b.d1, a.d2 - b.d2)
-
-
-def _mul(a: Dual2, b: Dual2) -> Dual2:
+def _mul(a: Dual2, b: Dual2, order: int) -> Dual2:
     if a.known and b.known:
         return Dual2.folded(a.val * b.val)
     return Dual2(a.val * b.val,
-                 a.d1 * b.val + a.val * b.d1,
-                 a.d2 * b.val + 2.0 * a.d1 * b.d1 + a.val * b.d2)
+                 _total(order, 1, (1, a.d1, b.val), (1, a.val, b.d1)),
+                 _total(order, 2, (1, a.d2, b.val), (1, 2.0, a.d1, b.d1), (1, a.val, b.d2)))
 
 
-def _div(a: Dual2, b: Dual2, where: Expr) -> Dual2:
+def _over(num: float | None, den: float) -> float | None:
+    return None if num is None else num / den
+
+
+def _div(a: Dual2, b: Dual2, where: Expr, order: int) -> Dual2:
     if a.known and b.known and b.val != 0.0:
         return Dual2.folded(a.val / b.val)
     if b.val == 0.0:
         raise ExprDomainError("division by zero", to_source(where))
     q = a.val / b.val
-    q1 = (a.d1 - q * b.d1) / b.val
-    q2 = (a.d2 - 2.0 * q1 * b.d1 - q * b.d2) / b.val
+    q1 = _over(_total(order, 1, (1, a.d1), (-1, q, b.d1)), b.val)
+    q2 = _over(_total(order, 2, (1, a.d2), (-1, 2.0, q1, b.d1), (-1, q, b.d2)), b.val)
     return Dual2(q, q1, q2)
 
 
@@ -95,27 +139,45 @@ def _curvature(num: float, den: float, where: Expr) -> float:
         raise ExprDomainError("float overflow", to_source(where)) from None
 
 
-def _chain(u: Dual2, f: float, fp: float, fpp: float) -> Dual2:
-    return Dual2(f, fp * u.d1, fpp * u.d1 * u.d1 + fp * u.d2)
+def _chain(u: Dual2, f: float, fp, fpp, order: int) -> Dual2:
+    """f(u) given f and the callables fp() = f'(u), fpp() = f''(u), each
+    called only where a product that is kept reads it."""
+    d1 = order >= 1 and u.d1 is not None
+    a = fp() if d1 or order >= 2 and u.d2 is not None else None
+    b = fpp() if d1 and order >= 2 else None
+    return Dual2(f, _total(order, 1, (1, a, u.d1)),
+                 _total(order, 2, (1, b, u.d1, u.d1), (1, a, u.d2)))
 
 
-def _int_pow(u: Dual2, k: int, where: Expr) -> Dual2:
+def _int_pow(u: Dual2, k: int, where: Expr, order: int) -> Dual2:
+    """u^k for an integer k fixed when the kernel is generated."""
     if k == 0:
         return Dual2.folded(1.0)
+    if abs(k) > 16:
+        return _run_time_pow(u, k, where, order)
+    out = u
+    for _ in range(abs(k) - 1):
+        out = _mul(out, u, order)
+    return _div(Dual2.folded(1.0), out, where, order) if k < 0 else out
+
+
+def _run_time_pow(u: Dual2, k: int, where: Expr, order: int) -> Dual2:
+    """u^k by exprparse's run-time int_pow, on plain floats: nothing folds."""
+    u = _plain(u, order)
     if k < 0:
-        return _div(Dual2.folded(1.0), _int_pow(u, -k, where), where)
+        return _cut(_div(Dual2.const(1.0), _run_time_pow(u, -k, where, 2), where, 2), order)
     if k <= 16:
-        out = u
+        out = Dual2.const(1.0) if k == 0 else u
         for _ in range(k - 1):
-            out = _mul(out, u)
-        return out
-    u, out = _plain(u), Dual2.const(1.0)   # at run time: nothing folds
+            out = _mul(out, u, 2)
+        return _cut(out, order)
+    out = Dual2.const(1.0)
     while k:
         if k & 1:
-            out = _mul(out, u)
-        u = _mul(u, u)
+            out = _mul(out, u, 2)
+        u = _mul(u, u, 2)
         k >>= 1
-    return out
+    return _cut(out, order)
 
 
 def _reads_variable(e: Expr) -> bool:
@@ -126,96 +188,116 @@ def _reads_variable(e: Expr) -> bool:
     return isinstance(e, (Neg, Call)) and _reads_variable(e.arg)
 
 
-def _pow(a: Dual2, b: Dual2, where: BinOp) -> Dual2:
+def _overflow_guarded(fn, where: Expr):
+    """fn() with a float overflow as the kernel's typed domain error."""
+    def guarded():
+        try:
+            return fn()
+        except OverflowError:
+            raise ExprDomainError("float overflow", to_source(where)) from None
+    return guarded
+
+
+def _pow(a: Dual2, b: Dual2, where: BinOp, order: int) -> Dual2:
     # the rule follows the exponent's tree, never its derivatives
     if _reads_variable(where.right):
         if a.val <= 0.0:
             raise ExprDomainError("varying power of a non-positive base", to_source(where))
-        ln_a = _chain(a, math.log(a.val), 1.0 / a.val, _curvature(-1.0, a.val * a.val, where))
-        return _exp(_mul(b, ln_a), where)
+        ln_a = _chain(a, math.log(a.val), lambda: 1.0 / a.val,
+                      lambda: _curvature(-1.0, a.val * a.val, where), order)
+        return _exp(_mul(b, ln_a, order), where, order)
     if float(b.val).is_integer():
         # repeated multiplication keeps negative bases exact and real; an
         # exponent that did not fold is a power taken at run time: nothing folds
         if b.known:
-            return _int_pow(a, int(b.val), where)
-        return _plain(_int_pow(_plain(a), int(b.val), where))
+            return _int_pow(a, int(b.val), where, order)
+        return _run_time_pow(a, int(b.val), where, order)
     if a.val <= 0.0:
         raise ExprDomainError(
             "non-integer power of a non-positive base", to_source(where))
     p = b.val
-    try:
-        f = a.val ** p
-        fp, fpp = p * a.val ** (p - 1.0), p * (p - 1.0) * a.val ** (p - 2.0)
-    except OverflowError:
-        raise ExprDomainError("float overflow", to_source(where)) from None
-    return _chain(a, f, fp, fpp)
+    out = _chain(a, _overflow_guarded(lambda: a.val ** p, where)(),
+                 _overflow_guarded(lambda: p * a.val ** (p - 1.0), where),
+                 _overflow_guarded(lambda: p * (p - 1.0) * a.val ** (p - 2.0), where), order)
+    # an exponent that did not fold: both run-time branches assign every derivative
+    return out if b.known else _cut(_plain(out, order), order)
 
 
-def _exp(u: Dual2, where: Expr) -> Dual2:
+def _exp(u: Dual2, where: Expr, order: int) -> Dual2:
     try:
         e = math.exp(u.val)
     except OverflowError:
         raise ExprDomainError("float overflow", to_source(where)) from None
-    return _chain(u, e, e, e)
+    return _chain(u, e, lambda: e, lambda: e, order)
 
 
-def _eval(e: Expr, env: dict[str, Dual2]) -> Dual2:
+def _eval(e: Expr, env: dict[str, Dual2], order: int = 2) -> Dual2:
     if isinstance(e, Num):
         return Dual2.folded(e.value)
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, Neg):
-        u = _eval(e.arg, env)
-        return Dual2.folded(-u.val) if u.known else Dual2(-u.val, -u.d1, -u.d2)
+        u = _eval(e.arg, env, order)
+        return Dual2.folded(-u.val) if u.known else Dual2(
+            -u.val, _total(order, 1, (-1, u.d1)), _total(order, 2, (-1, u.d2)))
     if isinstance(e, Call):
-        u = _eval(e.arg, env)
+        u = _eval(e.arg, env, order)
         if e.fn in ("sin", "cos"):
             try:
-                s, c = math.sin(u.val), math.cos(u.val)
+                s = math.sin(u.val)
             except ValueError:
                 raise ExprDomainError(f"{e.fn} of an infinite value",
                                       to_source(e)) from None
-            return _chain(u, s, c, -s) if e.fn == "sin" else _chain(u, c, -s, -c)
+            if e.fn == "sin":
+                return _chain(u, s, lambda: math.cos(u.val), lambda: -s, order)
+            c = math.cos(u.val)
+            return _chain(u, c, lambda: -s, lambda: -c, order)
         if e.fn == "exp":
-            return _exp(u, e)
+            return _exp(u, e, order)
         if e.fn == "ln":
             if u.val <= 0.0:
                 raise ExprDomainError("ln of a non-positive value", to_source(e))
-            return _chain(u, math.log(u.val), 1.0 / u.val,
-                          _curvature(-1.0, u.val * u.val, e))
+            return _chain(u, math.log(u.val), lambda: 1.0 / u.val,
+                          lambda: _curvature(-1.0, u.val * u.val, e), order)
         if e.fn == "sqrt":
             if u.val <= 0.0:
                 raise ExprDomainError("sqrt of a non-positive value", to_source(e))
             r = math.sqrt(u.val)
-            return _chain(u, r, 0.5 / r, _curvature(-0.25, u.val * r, e))
+            return _chain(u, r, lambda: 0.5 / r, lambda: _curvature(-0.25, u.val * r, e), order)
         raise AssertionError(f"unreachable function {e.fn}")
     assert isinstance(e, BinOp)
-    a = _eval(e.left, env)
-    b = _eval(e.right, env)
-    if e.op == "+":
-        return _add(a, b)
-    if e.op == "-":
-        return _sub(a, b)
+    a = _eval(e.left, env, order)
+    b = _eval(e.right, env, order)
+    if e.op in "+-":
+        return _add(a, b, order, 1 if e.op == "+" else -1)
     if e.op == "*":
-        return _mul(a, b)
+        return _mul(a, b, order)
     if e.op == "/":
-        return _div(a, b, e)
-    return _pow(a, b, e)
+        return _div(a, b, e, order)
+    return _pow(a, b, e, order)
 
 
-def reference_dual(expr: Expr, x: float) -> tuple[float, float, float]:
-    out = _eval(expr, {"x": Dual2.seed(x)})
-    return out.val, out.d1, out.d2
+def _floats(u: Dual2, order: int = 2) -> tuple[float, ...]:
+    """The value and derivatives up to the order, a structural zero as +0.0."""
+    return (u.val, *(0.0 if d is None else d for d in (u.d1, u.d2)[:order]))
+
+
+def reference_dual(expr: Expr, x: float, order: int = 2, seed: float = 1.0):
+    out = _floats(_eval(expr, {"x": Dual2.seed(x, seed)}, order), order)
+    return out if order else out[:1]
 
 
 def reference_gradient(expr: Expr, names, values) -> tuple[float, list[float]]:
-    base = {n: Dual2.const(v) for n, v in zip(names, values)}
-    val = _eval(expr, base).val
+    base = {n: Dual2.seed(v, 0.0) for n, v in zip(names, values)}
+    if not names:
+        return _eval(expr, base, 0).val, []
     grad = []
     for n, v in zip(names, values):
         env = dict(base)
         env[n] = Dual2.seed(v)
-        grad.append(_eval(expr, env).d1)
+        out = _eval(expr, env, 1)
+        val = val if grad else out.val
+        grad.append(_floats(out, 1)[1])
     return val, grad
 
 
@@ -446,8 +528,10 @@ class TestProperties:
 
 class TestDual2:
     def test_seed_and_const(self):
-        assert Dual2.seed(2.0) == Dual2(2.0, 1.0, 0.0)
+        assert Dual2.seed(2.0) == Dual2(2.0, 1.0, None)
+        assert Dual2.seed(2.0, 0.0) == Dual2(2.0, 0.0, None)
         assert Dual2.const(3.0) == Dual2(3.0, 0.0, 0.0)
+        assert Dual2.folded(3.0) == Dual2(3.0, None, None, True)
 
 
 class TestCompiledMatchesReference:
@@ -464,7 +548,7 @@ class TestCompiledMatchesReference:
                 == outcome(reference_gradient, expr, names, xs))
         # the value alone, with every seed 0
         assert (outcome(lambda: [compile_expression(expr, names)(*xs, 0.0, 0.0, 0.0)[0]])
-                == outcome(lambda: [_eval(expr, {k: Dual2.const(v)
+                == outcome(lambda: [_eval(expr, {k: Dual2.seed(v, 0.0)
                                                  for k, v in zip(names, xs)}).val]))
 
     @given(st.sampled_from([st.tuples(_exprs(tuple(f"x{i + 1}" for i in range(n)), full=True),
@@ -487,6 +571,11 @@ class TestCompiledMatchesReference:
         with pytest.raises(InvalidParameter, match=f"^values: expected 2 coordinates, "
                                                    f"got {len(values)}$"):
             eval_gradient(expr, ["x1", "x2"], values)
+
+    @pytest.mark.parametrize("x", ["a", None, 10 ** 400])
+    def test_eval_dual_needs_a_number(self, x):
+        with pytest.raises(InvalidParameter, match=f"^x: expected a number, got {x!r}$"):
+            eval_dual(parse_expression("x^2"), x)
 
     def test_eval_gradient_of_no_variables(self):
         expr = parse_expression("2*3")
@@ -555,7 +644,7 @@ class TestCompiledMatchesReference:
         expr = parse_expression(text)
         assert outcome(eval_dual, expr, x) == outcome(reference_dual, expr, x)
         assert (outcome(lambda: [compile_expression(expr)(x, 0.0)[0]])
-                == outcome(lambda: [_eval(expr, {"x": Dual2.const(x)}).val]))
+                == outcome(lambda: [_eval(expr, {"x": Dual2.seed(x, 0.0)}).val]))
         assert (outcome(eval_gradient, expr, ["x"], [x])
                 == outcome(reference_gradient, expr, ["x"], [x]))
 
@@ -614,13 +703,21 @@ class TestCompiledMatchesReference:
 
 def _parity(expr, names, xs, seeds):
     """Whether orders 0 and 1 return what order 2 returns, cut to their
-    length, or raise what it raises, with the same message."""
+    length, or raise what it raises, with the same message.  A kernel
+    computes a derivative factor only at the orders that read it, so where
+    order 2 raises inside a factor above the lower order alone, the lower
+    order returns instead: there it returns what the oracle computes at
+    that order."""
     args = [*xs, *seeds]
     full = outcome(compile_expression(expr, names, 2), *args)
+    env = {name: Dual2.seed(x, s) for name, x, s in zip(names, xs, seeds)}
     for order in (0, 1):
         fn = compile_expression(expr, names, order)
         got = outcome(lambda: [fn(*args)] if order == 0 else fn(*args))
-        want = full if isinstance(full[0], type) else full[:order + 1]
+        want = full[:order + 1]
+        if isinstance(full[0], type):
+            oracle = outcome(lambda: _floats(_eval(expr, env, order), order))
+            want = full if isinstance(oracle[0], type) else oracle
         assert got == want, (to_source(expr), order, xs, seeds)
 
 
@@ -836,3 +933,105 @@ class TestNestingLimit:
             sys.setrecursionlimit(limit)
         assert outcome(fn, 0.5, 1.0) == outcome(reference_dual, expr, 0.5)
         assert parse_expression(to_source(expr)) == expr
+
+
+#: an arithmetic operand that is the bound zero k0, and a product with the seed s0
+_ZERO_OPERAND = re.compile(r"(?:[-+*/]\s*k0\b)|(?:\bk0\s*[-+*/])")
+_UNIT_FACTOR = re.compile(r"(?:\*\s*s0\b)|(?:\bs0\s*\*)")
+
+#: the type1 and type2 systems of the benchmark's expression workload
+_EXPR_SYSTEMS = [
+    (1, TYPE1, ["1/(1+x^2)"], ["0.5*x^2/(1+x^2)"]),
+    (2, TYPE1, ["1+0.5*sin(x)^2", "exp(-0.25*x^2)+0.5"],
+     ["sqrt(1+x^2)-1", "0.5*x^2+0.1*ln(1+x^2)"]),
+    (2, TYPE2, ["1+x1^2+x2^2"], None),
+    (3, TYPE2, ["2+sin(x1*x2)+0.5*x3^2"], ["0.5*x^2"] * 3),
+]
+
+
+class TestKnownZerosFold:
+    """No generated line computes with a known zero or a unit seed: across
+    every kernel shape of every catalog family at n = 1-3, of every verify
+    case's closed form and of the expression systems, no arithmetic operand
+    is the bound zero k0, and where s0 holds 1.0 no product has the factor
+    s0."""
+
+    @staticmethod
+    def _kernels(monkeypatch) -> list:
+        from pdmdyn import exprparse
+        gens, function = [], exprparse._function
+        # a fresh parse of every text, so every kernel is generated here
+        exprparse.parse_cached.cache_clear()
+        monkeypatch.setattr(exprparse, "_function",
+                            lambda gen, *rest: gens.append(gen) or function(gen, *rest))
+        return gens
+
+    @staticmethod
+    def _run(system, n):
+        x, v = [0.5, 0.75, 0.25][:n], [0.25, -0.5, 0.5][:n]
+        rhs = el2_rhs if system.kind == TYPE2 else el1_rhs
+        calls = [lambda: rhs(system)(0.0, x, v),
+                 lambda: total_energy(system, State.of(0.0, x, v)),
+                 lambda: potential_energy(system, x), lambda: potential_gradient(system, x)]
+        if system.kind == TYPE2:
+            profile = system.coupled_profile
+            calls.append(lambda: eval_gradient(profile.expr, profile.names, x))
+        else:
+            for profile in system.profiles:
+                calls += [lambda p=profile, k=k: p.eval(0.5, k) for k in (0, 1, 2)]
+                calls += [lambda p=profile, k=k: p.eval_many([0.5], k) for k in (0, 1, 2)]
+        record = system.potential.record
+        if record is not None and record.reference != record.name:
+            for batch in reference_map(system)[0].batches:
+                calls += [lambda b=batch, c=columns: b([0.5], c) for columns in
+                          [MAP_COLUMNS, ("q",), ("q", "f", "m"), ("f",), ("dq", "f", "m"),
+                           ("q", "f")]]
+        for call in calls:
+            with contextlib.suppress(PdmError):
+                call()
+
+    @staticmethod
+    def _assert_folded(gens):
+        assert gens
+        for gen in gens:
+            lines = [line.strip() for line in gen.lines]
+            zero = [line for line in lines if _ZERO_OPERAND.search(line)]
+            assert not zero, zero
+            if gen.unit == "s0":
+                # s0 is 1.0 after its last assignment (a type2 kernel's
+                # gradient lines set it as a direction seed before)
+                last = max((k for k, line in enumerate(lines) if line.startswith("s0 = ")),
+                           default=-1)
+                unit = [line for line in lines[last + 1:] if _UNIT_FACTOR.search(line)]
+                assert not unit, unit
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(_CATALOG))
+    def test_catalog_systems(self, monkeypatch, family, n):
+        gens = self._kernels(monkeypatch)
+        params = {k: v[:n] if k in VECTORS else v for k, v in _CATALOG[family].items()}
+        self._run(build_system(family, n, params), n)
+        self._assert_folded(gens)
+
+    def test_closed_forms(self, monkeypatch):
+        gens = self._kernels(monkeypatch)
+        for case in CASES.values():
+            with contextlib.suppress(PdmError):
+                kinematics(case.spec(), 0.1)
+        assert len(gens) == len(CASES)
+        self._assert_folded(gens)
+
+    @pytest.mark.parametrize("n,kind,masses,potentials", _EXPR_SYSTEMS)
+    def test_expression_systems(self, monkeypatch, n, kind, masses, potentials):
+        gens = self._kernels(monkeypatch)
+        self._run(build_system("custom", n, mass_exprs=masses, potential_exprs=potentials,
+                               kind=kind), n)
+        self._assert_folded(gens)
+
+    def test_the_checks_see_a_zero_operand_and_a_unit_factor(self):
+        assert _ZERO_OPERAND.search("p3 = k0 * x0 + k2 * s0")
+        assert _ZERO_OPERAND.search("q3 = (p7 - v8 * k0) / k65")
+        assert not _ZERO_OPERAND.search("v3, p3, q3 = int_pow(v2, k0, k0, k5, k6)")
+        assert not _ZERO_OPERAND.search("p3 = k01 * x0")
+        assert _UNIT_FACTOR.search("p1 = s0 * x0 + x0 * s0")
+        assert not _UNIT_FACTOR.search("p1 = s01 * x0 - s0")

@@ -104,6 +104,8 @@ class TestOptions:
         ("h", 0.0), ("h", -0.1),
         ("h_init", 0.0), ("h_init", -0.5), ("h_init", math.nan),
         ("h_min", 0.0), ("h_min", -1.0), ("h_min", -math.inf), ("h_min", math.nan),
+        # and real numbers
+        ("t_end", "5"), ("h", None), ("h_max", "inf"), ("rel_tol", True),
     ])
     def test_non_finite_values(self, name, value):
         kw = dict({"t_end": 1.0}, **{name: value})
@@ -520,6 +522,13 @@ class TestDop853Order:
             errs.append(abs(x[0, 0] - math.cos(0.3 + h / 2)))
         assert 7.5 <= math.log2(errs[0] / errs[1]) <= 8.5
 
+    @pytest.mark.parametrize("times,message", [(["a"], "expected a sequence of times"),
+                                               ([7.0], "outside the trajectory time span")])
+    def test_dense_times_are_numbers_inside_the_span(self, times, message):
+        traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), IntegratorOptions(t_end=6.0))
+        with pytest.raises(InvalidParameter, match=f"^t_eval: {message}"):
+            sample_dense(traj, times)
+
     def test_dense_output_beats_the_cubic(self):
         opts = IntegratorOptions(t_end=6.0, scheme=DOP853, rel_tol=1e-10)
         traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), opts)
@@ -732,7 +741,7 @@ class TestEstimatePeriod:
         with pytest.raises(NoPeriod):
             estimate_period(traj, 0)
 
-    @pytest.mark.parametrize("coordinate", [2, -1])
+    @pytest.mark.parametrize("coordinate", [2, -1, 0.0])
     def test_coordinate_index_is_checked(self, coordinate):
         system = build_system("ml1", 2, {"omega": [1.0, 2.0], "lambda": 0.5, "sign": "+"})
         traj = integrate(el1_rhs(system), State.of(0.0, [0.5, 0.2], [0.1, 0.0]),

@@ -330,7 +330,7 @@ class TestPotentialMatch:
             potential_match_residual(nmap, system, ref, [[0.0], [1.0]])
 
     @pytest.mark.parametrize("points", [[1.0, 2.0], [[1.0, 2.0]], [[[1.0]]], [["a"]],
-                                        [[1.0], [1.0, 2.0]], [[10 ** 400]]])
+                                        [[1.0], [1.0, 2.0]], [[10 ** 400]], [[None]]])
     def test_points_must_be_an_n_column_array(self, points):
         system, nmap, ref = ml1_map()
         with pytest.raises(InvalidParameter, match="expected an"):
