@@ -19,10 +19,14 @@ caller reads: values for the energies, m, m' and V' for the equations of
 motion and the map, (m, m', m'') on request.  An Expr is compiled once per
 variable list and order into one generated straight-line Python function of
 plain floats: each node becomes a few assignments to locals, with its domain
-checks inline.  The compiled function is kept on the Expr object, so a
-repeated evaluation neither walks the tree nor compiles again.  Constants
-enter the generated code as bound float objects and variables as positional
-arguments; no text of the input reaches the generated source.
+checks inline.  The lines compute with no known zero and no unit seed: a
+product with a constant's derivative or a variable's second derivative is
+left out of its sum, and so is a seed factor the kernel holds at 1.0 (see
+the notes on compilation below).  The compiled function is kept on the
+Expr object, so a repeated evaluation neither walks the tree nor compiles
+again.  Constants enter the generated code as bound float objects and
+variables as positional arguments; no text of the input reaches the
+generated source.
 
 A per-coordinate expression (a mass profile or a potential term) is written
 in ``x``, the default variable list everywhere; a shared mass is written in
@@ -31,8 +35,8 @@ acceleration come from the same arithmetic as m' and V'.  ``eval_dual``
 runs the order-2 function.  A shared mass's value and gradient come from
 one more shape (``compile_gradient``, which ``eval_gradient`` runs): the
 order-1 lines once per seed direction j, with the seed s_j = 1 and every
-other seed 0 held in locals, so no zero seed is folded away and each
-partial derivative has the bits of an order-1 call seeded along x_j.
+other seed 0 held in locals, so no seed is folded away and each partial
+derivative has the bits of an order-1 call seeded along x_j.
 
 The per-point lines and guards of a mass also come in a batch shape: one
 generated ``for`` loop over a list of floats, returning the list of
@@ -356,11 +360,27 @@ def _render(e: Expr, parent_prec: int) -> str:
 # (unary -, +, -, *, and / by a non-zero constant) is carried out once, at
 # compile time, on their values alone.
 #
+# Known zeros fold.  A derivative named by the bound zero is known to be zero:
+# a constant's d1 and d2, a variable's d2, and every derivative above the
+# kernel's order.  Each derivative line is a sum of products, and a product
+# with a known-zero factor is left out; a derivative left with no product is
+# the bound zero and gets no line, and one left with a single product that is
+# a name alone is that name, with no copy.  Where a kernel sets its seed s0 to
+# 1.0 before the lines that read it (the map, the potential, the right-hand
+# sides, the closed-form grid), s0 is left out of every product, since
+# x * 1.0 is x bit for bit; the gradient's seeds and compile_expression's
+# seed arguments stay factors.  Against multiplying the zeros out, the sign
+# of a zero derivative can differ, and a NaN from inf * 0 does not appear.
+#
 # A kernel of order k emits the value, d1 and d2 lines up to k and every domain
-# check whole, so it raises where order 2 raises.  A power's rule is fixed when
-# its lines are emitted, from the exponent's tree: one that reads a variable is
-# exp(b ln a) on a positive base, any other an integer or a real power.  No
-# value line reads a derivative, so no value depends on the seeds.
+# check whole.  A function's derivative factors f'(u) and f''(u) are emitted
+# only where a kept product reads them, so a lower order, or a node whose
+# argument has known-zero derivatives, does not raise for an overflow in a
+# factor it never reads; otherwise it raises where order 2 raises.  A power's
+# rule is fixed when its lines are emitted, from the exponent's tree: one that
+# reads a variable is exp(b ln a) on a positive base, any other an integer or a
+# real power.  No value line reads a derivative, so no value depends on the
+# seeds.
 
 #: integer powers up to this are unrolled; larger ones loop at run time
 _UNROLL = 16
@@ -1000,7 +1020,9 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     ``order`` 0, (value, d1) for 1 and (value, d1, d2) for 2, with x_i the
     value of variable i and s_i its seed: the derivatives are taken along
     the direction s.  Each order returns what order 2 returns, or raises
-    what it raises, and the value is the same under every seed: a power
+    what it raises, except for a float overflow in a derivative factor
+    above the order, which it never computes; and the value is the same
+    under every seed: a power
     whose exponent reads a variable is exp(b ln a), and an ExprDomainError
     where a <= 0, whatever the seeds.
 
@@ -1038,7 +1060,9 @@ def compile_map(mass: Expr, q: Expr, f: Expr, columns: tuple[str, ...]) -> Calla
     m < 0, which raises what the caller owes at x; an error inside the
     lines is raised where it happens.  So every column set returns the full
     set's columns and raises where it raises, except that a set without f
-    and dq returns q where m underflows to 0 and half would divide by it.
+    and dq returns q where m underflows to 0 and half would divide by it,
+    and where the order-1 mass's factor of m' overflows (a non-integer
+    power near 0).
 
     Built once per (mass, q, f, columns), and kept on ``mass``.
     """

@@ -383,7 +383,8 @@ def test_the_column_sets_are_the_ones_the_callers_read(monkeypatch):
 def test_column_sets_are_the_full_sets_columns(name, n, xs):
     # where the full set returns, each set returns its columns bit for bit;
     # where it raises, each set raises the same, except that q alone needs
-    # no m'/(2m) and returns q where m is 0
+    # no m'/(2m) and returns q where m is 0, nor m', and returns q where a
+    # factor of m' overflows
     nmap, _ = reference_map(_system(name, n))
     lo, hi = MAPPED[name][2]
     inside = np.linspace(lo, hi, 7).tolist()
@@ -395,13 +396,26 @@ def test_column_sets_are_the_full_sets_columns(name, n, xs):
                 if isinstance(full, bytes):
                     out = batch(points)
                     assert got == _bits(lambda: [out[MAP_COLUMNS.index(c)] for c in columns])
-                elif columns == ("q",) and full[0] is ZeroDivisionError:
+                elif columns == ("q",) and (full[0] is ZeroDivisionError or (
+                        full[0] is ExprDomainError and full[1].startswith("float overflow"))):
                     first = next(x for x in points if not isinstance(_bits(batch, [x]), bytes))
-                    assert nmap.profiles[i].eval(first, 0) == 0.0
+                    if full[0] is ZeroDivisionError:
+                        assert nmap.profiles[i].eval(first, 0) == 0.0
                     q = oracle_q(nmap, i)
                     assert_oracle_outcome(got, _bits(lambda: [[q(x) for x in points]]))
                 else:
                     assert got == full, (i, points, columns)
+
+
+def test_q_alone_returns_q_where_the_slope_of_m_overflows():
+    # m = alpha^2 x^(2 upsilon) is finite at 1e-200, but the factor
+    # 2 upsilon x^(2 upsilon - 1) of m' overflows; q reads no m'
+    system = build_system("powerlaw", 1, {"omega": [1.0], "alpha": 1.2, "upsilon": -0.4})
+    nmap, _ = reference_map(system)
+    with pytest.raises(ExprDomainError, match="^float overflow in "):
+        q_map(nmap, 0, 1e-200)
+    (q,) = nmap.batches[0]([1e-200], ("q",))
+    assert q == [oracle_q(nmap, 0)(1e-200)] and math.isfinite(q[0])
 
 
 @pytest.mark.parametrize("name,x", [("morse", -400.0), ("ml1+", 1.3408e154),

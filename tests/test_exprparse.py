@@ -772,6 +772,30 @@ class TestOrderParity:
             _parity(expr, ("x",), [x], [seed])
 
 
+@pytest.mark.parametrize("system,x,v,value", [
+    # m = 1.44 x^-0.8 is finite at 1e-200; the factor of m' overflows
+    (lambda: build_system("powerlaw", 1, {"omega": [1.0], "alpha": 1.2, "upsilon": -0.4}),
+     1e-200, 0.5, 0.5 * 1.2 ** 2 * 1e-200 ** -0.8 * 0.5 ** 2),
+    # V = x^0.5: the factor of V'' overflows at 1e-300
+    (lambda: build_system("custom", 1, mass_exprs=["1"], potential_exprs=["x^0.5"]),
+     1e-300, None, 1e-150),
+    # m = 1 + sqrt(x): x * sqrt(x), the divisor of m'', underflows at 1e-320
+    (lambda: build_system("custom", 1, mass_exprs=["1+sqrt(x)"], potential_exprs=["0.5*x^2"]),
+     1e-320, 0.5, 0.5 * (1.0 + math.sqrt(1e-320)) * 0.5 ** 2 + 0.5 * 1e-320 ** 2),
+])
+def test_an_energy_computes_no_derivative_factor(system, x, v, value):
+    # the energies run value kernels, which no longer raise for an overflow
+    # in a derivative factor they never read; order 2 still raises there
+    system = system()
+    got = (potential_energy(system, [x]) if v is None
+           else total_energy(system, State.of(0.0, [x], [v])))
+    assert got == pytest.approx(value, rel=1e-14, abs=0.0)
+    exprs = [*(p.expr for p in system.profiles), *system.potential.exprs]
+    failed = [outcome(compile_expression(expr, ("x",), 2), x, 1.0) for expr in exprs]
+    assert any(isinstance(f[0], type) and f[0] is ExprDomainError
+               and f[1].startswith("float overflow") for f in failed)
+
+
 def _value_outcome(expr, names, xs, seeds, order):
     """The value the order's kernel returns at xs under the seeds, or the
     exception it raises."""
