@@ -557,13 +557,13 @@ class _Codegen:
         return " * ".join([f for f in factors if f != self.unit] or [self.unit])
 
     def total(self, terms: Sequence[tuple[str, ...]]) -> str | None:
-        """The text of a sum of products, each a tuple of factors whose first
-        entry "-" subtracts it ("+" adds it), left to right; the products that drop (see
-        ``product``) are left out, and None stands for an empty sum."""
+        """The text of a sum of products, left to right, each a tuple of
+        factors led by an optional sign "+" or "-"; the products that drop
+        (see ``product``) are left out, and None stands for an empty sum."""
         text = ""
         for term in terms:
-            sign = term[0] if term[0] in ("+", "-") else "+"
-            product = self.product(term[1:] if term[0] == sign else term)
+            sign, factors = (term[0], term[1:]) if term[0] in ("+", "-") else ("+", term)
+            product = self.product(factors)
             if product is not None:
                 text += (f" {sign} " if text else sign.strip("+")) + product
         return text or None
@@ -585,7 +585,7 @@ class _Codegen:
         if not force and (text == self.zero or over is None and _ATOM.fullmatch(text)):
             return text
         if over is not None and text != self.zero:
-            text = f"{text} / {over}" if _ATOM.fullmatch(text) else f"({text}) / {over}"
+            text = f"({text}) / {over}"
         self.emit(f"{name} = {text}")
         return name
 
@@ -818,13 +818,15 @@ def _compile_map(mass: Expr, q: Expr, f: Expr, columns: tuple[str, ...]) -> Call
     # q and f are values: every variable's seed is 0
     gen.slots = {name: _Slot(local, gen.zero, gen.zero)
                  for name, local in zip(MAP_NAMES, ("x0", "root", "half"))}
-    half = f"half = {m.d1} / (2.0 * {m.val})"
+    half = [f"half = {m.d1} / (2.0 * {m.val})"]
+    if m.d1 == gen.zero:    # a constant mass: half is the constant 0.0, with no line
+        gen.slots["half"], half = gen.constant(0.0), []
     if half_first:
-        gen.emit(half)
+        gen.emit(*half)
     values = {"q": gen.walk(q, 0).val, "m": m.val}
     if reads_f:
         if not half_first:
-            gen.emit(half)
+            gen.emit(*half)
         values["f"] = gen.walk(f, 0).val
         values["dq"] = f"{values['f']} * root"
     gen.emit(*(f"append{k}({values[c]})" for k, c in enumerate(columns)))
@@ -1021,10 +1023,10 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     value of variable i and s_i its seed: the derivatives are taken along
     the direction s.  Each order returns what order 2 returns, or raises
     what it raises, except for a float overflow in a derivative factor
-    above the order, which it never computes; and the value is the same
-    under every seed: a power
-    whose exponent reads a variable is exp(b ln a), and an ExprDomainError
-    where a <= 0, whatever the seeds.
+    above the order, which it never computes (it goes on past it); and the
+    value is the same under every seed: a power whose exponent reads a
+    variable is exp(b ln a), and an ExprDomainError where a <= 0, whatever
+    the seeds.
 
     With ``batch``, for one variable, a mass, the result
     ``f(xs, s, lo, hi, fail)`` takes an iterable of floats and returns the

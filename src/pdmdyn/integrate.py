@@ -488,7 +488,8 @@ def sample_dense(traj: Trajectory, t_eval: Sequence[float]) -> tuple[np.ndarray,
         tq = np.asarray(t_eval, dtype=float)
     except (TypeError, ValueError, OverflowError) as err:
         raise InvalidParameter("t_eval", f"expected a sequence of times: {err}") from None
-    if np.any(tq < traj.t[0] - 1e-12) or np.any(tq > traj.t[-1] + 1e-12):
+    # a nan time (numpy reads None as one) is outside the span too
+    if not np.all((tq >= traj.t[0] - 1e-12) & (tq <= traj.t[-1] + 1e-12)):
         raise InvalidParameter("t_eval", "outside the trajectory time span")
     idx = np.clip(np.searchsorted(traj.t, tq, side="right") - 1, 0, len(traj.t) - 2)
     h = traj.t[idx + 1] - traj.t[idx]

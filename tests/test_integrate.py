@@ -523,7 +523,9 @@ class TestDop853Order:
         assert 7.5 <= math.log2(errs[0] / errs[1]) <= 8.5
 
     @pytest.mark.parametrize("times,message", [(["a"], "expected a sequence of times"),
-                                               ([7.0], "outside the trajectory time span")])
+                                               ([7.0], "outside the trajectory time span"),
+                                               ([1.0, None], "outside the trajectory time span"),
+                                               ([math.nan], "outside the trajectory time span")])
     def test_dense_times_are_numbers_inside_the_span(self, times, message):
         traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), IntegratorOptions(t_end=6.0))
         with pytest.raises(InvalidParameter, match=f"^t_eval: {message}"):
