@@ -812,14 +812,15 @@ def _compile_map(mass: Expr, q: Expr, f: Expr, columns: tuple[str, ...]) -> Call
     gen = _Codegen(("x",), 3)
     gen.unit = "s0"
     gen.check("not lo < x0 < hi", "x0")
-    m = gen.walk(mass, 1 if reads_f or half_first else 0)
+    order = 1 if reads_f or half_first else 0
+    m = gen.walk(mass, order)
     gen.check(f"{m.val} < 0.0", f"x0, {m.val}")
     gen.emit(f"root = sqrt({m.val})")
     # q and f are values: every variable's seed is 0
     gen.slots = {name: _Slot(local, gen.zero, gen.zero)
                  for name, local in zip(MAP_NAMES, ("x0", "root", "half"))}
     half = [f"half = {m.d1} / (2.0 * {m.val})"]
-    if m.d1 == gen.zero:    # a constant mass: half is the constant 0.0, with no line
+    if order and m.d1 == gen.zero:    # a constant mass: half is the constant 0.0, no line
         gen.slots["half"], half = gen.constant(0.0), []
     if half_first:
         gen.emit(*half)
