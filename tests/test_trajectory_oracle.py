@@ -31,13 +31,16 @@ T_END = 1.0
 HALF = sp.Rational(1, 2)
 
 
-def _ml2(x, omega, lam, eta):
-    m = 1 / (1 + lam * x ** 2)
-    return m, omega ** 2 * eta ** 2 * m / 2
+def _ml2(x):
+    """ml2 at omega (1, 3/2), lambda 1/2, '+' and eta_const (3/2, -5/2):
+    m_i = 1/(1 + lambda x_i^2), V_i = omega_i^2 eta_i^2 m_i / 2."""
+    masses = [1 / (1 + HALF * xi ** 2) for xi in x]
+    params = [(1, sp.Rational(3, 2)), (sp.Rational(3, 2), -sp.Rational(5, 2))]
+    return masses, [w ** 2 * eta ** 2 * m / 2 for m, (w, eta) in zip(masses, params)]
 
 
-# name -> (system, (x0, v0), (xs, masses, potentials) -> sympy model): a
-# type1 model gives n masses in x_i, a type2 model one mass in x_1..x_n
+# name -> (system builder, (x0, v0), model): model(xs) gives the masses and
+# potentials in sympy, n masses in x_i for type1, one mass in x_1..x_n for type2
 CASES = {
     "type1-n2": (
         lambda: build_system("custom", 2, mass_exprs=["1+0.5*sin(x)^2", "exp(-0.25*x^2)+0.5"],
@@ -58,11 +61,7 @@ CASES = {
     "ml2-n2": (
         lambda: build_system("ml2", 2, {"omega": [1.0, 1.5], "lambda": 0.5, "sign": "+",
                                         "eta_const": [1.5, -2.5]}),
-        ([0.5, -0.3], [0.2, 0.4]),
-        lambda x: tuple(zip(*(_ml2(x[i], w, HALF, eta)
-                              for i, (w, eta) in enumerate([(1, sp.Rational(3, 2)),
-                                                            (sp.Rational(3, 2),
-                                                             -sp.Rational(5, 2))]))))),
+        ([0.5, -0.3], [0.2, 0.4]), _ml2),
 }
 
 
