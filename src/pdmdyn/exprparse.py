@@ -19,65 +19,48 @@ caller reads: values for the energies, m, m' and V' for the equations of
 motion and the map, (m, m', m'') on request.  An Expr is compiled once per
 variable list and order into one generated straight-line Python function of
 plain floats: each node becomes a few assignments to locals, with its domain
-checks inline.  The lines compute with no known zero and no unit seed: a
-product with a constant's derivative or a variable's second derivative is
-left out of its sum, and so is a seed factor the kernel holds at 1.0 (see
-the notes on compilation below).  The compiled function is kept on the
-Expr object, so a repeated evaluation neither walks the tree nor compiles
-again.  Constants enter the generated code as bound float objects and
-variables as positional arguments; no text of the input reaches the
-generated source.
+checks inline, and no line computes with a known zero or a unit seed (see
+the notes on compilation below).  The compiled function is kept on the Expr
+object, so a repeated evaluation neither walks the tree nor compiles again.
+Constants enter the generated code as bound float objects and variables as
+positional arguments; no text of the input reaches the generated source.
+
+The one contract of every kernel: **a kernel runs every check of every
+node it walks; an assignment runs only where a root reads it.**  A root is
+a check (a domain, a pole, a singularity, m < 0, a non-finite energy, a
+node's own: a division by zero, ln or sqrt of a non-positive value, a power
+of a non-positive base; and an argument's conversion to a float, which
+checks a number), an append or a return.  So an error inside an assignment
+that nothing reads (an overflow in a derivative factor above the order, or
+in the value of a term whose derivative alone is returned) is not raised,
+and a check is: ln(x) read only through its derivative 1/x still fails at
+x <= 0.  A line that repeats an earlier one's work runs once.
 
 A per-coordinate expression (a mass profile or a potential term) is written
 in ``x``, the default variable list everywhere; a shared mass is written in
 ``x1..xn``, and a closed form x_i(t) in ``t``, so its velocity and
 acceleration come from the same arithmetic as m' and V'.  ``eval_dual``
-runs the order-2 function.  A shared mass's value and gradient come from
-one more shape (``compile_gradient``, which ``eval_gradient`` runs): the
-order-1 lines once per seed direction j, with the seed s_j = 1 and every
-other seed 0 held in locals, so no seed is folded away and each partial
-derivative has the bits of an order-1 call seeded along x_j.
+runs the order-2 function, ``eval_gradient`` the gradient shape
+(``compile_gradient``): the order-1 lines once per seed direction j, with
+the seed of x_j held at 1 and every other seed at 0.
 
 The per-point lines and guards of a mass also come in a batch shape: one
 generated ``for`` loop over a list of floats, returning the list of
-per-point results.  Each entry is bit-identical to the per-point
-function's.  Callers that evaluate many independent points (the map, the
-potential energy and the mass over 10^4 samples or a trajectory's nodes)
-pay one call instead of one per point.
+per-point results, each bit-identical to the per-point function's.  A
+kernel that checks its points (the mass's batch, a nonlocal map, a
+potential's energies and gradients, a right-hand side, an energy, a
+closed-form grid) has one failure path: a failed check calls the ``fail``
+its caller bound with the value it failed on, which raises what the caller
+owes there; an error inside the lines is raised where it happens (the
+grid's calls fail too).  The loop runs the points in order, so the first
+failing point raises its own error.
 
-A kernel that checks its points (the mass's batch, a nonlocal map, a
-potential's energies and gradients and a type1 or type2 right-hand side)
-has one failure path: a failed check (a domain, a pole, a singularity,
-m < 0 or, for a shared mass, m <= 0, a non-finite energy) calls the
-``fail`` its caller bound with the value it failed on (the point, and the
-mass or the energy that failed), which raises what the caller owes there;
-an error inside the lines is raised where it happens.  The loop runs the
-points in order, so the first failing point raises its own error, and no
-kernel is re-run to learn it.
-
-A coordinate's nonlocal map is one more function from the same generator
-(``compile_map``): a batch loop over its mass lines and the values of its q
-and f, written in ``x``, ``root`` and ``half``.  It returns the columns its
-caller reads, a subset of (q, dq/dx, f, m), and runs only their lines: the
-checks and q always, the mass at order 1, half and f only where something
-reads half.  A set without f and dq/dx therefore returns q where m
-underflows to 0, where the full set divides by m in m'/(2m).  So are a
-potential's energy and gradient (``compile_potential``): every
-coordinate's checks and its value lines, summed, or its order-1 lines,
-whose V_i' are the gradient, per point.  So is a type1 system's right-hand side
-(``compile_rhs``): every coordinate's checks, its potential's and its
-mass's lines at order 1 and its acceleration, one coordinate after another.
-So is a type2 system's (``compile_rhs2``): the shared mass's gradient
-lines, as ``compile_gradient`` runs them, and its m <= 0 check, then every
-coordinate's checks, its potential's lines at order 1 and its acceleration
--(mdot/m) v_i + (1/2)(g_i/m)|v|^2 - V_i'/m, one coordinate after another.
-So is a system's energy at one state (``compile_energy``): the kinetic
-term, from each coordinate's checks and mass value lines (type1) or the
-shared mass's (type2), then the potential's energy lines, and their sum.
-So are n closed forms over a grid of times (``compile_grid``): at each t,
-coordinate by coordinate, the branch check, the lines at order 2 in t and
-the pole and finiteness checks; there an error inside the lines, too, calls
-``fail``, with its time.
+The same generator writes the other kernels, each described where it is
+compiled: a coordinate's nonlocal map (``compile_map``), a potential's
+energy and gradient (``compile_potential``), a type1 and a type2 right-hand
+side (``compile_rhs``, ``compile_rhs2``), a system's energy at one state
+(``compile_energy``) and n closed forms over a grid of times
+(``compile_grid``).
 """
 
 from __future__ import annotations
@@ -85,6 +68,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -294,8 +278,13 @@ def parse_expression(text: str, variables: Sequence[str] = ("x",)) -> Expr:
     """Parse ``text`` into an Expr, resolving identifiers against ``variables``.
 
     Raises ExprSyntaxError (with a 1-based column) or UnknownIdentifier;
-    never anything else, however malformed the input.
+    never anything else, however malformed the input.  An InvalidParameter
+    unless text is a string and variables a list or tuple of strings.
     """
+    if not isinstance(text, str):
+        raise InvalidParameter("text", f"expected a string, got {text!r}")
+    if not isinstance(variables, (list, tuple)) or not all(isinstance(v, str) for v in variables):
+        raise InvalidParameter("variables", f"expected a list of names, got {variables!r}")
     return _Parser(_tokenize(text), variables).parse()
 
 
@@ -334,7 +323,8 @@ def _render(e: Expr, parent_prec: int) -> str:
         inner = _render(e.arg, _PREC["neg"])
         s = f"-{inner}"
         return f"({s})" if parent_prec > _PREC["neg"] else s
-    assert isinstance(e, BinOp)
+    if not isinstance(e, BinOp):
+        raise InvalidParameter("expr", f"expected an expression, got {e!r}")
     prec = _PREC[e.op]
     if e.op == "^":
         # right-associative; left operand must bind tighter than ^
@@ -349,38 +339,35 @@ def _render(e: Expr, parent_prec: int) -> str:
 
 # --- compilation to straight-line float code --------------------------------
 #
-# Each node's (value, d1, d2) triple lives in three locals of the generated
+# Each node's (value, d1, d2) triple lives in three names of the generated
 # function.  The arithmetic is that of second-order dual numbers:
 #   u*w:   (uw, u'w + uw', u''w + 2u'w' + uw'')
 #   u/w:   q = u/w, q' = (u' - qw')/w, q'' = (u'' - 2q'w' - qw'')/w
 #   f(u):  (f, f'u', f''u'u' + f'u'')
 # and an operation is written the same way, in the same order, wherever it
 # appears, so every path gives bit-identical results.  A constant is a value
-# whose derivatives are the one bound zero: an operation on two constants
-# (unary -, +, -, *, and / by a non-zero constant) is carried out once, at
-# compile time, on their values alone.
+# whose derivatives are the bound zero: an operation on two constants (unary
+# -, +, -, *, and / by a non-zero constant) is carried out once, at compile
+# time, on their values alone.
 #
-# Known zeros fold.  A derivative named by the bound zero is known to be zero:
-# a constant's d1 and d2, a variable's d2, and every derivative above the
-# kernel's order.  Each derivative line is a sum of products, and a product
-# with a known-zero factor is left out; a derivative left with no product is
-# the bound zero and gets no line, and one left with a single product that is
-# a name alone is that name, with no copy.  Where a kernel sets its seed s0 to
-# 1.0 before the lines that read it (the map, the potential, the right-hand
-# sides, the closed-form grid), s0 is left out of every product, since
-# x * 1.0 is x bit for bit; the gradient's seeds and compile_expression's
-# seed arguments stay factors.  Against multiplying the zeros out, the sign
-# of a zero derivative can differ, and a NaN from inf * 0 does not appear.
+# Known zeros fold.  The bound zero k0 is a derivative known to be zero: a
+# constant's d1 and d2, a variable's d2, every derivative above the kernel's
+# order and a seed held at 0.  Each derivative line is a sum of products; a
+# product with a known-zero factor is left out, and so is a factor that is
+# the bound 1.0 (a seed held at 1, or a constant 1; x * 1.0 is x bit for
+# bit).  Against multiplying the zeros out, the sign of a zero derivative
+# can differ, and a NaN from inf * 0 does not appear.  compile_expression's
+# seed arguments stay factors.
 #
-# A kernel of order k emits the value, d1 and d2 lines up to k and every domain
-# check whole.  A function's derivative factors f'(u) and f''(u) are emitted
-# only where a kept product reads them, so a lower order, or a node whose
-# argument has known-zero derivatives, does not raise for an overflow in a
-# factor it never reads; otherwise it raises where order 2 raises.  A power's
-# rule is fixed when its lines are emitted, from the exponent's tree: one that
-# reads a variable is exp(b ln a) on a positive base, any other an integer or a
-# real power.  No value line reads a derivative, so no value depends on the
-# seeds.
+# The module's contract rests on two passes over statement records (the
+# names each writes and reads, and its text).  At emission, an assignment
+# whose right-hand side the kernel has assigned already, or a check whose
+# condition it has tested, is not emitted again: the earlier name stands
+# for it (a table; the entries made inside an if/else block are dropped
+# where it ends).  Before the lines are joined, one backward pass keeps the
+# roots and the assignments they read.  A power's rule is fixed from the
+# exponent's tree: one that reads a variable is exp(b ln a) on a positive
+# base, any other an integer or a real power, so no value reads a seed.
 
 #: integer powers up to this are unrolled; larger ones loop at run time
 _UNROLL = 16
@@ -390,6 +377,8 @@ _OVERFLOW = "float overflow"
 
 #: a name or a number: the text of a sum that does no arithmetic
 _ATOM = re.compile(r"[\w.]+")
+#: the names a statement reads: identifiers outside string literals (read as "")
+_NAME = re.compile(r"'[^']*'|\"[^\"]*\"|([A-Za-z_]\w*)")
 
 
 class _Slot(NamedTuple):
@@ -399,6 +388,39 @@ class _Slot(NamedTuple):
     d1: str
     d2: str
     known: float | None = None  # the value, fixed before any input
+
+
+class _Line(NamedTuple):
+    """One generated statement: the names it writes (none: a root) and reads,
+    and its text; an if/else block's text is its (head, statements) clauses."""
+
+    writes: tuple[str, ...]
+    reads: frozenset[str]
+    text: str | tuple
+
+
+def _source(body: list[_Line], live: set[str], indent: int) -> list[str]:
+    """The source lines, ``indent`` levels in, of body's statements that a
+    root needs, by one backward pass: ``live`` holds the names read after
+    the statement at hand, and ends as those read before body."""
+    pad, kept = "    " * indent, []
+    for line in reversed(body):
+        if isinstance(line.text, tuple):
+            ins = [set(live) for _ in line.text]
+            clauses = [(head, _source(stmts, inside, indent + 1))
+                       for (head, stmts), inside in zip(line.text, ins)]
+            if not any(lines for _, lines in clauses):
+                continue
+            live.update(*ins)
+            kept.append([text for head, lines in clauses
+                         for text in (pad + head, *(lines or [pad + "    pass"]))])
+        elif line.writes and live.isdisjoint(line.writes):
+            continue
+        else:
+            kept.append([pad + text for text in line.text.split("\n")])
+        live.difference_update(line.writes)
+        live |= line.reads
+    return [text for lines in reversed(kept) for text in lines]
 
 
 def _dual_mul(a: tuple, b: tuple) -> tuple[float, float, float]:
@@ -453,75 +475,111 @@ class _Codegen:
 
     def __init__(self, names: tuple[str, ...], indent: int = 2):
         self.order = 2                  # of the expression being walked: set by walk
-        self.lines: list[str] = []
-        self.bound: list[object] = []   # read by the code as k0, k1, ...
-        self.count = 0
+        self.body: list[_Line] = []
         self.indent = indent            # 2 inside bind() and compiled(), more in a loop
-        self.zero = self.bind(0.0)
-        #: the seed that holds 1.0 in the lines that follow, if any: the
-        #: kernels that set s0 = 1.0 before they walk name it here
-        self.unit: str | None = None
-        #: each variable's slot: its value x_i and seed s_i
+        # read by the code as k0, k1, ...: k0 is the known zero, apart from
+        # any constant 0.0, which is a value
+        self.bound: list[object] = [0.0]
+        self.keys: dict = {}
+        self.zero = "k0"
+        self.one = self.bind(1.0)
+        #: each right-hand side, and each check's "if" line, emitted so far
+        self.table: dict[str, str] = {}
+        self.count = 0
+        #: each variable's slot: its value x_i and seed s_i; x_i's float() is a root
         self.slots = {name: _Slot(f"x{i}", f"s{i}", self.zero) for i, name in enumerate(names)}
-        self.emit(*(f"x{i} = float(x{i})" for i in range(len(names))))
+        for i in range(len(names)):
+            self.emit(f"x{i} = float(x{i})")
 
     def bind(self, obj: object) -> str:
-        self.bound.append(obj)
-        return f"k{len(self.bound) - 1}"
+        """The name the code reads obj by: one per float (by its bits), int
+        and other object, so identical work has identical text."""
+        key = (struct.pack("<d", obj) if isinstance(obj, float)
+               else obj if isinstance(obj, int) else (id(obj),))
+        if key not in self.keys:
+            self.keys[key] = f"k{len(self.bound)}"
+            self.bound.append(obj)
+        return self.keys[key]
 
-    def fresh(self, *prefixes: str) -> list[str]:
+    def fresh(self, prefix: str) -> str:
+        """A new name per prefix of the comma-separated ``prefix``."""
         self.count += 1
-        return [f"{p}{self.count}" for p in prefixes]
+        return ", ".join(f"{p}{self.count}" for p in prefix.split(", "))
 
-    def emit(self, *lines: str) -> None:
-        self.lines.extend("    " * self.indent + line for line in lines)
+    def emit(self, text: str, *writes: str) -> None:
+        """One statement: the assignment ``writes = ...``, or a root."""
+        reads = _NAME.findall(text.partition(" = ")[2] if writes else text)
+        self.body.append(_Line(writes, frozenset(reads), text))
 
-    def block(self, head: str, body: Callable[[], None]) -> None:
-        self.emit(head)
-        self.indent += 1
-        body()
-        self.indent -= 1
+    def assign(self, prefix: str, rhs: str, guard: str = "") -> str:
+        """The name that holds rhs: rhs itself where it is a name or a number,
+        the earlier name where the kernel has assigned rhs already, otherwise
+        a fresh one (see ``fresh``) assigned here, in a try with the except
+        clause ``guard`` if given."""
+        if _ATOM.fullmatch(rhs):
+            return rhs
+        if rhs not in self.table:
+            name = self.table[rhs] = self.fresh(prefix)
+            text = f"{name} = {rhs}"
+            self.emit(f"try:\n    {text}\n{guard}" if guard else text, *name.split(", "))
+        return self.table[rhs]
 
-    def check(self, failed: str, args: str, fail: str = "fail") -> None:
-        """Call the bound ``fail(args)`` where the condition ``failed`` holds."""
-        self.block(f"if {failed}:", lambda: self.emit(f"{fail}({args})"))
+    def check(self, failed: str, then: str) -> None:
+        """``then``, a fail call or a raise, where the condition ``failed``
+        holds; nothing where the kernel has tested ``failed`` already."""
+        head = f"if {failed}:"
+        if head not in self.table:
+            self.table[head] = ""
+            self.emit(f"{head}\n    {then}")
+
+    def branches(self, *clauses: tuple[str, Callable[[], _Slot]]) -> _Slot:
+        """An if/else block of (head, fill) clauses, and the slot of fresh
+        names it assigns: each clause emits fill's lines, numbered in the
+        table as it stood before the block, and copies fill's slot there."""
+        body, table, done, out = self.body, self.table, [], self.fresh("v, p, q").split(", ")
+        for head, fill in clauses:
+            self.body, self.table = [], dict(table)
+            for name, value in zip(out, fill()[:3]):
+                self.emit(f"{name} = {value}", name)
+            done.append((head, self.body))
+        self.body, self.table = body, table
+        heads = " ".join(head for head, _ in clauses)
+        self.body.append(_Line((), frozenset(_NAME.findall(heads)), tuple(done)))
+        return _Slot(*out)
 
     def coordinate(self, i: int, domain: tuple[float, float], pole: float | None,
                    singular: float | None = None, floated: bool = False,
                    fail: str = "fail") -> None:
         """x_i of the point x as a float (unless ``floated`` already), then its
         singularity check and its domain and pole check, each failing as
-        fail(i, x); the expressions walked next read x_i as ``x``, seeded by the
-        unit seed s0 = 1.0, which the kernel sets before its lines."""
+        fail(i, x); the expressions walked next read x_i as ``x``, seeded by
+        the bound 1.0."""
         x = f"x{i}"
         if not floated:
             self.emit(f"{x} = float({x})")
         if singular is not None:
-            self.check(f"{x} == {self.bind(singular)}", f"{i}, x", fail)
+            self.check(f"{x} == {self.bind(singular)}", f"{fail}({i}, x)")
         lo, hi = map(self.bind, domain)
         outside = f"not {lo} < {x} < {hi}"
         if pole is not None:
             outside += f" or {x} == {self.bind(pole)}"
-        self.check(outside, f"{i}, x", fail)
-        self.slots = {"x": _Slot(x, "s0", self.zero)}
-        self.unit = "s0"
+        self.check(outside, f"{fail}({i}, x)")
+        self.slots = {"x": _Slot(x, self.one, self.zero)}
 
     def raise_domain(self, message: str, where: Expr) -> str:
         return f"raise ExprDomainError({message!r}, to_source({self.bind(where)}))"
 
-    def guarded(self, where: Expr, *lines: str, error: str = "OverflowError",
-                message: str = _OVERFLOW) -> None:
-        """lines, with a float overflow (or the given error) reported as a domain error."""
-        self.block("try:", lambda: self.emit(*lines))
-        self.block(f"except {error}:",
-                   lambda: self.emit(self.raise_domain(message, where) + " from None"))
+    def guard(self, where: Expr, error: str = "OverflowError", message: str = _OVERFLOW) -> str:
+        """The except clause that reports ``error`` as a domain error at where."""
+        return f"except {error}:\n    {self.raise_domain(message, where)} from None"
 
     def constant(self, value: float) -> _Slot:
         return _Slot(self.bind(value), self.zero, self.zero, value)
 
     def walk(self, root: Expr, order: int) -> _Slot:
         """The lines of root at the given order, in post-order over the tree
-        without recursion; returns the root's slot."""
+        without recursion; returns the root's slot.  A variable's slot may be
+        a function that emits its lines, called where the tree reads it."""
         self.order = order
         todo: list[tuple[Expr, bool]] = [(root, False)]
         done: list[_Slot] = []
@@ -530,7 +588,10 @@ class _Codegen:
             if isinstance(node, Num):
                 done.append(self.constant(float(node.value)))
             elif isinstance(node, Var):
-                done.append(self.slots[node.name])
+                slot = self.slots.get(node.name)
+                if slot is None:
+                    raise InvalidParameter("names", f"{node.name!r} is not among the variables")
+                done.append(slot() if callable(slot) else slot)
             elif not ready:
                 todo.append((node, True))
                 if isinstance(node, BinOp):
@@ -550,11 +611,11 @@ class _Codegen:
 
     def product(self, factors: Sequence[str]) -> str | None:
         """The text of one product of factors: None where a factor is the
-        bound zero; a factor that is the unit seed is left out, since x * 1.0
+        bound zero; a factor that is the bound 1.0 is left out, since x * 1.0
         is x bit for bit, unless it is the only one."""
         if self.zero in factors:
             return None
-        return " * ".join([f for f in factors if f != self.unit] or [self.unit])
+        return " * ".join([f for f in factors if f != self.one] or [self.one])
 
     def total(self, terms: Sequence[tuple[str, ...]]) -> str | None:
         """The text of a sum of products, left to right, each a tuple of
@@ -572,45 +633,30 @@ class _Codegen:
         """num / den as one factor: the bound zero where num is."""
         return self.zero if num == self.zero else f"({num} / {den})"
 
-    def derivative(self, name: str, order: int, terms: Sequence[tuple[str, ...]],
-                   over: str | None = None, force: bool = False) -> str:
+    def derivative(self, order: int, terms: Sequence[tuple[str, ...]],
+                   over: str | None = None) -> str:
         """The name that holds a derivative of the given order, the sum of
         terms (divided by over): the bound zero above this kernel's order or
-        where every term drops; a single term that is a name alone, that
-        name; otherwise ``name``, assigned here.  With ``force``, ``name``
-        is assigned whatever the sum is, up to this kernel's order."""
-        if self.order < order:
+        where every term drops, otherwise as ``assign`` gives it."""
+        text = self.total(terms) if self.order >= order else None
+        if text is None:
             return self.zero
-        text = self.total(terms) or self.zero
-        if not force and (text == self.zero or over is None and _ATOM.fullmatch(text)):
-            return text
-        if over is not None and text != self.zero:
-            text = f"({text}) / {over}"
-        self.emit(f"{name} = {text}")
-        return name
-
-    def reads(self, u: _Slot) -> tuple[bool, bool]:
-        """Whether the chain rule on u reads f'(u) and f''(u) at this order."""
-        d1 = self.order >= 1 and u.d1 != self.zero
-        return d1 or self.order >= 2 and u.d2 != self.zero, d1 and self.order >= 2
+        return self.assign("pq"[order - 1], text if over is None else f"({text}) / {over}")
 
     def neg(self, a: _Slot) -> _Slot:
         if a.known is not None:
             return self.constant(-a.known)
-        v, p, q = self.fresh("v", "p", "q")
-        self.emit(f"{v} = -{a.val}")
-        return _Slot(v, self.derivative(p, 1, [("-", a.d1)]),
-                     self.derivative(q, 2, [("-", a.d2)]))
+        return _Slot(self.assign("v", f"-{a.val}"), self.derivative(1, [("-", a.d1)]),
+                     self.derivative(2, [("-", a.d2)]))
 
     def binop(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         if node.op in ("+", "-"):
             if a.known is not None and b.known is not None:
                 return self.constant(a.known + b.known if node.op == "+" else a.known - b.known)
-            v, p, q = self.fresh("v", "p", "q")
             op = node.op
-            self.emit(f"{v} = {a.val} {op} {b.val}")
-            return _Slot(v, self.derivative(p, 1, [(a.d1,), (op, b.d1)]),
-                         self.derivative(q, 2, [(a.d2,), (op, b.d2)]))
+            return _Slot(self.assign("v", f"{a.val} {op} {b.val}"),
+                         self.derivative(1, [(a.d1,), (op, b.d1)]),
+                         self.derivative(2, [(a.d2,), (op, b.d2)]))
         if node.op == "*":
             return self.mul(a, b)
         if node.op == "/":
@@ -620,67 +666,50 @@ class _Codegen:
     def mul(self, a: _Slot, b: _Slot) -> _Slot:
         if a.known is not None and b.known is not None:
             return self.constant(a.known * b.known)
-        v, p, q = self.fresh("v", "p", "q")
-        self.emit(f"{v} = {a.val} * {b.val}")
-        return _Slot(v, self.derivative(p, 1, [(a.d1, b.val), (a.val, b.d1)]),
-                     self.derivative(q, 2, [(a.d2, b.val), ("2.0", a.d1, b.d1),
-                                            (a.val, b.d2)]))
+        return _Slot(self.assign("v", f"{a.val} * {b.val}"),
+                     self.derivative(1, [(a.d1, b.val), (a.val, b.d1)]),
+                     self.derivative(2, [(a.d2, b.val), ("2.0", a.d1, b.d1), (a.val, b.d2)]))
 
     def div(self, a: _Slot, b: _Slot, where: Expr) -> _Slot:
         if a.known is not None and b.known is not None and b.known != 0.0:
             return self.constant(a.known / b.known)
-        v, p, q = self.fresh("v", "p", "q")
-        self.block(f"if {b.val} == 0.0:",
-                   lambda: self.emit(self.raise_domain("division by zero", where)))
-        self.emit(f"{v} = {a.val} / {b.val}")
-        p = self.derivative(p, 1, [(a.d1,), ("-", v, b.d1)], b.val)
-        return _Slot(v, p, self.derivative(q, 2, [(a.d2,), ("-", "2.0", p, b.d1),
-                                                  ("-", v, b.d2)], b.val))
+        self.check(f"{b.val} == 0.0", self.raise_domain("division by zero", where))
+        v = self.assign("v", f"{a.val} / {b.val}")
+        p = self.derivative(1, [(a.d1,), ("-", v, b.d1)], b.val)
+        return _Slot(v, p, self.derivative(2, [(a.d2,), ("-", "2.0", p, b.d1), ("-", v, b.d2)],
+                                           b.val))
 
-    def chain(self, out: list[str], u: _Slot, fp: str, fpp: str,
-              force: bool = False) -> _Slot:
-        """f(u) given out[0] = f and the texts of f'(u), f''(u), whose lines
-        are emitted where ``reads`` says they are read; with ``force`` its
-        derivatives are assigned to out[1] and out[2]."""
-        v, p, q = out
-        return _Slot(v, self.derivative(p, 1, [(fp, u.d1)], force=force),
-                     self.derivative(q, 2, [(fpp, u.d1, u.d1), (fp, u.d2)], force=force))
+    def chain(self, u: _Slot, v: str, fp: str, fpp: str) -> _Slot:
+        """f(u) given its value v and the texts of f'(u) and f''(u)."""
+        return _Slot(v, self.derivative(1, [(fp, u.d1)]),
+                     self.derivative(2, [(fpp, u.d1, u.d1), (fp, u.d2)]))
 
     def call(self, node: Call, u: _Slot) -> _Slot:
-        out = self.fresh("v", "p", "q")
-        v = out[0]
-        c, c2 = self.fresh("c", "e")
-        fp, fpp = self.reads(u)
         if node.fn in ("sin", "cos"):   # both raise ValueError at +-inf
-            other = "cos" if node.fn == "sin" else "sin"
-            self.guarded(node, f"{v} = {node.fn}({u.val})", *[f"{c} = {other}({u.val})"][:fp],
-                         error="ValueError", message=f"{node.fn} of an infinite value")
-            if node.fn == "sin":
-                return self.chain(out, u, c, f"(-{v})")
-            return self.chain(out, u, f"(-{c})", f"(-{v})")
+            guard = self.guard(node, "ValueError", f"{node.fn} of an infinite value")
+            v = self.assign("v", f"{node.fn}({u.val})", guard)
+            c = self.assign("c", f"{'cos' if node.fn == 'sin' else 'sin'}({u.val})", guard)
+            return self.chain(u, v, c if node.fn == "sin" else f"(-{c})", f"(-{v})")
         if node.fn == "exp":
-            self.guarded(node, f"{v} = exp({u.val})")
-            return self.chain(out, u, v, v)
-        if node.fn in ("ln", "sqrt"):
-            self.block(f"if {u.val} <= 0.0:", lambda: self.emit(
-                self.raise_domain(f"{node.fn} of a non-positive value", node)))
-            if node.fn == "ln":
-                self.log_factors(node, u, v, c, c2)
-            else:
-                self.emit(f"{v} = sqrt({u.val})", *[f"{c} = 0.5 / {v}"][:fp])
-                if fpp:
-                    self.guarded(node, f"{c2} = -0.25 / ({u.val} * {v})",
-                                 error="ZeroDivisionError")
-            return self.chain(out, u, c, c2)
-        raise AssertionError(f"unreachable function {node.fn}")
+            v = self.assign("v", f"exp({u.val})", self.guard(node))
+            return self.chain(u, v, v, v)
+        if node.fn not in ("ln", "sqrt"):
+            raise AssertionError(f"unreachable function {node.fn}")
+        self.check(f"{u.val} <= 0.0",
+                   self.raise_domain(f"{node.fn} of a non-positive value", node))
+        if node.fn == "ln":
+            return self.log(node, u)
+        v = self.assign("v", f"sqrt({u.val})")
+        return self.chain(u, v, self.assign("c", f"0.5 / {v}"),
+                          self.assign("e", f"-0.25 / ({u.val} * {v})",
+                                      self.guard(node, "ZeroDivisionError")))
 
-    def log_factors(self, node: Expr, u: _Slot, v: str, c: str, c2: str) -> None:
-        """v = ln u, u > 0, with the derivatives c, c2 where they are read; c2
-        overflows where its divisor underflows."""
-        fp, fpp = self.reads(u)
-        self.emit(f"{v} = log({u.val})", *[f"{c} = 1.0 / {u.val}"][:fp])
-        if fpp:
-            self.guarded(node, f"{c2} = -1.0 / ({u.val} * {u.val})", error="ZeroDivisionError")
+    def log(self, node: Expr, u: _Slot) -> _Slot:
+        """ln u, where u > 0; its second factor overflows where its divisor
+        underflows."""
+        return self.chain(u, self.assign("v", f"log({u.val})"), self.assign("c", f"1.0 / {u.val}"),
+                          self.assign("e", f"-1.0 / ({u.val} * {u.val})",
+                                      self.guard(node, "ZeroDivisionError")))
 
     def power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         """a^b by a rule fixed here, from the exponent's tree alone: an
@@ -689,70 +718,55 @@ class _Codegen:
         a constant and by its value at run time if not."""
         if _reads_variable(node.right):
             return self.exp_log_power(node, a, b)
+        if b.known is not None and b.known.is_integer():
+            return self.int_power(node, a, int(b.known))
+        non_integer = "" if b.known is not None else f" and not {b.val}.is_integer()"
+        self.check(f"{a.val} <= 0.0{non_integer}",
+                   self.raise_domain("non-integer power of a non-positive base", node))
         if b.known is not None:
-            p = b.known
-            if p.is_integer():
-                return self.int_power(node, a, int(p))
-            self.block(f"if {a.val} <= 0.0:", lambda: self.emit(self.raise_domain(
-                "non-integer power of a non-positive base", node)))
-            return self.const_power(node, a, b.val, self.fresh("v", "p", "q"))
-        out = self.fresh("v", "p", "q")
-        self.block(f"if {b.val}.is_integer():",
-                   lambda: self.int_pow(node, a, f"int({b.val})", out))
-        self.block(f"elif {a.val} <= 0.0:", lambda: self.emit(self.raise_domain(
-            "non-integer power of a non-positive base", node)))
-        # both branches assign the names in out, which the lines after them read
-        self.block("else:", lambda: self.const_power(node, a, b.val, out, force=True))
-        return _Slot(*out)
+            return self.const_power(node, a, b.val)
+        return self.branches((f"if {b.val}.is_integer():",
+                              lambda: self.int_pow(node, a, f"int({b.val})")),
+                             ("else:", lambda: self.const_power(node, a, b.val)))
 
-    def int_pow(self, node: BinOp, a: _Slot, k: str, out: list[str]) -> None:
-        """out = a^k by the run-time int_pow, k the text of an integer."""
+    def int_pow(self, node: BinOp, a: _Slot, k: str) -> _Slot:
+        """a^k by the run-time int_pow, k the text of an integer."""
         # derivatives a lower kernel lacks enter as 0; the orders it returns never read them
         d1, d2 = (d if self.order >= j else self.zero for j, d in ((1, a.d1), (2, a.d2)))
-        self.emit(f"{', '.join(out)} = int_pow({a.val}, {d1}, {d2}, {k}, {self.bind(node)})")
+        return _Slot(*self.assign("v, p, q", f"int_pow({a.val}, {d1}, {d2}, {k}, "
+                                             f"{self.bind(node)})").split(", "))
 
     def int_power(self, node: BinOp, a: _Slot, k: int) -> _Slot:
         if k == 0:
             return self.constant(1.0)
         if abs(k) > _UNROLL:
-            out = self.fresh("v", "p", "q")
-            self.int_pow(node, a, self.bind(k), out)
-            return _Slot(*out)
+            return self.int_pow(node, a, self.bind(k))
         out = a
         for _ in range(abs(k) - 1):
             out = self.mul(out, a)
         return self.div(self.constant(1.0), out, node) if k < 0 else out
 
-    def const_power(self, node: BinOp, a: _Slot, p: str, out: list[str],
-                    force: bool = False) -> _Slot:
-        v, _, _ = out
-        c, c2 = self.fresh("c", "e")
-        fp, fpp = self.reads(a)
-        self.guarded(node, f"{v} = {a.val} ** {p}",
-                     *[f"{c} = {p} * {a.val} ** ({p} - 1.0)"][:fp],
-                     *[f"{c2} = {p} * ({p} - 1.0) * {a.val} ** ({p} - 2.0)"][:fpp])
-        return self.chain(out, a, c, c2, force)
+    def const_power(self, node: BinOp, a: _Slot, p: str) -> _Slot:
+        guard = self.guard(node)
+        return self.chain(a, self.assign("v", f"{a.val} ** {p}", guard),
+                          self.assign("c", f"{p} * {a.val} ** ({p} - 1.0)", guard),
+                          self.assign("e", f"{p} * ({p} - 1.0) * {a.val} ** ({p} - 2.0)", guard))
 
     def exp_log_power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         """a^b = exp(b ln a) for a varying exponent, on a positive base only."""
-        out = self.fresh("v", "p", "q")
-        self.block(f"if {a.val} <= 0.0:", lambda: self.emit(self.raise_domain(
-            "varying power of a non-positive base", node)))
-        lv, lp, lq, c, c2 = self.fresh("lv", "lp", "lq", "c", "e")
-        self.log_factors(node, a, lv, c, c2)
-        ln_a = self.chain([lv, lp, lq], a, c, c2)
-        m = self.mul(b, ln_a)
-        self.guarded(node, f"{out[0]} = exp({m.val})")
-        return self.chain(out, m, out[0], out[0])
+        self.check(f"{a.val} <= 0.0",
+                   self.raise_domain("varying power of a non-positive base", node))
+        m = self.mul(b, self.log(node, a))
+        v = self.assign("v", f"exp({m.val})", self.guard(node))
+        return self.chain(m, v, v, v)
 
 
-def _reads_variable(expr: Expr, name: str | None = None) -> bool:
-    """Whether a variable (the variable ``name``, if given) occurs in expr;
-    a walk without recursion."""
+def _reads_variable(expr: Expr) -> bool:
+    """Whether a variable occurs in expr; a walk without recursion."""
     todo = [expr]
     while todo:
         node = todo.pop()
-        if isinstance(node, Var) and name in (None, node.name):
+        if isinstance(node, Var):
             return True
         if isinstance(node, BinOp):
             todo += [node.left, node.right]
@@ -762,11 +776,12 @@ def _reads_variable(expr: Expr, name: str | None = None) -> bool:
 
 
 def _function(gen: _Codegen, head: list[str], tail: list[str]) -> Callable:
-    """``compiled``: the head, gen's lines and the tail, with gen's constants bound."""
+    """``compiled``: the head, the lines of gen a root needs and the tail,
+    with gen's constants bound."""
     source = "\n".join([
         f"def bind({', '.join(f'k{j}' for j in range(len(gen.bound)))}):",
         *("    " + line for line in head),
-        *gen.lines,
+        *_source(gen.body, set(), gen.indent),
         *("    " + line for line in tail),
         "    return compiled",
     ])
@@ -779,11 +794,11 @@ def _compile(expr: Expr, names: tuple[str, ...], order: int,
              batch: bool = False) -> Callable:
     gen = _Codegen(names, 3 if batch else 2)
     if batch:
-        gen.check("not lo < x0 < hi", "x0")
+        gen.check("not lo < x0 < hi", "fail(x0)")
     slot = gen.walk(expr, order)
     result = ", ".join(slot[:order + 1])
     if batch:
-        gen.check(f"{slot.val} < 0.0", f"x0, {slot.val}")
+        gen.check(f"{slot.val} < 0.0", f"fail(x0, {slot.val})")
         gen.emit(f"append(({result}))" if order else f"append({result})")
         head = ["def compiled(xs, s0, lo, hi, fail):",
                 "    out = []",
@@ -807,32 +822,22 @@ MAP_COLUMNS = ("q", "dq", "f", "m")
 
 
 def _compile_map(mass: Expr, q: Expr, f: Expr, columns: tuple[str, ...]) -> Callable:
-    reads_f = "f" in columns or "dq" in columns
-    half_first = _reads_variable(q, "half")
     gen = _Codegen(("x",), 3)
-    gen.unit = "s0"
-    gen.check("not lo < x0 < hi", "x0")
-    order = 1 if reads_f or half_first else 0
-    m = gen.walk(mass, order)
-    gen.check(f"{m.val} < 0.0", f"x0, {m.val}")
-    gen.emit(f"root = sqrt({m.val})")
-    # q and f are values: every variable's seed is 0
-    gen.slots = {name: _Slot(local, gen.zero, gen.zero)
-                 for name, local in zip(MAP_NAMES, ("x0", "root", "half"))}
-    half = [f"half = {m.d1} / (2.0 * {m.val})"]
-    if order and m.d1 == gen.zero:    # a constant mass: half is the constant 0.0, no line
-        gen.slots["half"], half = gen.constant(0.0), []
-    if half_first:
-        gen.emit(*half)
-    values = {"q": gen.walk(q, 0).val, "m": m.val}
-    if reads_f:
-        if not half_first:
-            gen.emit(*half)
-        values["f"] = gen.walk(f, 0).val
-        values["dq"] = f"{values['f']} * root"
-    gen.emit(*(f"append{k}({values[c]})" for k, c in enumerate(columns)))
+    gen.check("not lo < x0 < hi", "fail(x0)")
+    gen.slots["x"] = _Slot("x0", gen.one, gen.zero)
+    m = gen.walk(mass, 1)
+    gen.check(f"{m.val} < 0.0", f"fail(x0, {m.val})")
+    root = gen.assign("r", f"sqrt({m.val})")
+    # q and f are values: every variable's seed is 0; half runs where q or f
+    # first reads it, and is the constant 0.0 where m is constant
+    half = gen.constant(0.0) if m.d1 == gen.zero else (lambda: _Slot(
+        gen.assign("h", f"{m.d1} / (2.0 * {m.val})"), gen.zero, gen.zero))
+    gen.slots = {"x": _Slot("x0", gen.zero, gen.zero), "root": _Slot(root, gen.zero, gen.zero),
+                 "half": half}
+    values = {"q": gen.walk(q, 0).val, "m": m.val, "f": gen.walk(f, 0).val}
+    values["dq"] = f"{values['f']} * {root}"
+    gen.emit("\n".join(f"append{k}({values[c]})" for k, c in enumerate(columns)))
     head = ["def compiled(xs, lo, hi, fail):",
-            "    s0 = 1.0",
             f"    out = {', '.join(['[]'] * len(columns))}{',' * (len(columns) == 1)}",
             *(f"    append{k} = out[{k}].append" for k in range(len(columns))),
             "    for x0 in xs:"]
@@ -842,7 +847,6 @@ def _compile_map(mass: Expr, q: Expr, f: Expr, columns: tuple[str, ...]) -> Call
 def _compile_potential(exprs: tuple, domain: tuple[float, float],
                        pole: float | None, order: int) -> Callable:
     gen = _Codegen((), 4)
-    gen.emit(*_unpack("x", len(exprs), "x"))
     terms = []
     for i, expr in enumerate(exprs):
         gen.coordinate(i, domain, pole)
@@ -850,15 +854,15 @@ def _compile_potential(exprs: tuple, domain: tuple[float, float],
     if order:
         gen.emit(f"append([{', '.join(terms)}])")
     else:
-        gen.emit(f"total = {' + '.join(['0.0', *terms])}")
-        gen.check("not isfinite(total)", "None, x, total")
-        gen.emit("append(total)")
+        total = gen.assign("total", " + ".join(["0.0", *terms]))
+        gen.check(f"not isfinite({total})", f"fail(None, x, {total})")
+        gen.emit(f"append({total})")
     head = ["def compiled(fail):",
             "    def energies(points):",
-            "        s0 = 1.0",
             "        out = []",
             "        append = out.append",
-            "        for x in points:"]
+            "        for x in points:",
+            *("            " + line for line in _unpack("x", len(exprs), "x"))]
     return _function(gen, head, ["        return out", "    return energies"])
 
 
@@ -866,44 +870,42 @@ def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
                  domain: tuple[float, float], pole: float | None) -> Callable:
     n = len(masses)
     gen = _Codegen((), 3)
-    # velocities are u_i: v<count> names the emitter's own locals
-    gen.emit("s0 = 1.0", *_unpack("x", n, "x"), *_unpack("u", n, "v"))
+    accelerations = []
     for i, (mass, potential, singular) in enumerate(zip(masses, potentials, singularities)):
         gen.coordinate(i, domain, pole, singular)
         dv = gen.walk(potential, 1).d1
         m = gen.walk(mass, 1)
-        gen.check(f"{m.val} < 0.0", f"{i}, x, {m.val}")
+        gen.check(f"{m.val} < 0.0", f"fail({i}, x, {m.val})")
+        # velocities are u_i: v<count> names the emitter's own locals
         a = gen.total([("-", gen.ratio(m.d1, f"(2.0 * {m.val})"), f"u{i}", f"u{i}"),
                        ("-", gen.ratio(dv, m.val))])
-        gen.emit(f"a{i} = {a or gen.zero}")
-    gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
-    return _function(gen, ["def compiled(fail):", "    def rhs(t, x, v):"], ["    return rhs"])
+        accelerations.append(gen.assign("a", a or gen.zero))
+    gen.emit(f"return [{', '.join(accelerations)}]")
+    head = ["def compiled(fail):", "    def rhs(t, x, v):",
+            *("        " + line for line in _unpack("x", n, "x") + _unpack("u", n, "v"))]
+    return _function(gen, head, ["    return rhs"])
 
 
-def _gradient(gen: _Codegen, mass: Expr, n: int) -> None:
-    """Lines that leave in m and g0..g(n-1) the value and the first partial
-    derivatives of mass over gen's variables x0..x(n-1), bit for bit as
-    calls of the order-1 kernel give them, one call per seed direction: the
-    mass's lines once per direction j, with the seed s_j = 1.0 and every
-    other seed 0.0.  The value is the first direction's (no value reads the
-    seeds), or with no variables that of one pass of the value lines.  The
-    seeds are locals set before each pass, so no zero is folded."""
-    value = None if n else gen.walk(mass, 0).val
-    seeds: list = [None] * n        # each seed as the lines so far leave it
+def _gradient(gen: _Codegen, mass: Expr, n: int) -> tuple[str, list[str]]:
+    """The names of the value and the first partial derivatives of mass over
+    gen's variables x0..x(n-1): the mass's order-1 lines once per direction
+    j, with the seed of x_j the bound 1.0 and every other seed the bound
+    zero, so each direction folds its known zeros.  No value reads the
+    seeds, so each direction's value lines repeat the first's text and are
+    not emitted again; with no variables, the value lines alone."""
+    slots, directions = gen.slots, []
     for j in range(n):
-        want = [float(k == j) for k in range(n)]
-        gen.emit(*(f"s{k} = {w}" for k, (w, was) in enumerate(zip(want, seeds)) if w != was))
-        seeds = want
-        slot = gen.walk(mass, 1)
-        gen.emit(f"g{j} = {slot.d1}")   # a copy: d1 may be a seed, set again by the next pass
-        value = value or slot.val
-    gen.emit(f"m = {value}")
+        gen.slots = {name: slot._replace(d1=gen.one if k == j else gen.zero)
+                     for k, (name, slot) in enumerate(slots.items())}
+        directions.append(gen.walk(mass, 1))
+    value = directions[0].val if directions else gen.walk(mass, 0).val
+    return value, [slot.d1 for slot in directions]
 
 
 def _compile_gradient(expr: Expr, names: tuple[str, ...]) -> Callable:
     gen = _Codegen(names)
-    _gradient(gen, expr, len(names))
-    gen.emit(f"return m, [{', '.join(f'g{j}' for j in range(len(names)))}]")
+    m, grad = _gradient(gen, expr, len(names))
+    gen.emit(f"return {m}, [{', '.join(grad)}]")
     head = ["def compiled(x):", *("    " + line for line in _unpack("x", len(names), "x"))]
     return _function(gen, head, [])
 
@@ -912,21 +914,19 @@ def _compile_rhs2(mass: Expr, names: tuple[str, ...], potentials: tuple,
                   domain: tuple[float, float], pole: float | None) -> Callable:
     n = len(names)
     gen = _Codegen(names, 3)
-    _gradient(gen, mass, n)
-    gen.check("m <= 0.0", "None, x, m")
-    # mdot and |v|^2 (vv: v<count> names the emitter's own locals) summed from
-    # 0.0 in coordinate order, as a running sum adds them; the potential terms
-    # are seeded by s0 = 1.0, as compile_rhs seeds them
-    gen.emit(f"mdot = {' + '.join(['0.0', *(f'g{i} * u{i}' for i in range(n))])}",
-             f"vv = {' + '.join(['0.0', *(f'u{i} * u{i}' for i in range(n))])}",
-             "s0 = 1.0")
-    for i, potential in enumerate(potentials):
+    m, grad = _gradient(gen, mass, n)
+    gen.check(f"{m} <= 0.0", f"fail(None, x, {m})")
+    # mdot and |v|^2 summed from 0.0 in coordinate order, as a running sum adds them
+    mdot = gen.assign("mdot", gen.total([("0.0",), *((g, f"u{i}") for i, g in enumerate(grad))]))
+    vv = gen.assign("vv", " + ".join(["0.0", *(f"u{i} * u{i}" for i in range(n))]))
+    accelerations = []
+    for i, (potential, g) in enumerate(zip(potentials, grad)):
         gen.coordinate(i, domain, pole, floated=True)
         dv = gen.walk(potential, 1).d1
-        a = gen.total([("-", "(mdot / m)", f"u{i}"), ("0.5", f"(g{i} / m)", "vv"),
-                       ("-", gen.ratio(dv, "m"))])
-        gen.emit(f"a{i} = {a}")
-    gen.emit(f"return [{', '.join(f'a{i}' for i in range(n))}]")
+        accelerations.append(gen.assign("a", gen.total([
+            ("-", f"({mdot} / {m})", f"u{i}"), ("0.5", gen.ratio(g, m), vv),
+            ("-", gen.ratio(dv, m))])))
+    gen.emit(f"return [{', '.join(accelerations)}]")
     head = ["def compiled(fail):", "    def rhs(t, x, v):",
             *("        " + line for line in _unpack("x", n, "x") + _unpack("u", n, "v"))]
     return _function(gen, head, ["    return rhs"])
@@ -941,34 +941,29 @@ def _compile_energy(masses: tuple, names: tuple[str, ...] | None, domains: tuple
     unpacked = _unpack("x", n, "x") + (_unpack("u", n, "v") if names is None else [])
     head = ["def compiled(mass, fail, energy, square):", "    def kernel(t, x, v):",
             *("        " + line for line in unpacked)]
-
-    def kinetic() -> None:
-        if names is None:
-            gen.emit("T = 0.0")
-            for i, (expr, mass_domain) in enumerate(zip(masses, domains)):
-                gen.coordinate(i, mass_domain, None, floated=True, fail="mass")
-                m = gen.walk(expr, 0).val
-                gen.check(f"{m} < 0.0", f"{i}, x, {m}", "mass")
-                gen.emit(f"T += 0.5 * {m} * u{i} ** 2")
-        else:
-            m = gen.walk(masses[0], 0).val
-            gen.check(f"{m} <= 0.0", f"None, x, {m}", "mass")
-            gen.emit(f"T = 0.5 * {m} * square(v)")
-
-    gen.block("try:", kinetic)
-    gen.block("except OverflowError:", lambda: gen.emit("energy(t)"))
-    gen.check("not isfinite(T)", "t, T", "energy")
-    result = "T"
+    overflow = "except OverflowError:\n    energy(t)"
+    if names is None:
+        T = "0.0"
+        for i, (expr, mass_domain) in enumerate(zip(masses, domains)):
+            gen.coordinate(i, mass_domain, None, floated=True, fail="mass")
+            m = gen.walk(expr, 0).val
+            gen.check(f"{m} < 0.0", f"mass({i}, x, {m})")
+            T = gen.assign("T", f"{T} + 0.5 * {m} * u{i} ** 2", overflow)
+    else:
+        m = gen.walk(masses[0], 0).val
+        gen.check(f"{m} <= 0.0", f"mass(None, x, {m})")
+        T = gen.assign("T", f"0.5 * {m} * square(v)", overflow)
+    gen.check(f"not isfinite({T})", f"energy(t, {T})")
+    result = T
     if potentials:
         terms = []
         for i, expr in enumerate(potentials):
             gen.coordinate(i, domain, pole, floated=True)
             terms.append(gen.walk(expr, 0).val)
-        gen.emit(f"V = {' + '.join(['0.0', *terms])}")
-        gen.check("not isfinite(V)", "None, x, V")
-        gen.emit("E = T + V")
-        gen.check("not isfinite(E)", "t, T, V", "energy")
-        result = "E"
+        V = gen.assign("V", " + ".join(["0.0", *terms]))
+        gen.check(f"not isfinite({V})", f"fail(None, x, {V})")
+        result = gen.assign("E", f"{T} + {V}")
+        gen.check(f"not isfinite({result})", f"energy(t, {T}, {V})")
     gen.emit(f"return {result}")
     return _function(gen, head, ["    return kernel"])
 
@@ -976,22 +971,20 @@ def _compile_energy(masses: tuple, names: tuple[str, ...] | None, domains: tuple
 def _compile_grid(exprs: tuple, rates: tuple, phases: tuple, branch: bool,
                   pole: float | None) -> Callable:
     gen = _Codegen((), 5)
-    gen.slots = {"t": _Slot("x0", "s0", gen.zero)}
-    gen.unit = "s0"
     gen.emit("x0 = float(t)")
+    gen.slots = {"t": _Slot("x0", gen.one, gen.zero)}
     for i, (expr, rate, phase) in enumerate(zip(exprs, rates, phases)):
         if branch:
-            gen.check(f"cos({gen.bind(rate)} * x0 + {gen.bind(phase)}) <= 0.0", f"t, {i}")
+            gen.check(f"cos({gen.bind(rate)} * x0 + {gen.bind(phase)}) <= 0.0", f"fail(t, {i})")
         x, v, a = gen.walk(expr, 2)[:3]
         if pole is not None:
-            gen.check(f"{x} == {gen.bind(pole)}", f"t, {i}, {x}")
+            gen.check(f"{x} == {gen.bind(pole)}", f"fail(t, {i}, {x})")
         gen.check(f"not (isfinite({x}) and isfinite({v}) and isfinite({a}))",
-                  f"t, {i}, {x}, {v}, {a}")
-        gen.emit(f"append({x})", f"append({v})", f"append({a})")
+                  f"fail(t, {i}, {x}, {v}, {a})")
+        gen.emit(f"append({x})\nappend({v})\nappend({a})")
     errors = gen.bind((ArithmeticError, ValueError, ExprError))
     head = ["def compiled(fail):",
             "    def grid(ts):",
-            "        s0 = 1.0",
             "        out = []",
             "        append = out.append",
             "        for t in ts:",
@@ -1001,6 +994,11 @@ def _compile_grid(exprs: tuple, rates: tuple, phases: tuple, branch: bool,
             "        return out",
             "    return grid"]
     return _function(gen, head, tail)
+
+
+def _expression(expr: object) -> None:
+    if not isinstance(expr, (Num, Var, Neg, BinOp, Call)):
+        raise InvalidParameter("expr", f"expected an expression, got {expr!r}")
 
 
 def _cached(holder: Expr, key: tuple, build: Callable) -> Callable:
@@ -1022,12 +1020,10 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     The result ``f(x_1, .., x_n, s_1, .., s_n)`` returns the value for
     ``order`` 0, (value, d1) for 1 and (value, d1, d2) for 2, with x_i the
     value of variable i and s_i its seed: the derivatives are taken along
-    the direction s.  Each order returns what order 2 returns, or raises
-    what it raises, except for a float overflow in a derivative factor
-    above the order, which it never computes (it goes on past it); and the
-    value is the same under every seed: a power whose exponent reads a
-    variable is exp(b ln a), and an ExprDomainError where a <= 0, whatever
-    the seeds.
+    the direction s.  Under the module's contract each order returns what
+    order 2 returns, cut to its length, or raises what it raises, except
+    for a float overflow in a derivative factor above the order, which it
+    never computes; and the value is the same under every seed.
 
     With ``batch``, for one variable, a mass, the result
     ``f(xs, s, lo, hi, fail)`` takes an iterable of floats and returns the
@@ -1039,8 +1035,7 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     x, and a guard's error is raised where it happens.
 
     Built once per Expr object, variable list, order and shape; later calls
-    return the same function.  A variable missing from ``names`` raises
-    KeyError.
+    return the same function.
     """
     key = (tuple(names), order, True) if batch else (tuple(names), order)
     return _cached(expr, key, _compile)
@@ -1053,19 +1048,15 @@ def compile_map(mass: Expr, q: Expr, f: Expr, columns: tuple[str, ...]) -> Calla
     ``root`` = sqrt(m) and ``half`` = m'/(2m).  ``columns`` names the lists
     the kernel returns, in order, from MAP_COLUMNS: q, dq/dx = f * root, f
     and m.  The result ``kernel(xs, lo, hi, fail)`` returns one list per
-    column over the floats xs.  At each x it runs, in this order, the domain
-    check, the lines of the mass kernel, the m < 0 check, root, q, half and
-    f.  The mass runs at order 1 (so m and m' are its bits) where something
-    reads half: f or dq is a column, or q names half (then half runs before
-    q); otherwise at order 0, which raises where order 1 raises.  half and
-    f run only where f or dq is a column, and f * root only where dq is.  A
-    failed check calls ``fail(x)`` for the domain and ``fail(x, m)`` for
-    m < 0, which raises what the caller owes at x; an error inside the
-    lines is raised where it happens.  So every column set returns the full
-    set's columns and raises where it raises, except that a set without f
-    and dq returns q where m underflows to 0 and half would divide by it,
-    and where the order-1 mass's factor of m' overflows (a non-integer
-    power near 0).
+    column over the floats xs.  At each x it emits, in this order, the
+    domain check, the mass's lines at order 1 (so m and m' are its bits),
+    the m < 0 check, root, q and f, with half where q or f first reads it,
+    and appends the asked columns; under the module's contract only the
+    lines those columns read run.  A failed check calls ``fail(x)`` for the
+    domain and ``fail(x, m)`` for m < 0, which raises what the caller owes
+    at x; an error inside the lines is raised where it happens.  So a set
+    without f and dq returns q also where half would divide by an m that
+    underflows to 0, or where a factor of m' overflows.
 
     Built once per (mass, q, f, columns), and kept on ``mass``.
     """
@@ -1124,9 +1115,10 @@ def eval_dual(expr: Expr, x: float) -> tuple[float, float, float]:
     """Evaluate an expression in x: (value, d/dx, d2/dx2) at x.
 
     Derivatives are exact for the grammar's function set; nothing is
-    finite-differenced internally.  An InvalidParameter unless x is a
-    number.
+    finite-differenced internally.  An InvalidParameter unless expr is an
+    Expr and x a number.
     """
+    _expression(expr)
     try:
         x = float(x)
     except (TypeError, ValueError, OverflowError):
@@ -1139,12 +1131,12 @@ def compile_gradient(expr: Expr, names: Sequence[str]) -> Callable:
     ``names`` as one compiled function.
 
     The result ``gradient(x)`` takes a sequence of len(names) numbers and
-    returns (value, [d/dx_1, .., d/dx_n]).  It runs the lines of the order-1
-    kernel once per seed direction j, with s_j = 1 and every other seed 0,
-    one direction after another, so each derivative holds the bits of that
-    kernel's call with those seeds.  The value is the first direction's,
-    which no seed changes.  An error inside the lines is raised where it
-    happens, so the first error is that of the first pass that raises.
+    returns (value, [d/dx_1, .., d/dx_n]).  Its lines are the order-1
+    kernel's once per seed direction j, with the seed of x_j held at 1 and
+    every other seed at 0, each folded as the module's notes say, so a
+    direction's value lines are the first's and run once.  Against calls of
+    the order-1 kernel with those seeds, a derivative can differ only in
+    the sign of a zero, or be a number where the call's inf * 0 is a NaN.
 
     Built once per (expr, names), and kept on ``expr``.
     """
@@ -1163,15 +1155,15 @@ def compile_rhs2(mass: Expr, names: Sequence[str], potentials: Sequence[Expr],
 
         -(mdot/m) v_i + (1/2)(g_i/m) |v|^2 - V_i'/m,  g = grad m, mdot = g.v.
 
-    It runs, in this order: each x_i as a float; m's gradient lines, as
-    compile_gradient runs them, so m and g are its bits; the m <= 0 check,
-    failing as fail(None, x, m); mdot and |v|^2, each summed from 0.0 in
-    coordinate order; then for each coordinate in turn the domain and pole
-    check, failing as fail(i, x), the lines of the potential term's order-1
-    kernel (so V_i' is its bits) and the acceleration line.  fail raises
-    what the caller owes there; an error inside the lines is raised where it
-    happens, so the first error is that of the first failing pass or
-    coordinate.
+    It emits, in this order: each x_i as a float; m's gradient lines, as
+    compile_gradient emits them, so m and g are its bits; the m <= 0 check,
+    failing as fail(None, x, m); mdot (whose known-zero products g_i v_i
+    drop) and |v|^2, each summed from 0.0 in coordinate order; then for each
+    coordinate in turn the domain and pole check, failing as fail(i, x), the
+    lines of the potential term's order-1 kernel (so V_i' is its bits) and
+    the acceleration line; under the module's contract an assignment runs
+    only where the accelerations read it.  fail raises what the caller owes
+    there; an error inside the lines is raised where it happens.
 
     Built once per (mass, names, potentials, domain, pole), and kept on
     ``mass``.
@@ -1238,8 +1230,14 @@ def compile_grid(exprs: Sequence[Expr], rates: Sequence[float], phases: Sequence
 def eval_gradient(expr: Expr, names: Sequence[str],
                   values: Sequence[float]) -> tuple[float, list[float]]:
     """Value and first partial derivatives of a multivariate expression at
-    ``values``: one call of its compile_gradient function; an
-    InvalidParameter unless there is one value per name."""
-    if len(values) != len(names):
-        raise InvalidParameter("values", f"expected {len(names)} coordinates, got {len(values)}")
-    return compile_gradient(expr, names)(values)
+    ``values``: one call of its compile_gradient function.  An
+    InvalidParameter unless expr is an Expr, every variable it reads is in
+    names and values holds one number per name."""
+    _expression(expr)
+    try:
+        xs = [float(value) for value in values]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameter("values", f"expected numbers, got {values!r}") from None
+    if len(xs) != len(names):
+        raise InvalidParameter("values", f"expected {len(names)} coordinates, got {len(xs)}")
+    return compile_gradient(expr, names)(xs)

@@ -266,7 +266,9 @@ def _eval(e: Expr, env: dict[str, Dual2], order: int = 2) -> Dual2:
             return _chain(u, r, lambda: 0.5 / r, lambda: _curvature(-0.25, u.val * r, e), order)
         raise AssertionError(f"unreachable function {e.fn}")
     assert isinstance(e, BinOp)
-    a = _eval(e.left, env, order)
+    # a power whose exponent folds to 0 is the constant 1: no line reads its base
+    a = (_checks(e.left, env) if e.op == "^" and _folded(e.right) == 0.0
+         else _eval(e.left, env, order))
     b = _eval(e.right, env, order)
     if e.op in "+-":
         return _add(a, b, order, 1 if e.op == "+" else -1)
@@ -275,6 +277,52 @@ def _eval(e: Expr, env: dict[str, Dual2], order: int = 2) -> Dual2:
     if e.op == "/":
         return _div(a, b, e, order)
     return _pow(a, b, e, order)
+
+
+def _folded(e: Expr) -> float | None:
+    """The value e folds to when its kernel is generated, if it does."""
+    if _reads_variable(e):
+        return None
+    try:
+        u = _eval(e, {}, 0)
+    except ExprDomainError:
+        return None
+    return u.val if u.known else None
+
+
+def _checks(e: Expr, env: dict[str, Dual2]) -> Dual2:
+    """The checks of e, whose value no line reads (the kernel drops its
+    lines): each on the value it reads, at order 0; a nan stands for e."""
+    value = lambda u: _eval(u, env, 0)  # noqa: E731 - a value a check reads
+    if isinstance(e, (Num, Var)):
+        return _eval(e, env)
+    if isinstance(e, Call) and e.fn in ("ln", "sqrt"):
+        if value(e.arg).val <= 0.0:
+            raise ExprDomainError(f"{e.fn} of a non-positive value", to_source(e))
+    elif isinstance(e, (Neg, Call)):
+        _checks(e.arg, env)
+    elif e.op in "+-*":
+        _checks(e.left, env)
+        _checks(e.right, env)
+    elif e.op == "/":
+        _checks(e.left, env)
+        if value(e.right).val == 0.0:
+            raise ExprDomainError("division by zero", to_source(e))
+    elif _reads_variable(e.right):
+        a = value(e.left)
+        _checks(e.right, env)
+        if a.val <= 0.0:
+            raise ExprDomainError("varying power of a non-positive base", to_source(e))
+    elif (k := _folded(e.right)) is not None and k.is_integer():
+        if -16 <= k < 0:        # 1 / a^|k|, whose division checks its divisor
+            _int_pow(value(e.left), int(k), e, 0)
+        else:
+            _checks(e.left, env)
+    else:                       # a real power, or a power decided at run time
+        a, b = value(e.left), value(e.right)
+        if a.val <= 0.0 and not (k is None and float(b.val).is_integer()):
+            raise ExprDomainError("non-integer power of a non-positive base", to_source(e))
+    return Dual2(math.nan)
 
 
 def _floats(u: Dual2, order: int = 2) -> tuple[float, ...]:
@@ -288,7 +336,8 @@ def reference_dual(expr: Expr, x: float, order: int = 2, seed: float = 1.0):
 
 
 def reference_gradient(expr: Expr, names, values) -> tuple[float, list[float]]:
-    base = {n: Dual2.seed(v, 0.0) for n, v in zip(names, values)}
+    # the kernel holds each direction's seeds: 1 for x_j, a known zero for the rest
+    base = {n: Dual2(float(v)) for n, v in zip(names, values)}
     if not names:
         return _eval(expr, base, 0).val, []
     grad = []
@@ -559,23 +608,53 @@ class TestCompiledMatchesReference:
     @example((parse_expression("exp(x4*x1)^x2", ["x1", "x2", "x3", "x4"]), [3.0, 2.0, 1.0, 300.0]))
     @settings(max_examples=300, deadline=None)
     def test_eval_gradient_matches_the_unseeded_value_form(self, case):
-        # the value comes from the first seeded call: bit for bit, errors too
+        # the value comes from the first seeded call: bit for bit, errors too;
+        # so does each partial derivative, but where the kernel's held seeds
+        # fold a zero product that the seeded call computes: the sign of a
+        # zero, or a number where the seeded call's inf * 0 is a NaN
         expr, xs = case
         names = [f"x{i + 1}" for i in range(len(xs))]
-        assert (bit_outcome(eval_gradient, expr, names, xs)
-                == bit_outcome(gradient_with_unseeded_value, expr, names, xs))
+        got, want = (bit_outcome(fn, expr, names, xs)
+                     for fn in (eval_gradient, gradient_with_unseeded_value))
+        if isinstance(got, tuple) or isinstance(want, tuple):
+            assert got == want
+            return
+        assert got[:8] == want[:8]
+        for g, w in zip(struct.unpack(f"<{len(xs)}d", got[8:]),
+                        struct.unpack(f"<{len(xs)}d", want[8:])):
+            assert struct.pack("<d", g) == struct.pack("<d", w) or math.isnan(w) or g == w == 0.0
 
-    @pytest.mark.parametrize("values", [[1.0], [1.0, 2.0, 3.0]])
-    def test_eval_gradient_wrong_number_of_values(self, values):
+    @pytest.mark.parametrize("names,values,message", [
+        (["x1", "x2"], [1.0], "values: expected 2 coordinates, got 1"),
+        (["x1", "x2"], [1.0, 2.0, 3.0], "values: expected 2 coordinates, got 3"),
+        (["x1", "x2"], [1.0, None], "values: expected numbers, got [1.0, None]"),
+        (["x1", "x2"], ["a", 2.0], "values: expected numbers, got ['a', 2.0]"),
+        (["x1", "x2"], [1.0, 1 + 1j], "values: expected numbers, got [1.0, (1+1j)]"),
+        (["x1", "x2"], None, "values: expected numbers, got None"),
+        (["x1"], [1.0], "names: 'x2' is not among the variables"),
+    ])
+    def test_eval_gradient_wrong_number_of_values(self, names, values, message):
         expr = parse_expression("x1*x2", ["x1", "x2"])
-        with pytest.raises(InvalidParameter, match=f"^values: expected 2 coordinates, "
-                                                   f"got {len(values)}$"):
-            eval_gradient(expr, ["x1", "x2"], values)
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            eval_gradient(expr, names, values)
 
-    @pytest.mark.parametrize("x", ["a", None, 10 ** 400])
-    def test_eval_dual_needs_a_number(self, x):
-        with pytest.raises(InvalidParameter, match=f"^x: expected a number, got {x!r}$"):
-            eval_dual(parse_expression("x^2"), x)
+    @pytest.mark.parametrize("call,x,message", [
+        (lambda x: eval_dual(parse_expression("x^2"), x), "a", "x: expected a number, got 'a'"),
+        (lambda x: eval_dual(parse_expression("x^2"), x), None, "x: expected a number, got None"),
+        (lambda x: eval_dual(parse_expression("x^2"), x), 10 ** 400,
+         f"x: expected a number, got {10 ** 400!r}"),
+        (lambda x: eval_dual(x, 1), "x", "expr: expected an expression, got 'x'"),
+        (lambda x: eval_gradient(x, [], []), "x", "expr: expected an expression, got 'x'"),
+        (parse_expression, None, "text: expected a string, got None"),
+        (parse_expression, b"x", "text: expected a string, got b'x'"),
+        (lambda x: parse_expression("x", x), None, "variables: expected a list of names, got None"),
+        (to_source, None, "expr: expected an expression, got None"),
+        (to_source, BinOp("+", Var("x"), None), "expr: expected an expression, got None"),
+    ])
+    def test_eval_dual_needs_a_number(self, call, x, message):
+        # and each export's other arguments their types
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            call(x)
 
     def test_eval_gradient_of_no_variables(self):
         expr = parse_expression("2*3")
@@ -798,6 +877,18 @@ def test_an_energy_computes_no_derivative_factor(system, x, v, value):
                and f[1].startswith("float overflow") for f in failed)
 
 
+def test_a_kernel_runs_every_check_and_only_the_lines_a_root_reads():
+    # V' of ln(x) reads 1/x alone, yet the check on x runs: no -1 at x = -1
+    system = build_system("custom", 1, mass_exprs=["1"], potential_exprs=["ln(x)"])
+    with pytest.raises(ExprDomainError, match="^ln of a non-positive value in 'ln\\(x\\)'$"):
+        potential_gradient(system, [-1.0])
+    # V = x^2.5 overflows at 1e200 where V' does not, and the gradient reads no V
+    system = build_system("custom", 1, mass_exprs=["1"], potential_exprs=["x^2.5"])
+    with pytest.raises(ExprDomainError, match="^float overflow in 'x\\^2.5'$"):
+        potential_energy(system, [1e200])
+    assert math.isfinite(potential_gradient(system, [1e200])[0])
+
+
 def _value_outcome(expr, names, xs, seeds, order):
     """The value the order's kernel returns at xs under the seeds, or the
     exception it raises."""
@@ -961,9 +1052,40 @@ class TestNestingLimit:
         assert parse_expression(to_source(expr)) == expr
 
 
-#: an arithmetic operand that is the bound zero k0, and a product with the seed s0
+#: an arithmetic operand that is the bound zero k0, a derivative's product
+#: with the bound 1.0 k1, and a seed stored in a local
 _ZERO_OPERAND = re.compile(r"(?:[-+*/]\s*k0\b)|(?:\bk0\s*[-+*/])")
-_UNIT_FACTOR = re.compile(r"(?:\*\s*s0\b)|(?:\bs0\s*\*)")
+_UNIT_FACTOR = re.compile(r"^[pq]\d+ = .*(?:(?:\*\s*k1\b)|(?:\bk1\s*\*))")
+_SEED_STORE = re.compile(r"^s\d+ = ")
+#: an assignment (its names, its right-hand side) and a check (its condition)
+_ASSIGNMENT = re.compile(r"^(\w+(?:, \w+)*) = (.+)$")
+_CHECK = re.compile(r"^if (.+):$")
+
+
+def _unread(lines: list[str]) -> list[str]:
+    """The assignments none of whose names a later line reads; an argument's
+    conversion to a float is a check."""
+    unread = []
+    for k, line in enumerate(lines):
+        match = _ASSIGNMENT.match(line) if " = float(" not in line else None
+        names = match and re.compile(rf"\b(?:{'|'.join(match[1].split(', '))})\b")
+        if match and not any(names.search(later) for later in lines[k + 1:]):
+            unread.append(line)
+    return unread
+
+
+def _repeated(lines: list[str]) -> list[str]:
+    """The assignments and checks with the right-hand side or the condition
+    of an earlier one."""
+    seen, repeated = set(), []
+    for line in lines:
+        match = _ASSIGNMENT.match(line) or _CHECK.match(line)
+        if match and match[match.lastindex] in seen:
+            repeated.append(line)
+        elif match:
+            seen.add(match[match.lastindex])
+    return repeated
+
 
 #: the type1 and type2 systems of the benchmark's expression workload
 _EXPR_SYSTEMS = [
@@ -976,11 +1098,12 @@ _EXPR_SYSTEMS = [
 
 
 class TestKnownZerosFold:
-    """No generated line computes with a known zero or a unit seed: across
-    every kernel shape of every catalog family at n = 1-3, of every verify
-    case's closed form and of the expression systems, no arithmetic operand
-    is the bound zero k0, and where s0 holds 1.0 no product has the factor
-    s0."""
+    """Every generated line is needed once: across every kernel shape of
+    every catalog family at n = 1-3, of every verify case's closed form and
+    of the expression systems, no arithmetic operand is the bound zero k0,
+    no derivative product has the factor k1 (the bound 1.0), no seed is
+    stored, no assignment is left unread, and no assignment or check
+    repeats an earlier one's right-hand side or condition."""
 
     @staticmethod
     def _kernels(monkeypatch) -> list:
@@ -1018,18 +1141,15 @@ class TestKnownZerosFold:
 
     @staticmethod
     def _assert_folded(gens):
+        from pdmdyn import exprparse
         assert gens
         for gen in gens:
-            lines = [line.strip() for line in gen.lines]
-            zero = [line for line in lines if _ZERO_OPERAND.search(line)]
-            assert not zero, zero
-            if gen.unit == "s0":
-                # s0 is 1.0 after its last assignment (a type2 kernel's
-                # gradient lines set it as a direction seed before)
-                last = max((k for k, line in enumerate(lines) if line.startswith("s0 = ")),
-                           default=-1)
-                unit = [line for line in lines[last + 1:] if _UNIT_FACTOR.search(line)]
-                assert not unit, unit
+            lines = [line.strip() for line in exprparse._source(gen.body, set(), 0)]
+            for pattern in (_ZERO_OPERAND, _UNIT_FACTOR, _SEED_STORE):
+                found = [line for line in lines if pattern.search(line)]
+                assert not found, found
+            assert not _unread(lines), _unread(lines)
+            assert not _repeated(lines), _repeated(lines)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("family", sorted(_CATALOG))
@@ -1065,5 +1185,13 @@ class TestKnownZerosFold:
         assert _ZERO_OPERAND.search("q3 = (p7 - v8 * k0) / k65")
         assert not _ZERO_OPERAND.search("v3, p3, q3 = int_pow(v2, k0, k0, k5, k6)")
         assert not _ZERO_OPERAND.search("p3 = k01 * x0")
-        assert _UNIT_FACTOR.search("p1 = s0 * x0 + x0 * s0")
-        assert not _UNIT_FACTOR.search("p1 = s01 * x0 - s0")
+        assert _UNIT_FACTOR.search("p1 = k1 * x0 + x0 * k1")
+        assert not _UNIT_FACTOR.search("v1 = k1 * x0 - k11 * x0")
+        assert _SEED_STORE.search("s0 = 1.0")
+        assert not _SEED_STORE.search("p1 = s0 * x0")
+        assert _unread(["x0 = float(x0)", "v1 = x0 * x0", "v2 = v1 + x0",
+                        "return v1"]) == ["v2 = v1 + x0"]
+        assert _unread(["v1 = x0 * x0", "v2 = v1 + x0", "return v2"]) == []
+        assert _repeated(["v1 = x0 * x1", "if v1 <= 0.0:", "v2 = x0 * x1",
+                          "if v1 <= 0.0:"]) == ["v2 = x0 * x1", "if v1 <= 0.0:"]
+        assert _repeated(["v1 = x0 * x1", "v2 = x1 * x0", "if v1 <= 0.0:", "if v1 < 0.0:"]) == []
