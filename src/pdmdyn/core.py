@@ -27,6 +27,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -257,9 +258,11 @@ def build_system(family: str, n: int = 1,
     ``custom`` takes per-coordinate mass and potential expressions (kind
     TYPE1), or a single coupled mass expression over x1..xn (kind TYPE2).
     """
-    record = FAMILIES.get(family)
+    record = FAMILIES.get(family) if isinstance(family, str) else None
     if record is None and family != "custom":
         raise InvalidParameter("family", f"unknown family {family!r}")
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise InvalidParameter("n", f"expected an integer, got {n!r}")
     p = parameter_set(params, n)
     _validate(n, p)
     if record is None:

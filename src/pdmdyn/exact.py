@@ -62,7 +62,7 @@ class ExactSolutionSpec:
     variant: str = PUBLISHED_FORM
 
     def __post_init__(self):
-        record = FAMILIES.get(self.family)
+        record = FAMILIES.get(self.family) if isinstance(self.family, str) else None
         if record is None:
             raise InvalidSpec(f"no closed form catalogued for {self.family!r}")
         object.__setattr__(self, "record", record)

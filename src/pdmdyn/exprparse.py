@@ -24,6 +24,9 @@ the notes on compilation below).  The compiled function is kept on the Expr
 object, so a repeated evaluation neither walks the tree nor compiles again.
 Constants enter the generated code as bound float objects and variables as
 positional arguments; no text of the input reaches the generated source.
+Every operation and call on constants folds when the kernel is generated,
+and a power's rule and integer factors are fixed there too: no kernel
+decides anything about its arithmetic at run time.
 
 The one contract of every kernel: **a kernel runs every check of every
 node it walks; an assignment runs only where a root reads it.**  A root is
@@ -346,30 +349,38 @@ def _render(e: Expr, parent_prec: int) -> str:
 #   f(u):  (f, f'u', f''u'u' + f'u'')
 # and an operation is written the same way, in the same order, wherever it
 # appears, so every path gives bit-identical results.  A constant is a value
-# whose derivatives are the bound zero: an operation on two constants (unary
-# -, +, -, *, and / by a non-zero constant) is carried out once, at compile
-# time, on their values alone.
+# whose derivatives are the bound zero.  Constants fold: an operation or call
+# on constants is carried out once, when the kernel is generated, on their
+# values alone and by the arithmetic the kernel would run, wherever that
+# raises nothing: unary -, +, -, *, / by a non-zero constant, sin, cos,
+# exp, ln and sqrt (ln and sqrt of a value > 0 or NaN, so a check that
+# would fail stays), an integer power, and a real power of a base > 0 or
+# NaN that does not overflow.  So an exponent that reads no variable is a
+# number when the kernel is generated, unless its own evaluation raises.
 #
 # Known zeros fold.  The bound zero k0 is a derivative known to be zero: a
-# constant's d1 and d2, a variable's d2, every derivative above the kernel's
-# order and a seed held at 0.  Each derivative line is a sum of products; a
-# product with a known-zero factor is left out, and so is a factor that is
-# the bound 1.0 (a seed held at 1, or a constant 1; x * 1.0 is x bit for
-# bit).  Against multiplying the zeros out, the sign of a zero derivative
-# can differ, and a NaN from inf * 0 does not appear.  compile_expression's
-# seed arguments stay factors.
+# constant's d1 and d2, a variable's d2 and a seed held at 0.  Each node is
+# walked to second order; a kernel of a lower order returns fewer names, and
+# the backward pass below drops what only the others read.  Each derivative
+# line is a sum of products; a product with a known-zero factor is left
+# out, and so is a factor that is the bound 1.0 (a seed held at 1, or a
+# constant 1; x * 1.0 is x bit for bit).  Against multiplying the zeros
+# out, the sign of a zero derivative can differ, and a NaN from inf * 0 does
+# not appear.  compile_expression's seed arguments stay factors.
 #
 # The module's contract rests on two passes over statement records (the
 # names each writes and reads, and its text).  At emission, an assignment
 # whose right-hand side the kernel has assigned already, or a check whose
 # condition it has tested, is not emitted again: the earlier name stands
-# for it (a table; the entries made inside an if/else block are dropped
-# where it ends).  Before the lines are joined, one backward pass keeps the
-# roots and the assignments they read.  A power's rule is fixed from the
+# for it (a table).  Before the lines are joined, one backward pass keeps
+# the roots and the assignments they read.  A power's rule is fixed from the
 # exponent's tree: one that reads a variable is exp(b ln a) on a positive
-# base, any other an integer or a real power, so no value reads a seed.
+# base; any other has folded to a number, and is an integer power,
+# multiplied out inline, or a real power, so no value reads a seed.  An
+# exponent whose evaluation raises keeps the real power's check, which
+# reads it, so the kernel raises there.
 
-#: integer powers up to this are unrolled; larger ones loop at run time
+#: integer powers up to this are unrolled; larger ones square and multiply
 _UNROLL = 16
 
 _OVERFLOW = "float overflow"
@@ -392,78 +403,33 @@ class _Slot(NamedTuple):
 
 class _Line(NamedTuple):
     """One generated statement: the names it writes (none: a root) and reads,
-    and its text; an if/else block's text is its (head, statements) clauses."""
+    and its text."""
 
     writes: tuple[str, ...]
     reads: frozenset[str]
-    text: str | tuple
+    text: str
 
 
-def _source(body: list[_Line], live: set[str], indent: int) -> list[str]:
-    """The source lines, ``indent`` levels in, of body's statements that a
-    root needs, by one backward pass: ``live`` holds the names read after
-    the statement at hand, and ends as those read before body."""
-    pad, kept = "    " * indent, []
+def _source(body: list[_Line]) -> list[str]:
+    """The source lines of body's statements that a root needs, by one
+    backward pass: ``live`` holds the names read after the statement at hand."""
+    live: set[str] = set()
+    kept = []
     for line in reversed(body):
-        if isinstance(line.text, tuple):
-            ins = [set(live) for _ in line.text]
-            clauses = [(head, _source(stmts, inside, indent + 1))
-                       for (head, stmts), inside in zip(line.text, ins)]
-            if not any(lines for _, lines in clauses):
-                continue
-            live.update(*ins)
-            kept.append([text for head, lines in clauses
-                         for text in (pad + head, *(lines or [pad + "    pass"]))])
-        elif line.writes and live.isdisjoint(line.writes):
+        if line.writes and live.isdisjoint(line.writes):
             continue
-        else:
-            kept.append([pad + text for text in line.text.split("\n")])
+        kept.append(line.text)
         live.difference_update(line.writes)
         live |= line.reads
-    return [text for lines in reversed(kept) for text in lines]
-
-
-def _dual_mul(a: tuple, b: tuple) -> tuple[float, float, float]:
-    return (a[0] * b[0], a[1] * b[0] + a[0] * b[1],
-            a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])
-
-
-def _int_pow(v: float, d1: float, d2: float, k: int,
-             where: Expr) -> tuple[float, float, float]:
-    """(v, d1, d2) to the integer power k; negative bases stay exact and real.
-
-    Up to _UNROLL factors one at a time, as the unrolled code does; beyond,
-    square-and-multiply, about 2 log2(k) products, so even k = 1e300 returns.
-    """
-    if k == 0:
-        return 1.0, 0.0, 0.0
-    if k < 0:
-        t, t1, t2 = _int_pow(v, d1, d2, -k, where)
-        if t == 0.0:
-            raise ExprDomainError("division by zero", to_source(where))
-        q = 1.0 / t
-        q1 = (0.0 - q * t1) / t
-        return q, q1, (0.0 - 2.0 * q1 * t1 - q * t2) / t
-    base = out = (v, d1, d2)
-    if k <= _UNROLL:
-        for _ in range(k - 1):
-            out = _dual_mul(out, base)
-        return out
-    out = (1.0, 0.0, 0.0)
-    while k:
-        if k & 1:
-            out = _dual_mul(out, base)
-        base = _dual_mul(base, base)
-        k >>= 1
-    return out
+    return [text for line in reversed(kept) for text in line.split("\n")]
 
 
 # the only names the generated code reads besides its arguments and bindings
 _NAMESPACE = {
-    "__builtins__": {"float": float, "int": int, "OverflowError": OverflowError,
+    "__builtins__": {"float": float, "OverflowError": OverflowError,
                      "ValueError": ValueError, "ZeroDivisionError": ZeroDivisionError},
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-    "sqrt": math.sqrt, "isfinite": math.isfinite, "int_pow": _int_pow,
+    "sqrt": math.sqrt, "isfinite": math.isfinite,
     "ExprDomainError": ExprDomainError, "to_source": to_source,
 }
 
@@ -474,7 +440,6 @@ class _Codegen:
     and potentials; for a batch, the body of its loop over the points."""
 
     def __init__(self, names: tuple[str, ...], indent: int = 2):
-        self.order = 2                  # of the expression being walked: set by walk
         self.body: list[_Line] = []
         self.indent = indent            # 2 inside bind() and compiled(), more in a loop
         # read by the code as k0, k1, ...: k0 is the known zero, apart from
@@ -501,11 +466,6 @@ class _Codegen:
             self.bound.append(obj)
         return self.keys[key]
 
-    def fresh(self, prefix: str) -> str:
-        """A new name per prefix of the comma-separated ``prefix``."""
-        self.count += 1
-        return ", ".join(f"{p}{self.count}" for p in prefix.split(", "))
-
     def emit(self, text: str, *writes: str) -> None:
         """One statement: the assignment ``writes = ...``, or a root."""
         reads = _NAME.findall(text.partition(" = ")[2] if writes else text)
@@ -514,14 +474,15 @@ class _Codegen:
     def assign(self, prefix: str, rhs: str, guard: str = "") -> str:
         """The name that holds rhs: rhs itself where it is a name or a number,
         the earlier name where the kernel has assigned rhs already, otherwise
-        a fresh one (see ``fresh``) assigned here, in a try with the except
-        clause ``guard`` if given."""
+        a new one, ``prefix`` and a count, assigned here, in a try with the
+        except clause ``guard`` if given."""
         if _ATOM.fullmatch(rhs):
             return rhs
         if rhs not in self.table:
-            name = self.table[rhs] = self.fresh(prefix)
+            self.count += 1
+            name = self.table[rhs] = f"{prefix}{self.count}"
             text = f"{name} = {rhs}"
-            self.emit(f"try:\n    {text}\n{guard}" if guard else text, *name.split(", "))
+            self.emit(f"try:\n    {text}\n{guard}" if guard else text, name)
         return self.table[rhs]
 
     def check(self, failed: str, then: str) -> None:
@@ -531,21 +492,6 @@ class _Codegen:
         if head not in self.table:
             self.table[head] = ""
             self.emit(f"{head}\n    {then}")
-
-    def branches(self, *clauses: tuple[str, Callable[[], _Slot]]) -> _Slot:
-        """An if/else block of (head, fill) clauses, and the slot of fresh
-        names it assigns: each clause emits fill's lines, numbered in the
-        table as it stood before the block, and copies fill's slot there."""
-        body, table, done, out = self.body, self.table, [], self.fresh("v, p, q").split(", ")
-        for head, fill in clauses:
-            self.body, self.table = [], dict(table)
-            for name, value in zip(out, fill()[:3]):
-                self.emit(f"{name} = {value}", name)
-            done.append((head, self.body))
-        self.body, self.table = body, table
-        heads = " ".join(head for head, _ in clauses)
-        self.body.append(_Line((), frozenset(_NAME.findall(heads)), tuple(done)))
-        return _Slot(*out)
 
     def coordinate(self, i: int, domain: tuple[float, float], pole: float | None,
                    singular: float | None = None, floated: bool = False,
@@ -576,11 +522,10 @@ class _Codegen:
     def constant(self, value: float) -> _Slot:
         return _Slot(self.bind(value), self.zero, self.zero, value)
 
-    def walk(self, root: Expr, order: int) -> _Slot:
-        """The lines of root at the given order, in post-order over the tree
+    def walk(self, root: Expr) -> _Slot:
+        """The lines of root to second order, in post-order over the tree
         without recursion; returns the root's slot.  A variable's slot may be
         a function that emits its lines, called where the tree reads it."""
-        self.order = order
         todo: list[tuple[Expr, bool]] = [(root, False)]
         done: list[_Slot] = []
         while todo:
@@ -636,9 +581,9 @@ class _Codegen:
     def derivative(self, order: int, terms: Sequence[tuple[str, ...]],
                    over: str | None = None) -> str:
         """The name that holds a derivative of the given order, the sum of
-        terms (divided by over): the bound zero above this kernel's order or
-        where every term drops, otherwise as ``assign`` gives it."""
-        text = self.total(terms) if self.order >= order else None
+        terms (divided by over): the bound zero where every term drops,
+        otherwise as ``assign`` gives it."""
+        text = self.total(terms)
         if text is None:
             return self.zero
         return self.assign("pq"[order - 1], text if over is None else f"({text}) / {over}")
@@ -670,11 +615,15 @@ class _Codegen:
                      self.derivative(1, [(a.d1, b.val), (a.val, b.d1)]),
                      self.derivative(2, [(a.d2, b.val), ("2.0", a.d1, b.d1), (a.val, b.d2)]))
 
-    def div(self, a: _Slot, b: _Slot, where: Expr) -> _Slot:
+    def div(self, a: _Slot, b: _Slot, where: Expr, checked: bool = True) -> _Slot:
+        """a / b: a zero divisor fails its check, or, not ``checked``, raises
+        from the quotient's assignment, so only where the quotient is read."""
         if a.known is not None and b.known is not None and b.known != 0.0:
             return self.constant(a.known / b.known)
-        self.check(f"{b.val} == 0.0", self.raise_domain("division by zero", where))
-        v = self.assign("v", f"{a.val} / {b.val}")
+        if checked:
+            self.check(f"{b.val} == 0.0", self.raise_domain("division by zero", where))
+        v = self.assign("v", f"{a.val} / {b.val}", "" if checked else
+                        self.guard(where, "ZeroDivisionError", "division by zero"))
         p = self.derivative(1, [(a.d1,), ("-", v, b.d1)], b.val)
         return _Slot(v, p, self.derivative(2, [(a.d2,), ("-", "2.0", p, b.d1), ("-", v, b.d2)],
                                            b.val))
@@ -685,6 +634,13 @@ class _Codegen:
                      self.derivative(2, [(fpp, u.d1, u.d1), (fp, u.d2)]))
 
     def call(self, node: Call, u: _Slot) -> _Slot:
+        """f(u); of a constant, f's value where the kernel's check and call
+        raise nothing (so ln and sqrt of a value > 0 or NaN)."""
+        if u.known is not None and not (node.fn in ("ln", "sqrt") and u.known <= 0.0):
+            try:
+                return self.constant(_NAMESPACE["log" if node.fn == "ln" else node.fn](u.known))
+            except (OverflowError, ValueError):
+                pass
         if node.fn in ("sin", "cos"):   # both raise ValueError at +-inf
             guard = self.guard(node, "ValueError", f"{node.fn} of an infinite value")
             v = self.assign("v", f"{node.fn}({u.val})", guard)
@@ -714,37 +670,42 @@ class _Codegen:
     def power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         """a^b by a rule fixed here, from the exponent's tree alone: an
         exponent that reads a variable is exp(b ln a) on a positive base;
-        any other is an integer or a real power, decided now if it folded to
-        a constant and by its value at run time if not."""
+        any other has folded to its value, an integer power or a real one
+        (of a constant base > 0 or NaN, its value where ** does not
+        overflow).  An exponent that did not fold raises where it is read,
+        and the real power's check reads it."""
         if _reads_variable(node.right):
             return self.exp_log_power(node, a, b)
         if b.known is not None and b.known.is_integer():
             return self.int_power(node, a, int(b.known))
+        if a.known is not None and b.known is not None and not a.known <= 0.0:
+            try:
+                return self.constant(a.known ** b.known)
+            except OverflowError:
+                pass
         non_integer = "" if b.known is not None else f" and not {b.val}.is_integer()"
         self.check(f"{a.val} <= 0.0{non_integer}",
                    self.raise_domain("non-integer power of a non-positive base", node))
-        if b.known is not None:
-            return self.const_power(node, a, b.val)
-        return self.branches((f"if {b.val}.is_integer():",
-                              lambda: self.int_pow(node, a, f"int({b.val})")),
-                             ("else:", lambda: self.const_power(node, a, b.val)))
-
-    def int_pow(self, node: BinOp, a: _Slot, k: str) -> _Slot:
-        """a^k by the run-time int_pow, k the text of an integer."""
-        # derivatives a lower kernel lacks enter as 0; the orders it returns never read them
-        d1, d2 = (d if self.order >= j else self.zero for j, d in ((1, a.d1), (2, a.d2)))
-        return _Slot(*self.assign("v, p, q", f"int_pow({a.val}, {d1}, {d2}, {k}, "
-                                             f"{self.bind(node)})").split(", "))
+        return self.const_power(node, a, b.val)
 
     def int_power(self, node: BinOp, a: _Slot, k: int) -> _Slot:
+        """a^k: up to _UNROLL factors one at a time, beyond that by
+        square-and-multiply (about 2 log2 |k| products, so even k = 1e300 is
+        emitted); a negative k is 1 / a^|k|, whose zero divisor beyond
+        _UNROLL raises where the power is read, not in a check."""
         if k == 0:
             return self.constant(1.0)
-        if abs(k) > _UNROLL:
-            return self.int_pow(node, a, self.bind(k))
-        out = a
-        for _ in range(abs(k) - 1):
-            out = self.mul(out, a)
-        return self.div(self.constant(1.0), out, node) if k < 0 else out
+        out, n = a, abs(k)
+        if n <= _UNROLL:
+            for _ in range(n - 1):
+                out = self.mul(out, a)
+        else:
+            out = None
+            while n:
+                if n & 1:
+                    out = a if out is None else self.mul(out, a)
+                a, n = self.mul(a, a), n >> 1
+        return self.div(self.constant(1.0), out, node, -k <= _UNROLL) if k < 0 else out
 
     def const_power(self, node: BinOp, a: _Slot, p: str) -> _Slot:
         guard = self.guard(node)
@@ -781,7 +742,7 @@ def _function(gen: _Codegen, head: list[str], tail: list[str]) -> Callable:
     source = "\n".join([
         f"def bind({', '.join(f'k{j}' for j in range(len(gen.bound)))}):",
         *("    " + line for line in head),
-        *_source(gen.body, set(), gen.indent),
+        *("    " * gen.indent + line for line in _source(gen.body)),
         *("    " + line for line in tail),
         "    return compiled",
     ])
@@ -795,7 +756,7 @@ def _compile(expr: Expr, names: tuple[str, ...], order: int,
     gen = _Codegen(names, 3 if batch else 2)
     if batch:
         gen.check("not lo < x0 < hi", "fail(x0)")
-    slot = gen.walk(expr, order)
+    slot = gen.walk(expr)
     result = ", ".join(slot[:order + 1])
     if batch:
         gen.check(f"{slot.val} < 0.0", f"fail(x0, {slot.val})")
@@ -825,16 +786,17 @@ def _compile_map(mass: Expr, q: Expr, f: Expr, columns: tuple[str, ...]) -> Call
     gen = _Codegen(("x",), 3)
     gen.check("not lo < x0 < hi", "fail(x0)")
     gen.slots["x"] = _Slot("x0", gen.one, gen.zero)
-    m = gen.walk(mass, 1)
+    m = gen.walk(mass)
     gen.check(f"{m.val} < 0.0", f"fail(x0, {m.val})")
-    root = gen.assign("r", f"sqrt({m.val})")
+    root = (gen.constant(math.sqrt(m.known)).val if m.known is not None and not m.known < 0.0
+            else gen.assign("r", f"sqrt({m.val})"))
     # q and f are values: every variable's seed is 0; half runs where q or f
     # first reads it, and is the constant 0.0 where m is constant
     half = gen.constant(0.0) if m.d1 == gen.zero else (lambda: _Slot(
         gen.assign("h", f"{m.d1} / (2.0 * {m.val})"), gen.zero, gen.zero))
     gen.slots = {"x": _Slot("x0", gen.zero, gen.zero), "root": _Slot(root, gen.zero, gen.zero),
                  "half": half}
-    values = {"q": gen.walk(q, 0).val, "m": m.val, "f": gen.walk(f, 0).val}
+    values = {"q": gen.walk(q).val, "m": m.val, "f": gen.walk(f).val}
     values["dq"] = f"{values['f']} * {root}"
     gen.emit("\n".join(f"append{k}({values[c]})" for k, c in enumerate(columns)))
     head = ["def compiled(xs, lo, hi, fail):",
@@ -850,7 +812,7 @@ def _compile_potential(exprs: tuple, domain: tuple[float, float],
     terms = []
     for i, expr in enumerate(exprs):
         gen.coordinate(i, domain, pole)
-        terms.append(gen.walk(expr, order)[order])
+        terms.append(gen.walk(expr)[order])
     if order:
         gen.emit(f"append([{', '.join(terms)}])")
     else:
@@ -873,8 +835,8 @@ def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
     accelerations = []
     for i, (mass, potential, singular) in enumerate(zip(masses, potentials, singularities)):
         gen.coordinate(i, domain, pole, singular)
-        dv = gen.walk(potential, 1).d1
-        m = gen.walk(mass, 1)
+        dv = gen.walk(potential).d1
+        m = gen.walk(mass)
         gen.check(f"{m.val} < 0.0", f"fail({i}, x, {m.val})")
         # velocities are u_i: v<count> names the emitter's own locals
         a = gen.total([("-", gen.ratio(m.d1, f"(2.0 * {m.val})"), f"u{i}", f"u{i}"),
@@ -897,8 +859,8 @@ def _gradient(gen: _Codegen, mass: Expr, n: int) -> tuple[str, list[str]]:
     for j in range(n):
         gen.slots = {name: slot._replace(d1=gen.one if k == j else gen.zero)
                      for k, (name, slot) in enumerate(slots.items())}
-        directions.append(gen.walk(mass, 1))
-    value = directions[0].val if directions else gen.walk(mass, 0).val
+        directions.append(gen.walk(mass))
+    value = directions[0].val if directions else gen.walk(mass).val
     return value, [slot.d1 for slot in directions]
 
 
@@ -922,7 +884,7 @@ def _compile_rhs2(mass: Expr, names: tuple[str, ...], potentials: tuple,
     accelerations = []
     for i, (potential, g) in enumerate(zip(potentials, grad)):
         gen.coordinate(i, domain, pole, floated=True)
-        dv = gen.walk(potential, 1).d1
+        dv = gen.walk(potential).d1
         accelerations.append(gen.assign("a", gen.total([
             ("-", f"({mdot} / {m})", f"u{i}"), ("0.5", gen.ratio(g, m), vv),
             ("-", gen.ratio(dv, m))])))
@@ -946,11 +908,11 @@ def _compile_energy(masses: tuple, names: tuple[str, ...] | None, domains: tuple
         T = "0.0"
         for i, (expr, mass_domain) in enumerate(zip(masses, domains)):
             gen.coordinate(i, mass_domain, None, floated=True, fail="mass")
-            m = gen.walk(expr, 0).val
+            m = gen.walk(expr).val
             gen.check(f"{m} < 0.0", f"mass({i}, x, {m})")
             T = gen.assign("T", f"{T} + 0.5 * {m} * u{i} ** 2", overflow)
     else:
-        m = gen.walk(masses[0], 0).val
+        m = gen.walk(masses[0]).val
         gen.check(f"{m} <= 0.0", f"mass(None, x, {m})")
         T = gen.assign("T", f"0.5 * {m} * square(v)", overflow)
     gen.check(f"not isfinite({T})", f"energy(t, {T})")
@@ -959,7 +921,7 @@ def _compile_energy(masses: tuple, names: tuple[str, ...] | None, domains: tuple
         terms = []
         for i, expr in enumerate(potentials):
             gen.coordinate(i, domain, pole, floated=True)
-            terms.append(gen.walk(expr, 0).val)
+            terms.append(gen.walk(expr).val)
         V = gen.assign("V", " + ".join(["0.0", *terms]))
         gen.check(f"not isfinite({V})", f"fail(None, x, {V})")
         result = gen.assign("E", f"{T} + {V}")
@@ -976,7 +938,7 @@ def _compile_grid(exprs: tuple, rates: tuple, phases: tuple, branch: bool,
     for i, (expr, rate, phase) in enumerate(zip(exprs, rates, phases)):
         if branch:
             gen.check(f"cos({gen.bind(rate)} * x0 + {gen.bind(phase)}) <= 0.0", f"fail(t, {i})")
-        x, v, a = gen.walk(expr, 2)[:3]
+        x, v, a = gen.walk(expr)[:3]
         if pole is not None:
             gen.check(f"{x} == {gen.bind(pole)}", f"fail(t, {i}, {x})")
         gen.check(f"not (isfinite({x}) and isfinite({v}) and isfinite({a}))",
@@ -1020,10 +982,14 @@ def compile_expression(expr: Expr, names: Sequence[str] = ("x",),
     The result ``f(x_1, .., x_n, s_1, .., s_n)`` returns the value for
     ``order`` 0, (value, d1) for 1 and (value, d1, d2) for 2, with x_i the
     value of variable i and s_i its seed: the derivatives are taken along
-    the direction s.  Under the module's contract each order returns what
-    order 2 returns, cut to its length, or raises what it raises, except
-    for a float overflow in a derivative factor above the order, which it
-    never computes; and the value is the same under every seed.
+    the direction s.  Each order's lines are the order-2 walk's, of which
+    the backward pass keeps what it returns and checks, so under the
+    module's contract each order returns what order 2 returns, cut to its
+    length, or raises what it raises, except for a float overflow in a
+    derivative factor above the order, which it never computes; and the
+    value is the same under every seed.  Every power is decided here: an
+    integer one, however large its exponent, is a chain of products (about
+    2 log2 |k|), written out when the kernel is generated.
 
     With ``batch``, for one variable, a mass, the result
     ``f(xs, s, lo, hi, fail)`` takes an iterable of floats and returns the

@@ -70,7 +70,7 @@ class IntegratorOptions:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise InvalidParameter(name, f"expected a real number, got {value!r}")
-        if self.scheme not in _TABLEAUS:
+        if not isinstance(self.scheme, str) or self.scheme not in _TABLEAUS:
             raise InvalidParameter("scheme", f"unknown scheme {self.scheme!r}")
         for name in ("t_end", "h", "rel_tol", "abs_tol"):
             if not math.isfinite(getattr(self, name)):
@@ -488,6 +488,8 @@ def sample_dense(traj: Trajectory, t_eval: Sequence[float]) -> tuple[np.ndarray,
         tq = np.asarray(t_eval, dtype=float)
     except (TypeError, ValueError, OverflowError) as err:
         raise InvalidParameter("t_eval", f"expected a sequence of times: {err}") from None
+    if tq.ndim != 1:
+        raise InvalidParameter("t_eval", f"expected a sequence of times, got {t_eval!r}")
     # a nan time (numpy reads None as one) is outside the span too
     if not np.all((tq >= traj.t[0] - 1e-12) & (tq <= traj.t[-1] + 1e-12)):
         raise InvalidParameter("t_eval", "outside the trajectory time span")

@@ -11,6 +11,7 @@ since it certifies a negative claim.
 from __future__ import annotations
 
 import math
+import sys
 import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -143,7 +144,7 @@ CASES: dict[str, Case] = {c.name: c for c in [
 ]}
 
 def standard_case(name: str) -> Case:
-    if name not in CASES:
+    if not isinstance(name, str) or name not in CASES:
         raise UnknownCheck(f"no benchmark case named {name!r}")
     return CASES[name]
 
@@ -839,7 +840,7 @@ def _validate_run(seed: int, rel_tol: float | None) -> None:
     if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
         raise InvalidParameter("seed", f"must be a non-negative integer, got {seed!r}")
     if rel_tol is not None and (isinstance(rel_tol, bool) or not (
-            isinstance(rel_tol, Real) and math.isfinite(rel_tol) and rel_tol > 0.0)):
+            isinstance(rel_tol, Real) and 0.0 < rel_tol <= sys.float_info.max)):
         raise InvalidParameter("rel_tol", f"must be finite and positive, got {rel_tol!r}")
 
 

@@ -49,9 +49,10 @@ class TestBuildSystem:
                                     "beta": 1.0, "eta_exp": 1.0})
         assert err.value.field == "eta_exp"
 
-    def test_zero_dimension_rejected(self):
+    @pytest.mark.parametrize("n,omega", [(0, []), ("a", [1.0]), (True, [1.0])])
+    def test_zero_dimension_rejected(self, n, omega):
         with pytest.raises(InvalidParameter) as err:
-            build_system("ml1", 0, {"omega": [], "lambda": 1.0, "sign": "+"})
+            build_system("ml1", n, {"omega": omega, "lambda": 1.0, "sign": "+"})
         assert err.value.field == "n"
 
     def test_missing_omega(self):
@@ -96,9 +97,11 @@ class TestBuildSystem:
             build_system(family, 1, params, mass_exprs=["1"])
         assert err.value.field == field
 
-    def test_unknown_family(self):
-        with pytest.raises(InvalidParameter):
-            build_system("nosuch", 1, {})
+    @pytest.mark.parametrize("family", ["nosuch", []])
+    def test_unknown_family(self, family):
+        with pytest.raises(InvalidParameter) as err:
+            build_system(family, 1, {})
+        assert err.value.field == "family"
 
     def test_unknown_parameter_name(self):
         with pytest.raises(InvalidParameter):

@@ -1,6 +1,7 @@
 """Closed-form catalog tests: values, frequencies, energies, misprints."""
 
 import math
+import re
 import zlib
 from dataclasses import replace
 from functools import partial
@@ -244,9 +245,11 @@ class TestFrequencyRelations:
             spec_of("ml2", {"omega": [1.0], "lambda": 0.3, "sign": "-",
                             "eta_const": [1.0]}, [0.5])
 
-    def test_custom_unsupported(self):
-        with pytest.raises(InvalidSpec, match="no closed form catalogued for 'custom'"):
-            spec_of("custom", {}, [1.0])
+    @pytest.mark.parametrize("family", ["custom", []])
+    def test_custom_unsupported(self, family):
+        message = f"^no closed form catalogued for {re.escape(repr(family))}$"
+        with pytest.raises(InvalidSpec, match=message):
+            spec_of(family, {}, [1.0])
 
     def test_sw_position_period_is_half_phase_period(self):
         spec = spec_of("sw1", {"omega": [1.0], "lambda": 0.5, "sign": "+",

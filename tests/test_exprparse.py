@@ -32,10 +32,13 @@ from pdmdyn.verify import CASES
 # factor of ln or sqrt whose divisor underflows to 0, are ExprDomainErrors
 # here too, where the walker let OverflowError, ValueError and
 # ZeroDivisionError out; an integer power beyond 16 squares and multiplies
-# instead of multiplying k times; an operation on two folded constants
-# (unary -, +, -, *, / by a non-zero constant, an integer power up to 16 of
-# a folded base by a folded exponent) is folded on their values alone, so a
-# folded constant's derivatives are +0.0 whatever its value.
+# instead of multiplying k times; every operation and call on folded
+# constants that raises nothing (unary -, +, -, *, / by a non-zero constant,
+# sin, cos, exp, ln and sqrt of a value > 0 or NaN, an integer power, a real
+# power of a base > 0 or NaN that does not overflow) is folded on their
+# values alone, so a folded constant's derivatives are +0.0 whatever its
+# value, and an exponent that reads no variable is a folded constant or
+# raises.
 #
 # Known zeros, as the compiled code knows them: a folded constant's
 # derivatives and a variable's second derivative are structural zeros
@@ -44,9 +47,7 @@ from pdmdyn.verify import CASES
 # structural zero, which reads +0.0.  A derivative above the order
 # evaluated is a structural zero too, and a factor f'(u) or f''(u) is
 # computed only where a product that is kept reads it, so its error (an
-# overflow, say) is raised only there.  A power whose exponent did not fold
-# runs exprparse's int_pow or a real power at run time on plain floats: its
-# structural zeros enter as 0.0 and its derivatives are plain floats.
+# overflow, say) is raised only there.
 
 @dataclass(frozen=True)
 class Dual2:
@@ -62,11 +63,6 @@ class Dual2:
     def seed(x: float, s: float = 1.0) -> "Dual2":
         """A variable at x, seeded by s: its second derivative is a structural zero."""
         return Dual2(float(x), float(s), None)
-
-    @staticmethod
-    def const(c: float) -> "Dual2":
-        """A value computed at run time with zero derivatives."""
-        return Dual2(float(c), 0.0, 0.0)
 
     @staticmethod
     def folded(c: float) -> "Dual2":
@@ -87,18 +83,6 @@ def _total(order: int, k: int, *terms) -> float | None:
         out = (-prod if sign < 0 else prod) if out is None else (
             out - prod if sign < 0 else out + prod)
     return out
-
-
-def _plain(u: Dual2, order: int) -> Dual2:
-    """u as the floats a run-time power receives: its structural zeros up to
-    the order as 0.0, above it 0.0 as well (the bound zero)."""
-    return Dual2(u.val, 0.0 if u.d1 is None or order < 1 else u.d1,
-                 0.0 if u.d2 is None or order < 2 else u.d2)
-
-
-def _cut(u: Dual2, order: int) -> Dual2:
-    """A run-time result at the order: the derivatives above it unread."""
-    return Dual2(u.val, u.d1 if order >= 1 else None, u.d2 if order >= 2 else None)
 
 
 def _add(a: Dual2, b: Dual2, order: int, sign: int = 1) -> Dual2:
@@ -150,34 +134,22 @@ def _chain(u: Dual2, f: float, fp, fpp, order: int) -> Dual2:
 
 
 def _int_pow(u: Dual2, k: int, where: Expr, order: int) -> Dual2:
-    """u^k for an integer k fixed when the kernel is generated."""
+    """u^k for an integer k fixed when the kernel is generated: up to 16
+    factors one at a time, beyond that by square-and-multiply."""
     if k == 0:
         return Dual2.folded(1.0)
-    if abs(k) > 16:
-        return _run_time_pow(u, k, where, order)
-    out = u
-    for _ in range(abs(k) - 1):
-        out = _mul(out, u, order)
+    n = abs(k)
+    if n <= 16:
+        out = u
+        for _ in range(n - 1):
+            out = _mul(out, u, order)
+    else:
+        out = None
+        while n:
+            if n & 1:
+                out = u if out is None else _mul(out, u, order)
+            u, n = _mul(u, u, order), n >> 1
     return _div(Dual2.folded(1.0), out, where, order) if k < 0 else out
-
-
-def _run_time_pow(u: Dual2, k: int, where: Expr, order: int) -> Dual2:
-    """u^k by exprparse's run-time int_pow, on plain floats: nothing folds."""
-    u = _plain(u, order)
-    if k < 0:
-        return _cut(_div(Dual2.const(1.0), _run_time_pow(u, -k, where, 2), where, 2), order)
-    if k <= 16:
-        out = Dual2.const(1.0) if k == 0 else u
-        for _ in range(k - 1):
-            out = _mul(out, u, 2)
-        return _cut(out, order)
-    out = Dual2.const(1.0)
-    while k:
-        if k & 1:
-            out = _mul(out, u, 2)
-        u = _mul(u, u, 2)
-        k >>= 1
-    return _cut(out, order)
 
 
 def _reads_variable(e: Expr) -> bool:
@@ -206,21 +178,21 @@ def _pow(a: Dual2, b: Dual2, where: BinOp, order: int) -> Dual2:
         ln_a = _chain(a, math.log(a.val), lambda: 1.0 / a.val,
                       lambda: _curvature(-1.0, a.val * a.val, where), order)
         return _exp(_mul(b, ln_a, order), where, order)
+    # an exponent that reads no variable folded: its evaluation raised otherwise
+    assert b.known
     if float(b.val).is_integer():
-        # repeated multiplication keeps negative bases exact and real; an
-        # exponent that did not fold is a power taken at run time: nothing folds
-        if b.known:
-            return _int_pow(a, int(b.val), where, order)
-        return _run_time_pow(a, int(b.val), where, order)
+        # repeated multiplication keeps negative bases exact and real
+        return _int_pow(a, int(b.val), where, order)
+    if a.known and not a.val <= 0.0:
+        with contextlib.suppress(OverflowError):
+            return Dual2.folded(a.val ** b.val)
     if a.val <= 0.0:
         raise ExprDomainError(
             "non-integer power of a non-positive base", to_source(where))
     p = b.val
-    out = _chain(a, _overflow_guarded(lambda: a.val ** p, where)(),
-                 _overflow_guarded(lambda: p * a.val ** (p - 1.0), where),
-                 _overflow_guarded(lambda: p * (p - 1.0) * a.val ** (p - 2.0), where), order)
-    # an exponent that did not fold: both run-time branches assign every derivative
-    return out if b.known else _cut(_plain(out, order), order)
+    return _chain(a, _overflow_guarded(lambda: a.val ** p, where)(),
+                  _overflow_guarded(lambda: p * a.val ** (p - 1.0), where),
+                  _overflow_guarded(lambda: p * (p - 1.0) * a.val ** (p - 2.0), where), order)
 
 
 def _exp(u: Dual2, where: Expr, order: int) -> Dual2:
@@ -242,6 +214,10 @@ def _eval(e: Expr, env: dict[str, Dual2], order: int = 2) -> Dual2:
             -u.val, _total(order, 1, (-1, u.d1)), _total(order, 2, (-1, u.d2)))
     if isinstance(e, Call):
         u = _eval(e.arg, env, order)
+        if u.known and not (e.fn in ("ln", "sqrt") and u.val <= 0.0):
+            fn = math.log if e.fn == "ln" else getattr(math, e.fn)
+            with contextlib.suppress(OverflowError, ValueError):
+                return Dual2.folded(fn(u.val))
         if e.fn in ("sin", "cos"):
             try:
                 s = math.sin(u.val)
@@ -318,9 +294,9 @@ def _checks(e: Expr, env: dict[str, Dual2]) -> Dual2:
             _int_pow(value(e.left), int(k), e, 0)
         else:
             _checks(e.left, env)
-    else:                       # a real power, or a power decided at run time
-        a, b = value(e.left), value(e.right)
-        if a.val <= 0.0 and not (k is None and float(b.val).is_integer()):
+    else:                       # a real power: its check reads both operands
+        a, _ = value(e.left), value(e.right)
+        if a.val <= 0.0:
             raise ExprDomainError("non-integer power of a non-positive base", to_source(e))
     return Dual2(math.nan)
 
@@ -498,7 +474,7 @@ class TestDualEvaluation:
 
     def test_exponents_that_read_no_variable_keep_their_rule(self):
         assert eval_dual(parse_expression("x^sqrt(4)"), -1.0) == (1.0, -2.0, 2.0)
-        p = 2.0 ** 0.5   # 2^0.5 is a power, which no constant folding carries out
+        p = 2.0 ** 0.5   # 2^0.5 folds to this value by **: x^(2^0.5) is a real power
         assert eval_dual(parse_expression("x^(2^0.5)"), 2.0) == (
             2.0 ** p, p * 2.0 ** (p - 1.0), p * (p - 1.0) * 2.0 ** (p - 2.0))
         assert eval_dual(parse_expression("x^1e300"), 0.5) == (0.0, 0.0, 0.0)
@@ -579,7 +555,6 @@ class TestDual2:
     def test_seed_and_const(self):
         assert Dual2.seed(2.0) == Dual2(2.0, 1.0, None)
         assert Dual2.seed(2.0, 0.0) == Dual2(2.0, 0.0, None)
-        assert Dual2.const(3.0) == Dual2(3.0, 0.0, 0.0)
         assert Dual2.folded(3.0) == Dual2(3.0, None, None, True)
 
 
@@ -667,7 +642,7 @@ class TestCompiledMatchesReference:
         ("x*1e999", 0.0),           # 0 * inf
         ("x+1e999*2", 1.0),         # a folded inf: its derivatives are 0, not NaN
         ("x*-1", 0.5),              # a folded negative constant: +0.0 derivatives
-        ("(-1)^20*x", 0.5),         # a run-time power of a folded base
+        ("(-1)^20*x", 0.5),         # an integer power of a folded base folds
         ("-1e999^x", 2.0),
         ("2^-2", 0.0),
         ("x^-2", 0.0),              # 1 / x^2 at x = 0
@@ -696,6 +671,16 @@ class TestCompiledMatchesReference:
         ("sqrt(x)", 5e-324),
         ("sqrt(x)", 1e-250),
         ("x^x", 5e-324),            # the same factor inside exp(x ln x)
+        ("x^sqrt(4)", -1.0),        # exponents that fold when the kernel is generated
+        ("x^(2^0.5)", -1.0),
+        ("x^(2^2^2^2^2)", 0.5),     # 2^65536 overflows to inf: a real power
+        ("x^ln(1e999-1e999)", -1.0),  # ln of NaN folds to NaN
+        ("x^ln(0)", 1.0),           # exponents whose evaluation raises
+        ("x^exp(1000)", 2.0),
+        ("x^(0^-20)", 1.0),
+        ("(x^-20)^0", 0.0),         # beyond 16, 1 / 0 raises where the power is read
+        ("(x^-3)^0", 0.0),          # up to 16, its check runs
+        ("exp(1000)^0*x", 1.0),
     ])
     def test_edge_cases(self, text, x):
         expr = parse_expression(text)
@@ -718,8 +703,8 @@ class TestCompiledMatchesReference:
                                         ("x^(1e300*sqrt(1))", -1.0),
                                         ("x^-(1e300*sqrt(1))", -1.0)])
     def test_huge_integer_exponent_at_run_time_returns(self, text, x):
-        # an exponent that reads no variable and does not fold is decided by
-        # its value at run time: an integer there squares and multiplies
+        # an exponent that reads no variable folds when the kernel is
+        # generated: an integer there squares and multiplies, written out
         expr = parse_expression(text)
         assert outcome(eval_dual, expr, x) == outcome(reference_dual, expr, x)
         assert (outcome(lambda: [compile_expression(expr)(x, 0.0)[0]])
@@ -1057,6 +1042,11 @@ class TestNestingLimit:
 _ZERO_OPERAND = re.compile(r"(?:[-+*/]\s*k0\b)|(?:\bk0\s*[-+*/])")
 _UNIT_FACTOR = re.compile(r"^[pq]\d+ = .*(?:(?:\*\s*k1\b)|(?:\bk1\s*\*))")
 _SEED_STORE = re.compile(r"^s\d+ = ")
+#: an assignment whose operands are bound constants alone (a literal such as
+#: a running sum's leading 0.0 is not one), and a line of a power decided at
+#: run time
+_CONSTANT_ONLY = re.compile(r"^\w+ = (?:[-+*/()\s]|\bk\d+\b|\b(?:sin|cos|exp|log|sqrt)\b)+$")
+_RUN_TIME = re.compile(r"\bint_pow\(|^else:")
 #: an assignment (its names, its right-hand side) and a check (its condition)
 _ASSIGNMENT = re.compile(r"^(\w+(?:, \w+)*) = (.+)$")
 _CHECK = re.compile(r"^if (.+):$")
@@ -1102,8 +1092,9 @@ class TestKnownZerosFold:
     every catalog family at n = 1-3, of every verify case's closed form and
     of the expression systems, no arithmetic operand is the bound zero k0,
     no derivative product has the factor k1 (the bound 1.0), no seed is
-    stored, no assignment is left unread, and no assignment or check
-    repeats an earlier one's right-hand side or condition."""
+    stored, no assignment computes with bound constants alone, no power is
+    decided at run time, no assignment is left unread, and no assignment or
+    check repeats an earlier one's right-hand side or condition."""
 
     @staticmethod
     def _kernels(monkeypatch) -> list:
@@ -1144,8 +1135,8 @@ class TestKnownZerosFold:
         from pdmdyn import exprparse
         assert gens
         for gen in gens:
-            lines = [line.strip() for line in exprparse._source(gen.body, set(), 0)]
-            for pattern in (_ZERO_OPERAND, _UNIT_FACTOR, _SEED_STORE):
+            lines = [line.strip() for line in exprparse._source(gen.body)]
+            for pattern in (_ZERO_OPERAND, _UNIT_FACTOR, _SEED_STORE, _CONSTANT_ONLY, _RUN_TIME):
                 found = [line for line in lines if pattern.search(line)]
                 assert not found, found
             assert not _unread(lines), _unread(lines)
@@ -1180,15 +1171,62 @@ class TestKnownZerosFold:
                                kind=kind), n)
         self._assert_folded(gens)
 
+    def test_a_power_beyond_the_unrolled_in_a_type2_mass(self, monkeypatch):
+        # x1^20 squares and multiplies once, and d/dx2 reads none of it
+        from pdmdyn import exprparse
+        gens = self._kernels(monkeypatch)
+        self._run(build_system("custom", 2, mass_exprs=["1+x1^20+x2^2"], kind=TYPE2), 2)
+        self._assert_folded(gens)
+        for gen in gens:
+            lines = [line.strip() for line in exprparse._source(gen.body)]
+            assert len([line for line in lines if line.endswith(" = x0 * x0")]) <= 1
+            reads = {m[1]: set(re.findall(r"[A-Za-z_]\w*", m[2])) - {m[1]}
+                     for m in map(_ASSIGNMENT.match, lines) if m}
+            gradient = re.fullmatch(r"return \w+, \[(\w+), (\w+)\]", lines[-1])
+            if gradient:
+                seen, todo = set(), [gradient[2]]
+                while todo:
+                    name = todo.pop()
+                    seen.add(name)
+                    todo += reads.get(name, set()) - seen
+                assert "x0" not in seen, lines
+        assert any(re.fullmatch(r"return \w+, \[\w+, \w+\]", exprparse._source(gen.body)[-1])
+                   for gen in gens)
+
+    @pytest.mark.parametrize("text", ["sin(1)*x", "x^sqrt(4)", "x^(2^0.5)", "x^-33", "x^40"])
+    def test_calls_and_powers_of_constants(self, monkeypatch, text):
+        gens = self._kernels(monkeypatch)
+        self._run(build_system("custom", 1, mass_exprs=[text], potential_exprs=[text]), 1)
+        self._assert_folded(gens)
+
+    @pytest.mark.parametrize("text", ["x^ln(0)", "x^-(0*ln(0))"])
+    def test_an_exponent_that_fails_fails_at_every_point(self, text):
+        expr = parse_expression(text)
+        for order in (0, 1, 2):
+            for x in (-2.0, -0.0, 0.0, 5e-324, 0.5, 3.0, math.inf, math.nan):
+                with pytest.raises(ExprDomainError,
+                                   match="^ln of a non-positive value in 'ln\\(0.0\\)'$"):
+                    compile_expression(expr, ("x",), order)(x, 1.0)
+        with pytest.raises(ExprDomainError, match="^ln of a non-positive value"):
+            eval_gradient(expr, ["x"], [2.0])
+
     def test_the_checks_see_a_zero_operand_and_a_unit_factor(self):
         assert _ZERO_OPERAND.search("p3 = k0 * x0 + k2 * s0")
         assert _ZERO_OPERAND.search("q3 = (p7 - v8 * k0) / k65")
-        assert not _ZERO_OPERAND.search("v3, p3, q3 = int_pow(v2, k0, k0, k5, k6)")
+        assert not _ZERO_OPERAND.search("if x0 == k0:")
         assert not _ZERO_OPERAND.search("p3 = k01 * x0")
         assert _UNIT_FACTOR.search("p1 = k1 * x0 + x0 * k1")
         assert not _UNIT_FACTOR.search("v1 = k1 * x0 - k11 * x0")
         assert _SEED_STORE.search("s0 = 1.0")
         assert not _SEED_STORE.search("p1 = s0 * x0")
+        assert _CONSTANT_ONLY.search("v3 = log(k5)")
+        assert _CONSTANT_ONLY.search("v4 = k2 ** (k3 - k1)")
+        assert not _CONSTANT_ONLY.search("v3 = k2 * x0")
+        assert not _CONSTANT_ONLY.search("V5 = 0.0 + k3 + k3")
+        assert not _CONSTANT_ONLY.search("v3 = sin(v2)")
+        assert _RUN_TIME.search("v3, p3, q3 = int_pow(v2, s0, k0, k5, k6)")
+        assert _RUN_TIME.search("else:")
+        assert not _RUN_TIME.search("except OverflowError:")
         assert _unread(["x0 = float(x0)", "v1 = x0 * x0", "v2 = v1 + x0",
                         "return v1"]) == ["v2 = v1 + x0"]
         assert _unread(["v1 = x0 * x0", "v2 = v1 + x0", "return v2"]) == []

@@ -83,9 +83,11 @@ def random_rhs(n, rng):
 
 
 class TestOptions:
-    def test_bad_scheme(self):
-        with pytest.raises(InvalidParameter):
-            IntegratorOptions(t_end=1.0, scheme="euler")
+    @pytest.mark.parametrize("scheme", ["euler", []])
+    def test_bad_scheme(self, scheme):
+        with pytest.raises(InvalidParameter) as err:
+            IntegratorOptions(t_end=1.0, scheme=scheme)
+        assert err.value.field == "scheme"
 
     def test_bad_tolerances(self):
         with pytest.raises(InvalidParameter):
@@ -525,7 +527,8 @@ class TestDop853Order:
     @pytest.mark.parametrize("times,message", [(["a"], "expected a sequence of times"),
                                                ([7.0], "outside the trajectory time span"),
                                                ([1.0, None], "outside the trajectory time span"),
-                                               ([math.nan], "outside the trajectory time span")])
+                                               ([math.nan], "outside the trajectory time span"),
+                                               (0.5, "expected a sequence of times")])
     def test_dense_times_are_numbers_inside_the_span(self, times, message):
         traj = integrate(harmonic_rhs, State.of(0.0, [1.0], [0.0]), IntegratorOptions(t_end=6.0))
         with pytest.raises(InvalidParameter, match=f"^t_eval: {message}"):

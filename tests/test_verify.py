@@ -33,7 +33,7 @@ class TestRunCheck:
         b = run_check("ml-profile-identity", seed=2)
         assert a.passed and b.passed
 
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, float("nan"), float("inf")])
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, float("nan"), float("inf"), 10 ** 400])
     def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
         with pytest.raises(InvalidParameter) as err:
             run_check("substitution-identity", rel_tol=rel_tol)
@@ -101,7 +101,8 @@ class TestRunSuite:
     @pytest.mark.parametrize("selection", [[], ["no-such-check"], "parser-"])
     @pytest.mark.parametrize("field,kw", [("seed", {"seed": "x"}), ("seed", {"seed": -1}),
                                           ("rel_tol", {"rel_tol": -1.0}),
-                                          ("rel_tol", {"rel_tol": math.nan})])
+                                          ("rel_tol", {"rel_tol": math.nan}),
+                                          ("rel_tol", {"rel_tol": 10 ** 400})])
     def test_seed_and_rel_tol_are_checked_before_the_selection(self, selection, field, kw):
         # an empty selection runs no check, so the checks' own test never comes
         with pytest.raises(InvalidParameter) as err:
@@ -125,8 +126,9 @@ class TestCatalog:
     def test_standard_case_lookup(self):
         case = standard_case("ml1+")
         assert case.family == "ml1"
-        with pytest.raises(UnknownCheck):
-            standard_case("ml1±")
+        for name in ("ml1±", []):
+            with pytest.raises(UnknownCheck):
+                standard_case(name)
 
     def test_registry_covers_all_module_invariants(self):
         names = check_names()
