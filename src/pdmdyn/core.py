@@ -77,7 +77,10 @@ def parameter_set(data: Mapping | ParameterSet | None, n: int) -> ParameterSet:
     """Build a ParameterSet from a mapping, broadcasting scalars to length n."""
     if isinstance(data, ParameterSet):
         return data
-    data = dict(data or {})
+    try:
+        data = dict(data or {})
+    except (TypeError, ValueError):
+        raise InvalidParameter("params", f"expected a mapping, got {data!r}") from None
     aliases = {"lambda": "lam"}
     kw = {}
     for key, value in data.items():
@@ -181,7 +184,10 @@ class State:
 
     @staticmethod
     def of(t: float, x: Sequence[float], v: Sequence[float]) -> "State":
-        return State(float(t), np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+        """A State of floats; an InvalidParameter naming t, x or v where it
+        is not a number or holds one that is not."""
+        array = functools.partial(np.asarray, dtype=float)
+        return State(_number(t, "t"), _number(x, "x", array), _number(v, "v", array))
 
 
 @dataclass(frozen=True)
@@ -321,6 +327,15 @@ def _custom_system(n: int, p: ParameterSet, mass_exprs: Sequence[str] | None,
 # --- energy evaluation -----------------------------------------------------------
 
 
+def _number(value: object, name: str, convert: Callable = float):
+    """convert(value), float(value) by default; an InvalidParameter naming
+    ``name`` where value is not a number (for an array, an entry)."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameter(name, f"expected a number, got {value!r}") from None
+
+
 def _coordinates(system: PdmSystem, values: Sequence[float], name: str) -> list[float]:
     """values as n floats; an InvalidParameter unless there are n numbers."""
     try:
@@ -351,29 +366,9 @@ def potential_gradient(system: PdmSystem, x: Sequence[float]) -> np.ndarray:
     return np.array(system.potential.gradients((_coordinates(system, x, "x"),))[0])
 
 
-#: every |v_i| below this: |v|^2 of fewer than 2^23 terms is below 2^1023
-_SQUARE_SAFE = 2.0 ** 500
-
-
-def _square(v: list[float]) -> float:
-    """|v|^2 with np.dot's bits (its order of summation is not a running
-    sum's); an OverflowError, and no numpy warning, where it overflows."""
-    # np.errstate costs about a third of a type2 energy call, so only a
-    # velocity that could overflow pays for it; a NaN cannot overflow: min and
-    # max pass over it unless it comes first, and then the guarded call below
-    # gives the same bits
-    if -_SQUARE_SAFE < min(v) and max(v) < _SQUARE_SAFE:
-        return float(np.dot(v, v))
-    with np.errstate(over="raise"):
-        try:
-            return float(np.dot(v, v))
-        except FloatingPointError:
-            raise OverflowError("|v|^2 overflows") from None
-
-
 def _energy_fail(t: float, kinetic: float | None = None, potential: float | None = None):
     """Raise the DomainViolation the energy owes at t: a float overflow in
-    T (no value), a T that is not finite, or a T + V that is not."""
+    a type1 T (no value), a T that is not finite, or a T + V that is not."""
     if kinetic is None:
         raise DomainViolation(f"float overflow in the kinetic energy at t={t!r}", t=t)
     if potential is None:
@@ -403,7 +398,7 @@ def _energy_kernel(system: PdmSystem, potentials: tuple) -> Callable:
         def mass(i, x, m=None):
             """Coordinate i's mass outside its domain, or (given m) m < 0."""
             profiles[i]._fail(x[i], m)
-    return kernel(mass, pot._fail, _energy_fail, _square)
+    return kernel(mass, pot._fail, _energy_fail)
 
 
 def kinetic_energy(system: PdmSystem, state: State) -> float:

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TYPE1, TYPE2, PdmSystem, State, _coordinates, _state
+from .core import TYPE1, TYPE2, PdmSystem, State, _coordinates, _number, _state
 from .errors import InvalidParameter, SingularCoefficient
 from .exprparse import compile_rhs, compile_rhs2
 
@@ -105,8 +105,9 @@ def el1_residual(system: PdmSystem, solution: Callable[[float], tuple],
 
     ``solution(t)`` returns the analytic (x, v, a).  Zero residual certifies
     the solution independently of any printed formula.  An InvalidParameter
-    unless x, v and a hold n coordinates each.
+    unless t is a real number and x, v and a hold n coordinates each.
     """
+    t = _number(t, "t")
     x, v, a = solution(t)
-    _, x, v = _state(system, State.of(t, x, v))
+    x, v = _coordinates(system, x, "x"), _coordinates(system, v, "v")
     return np.array(_coordinates(system, a, "a")) - _rhs(system, el1_rhs)(t, x, v)

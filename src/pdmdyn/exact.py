@@ -68,15 +68,20 @@ class ExactSolutionSpec:
         object.__setattr__(self, "record", record)
         if self.variant not in (PUBLISHED_FORM, AMENDED_FORM):
             raise InvalidSpec(f"unknown variant {self.variant!r}")
-        n = len(self.amplitude)
-        phase = self.phase if self.phase else tuple(0.0 for _ in range(n))
+        try:
+            n = len(self.amplitude)
+            phase = self.phase if self.phase else tuple(0.0 for _ in range(n))
+            finite = all(map(math.isfinite, (*self.amplitude, *phase)))
+        except TypeError:
+            raise InvalidSpec(f"amplitude {self.amplitude!r} and phase {self.phase!r} "
+                              f"must be finite numbers") from None
         object.__setattr__(self, "phase", phase)
         if len(phase) != n:
             raise InvalidSpec("amplitude and phase lengths differ")
         _check_shape(n, self.params)
         for template in (record.mass, record.potential):    # as build_system reads them
             _substitute(template, self.params, 0)           # a MissingParameter if unset
-        if not all(map(math.isfinite, (*self.amplitude, *phase))):
+        if not finite:
             raise InvalidSpec(f"amplitude {self.amplitude} and phase {phase} must be finite")
         record.check(self.params, self.amplitude)   # first: its InvalidSpec is more specific
         _validate(n, self.params)                   # then the ranges build_system checks

@@ -485,6 +485,10 @@ class _Codegen:
             self.emit(f"try:\n    {text}\n{guard}" if guard else text, name)
         return self.table[rhs]
 
+    def squares(self, n: int) -> str:
+        """The name that holds |v|^2 of u0..u(n-1): a running sum from 0.0."""
+        return self.assign("vv", " + ".join(["0.0", *(f"u{i} * u{i}" for i in range(n))]))
+
     def check(self, failed: str, then: str) -> None:
         """``then``, a fail call or a raise, where the condition ``failed``
         holds; nothing where the kernel has tested ``failed`` already."""
@@ -878,9 +882,9 @@ def _compile_rhs2(mass: Expr, names: tuple[str, ...], potentials: tuple,
     gen = _Codegen(names, 3)
     m, grad = _gradient(gen, mass, n)
     gen.check(f"{m} <= 0.0", f"fail(None, x, {m})")
-    # mdot and |v|^2 summed from 0.0 in coordinate order, as a running sum adds them
+    # mdot summed from 0.0 in coordinate order, as a running sum adds it
     mdot = gen.assign("mdot", gen.total([("0.0",), *((g, f"u{i}") for i, g in enumerate(grad))]))
-    vv = gen.assign("vv", " + ".join(["0.0", *(f"u{i} * u{i}" for i in range(n))]))
+    vv = gen.squares(n)
     accelerations = []
     for i, (potential, g) in enumerate(zip(potentials, grad)):
         gen.coordinate(i, domain, pole, floated=True)
@@ -899,22 +903,21 @@ def _compile_energy(masses: tuple, names: tuple[str, ...] | None, domains: tuple
                     pole: float | None) -> Callable:
     n = len(masses) if names is None else len(names)
     gen = _Codegen(names or (), 3)
-    # a type1 T reads the velocities u_i; a type2 T passes v to square whole
-    unpacked = _unpack("x", n, "x") + (_unpack("u", n, "v") if names is None else [])
-    head = ["def compiled(mass, fail, energy, square):", "    def kernel(t, x, v):",
-            *("        " + line for line in unpacked)]
-    overflow = "except OverflowError:\n    energy(t)"
+    head = ["def compiled(mass, fail, energy):", "    def kernel(t, x, v):",
+            *("        " + line for line in _unpack("x", n, "x") + _unpack("u", n, "v"))]
     if names is None:
         T = "0.0"
         for i, (expr, mass_domain) in enumerate(zip(masses, domains)):
             gen.coordinate(i, mass_domain, None, floated=True, fail="mass")
             m = gen.walk(expr).val
             gen.check(f"{m} < 0.0", f"mass({i}, x, {m})")
-            T = gen.assign("T", f"{T} + 0.5 * {m} * u{i} ** 2", overflow)
+            T = gen.assign("T", f"{T} + 0.5 * {m} * u{i} ** 2",
+                           "except OverflowError:\n    energy(t)")
     else:
         m = gen.walk(masses[0]).val
         gen.check(f"{m} <= 0.0", f"mass(None, x, {m})")
-        T = gen.assign("T", f"0.5 * {m} * square(v)", overflow)
+        vv = gen.squares(n)
+        T = gen.assign("T", f"0.5 * {m} * {vv}")
     gen.check(f"not isfinite({T})", f"energy(t, {T})")
     result = T
     if potentials:
@@ -1147,16 +1150,16 @@ def compile_energy(masses: Sequence[Expr], names: Sequence[str] | None,
     ``x`` on the open interval ``domains[i]``, and T = 0.0 + (1/2) m_1 v_1**2
     + .., a running sum in coordinate order.  With ``names`` (type2),
     ``masses[0]`` is the shared mass over them and T = (1/2) m |v|^2, with
-    |v|^2 from the bound ``square``.  Coordinate i has the potential term
-    ``potentials[i]`` in ``x``, inside ``domain`` and off ``pole``.  The
-    result ``make(mass, fail, energy, square)`` returns ``kernel(t, x, v)``,
-    which takes lists of n floats and runs, in this order: for type1, each
-    coordinate's domain check, its mass's value lines and its m < 0 check,
-    failing as mass(i, x) and mass(i, x, m), and its term; for type2, the
-    shared mass's value lines and its m <= 0 check, failing as
-    mass(None, x, m), and T.  A float overflow in these (in ``v_i ** 2``,
-    or an OverflowError from ``square``) calls energy(t), a T that is not
-    finite energy(t, T).  Then, as compile_potential's energies at order 0,
+    |v|^2 = 0.0 + v_1 * v_1 + .., the running sum compile_rhs2 writes.
+    Coordinate i has the potential term ``potentials[i]`` in ``x``, inside
+    ``domain`` and off ``pole``.  The result ``make(mass, fail, energy)``
+    returns ``kernel(t, x, v)``, which takes lists of n floats and runs, in
+    this order: for type1, each coordinate's domain check, its mass's value
+    lines and its m < 0 check, failing as mass(i, x) and mass(i, x, m), and
+    its term; for type2, the shared mass's value lines and its m <= 0
+    check, failing as mass(None, x, m), and T.  A float overflow in a type1
+    ``v_i ** 2`` calls energy(t), a T that is not finite (a type2 |v|^2
+    that overflows is inf) energy(t, T).  Then, as compile_potential's energies at order 0,
     each coordinate's domain and pole check, failing as fail(i, x), and its
     term's value lines; their sum V from 0.0, failing as fail(None, x, V)
     unless finite; and E = T + V, failing as energy(t, T, V) unless finite.

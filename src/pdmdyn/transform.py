@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory, _state, _substitute,
-                   build_system, potential_gradient)
+from .core import (TYPE2, ParameterSet, PdmSystem, State, Trajectory, _number, _state,
+                   _substitute, build_system, potential_gradient)
 from .eom import el1_acceleration, el2_acceleration
 from .errors import InvalidParameter, NonPositiveScale, UnsupportedFamily
 from .exprparse import MAP_COLUMNS, MAP_NAMES, compile_map, parse_cached
@@ -108,11 +108,7 @@ def _point_map(nmap: NonlocalMap, i: int, x: float) -> tuple[list[float], ...]:
     """Coordinate i's four columns at the one point x; an InvalidParameter
     unless x is a number."""
     batch = _coordinate_batch(nmap, i)
-    try:
-        x = float(x)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameter("x", f"expected a number, got {x!r}") from None
-    return batch([x])
+    return batch([_number(x, "x")])
 
 
 def f_scale(nmap: NonlocalMap, i: int, x: float) -> float:
@@ -242,9 +238,11 @@ def el2_obstruction(system: PdmSystem, state: State) -> float:
     """
     if system.kind != TYPE2:
         raise InvalidParameter("kind", "el2_obstruction needs a type2 system")
-    _state(system, state)   # an InvalidParameter unless x and v hold n coordinates
+    _, _, v = _state(system, state)   # an InvalidParameter unless x and v hold n
     m, gradm = system.coupled_profile.value_and_gradient(state.x)
-    v2 = float(np.dot(state.v, state.v))
+    v2 = 0.0    # |v|^2 as the generated kernels sum it
+    for vi in v:
+        v2 += vi * vi
     vec = 0.5 * (np.asarray(gradm) / m) * v2
     return float(np.linalg.norm(vec))
 
@@ -259,14 +257,16 @@ def el2_mapped_residual(system: PdmSystem, state: State) -> np.ndarray:
     """
     if system.kind != TYPE2:
         raise InvalidParameter("kind", "el2_mapped_residual needs a type2 system")
-    _state(system, state)   # an InvalidParameter unless x and v hold n coordinates
+    _, x, v = _state(system, state)   # an InvalidParameter unless x and v hold n
     m, gradm = system.coupled_profile.value_and_gradient(state.x)
     acc = el2_acceleration(system, state)
-    mdot = float(np.dot(np.asarray(gradm), state.v))
+    mdot = 0.0    # as the generated right-hand side sums it
+    for g, vi in zip(gradm, v):
+        mdot += g * vi
     out = np.empty(system.n)
     for i in range(system.n):
-        dqt_dt = math.sqrt(m) * (float(acc[i]) + (mdot / (2.0 * m)) * float(state.v[i]))
-        f = 1.0 + (gradm[i] / (2.0 * m)) * float(state.x[i])
+        dqt_dt = math.sqrt(m) * (float(acc[i]) + (mdot / (2.0 * m)) * v[i])
+        f = 1.0 + (gradm[i] / (2.0 * m)) * x[i]
         if f == 0.0:
             # as in elg_residual: a removable 0/0, else an unbounded residual
             out[i] = 0.0 if dqt_dt == 0.0 else math.inf

@@ -103,10 +103,15 @@ class TestBuildSystem:
             build_system(family, 1, {})
         assert err.value.field == "family"
 
-    def test_unknown_parameter_name(self):
-        with pytest.raises(InvalidParameter):
-            build_system("ml1", 1, {"omega": [1.0], "lambda": 1.0, "sign": "+",
-                                    "gamma": 3.0})
+    @pytest.mark.parametrize("params,field", [
+        ({"omega": [1.0], "lambda": 1.0, "sign": "+", "gamma": 3.0}, "gamma"),
+        # dict() of these was a raw ValueError or TypeError
+        ("a", "params"), ([1], "params")])
+    def test_unknown_parameter_name(self, params, field):
+        for build in (lambda: build_system("ml1", 1, params), lambda: parameter_set(params, 1)):
+            with pytest.raises(InvalidParameter) as err:
+                build()
+            assert err.value.field == field
 
     def test_custom_type2(self):
         system = build_system("custom", 2, mass_exprs=["1+x1^2+x2^2"], kind=TYPE2)
@@ -229,7 +234,7 @@ class TestEnergies:
         for _ in range(200):
             st = State.of(0, rng.uniform(0.2, 2.0, 2), rng.uniform(-2.0, 2.0, 2))
             m, _ = system.coupled_profile.value_and_gradient(st.x)
-            want = 0.5 * m * float(np.dot(st.v, st.v))
+            want = 0.5 * m * (0.0 + st.v[0] * st.v[0] + st.v[1] * st.v[1])
             assert struct.pack("<d", kinetic_energy(system, st)) == struct.pack("<d", want)
 
     def test_type2_kinetic_energy_rejects_a_non_positive_mass(self):
@@ -268,6 +273,16 @@ class TestEnergies:
         with pytest.raises(InvalidParameter) as err:
             fn(system, arg(value))
         assert str(err.value) == f"{name}: expected 2 numbers, got {value!r}"
+
+    @pytest.mark.parametrize("name,value", [("t", "a"), ("t", None), ("x", ["a", 0.5]),
+                                            ("x", "ab"), ("v", [1j, 0.5]),
+                                            ("v", [10 ** 400, 0.5])])
+    def test_state_of_values_that_are_not_numbers(self, name, value):
+        # float() or np.asarray of each was a raw TypeError, ValueError or OverflowError
+        given = {"t": 0.0, "x": [0.5, 0.5], "v": [0.5, 0.5], name: value}
+        with pytest.raises(InvalidParameter) as err:
+            State.of(**given)
+        assert err.value.field == name
 
     @pytest.mark.parametrize("state", [None, (0.0, [0.5, 0.5], [0.5, 0.5]), 0.5])
     @pytest.mark.parametrize("fn", [kinetic_energy, total_energy])

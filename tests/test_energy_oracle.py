@@ -3,9 +3,10 @@
 The oracle is T + V written as the energy was summed before it became one
 generated function: each type1 coordinate's mass from its own profile (its
 domain check, value and m < 0 check), the running sum 0.0 + (1/2) m_i v_i**2,
-a type2 system's (1/2) m |v|^2 with |v|^2 from np.dot, then the potential's
-energies kernel and the non-finite checks.  A float overflow anywhere in T,
-np.dot's included, is the one DomainViolation the kernel owes for it.
+a type2 system's (1/2) m |v|^2 with |v|^2 the running sum 0.0 + v_1 v_1 + ..,
+then the potential's energies kernel and the non-finite checks.  A float
+overflow in a type1 T is the one DomainViolation the kernel owes for it; a
+type2 |v|^2 that overflows is inf, so its T is not finite.
 """
 
 import functools
@@ -28,6 +29,8 @@ SYSTEMS = {
     "morse n=3": ("morse", 3, {"omega": [1.0, 1.5, 2.0], "zeta": [1.0, 0.5, 2.0]}, {}),
     "custom type1 n=2": ("custom", 2, {}, {"mass_exprs": ["1-x^2", "2+sin(x)"],
                                            "potential_exprs": ["x^4", "exp(x)"]}),
+    "type2 n=1": ("custom", 1, {}, {"mass_exprs": ["1+x1^2"],
+                                    "potential_exprs": ["x^2"], "kind": TYPE2}),
     "type2 n=2": ("custom", 2, {}, {"mass_exprs": ["1+x1^2+x2^2"],
                                     "potential_exprs": ["x^2", "0.5*x^2"], "kind": TYPE2}),
     "type2 n=3": ("custom", 3, {}, {"mass_exprs": ["2+sin(x1*x2)+0.5*x3^2"],
@@ -35,18 +38,20 @@ SYSTEMS = {
     "type2 n=3 signed": ("custom", 3, {}, {"mass_exprs": ["x1-x2+x3^2"],
                                            "potential_exprs": ["1/x", "x", "ln(2+x)"],
                                            "kind": TYPE2}),
+    "type2 n=4": ("custom", 4, {}, {"mass_exprs": ["2+sin(x1*x4)+0.5*x2^2+x3^2"],
+                                    "potential_exprs": ["x^2", "0.5*x^2", "x^4", "exp(x)"],
+                                    "kind": TYPE2}),
 }
 
 STATES = 300
 
 
 def _square(v):
-    """np.dot(v, v), its overflow an OverflowError rather than a warning."""
-    with np.errstate(over="raise"):
-        try:
-            return float(np.dot(v, v))
-        except FloatingPointError:
-            raise OverflowError from None
+    """|v|^2 summed from 0.0 in coordinate order."""
+    total = 0.0
+    for vi in v:
+        total += vi * vi
+    return total
 
 
 def _kinetic(system, t, x, v):
@@ -136,24 +141,25 @@ def test_draws_reach_every_failure():
 
 
 def test_type2_overflow_is_typed_under_warnings_as_errors():
-    # np.dot overflows here: a numpy RuntimeWarning, not the type1 error text
+    # |v|^2 overflows to inf, which no float product raises or warns about
     system = build_system("custom", 2, mass_exprs=["1+x1^2+x2^2"], kind=TYPE2)
     state = State.of(0.0, [0.1, 0.2], [1e160, 1e160])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for energy in (total_energy, kinetic_energy):
             with pytest.raises(DomainViolation,
-                               match=r"^float overflow in the kinetic energy at t=0\.0$"):
+                               match=r"^kinetic energy T=inf is not finite at t=0\.0$"):
                 energy(system, state)
 
 
-def test_type2_square_keeps_np_dot_bits():
-    # np.dot's sum is not a running sum; near-overflow and safe velocities alike
+def test_type2_square_is_the_running_sum():
+    # 0.5 * m * (0.0 + v1*v1 + v2*v2 + v3*v3) bit for bit, near-overflow and
+    # safe velocities alike
     system = build_system("custom", 3, mass_exprs=["1+x1^2"], kind=TYPE2)
     rng = np.random.default_rng(5)
     for scale in (1.0, 1e150, 1e153):
         for _ in range(200):
-            v = rng.uniform(-scale, scale, 3).tolist()
-            state = State.of(0.0, [0.0, 0.0, 0.0], v)
-            want = 0.5 * 1.0 * float(np.dot(v, v))
+            v1, v2, v3 = rng.uniform(-scale, scale, 3).tolist()
+            state = State.of(0.0, [0.0, 0.0, 0.0], [v1, v2, v3])
+            want = 0.5 * 1.0 * (0.0 + v1 * v1 + v2 * v2 + v3 * v3)
             assert float.hex(kinetic_energy(system, state)) == float.hex(want)

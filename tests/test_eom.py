@@ -763,12 +763,17 @@ def test_type1_wrong_number_of_coordinates(call, given):
         call(system, [0.5, 0.25], [0.1] * given)
 
 
-@pytest.mark.parametrize("given", [1, 3])
-def test_el1_residual_wrong_number_of_accelerations(given):
+@pytest.mark.parametrize("t,given,message", [
     # one acceleration would broadcast over both coordinates without a word
+    (0.0, 1, "a: expected 2 coordinates, got 1"), (0.0, 3, "a: expected 2 coordinates, got 3"),
+    # float("a") in State.of was a raw ValueError
+    ("a", 2, "t: expected a number, got 'a'"), (None, 2, "t: expected a number, got None"),
+    (1j, 2, "t: expected a number, got 1j")])
+def test_el1_residual_bad_time_or_accelerations(t, given, message):
     system = catalog_system("ml1+", 2)
-    with pytest.raises(InvalidParameter, match=f"^a: expected 2 coordinates, got {given}$"):
-        el1_residual(system, lambda t: ([0.5, 0.25], [0.1, 0.2], [0.0] * given), 0.0)
+    with pytest.raises(InvalidParameter) as err:
+        el1_residual(system, lambda t: ([0.5, 0.25], [0.1, 0.2], [0.0] * given), t)
+    assert str(err.value) == message
 
 
 def test_type2_varying_power_raises_on_every_path():

@@ -172,11 +172,13 @@ class TestValidation:
             spec_of("ml1", {"omega": [1.0], "lambda": 0.5, "sign": "+"}, [1e300])
 
     @pytest.mark.parametrize("amplitude,phase", [
-        ([math.nan], ()), ([math.inf], ()), ([1.0], (-math.inf,)),
+        ((math.nan,), ()), ((math.inf,), ()), ((1.0,), (-math.inf,)),
+        # len() or math.isfinite of these was a raw TypeError
+        (("a",), ()), (None, ()), ((1.0,), ("a",)), ((1j,), ()),
     ])
     def test_non_finite_amplitude_or_phase(self, amplitude, phase):
         with pytest.raises(InvalidSpec, match="must be finite"):
-            spec_of("harmonic", {"omega": [1.0]}, amplitude, phase=phase)
+            ExactSolutionSpec("harmonic", parameter_set({"omega": [1.0]}, 1), amplitude, phase)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, 1.7e308])
     def test_time_whose_phase_is_infinite(self, t):

@@ -874,6 +874,31 @@ def test_a_kernel_runs_every_check_and_only_the_lines_a_root_reads():
     assert math.isfinite(potential_gradient(system, [1e200])[0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_type2_energy_and_right_hand_side_sum_the_same_square(monkeypatch, n):
+    # one |v|^2 rule: a running sum from 0.0 in coordinate order, written as
+    # one line in the energy kernel and one in the right-hand side
+    from pdmdyn import exprparse
+    seen, function = [], exprparse._function
+    exprparse.parse_cached.cache_clear()
+    monkeypatch.setattr(exprparse, "_function", lambda gen, head, tail: seen.append(
+        (head[0], exprparse._source(gen.body))) or function(gen, head, tail))
+    mass = "+".join(["2", *(f"x{i + 1}^2" for i in range(n))])
+    system = build_system("custom", n, mass_exprs=[mass], kind=TYPE2)
+    x, v = [0.5] * n, [0.25] * n
+    el2_rhs(system)(0.0, x, v)
+    total_energy(system, State.of(0.0, x, v))
+    squares = {}
+    for head, lines in seen:
+        for line in lines:
+            found = re.fullmatch(r"\w+ = (0\.0 \+ u0 \* u0.*)", line.strip())
+            if found:
+                squares.setdefault(head, []).append(found[1])
+    want = ["0.0" + "".join(f" + u{i} * u{i}" for i in range(n))]
+    assert squares == {"def compiled(fail):": want,
+                       "def compiled(mass, fail, energy):": want}
+
+
 def _value_outcome(expr, names, xs, seeds, order):
     """The value the order's kernel returns at xs under the seeds, or the
     exception it raises."""
