@@ -632,8 +632,18 @@ class _Codegen:
         return _Slot(v, p, self.derivative(2, [(a.d2,), ("-", "2.0", p, b.d1), ("-", v, b.d2)],
                                            b.val))
 
-    def chain(self, u: _Slot, v: str, fp: str, fpp: str) -> _Slot:
-        """f(u) given its value v and the texts of f'(u) and f''(u)."""
+    def chain(self, u: _Slot, v: str, fp: str | Callable[[], str],
+              fpp: str | Callable[[], str]) -> _Slot:
+        """f(u) given its value v and the texts of f'(u) and f''(u), each
+        given as a function that assigns it where its line can raise.  Such
+        a function is called only where a derivative reads the factor, so
+        its line sits in the first direction that needs it: emitted in an
+        earlier direction, the table would keep it there, ahead of that
+        direction's later checks."""
+        def factor(f: str | Callable[[], str], read: bool) -> str:
+            return self.zero if not read else f() if callable(f) else f
+        fp = factor(fp, u.d1 != self.zero or u.d2 != self.zero)
+        fpp = factor(fpp, u.d1 != self.zero)
         return _Slot(v, self.derivative(1, [(fp, u.d1)]),
                      self.derivative(2, [(fpp, u.d1, u.d1), (fp, u.d2)]))
 
@@ -661,15 +671,15 @@ class _Codegen:
             return self.log(node, u)
         v = self.assign("v", f"sqrt({u.val})")
         return self.chain(u, v, self.assign("c", f"0.5 / {v}"),
-                          self.assign("e", f"-0.25 / ({u.val} * {v})",
-                                      self.guard(node, "ZeroDivisionError")))
+                          lambda: self.assign("e", f"-0.25 / ({u.val} * {v})",
+                                              self.guard(node, "ZeroDivisionError")))
 
     def log(self, node: Expr, u: _Slot) -> _Slot:
         """ln u, where u > 0; its second factor overflows where its divisor
         underflows."""
         return self.chain(u, self.assign("v", f"log({u.val})"), self.assign("c", f"1.0 / {u.val}"),
-                          self.assign("e", f"-1.0 / ({u.val} * {u.val})",
-                                      self.guard(node, "ZeroDivisionError")))
+                          lambda: self.assign("e", f"-1.0 / ({u.val} * {u.val})",
+                                              self.guard(node, "ZeroDivisionError")))
 
     def power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         """a^b by a rule fixed here, from the exponent's tree alone: an
@@ -714,8 +724,9 @@ class _Codegen:
     def const_power(self, node: BinOp, a: _Slot, p: str) -> _Slot:
         guard = self.guard(node)
         return self.chain(a, self.assign("v", f"{a.val} ** {p}", guard),
-                          self.assign("c", f"{p} * {a.val} ** ({p} - 1.0)", guard),
-                          self.assign("e", f"{p} * ({p} - 1.0) * {a.val} ** ({p} - 2.0)", guard))
+                          lambda: self.assign("c", f"{p} * {a.val} ** ({p} - 1.0)", guard),
+                          lambda: self.assign("e", f"{p} * ({p} - 1.0) * {a.val} ** ({p} - 2.0)",
+                                              guard))
 
     def exp_log_power(self, node: BinOp, a: _Slot, b: _Slot) -> _Slot:
         """a^b = exp(b ln a) for a varying exponent, on a positive base only."""

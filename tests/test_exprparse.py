@@ -566,6 +566,9 @@ class TestCompiledMatchesReference:
 
     @given(_exprs(("x1", "x2", "x3"), full=True), st.lists(_points, min_size=3, max_size=3))
     @settings(max_examples=300, deadline=None)
+    # x2's derivative factor overflows, but only in x2's direction, after x1^1.5's check
+    @example(parse_expression("-x1+(x2^(-0.75)+x1^1.5)", ["x1", "x2", "x3"]),
+             [0.0, 3.151280749365539e-204, 0.0])
     def test_eval_gradient(self, expr, xs):
         names = ["x1", "x2", "x3"]
         assert (outcome(eval_gradient, expr, names, xs)
