@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable, Mapping, Sequence
@@ -77,6 +78,7 @@ def parameter_set(data: Mapping | ParameterSet | None, n: int) -> ParameterSet:
     """Build a ParameterSet from a mapping, broadcasting scalars to length n."""
     if isinstance(data, ParameterSet):
         return data
+    _dimension(n)
     try:
         data = dict(data or {})
     except (TypeError, ValueError):
@@ -185,8 +187,9 @@ class State:
     @staticmethod
     def of(t: float, x: Sequence[float], v: Sequence[float]) -> "State":
         """A State of floats; an InvalidParameter naming t, x or v where it
-        is not a number or holds one that is not."""
-        array = functools.partial(np.asarray, dtype=float)
+        is not a number or holds an entry that float() refuses (None too)."""
+        def array(values):
+            return np.array([*map(float, values)])
         return State(_number(t, "t"), _number(x, "x", array), _number(v, "v", array))
 
 
@@ -223,9 +226,17 @@ class Trajectory:
 # --- validation and construction ---------------------------------------------
 
 
-def _check_shape(n: int, p: ParameterSet) -> None:
+def _dimension(n: int) -> None:
+    """An InvalidParameter unless n is an integer from 1 to sys.maxsize."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise InvalidParameter("n", f"expected an integer, got {n!r}")
     if n < 1:
         raise InvalidParameter("n", f"dimension must be >= 1, got {n}")
+    if n > sys.maxsize:
+        raise InvalidParameter("n", "dimension beyond any list's length")
+
+
+def _check_shape(n: int, p: ParameterSet) -> None:
     for name in VECTORS:
         value = getattr(p, name)
         if value is not None and len(value) != n:
@@ -267,8 +278,7 @@ def build_system(family: str, n: int = 1,
     record = FAMILIES.get(family) if isinstance(family, str) else None
     if record is None and family != "custom":
         raise InvalidParameter("family", f"unknown family {family!r}")
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise InvalidParameter("n", f"expected an integer, got {n!r}")
+    _dimension(n)
     p = parameter_set(params, n)
     _validate(n, p)
     if record is None:

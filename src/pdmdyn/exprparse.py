@@ -390,6 +390,8 @@ _OVERFLOW = "float overflow"
 _ATOM = re.compile(r"[\w.]+")
 #: the names a statement reads: identifiers outside string literals (read as "")
 _NAME = re.compile(r"'[^']*'|\"[^\"]*\"|([A-Za-z_]\w*)")
+#: an argument's float() line, which a right-hand side's scalar entry leaves out
+_FLOATED = re.compile(r"x\d+ = float\(x\d+\)")
 
 
 class _Slot(NamedTuple):
@@ -843,6 +845,22 @@ def _compile_potential(exprs: tuple, domain: tuple[float, float],
     return _function(gen, head, ["        return out", "    return energies"])
 
 
+def _rhs_function(gen: _Codegen, n: int, accelerations: list[str]) -> Callable:
+    """make(fail): ``rhs(t, x, v)`` over lists, and its ``scalar`` over floats
+    x0.., u0.., the same lines without float() whose failed checks build the
+    list [x0, ..] to hand fail as x."""
+    gen.emit(f"return [{', '.join(accelerations)}]")
+    args = [f"{c}{i}" for c in "xu" for i in range(n)]
+    scalar = [_NAME.sub(lambda m: f"[{', '.join(args[:n])}]" if m[1] == "x" else m[0], line)
+              for line in _source(gen.body)[:-1] if not _FLOATED.fullmatch(line)]
+    head = ["def compiled(fail):", "    def rhs(t, x, v):",
+            *("        " + line for line in _unpack("x", n, "x") + _unpack("u", n, "v"))]
+    return _function(gen, head, [f"    def scalar(t, {', '.join(args)}):",
+                                 *("        " + line for line in scalar),
+                                 f"        return {', '.join(accelerations)},",
+                                 "    rhs.scalar = scalar", "    return rhs"])
+
+
 def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
                  domain: tuple[float, float], pole: float | None) -> Callable:
     n = len(masses)
@@ -857,10 +875,7 @@ def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
         a = gen.total([("-", gen.ratio(m.d1, f"(2.0 * {m.val})"), f"u{i}", f"u{i}"),
                        ("-", gen.ratio(dv, m.val))])
         accelerations.append(gen.assign("a", a or gen.zero))
-    gen.emit(f"return [{', '.join(accelerations)}]")
-    head = ["def compiled(fail):", "    def rhs(t, x, v):",
-            *("        " + line for line in _unpack("x", n, "x") + _unpack("u", n, "v"))]
-    return _function(gen, head, ["    return rhs"])
+    return _rhs_function(gen, n, accelerations)
 
 
 def _gradient(gen: _Codegen, mass: Expr, n: int) -> tuple[str, list[str]]:
@@ -903,10 +918,7 @@ def _compile_rhs2(mass: Expr, names: tuple[str, ...], potentials: tuple,
         accelerations.append(gen.assign("a", gen.total([
             ("-", f"({mdot} / {m})", f"u{i}"), ("0.5", gen.ratio(g, m), vv),
             ("-", gen.ratio(dv, m))])))
-    gen.emit(f"return [{', '.join(accelerations)}]")
-    head = ["def compiled(fail):", "    def rhs(t, x, v):",
-            *("        " + line for line in _unpack("x", n, "x") + _unpack("u", n, "v"))]
-    return _function(gen, head, ["    return rhs"])
+    return _rhs_function(gen, n, accelerations)
 
 
 def _compile_energy(masses: tuple, names: tuple[str, ...] | None, domains: tuple,
@@ -1075,8 +1087,9 @@ def compile_rhs(masses: Sequence[Expr], potentials: Sequence[Expr],
     interval ``domain`` and off ``pole``, and off its own entry of
     ``singularities`` where that is not None.  The result ``make(fail)``
     returns ``rhs(t, x, v)``, which takes lists of n floats and returns the
-    list of the n accelerations -(m'/2m) v^2 - V'/m.  For each coordinate in
-    turn it runs the singularity check, the domain and pole check, the lines
+    list of the n accelerations -(m'/2m) v^2 - V'/m; ``rhs.scalar(t, x0, ..,
+    v0, ..)`` returns their tuple for floats, or raises as rhs does there.
+    For each coordinate in turn it runs the singularity check, the domain and pole check, the lines
     of the potential term's and of the mass's order-1 kernels (so V', m and
     m' are their bits), the m < 0 check and the acceleration line.  A failed
     check calls ``fail(i, x)``, and the m < 0 check ``fail(i, x, m)``, which
@@ -1130,8 +1143,9 @@ def compile_rhs2(mass: Expr, names: Sequence[str], potentials: Sequence[Expr],
     ``mass`` is the shared mass m over the variables ``names`` (x1..xn);
     coordinate i has the potential term ``potentials[i]`` in ``x``, and every
     coordinate lies in the open interval ``domain`` and off ``pole``.  The
-    result ``make(fail)`` returns ``rhs(t, x, v)``, which takes lists of n
-    floats and returns the list of the n accelerations
+    result ``make(fail)`` returns ``rhs(t, x, v)`` (and ``rhs.scalar``, as
+    compile_rhs's), which takes lists of n floats and returns the list of the
+    n accelerations
 
         -(mdot/m) v_i + (1/2)(g_i/m) |v|^2 - V_i'/m,  g = grad m, mdot = g.v.
 

@@ -16,6 +16,11 @@ guard runs at every internal stage, so a trajectory that approaches a
 mass-profile boundary terminates cleanly instead of corrupting the
 step-size controller.
 
+Each stage calls ``rhs.scalar(t, x0, .., v0, ..)`` on its floats, the
+scalar entry of a generated right-hand side, and unpacks the n accelerations;
+any other ``rhs(t, x, v)`` is called through one adapter that passes the
+lists [x0, ..], [v0, ..] and reads back the first n entries as floats.
+
 Dense output: a DOP853 trajectory carries the pair's 7th-order interpolant.
 The loop keeps, per accepted step, only what the interpolant needs beyond
 the trajectory's rows: h and stages 5-11, in one flat buffer of doubles.
@@ -41,6 +46,7 @@ from .errors import (DomainViolation, ExprDomainError, InvalidParameter,
                      NoPeriod, SingularCoefficient, SingularPoint)
 
 RhsFn = Callable[[float, list, list], Sequence[float]]  # x, v: lists of n floats
+ScalarFn = Callable[..., Sequence[float]]  # (t, x0, .., v0, ..) -> n floats
 
 FIXED_RK4 = "fixed_rk4"
 DOP853 = "dop853"
@@ -247,8 +253,8 @@ def _stages(first: int, nodes: list, rows: list, n: int) -> list:
         lines.append(f"    stage = {count}")
         lines += [f"    {s} = {y} + h * ({_weighted(row, j)})"
                   for j, (s, y) in enumerate(zip(state, _state(0, n)))]
-        lines.append(f"    r = rhs(t + {c!r} * h, {_listed(state[:n])}, {_listed(state[n:])})")
-        lines += [f"    {d} = float(r[{j}])" for j, d in enumerate(deriv[n:])]
+        lines.append(f"    {''.join(f'{d}, ' for d in deriv[n:])}= rhs(t + {c!r} * h, "
+                     f"{', '.join(state)})")
     return lines
 
 
@@ -316,6 +322,16 @@ def _generated(kind: str, n: int) -> Callable:
     return fn
 
 
+def _scalar_entry(rhs: RhsFn, n: int) -> ScalarFn:
+    """The callable the generated stages call: rhs.scalar, or the adapter
+    over rhs (see the module's notes)."""
+    entry = getattr(rhs, "scalar", None)
+    if entry is None:
+        def entry(t, *y):
+            return [*map(float, rhs(t, [*y[:n]], [*y[n:]])[:n])]
+    return entry
+
+
 def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory:
     """Integrate up to opts.t_end, or truncate on a guard/step failure.
 
@@ -346,7 +362,7 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
     if not all(map(math.isfinite, a0)):
         raise DomainViolation("float overflow at the initial state", t=t)
 
-    step = _generated(opts.scheme, len(x0))
+    step, entry = _generated(opts.scheme, len(x0)), _scalar_entry(rhs, len(x0))
     adaptive = opts.scheme == DOP853
     x, v, a = x0, v0, a0
     ts, xs, vs, accs = [t], [x], [v], [a]
@@ -370,7 +386,7 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
         if accepted + rejected >= MAX_STEPS or t + h == t:  # h too small to move t
             term = Termination("step_failure", t)
             break
-        stages, guard, x_new, v_new, a_new, err, mid = step(rhs, t, h, x, v, a,
+        stages, guard, x_new, v_new, a_new, err, mid = step(entry, t, h, x, v, a,
                                                              opts.abs_tol, opts.rel_tol)
         nfev += stages
         if guard is not None:
@@ -421,7 +437,7 @@ def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory
             h = min(max(h * min(max(factor, 0.2), 5.0), opts.h_min), opts.h_max)
     return Trajectory(np.array(ts), np.array(xs), np.array(vs), np.array(accs),
                       accepted, rejected, max_err, term, nfev, rejected_guard,
-                      _Interpolant(rhs, kept) if kept else None)
+                      _Interpolant(entry, kept) if kept else None)
 
 
 # --- dense output ---------------------------------------------------------------
@@ -442,7 +458,7 @@ def _hermite(theta: np.ndarray, y0, s0, y1, s1, h: float):
 class _Interpolant:
     """DOP853's 7th-order dense output of one trajectory, built on first use."""
 
-    rhs: RhsFn
+    rhs: ScalarFn
     # per accepted step: h, then the 2n-float stages 5-11; stages 1-4 enter
     # neither the extra stages nor D, and stages 0 and 12 are the trajectory's
     # (v, a) at the step's two ends

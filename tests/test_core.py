@@ -49,10 +49,14 @@ class TestBuildSystem:
                                     "beta": 1.0, "eta_exp": 1.0})
         assert err.value.field == "eta_exp"
 
-    @pytest.mark.parametrize("n,omega", [(0, []), ("a", [1.0]), (True, [1.0])])
-    def test_zero_dimension_rejected(self, n, omega):
+    # n = 10**400 with a scalar omega was a raw OverflowError from the broadcast
+    @pytest.mark.parametrize("n,omega", [(0, []), ("a", [1.0]), (True, [1.0]), (10 ** 400, 1.0),
+                                         (-1, 1.0)])
+    @pytest.mark.parametrize("build", [lambda n, params: build_system("ml1", n, params),
+                                       lambda n, params: parameter_set(params, n)])
+    def test_zero_dimension_rejected(self, build, n, omega):
         with pytest.raises(InvalidParameter) as err:
-            build_system("ml1", n, {"omega": omega, "lambda": 1.0, "sign": "+"})
+            build(n, {"omega": omega, "lambda": 1.0, "sign": "+"})
         assert err.value.field == "n"
 
     def test_missing_omega(self):
@@ -274,9 +278,11 @@ class TestEnergies:
             fn(system, arg(value))
         assert str(err.value) == f"{name}: expected 2 numbers, got {value!r}"
 
+    # a None entry was read as nan: x = [nan, 0.5]
     @pytest.mark.parametrize("name,value", [("t", "a"), ("t", None), ("x", ["a", 0.5]),
                                             ("x", "ab"), ("v", [1j, 0.5]),
-                                            ("v", [10 ** 400, 0.5])])
+                                            ("v", [10 ** 400, 0.5]), ("x", [None, 0.5]),
+                                            ("v", [None, 0.5])])
     def test_state_of_values_that_are_not_numbers(self, name, value):
         # float() or np.asarray of each was a raw TypeError, ValueError or OverflowError
         given = {"t": 0.0, "x": [0.5, 0.5], "v": [0.5, 0.5], name: value}

@@ -460,7 +460,8 @@ def test_generated_rhs_is_the_closure(name, data):
             == nan_alike(outcome(closure_el1(system), 0.0, x, v)))
 
 
-@pytest.mark.parametrize("system,x,error,coordinate", [
+#: (system, x, the error the generated right-hand side raises first, its coordinate)
+FIRST_ERRORS = [
     # an expression's guard error in coordinate 0 comes before coordinate 1's check
     (build_system("custom", 2, mass_exprs=["1", "1"], potential_exprs=["ln(x)", "x"]),
      [-1.0, math.nan], ExprDomainError, None),
@@ -486,7 +487,10 @@ def test_generated_rhs_is_the_closure(name, data):
                           CustomProfile.from_text("x^2", REAL_LINE, 0.0)),
                PotentialSpec("custom", parameter_set({}, 2), (exprparse.parse_cached("x"),) * 2)),
      [0.5, 0.0], SingularCoefficient, 1),
-])
+]
+
+
+@pytest.mark.parametrize("system,x,error,coordinate", FIRST_ERRORS)
 def test_generated_rhs_raises_the_closures_first_error(system, x, error, coordinate):
     v = [0.3] * system.n
     got = outcome(el1_rhs(system), 0.0, x, v)
@@ -638,7 +642,7 @@ def _custom2(mass, potentials=None):
     return build_system("custom", 2, mass_exprs=[mass], potential_exprs=potentials, kind=TYPE2)
 
 
-@pytest.mark.parametrize("system,x,error,coordinate", [
+TYPE2_FIRST_ERRORS = [
     # m = 0, m = -0.0 and m < 0
     (_custom2("1-x1^2-x2^2"), [1.0, 0.0], DomainViolation, None),
     (_custom2("x1*x2"), [0.0, -1.0], DomainViolation, None),
@@ -655,11 +659,43 @@ def _custom2(mass, potentials=None):
     (_bounded("squares"), [-1.5, 0.0], DomainViolation, 0),
     (_custom2("1+x1^2+x2^2"), [0.5, math.nan], DomainViolation, 1),
     (_custom2("1+x1^2+x2^2", ["0.5*x^2", "1/x"]), [0.5, 0.0], ExprDomainError, None),
-])
+]
+
+
+@pytest.mark.parametrize("system,x,error,coordinate", TYPE2_FIRST_ERRORS)
 def test_generated_type2_rhs_raises_the_closures_first_error(system, x, error, coordinate):
     v = [0.3] * system.n
     got = outcome(el2_rhs(system), 0.0, x, v)
     assert got == outcome(closure_el2(system), 0.0, x, v)
+    assert got[0] is error and got[2] == coordinate
+
+
+def both_entries(system):
+    """A system's generated right-hand side: its list form and its scalar entry."""
+    rhs = el2_rhs(system) if system.kind == TYPE2 else el1_rhs(system)
+    return rhs, rhs.scalar
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind,name", [*(("type1", name) for name in _PARITY),
+                                       *(("type2", name) for name in sorted(TYPE2_MASSES))])
+def test_scalar_entry_is_the_list_form_at_seeded_states(kind, name, n):
+    # the scalar entry runs the list form's lines on the same floats, without
+    # their float() conversions, and returns a tuple
+    system = parity_system(name, n) if kind == "type1" else type2_system(name, n, False)
+    box = CATALOG[name][2] if name in CATALOG else (-2.0, 2.0)
+    rhs, scalar = both_entries(system)
+    for x, v in states(n, box, n) + [([e] * n, [0.5] * n) for e in _TYPE2_EDGES]:
+        assert nan_alike(outcome(scalar, 0.0, *x, *v)) == nan_alike(outcome(rhs, 0.0, x, v))
+
+
+@pytest.mark.parametrize("system,x,error,coordinate", FIRST_ERRORS + TYPE2_FIRST_ERRORS)
+def test_scalar_entry_raises_the_list_forms_first_error(system, x, error, coordinate):
+    # a failed check hands fail the list [x0, ..] the scalar entry builds there
+    rhs, scalar = both_entries(system)
+    v = [0.3] * system.n
+    got = outcome(scalar, 0.0, *x, *v)
+    assert got == outcome(rhs, 0.0, x, v)
     assert got[0] is error and got[2] == coordinate
 
 

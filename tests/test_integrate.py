@@ -1,6 +1,8 @@
 """Integrator tests: step correctness, guards, dense output, periods."""
 
 import importlib
+import importlib.util
+import io
 import math
 import os
 import random
@@ -770,6 +772,8 @@ class TestEstimatePeriod:
 # --- the generated step against the plain tableau loop -------------------------
 
 GUARDABLE = integrate_module._GUARDABLE
+#: the scalar entry a generated step calls, here the adapter over a list-form RHS
+entry = integrate_module._scalar_entry
 
 
 def nonzero(rows):
@@ -881,7 +885,7 @@ def assert_step_matches_the_loop(scheme, fn, t, h, x, v, a, abs_tol, rel_tol):
     n = len(x)
     ours, ref = Recorded(fn), Recorded(fn)
     stages, guard, x1, v1, a1, err, kept = integrate_module._generated(scheme, n)(
-        ours, t, h, x, v, a, abs_tol, rel_tol)
+        entry(ours, n), t, h, x, v, a, abs_tol, rel_tol)
     ref_stages, ref_guard, K, y1, ref_err = loop_step(scheme, ref, t, h, x, v, a,
                                                       abs_tol, rel_tol)
     # every stage state and time the RHS saw, hence every stage derivative
@@ -896,8 +900,8 @@ def assert_step_matches_the_loop(scheme, fn, t, h, x, v, a, abs_tol, rel_tol):
     assert bits(kept) == bits(f for k in K[5:12] for f in k)
 
     ours, ref = Recorded(fn), Recorded(fn)
-    count, high = integrate_module._generated("dense", n)(ours, t, h, x, v, a, list(kept),
-                                                          v1, a1)
+    count, high = integrate_module._generated("dense", n)(entry(ours, n), t, h, x, v, a,
+                                                          list(kept), v1, a1)
     ref_count, ref_high = loop_dense(ref, t, h, x + v, K)
     assert ours.calls == ref.calls
     assert count == ref_count == 3
@@ -936,7 +940,8 @@ class TestGeneratedStep:
         x, v = [0.3, -0.2], [0.1, 0.4]
         a = [-0.3, 0.2]
         ours, ref = Recorded(harmonic_rhs, stage), Recorded(harmonic_rhs, stage)
-        got = integrate_module._generated(scheme, 2)(ours, 0.0, 0.1, x, v, a, 1e-12, 1e-10)
+        got = integrate_module._generated(scheme, 2)(entry(ours, 2), 0.0, 0.1, x, v, a,
+                                                     1e-12, 1e-10)
         want = loop_step(scheme, ref, 0.0, 0.1, x, v, a, 1e-12, 1e-10)
         assert ours.calls == ref.calls
         assert got[0] == want[0] == stage
@@ -963,17 +968,18 @@ class TestGeneratedStep:
     def test_guard_at_each_dense_stage(self, stage):
         x, v, a = [0.3], [0.1], [-0.3]
         _, _, x1, v1, a1, _, kept = integrate_module._generated(DOP853, 1)(
-            harmonic_rhs, 0.0, 0.1, x, v, a, 1e-12, 1e-10)
+            entry(harmonic_rhs, 1), 0.0, 0.1, x, v, a, 1e-12, 1e-10)
         K = loop_step(DOP853, harmonic_rhs, 0.0, 0.1, x, v, a, 1e-12, 1e-10)[2]
         ours, ref = Recorded(harmonic_rhs, stage), Recorded(harmonic_rhs, stage)
-        got = integrate_module._generated("dense", 1)(ours, 0.0, 0.1, x, v, a, list(kept), v1, a1)
+        got = integrate_module._generated("dense", 1)(entry(ours, 1), 0.0, 0.1, x, v, a,
+                                                      list(kept), v1, a1)
         assert got == loop_dense(ref, 0.0, 0.1, x + v, K) == (stage, None)
         assert ours.calls == ref.calls
         # the trajectory counts the stages tried and keeps the cubic on that step
         traj = integrate(harmonic_rhs, State.of(0.0, x, v), IntegratorOptions(
             t_end=0.1, h_init=0.1, rel_tol=1.0, abs_tol=1.0))
         assert traj.accepted == 1
-        nfev, traj.dense.rhs = traj.nfev, Recorded(harmonic_rhs, stage)
+        nfev, traj.dense.rhs = traj.nfev, entry(Recorded(harmonic_rhs, stage), 1)
         sample_dense(traj, [0.05])
         assert traj.nfev == nfev + stage
         assert not traj.dense.coeffs[0, 3:].any()
@@ -1000,3 +1006,63 @@ class TestGeneratedStep:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert out.stdout.strip() == "0"
+
+
+def load_workloads():
+    """The benchmark's op lists (``perfbench/workloads.py``), as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)   # its dataclasses look their module up there
+    return module
+
+
+class TestAdapterIsTheOracle:
+    """A generated right-hand side's scalar entry must give every trajectory
+    the adapter gives a plain callable over its list form, bit for bit."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """Each integration of the CLI and of verify runs twice, with the
+        kernel and with a lambda over it, and must agree in every field;
+        the list holds the kernel's trajectories."""
+        seen = []
+
+        def both(rhs, initial, opts):
+            assert callable(rhs.scalar)   # the kernel, so the two paths differ
+            got = integrate(rhs, initial, opts)
+            want = integrate(lambda t, x, v: rhs(t, x, v), initial, opts)
+            for traj in (got, want):
+                if traj.dense is not None:
+                    integrate_module._dense_coefficients(traj)
+            for name in ("t", "x", "v", "a"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert (got.nfev, got.rejected, got.rejected_guard, got.termination) == (
+                want.nfev, want.rejected, want.rejected_guard, want.termination)
+            assert bits([got.max_error]) == bits([want.max_error])
+            assert (got.dense is None) == (want.dense is None)
+            if got.dense is not None:
+                assert got.dense.coeffs.tobytes() == want.dense.coeffs.tobytes()
+            seen.append(got)
+            return got
+
+        for module in ("pdmdyn.cli", "pdmdyn.verify"):
+            monkeypatch.setattr(f"{module}.integrate", both)
+        return seen
+
+    def test_every_verify_integration(self, compared):
+        from pdmdyn.verify import run_suite
+        reports, _ = run_suite()
+        assert len(reports) == 100
+        assert len(compared) > 20 and any(traj.dense for traj in compared)
+
+    def test_every_drift_and_expr_orbit(self, compared, tmp_path):
+        from pdmdyn.cli import run_cli
+        workloads = load_workloads()
+        ops = workloads.make_ops("drift", 1) + workloads.make_ops("expr", 1)
+        workloads.write_configs(ops, tmp_path)
+        for op in ops:
+            out, err = io.StringIO(), io.StringIO()
+            assert run_cli(op.argv(), out, err) == 0, err.getvalue()
+        assert len(compared) == len(ops) == 10
+        assert {traj.x.shape[1] for traj in compared} == {1, 2, 3}

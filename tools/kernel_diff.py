@@ -10,7 +10,16 @@ built from calls and powers of constants, some of which fail (``ln(0)``,
 ``exp(1000)``).  Three trees in four are in ``x`` and run through
 ``compile_expression`` at orders 0, 1 and 2 with the seeds 0, 1 and -0.5 at
 each of POINTS; the fourth is in ``x1, x2`` and runs through
-``eval_gradient`` at 16 point pairs drawn from POINTS.
+``eval_gradient`` at 16 point pairs drawn from POINTS.  Each tree is also
+the mass of a right-hand side on the whole real line: a tree in ``x`` of a
+type1 one (``compile_rhs``), whose potential term it is too, called at each
+of POINTS with each of VELOCITIES; a tree in ``x1, x2`` of a type2 one
+(``compile_rhs2``) with the terms ``0.5*x^2``, called at its point pairs
+with each pair of VELOCITIES.  Both checkouts' kernels are called through
+their list form ``rhs(t, x, v)``, with a ``fail`` that raises its
+arguments; where this checkout's kernel carries a scalar entry, that entry
+is called on the same floats too, and must return or raise what the list
+form does.
 
 An outcome is the floats a call returns (every NaN alike) or the type and
 message of the error it raises.  Each outcome that differs is counted in one
@@ -19,8 +28,9 @@ this one has a number (zero signs aside); the other raised a float overflow
 and this one returns or raises another error; and the classes no change
 should show: this one raises where the other returned, the other raised
 (not an overflow) where this one returns or raises another error, and two
-numbers differ.  Prints every class's count, then ``N outcomes, M differ``;
-exits 1 if any differ, else 0.  ``python3 tools/kernel_diff.py .`` compares
+numbers differ; and, within this checkout, a scalar entry whose outcome is
+not its list form's.  Prints every class's count, then ``N outcomes, M
+differ``; exits 1 if any differ, else 0.  ``python3 tools/kernel_diff.py .`` compares
 this checkout with itself: its kernels must be deterministic.
 """
 
@@ -40,6 +50,8 @@ from bench_step import ROOT, load  # noqa: E402
 
 POINTS = (0.0, -0.0, 5e-324, 1e300, -1e300, 1e-300, math.inf, -math.inf, math.nan, 0.75, -1.5)
 SEEDS = (0.0, 1.0, -0.5)
+#: the velocities a right-hand side is called with
+VELOCITIES = (0.75, -0.0, 1e200)
 CONSTANTS = ("0", "1", "2", "0.5", "3", "1e999", "1e300", "5e-324", "1e-300", "0.1")
 #: integer exponents, those beyond 16 among them (1e300 squares about 1,000 times)
 INTEGERS = ("0", "1", "2", "3", "17", "20", "33", "40", "64", "100", "1e300")
@@ -49,7 +61,7 @@ CONSTANT_EXPONENTS = ("sqrt(4)", "2^0.5", "ln(0)", "exp(1000)", "sin(1)", "ln(2)
                       "sin(1e999)", "(1+1)^17", "ln(1e999-1e999)", "sqrt(0.25)*40")
 CLASSES = ("zero sign", "NaN at the other, a number here", "overflow at the other, then the next",
            "raises where the other returned", "another error dropped or changed",
-           "numbers differ")
+           "numbers differ", "scalar entry and list form differ")
 
 
 def tree(rng: random.Random, names: tuple[str, ...], depth: int) -> str:
@@ -89,6 +101,8 @@ def outcome(fn, *args) -> tuple:
         return ("raised", type(err).__name__, str(err))
     if isinstance(out, tuple) and len(out) == 2 and isinstance(out[1], list):
         out = (out[0], *out[1])         # eval_gradient's (value, gradient)
+    elif isinstance(out, list):         # a right-hand side's list form
+        out = tuple(out)
     elif not isinstance(out, tuple):
         out = (out,)
     return tuple("nan" if math.isnan(f) else struct.pack("<d", f) for f in out)
@@ -113,16 +127,46 @@ def classify(other: tuple, this: tuple) -> str:
     return CLASSES[1] if nan else CLASSES[0]
 
 
-def calls(ep, text: str, names: tuple[str, ...], pairs: list) -> list:
+def fail(*args):
+    """A right-hand side's failed check: raises what it was handed."""
+    raise RuntimeError(f"fail{args!r}")
+
+
+def right_hand_side(ep, expr, names: tuple[str, ...]):
+    """The tree's right-hand side on the whole real line (see the module's notes)."""
+    real = (-math.inf, math.inf)
+    if names == ("x",):
+        return ep.compile_rhs((expr,), (expr,), (None,), real, None)(fail)
+    term = ep.parse_expression("0.5*x^2")
+    return ep.compile_rhs2(expr, names, (term, term), real, None)(fail)
+
+
+def calls(ep, text: str, names: tuple[str, ...], pairs: list) -> tuple[list, list]:
     """The (label, outcome) of every call of the tree's kernels in one
-    package's exprparse module ep: the gradient's at the point pairs."""
+    package's exprparse module ep, the gradient's and the right-hand side's
+    at the point pairs; and, where the right-hand side has a scalar entry,
+    the (label, list form's outcome, scalar entry's outcome) of each of its
+    calls."""
     expr = ep.parse_expression(text, names)
     if names == ("x",):
-        return [((text, order, seed, x),
-                 outcome(lambda: ep.compile_expression(expr, names, order)(x, seed)))
-                for order in (0, 1, 2) for seed in SEEDS for x in POINTS]
-    return [((text, "gradient", xs), outcome(ep.eval_gradient, expr, list(names), list(xs)))
-            for xs in pairs]
+        out = [((text, order, seed, x),
+                outcome(lambda: ep.compile_expression(expr, names, order)(x, seed)))
+               for order in (0, 1, 2) for seed in SEEDS for x in POINTS]
+        states = [((x,), (v,)) for x in POINTS for v in VELOCITIES]
+    else:
+        out = [((text, "gradient", xs), outcome(ep.eval_gradient, expr, list(names), list(xs)))
+               for xs in pairs]
+        states = [(xs, vs) for xs in pairs for vs in zip(VELOCITIES, VELOCITIES[::-1])]
+    labels = [(text, "rhs", xs, vs) for xs, vs in states]
+    try:
+        rhs = right_hand_side(ep, expr, names)
+    except Exception as err:    # no kernel: its error is every call's outcome
+        return out + [(label, ("raised", type(err).__name__, str(err))) for label in labels], []
+    listed = [outcome(rhs, 0.0, list(xs), list(vs)) for xs, vs in states]
+    scalar = getattr(rhs, "scalar", None)
+    entries = [(label, got, outcome(scalar, 0.0, *xs, *vs))
+               for label, got, (xs, vs) in zip(labels, listed, states)] if scalar else []
+    return out + list(zip(labels, listed)), entries
 
 
 def main(argv=None) -> int:
@@ -144,8 +188,15 @@ def main(argv=None) -> int:
         # the gradient's point pairs, drawn once for both checkouts
         pairs = [(rng.choice(POINTS), rng.choice(POINTS))
                  for _ in range(16 if len(names) > 1 else 0)]
-        results = [calls(ep, text, names, pairs) for ep in modules]
-        for (label, a), (_, b) in zip(*results):
+        (theirs, _), (ours, entries) = (calls(ep, text, names, pairs) for ep in modules)
+        for label, listed, got in entries:
+            total += 1
+            if got != listed:
+                counts[CLASSES[6]] += 1
+                if shown[CLASSES[6]] < 5:
+                    shown[CLASSES[6]] += 1
+                    print(f"{CLASSES[6]}: {label}: {listed} -> {got}")
+        for (label, a), (_, b) in zip(theirs, ours):
             total += 1
             if a != b:
                 kind = classify(a, b)
