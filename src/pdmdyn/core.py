@@ -186,11 +186,10 @@ class State:
 
     @staticmethod
     def of(t: float, x: Sequence[float], v: Sequence[float]) -> "State":
-        """A State of floats; an InvalidParameter naming t, x or v where it
-        is not a number or holds an entry that float() refuses (None too)."""
-        def array(values):
-            return np.array([*map(float, values)])
-        return State(_number(t, "t"), _number(x, "x", array), _number(v, "v", array))
+        """A State of floats; an InvalidParameter naming t, x or v where it is
+        not a number, is a string or holds an entry float() refuses (None too)."""
+        return State(_number(t, "t"), np.array(_number(x, "x", _floats)),
+                     np.array(_number(v, "v", _floats)))
 
 
 @dataclass(frozen=True)
@@ -346,10 +345,17 @@ def _number(value: object, name: str, convert: Callable = float):
         raise InvalidParameter(name, f"expected a number, got {value!r}") from None
 
 
+def _floats(values: Sequence[float]) -> list[float]:
+    """values as a list of floats; a TypeError for a string, which float() reads by character."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise TypeError(f"expected numbers, got {values!r}")
+    return [*map(float, values)]
+
+
 def _coordinates(system: PdmSystem, values: Sequence[float], name: str) -> list[float]:
     """values as n floats; an InvalidParameter unless there are n numbers."""
     try:
-        out = [*map(float, values)]
+        out = _floats(values)
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameter(name, f"expected {system.n} numbers, got {values!r}") from None
     if len(out) != system.n:

@@ -390,8 +390,6 @@ _OVERFLOW = "float overflow"
 _ATOM = re.compile(r"[\w.]+")
 #: the names a statement reads: identifiers outside string literals (read as "")
 _NAME = re.compile(r"'[^']*'|\"[^\"]*\"|([A-Za-z_]\w*)")
-#: an argument's float() line, which a right-hand side's scalar entry leaves out
-_FLOATED = re.compile(r"x\d+ = float\(x\d+\)")
 
 
 class _Slot(NamedTuple):
@@ -441,7 +439,7 @@ class _Codegen:
     a map's mass, q and f, a potential's terms, or a right-hand side's masses
     and potentials; for a batch, the body of its loop over the points."""
 
-    def __init__(self, names: tuple[str, ...], indent: int = 2):
+    def __init__(self, names: tuple[str, ...], indent: int = 2, point: str = "x"):
         self.body: list[_Line] = []
         self.indent = indent            # 2 inside bind() and compiled(), more in a loop
         # read by the code as k0, k1, ...: k0 is the known zero, apart from
@@ -453,6 +451,7 @@ class _Codegen:
         #: each right-hand side, and each check's "if" line, emitted so far
         self.table: dict[str, str] = {}
         self.count = 0
+        self.point = point              # what a failed check hands fail as the point x
         #: each variable's slot: its value x_i and seed s_i; x_i's float() is a root
         self.slots = {name: _Slot(f"x{i}", f"s{i}", self.zero) for i, name in enumerate(names)}
         for i in range(len(names)):
@@ -500,22 +499,18 @@ class _Codegen:
             self.emit(f"{head}\n    {then}")
 
     def coordinate(self, i: int, domain: tuple[float, float], pole: float | None,
-                   singular: float | None = None, floated: bool = False,
-                   fail: str = "fail") -> None:
-        """x_i of the point x as a float (unless ``floated`` already), then its
-        singularity check and its domain and pole check, each failing as
-        fail(i, x); the expressions walked next read x_i as ``x``, seeded by
-        the bound 1.0."""
-        x = f"x{i}"
-        if not floated:
-            self.emit(f"{x} = float({x})")
+                   singular: float | None = None, fail: str = "fail") -> None:
+        """The float x_i's singularity check and its domain and pole check,
+        each failing as fail(i, point); the expressions walked next read x_i
+        as ``x``, seeded by the bound 1.0."""
+        x, point = f"x{i}", self.point
         if singular is not None:
-            self.check(f"{x} == {self.bind(singular)}", f"{fail}({i}, x)")
+            self.check(f"{x} == {self.bind(singular)}", f"{fail}({i}, {point})")
         lo, hi = map(self.bind, domain)
         outside = f"not {lo} < {x} < {hi}"
         if pole is not None:
             outside += f" or {x} == {self.bind(pole)}"
-        self.check(outside, f"{fail}({i}, x)")
+        self.check(outside, f"{fail}({i}, {point})")
         self.slots = {"x": _Slot(x, self.one, self.zero)}
 
     def raise_domain(self, message: str, where: Expr) -> str:
@@ -841,36 +836,34 @@ def _compile_potential(exprs: tuple, domain: tuple[float, float],
             "        out = []",
             "        append = out.append",
             "        for x in points:",
-            *("            " + line for line in _unpack("x", len(exprs), "x"))]
+            *("            " + line for line in _unpack("x", len(exprs), "x")),
+            *(f"            x{i} = float(x{i})" for i in range(len(exprs)))]
     return _function(gen, head, ["        return out", "    return energies"])
 
 
 def _rhs_function(gen: _Codegen, n: int, accelerations: list[str]) -> Callable:
-    """make(fail): ``rhs(t, x, v)`` over lists, and its ``scalar`` over floats
-    x0.., u0.., the same lines without float() whose failed checks build the
-    list [x0, ..] to hand fail as x."""
-    gen.emit(f"return [{', '.join(accelerations)}]")
+    """make(fail): the kernel ``scalar(t, x0, .., u0, ..)``, gen's lines over
+    floats, and ``rhs(t, x, v)`` over lists, which calls it on x's entries as floats."""
+    gen.emit(f"return {', '.join(accelerations)},")
     args = [f"{c}{i}" for c in "xu" for i in range(n)]
-    scalar = [_NAME.sub(lambda m: f"[{', '.join(args[:n])}]" if m[1] == "x" else m[0], line)
-              for line in _source(gen.body)[:-1] if not _FLOATED.fullmatch(line)]
-    head = ["def compiled(fail):", "    def rhs(t, x, v):",
-            *("        " + line for line in _unpack("x", n, "x") + _unpack("u", n, "v"))]
-    return _function(gen, head, [f"    def scalar(t, {', '.join(args)}):",
-                                 *("        " + line for line in scalar),
-                                 f"        return {', '.join(accelerations)},",
-                                 "    rhs.scalar = scalar", "    return rhs"])
+    floats = ", ".join([*(f"float({x})" for x in args[:n]), *args[n:]])
+    head = ["def compiled(fail):", f"    def scalar(t, {', '.join(args)}):"]
+    return _function(gen, head, [
+        "    def rhs(t, x, v):",
+        *("        " + line for line in _unpack("x", n, "x") + _unpack("u", n, "v")),
+        f"        return [*scalar(t, {floats})]", "    rhs.scalar = scalar", "    return rhs"])
 
 
 def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
                  domain: tuple[float, float], pole: float | None) -> Callable:
     n = len(masses)
-    gen = _Codegen((), 3)
+    gen = _Codegen((), 3, f"[{', '.join(f'x{i}' for i in range(n))}]")
     accelerations = []
     for i, (mass, potential, singular) in enumerate(zip(masses, potentials, singularities)):
         gen.coordinate(i, domain, pole, singular)
         dv = gen.walk(potential).d1
         m = gen.walk(mass)
-        gen.check(f"{m.val} < 0.0", f"fail({i}, x, {m.val})")
+        gen.check(f"{m.val} < 0.0", f"fail({i}, {gen.point}, {m.val})")
         # velocities are u_i: v<count> names the emitter's own locals
         a = gen.total([("-", gen.ratio(m.d1, f"(2.0 * {m.val})"), f"u{i}", f"u{i}"),
                        ("-", gen.ratio(dv, m.val))])
@@ -878,17 +871,17 @@ def _compile_rhs(masses: tuple, potentials: tuple, singularities: tuple,
     return _rhs_function(gen, n, accelerations)
 
 
-def _gradient(gen: _Codegen, mass: Expr, n: int) -> tuple[str, list[str]]:
+def _gradient(gen: _Codegen, mass: Expr, names: tuple[str, ...]) -> tuple[str, list[str]]:
     """The names of the value and the first partial derivatives of mass over
-    gen's variables x0..x(n-1): the mass's order-1 lines once per direction
-    j, with the seed of x_j the bound 1.0 and every other seed the bound
-    zero, so each direction folds its known zeros.  No value reads the
-    seeds, so each direction's value lines repeat the first's text and are
-    not emitted again; with no variables, the value lines alone."""
-    slots, directions = gen.slots, []
-    for j in range(n):
-        gen.slots = {name: slot._replace(d1=gen.one if k == j else gen.zero)
-                     for k, (name, slot) in enumerate(slots.items())}
+    the variables names, read as x0..x(n-1): the mass's order-1 lines once
+    per direction j, with the seed of x_j the bound 1.0 and every other seed
+    the bound zero, so each direction folds its known zeros.  No value reads
+    the seeds, so each direction's value lines repeat the first's text and
+    are not emitted again; with no variables, the value lines alone."""
+    directions = []
+    for j in range(len(names)):
+        gen.slots = {name: _Slot(f"x{k}", gen.one if k == j else gen.zero, gen.zero)
+                     for k, name in enumerate(names)}
         directions.append(gen.walk(mass))
     value = directions[0].val if directions else gen.walk(mass).val
     return value, [slot.d1 for slot in directions]
@@ -896,7 +889,7 @@ def _gradient(gen: _Codegen, mass: Expr, n: int) -> tuple[str, list[str]]:
 
 def _compile_gradient(expr: Expr, names: tuple[str, ...]) -> Callable:
     gen = _Codegen(names)
-    m, grad = _gradient(gen, expr, len(names))
+    m, grad = _gradient(gen, expr, names)
     gen.emit(f"return {m}, [{', '.join(grad)}]")
     head = ["def compiled(x):", *("    " + line for line in _unpack("x", len(names), "x"))]
     return _function(gen, head, [])
@@ -905,15 +898,15 @@ def _compile_gradient(expr: Expr, names: tuple[str, ...]) -> Callable:
 def _compile_rhs2(mass: Expr, names: tuple[str, ...], potentials: tuple,
                   domain: tuple[float, float], pole: float | None) -> Callable:
     n = len(names)
-    gen = _Codegen(names, 3)
-    m, grad = _gradient(gen, mass, n)
-    gen.check(f"{m} <= 0.0", f"fail(None, x, {m})")
+    gen = _Codegen((), 3, f"[{', '.join(f'x{i}' for i in range(n))}]")
+    m, grad = _gradient(gen, mass, names)
+    gen.check(f"{m} <= 0.0", f"fail(None, {gen.point}, {m})")
     # mdot summed from 0.0 in coordinate order, as a running sum adds it
     mdot = gen.assign("mdot", gen.total([("0.0",), *((g, f"u{i}") for i, g in enumerate(grad))]))
     vv = gen.squares(n)
     accelerations = []
     for i, (potential, g) in enumerate(zip(potentials, grad)):
-        gen.coordinate(i, domain, pole, floated=True)
+        gen.coordinate(i, domain, pole)
         dv = gen.walk(potential).d1
         accelerations.append(gen.assign("a", gen.total([
             ("-", f"({mdot} / {m})", f"u{i}"), ("0.5", gen.ratio(g, m), vv),
@@ -931,7 +924,7 @@ def _compile_energy(masses: tuple, names: tuple[str, ...] | None, domains: tuple
     if names is None:
         T = "0.0"
         for i, (expr, mass_domain) in enumerate(zip(masses, domains)):
-            gen.coordinate(i, mass_domain, None, floated=True, fail="mass")
+            gen.coordinate(i, mass_domain, None, fail="mass")
             m = gen.walk(expr).val
             gen.check(f"{m} < 0.0", f"mass({i}, x, {m})")
             T = gen.assign("T", f"{T} + 0.5 * {m} * u{i} ** 2",
@@ -946,7 +939,7 @@ def _compile_energy(masses: tuple, names: tuple[str, ...] | None, domains: tuple
     if potentials:
         terms = []
         for i, expr in enumerate(potentials):
-            gen.coordinate(i, domain, pole, floated=True)
+            gen.coordinate(i, domain, pole)
             terms.append(gen.walk(expr).val)
         V = gen.assign("V", " + ".join(["0.0", *terms]))
         gen.check(f"not isfinite({V})", f"fail(None, x, {V})")
@@ -1060,15 +1053,15 @@ def compile_potential(exprs: Sequence[Expr], domain: tuple[float, float],
     """The potential energy (``order`` 0) or gradient (``order`` 1) of n
     coordinates as one compiled batch function.
 
-    Coordinate i has the term ``exprs[i]`` in ``x``, inside ``domain`` and
-    off ``pole``.  The result ``make(fail)`` returns a function of an
-    iterable of points of n floats, which runs at each point each
-    coordinate's domain and pole check and its lines of the given order in
-    turn.  At order 0 it returns the list of the sums of the values, summed
-    from 0.0 in coordinate order; at order 1 the list of [V_1', .., V_n'],
-    each the bits of the term's order-1 kernel (the lines compile_rhs runs
-    for V'), with no sum.  A failed check calls ``fail(i, x)``, a sum that
-    is not finite ``fail(None, x, total)``; an error inside the lines is
+    Coordinate i has the term ``exprs[i]`` in ``x``, inside ``domain`` and off
+    ``pole``.  The result ``make(fail)`` returns a function of an iterable of
+    points of n numbers, which runs at each point, after float() of each
+    entry, each coordinate's domain and pole check and its lines of the given
+    order in turn.  At order 0 it returns the list of the sums of the values,
+    summed from 0.0 in coordinate order; at order 1 the list of [V_1', ..,
+    V_n'], each the bits of the term's order-1 kernel (the lines compile_rhs
+    runs for V'), with no sum.  A failed check calls ``fail(i, x)``, a sum
+    that is not finite ``fail(None, x, total)``; an error inside the lines is
     raised where it happens.
 
     Built once per (exprs, domain, pole, order), and kept on ``exprs[0]``.
@@ -1086,16 +1079,17 @@ def compile_rhs(masses: Sequence[Expr], potentials: Sequence[Expr],
     ``potentials[i]``, both in ``x``; every coordinate lies in the open
     interval ``domain`` and off ``pole``, and off its own entry of
     ``singularities`` where that is not None.  The result ``make(fail)``
-    returns ``rhs(t, x, v)``, which takes lists of n floats and returns the
-    list of the n accelerations -(m'/2m) v^2 - V'/m; ``rhs.scalar(t, x0, ..,
-    v0, ..)`` returns their tuple for floats, or raises as rhs does there.
-    For each coordinate in turn it runs the singularity check, the domain and pole check, the lines
-    of the potential term's and of the mass's order-1 kernels (so V', m and
-    m' are their bits), the m < 0 check and the acceleration line.  A failed
-    check calls ``fail(i, x)``, and the m < 0 check ``fail(i, x, m)``, which
-    raises what the caller owes for coordinate i; an error inside the lines
-    (ExprDomainError, or ZeroDivisionError where m = 0) is raised where it
-    happens, so the first error is that of the first failing coordinate.
+    returns ``rhs(t, x, v)``, which takes lists of n numbers and returns the
+    list of the n accelerations -(m'/2m) v^2 - V'/m: it calls the kernel,
+    ``rhs.scalar(t, x0, .., v0, ..)``, with the entries of x as floats.  For
+    each coordinate in turn the kernel runs the singularity check, the
+    domain and pole check, the lines of the potential term's and of the
+    mass's order-1 kernels (so V', m and m' are their bits), the m < 0 check
+    and the acceleration line.  A failed check calls ``fail(i, x)``, and the
+    m < 0 check ``fail(i, x, m)``, with x the list [x0, ..] built there,
+    which raises what the caller owes for coordinate i; an error inside the
+    lines (ExprDomainError, or ZeroDivisionError where m = 0) is raised where
+    it happens, so the first error is that of the first failing coordinate.
 
     Built once per (masses, potentials, singularities, domain, pole), and
     kept on ``masses[0]``.
@@ -1143,21 +1137,21 @@ def compile_rhs2(mass: Expr, names: Sequence[str], potentials: Sequence[Expr],
     ``mass`` is the shared mass m over the variables ``names`` (x1..xn);
     coordinate i has the potential term ``potentials[i]`` in ``x``, and every
     coordinate lies in the open interval ``domain`` and off ``pole``.  The
-    result ``make(fail)`` returns ``rhs(t, x, v)`` (and ``rhs.scalar``, as
-    compile_rhs's), which takes lists of n floats and returns the list of the
-    n accelerations
+    result ``make(fail)`` returns ``rhs(t, x, v)``, which calls its kernel
+    ``rhs.scalar`` as compile_rhs's does, and returns the list of the n
+    accelerations
 
         -(mdot/m) v_i + (1/2)(g_i/m) |v|^2 - V_i'/m,  g = grad m, mdot = g.v.
 
-    It emits, in this order: each x_i as a float; m's gradient lines, as
-    compile_gradient emits them, so m and g are its bits; the m <= 0 check,
-    failing as fail(None, x, m); mdot (whose known-zero products g_i v_i
-    drop) and |v|^2, each summed from 0.0 in coordinate order; then for each
-    coordinate in turn the domain and pole check, failing as fail(i, x), the
-    lines of the potential term's order-1 kernel (so V_i' is its bits) and
-    the acceleration line; under the module's contract an assignment runs
-    only where the accelerations read it.  fail raises what the caller owes
-    there; an error inside the lines is raised where it happens.
+    The kernel emits, in this order: m's gradient lines, as compile_gradient
+    emits them, so m and g are its bits; the m <= 0 check, failing as
+    fail(None, x, m); mdot (whose known-zero products g_i v_i drop) and |v|^2,
+    each summed from 0.0 in coordinate order; then for each coordinate in turn
+    the domain and pole check, failing as fail(i, x), the lines of the
+    potential term's order-1 kernel (so V_i' is its bits) and the acceleration
+    line; under the module's contract an assignment runs only where the
+    accelerations read it.  fail raises what the caller owes there; an error
+    inside the lines is raised where it happens.
 
     Built once per (mass, names, potentials, domain, pole), and kept on
     ``mass``.

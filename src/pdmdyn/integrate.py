@@ -16,10 +16,10 @@ guard runs at every internal stage, so a trajectory that approaches a
 mass-profile boundary terminates cleanly instead of corrupting the
 step-size controller.
 
-Each stage calls ``rhs.scalar(t, x0, .., v0, ..)`` on its floats, the
-scalar entry of a generated right-hand side, and unpacks the n accelerations;
-any other ``rhs(t, x, v)`` is called through one adapter that passes the
-lists [x0, ..], [v0, ..] and reads back the first n entries as floats.
+Each stage calls ``rhs.scalar(t, x0, .., v0, ..)`` on its floats, the kernel
+of a generated right-hand side (its list form calls it too); any other
+``rhs(t, x, v)`` is called through one adapter that passes the lists
+[x0, ..], [v0, ..] and reads back the first n entries as floats.
 
 Dense output: a DOP853 trajectory carries the pair's 7th-order interpolant.
 The loop keeps, per accepted step, only what the interpolant needs beyond
@@ -335,10 +335,16 @@ def _scalar_entry(rhs: RhsFn, n: int) -> ScalarFn:
 def integrate(rhs: RhsFn, initial: State, opts: IntegratorOptions) -> Trajectory:
     """Integrate up to opts.t_end, or truncate on a guard/step failure.
 
-    An InvalidParameter unless the initial state is finite, x and v are of
-    one length, and the right-hand side takes them and returns as many
-    accelerations.
+    An InvalidParameter unless rhs is callable, opts are IntegratorOptions,
+    initial is a finite State whose x and v are of one length, and rhs
+    takes them and returns as many accelerations.
     """
+    if not callable(rhs):
+        raise InvalidParameter("rhs", f"expected a callable, got {rhs!r}")
+    if not isinstance(initial, State):
+        raise InvalidParameter("initial", f"expected a State, got {initial!r}")
+    if not isinstance(opts, IntegratorOptions):
+        raise InvalidParameter("opts", f"expected IntegratorOptions, got {opts!r}")
     t = initial.t
     x0, v0 = (np.array(s, dtype=float).tolist() for s in (initial.x, initial.v))
     if not (math.isfinite(t) and all(map(math.isfinite, x0 + v0))):

@@ -38,10 +38,6 @@ class CustomProfile:
     domain: tuple[float, float] = REAL_LINE
     coefficient_singularity: float | None = None
 
-    def __post_init__(self):
-        # _kernels[k] returns m and its first k derivatives, compiled on first read
-        object.__setattr__(self, "_kernels", [None, None, None])
-
     @staticmethod
     def from_text(text: str, domain: tuple[float, float] = REAL_LINE,
                   coefficient_singularity: float | None = None) -> "CustomProfile":
@@ -54,10 +50,7 @@ class CustomProfile:
         lo, hi = self.domain
         if not lo < x < hi:
             self._fail(x)
-        fn = self._kernels[order]
-        if fn is None:
-            fn = self._kernels[order] = exprparse.compile_expression(self.expr, order=order)
-        out = fn(x, 1.0)
+        out = exprparse.compile_expression(self.expr, order=order)(x, 1.0)
         m = out[0] if order else out
         # m == 0 (a vanishing or underflowed mass) is left to the equations
         # of motion, whose division by m raises ZeroDivisionError

@@ -263,16 +263,19 @@ class TestEnergies:
             fn(system, arg([0.5] * given))
 
     @pytest.mark.parametrize("value", [None, 0.5, "ab", [None, 0.5], [[0.5], [0.5]],
-                                       [10 ** 400, 0.5]])
+                                       [10 ** 400, 0.5], "12", b"12"])
     @pytest.mark.parametrize("fn,name,arg", [
         (potential_energy, "x", lambda xs: xs), (potential_gradient, "x", lambda xs: xs),
         (kinetic_energy, "x", lambda xs: State(0.0, xs, [0.5, 0.5])),
         (kinetic_energy, "v", lambda vs: State(0.0, [0.5, 0.5], vs)),
         (total_energy, "x", lambda xs: State(0.0, xs, [0.5, 0.5])),
         (total_energy, "v", lambda vs: State(0.0, [0.5, 0.5], vs)),
+        (el1_acceleration, "x", lambda xs: State(0.0, xs, [0.5, 0.5])),
+        (el1_acceleration, "v", lambda vs: State(0.0, [0.5, 0.5], vs)),
     ])
     def test_coordinates_that_are_not_numbers(self, fn, name, arg, value):
-        # float() of each entry raised a raw TypeError, ValueError or OverflowError
+        # float() of each entry raised a raw TypeError, ValueError or OverflowError,
+        # and "12" was read one character at a time, as [1.0, 2.0]
         system = build_system("harmonic", 2, {"omega": [1.0, 2.0]})
         with pytest.raises(InvalidParameter) as err:
             fn(system, arg(value))
@@ -280,7 +283,9 @@ class TestEnergies:
 
     # a None entry was read as nan: x = [nan, 0.5]
     @pytest.mark.parametrize("name,value", [("t", "a"), ("t", None), ("x", ["a", 0.5]),
-                                            ("x", "ab"), ("v", [1j, 0.5]),
+                                            ("x", "ab"), ("x", "12"), ("v", b"12"),
+                                            ("v", bytearray(b"12")),
+                                            ("v", [1j, 0.5]),
                                             ("v", [10 ** 400, 0.5]), ("x", [None, 0.5]),
                                             ("v", [None, 0.5])])
     def test_state_of_values_that_are_not_numbers(self, name, value):

@@ -680,8 +680,8 @@ def both_entries(system):
 @pytest.mark.parametrize("kind,name", [*(("type1", name) for name in _PARITY),
                                        *(("type2", name) for name in sorted(TYPE2_MASSES))])
 def test_scalar_entry_is_the_list_form_at_seeded_states(kind, name, n):
-    # the scalar entry runs the list form's lines on the same floats, without
-    # their float() conversions, and returns a tuple
+    # the list form calls the scalar entry on the entries of x as floats, and
+    # returns its tuple as a list
     system = parity_system(name, n) if kind == "type1" else type2_system(name, n, False)
     box = CATALOG[name][2] if name in CATALOG else (-2.0, 2.0)
     rhs, scalar = both_entries(system)

@@ -1261,3 +1261,76 @@ class TestKnownZerosFold:
         assert _repeated(["v1 = x0 * x1", "if v1 <= 0.0:", "v2 = x0 * x1",
                           "if v1 <= 0.0:"]) == ["v2 = x0 * x1", "if v1 <= 0.0:"]
         assert _repeated(["v1 = x0 * x1", "v2 = x1 * x0", "if v1 <= 0.0:", "if v1 < 0.0:"]) == []
+
+
+def _functions(source: str) -> dict[str, list[str]]:
+    """The functions a generated source defines inside ``compiled``, by name:
+    the text of the argument list, then the body's lines, stripped."""
+    functions, body = {}, None
+    for line in source.split("\n"):
+        found = re.fullmatch(r" {8}def (\w+)\((.*)\):", line)
+        if found:
+            body = functions[found[1]] = [found[2]]
+        elif body is not None and line.startswith(" " * 12):
+            body.append(line.strip())
+        else:
+            body = None
+    return functions
+
+
+class TestOneBodyPerRightHandSide:
+    """Each generated right-hand side is compiled from one body: the kernel
+    ``scalar(t, x0, .., u0, ..)`` holds every statement once and no float()
+    conversion, and the list form ``rhs(t, x, v)`` only unpacks its lists
+    and calls the kernel with the entries of x as floats."""
+
+    @staticmethod
+    def _sources(monkeypatch) -> list[str]:
+        from pdmdyn import exprparse
+        sources = []
+        # a fresh parse of every text, so every right-hand side is generated here
+        exprparse.parse_cached.cache_clear()
+        monkeypatch.setattr(exprparse, "compile", lambda source, *rest: sources.append(source)
+                            or compile(source, *rest), raising=False)
+        return sources
+
+    @staticmethod
+    def _one_body(sources) -> int:
+        """How many right-hand sides the sources hold, each asserted to have one body."""
+        kernels = [(source, _functions(source)) for source in sources if "def scalar(" in source]
+        for source, functions in kernels:
+            args, *body = functions["scalar"]
+            names = args.split(", ")[1:]
+            xs, us = names[:len(names) // 2], names[len(names) // 2:]
+            assert not [line for line in body if "float(" in line], body
+            lines = [line.strip() for line in source.split("\n")]
+            statements = [line for line in body if _ASSIGNMENT.match(line) or _CHECK.match(line)]
+            assert statements and all(lines.count(line) == 1 for line in statements), source
+            floats = ", ".join([*(f"float({x})" for x in xs), *us])
+            assert functions["rhs"] == ["t, x, v", f"{', '.join(xs)}, = x",
+                                        f"{', '.join(us)}, = v",
+                                        f"return [*scalar(t, {floats})]"], source
+        return len(kernels)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(_CATALOG))
+    def test_catalog_systems(self, monkeypatch, family, n):
+        sources = self._sources(monkeypatch)
+        params = {k: v[:n] if k in VECTORS else v for k, v in _CATALOG[family].items()}
+        el1_rhs(build_system(family, n, params))
+        assert self._one_body(sources) == 1
+
+    def test_verify_cases(self, monkeypatch):
+        sources = self._sources(monkeypatch)
+        for case in CASES.values():
+            el1_rhs(case.system())
+        # cases that share masses and potentials share one right-hand side
+        assert 0 < self._one_body(sources) <= len(CASES)
+
+    @pytest.mark.parametrize("n,kind,masses,potentials", _EXPR_SYSTEMS)
+    def test_expression_systems(self, monkeypatch, n, kind, masses, potentials):
+        sources = self._sources(monkeypatch)
+        system = build_system("custom", n, mass_exprs=masses, potential_exprs=potentials,
+                              kind=kind)
+        (el2_rhs if kind == TYPE2 else el1_rhs)(system)
+        assert self._one_body(sources) == 1

@@ -126,6 +126,20 @@ class TestOptions:
             IntegratorOptions(t_end=1.0, **steps)
         assert err.value.field == "h_init"
 
+    @pytest.mark.parametrize("rhs,initial,opts,name", [
+        (harmonic_rhs, None, IntegratorOptions(t_end=1.0), "initial"),
+        (harmonic_rhs, (0.0, [1.0], [0.0]), IntegratorOptions(t_end=1.0), "initial"),
+        (harmonic_rhs, State.of(0.0, [1.0], [0.0]), "a", "opts"),
+        (harmonic_rhs, State.of(0.0, [1.0], [0.0]), None, "opts"),
+        (None, State.of(0.0, [1.0], [0.0]), IntegratorOptions(t_end=1.0), "rhs"),
+        ([0.0], State.of(0.0, [1.0], [0.0]), IntegratorOptions(t_end=1.0), "rhs"),
+    ])
+    def test_arguments_of_the_wrong_type(self, rhs, initial, opts, name):
+        # initial.t of None and opts.t_end of "a" were raw AttributeErrors
+        with pytest.raises(InvalidParameter) as err:
+            integrate(rhs, initial, opts)
+        assert err.value.field == name
+
     @pytest.mark.parametrize("scheme", [FIXED_RK4, DOP853])
     def test_end_before_initial_time(self, scheme):
         opts = IntegratorOptions(t_end=-5.0, scheme=scheme)

@@ -17,9 +17,11 @@ of POINTS with each of VELOCITIES; a tree in ``x1, x2`` of a type2 one
 (``compile_rhs2``) with the terms ``0.5*x^2``, called at its point pairs
 with each pair of VELOCITIES.  Both checkouts' kernels are called through
 their list form ``rhs(t, x, v)``, with a ``fail`` that raises its
-arguments; where this checkout's kernel carries a scalar entry, that entry
-is called on the same floats too, and must return or raise what the list
-form does.
+arguments.  A generated list form calls the scalar entry ``rhs.scalar``,
+the kernel the integrator's stages run, so comparing list forms across
+checkouts covers that kernel; where this checkout's right-hand side
+carries a scalar entry, the entry is called on the same floats too, and
+must return or raise what the list form does.
 
 An outcome is the floats a call returns (every NaN alike) or the type and
 message of the error it raises.  Each outcome that differs is counted in one
